@@ -61,8 +61,8 @@ impl Config {
             // set to the current count: adding a waiver REQUIRES bumping the budget
             // here, in the same reviewed diff as the waiver itself.
             waiver_budgets: vec![
-                ("hot-path-panic".to_string(), 8),
-                ("truncating-cast".to_string(), 9),
+                ("hot-path-panic".to_string(), 5),
+                ("truncating-cast".to_string(), 5),
                 ("discarded-result".to_string(), 1),
                 ("condvar-discipline".to_string(), 0),
                 ("lock-hold-hygiene".to_string(), 0),

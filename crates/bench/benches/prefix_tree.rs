@@ -63,7 +63,7 @@ fn bench_merge(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(tasks), &tasks, |b, _| {
             b.iter(|| {
                 let mut acc = left.clone();
-                acc.merge_ref(&right);
+                acc.merge(right.clone());
                 acc
             })
         });

@@ -1,14 +1,14 @@
-//! Wire-format v2 vs. the v1 string format on a 64K-endpoint gather wave.
+//! Wire-format v2 on a 64K-endpoint gather wave.
 //!
 //! Every daemon in a hierarchical gather serialises its locally merged subtree
 //! tree once per wave, and every byte it emits crosses the overlay's slowest
-//! links.  This bench pins both sides of the v2 trade at the paper's 65,536-task
-//! scale: encode wall time for a full wave of daemon trees under the
-//! session-dictionary varint format and under the legacy per-node string
-//! format, plus the v2 decode cost the communication processes pay.
+//! links.  This bench pins the codec's cost at the paper's 65,536-task scale:
+//! encode wall time for a full wave of daemon trees under the
+//! session-dictionary varint format, plus the decode cost the communication
+//! processes pay.
 //!
-//! The byte totals themselves (the ≥3× acceptance bar) are pinned by
-//! `tests/wire.rs` and recorded in `results/BENCH_wire.md`.
+//! The byte totals themselves (the ≥3× bar against the retired v1 string
+//! format) are pinned by `tests/wire.rs`.
 
 // Benches are not public API; criterion_group! generates undocumented items.
 #![allow(missing_docs)]
@@ -18,7 +18,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use appsim::{Application, FrameVocabulary, RingHangApp};
 use stackwalk::{FrameDictionary, FrameTable, Walker};
 use stat_core::prelude::*;
-use stat_core::serialize::encode_tree_v1;
 
 const TASKS: u64 = 65_536;
 const DAEMONS: u64 = 1_024;
@@ -61,19 +60,6 @@ fn bench_gather_wave(c: &mut Criterion) {
             trees
                 .iter()
                 .map(|t| encode_tree(t, &table, &dict).len())
-                .sum::<usize>()
-        })
-    });
-
-    group.bench_function("encode_v1_string_format", |b| {
-        b.iter(|| {
-            trees
-                .iter()
-                .map(|t| {
-                    encode_tree_v1(t, &table)
-                        .expect("paper vocabulary fits v1")
-                        .len()
-                })
                 .sum::<usize>()
         })
     });

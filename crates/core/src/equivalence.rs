@@ -99,38 +99,6 @@ pub fn debugger_attach_set(tree: &GlobalPrefixTree) -> Vec<u64> {
     reps
 }
 
-/// Summary statistics about how well the classes compress the job.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ClassSummary {
-    /// Total tasks covered by any class.
-    pub tasks: u64,
-    /// Number of classes.
-    pub classes: usize,
-    /// Size of the largest class.
-    pub largest: usize,
-    /// Size of the smallest class.
-    pub smallest: usize,
-}
-
-/// Compute the summary for a merged tree.
-pub fn summarize<S: TaskSetOps>(tree: &PrefixTree<S>) -> ClassSummary {
-    let classes = equivalence_classes(tree);
-    ClassSummary {
-        tasks: tree.tasks(tree.root()).count(),
-        classes: classes.len(),
-        largest: classes
-            .iter()
-            .map(EquivalenceClass::size)
-            .max()
-            .unwrap_or(0),
-        smallest: classes
-            .iter()
-            .map(EquivalenceClass::size)
-            .min()
-            .unwrap_or(0),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,13 +151,13 @@ mod tests {
     }
 
     #[test]
-    fn summary_reports_compression() {
+    fn classes_compress_the_job() {
         let (tree, _) = ring_tree(512);
-        let s = summarize(&tree);
-        assert_eq!(s.tasks, 512);
-        assert_eq!(s.classes, 3);
-        assert_eq!(s.largest, 510);
-        assert_eq!(s.smallest, 1);
+        let classes = equivalence_classes(&tree);
+        assert_eq!(tree.tasks(tree.root()).count(), 512);
+        let sizes: Vec<usize> = classes.iter().map(EquivalenceClass::size).collect();
+        // Largest first: the barrier crowd, then the two singletons.
+        assert_eq!(sizes, vec![510, 1, 1]);
     }
 
     #[test]
@@ -208,8 +176,5 @@ mod tests {
     fn empty_tree_has_no_classes() {
         let tree = GlobalPrefixTree::new_global(8);
         assert!(equivalence_classes(&tree).is_empty());
-        let s = summarize(&tree);
-        assert_eq!(s.classes, 0);
-        assert_eq!(s.largest, 0);
     }
 }

@@ -20,10 +20,11 @@
 //! combined with a word-level shifted union ([`TaskSetOps::union_shifted`]) and
 //! unmatched subtrees *move* their task sets across — the hierarchical path never
 //! clones a tree, and the accumulated tree widens in place, so peak memory stays
-//! proportional to one input wave.  Callers that must keep the source use
-//! [`PrefixTree::merge_ref`].  Child lookup is a tree-wide `(parent, frame)` hash
-//! (an O(1) probe, not a sibling scan — `add_trace`, `merge` and packet decode all
-//! go through it), and every
+//! proportional to one input wave.  Callers that must keep the source pass a clone.
+//! [`PrefixTree::merge_aligned`] — the same-domain fold of the streaming delta
+//! path — is the same walk at offset zero without the widening.  Child lookup is a
+//! tree-wide `(parent, frame)` hash (an O(1) probe, not a sibling scan — `add_trace`,
+//! `merge` and packet decode all go through it), and every
 //! traversal — merge, [`PrefixTree::depth`], [`SubtreePrefixTree::remap`] — runs an
 //! explicit worklist, so a pathologically deep trace cannot overflow the stack.
 //! Before/after numbers live in `results/BENCH_merge.md`.
@@ -295,23 +296,43 @@ impl<S: TaskSetOps> PrefixTree<S> {
     ///   shifted-OR'd ([`TaskSetOps::union_shifted`]) or moved-and-rebased in, so
     ///   nothing is cloned: the merge is O(matched words + moved nodes).
     ///
-    /// Callers that need to keep the source tree use [`PrefixTree::merge_ref`].
+    /// Callers that need to keep the source tree pass `other.clone()`.
+    pub fn merge(&mut self, other: PrefixTree<S>) {
+        self.merge_walk(other, self.concatenating);
+    }
+
+    /// Union another tree into this one **over the same domain** — no domain
+    /// concatenation for either representation.  Matched edge labels union at
+    /// offset zero and unmatched subtrees move their task sets across.
+    ///
+    /// This is the fold step of the streaming delta path: a wave tree or a
+    /// [`PrefixTree::delta_from`] delta describes the *same* task positions as the
+    /// accumulated tree it folds into (a daemon's own local domain, or one tree
+    /// node's already-concatenated subtree domain), so the hierarchical
+    /// representation must not widen here the way [`PrefixTree::merge`] does.
+    pub fn merge_aligned(&mut self, other: PrefixTree<S>) {
+        self.merge_walk(other, false);
+    }
+
+    /// The one merge walk behind both entry points.  `concatenate` appends
+    /// `other`'s domain after this tree's (widening in place); otherwise both
+    /// trees must already share one domain and labels union at offset zero.
     ///
     /// The traversal is an explicit worklist: merging arbitrarily deep 3D traces
     /// cannot overflow the stack.
-    pub fn merge(&mut self, mut other: PrefixTree<S>) {
+    fn merge_walk(&mut self, mut other: PrefixTree<S>, concatenate: bool) {
         assert_eq!(
             self.concatenating, other.concatenating,
             "cannot merge trees with different representations"
         );
-        let offset = if self.concatenating {
+        let offset = if concatenate {
             let w1 = self.width;
             self.widen_all(w1 + other.width);
             w1
         } else {
             assert_eq!(
                 self.width, other.width,
-                "global trees must share the job-wide domain"
+                "merging without concatenation requires one shared task domain"
             );
             0
         };
@@ -334,66 +355,6 @@ impl<S: TaskSetOps> PrefixTree<S> {
             // this also keeps the loop free of index arithmetic.
             let other_children = std::mem::take(&mut other.entry_mut(on).children);
             for oc in other_children {
-                let frame = other
-                    .entry(oc)
-                    .frame
-                    // stat-analyzer: allow(hot-path-panic) — oc came off a parent's child list, and only the root (never anyone's child) lacks a frame
-                    .expect("non-root nodes always carry a frame");
-                let matched = if grafted {
-                    None
-                } else {
-                    self.child_with_frame(sn, frame)
-                };
-                match matched {
-                    Some(sc) => work.push((sc, oc, false)),
-                    None => {
-                        let mut tasks =
-                            std::mem::replace(&mut other.entry_mut(oc).tasks, S::empty(0));
-                        tasks.rebase(offset, new_width);
-                        let sc = self.add_child_with_tasks(sn, frame, tasks);
-                        work.push((sc, oc, true));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Merge another tree into this one while keeping the source intact.
-    ///
-    /// This is the shim for the few callers (tests, benchmarks, repeated degraded
-    /// gathers) that genuinely need to retain `other`; the hot path is the by-value
-    /// [`PrefixTree::merge`], which never clones a tree.
-    pub fn merge_ref(&mut self, other: &PrefixTree<S>) {
-        self.merge(other.clone());
-    }
-
-    /// Union another tree into this one **over the same domain** — no domain
-    /// concatenation for either representation.  Matched edge labels union at
-    /// offset zero and unmatched subtrees move their task sets across.
-    ///
-    /// This is the fold step of the streaming delta path: a wave tree or a
-    /// [`PrefixTree::delta_from`] delta describes the *same* task positions as the
-    /// accumulated tree it folds into (a daemon's own local domain, or one tree
-    /// node's already-concatenated subtree domain), so the hierarchical
-    /// representation must not widen here the way [`PrefixTree::merge`] does.
-    pub fn merge_aligned(&mut self, mut other: PrefixTree<S>) {
-        assert_eq!(
-            self.concatenating, other.concatenating,
-            "cannot merge trees with different representations"
-        );
-        assert_eq!(
-            self.width, other.width,
-            "aligned merge requires one shared task domain"
-        );
-        let mut work: Vec<(NodeIdx, NodeIdx, bool)> = vec![(self.root(), other.root(), false)];
-        while let Some((sn, on, grafted)) = work.pop() {
-            if !grafted {
-                self.entry_mut(sn)
-                    .tasks
-                    .union_shifted(&other.entry(on).tasks, 0);
-            }
-            let other_children = std::mem::take(&mut other.entry_mut(on).children);
-            for oc in other_children {
                 // Only the root (never anyone's child) lacks a frame; a frameless
                 // child would be malformed input, and skipping it is the
                 // panic-free response on this hot path.
@@ -408,7 +369,11 @@ impl<S: TaskSetOps> PrefixTree<S> {
                 match matched {
                     Some(sc) => work.push((sc, oc, false)),
                     None => {
-                        let tasks = std::mem::replace(&mut other.entry_mut(oc).tasks, S::empty(0));
+                        let mut tasks =
+                            std::mem::replace(&mut other.entry_mut(oc).tasks, S::empty(0));
+                        if concatenate {
+                            tasks.rebase(offset, new_width);
+                        }
                         let sc = self.add_child_with_tasks(sn, frame, tasks);
                         work.push((sc, oc, true));
                     }
@@ -689,9 +654,9 @@ mod tests {
             b.add_trace(&compute, rank);
         }
         let mut ab = a.clone();
-        ab.merge_ref(&b);
+        ab.merge(b.clone());
         let mut ba = b.clone();
-        ba.merge_ref(&a);
+        ba.merge(a.clone());
         assert_eq!(ab.node_count(), ba.node_count());
         assert_eq!(ab.edge_count(), ba.edge_count());
         assert_eq!(ab.tasks(ab.root()).members(), ba.tasks(ba.root()).members());
@@ -790,7 +755,7 @@ mod tests {
         assert_eq!(delta.width(), 32);
 
         let mut expected = prev.clone();
-        expected.merge_ref(&wave);
+        expected.merge(wave);
         let mut folded = prev.clone();
         folded.merge_aligned(delta);
         assert_eq!(shape_of(&folded), shape_of(&expected));
@@ -908,7 +873,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_ref_keeps_the_source_tree_usable() {
+    fn an_empty_accumulator_concatenates_from_position_zero() {
         let mut table = FrameTable::new();
         let barrier = trace(&mut table, &["_start", "main", "MPI_Barrier"]);
         let mut a = SubtreePrefixTree::new_subtree(2);
@@ -917,12 +882,11 @@ mod tests {
         let mut b = SubtreePrefixTree::new_subtree(3);
         b.add_trace(&barrier, 2);
 
+        // A zero-width accumulator: the first merge lands at offset 0 with no
+        // rebase to do, the second concatenates after it.
         let mut merged = SubtreePrefixTree::new_subtree(0);
-        merged.merge_ref(&a);
-        merged.merge_ref(&b);
-        // The sources are untouched and reusable.
-        assert_eq!(a.width(), 2);
-        assert_eq!(b.tasks(b.root()).members(), vec![2]);
+        merged.merge(a);
+        merged.merge(b);
         assert_eq!(merged.width(), 5);
         assert_eq!(merged.tasks(merged.root()).members(), vec![0, 1, 4]);
     }

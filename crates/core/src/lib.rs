@@ -63,9 +63,7 @@ pub mod threads;
 pub mod prelude {
     pub use crate::daemon::{DaemonContribution, StatDaemon};
     pub use crate::dot::{to_dot, DotOptions};
-    pub use crate::equivalence::{
-        debugger_attach_set, equivalence_classes, ClassSummary, EquivalenceClass,
-    };
+    pub use crate::equivalence::{debugger_attach_set, equivalence_classes, EquivalenceClass};
     pub use crate::error::{MergeChannel, StatError};
     pub use crate::filter::{RankMapFilter, StatMergeFilter};
     pub use crate::frontend::{GatherResult, MergeMetrics, Representation};
@@ -77,7 +75,7 @@ pub mod prelude {
         diagnose, run_scenario, run_scenario_in, run_scenario_with, ScenarioRun,
     };
     pub use crate::serialize::{
-        decode_tree, encode_merged_tree, encode_tree, DecodeError, EncodeError, WireFrames,
+        decode_tree, encode_merged_tree, encode_tree, DecodeError, WireFrames,
     };
     pub use crate::session::{
         MergeEstimate, PhaseEstimator, PhaseTimings, Session, SessionBuilder, SessionReport,

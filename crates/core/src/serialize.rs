@@ -7,12 +7,11 @@
 //! including, for the dense representation, all the zero words Section V complains
 //! about.
 //!
-//! Version 1 shipped every frame name as a length-prefixed string in every packet
-//! and wrote that length as `bytes.len() as u16` — a silent truncation for any name
-//! over 64 KiB.  Version 2 eliminates the whole bug class: frame names live in a
-//! session-global [`FrameDictionary`] negotiated once at session setup, packets
-//! carry u32 ids, and every length or count on the wire is an LEB128 varint, so no
-//! fixed-width cast exists to truncate.
+//! Frame names live in a session-global [`FrameDictionary`] negotiated once at
+//! session setup, packets carry u32 ids, and every length or count on the wire is
+//! an LEB128 varint, so no fixed-width cast exists to truncate a long frame name.
+//! Version 2 is the only format this module speaks: any other version byte is the
+//! typed [`DecodeError::Version`].
 //!
 //! ```text
 //! magic    u32     0x53544154 ("STAT"), little-endian
@@ -36,10 +35,6 @@
 //! zero words, kind 1 a run of `n` saturated words (every valid bit for that
 //! word position set — the common "all local tasks in the barrier" case costs
 //! one token), kind 2 announces `n` literal 8-byte words.
-//!
-//! The transitional v1 codec survives as [`encode_tree_v1`]/[`decode_tree_v1`]
-//! for migration tests and the `BENCH_wire` baseline; its encoder now returns a
-//! typed [`EncodeError::FrameNameTooLong`] instead of silently corrupting.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -103,8 +98,7 @@ pub enum DecodeError {
     },
     /// The magic number did not match.
     BadMagic,
-    /// The packet announces a wire-format version this decoder does not speak —
-    /// including legacy v1 bodies, whose representation byte lands here.
+    /// The packet announces a wire-format version this decoder does not speak.
     Version {
         /// Version byte found in the buffer.
         found: u8,
@@ -189,33 +183,6 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Errors the transitional v1 encoder can hit.  The v2 encoder cannot fail:
-/// varints have no fixed-width field to overflow.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum EncodeError {
-    /// A frame name does not fit v1's 16-bit length prefix — the exact spot
-    /// where the old `as u16` cast silently corrupted the packet.
-    FrameNameTooLong {
-        /// Length of the offending name in bytes.
-        length: usize,
-        /// Largest length the v1 format can express.
-        limit: usize,
-    },
-}
-
-impl std::fmt::Display for EncodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EncodeError::FrameNameTooLong { length, limit } => write!(
-                f,
-                "frame name of {length} bytes exceeds the v1 length-prefix limit of {limit}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for EncodeError {}
-
 // ---------------------------------------------------------------------------
 // Varints and the write sink
 // ---------------------------------------------------------------------------
@@ -291,9 +258,6 @@ impl<'a> Reader<'a> {
     fn u8(&mut self) -> Result<u8, DecodeError> {
         let [b] = self.array()?;
         Ok(b)
-    }
-    fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(self.array()?))
     }
     fn u32(&mut self) -> Result<u32, DecodeError> {
         Ok(u32::from_le_bytes(self.array()?))
@@ -375,11 +339,6 @@ impl WireFrames {
         self.records.iter().map(|(gid, name)| (*gid, name.as_str()))
     }
 
-    /// Number of incremental records.
-    pub fn record_count(&self) -> usize {
-        self.records.len()
-    }
-
     /// Absorb another packet's records.  Both packets must have negotiated the
     /// same base — a mismatch means they belong to different sessions.
     pub fn merge(&mut self, other: &WireFrames) -> Result<(), DecodeError> {
@@ -400,11 +359,11 @@ impl WireFrames {
 // v2 encoding
 // ---------------------------------------------------------------------------
 
-/// Which global id each referenced frame maps to, plus the incremental records
-/// the packet must carry to stay self-contained.
+/// The global id of every non-root node, in [`PrefixTree::iter_nodes`] order,
+/// plus the incremental records the packet must carry to stay self-contained.
 struct FramePlan<'a> {
     base_len: u32,
-    gid_of: HashMap<FrameId, u32>,
+    gids: Vec<u32>,
     records: BTreeMap<u32, &'a str>,
 }
 
@@ -414,21 +373,25 @@ fn plan_with_dictionary<'a, S: WireTaskSet>(
     dict: &FrameDictionary,
 ) -> FramePlan<'a> {
     let base_len = dict.base_len();
-    let mut gid_of = HashMap::new();
+    // Intern each distinct frame once: the dictionary is shared session state.
+    let mut gid_of: HashMap<FrameId, u32> = HashMap::new();
     let mut records = BTreeMap::new();
-    for (_, frame, _) in tree.iter_nodes() {
-        gid_of.entry(frame).or_insert_with(|| {
-            let name = table.name(frame);
-            let gid = dict.intern(name);
-            if gid >= base_len {
-                records.insert(gid, name);
-            }
-            gid
-        });
-    }
+    let gids = tree
+        .iter_nodes()
+        .map(|(_, frame, _)| {
+            *gid_of.entry(frame).or_insert_with(|| {
+                let name = table.name(frame);
+                let gid = dict.intern(name);
+                if gid >= base_len {
+                    records.insert(gid, name);
+                }
+                gid
+            })
+        })
+        .collect();
     FramePlan {
         base_len,
-        gid_of,
+        gids,
         records,
     }
 }
@@ -438,23 +401,25 @@ fn plan_from_wire<'a, S: WireTaskSet>(
     frames: &'a WireFrames,
 ) -> FramePlan<'a> {
     let base_len = frames.base_len();
-    let mut gid_of = HashMap::new();
     let mut records = BTreeMap::new();
-    for (_, frame, _) in tree.iter_nodes() {
-        gid_of.entry(frame).or_insert_with(|| {
+    let gids = tree
+        .iter_nodes()
+        .map(|(_, frame, _)| {
             let gid = frame.0;
             if gid >= base_len {
                 // A merged tree only references frames its decoded inputs
                 // carried, so the record is always present; ship an empty name
                 // rather than panic mid-filter if that invariant ever breaks.
-                records.insert(gid, frames.name_of(gid).unwrap_or(""));
+                records
+                    .entry(gid)
+                    .or_insert_with(|| frames.name_of(gid).unwrap_or(""));
             }
             gid
-        });
-    }
+        })
+        .collect();
     FramePlan {
         base_len,
-        gid_of,
+        gids,
         records,
     }
 }
@@ -534,12 +499,11 @@ fn write_tree<S: WireTaskSet>(
     }
     put_varint(sink, tree.node_count() as u64);
     write_task_set::<S>(sink, tree.tasks(tree.root()), tree.width());
-    for (idx, frame, parent) in tree.iter_nodes() {
+    for ((idx, _, parent), &gid) in tree.iter_nodes().zip(&plan.gids) {
         // Parents precede children in index order, so the delta is always >= 1
         // and usually tiny — one varint byte for the common case.
         put_varint(sink, (idx - parent) as u64);
-        // stat-analyzer: allow(hot-path-panic) — every frame id this loop sees was inserted by the planning pass over the same iterator
-        put_varint(sink, u64::from(plan.gid_of[&frame]));
+        put_varint(sink, u64::from(gid));
         write_task_set::<S>(sink, tree.tasks(idx), tree.width());
     }
 }
@@ -842,162 +806,6 @@ pub fn decode_dictionary(buf: &[u8]) -> Result<Vec<String>, DecodeError> {
     Ok(names)
 }
 
-// ---------------------------------------------------------------------------
-// Transitional v1 codec (string format)
-// ---------------------------------------------------------------------------
-
-/// Serialise a tree in the legacy v1 string format: packet-local frame ids,
-/// length-prefixed names in every packet, raw 8-byte task-set words.
-///
-/// Kept for migration tests and as the `BENCH_wire` baseline.  Where the old
-/// encoder wrote `bytes.len() as u16` — silently truncating any name over
-/// 64 KiB into a corrupt packet — this one returns
-/// [`EncodeError::FrameNameTooLong`].
-pub fn encode_tree_v1<S: WireTaskSet>(
-    tree: &PrefixTree<S>,
-    table: &FrameTable,
-) -> Result<Vec<u8>, EncodeError> {
-    let mut local_names: Vec<&str> = Vec::new();
-    let mut local_of: HashMap<FrameId, u32> = HashMap::new();
-    for (_, frame, _) in tree.iter_nodes() {
-        local_of.entry(frame).or_insert_with(|| {
-            local_names.push(table.name(frame));
-            // stat-analyzer: allow(truncating-cast) — a tree references far fewer than 2^32 distinct frames
-            (local_names.len() - 1) as u32
-        });
-    }
-
-    let words_hint = usize::try_from(tree.width().div_ceil(64)).unwrap_or(0);
-    let mut out = Vec::with_capacity(64 + tree.node_count() * (16 + words_hint * 8));
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.push(S::TAG);
-    out.extend_from_slice(&tree.width().to_le_bytes());
-    // stat-analyzer: allow(truncating-cast) — bounded by the distinct-frame count above
-    out.extend_from_slice(&(local_names.len() as u32).to_le_bytes());
-    for name in &local_names {
-        let bytes = name.as_bytes();
-        let len = u16::try_from(bytes.len()).map_err(|_| EncodeError::FrameNameTooLong {
-            length: bytes.len(),
-            limit: usize::from(u16::MAX),
-        })?;
-        out.extend_from_slice(&len.to_le_bytes());
-        out.extend_from_slice(bytes);
-    }
-    // stat-analyzer: allow(truncating-cast) — node counts are far below u32::MAX for any encodable tree
-    out.extend_from_slice(&(tree.node_count() as u32).to_le_bytes());
-    let encode_set = |out: &mut Vec<u8>, set: &S| {
-        for word in set.wire_words() {
-            out.extend_from_slice(&word.to_le_bytes());
-        }
-    };
-    out.extend_from_slice(&u32::MAX.to_le_bytes()); // root parent
-    out.extend_from_slice(&u32::MAX.to_le_bytes()); // root frame
-    encode_set(&mut out, tree.tasks(tree.root()));
-    for (idx, frame, parent) in tree.iter_nodes() {
-        // stat-analyzer: allow(truncating-cast) — parents precede children, so the index fits u32 whenever the node count does
-        out.extend_from_slice(&(parent as u32).to_le_bytes());
-        // stat-analyzer: allow(hot-path-panic) — every frame id this loop sees was inserted by the collection pass over the same iterator above
-        out.extend_from_slice(&local_of[&frame].to_le_bytes());
-        encode_set(&mut out, tree.tasks(idx));
-    }
-    Ok(out)
-}
-
-/// Deserialise a legacy v1 packet body, re-interning frame names into `table`.
-pub fn decode_tree_v1<S: WireTaskSet>(
-    buf: &[u8],
-    table: &mut FrameTable,
-) -> Result<PrefixTree<S>, DecodeError> {
-    let mut r = Reader::new(buf);
-    if r.u32()? != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let tag = r.u8()?;
-    if tag != S::TAG {
-        return Err(DecodeError::WrongRepresentation {
-            found: tag,
-            expected: S::TAG,
-        });
-    }
-    let width = r.u64()?;
-    let nframes_offset = r.pos;
-    let nframes = usize::try_from(r.u32()?).map_err(|_| DecodeError::Truncated {
-        offset: nframes_offset,
-    })?;
-    if nframes.saturating_mul(2) > r.remaining() {
-        return Err(DecodeError::Truncated { offset: r.pos });
-    }
-    let mut frames: Vec<FrameId> = Vec::with_capacity(nframes);
-    for _ in 0..nframes {
-        let len = usize::from(r.u16()?);
-        let name_offset = r.pos;
-        let bytes = r.take(len)?;
-        let name = std::str::from_utf8(bytes).map_err(|_| DecodeError::BadFrameName {
-            offset: name_offset,
-        })?;
-        frames.push(table.intern(name));
-    }
-    let count_offset = r.pos;
-    let nnodes = usize::try_from(r.u32()?).map_err(|_| DecodeError::Truncated {
-        offset: count_offset,
-    })?;
-    if nnodes == 0 {
-        return Err(DecodeError::BadIndex {
-            offset: count_offset,
-        });
-    }
-    if width.div_ceil(64).saturating_mul(8) > r.remaining() as u64 {
-        return Err(DecodeError::Truncated { offset: r.pos });
-    }
-    let words_per_set =
-        usize::try_from(width.div_ceil(64)).map_err(|_| DecodeError::Truncated {
-            offset: count_offset,
-        })?;
-    let read_set = |r: &mut Reader<'_>| -> Result<S, DecodeError> {
-        let mut words = Vec::with_capacity(words_per_set);
-        for _ in 0..words_per_set {
-            words.push(r.u64()?);
-        }
-        Ok(S::from_wire_words(width, words))
-    };
-
-    let mut tree = PrefixTree::<S>::new(width, S::TAG == 1);
-    let root_offset = r.pos;
-    let root_parent = r.u32()?;
-    let root_frame = r.u32()?;
-    if root_parent != u32::MAX || root_frame != u32::MAX {
-        return Err(DecodeError::BadIndex {
-            offset: root_offset,
-        });
-    }
-    let root_set = read_set(&mut r)?;
-    tree.replace_tasks(0, root_set);
-    for idx in 1..nnodes {
-        let node_offset = r.pos;
-        let parent = usize::try_from(r.u32()?).map_err(|_| DecodeError::BadIndex {
-            offset: node_offset,
-        })?;
-        let frame_local = usize::try_from(r.u32()?).map_err(|_| DecodeError::BadIndex {
-            offset: node_offset,
-        })?;
-        if parent >= idx {
-            return Err(DecodeError::BadIndex {
-                offset: node_offset,
-            });
-        }
-        let frame = frames
-            .get(frame_local)
-            .copied()
-            .ok_or(DecodeError::BadIndex {
-                offset: node_offset,
-            })?;
-        let set = read_set(&mut r)?;
-        let node = tree.append_node(parent, frame);
-        tree.replace_tasks(node, set);
-    }
-    Ok(tree)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1033,7 +841,7 @@ mod tests {
             tree.tasks(tree.root()).members()
         );
         // Every frame was negotiated, so nothing ships incrementally...
-        assert_eq!(frames.record_count(), 0);
+        assert_eq!(frames.records().count(), 0);
         // ...and ids resolve against the session dictionary's snapshot.
         let snapshot = dict.snapshot();
         let names: Vec<&str> = back
@@ -1070,7 +878,7 @@ mod tests {
         let bytes = encode_tree(&tree, &table, &dict);
         let (back, frames): (GlobalPrefixTree, WireFrames) = decode_tree(&bytes).unwrap();
         assert_eq!(frames.base_len(), 3);
-        assert_eq!(frames.record_count(), 1);
+        assert_eq!(frames.records().count(), 1);
         let (gid, name) = frames.records().next().unwrap();
         assert!(gid >= frames.base_len());
         assert_eq!(name, "do_SendOrStall");
@@ -1093,35 +901,31 @@ mod tests {
     }
 
     #[test]
-    fn legacy_and_foreign_versions_are_typed_errors() {
+    fn foreign_versions_are_typed_errors() {
         let mut table = FrameTable::new();
         let tree = sample_global(&mut table);
-        // A v1 body puts its representation byte where v2 expects the version.
-        let v1 = encode_tree_v1(&tree, &table).unwrap();
-        assert_eq!(
-            decode_tree::<DenseBitVector>(&v1).unwrap_err(),
-            DecodeError::Version { found: 0 }
-        );
-        // A future version must be rejected, not misparsed.
-        let mut v9 = encode_tree(&tree, &table, &ring_dictionary());
-        v9[4] = 9;
-        assert_eq!(
-            decode_tree::<DenseBitVector>(&v9).unwrap_err(),
-            DecodeError::Version { found: 9 }
-        );
+        // Any version byte but ours must be rejected, not misparsed: 0 and 1 are
+        // where the retired string format kept its representation tag.
+        for foreign in [0u8, 1, 9] {
+            let mut packet = encode_tree(&tree, &table, &ring_dictionary());
+            packet[4] = foreign;
+            assert_eq!(
+                decode_tree::<DenseBitVector>(&packet).unwrap_err(),
+                DecodeError::Version { found: foreign }
+            );
+        }
     }
 
     #[test]
-    fn frame_name_over_64k_round_trips_in_v2_and_is_a_typed_error_in_v1() {
-        // The original bug: v1 wrote name lengths as `bytes.len() as u16`, so a
-        // >64 KiB name silently truncated into a corrupt packet.
+    fn frame_name_over_64k_round_trips() {
+        // The bug class varint lengths closed: a fixed `as u16` length prefix
+        // silently truncated a >64 KiB name into a corrupt packet.
         let huge_name = "x".repeat(70_000);
         let mut table = FrameTable::new();
         let trace = StackTrace::new(table.intern_path(&["main", &huge_name]));
         let mut tree = GlobalPrefixTree::new_global(8);
         tree.add_trace(&trace, 3);
 
-        // v2: varint lengths carry it exactly.
         let dict = FrameDictionary::negotiate(["main"]);
         let bytes = encode_tree(&tree, &table, &dict);
         let (back, frames): (GlobalPrefixTree, WireFrames) = decode_tree(&bytes).unwrap();
@@ -1129,29 +933,6 @@ mod tests {
         let (gid, name) = frames.records().next().unwrap();
         assert_eq!(name.len(), 70_000);
         assert_eq!(dict.name(gid).as_deref(), Some(huge_name.as_str()));
-
-        // v1: a typed error instead of silent corruption.
-        assert_eq!(
-            encode_tree_v1(&tree, &table).unwrap_err(),
-            EncodeError::FrameNameTooLong {
-                length: 70_000,
-                limit: usize::from(u16::MAX),
-            }
-        );
-    }
-
-    #[test]
-    fn legacy_v1_round_trips_for_migration() {
-        let mut table = FrameTable::new();
-        let tree = sample_global(&mut table);
-        let bytes = encode_tree_v1(&tree, &table).unwrap();
-        let mut other_table = FrameTable::new();
-        let back: GlobalPrefixTree = decode_tree_v1(&bytes, &mut other_table).unwrap();
-        assert_eq!(back.node_count(), tree.node_count());
-        assert_eq!(
-            back.tasks(back.root()).members(),
-            tree.tasks(tree.root()).members()
-        );
     }
 
     #[test]

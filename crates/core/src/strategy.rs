@@ -7,7 +7,8 @@
 //! into one sealed trait: the daemon-side contribution, the in-network merge filter,
 //! whether a rank-map channel rides along, and the front-end decode/remap step are
 //! all defined once per representation.  Adding a new wire representation is one
-//! `impl` here; nothing else in the pipeline changes.
+//! `impl` here plus one arm where `StreamingBuilder::open` boxes its typed core
+//! (the streaming pipeline's only `match` on the representation).
 //!
 //! The trait is *sealed* (its supertrait lives in a private module) because the
 //! session pipeline's correctness depends on the contribution, filter and finish
@@ -113,12 +114,6 @@ fn decode_channel<S: crate::serialize::WireTaskSet>(
         })
 }
 
-/// The frame table a finished merge resolves ids against: the negotiated base
-/// plus every incremental frame interned during the session.
-fn session_frames(dict: &FrameDictionary) -> FrameTable {
-    dict.snapshot()
-}
-
 /// The original representation: job-wide bit vectors, no remap needed.
 struct GlobalBitVectorStrategy;
 
@@ -161,7 +156,7 @@ impl RepresentationStrategy for GlobalBitVectorStrategy {
         Ok(MergedTrees {
             tree_2d,
             tree_3d,
-            frames: session_frames(dict),
+            frames: dict.snapshot(),
             remap_wall: Duration::ZERO,
         })
     }
@@ -204,16 +199,19 @@ impl RepresentationStrategy for HierarchicalTaskListStrategy {
         total_tasks: u64,
         dict: &FrameDictionary,
     ) -> Result<MergedTrees, StatError> {
-        let map_out = rank_map.expect("hierarchical sessions always carry a rank-map channel");
         let sub_2d: SubtreePrefixTree = decode_channel(MergeChannel::Tree2d, out_2d)?;
         let sub_3d: SubtreePrefixTree = decode_channel(MergeChannel::Tree3d, out_3d)?;
+        let positions = sub_2d.width().max(sub_3d.width());
+        let map_out = rank_map.ok_or(StatError::RankMapMismatch {
+            positions,
+            mapped: 0,
+        })?;
         let position_to_rank =
             decode_rank_map(&map_out.result.payload).map_err(|source| StatError::Decode {
                 channel: MergeChannel::RankMap,
                 endpoint: map_out.result.source,
                 source,
             })?;
-        let positions = sub_2d.width().max(sub_3d.width());
         if (position_to_rank.len() as u64) < positions {
             return Err(StatError::RankMapMismatch {
                 positions,
@@ -240,7 +238,7 @@ impl RepresentationStrategy for HierarchicalTaskListStrategy {
         Ok(MergedTrees {
             tree_2d,
             tree_3d,
-            frames: session_frames(dict),
+            frames: dict.snapshot(),
             remap_wall: start.elapsed(),
         })
     }
@@ -288,5 +286,24 @@ mod tests {
             StatError::Decode { channel, .. } => assert_eq!(channel, MergeChannel::Tree2d),
             other => panic!("expected a decode error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_missing_rank_map_channel_is_a_typed_error_not_a_panic() {
+        let tree = SubtreePrefixTree::new_subtree(8);
+        let dict = FrameDictionary::default();
+        let payload = crate::serialize::encode_tree(&tree, &FrameTable::new(), &dict);
+        let out = outcome_with_payload(payload);
+        let err = Representation::HierarchicalTaskList
+            .strategy()
+            .finish(&out, &out, None, 8, &dict)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            StatError::RankMapMismatch {
+                positions: 8,
+                mapped: 0
+            }
+        );
     }
 }

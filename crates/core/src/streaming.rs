@@ -31,6 +31,13 @@
 //!    between a fault first appearing and a stable correct verdict — a
 //!    machine-checkable meaning.
 //!
+//! So a wave walks the overlay twice, and only the walk of step 3 — the wave's
+//! *own* view — feeds the verdict.  The resident tree of step 4 cannot: it is
+//! cumulative, so once a fault strikes it still holds the faulty ranks' paths
+//! from the healthy waves, and those ranks show up in the healthy class as well
+//! as their own.  (Probed: ring hang at wave 2, 64 tasks, dense — judged from
+//! the resident tree, every post-fault wave fails `clean-separation`.)
+//!
 //! [`Session::attach`]: crate::session::Session::attach
 //! [`PacketTag::TreeDelta`]: tbon::packet::PacketTag::TreeDelta
 //! [`GatherResult`]: crate::frontend::GatherResult
@@ -42,9 +49,10 @@ use std::time::{Duration, Instant};
 use appsim::scenario::{Diagnosis, OverlayFault, Verdict};
 use appsim::{gather_samples_for_ranks_from, Application, WaveSource};
 use stackwalk::{FrameDictionary, FrameTable};
-use tbon::delta::{IncrementalTbon, ResidentState, StateFactory};
+use tbon::delta::{IncrementalTbon, ResidentState, StateFactory, WaveOutcome};
 use tbon::fault::FaultTracker;
 use tbon::filter::Filter;
+use tbon::network::TbonError;
 use tbon::packet::{Packet, PacketTag};
 use tbon::topology::{Topology, TreeShape};
 
@@ -174,6 +182,49 @@ struct WaveStats {
     full_packet_bytes: u64,
 }
 
+/// What a [`StreamingSession`] asks of its representation-typed core.  The
+/// representation is matched once, when [`StreamingBuilder::open`] boxes a
+/// [`StreamCore`]; every wave after that goes through this object-safe surface.
+trait WaveStream: Send + Sync {
+    /// Drop the daemons whose surviving ordinal is not in `keep`, record their
+    /// ranks as lost, and re-seed a fresh incremental overlay over `topology`
+    /// by folding each survivor's full cumulative tree as a delta against
+    /// empty state.  Returns the bytes the re-seed shipped at the leaves.
+    fn rebuild(
+        &mut self,
+        keep: &BTreeSet<usize>,
+        lost_ranks: &mut Vec<u64>,
+        topology: &Topology,
+        filter: &dyn Filter,
+    ) -> Result<u64, StatError>;
+
+    /// Sample one wave on every surviving daemon: build the wave trees, encode
+    /// the full-packet channels, diff the wave's 3D tree against the cumulative
+    /// local tree and fold the wave in.  Every survivor always emits a delta —
+    /// a quiescent daemon ships its root-only empty tree — which keeps
+    /// hierarchical domain offsets stable at every merge above it.
+    fn gather_wave(
+        &mut self,
+        app: &dyn Application,
+        base: u32,
+        samples: u32,
+        topology: &Topology,
+        needs_rank_map: bool,
+    ) -> (Vec<DaemonContribution>, Vec<Packet>, u64, WaveStats);
+
+    /// Fold one wave of per-daemon deltas into the overlay's resident state.
+    fn fold_wave(
+        &mut self,
+        deltas: Vec<Packet>,
+        filter: &dyn Filter,
+    ) -> Result<WaveOutcome, TbonError>;
+
+    fn covered_tasks(&self) -> u64;
+    fn resident_bytes(&self) -> usize;
+    fn incremental_canonical(&self) -> CanonicalTree;
+    fn batched_canonical(&self) -> CanonicalTree;
+}
+
 /// The representation-monomorphic core of a streaming session: one slot per
 /// original daemon (`None` once lost) plus the incremental overlay state and
 /// the session-global frame dictionary every wave encodes against.
@@ -207,11 +258,9 @@ impl<S: WireTaskSet> StreamCore<S> {
             dict,
         }
     }
+}
 
-    /// Drop the daemons whose surviving ordinal is not in `keep`, record their
-    /// ranks as lost, and re-seed a fresh incremental overlay over `topology`
-    /// by folding each survivor's full cumulative tree as a delta against
-    /// empty state.  Returns the bytes the re-seed shipped at the leaves.
+impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
     fn rebuild(
         &mut self,
         keep: &BTreeSet<usize>,
@@ -250,11 +299,6 @@ impl<S: WireTaskSet> StreamCore<S> {
         Ok(reseed_bytes)
     }
 
-    /// Sample one wave on every surviving daemon: build the wave trees, encode
-    /// the full-packet channels, diff the wave's 3D tree against the cumulative
-    /// local tree and fold the wave in.  Every survivor always emits a delta —
-    /// a quiescent daemon ships its root-only empty tree — which keeps
-    /// hierarchical domain offsets stable at every merge above it.
     fn gather_wave(
         &mut self,
         app: &dyn Application,
@@ -326,12 +370,24 @@ impl<S: WireTaskSet> StreamCore<S> {
         (contributions, deltas, traces_total, stats)
     }
 
+    fn fold_wave(
+        &mut self,
+        deltas: Vec<Packet>,
+        filter: &dyn Filter,
+    ) -> Result<WaveOutcome, TbonError> {
+        self.incremental.fold_wave(deltas, filter)
+    }
+
     fn covered_tasks(&self) -> u64 {
         self.streams
             .iter()
             .flatten()
             .map(|s| s.daemon.local_tasks())
             .sum()
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.incremental.resident_bytes()
     }
 
     fn incremental_canonical(&self) -> CanonicalTree {
@@ -364,13 +420,6 @@ impl<S: WireTaskSet> StreamCore<S> {
             None => Vec::new(),
         }
     }
-}
-
-/// Enum dispatch over the two wire representations — the streaming counterpart
-/// of the sealed [`crate::strategy::RepresentationStrategy`] dispatch.
-enum StreamState {
-    Dense(StreamCore<DenseBitVector>),
-    Hier(StreamCore<SubtreeTaskList>),
 }
 
 /// What one wave of a streaming session produced.
@@ -455,14 +504,19 @@ impl StreamingBuilder {
         // apps included) share the same vocabulary; any frame they introduce
         // anyway ships as an incremental dictionary record.
         let dict = FrameDictionary::negotiate(source.app_at(0).frame_hints());
-        let state = match self.session.representation() {
-            Representation::GlobalBitVector => {
-                StreamState::Dense(StreamCore::new(daemons, &topology, dict.clone()))
-            }
-            Representation::HierarchicalTaskList => {
-                StreamState::Hier(StreamCore::new(daemons, &topology, dict.clone()))
-            }
-        };
+        // The one place the representation is matched: every wave after this
+        // goes through the boxed core.
+        let state: Box<dyn WaveStream> =
+            match self.session.representation() {
+                Representation::GlobalBitVector => Box::new(StreamCore::<DenseBitVector>::new(
+                    daemons,
+                    &topology,
+                    dict.clone(),
+                )),
+                Representation::HierarchicalTaskList => Box::new(
+                    StreamCore::<SubtreeTaskList>::new(daemons, &topology, dict.clone()),
+                ),
+            };
         Ok(StreamingSession {
             session: self.session,
             source,
@@ -522,7 +576,7 @@ pub struct StreamingSession {
     topology: Topology,
     scheduled: Vec<(u32, OverlayFault)>,
     lost_ranks: Vec<u64>,
-    state: StreamState,
+    state: Box<dyn WaveStream>,
     total_backends: usize,
     dict: FrameDictionary,
 }
@@ -551,22 +605,13 @@ impl StreamingSession {
         let app = self.source.app_at(wave);
         let samples = self.session.samples_per_task();
         let base = wave.saturating_mul(samples);
-        let (contributions, deltas, traces_gathered, stats) = match &mut self.state {
-            StreamState::Dense(core) => core.gather_wave(
-                app.as_ref(),
-                base,
-                samples,
-                &self.topology,
-                strategy.needs_rank_map(),
-            ),
-            StreamState::Hier(core) => core.gather_wave(
-                app.as_ref(),
-                base,
-                samples,
-                &self.topology,
-                strategy.needs_rank_map(),
-            ),
-        };
+        let (contributions, deltas, traces_gathered, stats) = self.state.gather_wave(
+            app.as_ref(),
+            base,
+            samples,
+            &self.topology,
+            strategy.needs_rank_map(),
+        );
 
         let (gather, mut phases) =
             self.session
@@ -574,10 +619,7 @@ impl StreamingSession {
         phases.sample = stats.sample;
         phases.local_merge = stats.local_merge;
 
-        let fold = match &mut self.state {
-            StreamState::Dense(core) => core.incremental.fold_wave(deltas, filter.as_ref()),
-            StreamState::Hier(core) => core.incremental.fold_wave(deltas, filter.as_ref()),
-        }?;
+        let fold = self.state.fold_wave(deltas, filter.as_ref())?;
 
         let diagnosis = diagnose(&gather, self.tasks, self.lost_ranks.clone());
         let verdict = self
@@ -626,21 +668,8 @@ impl StreamingSession {
         let keep: BTreeSet<usize> = surviving.into_iter().collect();
         self.spec = degraded_spec.clone();
         self.topology = Topology::build(degraded_spec);
-        match &mut self.state {
-            StreamState::Dense(core) => {
-                core.rebuild(&keep, &mut self.lost_ranks, &self.topology, filter)
-            }
-            StreamState::Hier(core) => {
-                core.rebuild(&keep, &mut self.lost_ranks, &self.topology, filter)
-            }
-        }
-    }
-
-    /// Waves advanced so far (also the index the next [`advance`] will run).
-    ///
-    /// [`advance`]: StreamingSession::advance
-    pub fn waves_advanced(&self) -> u32 {
-        self.wave
+        self.state
+            .rebuild(&keep, &mut self.lost_ranks, &self.topology, filter)
     }
 
     /// The wave source driving the stream.
@@ -660,18 +689,12 @@ impl StreamingSession {
 
     /// Tasks still covered by surviving daemons.
     pub fn covered_tasks(&self) -> u64 {
-        match &self.state {
-            StreamState::Dense(core) => core.covered_tasks(),
-            StreamState::Hier(core) => core.covered_tasks(),
-        }
+        self.state.covered_tasks()
     }
 
     /// Total resident footprint of the incremental overlay state, in bytes.
     pub fn resident_bytes(&self) -> usize {
-        match &self.state {
-            StreamState::Dense(core) => core.incremental.resident_bytes(),
-            StreamState::Hier(core) => core.incremental.resident_bytes(),
-        }
+        self.state.resident_bytes()
     }
 
     /// The front end's rolling incrementally-folded 3D tree, in canonical form.
@@ -681,20 +704,14 @@ impl StreamingSession {
     ///
     /// [`batched_canonical`]: StreamingSession::batched_canonical
     pub fn incremental_canonical(&self) -> CanonicalTree {
-        match &self.state {
-            StreamState::Dense(core) => core.incremental_canonical(),
-            StreamState::Hier(core) => core.incremental_canonical(),
-        }
+        self.state.incremental_canonical()
     }
 
     /// What one batched merge of every survivor's full cumulative tree produces,
     /// in canonical form — recomputed from scratch, independently of the
     /// incremental path.
     pub fn batched_canonical(&self) -> CanonicalTree {
-        match &self.state {
-            StreamState::Dense(core) => core.batched_canonical(),
-            StreamState::Hier(core) => core.batched_canonical(),
-        }
+        self.state.batched_canonical()
     }
 }
 

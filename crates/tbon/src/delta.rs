@@ -91,7 +91,6 @@ pub struct IncrementalTbon<F: StateFactory> {
     /// Resident state per endpoint id; only interior nodes and the front end
     /// ever hold `Some` (back ends are the daemons' own concern).
     states: Vec<Option<F::State>>,
-    waves_folded: u64,
 }
 
 impl<F: StateFactory> IncrementalTbon<F> {
@@ -103,18 +102,12 @@ impl<F: StateFactory> IncrementalTbon<F> {
             topology,
             factory,
             states,
-            waves_folded: 0,
         }
     }
 
     /// The topology the network folds over.
     pub fn topology(&self) -> &Topology {
         &self.topology
-    }
-
-    /// Waves folded so far.
-    pub fn waves_folded(&self) -> u64 {
-        self.waves_folded
     }
 
     /// The front end's resident state — the rolling job-wide merge.  `None`
@@ -232,7 +225,6 @@ impl<F: StateFactory> IncrementalTbon<F> {
 
         let frontend_delta = frontend_delta
             .unwrap_or_else(|| Packet::control(PacketTag::TreeDelta, self.topology.frontend()));
-        self.waves_folded += 1;
         Ok(WaveOutcome {
             frontend_delta,
             delta_link_bytes,
@@ -289,9 +281,8 @@ mod tests {
             // 8 backends each contribute 1.
             assert_eq!(SumFilter::decode(&outcome.frontend_delta), 8);
             assert_eq!(outcome.filter_invocations, 3); // 2 comms + front end
-            assert_eq!(net.waves_folded(), wave);
-            // The front end folds one encode(8) packet per wave; ByteSum adds
-            // its payload bytes, which for a little-endian 8 is just 8.
+                                                       // The front end folds one encode(8) packet per wave; ByteSum adds
+                                                       // its payload bytes, which for a little-endian 8 is just 8.
             assert_eq!(net.frontend_state().unwrap().0, 8 * wave);
         }
         // 2 comms + 1 front end hold state; backends hold none.

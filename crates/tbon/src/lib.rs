@@ -17,7 +17,9 @@
 //!   lives in `stat-core` and plugs in through this trait;
 //! * [`network`] — a real, threaded, channel-based in-process network that executes
 //!   upward reductions through user filters (used by the examples, the integration
-//!   tests and the real-execution benchmarks);
+//!   tests and the real-execution benchmarks); reductions are the only traffic it
+//!   carries — the one downward message of a session, the frame-dictionary
+//!   broadcast, is priced by [`InProcessTbon::broadcast_link_bytes`];
 //! * [`cost`] — an analytic cost model of an upward reduction over a given topology,
 //!   interconnect and per-level payload size, used by the figure generators and the
 //!   planner to model configurations with millions of endpoints;
@@ -34,17 +36,15 @@ pub mod filter;
 pub mod network;
 pub mod packet;
 pub mod planner;
-pub mod stream;
 pub mod topology;
 
 pub use cost::{ReductionCost, ReductionCostModel};
 pub use delta::{IncrementalTbon, ResidentState, StateFactory, WaveOutcome};
 pub use fault::{CorruptingFilter, FaultTracker, FilterFault, FilterFaultKind, PruneReport};
 pub use filter::{Filter, IdentityFilter, SumFilter};
-pub use network::{ChannelInput, ExecutionMode, InProcessTbon, ReductionOutcome, TbonError};
+pub use network::{ChannelInput, InProcessTbon, ReductionOutcome, TbonError};
 pub use packet::{EndpointId, Packet, PacketTag};
 pub use planner::{
     CandidateOrigin, PlanConstraint, PlannedTopology, PlannerConfig, TopologyPlanner,
 };
-pub use stream::{BroadcastRoute, Stream, StreamManager};
 pub use topology::{Topology, TopologyError, TreeNode, TreeNodeRole, TreeShape};

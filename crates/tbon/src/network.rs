@@ -160,7 +160,7 @@ pub struct ReductionOutcome {
     /// The packet that arrived at the front end.
     pub result: Packet,
     /// Cumulative time spent inside this channel's filter invocations, summed
-    /// across tree nodes.  Under [`ExecutionMode::LevelParallel`] invocations run
+    /// across tree nodes.  With more than one worker, invocations run
     /// concurrently, so this is CPU-style accounting and can exceed the elapsed
     /// wall time of the walk — time the walk itself for wall-clock numbers.
     pub filter_time: Duration,
@@ -174,18 +174,6 @@ pub struct ReductionOutcome {
     pub max_node_bytes_in: u64,
     /// Total bytes that crossed tree links (every packet counted once per hop).
     pub total_link_bytes: u64,
-}
-
-/// Execution strategy for the in-process network.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecutionMode {
-    /// Run every filter invocation on the calling thread (deterministic ordering,
-    /// easiest to debug).
-    Sequential,
-    /// Run the nodes of each tree level concurrently on **one** worker pool that is
-    /// reused for every level of the walk, pulling batches of node×channel waves
-    /// from a shared queue (no per-level thread spawning).
-    LevelParallel,
 }
 
 /// Per-channel running totals while a level walk is in flight.
@@ -209,29 +197,22 @@ type InputWave = (EndpointId, usize, Vec<Packet>);
 #[derive(Clone, Debug)]
 pub struct InProcessTbon {
     topology: Topology,
-    mode: ExecutionMode,
     workers: Option<usize>,
 }
 
 impl InProcessTbon {
-    /// Create a network over a topology using level-parallel execution.
+    /// Create a network over a topology, sized to the machine's parallelism.
     pub fn new(topology: Topology) -> Self {
         InProcessTbon {
             topology,
-            mode: ExecutionMode::LevelParallel,
             workers: None,
         }
     }
 
-    /// Select the execution mode.
-    pub fn with_mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Override the worker-pool size for [`ExecutionMode::LevelParallel`] (default:
-    /// the machine's available parallelism).  The pool is still capped at the widest
-    /// level's wave count — more workers than waves can never help.
+    /// Override the worker-pool size (default: the machine's available
+    /// parallelism).  The pool is still capped at the widest level's wave count —
+    /// more workers than waves can never help — and one worker means the walk runs
+    /// inline on the calling thread, in deterministic node-major order.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
@@ -330,13 +311,12 @@ impl InProcessTbon {
         // exactly one parent), so no packet is ever cloned on its way up the tree
         // and peak memory stays proportional to one level.
         //
-        // Under `LevelParallel` one worker pool serves the entire walk: workers are
+        // With more than one worker, one pool serves the entire walk: workers are
         // spawned once, each level's waves are queued as batches, and the per-level
         // barrier is the arrival of that level's results — no threads are spawned
-        // (or joined) per level.
-        // There is never a point in more workers than the widest level has waves
-        // (the old per-level spawn capped the same way); a 1-worker pool degrades
-        // to the sequential walk without the pool machinery.
+        // (or joined) per level.  There is never a point in more workers than the
+        // widest level has waves, and a single worker runs the walk inline without
+        // the pool machinery.
         let levels = self.topology.levels();
         let widest_wave = levels
             .split_last()
@@ -359,39 +339,24 @@ impl InProcessTbon {
                     .unwrap_or(4)
             })
             .min(widest_wave);
-        match self.mode {
-            ExecutionMode::LevelParallel if workers > 1 => {
-                let queue = (Mutex::new(PoolQueue::default()), Condvar::new());
-                std::thread::scope(|scope| {
-                    let pool = WorkerPool::spawn(scope, workers, filters, &queue);
-                    self.walk_levels(
-                        &mut produced,
-                        &mut accounting,
-                        filters.len(),
-                        &mut |items| pool.run_level(items),
-                    )
-                })?;
-            }
-            ExecutionMode::Sequential | ExecutionMode::LevelParallel => {
+        if workers > 1 {
+            let queue = (Mutex::new(PoolQueue::default()), Condvar::new());
+            std::thread::scope(|scope| {
+                let pool = WorkerPool::spawn(scope, workers, filters, &queue);
                 self.walk_levels(
                     &mut produced,
                     &mut accounting,
                     filters.len(),
-                    &mut |items| {
-                        items
-                            .into_iter()
-                            .map(|(id, channel, inputs)| {
-                                let filter =
-                                    *filters.get(channel).ok_or(TbonError::WalkInvariant {
-                                        context: "wave queued for a channel with no filter",
-                                    })?;
-                                let r = Self::reduce_one_caught(id, channel, inputs, filter)?;
-                                Ok((id, channel, r))
-                            })
-                            .collect()
-                    },
-                )?;
-            }
+                    &mut |items| pool.run_level(items),
+                )
+            })?;
+        } else {
+            self.walk_levels(
+                &mut produced,
+                &mut accounting,
+                filters.len(),
+                &mut |items| reduce_batch(items, filters),
+            )?;
         }
 
         let frontend = self.topology.frontend().0 as usize;
@@ -417,7 +382,7 @@ impl InProcessTbon {
         Ok(outcomes)
     }
 
-    /// The bottom-up level walk shared by both execution modes: build each level's
+    /// The bottom-up level walk, pooled or inline: build each level's
     /// owned input waves, hand them to `dispatch`, and absorb the results into the
     /// slot table and the per-channel accounting before moving up a level.
     ///
@@ -485,17 +450,10 @@ impl InProcessTbon {
         Ok(())
     }
 
-    /// Run one channel's filter at one node over its owned input wave.
-    fn reduce_one(id: EndpointId, inputs: Vec<Packet>, filter: &dyn Filter) -> NodeChannelResult {
-        let bytes_in: u64 = inputs.iter().map(|p| p.size_bytes() as u64).sum();
-        let start = Instant::now();
-        let packet = filter.reduce(id, &inputs);
-        (packet, bytes_in, start.elapsed())
-    }
-
-    /// [`Self::reduce_one`] with the filter invocation fenced by `catch_unwind`:
-    /// a panicking user filter becomes [`TbonError::FilterPanicked`] instead of
-    /// unwinding through the walk (or a pooled worker).
+    /// Run one channel's filter at one node over its owned input wave, fenced by
+    /// `catch_unwind`: a panicking user filter becomes
+    /// [`TbonError::FilterPanicked`] instead of unwinding through the walk (or a
+    /// pooled worker).
     fn reduce_one_caught(
         id: EndpointId,
         channel: usize,
@@ -503,7 +461,10 @@ impl InProcessTbon {
         filter: &dyn Filter,
     ) -> Result<NodeChannelResult, TbonError> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Self::reduce_one(id, inputs, filter)
+            let bytes_in: u64 = inputs.iter().map(|p| p.size_bytes() as u64).sum();
+            let start = Instant::now();
+            let packet = filter.reduce(id, &inputs);
+            (packet, bytes_in, start.elapsed())
         }))
         .map_err(|payload| TbonError::FilterPanicked {
             node: id.0,
@@ -531,6 +492,21 @@ type BatchResults = Vec<(EndpointId, usize, NodeChannelResult)>;
 /// (a panicking filter is caught in the worker and converted, so a bad filter can
 /// neither strand the level barrier nor abort the process).
 type BatchOutcome = Result<BatchResults, TbonError>;
+
+/// Run every wave of a batch through its channel's filter, stopping at the first
+/// failure — the one place a filter is invoked, inline or on a pooled worker.
+fn reduce_batch(batch: WaveBatch, filters: &[&dyn Filter]) -> BatchOutcome {
+    batch
+        .into_iter()
+        .map(|(id, channel, inputs)| {
+            let filter = *filters.get(channel).ok_or(TbonError::WalkInvariant {
+                context: "wave queued for a channel with no filter",
+            })?;
+            let r = InProcessTbon::reduce_one_caught(id, channel, inputs, filter)?;
+            Ok((id, channel, r))
+        })
+        .collect()
+}
 
 /// The queue the pool's workers pull from.
 #[derive(Default)]
@@ -594,17 +570,7 @@ impl<'scope> WorkerPool<'scope> {
                     // FilterPanicked error shipped back through the results
                     // channel, so the caller at the level barrier always hears
                     // the outcome.
-                    let results: BatchOutcome = batch
-                        .into_iter()
-                        .map(|(id, channel, inputs)| {
-                            let filter = *filters.get(channel).ok_or(TbonError::WalkInvariant {
-                                context: "wave queued for a channel with no filter",
-                            })?;
-                            let r = InProcessTbon::reduce_one_caught(id, channel, inputs, filter)?;
-                            Ok((id, channel, r))
-                        })
-                        .collect();
-                    if tx.send(results).is_err() {
+                    if tx.send(reduce_batch(batch, filters)).is_err() {
                         return;
                     }
                 }
@@ -734,10 +700,10 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_modes_agree() {
+    fn inline_and_pooled_walks_agree() {
         let topo = Topology::build(TreeShape::two_deep(64, 8));
-        let seq = InProcessTbon::new(topo.clone()).with_mode(ExecutionMode::Sequential);
-        let par = InProcessTbon::new(topo).with_mode(ExecutionMode::LevelParallel);
+        let seq = InProcessTbon::new(topo.clone()).with_workers(1);
+        let par = InProcessTbon::new(topo).with_workers(4);
         let leaves_a = leaf_packets(seq.topology(), |i| (i * i) as u64);
         let leaves_b = leaf_packets(par.topology(), |i| (i * i) as u64);
         let a = seq.reduce(leaves_a, &SumFilter).unwrap();
@@ -902,9 +868,7 @@ mod tests {
         THREADS.lock().unwrap().clear();
 
         let topo = Topology::build(TreeShape::uniform_with_depth(64, 2, 5));
-        let net = InProcessTbon::new(topo)
-            .with_mode(ExecutionMode::LevelParallel)
-            .with_workers(4);
+        let net = InProcessTbon::new(topo).with_workers(4);
         let leaves = leaf_packets(net.topology(), |i| i as u64);
         let recorder = ThreadRecorder { threads: &THREADS };
         let out = net.reduce(leaves, &recorder).unwrap();
@@ -957,11 +921,10 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_filter_surfaces_as_a_typed_error_sequentially() {
-        // Sequential mode takes the non-pooled dispatch path; it must report the
-        // same typed error, keeping the two modes behaviourally identical.
-        let net = InProcessTbon::new(Topology::build(TreeShape::flat(4)))
-            .with_mode(ExecutionMode::Sequential);
+    fn a_panicking_filter_surfaces_as_a_typed_error_inline() {
+        // One worker takes the non-pooled dispatch path; it must report the same
+        // typed error, keeping the two paths behaviourally identical.
+        let net = InProcessTbon::new(Topology::build(TreeShape::flat(4))).with_workers(1);
         let leaves = leaf_packets(net.topology(), |i| i as u64);
         let err = net.reduce(leaves, &PanickingFilter).unwrap_err();
         assert!(matches!(err, TbonError::FilterPanicked { .. }), "{err:?}");
@@ -991,9 +954,9 @@ mod tests {
     }
 
     #[test]
-    fn forced_worker_counts_agree_with_sequential_execution() {
+    fn forced_worker_counts_agree_with_the_inline_walk() {
         let topo = Topology::build(TreeShape::two_deep(64, 8));
-        let seq = InProcessTbon::new(topo.clone()).with_mode(ExecutionMode::Sequential);
+        let seq = InProcessTbon::new(topo.clone()).with_workers(1);
         let expected = {
             let leaves = leaf_packets(seq.topology(), |i| (i * 7) as u64);
             SumFilter::decode(&seq.reduce(leaves, &SumFilter).unwrap().result)
@@ -1013,7 +976,7 @@ mod tests {
 
     #[test]
     fn reduce_channels_performs_one_level_walk_for_all_channels() {
-        // Sequential mode gives a deterministic invocation order.  A single-pass walk
+        // One worker gives a deterministic invocation order.  A single-pass walk
         // is node-major: every channel fires at a node before the walk moves to the
         // next node.  Three sequential `reduce` calls would instead be channel-major
         // (all of channel 0's nodes, then all of channel 1's...).
@@ -1021,7 +984,7 @@ mod tests {
         LOG.lock().unwrap().clear();
 
         let topo = Topology::build(TreeShape::two_deep(8, 2));
-        let net = InProcessTbon::new(topo).with_mode(ExecutionMode::Sequential);
+        let net = InProcessTbon::new(topo).with_workers(1);
         let make = || {
             net.topology()
                 .backends()

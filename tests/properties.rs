@@ -223,9 +223,9 @@ proptest! {
         let b = build_half(&right, 12, &mut table);
 
         let mut ab = a.clone();
-        ab.merge_ref(&b);
+        ab.merge(b.clone());
         let mut ba = b.clone();
-        ba.merge_ref(&a);
+        ba.merge(a.clone());
 
         let classes_of = |t: &GlobalPrefixTree| {
             let mut cs: Vec<Vec<u64>> =
@@ -483,7 +483,7 @@ proptest! {
         let next = build_global(&next_paths, &mut table);
 
         let mut expected = prev.clone();
-        expected.merge_ref(&next);
+        expected.merge(next.clone());
 
         let delta = next.delta_from(&prev);
         let mut reconstructed = prev.clone();

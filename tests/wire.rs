@@ -1,25 +1,24 @@
 //! Wire-format v2 acceptance: the session-global frame dictionary plus varint
-//! packet bodies must beat the v1 string format by a wide margin on real
-//! hierarchical gathers.
+//! packet bodies must beat the retired v1 string format by a wide margin on
+//! real hierarchical gathers.
 //!
 //! What this suite pins down:
 //!
 //! * **the headline reduction** — a full hierarchical gather (every daemon's
 //!   2D and 3D tree packets) ships **≥3× fewer bytes** under v2 than the same
-//!   trees re-encoded in the v1 per-node string format, at 1,024 tasks always
+//!   trees cost in the v1 per-node string format (priced by a size formula —
+//!   the v1 codec itself is gone), at 1,024 tasks always
 //!   and at the paper's 65,536- and 212,992-task scales outside
 //!   `STATBENCH_FAST`;
 //! * **honest accounting** — the byte totals come from the *actual* packets a
 //!   daemon hands the TBON, not from a model;
-//! * **the eliminated bug class** — v1's 16-bit frame-name length prefix is a
-//!   typed [`EncodeError::FrameNameTooLong`], and v2 round-trips the same
-//!   oversized name that v1 must refuse.
+//! * **the eliminated bug class** — v2 round-trips a frame name past the
+//!   16-bit length prefix that v1 silently truncated.
 
 use appsim::{Application, FrameVocabulary, RingHangApp};
 use machine::cluster::{BglMode, Cluster};
-use stackwalk::{FrameTable, StackTrace};
+use stackwalk::{FrameId, FrameTable, StackTrace};
 use stat_core::prelude::*;
-use stat_core::serialize::{encode_tree_v1, EncodeError};
 
 /// Same convention as `stat_bench::fast_mode`: set (non-empty, non-`"0"`)
 /// `STATBENCH_FAST` skips the large-scale points.
@@ -29,9 +28,23 @@ fn fast_mode() -> bool {
         .unwrap_or(false)
 }
 
+/// Bytes `tree` cost under the retired v1 string format.  A size formula, not
+/// a codec: a 17-byte header (magic, tag, u64 width, u32 frame count), one
+/// u16-length-prefixed name per distinct frame, a u32 node count, and per node
+/// (root included) two u32 links plus the raw 8-byte task-set words.
+fn v1_size(tree: &SubtreePrefixTree, table: &FrameTable) -> u64 {
+    let distinct: std::collections::BTreeSet<FrameId> =
+        tree.iter_nodes().map(|(_, frame, _)| frame).collect();
+    let names: u64 = distinct
+        .iter()
+        .map(|&frame| 2 + table.name(frame).len() as u64)
+        .sum();
+    17 + names + 4 + tree.node_count() as u64 * (8 + 8 * tree.width().div_ceil(64))
+}
+
 /// Total tree-packet bytes for one full hierarchical gather at `tasks`, under
-/// wire format v2 (what the daemons actually ship) and re-encoded per-packet
-/// into the v1 string format (what the same gather used to cost).  The rank
+/// wire format v2 (what the daemons actually ship) and priced per-packet in
+/// the v1 string format (what the same gather used to cost).  The rank
 /// map is identical under both formats, so it stays out of both totals.
 fn gather_bytes(tasks: u64, daemon_count: u32, samples: u32) -> (u64, u64) {
     let app = RingHangApp::new(tasks, FrameVocabulary::BlueGeneL);
@@ -50,7 +63,7 @@ fn gather_bytes(tasks: u64, daemon_count: u32, samples: u32) -> (u64, u64) {
         })
         .collect();
     // Snapshot after the gather so frames the daemons interned beyond the
-    // negotiated hints are resolvable for the v1 re-encode.
+    // negotiated hints are resolvable for the v1 pricing.
     let table = dict.snapshot();
     let mut v2 = 0u64;
     let mut v1 = 0u64;
@@ -59,9 +72,7 @@ fn gather_bytes(tasks: u64, daemon_count: u32, samples: u32) -> (u64, u64) {
             v2 += payload.len() as u64;
             let (tree, _frames): (SubtreePrefixTree, WireFrames) =
                 decode_tree(payload).expect("daemon packets decode");
-            v1 += encode_tree_v1(&tree, &table)
-                .expect("paper-vocabulary names fit v1's 16-bit prefix")
-                .len() as u64;
+            v1 += v1_size(&tree, &table);
         }
     }
     (v2, v1)
@@ -109,19 +120,14 @@ fn v2_gathers_beat_the_string_format_3x_at_208k() {
 }
 
 #[test]
-fn the_old_truncation_is_a_typed_error_and_v2_round_trips_it() {
-    // The exact packet the pre-fix encoder corrupted: one frame name past the
-    // u16 length prefix.  v1 now refuses with a typed error; v2 ships it.
+fn a_frame_name_past_the_v1_length_prefix_round_trips() {
+    // The exact packet the v1 encoder corrupted: one frame name past its u16
+    // length prefix.  v2's varint lengths ship it intact.
     let long_name = "x".repeat(70_000);
     let mut table = FrameTable::new();
     let trace = StackTrace::new(table.intern_path(&["main", &long_name]));
     let mut tree = GlobalPrefixTree::new_global(4);
     tree.add_trace(&trace, 0);
-
-    match encode_tree_v1(&tree, &table) {
-        Err(EncodeError::FrameNameTooLong { length, .. }) => assert_eq!(length, 70_000),
-        other => panic!("v1 must refuse the oversized name, got {other:?}"),
-    }
 
     let dict = FrameDictionary::default();
     let bytes = encode_tree(&tree, &table, &dict);
