@@ -63,7 +63,7 @@ impl Config {
             waiver_budgets: vec![
                 ("hot-path-panic".to_string(), 5),
                 ("truncating-cast".to_string(), 5),
-                ("discarded-result".to_string(), 1),
+                ("discarded-result".to_string(), 0),
                 ("condvar-discipline".to_string(), 0),
                 ("lock-hold-hygiene".to_string(), 0),
             ],

@@ -7,6 +7,7 @@
 //! finding (stale waivers rot into lies), and a malformed waiver comment becomes
 //! an `invalid-waiver` finding.  Neither pseudo-lint is itself waivable.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -30,8 +31,10 @@ pub fn analyze_sources(sources: &[(String, String)], config: &Config) -> Report 
         ..Report::default()
     };
     let mut used_by_lint: Vec<(String, usize)> = Vec::new();
+    let mut pub_items: BTreeMap<&str, usize> = BTreeMap::new();
     for (rel, src) in sources {
         let file = SourceFile::parse(rel, src, &known);
+        *pub_items.entry(crate_of(rel)).or_default() += file.pub_item_count();
         let mut raw = Vec::new();
         for lint in &lints {
             lint.check(&file, config, &mut raw);
@@ -87,8 +90,19 @@ pub fn analyze_sources(sources: &[(String, String)], config: &Config) -> Report 
             budget: config.budget(lint.id()),
         });
     }
+    report.pub_items = pub_items
+        .into_iter()
+        .map(|(krate, count)| (krate.to_string(), count))
+        .collect();
     report.sort();
     report
+}
+
+/// The crate a workspace-relative path belongs to: `crates/<name>/..` is `<name>`,
+/// anything else its first path component (`src` is the umbrella crate).
+fn crate_of(rel_path: &str) -> &str {
+    let in_crates = rel_path.strip_prefix("crates/").unwrap_or(rel_path);
+    in_crates.split('/').next().unwrap_or(in_crates)
 }
 
 /// Discover first-party sources under `root`: every `.rs` file beneath `crates/`
@@ -203,6 +217,29 @@ mod tests {
         assert!(
             !report.is_clean(),
             "over-budget waiver use must fail --deny"
+        );
+    }
+
+    #[test]
+    fn public_items_are_counted_per_crate_outside_tests() {
+        let src = "pub fn a() {}\npub(crate) fn b() {}\npub struct S { pub field: u8 }\n\
+                   pub use x::Y;\nimpl S { pub const fn c(&self) {} }\n\
+                   #[macro_export]\nmacro_rules! m { () => {} }\n\
+                   #[cfg(test)]\nmod tests { pub fn hidden() {} }\n";
+        let report = analyze_sources(
+            &[
+                ("crates/b/src/l.rs".into(), src.into()),
+                ("crates/a/src/l.rs".into(), "pub mod x;\n".into()),
+                ("crates/a/src/x.rs".into(), "pub trait T {}\n".into()),
+                ("src/lib.rs".into(), "fn private() {}\n".into()),
+            ],
+            &cfg_all_hot(),
+        );
+        // `a`, `S`, `c` and the exported macro; not the restricted fn, the field,
+        // the re-export or the test-only fn.
+        assert_eq!(
+            report.pub_items,
+            vec![("a".into(), 2), ("b".into(), 4), ("src".into(), 0)]
         );
     }
 

@@ -61,6 +61,10 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Per-lint waiver accounting, in registry order.
     pub waivers: Vec<WaiverUsage>,
+    /// Public items per crate ([`SourceFile::pub_item_count`] summed over the
+    /// crate's files), sorted by crate: `crates/<name>/..` counts under `<name>`,
+    /// anything else under its first path component (`src` is the umbrella crate).
+    pub pub_items: Vec<(String, usize)>,
     /// Number of files analyzed.
     pub files_scanned: usize,
 }
@@ -109,6 +113,12 @@ impl Report {
             self.findings.len(),
             usage.join(", ")
         ));
+        let surface: Vec<String> = self
+            .pub_items
+            .iter()
+            .map(|(krate, count)| format!("{krate} {count}"))
+            .collect();
+        out.push_str(&format!("public items: {}\n", surface.join(", ")));
         out
     }
 
@@ -150,6 +160,21 @@ impl Report {
             ));
         }
         if self.waivers.is_empty() {
+            out.push_str("],\n");
+        } else {
+            out.push_str("\n  ],\n");
+        }
+        out.push_str("  \"pub_items\": [");
+        for (i, (krate, count)) in self.pub_items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!(
+                "\n    {{\"crate\": {}, \"count\": {count}}}",
+                json_str(krate)
+            ));
+        }
+        if self.pub_items.is_empty() {
             out.push_str("]\n");
         } else {
             out.push_str("\n  ]\n");
@@ -202,6 +227,7 @@ mod tests {
                 finding("a.rs", 2, "z-lint"),
             ],
             waivers: vec![],
+            pub_items: vec![],
             files_scanned: 2,
         };
         r.sort();
@@ -230,6 +256,7 @@ mod tests {
                 used: 1,
                 budget: 1,
             }],
+            pub_items: vec![],
             files_scanned: 1,
         };
         assert!(r.is_clean());
@@ -247,10 +274,12 @@ mod tests {
         let r = Report {
             findings: vec![],
             waivers: vec![],
+            pub_items: vec![],
             files_scanned: 0,
         };
         let j = r.json();
         assert!(j.contains("\"findings\": []"));
+        assert!(j.contains("\"pub_items\": []"));
         assert!(j.contains("\"clean\": true"));
     }
 }

@@ -7,6 +7,12 @@
 use crate::lexer::{self, Comment, Tok, Token};
 use crate::waiver::{Waiver, WaiverParse, WaiverScope};
 
+/// Keywords that can follow `pub` at the head of an item.
+const ITEM_KEYWORDS: &[&str] = &[
+    "fn", "struct", "enum", "trait", "const", "static", "type", "mod", "union", "unsafe", "async",
+    "extern",
+];
+
 /// A lexed source file plus the derived structure lints need.
 #[derive(Debug)]
 pub struct SourceFile {
@@ -88,6 +94,22 @@ impl SourceFile {
             Some(Tok::Ident(s)) => Some(s.as_str()),
             _ => None,
         }
+    }
+
+    /// Public items declared outside test regions: every `pub` that heads an item
+    /// (not a field, a `pub use` re-export or a restricted `pub(...)`), plus every
+    /// `#[macro_export]`.  The per-crate sum is the API-size number reviews track.
+    pub fn pub_item_count(&self) -> usize {
+        (0..self.tokens.len())
+            .filter(|&i| !self.is_test(i))
+            .filter(|&i| match self.ident(i) {
+                Some("pub") => self
+                    .ident(i + 1)
+                    .is_some_and(|next| ITEM_KEYWORDS.contains(&next)),
+                Some("macro_export") => true,
+                _ => false,
+            })
+            .count()
     }
 
     /// The punctuation char of token `idx`, if it is punctuation.

@@ -153,12 +153,6 @@ impl DeadlockPairApp {
         }
     }
 
-    /// The two deadlocked ranks — read straight out of the ground truth.
-    pub fn deadlocked_ranks(&self) -> (u64, u64) {
-        let ranks = &self.truth.isolations[0].ranks;
-        (ranks[0], ranks[1])
-    }
-
     /// The machine-checkable expectation for this workload.
     pub fn ground_truth(&self) -> &GroundTruth {
         &self.truth
@@ -297,11 +291,6 @@ impl IoStormApp {
         }
     }
 
-    /// The ranks wedged in the shared-filesystem open — from the ground truth.
-    pub fn stuck_ranks(&self) -> &[u64] {
-        &self.truth.isolations[0].ranks
-    }
-
     /// The machine-checkable expectation for this workload.
     pub fn ground_truth(&self) -> &GroundTruth {
         &self.truth
@@ -430,11 +419,6 @@ impl CollectiveMismatchApp {
         }
     }
 
-    /// The rank that entered the wrong collective — from the ground truth.
-    pub fn mismatched_rank(&self) -> u64 {
-        self.truth.isolations[0].ranks[0]
-    }
-
     /// The machine-checkable expectation for this workload.
     pub fn ground_truth(&self) -> &GroundTruth {
         &self.truth
@@ -507,11 +491,6 @@ impl CorruptedStackApp {
                 ],
             },
         }
-    }
-
-    /// The ranks whose stack walks return garbage — from the ground truth.
-    pub fn corrupted_ranks(&self) -> &[u64] {
-        &self.truth.isolations[0].ranks
     }
 
     /// The machine-checkable expectation for this workload.
@@ -769,8 +748,7 @@ mod tests {
     #[test]
     fn deadlock_ranks_are_fed_from_the_ground_truth() {
         let app = DeadlockPairApp::new(64, FrameVocabulary::Linux);
-        let (a, b) = app.deadlocked_ranks();
-        assert_eq!(app.ground_truth().faulty_ranks(), vec![a, b]);
+        assert_eq!(app.ground_truth().faulty_ranks().len(), 2);
         for rank in 0..64 {
             let in_recv = app.main_thread_path(rank, 0).contains(&"PMPI_Recv");
             assert_eq!(in_recv, app.ground_truth().is_faulty(rank));
@@ -780,15 +758,16 @@ mod tests {
     #[test]
     fn io_storm_wedges_exactly_the_ground_truth_ranks() {
         let app = IoStormApp::new(1_000, 3, FrameVocabulary::Linux);
-        assert_eq!(app.stuck_ranks().len(), 3);
+        let stuck = app.ground_truth().faulty_ranks();
+        assert_eq!(stuck.len(), 3);
         for rank in 0..1_000 {
             let wedged = app.main_thread_path(rank, 0).contains(&"nfs_getattr_wait");
             assert_eq!(wedged, app.ground_truth().is_faulty(rank));
         }
         // Deterministic but time-varying: the retry frame alternates.
         assert_ne!(
-            app.main_thread_path(app.stuck_ranks()[0], 0),
-            app.main_thread_path(app.stuck_ranks()[0], 1)
+            app.main_thread_path(stuck[0], 0),
+            app.main_thread_path(stuck[0], 1)
         );
     }
 
@@ -815,7 +794,7 @@ mod tests {
     #[test]
     fn collective_mismatch_puts_one_rank_in_the_wrong_reduction() {
         let app = CollectiveMismatchApp::new(512, FrameVocabulary::BlueGeneL);
-        assert_eq!(app.mismatched_rank(), 256);
+        assert_eq!(app.ground_truth().faulty_ranks(), vec![256]);
         let reducers: Vec<u64> = (0..512)
             .filter(|&r| app.main_thread_path(r, 0).contains(&"PMPI_Reduce"))
             .collect();
@@ -826,7 +805,8 @@ mod tests {
     #[test]
     fn corrupted_stacks_emit_garbage_only_for_the_injected_ranks() {
         let app = CorruptedStackApp::new(256, 3, FrameVocabulary::Linux);
-        assert_eq!(app.corrupted_ranks().len(), 3);
+        let corrupted = app.ground_truth().faulty_ranks();
+        assert_eq!(corrupted.len(), 3);
         for rank in 0..256 {
             let path = app.main_thread_path(rank, 0);
             if app.ground_truth().is_faulty(rank) {
@@ -838,7 +818,7 @@ mod tests {
             }
         }
         // Garbage varies over time (harder on the merge than a fixed bad frame).
-        let corrupt = app.corrupted_ranks()[0];
+        let corrupt = corrupted[0];
         let distinct: std::collections::HashSet<Vec<&str>> =
             (0..8).map(|s| app.main_thread_path(corrupt, s)).collect();
         assert!(distinct.len() > 1);

@@ -1,6 +1,6 @@
 //! Criterion wrappers around one representative point of each figure's harness, so
 //! `cargo bench` exercises every experiment path end to end (full sweeps live in the
-//! `fig*` binaries and `make_all`).
+//! `stat_figures` binary).
 
 // Benches are not public API; criterion_group! generates undocumented items.
 #![allow(missing_docs)]

@@ -10,14 +10,16 @@ use launch::{pack_indexed, pack_naive, ProcessTable};
 use machine::cluster::{BglMode, Cluster};
 use simkit::stats::SeriesTable;
 use stat_core::prelude::*;
+use tbon::cost::{price_reduction, Labels, TreePayload};
 use tbon::topology::TreeShape;
 
 /// Sweep tree depth (1–6 levels of balanced fan-out) at a fixed job size and report
 /// the estimated merge time and front-end byte load for each.
 pub fn ablation_topology(tasks: u64) -> SeriesTable {
     let cluster = Cluster::bluegene_l(BglMode::CoProcessor);
-    let estimator = PhaseEstimator::new(cluster.clone(), Representation::GlobalBitVector);
     let shape = cluster.job(tasks);
+    let payload =
+        TreePayload::ring_hang(shape.tasks, shape.tasks_per_daemon as u64, Labels::JobWide);
     let mut table = SeriesTable::new(
         format!("Ablation: tree depth at {tasks} tasks (original bit vector)"),
         "tree depth",
@@ -25,28 +27,14 @@ pub fn ablation_topology(tasks: u64) -> SeriesTable {
     );
     for depth in 1..=6u32 {
         let spec = TreeShape::balanced(shape.daemons, depth);
-        let topo = tbon::topology::Topology::build(spec);
-        let model = tbon::cost::ReductionCostModel::standard(
-            &topo,
-            &cluster.interconnect,
-            cluster.login_host_slowdown(),
-            cluster.daemon_host_slowdown(),
-        );
-        let edges = estimator.tree_edges_2d + estimator.tree_edges_3d;
-        let label_bytes = shape.tasks.div_ceil(8) + 8;
-        let cost = model.reduce(&|_, _| edges * label_bytes + estimator.frame_names_bytes);
+        let cost = price_reduction(&cluster, &spec, &payload);
         table.push("merge seconds", depth as u64, cost.critical_path.as_secs());
         table.push(
             "front-end megabytes in",
             depth as u64,
             cost.frontend_bytes_in as f64 / 1.0e6,
         );
-        table.push(
-            "max fan-out",
-            depth as u64,
-            tbon::topology::Topology::build(TreeShape::balanced(shape.daemons, depth)).max_fanout()
-                as f64,
-        );
+        table.push("max fan-out", depth as u64, spec.max_fanout() as f64);
     }
     table.note(format!(
         "job shape: {} daemons, {} tasks",
@@ -74,12 +62,12 @@ pub fn ablation_bitvector() -> SeriesTable {
             table.push(
                 format!("{} merge seconds", representation.label()),
                 tasks,
-                est.time.as_secs(),
+                est.cost.critical_path.as_secs(),
             );
             table.push(
                 format!("{} front-end MB", representation.label()),
                 tasks,
-                est.frontend_bytes as f64 / 1.0e6,
+                est.cost.frontend_bytes_in as f64 / 1.0e6,
             );
         }
     }

@@ -1,5 +1,5 @@
-//! Regenerate the fault-campaign artifacts: `results/CAMPAIGN.md` (the
-//! verdict-stability surface plus the class-saturated depth-crossover study) and
+//! The fault-campaign artifacts: `results/CAMPAIGN.md` (the verdict-stability
+//! surface plus the class-saturated depth-crossover study) and
 //! `results/campaign_surface.csv` (one row per campaign cell).
 //!
 //! Everything here is deterministic — the campaign grid, the seeds, and the cost
@@ -7,7 +7,7 @@
 //! reproduce bit-for-bit with:
 //!
 //! ```text
-//! cargo run --release -p stat-bench --bin campaign_surface
+//! cargo run --release -p stat-bench -- campaign-surface
 //! ```
 //!
 //! `STATBENCH_FAST=1` shrinks the grid (fewer seeds, one scale) for smoke runs;
@@ -21,17 +21,7 @@ use machine::cluster::{BglMode, Cluster};
 use simkit::stats::SeriesTable;
 use stat_core::prelude::Representation;
 use statbench::campaign::{run_campaign, CampaignConfig};
-use statbench::{sweep_tree_shapes, sweep_tree_shapes_saturated};
-
-/// `writeln!` into a report `String` without a `Result` to discard (appending
-/// to a `String` cannot fail; the per-line `format!` allocation is noise next
-/// to running the campaign itself).
-macro_rules! out_line {
-    ($out:expr, $($arg:tt)*) => {{
-        $out.push_str(&format!($($arg)*));
-        $out.push('\n');
-    }};
-}
+use statbench::{out_line, sweep_tree_shapes, sweep_tree_shapes_saturated};
 
 /// Minimum-cost series label at one scale of a tree-shape sweep.
 fn winner(table: &SeriesTable, tasks: u64) -> (String, f64) {
@@ -43,8 +33,10 @@ fn winner(table: &SeriesTable, tasks: u64) -> (String, f64) {
         .expect("the sweep emitted rows at this scale")
 }
 
-fn main() {
-    let fast = stat_bench::fast_mode();
+/// Run the campaign grid and the depth-crossover study, write both artifacts
+/// under `results/`, and return the markdown report.
+pub(crate) fn campaign_surface() -> String {
+    let fast = crate::fast_mode();
     let dir = Path::new("results");
     fs::create_dir_all(dir).expect("create results directory");
 
@@ -162,11 +154,11 @@ fn main() {
         "\nThe crossover is inside the swept range: at 16M tasks the saturated \
          model still agrees with the flat-world pick, at 33M it flips to a deep \
          tree (`tests` pin this in `statbench::sweep` and `tbon::planner`).  \
-         Regenerate with `cargo run --release -p stat-bench --bin campaign_surface`."
+         Regenerate with `cargo run --release -p stat-bench -- campaign-surface`."
     );
 
     let md_path = dir.join("CAMPAIGN.md");
     fs::write(&md_path, &md).expect("write CAMPAIGN.md");
     eprintln!("wrote {}", md_path.display());
-    println!("{md}");
+    md
 }

@@ -134,7 +134,7 @@ fn merge_figure(
             for tasks in scales_of(cluster) {
                 let est = estimator.merge_estimate(tasks, depth);
                 match est.failed {
-                    None => table.push(series.clone(), tasks, est.time.as_secs()),
+                    None => table.push(series.clone(), tasks, est.cost.critical_path.as_secs()),
                     Some(reason) => table.note(format!("{series} at {tasks} tasks: {reason}")),
                 }
             }
@@ -244,7 +244,7 @@ pub fn fig07_merge_optimized() -> SeriesTable {
             for tasks in cluster.figure_scales() {
                 let est = estimator.merge_estimate(tasks, 2);
                 if est.failed.is_none() {
-                    table.push(series.clone(), tasks, est.time.as_secs());
+                    table.push(series.clone(), tasks, est.cost.critical_path.as_secs());
                 }
             }
         }

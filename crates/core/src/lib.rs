@@ -10,13 +10,13 @@
 //! The crate also contains the three scalability lessons the paper teaches:
 //!
 //! 1. **Scalable startup** is delegated to the `launch` crate (LaunchMON vs. rsh vs.
-//!    the BG/L system software); [`session::PhaseEstimator`] exposes it as a phase.
+//!    the BG/L system software), which prices it as a phase.
 //! 2. **Hierarchical data structures**: [`taskset`] implements both the original
 //!    job-wide bit vectors and the optimised subtree task lists, [`graph`] implements
 //!    the prefix tree generically over them, and [`strategy`] folds everything that
 //!    varies with the representation into one sealed dispatch point.
-//! 3. **Scalable access to static data** is delegated to the `sbrs` crate; the
-//!    sampling phase of [`session::PhaseEstimator`] prices its effect.
+//! 3. **Scalable access to static data** is delegated to the `sbrs` crate;
+//!    `stackwalk`'s `SamplingCostModel` prices its effect on the sampling phase.
 //!
 //! The tool is driven through one front door: [`session::Session`], a builder-style
 //! API whose [`session::Session::attach`] runs sampling → local merge → single-pass

@@ -12,10 +12,13 @@
 //!   and a per-phase timing breakdown.  The examples, integration tests and
 //!   real-execution benchmarks use this path.
 //!
-//! * [`PhaseEstimator`] prices the three phases the paper measures — startup,
-//!   sampling, merge — for configurations as large as the full 212,992-task BG/L,
-//!   using the launcher, sampling and reduction cost models.  The figure generators
-//!   use this path, with the real path cross-checking the small-scale points.
+//! * [`PhaseEstimator`] prices the merge phase the paper measures (and the
+//!   front-end remap) for configurations as large as the full 212,992-task BG/L,
+//!   through the reduction cost model's one entry point
+//!   ([`tbon::cost::price_reduction`]); startup and sampling are priced by the
+//!   `launch` crate and `stackwalk`'s `SamplingCostModel` directly.  The figure
+//!   generators use this path, with the real path cross-checking the small-scale
+//!   points.
 
 use std::time::{Duration, Instant};
 
@@ -23,9 +26,8 @@ use appsim::Application;
 use machine::cluster::Cluster;
 use machine::placement::PlacementPlan;
 use simkit::time::SimDuration;
-use stackwalk::sampler::{BinaryPlacement, SamplingCostModel, SamplingEstimate};
 use stackwalk::FrameDictionary;
-use tbon::cost::ReductionCostModel;
+use tbon::cost::{price_reduction, Labels, ReductionCost, TreePayload};
 use tbon::fault::{CorruptingFilter, FilterFault};
 use tbon::filter::Filter;
 use tbon::network::{ChannelInput, InProcessTbon};
@@ -452,51 +454,34 @@ impl Session {
 /// A merge-phase estimate for one configuration.
 #[derive(Clone, Debug)]
 pub struct MergeEstimate {
-    /// Critical-path time of sending and merging both trees up to the front end.
-    pub time: SimDuration,
+    /// The modelled reduction of both trees up to the front end: critical path
+    /// and byte flow.
+    pub cost: ReductionCost,
     /// `Some(reason)` if the configuration could not complete at all (the 1-deep tree
     /// on BG/L past 256 daemons, in the paper).
     pub failed: Option<String>,
-    /// Bytes arriving at the front end.
-    pub frontend_bytes: u64,
-    /// Largest byte volume into any single tree node.
-    pub max_node_bytes: u64,
-    /// Total bytes crossing overlay links.
-    pub total_bytes: u64,
-    /// Number of daemons in the configuration.
-    pub daemons: u32,
 }
 
-/// Prices the paper's three phases at arbitrary scale using the environment models.
+/// Seconds per task of the front-end remap step (only paid by the hierarchical
+/// representation; 0.66 s / 208K tasks in the paper).
+const REMAP_SECONDS_PER_TASK: f64 = 3.1e-6;
+
+/// Prices the paper's merge phase at arbitrary scale using the environment models,
+/// under the ring-hang payload calibration.
 #[derive(Clone, Debug)]
 pub struct PhaseEstimator {
     /// The machine being modelled.
     pub cluster: Cluster,
     /// The task-set representation in use.
     pub representation: Representation,
-    /// Edges of a locally merged 2D tree (the ring hang produces ~2 dozen).
-    pub tree_edges_2d: u64,
-    /// Edges of a locally merged 3D tree (more, because sampling over time fans the
-    /// polling frames out).
-    pub tree_edges_3d: u64,
-    /// Bytes of incremental dictionary records (frame names the negotiated
-    /// dictionary did not cover) carried once per packet under wire format v2.
-    pub frame_names_bytes: u64,
-    /// Seconds per task of the front-end remap step (only paid by the hierarchical
-    /// representation; 0.66 s / 208K tasks in the paper).
-    pub remap_seconds_per_task: f64,
 }
 
 impl PhaseEstimator {
-    /// An estimator with constants calibrated for the ring-hang workload.
+    /// An estimator for the given machine and representation.
     pub fn new(cluster: Cluster, representation: Representation) -> Self {
         PhaseEstimator {
             cluster,
             representation,
-            tree_edges_2d: 24,
-            tree_edges_3d: 60,
-            frame_names_bytes: 420,
-            remap_seconds_per_task: 3.1e-6,
         }
     }
 
@@ -516,38 +501,13 @@ impl PhaseEstimator {
 
     /// Estimate the merge phase over an explicit tree shape.
     pub fn merge_estimate_shape(&self, tasks: u64, spec: &TreeShape) -> MergeEstimate {
-        let shape = self.cluster.job(tasks);
-        let topology = Topology::build(spec.clone());
-        let model = ReductionCostModel::standard(
-            &topology,
-            &self.cluster.interconnect,
-            self.cluster.login_host_slowdown(),
-            self.cluster.daemon_host_slowdown(),
-        );
-
-        let edges = self.tree_edges_2d + self.tree_edges_3d;
-        let total_tasks = shape.tasks;
-        let tasks_per_daemon = shape.tasks_per_daemon as u64;
-        let representation = self.representation;
-        let frame_bytes = self.frame_names_bytes;
-        // Per-node packet bytes are priced with the same arithmetic the v2 wire
-        // format actually produces (see `tbon::cost`): LEB128 words for dense bit
-        // vectors, run-length tokens for subtree task lists, both plus the fixed
-        // per-node header overhead.  Estimates and real encoded sizes therefore
-        // cannot drift.
-        let cost = model.reduce(&move |_id, subtree_backends| {
-            let label_bytes = match representation {
-                Representation::GlobalBitVector => {
-                    tbon::cost::dense_node_bytes(total_tasks, total_tasks)
-                }
-                Representation::HierarchicalTaskList => {
-                    let subtree_tasks =
-                        (subtree_backends as u64 * tasks_per_daemon).min(total_tasks);
-                    tbon::cost::subtree_node_bytes(subtree_tasks)
-                }
-            };
-            edges * label_bytes + frame_bytes
-        });
+        let job = self.cluster.job(tasks);
+        let labels = match self.representation {
+            Representation::GlobalBitVector => Labels::JobWide,
+            Representation::HierarchicalTaskList => Labels::Subtree,
+        };
+        let payload = TreePayload::ring_hang(job.tasks, job.tasks_per_daemon as u64, labels);
+        let cost = price_reduction(&self.cluster, spec, &payload);
 
         // The paper's 1-deep tree on BG/L failed outright at 256 I/O-node daemons:
         // the front end cannot sustain that many direct connections each carrying
@@ -565,14 +525,7 @@ impl PhaseEstimator {
                 None
             };
 
-        MergeEstimate {
-            time: cost.critical_path,
-            failed,
-            frontend_bytes: cost.frontend_bytes_in,
-            max_node_bytes: cost.max_node_bytes_in,
-            total_bytes: cost.total_link_bytes,
-            daemons: spec.backends(),
-        }
+        MergeEstimate { cost, failed }
     }
 
     /// Estimate the front-end remap cost (the 0.66 s figure in Section V-C).
@@ -580,20 +533,9 @@ impl PhaseEstimator {
         match self.representation {
             Representation::GlobalBitVector => SimDuration::ZERO,
             Representation::HierarchicalTaskList => {
-                SimDuration::from_secs(tasks as f64 * self.remap_seconds_per_task)
+                SimDuration::from_secs(tasks as f64 * REMAP_SECONDS_PER_TASK)
             }
         }
-    }
-
-    /// Estimate the sampling phase (Figures 8, 9 and 10) by delegating to the
-    /// stack-walking cost model.
-    pub fn sampling_estimate(
-        &self,
-        tasks: u64,
-        placement: BinaryPlacement,
-        seed: u64,
-    ) -> SamplingEstimate {
-        SamplingCostModel::new(self.cluster.clone()).estimate(tasks, placement, seed)
     }
 }
 
@@ -871,8 +813,8 @@ mod tests {
         let hier = PhaseEstimator::new(bgl, Representation::HierarchicalTaskList);
 
         let growth = |est: &PhaseEstimator| {
-            let small = est.merge_estimate(16_384, 2).time.as_secs();
-            let large = est.merge_estimate(212_992, 2).time.as_secs();
+            let small = est.merge_estimate(16_384, 2).cost.critical_path.as_secs();
+            let large = est.merge_estimate(212_992, 2).cost.critical_path.as_secs();
             large / small
         };
         let g_growth = growth(&global);

@@ -15,12 +15,13 @@
 
 use appsim::{Application, FrameVocabulary, ThreadedApp};
 use machine::cluster::Cluster;
+use machine::placement::PlacementPlan;
 use simkit::time::SimDuration;
 use stackwalk::sampler::{BinaryPlacement, SamplingConfig, SamplingCostModel};
+use tbon::cost::{price_reduction, Labels, TreePayload};
+use tbon::topology::TreeShape;
 
 use crate::daemon::StatDaemon;
-use crate::frontend::Representation;
-use crate::session::PhaseEstimator;
 use crate::taskset::SubtreeTaskList;
 
 /// Measured consequences of a thread count, from real tree construction.
@@ -91,6 +92,10 @@ pub fn project_thread_counts(
     thread_counts: &[u32],
     seed: u64,
 ) -> Vec<ThreadProjection> {
+    let job = cluster.job(tasks);
+    let two_deep = TreeShape::for_placement(&PlacementPlan::for_job(cluster, tasks), 2);
+    let single_threaded =
+        TreePayload::ring_hang(job.tasks, job.tasks_per_daemon as u64, Labels::Subtree);
     thread_counts
         .iter()
         .map(|&threads| {
@@ -102,13 +107,13 @@ pub fn project_thread_counts(
                 .estimate(tasks, BinaryPlacement::RelocatedRamDisk, seed)
                 .total;
 
-            let mut estimator =
-                PhaseEstimator::new(cluster.clone(), Representation::HierarchicalTaskList);
             // Each thread contributes its own leaf fan to the local trees, so the
             // merged data volume grows with the thread count.
-            estimator.tree_edges_2d *= threads as u64;
-            estimator.tree_edges_3d *= threads as u64;
-            let merge = estimator.merge_estimate(tasks, 2).time;
+            let payload = TreePayload {
+                edges: single_threaded.edges * threads as u64,
+                ..single_threaded
+            };
+            let merge = price_reduction(cluster, &two_deep, &payload).critical_path;
             ThreadProjection {
                 threads_per_task: threads,
                 sampling,

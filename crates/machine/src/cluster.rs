@@ -9,7 +9,6 @@
 
 use crate::filesystem::MountTable;
 use crate::network::Interconnect;
-use crate::node::{Node, NodeClass, NodeId};
 
 /// BlueGene/L operating modes (Section III of the paper).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -244,65 +243,6 @@ impl Cluster {
         }
     }
 
-    /// Materialise a node inventory for a job of the given size.  Only the nodes the
-    /// job actually touches are instantiated, which keeps 208K-task experiments cheap.
-    pub fn nodes_for_job(&self, tasks: u64) -> Vec<Node> {
-        let shape = self.job(tasks);
-        let mut nodes = Vec::new();
-        let mut next_id = 0u32;
-        for _ in 0..shape.compute_nodes {
-            nodes.push(Node::new(
-                next_id,
-                NodeClass::Compute,
-                self.cores_per_compute,
-                self.compute_clock_ghz,
-                self.compute_memory_mib,
-            ));
-            next_id += 1;
-        }
-        if self.daemons_on_io_nodes() {
-            for _ in 0..shape.daemons {
-                nodes.push(Node::new(
-                    next_id,
-                    NodeClass::Io,
-                    self.cores_per_compute,
-                    self.io_clock_ghz,
-                    512,
-                ));
-                next_id += 1;
-            }
-        }
-        for _ in 0..self.login_nodes {
-            nodes.push(Node::new(
-                next_id,
-                NodeClass::Login,
-                self.cores_per_login,
-                self.login_clock_ghz,
-                32_768,
-            ));
-            next_id += 1;
-        }
-        nodes.push(Node::new(next_id, NodeClass::Service, 4, 2.4, 32_768));
-        nodes
-    }
-
-    /// The node ids that may host tool daemons for a job of the given size.
-    pub fn daemon_hosts(&self, tasks: u64) -> Vec<NodeId> {
-        let nodes = self.nodes_for_job(tasks);
-        let want_io = self.daemons_on_io_nodes();
-        nodes
-            .iter()
-            .filter(|n| n.class.runs_tool_daemons(want_io))
-            .map(|n| n.id)
-            .collect()
-    }
-
-    /// Total bytes in the application's symbol-table working set (what each daemon
-    /// must parse before it can produce its first stack trace).
-    pub fn symbol_working_set_bytes(&self) -> u64 {
-        self.binary_working_set.iter().map(|(_, b)| *b).sum()
-    }
-
     /// The standard task-count sweep used by the paper's figures on this machine.
     pub fn figure_scales(&self) -> Vec<u64> {
         match self.kind {
@@ -376,33 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn daemon_hosts_respect_machine_style() {
-        let atlas = Cluster::atlas();
-        let hosts = atlas.daemon_hosts(64);
-        assert_eq!(
-            hosts.len(),
-            8,
-            "64 tasks / 8 per node = 8 compute-node hosts"
-        );
-
-        let bgl = Cluster::bluegene_l(BglMode::CoProcessor);
-        let hosts = bgl.daemon_hosts(1_024);
-        // 1,024 tasks in CO mode = 1,024 nodes = 16 I/O nodes.
-        assert_eq!(hosts.len(), 16);
-    }
-
-    #[test]
-    fn node_inventory_only_materialises_the_job() {
-        let bgl = Cluster::bluegene_l(BglMode::VirtualNode);
-        let nodes = bgl.nodes_for_job(2_048);
-        // 2,048 VN tasks = 1,024 compute nodes and 16 daemons (128 tasks/daemon),
-        // plus 14 login nodes and 1 service node.
-        assert_eq!(nodes.len(), 1_024 + 16 + 14 + 1);
-        let io_count = nodes.iter().filter(|n| n.class == NodeClass::Io).count();
-        assert_eq!(io_count, 16);
-    }
-
-    #[test]
     fn daemon_host_slowdowns_differ_between_machines() {
         let atlas = Cluster::atlas();
         let bgl = Cluster::bluegene_l(BglMode::CoProcessor);
@@ -420,7 +333,14 @@ mod tests {
             "dynamic linking on Atlas"
         );
         assert_eq!(bgl.binary_working_set.len(), 1, "static linking on BG/L");
-        assert!(atlas.symbol_working_set_bytes() > 4 << 20);
+        assert!(
+            atlas
+                .binary_working_set
+                .iter()
+                .map(|(_, b)| *b)
+                .sum::<u64>()
+                > 4 << 20
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   *virtual node* mode 128.  Communication processes can only be placed on the login
 //!   nodes, which caps usable TBON fan-in.
 //!
-//! This crate models both machines as data — node inventories, placement rules,
+//! This crate models both machines as data — node counts, placement rules,
 //! network links and shared-file-system queueing servers — so that the launcher,
 //! sampler and TBON models in the other crates can be written once and parameterised
 //! by a [`cluster::Cluster`] value.  Nothing here executes "for real": the real
@@ -26,11 +26,9 @@
 pub mod cluster;
 pub mod filesystem;
 pub mod network;
-pub mod node;
 pub mod placement;
 
 pub use cluster::{BglMode, Cluster, ClusterKind};
 pub use filesystem::{FileAccessKind, FileSystem, FileSystemKind, MountTable};
 pub use network::{Interconnect, LinkClass};
-pub use node::{Node, NodeClass, NodeId};
 pub use placement::{CommProcessBudget, PlacementPlan};

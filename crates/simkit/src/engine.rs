@@ -137,12 +137,6 @@ impl Simulation {
         self
     }
 
-    /// Override the runaway-event safety limit.
-    pub fn with_max_events(mut self, max: u64) -> Self {
-        self.max_events = max;
-        self
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now

@@ -97,44 +97,6 @@ impl CostModel for LogarithmicCost {
     }
 }
 
-/// A piecewise model: the cost of the first matching segment applies.
-/// Used, for instance, to model a launcher that fails outright past a size limit.
-#[derive(Debug, Default)]
-pub struct PiecewiseCost {
-    segments: Vec<(u64, Box<dyn CostModel>)>,
-}
-
-impl PiecewiseCost {
-    /// An empty piecewise model (always zero cost).
-    pub fn new() -> Self {
-        PiecewiseCost {
-            segments: Vec::new(),
-        }
-    }
-
-    /// Add a segment that applies while `n <= upper_bound`.  Segments are checked in
-    /// insertion order, so add them from the smallest bound to the largest.
-    pub fn upto(mut self, upper_bound: u64, model: impl CostModel + 'static) -> Self {
-        self.segments.push((upper_bound, Box::new(model)));
-        self
-    }
-}
-
-impl CostModel for PiecewiseCost {
-    fn cost(&self, n: u64) -> SimDuration {
-        for (bound, model) in &self.segments {
-            if n <= *bound {
-                return model.cost(n);
-            }
-        }
-        // Past every bound: extrapolate with the last segment, or zero if none.
-        self.segments
-            .last()
-            .map(|(_, m)| m.cost(n))
-            .unwrap_or(SimDuration::ZERO)
-    }
-}
-
 /// Transfer-time model for moving `bytes` across a link: `latency + bytes/bandwidth`.
 #[derive(Clone, Copy, Debug)]
 pub struct BandwidthCost {
@@ -211,23 +173,6 @@ mod tests {
         assert_eq!(m.cost(2), D::from_secs(2.0));
         assert_eq!(m.cost(1024), D::from_secs(11.0));
         assert_eq!(m.cost(0), m.cost(1), "n=0 treated as n=1");
-    }
-
-    #[test]
-    fn piecewise_selects_first_matching_segment() {
-        let m = PiecewiseCost::new()
-            .upto(100, LinearCost::per_unit(D::from_millis(1.0)))
-            .upto(
-                1_000,
-                ConstantCost {
-                    fixed: D::from_secs(10.0),
-                },
-            );
-        assert_eq!(m.cost(50), D::from_millis(50.0));
-        assert_eq!(m.cost(500), D::from_secs(10.0));
-        // beyond all bounds extrapolates with the last segment
-        assert_eq!(m.cost(5_000), D::from_secs(10.0));
-        assert_eq!(PiecewiseCost::new().cost(42), D::ZERO);
     }
 
     #[test]

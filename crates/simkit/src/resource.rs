@@ -82,16 +82,6 @@ impl Resource {
         }
     }
 
-    /// Number of requests currently waiting (not in service).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Number of requests currently in service.
-    pub fn in_service(&self) -> usize {
-        self.busy
-    }
-
     /// Total completed requests.
     pub fn completed(&self) -> u64 {
         self.completed

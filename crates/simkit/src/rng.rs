@@ -69,15 +69,6 @@ impl DeterministicRng {
         self.uniform(1.0 - spread, 1.0 + spread)
     }
 
-    /// Exponentially distributed draw with the given mean (M/M/c-style service noise).
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        let u: f64 = self.inner.gen_range(f64::EPSILON..1.0);
-        -mean * u.ln()
-    }
-
     /// Bernoulli draw.
     pub fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {
@@ -178,17 +169,6 @@ mod tests {
         assert!(rng.jitter(0.0) == 1.0);
         let extreme = rng.jitter(5.0);
         assert!(extreme > 0.0);
-    }
-
-    #[test]
-    fn exponential_mean_is_roughly_right() {
-        let mut rng = DeterministicRng::new(13);
-        let n = 20_000;
-        let sum: f64 = (0..n).map(|_| rng.exponential(2.0)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 2.0).abs() < 0.1, "mean was {mean}");
-        assert_eq!(rng.exponential(0.0), 0.0);
-        assert_eq!(rng.exponential(-1.0), 0.0);
     }
 
     #[test]

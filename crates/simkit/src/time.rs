@@ -98,11 +98,6 @@ impl SimDuration {
         self.0 as f64 / NANOS_PER_SEC
     }
 
-    /// The duration expressed in milliseconds.
-    pub fn as_millis(self) -> f64 {
-        self.0 as f64 / NANOS_PER_MILLI
-    }
-
     /// True if the duration is exactly zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0

@@ -27,7 +27,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::frame::{FrameId, FrameTable};
+use crate::frame::FrameTable;
 
 #[derive(Debug, Default)]
 struct DictionaryInner {
@@ -118,8 +118,8 @@ impl FrameDictionary {
         inner.names.iter().take(base).cloned().collect()
     }
 
-    /// A point-in-time [`FrameTable`] whose [`FrameId`]s equal the dictionary's
-    /// global ids — the front end resolves decoded trees against this.
+    /// A point-in-time [`FrameTable`] whose [`FrameId`](crate::frame::FrameId)s equal
+    /// the dictionary's global ids — the front end resolves decoded trees against this.
     pub fn snapshot(&self) -> FrameTable {
         let inner = self.lock();
         let mut table = FrameTable::new();
@@ -128,17 +128,12 @@ impl FrameDictionary {
         }
         table
     }
-
-    /// Convenience: intern and wrap as a [`FrameId`], for paths that build
-    /// trees directly in the global id space.
-    pub fn intern_id(&self, name: &str) -> FrameId {
-        FrameId(self.intern(name))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::FrameId;
 
     #[test]
     fn negotiation_fixes_the_base_and_dedupes_hints() {

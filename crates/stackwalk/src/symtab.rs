@@ -65,11 +65,6 @@ impl SymbolTableCache {
     pub fn bytes_parsed(&self) -> u64 {
         self.bytes_parsed
     }
-
-    /// Number of distinct images parsed.
-    pub fn images_parsed(&self) -> usize {
-        self.parsed.len()
-    }
 }
 
 /// Build the [`BinaryImage`] working set of a cluster's target application.
@@ -94,7 +89,7 @@ mod tests {
         assert!(cache.record(&exe));
         assert!(!cache.record(&exe), "second parse is a cache hit");
         assert!(cache.record(&lib));
-        assert_eq!(cache.images_parsed(), 2);
+        assert_eq!(cache.parsed.len(), 2);
         assert_eq!(cache.bytes_parsed(), 10_240 + (4 << 20));
     }
 

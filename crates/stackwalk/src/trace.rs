@@ -40,16 +40,6 @@ impl StackTrace {
     pub fn leaf(&self) -> Option<FrameId> {
         self.frames.last().copied()
     }
-
-    /// Length of the longest common prefix with another trace — the quantity prefix-
-    /// tree merging is built around.
-    pub fn common_prefix_len(&self, other: &StackTrace) -> usize {
-        self.frames
-            .iter()
-            .zip(other.frames.iter())
-            .take_while(|(a, b)| a == b)
-            .count()
-    }
 }
 
 /// The stack-trace samples gathered from one MPI task over one sampling window.
@@ -71,18 +61,6 @@ impl TaskSamples {
     pub fn sample_count(&self) -> usize {
         self.traces.len()
     }
-
-    /// The distinct traces observed, preserving first-seen order.  The 2D analysis
-    /// only cares about which paths were seen, not how often.
-    pub fn distinct_traces(&self) -> Vec<&StackTrace> {
-        let mut seen: Vec<&StackTrace> = Vec::new();
-        for t in &self.traces {
-            if !seen.contains(&t) {
-                seen.push(t);
-            }
-        }
-        seen
-    }
 }
 
 #[cfg(test)]
@@ -95,44 +73,12 @@ mod tests {
     }
 
     #[test]
-    fn common_prefix_of_diverging_traces() {
-        let mut t = FrameTable::new();
-        let a = trace(&mut t, &["_start", "main", "MPI_Barrier", "progress_wait"]);
-        let b = trace(&mut t, &["_start", "main", "MPI_Waitall", "progress_wait"]);
-        assert_eq!(a.common_prefix_len(&b), 2);
-        assert_eq!(a.common_prefix_len(&a), 4);
-        let empty = StackTrace::default();
-        assert_eq!(a.common_prefix_len(&empty), 0);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
     fn leaf_and_depth() {
         let mut t = FrameTable::new();
         let a = trace(&mut t, &["_start", "main", "compute"]);
         assert_eq!(a.depth(), 3);
         assert_eq!(t.name(a.leaf().unwrap()), "compute");
         assert!(StackTrace::default().leaf().is_none());
-    }
-
-    #[test]
-    fn distinct_traces_deduplicate_in_order() {
-        let mut t = FrameTable::new();
-        let barrier = trace(&mut t, &["_start", "main", "MPI_Barrier"]);
-        let send = trace(&mut t, &["_start", "main", "do_SendOrStall"]);
-        let samples = TaskSamples::new(
-            7,
-            vec![
-                barrier.clone(),
-                send.clone(),
-                barrier.clone(),
-                barrier.clone(),
-            ],
-        );
-        assert_eq!(samples.sample_count(), 4);
-        let distinct = samples.distinct_traces();
-        assert_eq!(distinct.len(), 2);
-        assert_eq!(distinct[0], &barrier);
-        assert_eq!(distinct[1], &send);
+        assert!(StackTrace::default().is_empty());
     }
 }

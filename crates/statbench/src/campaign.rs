@@ -23,7 +23,6 @@
 //! test suite pins with the vendored proptest harness.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use appsim::scenario::{catalogue, randomized_scenarios, FaultScenario, OverlayFault};
 use appsim::FrameVocabulary;
@@ -31,19 +30,6 @@ use machine::cluster::Cluster;
 use stat_core::prelude::{Representation, StatError};
 
 use crate::emulator::EmulatedJob;
-
-/// `writeln!` into a report `String`, with `fmt::Write`'s infallibility for
-/// `String` stated once here instead of a discarded `Result` at every call site.
-macro_rules! out_line {
-    ($out:expr) => {
-        $out.push('\n')
-    };
-    ($out:expr, $($arg:tt)*) => {{
-        // stat-analyzer: allow(discarded-result) — fmt::Write to a String is infallible
-        let _ = $out.write_fmt(format_args!($($arg)*));
-        $out.push('\n');
-    }};
-}
 
 /// The grid a campaign sweeps.  Every axis is explicit so a surface can be
 /// reproduced cell-by-cell from the config alone.

@@ -11,8 +11,6 @@
 //! tool uses — so the emulator and the tool *cannot* drift apart: there is no
 //! emulator-local copy of the representation dispatch or the merge pipeline.
 
-use std::time::Duration;
-
 use appsim::scenario::FaultScenario;
 use appsim::{FaultSchedule, FrameVocabulary};
 use machine::cluster::Cluster;
@@ -151,78 +149,19 @@ impl EmulatedJob {
         Ok(reports)
     }
 
-    /// Run the emulation and collect the report.
+    /// Run the emulation and return the session's own report.
     ///
     /// The synthetic application is handed to the *real* session pipeline — daemon
     /// partitioning, representation dispatch, the single-pass multi-channel TBON
     /// reduction and the front-end remap are all the production code paths.
-    pub fn run(&self) -> EmulationReport {
+    pub fn run(&self) -> Result<SessionReport, StatError> {
         let app = SyntheticApp::new(self.tasks, self.shape);
-        let session = Session::builder(self.cluster.clone())
+        Session::builder(self.cluster.clone())
             .representation(self.representation)
             .topology(self.topology())
             .samples_per_task(self.samples_per_task)
-            .build();
-        let report = session
+            .build()
             .attach(&app)
-            .expect("emulated contributions are well-formed by construction");
-
-        EmulationReport {
-            tasks: self.tasks,
-            daemons: report.daemons,
-            classes: report.gather.classes.len(),
-            merged_tree_nodes: report.gather.tree_3d.node_count(),
-            local_phase: report.phases.sample + report.phases.local_merge,
-            merge_wall: report.gather.metrics.merge_wall,
-            remap_wall: report.gather.metrics.remap_wall,
-            frontend_bytes_in: report.gather.metrics.frontend_bytes_in,
-            total_link_bytes: report.gather.metrics.total_link_bytes,
-            max_daemon_packet_bytes: report.max_daemon_packet_bytes,
-            mean_daemon_packet_bytes: report.mean_daemon_packet_bytes,
-            packet_bytes: report.packet_bytes,
-        }
-    }
-}
-
-/// What one emulation run measured.
-#[derive(Clone, Debug)]
-pub struct EmulationReport {
-    /// Tasks emulated.
-    pub tasks: u64,
-    /// Daemons emulated.
-    pub daemons: u32,
-    /// Behaviour classes the merged tree contained.
-    pub classes: usize,
-    /// Nodes in the merged 3D tree.
-    pub merged_tree_nodes: usize,
-    /// Wall time of the daemon-local phase (trace generation + local merge +
-    /// serialisation), summed over daemons but executed in this process.
-    pub local_phase: Duration,
-    /// Wall time of the TBON merge reductions.
-    pub merge_wall: Duration,
-    /// Wall time of the front-end remap (zero for the global representation).
-    pub remap_wall: Duration,
-    /// Bytes into the front end.
-    pub frontend_bytes_in: u64,
-    /// Bytes across all overlay links.
-    pub total_link_bytes: u64,
-    /// Largest single daemon packet (2D + 3D).
-    pub max_daemon_packet_bytes: u64,
-    /// Mean daemon packet size (2D + 3D).
-    pub mean_daemon_packet_bytes: u64,
-    /// Total bytes entering the TBON at the leaves (every daemon's 2D + 3D
-    /// trees, plus rank-map packets for representations that ship one).
-    pub packet_bytes: u64,
-}
-
-impl EmulationReport {
-    /// The compression the tool achieved: emulated tasks per behaviour class.
-    pub fn compression_ratio(&self) -> f64 {
-        if self.classes == 0 {
-            0.0
-        } else {
-            self.tasks as f64 / self.classes as f64
-        }
     }
 }
 
@@ -240,12 +179,13 @@ mod tests {
             classes: 6,
             ..TraceShape::typical()
         });
-        let report = job.run();
+        let report = job.run().expect("the emulation merges cleanly");
         // Temporal frames split each class across a few leaves but the terminal-node
         // class extraction reassembles them: 6 classes of tasks.
-        assert_eq!(report.classes, 6);
+        assert_eq!(report.gather.classes.len(), 6);
         assert_eq!(report.daemons, 64);
-        assert!(report.compression_ratio() > 80.0);
+        // The compression the tool achieved: emulated tasks per behaviour class.
+        assert!(job.tasks as f64 / report.gather.classes.len() as f64 > 80.0);
     }
 
     #[test]
@@ -254,22 +194,24 @@ mod tests {
         let dense = base
             .clone()
             .with_representation(Representation::GlobalBitVector)
-            .run();
+            .run()
+            .unwrap();
         let hier = base
             .with_representation(Representation::HierarchicalTaskList)
-            .run();
-        assert_eq!(dense.classes, hier.classes);
-        assert!(dense.total_link_bytes > hier.total_link_bytes);
+            .run()
+            .unwrap();
+        assert_eq!(dense.gather.classes.len(), hier.gather.classes.len());
+        assert!(dense.gather.metrics.total_link_bytes > hier.gather.metrics.total_link_bytes);
         assert!(dense.max_daemon_packet_bytes > hier.max_daemon_packet_bytes);
     }
 
     #[test]
     fn best_case_merged_tree_is_one_path() {
         let job = EmulatedJob::new(small_cluster(), 256).with_shape(TraceShape::best_case(12));
-        let report = job.run();
-        assert_eq!(report.classes, 1);
+        let report = job.run().unwrap();
+        assert_eq!(report.gather.classes.len(), 1);
         // Root + 12 frames.
-        assert_eq!(report.merged_tree_nodes, 13);
+        assert_eq!(report.gather.tree_3d.node_count(), 13);
     }
 
     #[test]
@@ -277,9 +219,9 @@ mod tests {
         let job = EmulatedJob::new(small_cluster(), 128)
             .with_shape(TraceShape::worst_case(10, 128))
             .with_tree_depth(3);
-        let report = job.run();
-        assert_eq!(report.classes, 128);
-        assert!(report.merged_tree_nodes > 128);
+        let report = job.run().unwrap();
+        assert_eq!(report.gather.classes.len(), 128);
+        assert!(report.gather.tree_3d.node_count() > 128);
     }
 
     #[test]

@@ -29,6 +29,20 @@
 
 #![warn(rust_2018_idioms)]
 
+/// `writeln!` into a report `String` without a `Result` to discard (appending
+/// to a `String` cannot fail; the per-line `format!` allocation is noise next
+/// to running a campaign).
+#[macro_export]
+macro_rules! out_line {
+    ($out:expr) => {
+        $out.push('\n')
+    };
+    ($out:expr, $($arg:tt)*) => {{
+        $out.push_str(&format!($($arg)*));
+        $out.push('\n');
+    }};
+}
+
 pub mod campaign;
 pub mod emulator;
 pub mod generator;
@@ -37,7 +51,7 @@ pub mod sweep;
 pub use campaign::{
     run_campaign, stable_wave, CampaignCell, CampaignConfig, FlipFrontier, StabilitySurface,
 };
-pub use emulator::{EmulatedJob, EmulationReport};
+pub use emulator::EmulatedJob;
 pub use generator::{SyntheticApp, TraceShape};
 pub use sweep::{
     sweep_daemon_counts, sweep_equivalence_classes, sweep_tree_shapes, sweep_tree_shapes_saturated,

@@ -12,8 +12,8 @@
 
 use machine::cluster::Cluster;
 use simkit::stats::SeriesTable;
-use stat_core::prelude::Representation;
-use tbon::planner::{PlannerConfig, TopologyPlanner};
+use stat_core::prelude::{Representation, StatError};
+use tbon::planner::TopologyPlanner;
 
 use crate::emulator::EmulatedJob;
 use crate::generator::TraceShape;
@@ -54,7 +54,10 @@ impl SweepConfig {
 
 /// Sweep the job size (and therefore the daemon count) for both representations,
 /// reporting merge wall time and bytes through the overlay.
-pub fn sweep_daemon_counts(config: &SweepConfig, task_counts: &[u64]) -> SeriesTable {
+pub fn sweep_daemon_counts(
+    config: &SweepConfig,
+    task_counts: &[u64],
+) -> Result<SeriesTable, StatError> {
     let mut table = SeriesTable::new(
         "STATBench scaling sweep (emulated daemons, real merges)",
         "tasks",
@@ -65,16 +68,16 @@ pub fn sweep_daemon_counts(config: &SweepConfig, task_counts: &[u64]) -> SeriesT
             Representation::GlobalBitVector,
             Representation::HierarchicalTaskList,
         ] {
-            let report = config.job(tasks, representation).run();
+            let metrics = config.job(tasks, representation).run()?.gather.metrics;
             table.push(
                 format!("{} merge wall (s)", representation.label()),
                 tasks,
-                report.merge_wall.as_secs_f64(),
+                metrics.merge_wall.as_secs_f64(),
             );
             table.push(
                 format!("{} link bytes", representation.label()),
                 tasks,
-                report.total_link_bytes as f64,
+                metrics.total_link_bytes as f64,
             );
         }
     }
@@ -82,7 +85,7 @@ pub fn sweep_daemon_counts(config: &SweepConfig, task_counts: &[u64]) -> SeriesT
         "topology {}-deep, {} samples/task, shape: depth {}, {} classes",
         config.tree_depth, config.samples_per_task, config.shape.depth, config.shape.classes
     ));
-    table
+    Ok(table)
 }
 
 /// Sweep the number of equivalence classes at a fixed job size, reporting merged tree
@@ -91,7 +94,7 @@ pub fn sweep_equivalence_classes(
     config: &SweepConfig,
     tasks: u64,
     class_counts: &[u32],
-) -> SeriesTable {
+) -> Result<SeriesTable, StatError> {
     let mut table = SeriesTable::new(
         format!("STATBench class sweep at {tasks} tasks"),
         "equivalence classes",
@@ -107,20 +110,24 @@ pub fn sweep_equivalence_classes(
             .with_representation(Representation::HierarchicalTaskList)
             .with_tree_depth(config.tree_depth);
         job.samples_per_task = config.samples_per_task;
-        let report = job.run();
+        let gather = job.run()?.gather;
         table.push(
             "merged tree nodes",
             classes as u64,
-            report.merged_tree_nodes as f64,
+            gather.tree_3d.node_count() as f64,
         );
         table.push(
             "front-end bytes in",
             classes as u64,
-            report.frontend_bytes_in as f64,
+            gather.metrics.frontend_bytes_in as f64,
         );
-        table.push("classes recovered", classes as u64, report.classes as f64);
+        table.push(
+            "classes recovered",
+            classes as u64,
+            gather.classes.len() as f64,
+        );
     }
-    table
+    Ok(table)
 }
 
 /// Sweep the overlay tree shape itself: every fan-in × depth candidate the
@@ -158,10 +165,7 @@ pub fn sweep_tree_shapes_saturated(
     task_counts: &[u64],
     saturation_tasks: u64,
 ) -> SeriesTable {
-    let planner = TopologyPlanner::new(cluster.clone()).with_config(PlannerConfig {
-        class_saturation_tasks: Some(saturation_tasks),
-        ..PlannerConfig::default()
-    });
+    let planner = TopologyPlanner::new(cluster.clone()).with_class_saturation(saturation_tasks);
     let title = format!(
         "TBON tree-shape sweep on {} (class-saturated payloads, knee at {} tasks)",
         cluster.name, saturation_tasks
@@ -212,7 +216,7 @@ mod tests {
     #[test]
     fn scaling_sweep_shows_the_representation_gap() {
         let config = SweepConfig::new(Cluster::test_cluster(256, 8));
-        let table = sweep_daemon_counts(&config, &[256, 1_024]);
+        let table = sweep_daemon_counts(&config, &[256, 1_024]).unwrap();
         let dense = table
             .value_at("original bit vector link bytes", 1_024)
             .unwrap();
@@ -225,7 +229,7 @@ mod tests {
     #[test]
     fn class_sweep_recovers_every_requested_class() {
         let config = SweepConfig::new(Cluster::test_cluster(64, 8));
-        let table = sweep_equivalence_classes(&config, 512, &[1, 8, 64]);
+        let table = sweep_equivalence_classes(&config, 512, &[1, 8, 64]).unwrap();
         for classes in [1u64, 8, 64] {
             assert_eq!(
                 table.value_at("classes recovered", classes),

@@ -1,4 +1,5 @@
-//! Analytic cost model for tree reductions and broadcasts.
+//! Analytic cost model for tree reductions: what a packet costs and how a
+//! reduction is priced.
 //!
 //! The merge-time figures (4, 5 and 7) are fundamentally about *how many bytes pass
 //! through which node*.  With the original representation every edge label is a bit
@@ -9,45 +10,45 @@
 //! subtree, so per-node data volume is bounded by subtree size and the critical path
 //! really is logarithmic.
 //!
-//! [`ReductionCostModel`] turns a topology, an interconnect and a caller-supplied
-//! "how many bytes does this node emit" function into a critical-path estimate:
+//! [`TreePayload`] is the one model of the bytes an overlay node emits, and
+//! [`price_reduction`] the one entry point that turns a machine, a tree shape and
+//! that payload into a critical-path estimate — the planner, the figure
+//! estimators and the ablations all price through it:
 //!
 //! * every internal node must receive one packet from each child over its incoming
 //!   link (fan-in serialises at the receiving NIC),
 //! * then run its filter, whose cost is affine in the bytes received,
 //! * nodes at the same level proceed in parallel,
 //! * and the critical path is the sum over levels of the slowest node at that level.
-//!
-//! The same structure gives a downward [`broadcast`](ReductionCostModel::broadcast)
-//! estimate used by the SBRS model.
 
+use machine::cluster::Cluster;
 use machine::network::{Interconnect, LinkClass};
 use simkit::time::SimDuration;
 
-use crate::packet::EndpointId;
-use crate::topology::{Topology, TreeNodeRole};
+use crate::topology::{Topology, TreeNodeRole, TreeShape};
 
-/// Inputs that rarely change between evaluations: where the tree runs and how fast
-/// its hosts and links are.
-#[derive(Clone, Debug)]
-pub struct ReductionCostModel<'a> {
-    /// The tree being evaluated.
-    pub topology: &'a Topology,
-    /// The machine's interconnect.
-    pub interconnect: &'a Interconnect,
+/// Filter compute cost per byte of input on a 2.4 GHz reference core: merging
+/// serialised prefix trees costs a few ns per byte of input on a 2008-era core
+/// (the filter walks both inputs once).
+const FILTER_SECS_PER_BYTE: f64 = 6.0e-9;
+/// Fixed filter invocation overhead on a reference core, in microseconds.
+const FILTER_BASE_MICROS: f64 = 150.0;
+/// Sender-side packing cost per byte on a reference core.
+const PACK_SECS_PER_BYTE: f64 = 0.5e-9;
+
+/// Where the tree runs and how fast its hosts and links are.
+struct ReductionCostModel<'a> {
+    topology: &'a Topology,
+    interconnect: &'a Interconnect,
     /// Link class used by leaf daemons to reach their parents.
-    pub daemon_uplink: LinkClass,
+    daemon_uplink: LinkClass,
     /// Link class used between communication processes and the front end.
-    pub upper_link: LinkClass,
-    /// Filter compute cost per byte of input, on a 2.4 GHz reference core.
-    pub filter_secs_per_byte: f64,
-    /// Fixed filter invocation overhead, on a reference core.
-    pub filter_base: SimDuration,
+    upper_link: LinkClass,
     /// Slowdown factor of the hosts running communication processes / the front end.
-    pub comm_host_slowdown: f64,
+    comm_host_slowdown: f64,
     /// Slowdown factor of the hosts running the leaf daemons (used for their send-side
     /// packing cost).
-    pub daemon_host_slowdown: f64,
+    daemon_host_slowdown: f64,
 }
 
 /// The result of evaluating a reduction.
@@ -66,10 +67,54 @@ pub struct ReductionCost {
     pub total_link_bytes: u64,
 }
 
+/// Price an upward reduction of `payload` over `shape` on `cluster`.
+///
+/// Any [`TreeShape`] can be priced, including depths the paper never measured.
+/// Here a depth-4 tree beats the flat tree at 4,096 daemons, because the fan-in
+/// serialising at the front end's NIC is 8 instead of 4,096:
+///
+/// ```
+/// use machine::cluster::Cluster;
+/// use tbon::cost::{price_reduction, Labels, TreePayload};
+/// use tbon::topology::TreeShape;
+///
+/// let atlas = Cluster::atlas();
+/// // Four levels of fan-out 8: 1 -> 8 -> 64 -> 512 -> 4,096.
+/// let deep = TreeShape::uniform_with_depth(4_096, 8, 4);
+/// assert_eq!(deep.level_widths, vec![1, 8, 64, 512, 4_096]);
+/// let flat = TreeShape::flat(4_096);
+///
+/// // Classes saturate within one daemon's 8 tasks, so every node emits the
+/// // same packet however many daemons fed it.
+/// let payload = TreePayload {
+///     saturation_tasks: Some(8),
+///     ..TreePayload::ring_hang(32_768, 8, Labels::Subtree)
+/// };
+/// let deep_cost = price_reduction(&atlas, &deep, &payload);
+/// let flat_cost = price_reduction(&atlas, &flat, &payload);
+///
+/// assert!(deep_cost.critical_path < flat_cost.critical_path);
+/// // One per-level time per internal level of the deep tree.
+/// assert_eq!(deep_cost.per_level.len(), 4);
+/// ```
+pub fn price_reduction(
+    cluster: &Cluster,
+    shape: &TreeShape,
+    payload: &TreePayload,
+) -> ReductionCost {
+    let topology = Topology::build(shape.clone());
+    ReductionCostModel::standard(
+        &topology,
+        &cluster.interconnect,
+        cluster.login_host_slowdown(),
+        cluster.daemon_host_slowdown(),
+    )
+    .reduce(&|subtree_backends| payload.bytes(subtree_backends))
+}
+
 impl<'a> ReductionCostModel<'a> {
-    /// A model with the filter constants used throughout the STAT reproduction and
-    /// link classes appropriate for the given interconnect.
-    pub fn standard(
+    /// A model with link classes appropriate for the given interconnect.
+    fn standard(
         topology: &'a Topology,
         interconnect: &'a Interconnect,
         comm_host_slowdown: f64,
@@ -80,56 +125,22 @@ impl<'a> ReductionCostModel<'a> {
             interconnect,
             daemon_uplink: interconnect.daemon_uplink(),
             upper_link: interconnect.frontend_uplink(),
-            // Merging serialised prefix trees costs on the order of a few ns per byte
-            // of input on a 2008-era reference core: the filter walks both inputs once.
-            filter_secs_per_byte: 6.0e-9,
-            filter_base: SimDuration::from_micros(150.0),
             comm_host_slowdown,
             daemon_host_slowdown,
         }
     }
 
-    /// Evaluate an upward reduction where node `id`, whose subtree contains
-    /// `subtree_backends` daemons, emits `packet_bytes(id, subtree_backends)` bytes.
-    ///
-    /// Any [`TreeShape`](crate::topology::TreeShape) can be priced, including
-    /// depths the paper never measured.  Here a depth-4 tree — inexpressible under
-    /// the old closed `Flat`/`TwoDeep`/`ThreeDeep` enum — beats the flat tree at
-    /// 4,096 daemons, because the fan-in serialising at the front end's NIC is 8
-    /// instead of 4,096:
-    ///
-    /// ```
-    /// use machine::network::Interconnect;
-    /// use tbon::cost::ReductionCostModel;
-    /// use tbon::topology::{Topology, TreeShape};
-    ///
-    /// let net = Interconnect::atlas();
-    /// // Four levels of fan-out 8: 1 -> 8 -> 64 -> 512 -> 4,096.
-    /// let deep = Topology::build(TreeShape::uniform_with_depth(4_096, 8, 4));
-    /// assert_eq!(deep.shape().level_widths, vec![1, 8, 64, 512, 4_096]);
-    /// let flat = Topology::build(TreeShape::flat(4_096));
-    ///
-    /// // Merged prefix trees stay roughly constant-size however many daemons fed
-    /// // them, so every node emits one 4 KiB packet regardless of its subtree.
-    /// let payload = |_id, _subtree: u32| 4_096u64;
-    /// let deep_cost = ReductionCostModel::standard(&deep, &net, 1.0, 1.0).reduce(&payload);
-    /// let flat_cost = ReductionCostModel::standard(&flat, &net, 1.0, 1.0).reduce(&payload);
-    ///
-    /// assert!(deep_cost.critical_path < flat_cost.critical_path);
-    /// // One per-level time per internal level of the deep tree.
-    /// assert_eq!(deep_cost.per_level.len(), 4);
-    /// ```
-    pub fn reduce(&self, packet_bytes: &dyn Fn(EndpointId, u32) -> u64) -> ReductionCost {
+    /// Evaluate an upward reduction where a node whose subtree contains
+    /// `subtree_backends` daemons emits `packet_bytes(subtree_backends)` bytes.
+    fn reduce(&self, packet_bytes: &dyn Fn(u32) -> u64) -> ReductionCost {
         let topo = self.topology;
         let n = topo.len();
 
         // Bytes each node sends to its parent.
         let mut bytes_out = vec![0u64; n];
         for node in topo.nodes() {
-            let subtree = topo.subtree_backends(node.id);
-            bytes_out[node.id.0 as usize] = packet_bytes(node.id, subtree);
+            bytes_out[node.id.0 as usize] = packet_bytes(topo.subtree_backends(node.id));
         }
-
         let mut per_level = Vec::new();
         let mut frontend_bytes_in = 0u64;
         let mut max_node_bytes_in = 0u64;
@@ -163,15 +174,17 @@ impl<'a> ReductionCostModel<'a> {
                     } else {
                         self.comm_host_slowdown
                     };
-                    recv += SimDuration::from_secs(child_bytes as f64 * 0.5e-9 * pack_slowdown);
+                    recv += SimDuration::from_secs(
+                        child_bytes as f64 * PACK_SECS_PER_BYTE * pack_slowdown,
+                    );
                 }
                 total_link_bytes += bytes_in;
                 max_node_bytes_in = max_node_bytes_in.max(bytes_in);
                 if id == topo.frontend() {
                     frontend_bytes_in = bytes_in;
                 }
-                let filter = (self.filter_base
-                    + SimDuration::from_secs(bytes_in as f64 * self.filter_secs_per_byte))
+                let filter = (SimDuration::from_micros(FILTER_BASE_MICROS)
+                    + SimDuration::from_secs(bytes_in as f64 * FILTER_SECS_PER_BYTE))
                 .mul_f64(self.comm_host_slowdown);
                 let node_time = recv + filter;
                 worst = worst.max(node_time);
@@ -191,43 +204,16 @@ impl<'a> ReductionCostModel<'a> {
             total_link_bytes,
         }
     }
-
-    /// Evaluate a downward broadcast of `bytes` from the front end to every daemon,
-    /// where each parent sends to its children one after another (store-and-forward
-    /// per level, pipelined across levels only at message granularity).  This is the
-    /// communication pattern SBRS uses to push relocated binaries.
-    pub fn broadcast(&self, bytes: u64) -> SimDuration {
-        let topo = self.topology;
-        let mut total = SimDuration::ZERO;
-        for level_nodes in topo.levels().iter().take(topo.levels().len() - 1) {
-            let mut worst = SimDuration::ZERO;
-            for &id in level_nodes {
-                let node = topo.node(id);
-                let mut send = SimDuration::ZERO;
-                for &child in &node.children {
-                    let link = if topo.node(child).role == TreeNodeRole::BackEnd {
-                        self.daemon_uplink
-                    } else {
-                        self.upper_link
-                    };
-                    send += self.interconnect.transfer(link, bytes);
-                }
-                worst = worst.max(send);
-            }
-            total += worst;
-        }
-        total
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Wire-format v2 packet arithmetic
 // ---------------------------------------------------------------------------
 //
-// The estimator and planner closures price packets with the same arithmetic
-// the v2 encoder uses, so the cost model's byte terms are fed by real encoded
-// sizes rather than string-era estimates.  `stat_core::serialize` pins these
-// helpers against the actual encoder in its tests.
+// `TreePayload` prices packets with the same arithmetic the v2 encoder uses, so
+// the cost model's byte terms are fed by real encoded sizes rather than
+// string-era estimates.  `stat_core::serialize` pins these helpers against the
+// actual encoder in its tests.
 
 /// Bytes an LEB128 varint takes to encode `value` (1 for values below 128,
 /// up to 10 for the full 64-bit range).
@@ -259,28 +245,43 @@ pub fn subtree_node_bytes(subtree_tasks: u64) -> u64 {
     V2_NODE_OVERHEAD + varint_len((words << 2) | 2) + words * 8
 }
 
-/// Payload model for a merged prefix tree whose *class population saturates*.
+/// Edges of the locally merged 2D and 3D trees under the ring-hang calibration
+/// every figure and the planner share (the 3D tree has more because sampling
+/// over time fans the polling frames out).
+const RING_HANG_EDGES: u64 = 24 + 60;
+/// Bytes of incremental dictionary records (frame names the negotiated
+/// dictionary did not cover) carried once per packet under wire format v2.
+const FRAME_NAMES_BYTES: u64 = 420;
+
+/// What the task set on every edge of a merged tree describes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Labels {
+    /// The original representation: a bit vector sized for the whole job.
+    JobWide,
+    /// The hierarchical representation: only the tasks of the node's subtree.
+    Subtree,
+}
+
+/// The one model of the bytes an overlay node emits: a merged prefix tree of
+/// `edges` edges, each carrying a task-set label, plus the per-packet
+/// dictionary records.
 ///
-/// The planner's default payload grows with the subtree's task count forever:
-/// every extra task adds bit-vector bytes on every tree edge.  That is correct
-/// for pathological workloads where every rank is in its own equivalence class,
-/// but the paper's whole point (Section V) is that real jobs collapse into a
-/// handful of classes — once a subtree already contains one representative of
-/// every class, merging more tasks adds *membership bits*, not new edges or
-/// frame names.  Past the saturation point, per-node payloads stop growing
-/// with subtree size and deeper trees stop paying a depth penalty for their
-/// smaller subtrees: the depth crossover the flat-payload model hides past
-/// 16M cores becomes visible.
+/// With [`Labels::Subtree`] the payload grows with the subtree's task count —
+/// correct for pathological workloads where every rank is in its own
+/// equivalence class, but the paper's whole point (Section V) is that real jobs
+/// collapse into a handful of classes: once a subtree already contains one
+/// representative of every class, merging more tasks adds *membership bits*,
+/// not new edges.  `saturation_tasks` models that knee — past it, per-node
+/// payloads stop growing with subtree size, deeper trees stop paying a depth
+/// penalty for their smaller subtrees, and the depth crossover the unsaturated
+/// model hides past 16M cores becomes visible.
 ///
 /// ```
-/// use tbon::cost::ClassSaturatedPayload;
+/// use tbon::cost::{Labels, TreePayload};
 ///
-/// let payload = ClassSaturatedPayload {
-///     tree_edges: 24,
-///     frame_names_bytes: 420,
-///     tasks: 64 << 20,          // a 67M-task job
-///     tasks_per_daemon: 64,
-///     saturation_tasks: 1 << 20, // classes saturate by 1M tasks
+/// let payload = TreePayload {
+///     saturation_tasks: Some(1 << 20), // classes saturate by 1M tasks
+///     ..TreePayload::ring_hang(64 << 20, 64, Labels::Subtree) // a 67M-task job
 /// };
 /// // A subtree far past saturation costs the same as one at saturation...
 /// assert_eq!(payload.bytes(1 << 18), payload.bytes(1 << 20));
@@ -288,39 +289,57 @@ pub fn subtree_node_bytes(subtree_tasks: u64) -> u64 {
 /// assert!(payload.bytes(16) < payload.bytes(1 << 18));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ClassSaturatedPayload {
-    /// Edges in the serialised 2D prefix tree.
-    pub tree_edges: u64,
-    /// Bytes of frame-name data shipped once per packet — under wire format v2,
-    /// the incremental dictionary records for frames negotiation did not seed.
-    pub frame_names_bytes: u64,
+pub struct TreePayload {
     /// Total tasks in the job (caps the subtree population).
     pub tasks: u64,
     /// Tasks represented by each leaf daemon.
     pub tasks_per_daemon: u64,
+    /// Edges in the serialised 2D + 3D prefix trees.
+    pub edges: u64,
+    /// What each edge label describes.
+    pub labels: Labels,
     /// Task count past which the class population stops growing: subtrees
     /// holding more tasks than this emit packets no larger than a subtree at
-    /// exactly the saturation point.
-    pub saturation_tasks: u64,
+    /// exactly the knee.  `None` is the unsaturated worst case.  Job-wide labels
+    /// are sized by the job whatever the classes, so the knee does not apply.
+    pub saturation_tasks: Option<u64>,
 }
 
-impl ClassSaturatedPayload {
+impl TreePayload {
+    /// The ring-hang calibration the figure generators and the planner share,
+    /// for a job of `tasks` tasks spread `tasks_per_daemon` to a daemon.
+    pub fn ring_hang(tasks: u64, tasks_per_daemon: u64, labels: Labels) -> Self {
+        TreePayload {
+            tasks,
+            tasks_per_daemon,
+            edges: RING_HANG_EDGES,
+            labels,
+            saturation_tasks: None,
+        }
+    }
+
     /// Packet bytes emitted by a node whose subtree holds `subtree_backends`
-    /// leaf daemons: per-edge v2 task-set records sized by the *saturated*
-    /// subtree task count ([`subtree_node_bytes`]), plus the incremental
-    /// dictionary records.
+    /// leaf daemons, priced with the arithmetic the v2 wire format actually
+    /// produces ([`dense_node_bytes`] / [`subtree_node_bytes`]), so estimates
+    /// and real encoded sizes cannot drift.
     pub fn bytes(&self, subtree_backends: u32) -> u64 {
-        let subtree_tasks = (subtree_backends as u64 * self.tasks_per_daemon).min(self.tasks);
-        let saturated = subtree_tasks.min(self.saturation_tasks);
-        self.tree_edges * subtree_node_bytes(saturated) + self.frame_names_bytes
+        let label_bytes = match self.labels {
+            Labels::JobWide => dense_node_bytes(self.tasks, self.tasks),
+            Labels::Subtree => {
+                let subtree_tasks =
+                    (subtree_backends as u64 * self.tasks_per_daemon).min(self.tasks);
+                subtree_node_bytes(subtree_tasks.min(self.saturation_tasks.unwrap_or(u64::MAX)))
+            }
+        };
+        self.edges * label_bytes + FRAME_NAMES_BYTES
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::TreeShape;
-    use machine::cluster::Cluster;
+    use machine::cluster::BglMode;
+    use machine::placement::PlacementPlan;
 
     fn model<'a>(topo: &'a Topology, net: &'a Interconnect) -> ReductionCostModel<'a> {
         ReductionCostModel::standard(topo, net, 1.0, 1.0)
@@ -329,7 +348,7 @@ mod tests {
     #[test]
     fn constant_payloads_favor_deeper_trees_at_scale() {
         let net = Interconnect::atlas();
-        let per_leaf = |_: EndpointId, _subtree: u32| 64 * 1024u64;
+        let per_leaf = |_subtree: u32| 64 * 1024u64;
 
         let flat = Topology::build(TreeShape::flat(512));
         let deep = Topology::build(TreeShape::two_deep(512, 23));
@@ -355,7 +374,7 @@ mod tests {
             let plan_tasks = daemons as u64 * 64;
             let topo = Topology::build(TreeShape::two_deep(daemons, 28));
             let m = model(&topo, &net);
-            let cost = m.reduce(&|_id, subtree| {
+            let cost = m.reduce(&|subtree| {
                 if global {
                     bytes_per_task * plan_tasks
                 } else {
@@ -381,7 +400,7 @@ mod tests {
     fn per_level_times_sum_to_critical_path() {
         let net = Interconnect::atlas();
         let topo = Topology::build(TreeShape::three_deep(128, 4, 16));
-        let cost = model(&topo, &net).reduce(&|_, subtree| subtree as u64 * 100);
+        let cost = model(&topo, &net).reduce(&|subtree| subtree as u64 * 100);
         let sum: SimDuration = cost.per_level.iter().copied().sum();
         assert_eq!(sum, cost.critical_path);
         assert_eq!(cost.per_level.len(), 3);
@@ -392,25 +411,10 @@ mod tests {
         let net = Interconnect::bluegene_l();
         let topo = Topology::build(TreeShape::two_deep(256, 16));
         let fast =
-            ReductionCostModel::standard(&topo, &net, 1.0, 1.0).reduce(&|_, s| s as u64 * 1_000);
+            ReductionCostModel::standard(&topo, &net, 1.0, 1.0).reduce(&|s| s as u64 * 1_000);
         let slow =
-            ReductionCostModel::standard(&topo, &net, 3.4, 3.4).reduce(&|_, s| s as u64 * 1_000);
+            ReductionCostModel::standard(&topo, &net, 3.4, 3.4).reduce(&|s| s as u64 * 1_000);
         assert!(slow.critical_path > fast.critical_path);
-    }
-
-    #[test]
-    fn broadcast_grows_with_fanout_and_depth() {
-        // Use the BG/L interconnect, whose daemon uplink and inter-process links have
-        // comparable bandwidth, so the comparison isolates the fan-out structure.
-        let net = Interconnect::bluegene_l();
-        let flat = Topology::build(TreeShape::flat(128));
-        let deep = Topology::build(TreeShape::two_deep(128, 12));
-        let four_mb = 4 << 20;
-        let flat_b = model(&flat, &net).broadcast(four_mb);
-        let deep_b = model(&deep, &net).broadcast(four_mb);
-        // Flat: the front end pushes 128 copies serially.  2-deep: 12 copies from the
-        // front end, then ~11 per comm process in parallel.
-        assert!(flat_b > deep_b);
     }
 
     #[test]
@@ -434,12 +438,9 @@ mod tests {
 
     #[test]
     fn saturated_payloads_flatten_past_the_knee() {
-        let p = ClassSaturatedPayload {
-            tree_edges: 24,
-            frame_names_bytes: 420,
-            tasks: 1 << 26,
-            tasks_per_daemon: 64,
-            saturation_tasks: 1 << 20,
+        let p = TreePayload {
+            saturation_tasks: Some(1 << 20),
+            ..TreePayload::ring_hang(1 << 26, 64, Labels::Subtree)
         };
         // Below the knee the payload tracks the subtree linearly...
         assert!(p.bytes(64) < p.bytes(512));
@@ -448,13 +449,19 @@ mod tests {
         let at_knee = p.bytes((1 << 20) / 64);
         assert_eq!(p.bytes(1 << 18), at_knee);
         assert_eq!(p.bytes(1 << 20), at_knee);
-        // The job-size cap still applies when saturation exceeds the job.
-        let small = ClassSaturatedPayload {
-            saturation_tasks: u64::MAX,
-            tasks: 1_024,
+        // The job-size cap still applies when there is no knee.
+        let small = TreePayload::ring_hang(1_024, 64, Labels::Subtree);
+        assert_eq!(small.bytes(1 << 18), small.bytes(16));
+        // Job-wide labels are sized by the job, wherever the node sits.
+        let dense = TreePayload {
+            labels: Labels::JobWide,
             ..p
         };
-        assert_eq!(small.bytes(1 << 18), small.bytes(16));
+        assert_eq!(dense.bytes(1), dense.bytes(1 << 20));
+        assert_eq!(
+            dense.bytes(1),
+            RING_HANG_EDGES * dense_node_bytes(1 << 26, 1 << 26) + FRAME_NAMES_BYTES
+        );
     }
 
     #[test]
@@ -462,21 +469,52 @@ mod tests {
         // Under the unsaturated model the flat tree's frontend fan-in is painful
         // but its single level keeps the critical path competitive at moderate
         // scale; under saturation constant-size packets make fan-in the whole
-        // story and depth wins decisively — the cost.rs doctest physics.
-        let net = Interconnect::bluegene_l();
+        // story and depth wins decisively — the `price_reduction` doctest physics.
+        let bgl = Cluster::bluegene_l(BglMode::VirtualNode);
         let daemons = 8_192u32;
-        let p = ClassSaturatedPayload {
-            tree_edges: 24,
-            frame_names_bytes: 420,
-            tasks: daemons as u64 * 128,
-            tasks_per_daemon: 128,
-            saturation_tasks: 4_096,
+        let p = TreePayload {
+            saturation_tasks: Some(4_096),
+            ..TreePayload::ring_hang(daemons as u64 * 128, 128, Labels::Subtree)
         };
-        let shallow = Topology::build(TreeShape::two_deep(daemons, 64));
-        let deep = Topology::build(TreeShape::uniform_with_depth(daemons, 10, 4));
-        let shallow_cost = model(&shallow, &net).reduce(&|_, s| p.bytes(s));
-        let deep_cost = model(&deep, &net).reduce(&|_, s| p.bytes(s));
-        assert!(deep_cost.critical_path < shallow_cost.critical_path);
+        let shallow = price_reduction(&bgl, &TreeShape::two_deep(daemons, 64), &p);
+        let deep = price_reduction(&bgl, &TreeShape::uniform_with_depth(daemons, 10, 4), &p);
+        assert!(deep.critical_path < shallow.critical_path);
+    }
+
+    #[test]
+    fn modelled_numbers_are_pinned_to_the_pre_refactor_values() {
+        // Recorded at the parent commit (9759d71) through the three separate
+        // pricing paths this module replaced: `PhaseEstimator::merge_estimate`
+        // for both label kinds, and `ClassSaturatedPayload` over the scaled
+        // placement shapes.  "Numbers unchanged" is this test, not a claim.
+        let vn = Cluster::bluegene_l(BglMode::VirtualNode);
+        let job = vn.job(212_992);
+        let two_deep = TreeShape::for_placement(&PlacementPlan::for_job(&vn, 212_992), 2);
+        let price = |labels| {
+            let payload = TreePayload::ring_hang(job.tasks, job.tasks_per_daemon as u64, labels);
+            let cost = price_reduction(&vn, &two_deep, &payload);
+            (cost.critical_path.as_nanos(), cost.frontend_bytes_in)
+        };
+        assert_eq!(price(Labels::JobWide), (5_028_302_228, 78_295_728));
+        assert_eq!(price(Labels::Subtree), (53_984_588, 2_262_288));
+
+        let tasks = 33_554_432;
+        let plan = PlacementPlan::for_scaled_job(&vn, tasks);
+        let saturated = TreePayload {
+            saturation_tasks: Some(1 << 20),
+            ..TreePayload::ring_hang(tasks, plan.tasks_per_daemon as u64, Labels::Subtree)
+        };
+        for (depth, nanos, frontend) in [
+            (2, 7_065_546_704, 352_794_624),
+            (3, 3_380_310_080, 44_044_224),
+        ] {
+            let cost = price_reduction(&vn, &TreeShape::for_placement(&plan, depth), &saturated);
+            assert_eq!(
+                (cost.critical_path.as_nanos(), cost.frontend_bytes_in),
+                (nanos, frontend),
+                "saturated payload, placement {depth}-deep"
+            );
+        }
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   tests and the real-execution benchmarks); reductions are the only traffic it
 //!   carries — the one downward message of a session, the frame-dictionary
 //!   broadcast, is priced by [`InProcessTbon::broadcast_link_bytes`];
-//! * [`cost`] — an analytic cost model of an upward reduction over a given topology,
-//!   interconnect and per-level payload size, used by the figure generators and the
-//!   planner to model configurations with millions of endpoints;
+//! * [`cost`] — the one payload model and the one pricing entry point for an upward
+//!   reduction over a given machine and tree shape, used by the figure generators
+//!   and the planner to model configurations with millions of endpoints;
 //! * [`delta`] — the incremental path streaming sessions use: per-node resident
 //!   state folded from per-wave `TreeDelta` packets instead of re-reducing every
 //!   wave from scratch.
@@ -38,13 +38,11 @@ pub mod packet;
 pub mod planner;
 pub mod topology;
 
-pub use cost::{ReductionCost, ReductionCostModel};
+pub use cost::{price_reduction, Labels, ReductionCost, TreePayload};
 pub use delta::{IncrementalTbon, ResidentState, StateFactory, WaveOutcome};
 pub use fault::{CorruptingFilter, FaultTracker, FilterFault, FilterFaultKind, PruneReport};
 pub use filter::{Filter, IdentityFilter, SumFilter};
 pub use network::{ChannelInput, InProcessTbon, ReductionOutcome, TbonError};
 pub use packet::{EndpointId, Packet, PacketTag};
-pub use planner::{
-    CandidateOrigin, PlanConstraint, PlannedTopology, PlannerConfig, TopologyPlanner,
-};
+pub use planner::{CandidateOrigin, PlanConstraint, PlannedTopology, TopologyPlanner};
 pub use topology::{Topology, TopologyError, TreeNode, TreeNodeRole, TreeShape};

@@ -5,7 +5,7 @@
 //! is what [`TopologyPlanner`] answers.  Given a [`Cluster`] and a task count, the
 //! planner enumerates candidate [`TreeShape`]s (the paper's placement-rule shapes at
 //! every depth, plus a fan-in × depth grid of uniform trees), prices each one with
-//! [`ReductionCostModel`] under the hierarchical-representation payload the paper
+//! [`price_reduction`] under the hierarchical-representation payload the paper
 //! converges on, checks each against the machine's
 //! [`CommProcessBudget`](machine::placement::CommProcessBudget), and returns them
 //! ranked as [`PlannedTopology`] values: predicted merge latency, the fan-out and
@@ -15,12 +15,13 @@
 //! ([`PlacementPlan::for_scaled_job`]), so the same API sweeps the merge question
 //! out to millions of simulated cores — the title of the paper.
 //!
-//! Each candidate is priced over a fully built [`Topology`] so the planner and
-//! the figure estimators share one cost path (`plan` at a million cores is
-//! ~30 ms).  For sweeps far beyond that, an analytic per-level evaluation over
-//! the raw [`TreeShape`] would avoid materialising multi-million-node trees per
-//! candidate — a known optimisation lever, deliberately not taken while the two
-//! paths are required to agree byte for byte.
+//! Each candidate is priced through [`price_reduction`], which builds the full
+//! [`Topology`](crate::topology::Topology), so the planner and the figure
+//! estimators share one cost path (`plan` at a million cores is ~30 ms).  For
+//! sweeps far beyond that, an analytic per-level evaluation over the raw
+//! [`TreeShape`] would avoid materialising multi-million-node trees per
+//! candidate — a known optimisation lever, deliberately not taken while there is
+//! one pricing path.
 
 use std::fmt;
 
@@ -28,44 +29,13 @@ use machine::cluster::Cluster;
 use machine::placement::PlacementPlan;
 use simkit::time::SimDuration;
 
-use crate::cost::ReductionCostModel;
-use crate::topology::{Topology, TreeShape};
+use crate::cost::{price_reduction, Labels, TreePayload};
+use crate::topology::TreeShape;
 
-/// Knobs of the planner's candidate enumeration and payload model.  The payload
-/// constants default to the ring-hang calibration used by the figure generators, so
-/// planner predictions and figure estimates agree by construction.
-#[derive(Clone, Debug)]
-pub struct PlannerConfig {
-    /// Deepest tree the planner will consider (edges from front end to daemons).
-    pub max_depth: u32,
-    /// Uniform fan-ins enumerated at every depth, alongside the placement-rule
-    /// shapes.
-    pub fan_ins: Vec<u32>,
-    /// Edges of a locally merged 2D tree.
-    pub tree_edges_2d: u64,
-    /// Edges of a locally merged 3D tree.
-    pub tree_edges_3d: u64,
-    /// Bytes of frame names carried once per packet.
-    pub frame_names_bytes: u64,
-    /// Optional class-saturation knee: when set, subtrees holding more tasks
-    /// than this emit packets no larger than a subtree at the knee (the
-    /// [`ClassSaturatedPayload`](crate::cost::ClassSaturatedPayload) model).
-    /// `None` keeps the unsaturated worst-case payload the planner always used.
-    pub class_saturation_tasks: Option<u64>,
-}
-
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        PlannerConfig {
-            max_depth: 6,
-            fan_ins: vec![2, 4, 8, 16, 32, 64],
-            tree_edges_2d: 24,
-            tree_edges_3d: 60,
-            frame_names_bytes: 420,
-            class_saturation_tasks: None,
-        }
-    }
-}
+/// Deepest tree the planner considers (edges from front end to daemons).
+const MAX_DEPTH: u32 = 6;
+/// Uniform fan-ins enumerated at every depth, alongside the placement-rule shapes.
+const FAN_INS: [u32; 6] = [2, 4, 8, 16, 32, 64];
 
 /// Where a candidate shape came from — the stable identity of one row of a
 /// fan-in × depth sweep table.
@@ -181,33 +151,32 @@ pub fn flat_frontend_overloaded(shape: &TreeShape, daemons_on_io_nodes: bool) ->
 #[derive(Clone, Debug)]
 pub struct TopologyPlanner {
     cluster: Cluster,
-    config: PlannerConfig,
+    class_saturation_tasks: Option<u64>,
 }
 
 impl TopologyPlanner {
-    /// A planner for the given machine with the default candidate grid and the
-    /// ring-hang payload calibration.
+    /// A planner for the given machine, pricing candidates under the ring-hang
+    /// payload calibration the figure generators use, so planner predictions and
+    /// figure estimates agree by construction.
     pub fn new(cluster: Cluster) -> Self {
         TopologyPlanner {
             cluster,
-            config: PlannerConfig::default(),
+            class_saturation_tasks: None,
         }
     }
 
-    /// Override the candidate grid / payload constants.
-    pub fn with_config(mut self, config: PlannerConfig) -> Self {
-        self.config = config;
+    /// Price candidates under the class-saturated payload: subtrees holding more
+    /// than `tasks` tasks emit packets no larger than a subtree at that knee
+    /// ([`TreePayload::saturation_tasks`]).  Without it the planner prices the
+    /// unsaturated worst case.
+    pub fn with_class_saturation(mut self, tasks: u64) -> Self {
+        self.class_saturation_tasks = Some(tasks);
         self
     }
 
     /// The machine the planner searches for.
     pub fn cluster(&self) -> &Cluster {
         &self.cluster
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &PlannerConfig {
-        &self.config
     }
 
     /// Evaluate every candidate shape for a job of `tasks` MPI tasks and return
@@ -217,16 +186,15 @@ impl TopologyPlanner {
         let tasks = tasks.max(1);
         let plan = PlacementPlan::for_scaled_job(&self.cluster, tasks);
         let mut candidates = Vec::new();
-        for depth in 1..=self.config.max_depth.max(1) {
+        for depth in 1..=MAX_DEPTH {
             candidates.push((
                 CandidateOrigin::Placement { depth },
                 TreeShape::for_placement(&plan, depth),
             ));
         }
-        // Uniform candidates need at least one comm level; a config capped at
-        // depth 1 restricts the grid to the flat placement shape alone.
-        for &fan_in in &self.config.fan_ins {
-            for depth in 2..=self.config.max_depth {
+        // Uniform candidates need at least one comm level.
+        for fan_in in FAN_INS {
+            for depth in 2..=MAX_DEPTH {
                 candidates.push((
                     CandidateOrigin::Uniform { fan_in, depth },
                     TreeShape::uniform_with_depth(plan.daemons, fan_in, depth),
@@ -250,12 +218,8 @@ impl TopologyPlanner {
 
     /// The cheapest feasible candidate for a job of `tasks` MPI tasks.
     ///
-    /// The default grid always contains a feasible shape (the placement 2-deep
-    /// tree fits any budget by construction), but a custom [`PlannerConfig`] can
-    /// restrict the grid until nothing survives the constraints; the cheapest
-    /// candidate overall is then returned with `feasible == false` so the caller
-    /// can surface its [`bound_by`](PlannedTopology::bound_by) constraint instead
-    /// of silently proceeding.
+    /// The grid always contains a feasible shape: the placement 2-deep tree fits
+    /// any budget by construction.
     pub fn plan(&self, tasks: u64) -> PlannedTopology {
         self.rank(tasks)
             .into_iter()
@@ -271,21 +235,11 @@ impl TopologyPlanner {
         plan: &PlacementPlan,
         tasks: u64,
     ) -> PlannedTopology {
-        let topology = Topology::build(shape.clone());
-        let model = ReductionCostModel::standard(
-            &topology,
-            &self.cluster.interconnect,
-            self.cluster.login_host_slowdown(),
-            self.cluster.daemon_host_slowdown(),
-        );
-        let edges = self.config.tree_edges_2d + self.config.tree_edges_3d;
-        let frame_bytes = self.config.frame_names_bytes;
-        let tasks_per_daemon = plan.tasks_per_daemon.max(1) as u64;
-        let saturation = self.config.class_saturation_tasks.unwrap_or(u64::MAX);
-        let cost = model.reduce(&|_id, subtree_backends| {
-            let subtree_tasks = (subtree_backends as u64 * tasks_per_daemon).min(tasks);
-            edges * crate::cost::subtree_node_bytes(subtree_tasks.min(saturation)) + frame_bytes
-        });
+        let payload = TreePayload {
+            saturation_tasks: self.class_saturation_tasks,
+            ..TreePayload::ring_hang(tasks, plan.tasks_per_daemon.max(1) as u64, Labels::Subtree)
+        };
+        let cost = price_reduction(&self.cluster, &shape, &payload);
 
         let comm = shape.comm_processes();
         let allowed = plan.comm_budget.max_processes;
@@ -411,30 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn depth_capped_config_restricts_the_grid() {
-        let config = PlannerConfig {
-            max_depth: 1,
-            ..PlannerConfig::default()
-        };
-        let planner =
-            TopologyPlanner::new(Cluster::bluegene_l(BglMode::VirtualNode)).with_config(config);
-        let ranked = planner.rank(212_992);
-        // Only the flat placement shape survives a depth-1 cap — no uniform
-        // depth-2 candidates sneak past the config.
-        assert_eq!(ranked.len(), 1);
-        assert!(ranked.iter().all(|c| c.shape.depth() == 1));
-        // Nothing is feasible at this scale, and the documented contract holds:
-        // plan() returns the cheapest candidate flagged infeasible, carrying the
-        // constraint that killed it.
-        let pick = planner.plan(212_992);
-        assert!(!pick.feasible);
-        assert!(matches!(
-            pick.bound_by,
-            Some(PlanConstraint::FrontEndFanOut { .. })
-        ));
-    }
-
-    #[test]
     fn class_saturation_shifts_the_pick_toward_depth() {
         // At 64M simulated tasks the unsaturated worst-case payload punishes
         // extra filter hops (every level re-ships near-job-sized bit vectors),
@@ -445,10 +375,7 @@ mod tests {
         let tasks = 67_108_864;
         let flat_world = TopologyPlanner::new(cluster.clone()).plan(tasks);
         let saturated = TopologyPlanner::new(cluster)
-            .with_config(PlannerConfig {
-                class_saturation_tasks: Some(1 << 20),
-                ..PlannerConfig::default()
-            })
+            .with_class_saturation(1 << 20)
             .plan(tasks);
         assert!(
             saturated.shape.depth() >= flat_world.shape.depth(),
@@ -460,6 +387,116 @@ mod tests {
             saturated.predicted < flat_world.predicted,
             "saturated payloads must price the same job cheaper"
         );
+    }
+
+    /// One ranked candidate on one line: origin, level widths, predicted
+    /// nanoseconds, feasibility and the binding constraint.
+    fn row(c: &PlannedTopology) -> String {
+        let widths: Vec<String> = c.shape.level_widths.iter().map(u32::to_string).collect();
+        let bound = match c.bound_by {
+            None => "-".to_string(),
+            Some(PlanConstraint::CommBudget { requested, allowed }) => {
+                format!("budget {requested}/{allowed}")
+            }
+            Some(PlanConstraint::FrontEndFanOut { daemons, limit }) => {
+                format!("fan-out {daemons}/{limit}")
+            }
+        };
+        let feasible = if c.feasible { "ok" } else { "no" };
+        let nanos = c.predicted.as_nanos();
+        format!(
+            "{} [{}] {nanos} {feasible} {bound}",
+            c.origin,
+            widths.join(",")
+        )
+    }
+
+    // `TopologyPlanner::rank` on BG/L CO, recorded at the parent commit (9759d71),
+    // where `evaluate` spelled the payload arithmetic inline.
+    const AT_64K: &[&str] = &[
+        "placement 2-deep [1,28,1024] 20355340 ok budget 28/28",
+        "fan-in 16 × 2-deep [1,16,1024] 21776992 ok -",
+        "placement 3-deep [1,4,24,1024] 22787410 ok budget 28/28",
+        "fan-in 4 × 3-deep [1,4,16,1024] 24613632 ok -",
+        "fan-in 8 × 2-deep [1,8,1024] 27155480 ok -",
+        "placement 4-deep [1,2,4,22,1024] 30511482 ok budget 28/28",
+        "fan-in 2 × 4-deep [1,2,4,8,1024] 37601878 ok -",
+        "fan-in 4 × 2-deep [1,4,1024] 39091444 ok -",
+        "fan-in 2 × 3-deep [1,2,4,1024] 46111708 ok -",
+        "placement 5-deep [1,1,1,1,25,1024] 62187204 ok budget 28/28",
+        "fan-in 2 × 2-deep [1,2,1024] 63552866 ok -",
+        "placement 6-deep [1,1,1,1,1,24,1024] 76195372 ok budget 28/28",
+        "fan-in 16 × 3-deep [1,16,256,1024] 18617640 no budget 272/28",
+        "fan-in 8 × 4-deep [1,8,64,512,1024] 18925768 no budget 584/28",
+        "fan-in 16 × 4-deep [1,16,256,1024,1024] 18993128 no budget 1296/28",
+        "fan-in 8 × 3-deep [1,8,64,1024] 19064176 no budget 72/28",
+        "fan-in 8 × 5-deep [1,8,64,512,1024,1024] 19274172 no budget 1608/28",
+        "fan-in 16 × 5-deep [1,16,256,1024,1024,1024] 19327990 no budget 2320/28",
+        "fan-in 8 × 6-deep [1,8,64,512,1024,1024,1024] 19609034 no budget 2632/28",
+        "fan-in 16 × 6-deep [1,16,256,1024,1024,1024,1024] 19662852 no budget 3344/28",
+        "fan-in 32 × 2-deep [1,32,1024] 20266736 no budget 32/28",
+        "fan-in 32 × 3-deep [1,32,1024,1024] 21021400 no budget 1056/28",
+        "fan-in 4 × 5-deep [1,4,16,64,256,1024] 21118912 no budget 340/28",
+        "fan-in 32 × 4-deep [1,32,1024,1024,1024] 21356262 no budget 2080/28",
+        "fan-in 4 × 4-deep [1,4,16,64,1024] 21451040 no budget 84/28",
+        "fan-in 4 × 6-deep [1,4,16,64,256,1024,1024] 21494400 no budget 1364/28",
+        "fan-in 32 × 5-deep [1,32,1024,1024,1024,1024] 21691124 no budget 3104/28",
+        "fan-in 64 × 2-deep [1,64,1024] 21763408 no budget 64/28",
+        "fan-in 32 × 6-deep [1,32,1024,1024,1024,1024,1024] 22025986 no budget 4128/28",
+        "fan-in 64 × 3-deep [1,64,1024,1024] 22301400 no budget 1088/28",
+        "fan-in 64 × 4-deep [1,64,1024,1024,1024] 22636262 no budget 2112/28",
+        "fan-in 64 × 5-deep [1,64,1024,1024,1024,1024] 22971124 no budget 3136/28",
+        "fan-in 64 × 6-deep [1,64,1024,1024,1024,1024,1024] 23305986 no budget 4160/28",
+        "fan-in 2 × 6-deep [1,2,4,8,16,32,1024] 31746378 no budget 62/28",
+        "fan-in 2 × 5-deep [1,2,4,8,16,1024] 33557712 no budget 30/28",
+        "placement 1-deep [1,1024] 98856680 no fan-out 1024/256",
+    ];
+
+    const AT_1M: &[&str] = &[
+        "fan-in 16 × 3-deep [1,16,256,16384] 241022424 ok -",
+        "placement 2-deep [1,128,16384] 242803280 ok -",
+        "fan-in 64 × 2-deep [1,64,16384] 248844304 ok -",
+        "placement 4-deep [1,6,36,238,16384] 269809451 ok budget 280/280",
+        "fan-in 32 × 2-deep [1,32,16384] 270358256 ok -",
+        "fan-in 8 × 3-deep [1,8,64,16384] 271534408 ok -",
+        "fan-in 4 × 4-deep [1,4,16,64,16384] 312144632 ok -",
+        "fan-in 16 × 2-deep [1,16,16384] 318102112 ok -",
+        "placement 5-deep [1,3,9,27,241,16384] 332475427 ok budget 280/280",
+        "placement 3-deep [1,4,24,16384] 339261246 ok -",
+        "fan-in 4 × 3-deep [1,4,16,16384] 371909868 ok -",
+        "fan-in 8 × 2-deep [1,8,16384] 415947800 ok -",
+        "placement 6-deep [1,2,4,8,16,250,16384] 432809817 ok budget 280/280",
+        "fan-in 2 × 6-deep [1,2,4,8,16,32,16384] 472961334 ok -",
+        "fan-in 2 × 5-deep [1,2,4,8,16,16384] 508265148 ok -",
+        "fan-in 2 × 4-deep [1,2,4,8,16384] 579294274 ok -",
+        "fan-in 4 × 2-deep [1,4,16384] 612824800 ok -",
+        "fan-in 2 × 3-deep [1,2,4,16384] 721774024 ok -",
+        "fan-in 2 × 2-deep [1,2,16384] 1007151704 ok -",
+        "fan-in 32 × 3-deep [1,32,1024,16384] 232694680 no budget 1056/280",
+        "fan-in 32 × 4-deep [1,32,1024,16384,16384] 233232672 no budget 17440/280",
+        "fan-in 32 × 5-deep [1,32,1024,16384,16384,16384] 233567534 no budget 33824/280",
+        "fan-in 32 × 6-deep [1,32,1024,16384,16384,16384,16384] 233902396 no budget 50208/280",
+        "fan-in 64 × 3-deep [1,64,4096,16384] 234376056 no budget 4160/280",
+        "fan-in 64 × 4-deep [1,64,4096,16384,16384] 234751544 no budget 20544/280",
+        "fan-in 64 × 5-deep [1,64,4096,16384,16384,16384] 235086406 no budget 36928/280",
+        "fan-in 64 × 6-deep [1,64,4096,16384,16384,16384,16384] 235421268 no budget 53312/280",
+        "fan-in 16 × 4-deep [1,16,256,4096,16384] 237863072 no budget 4368/280",
+        "fan-in 16 × 5-deep [1,16,256,4096,16384,16384] 238238560 no budget 20752/280",
+        "fan-in 16 × 6-deep [1,16,256,4096,16384,16384,16384] 238573422 no budget 37136/280",
+        "fan-in 8 × 5-deep [1,8,64,512,4096,16384] 253092816 no budget 4680/280",
+        "fan-in 8 × 6-deep [1,8,64,512,4096,16384,16384] 253468304 no budget 21064/280",
+        "fan-in 8 × 4-deep [1,8,64,512,16384] 254367352 no budget 584/280",
+        "fan-in 4 × 6-deep [1,4,16,64,256,1024,16384] 294504228 no budget 1364/280",
+        "fan-in 4 × 5-deep [1,4,16,64,256,16384] 297666820 no budget 340/280",
+        "placement 1-deep [1,16384] 1578331880 no fan-out 16384/256",
+    ];
+    #[test]
+    fn rank_through_the_pricing_entry_point_matches_the_recorded_lists() {
+        let planner = TopologyPlanner::new(Cluster::bluegene_l(BglMode::CoProcessor));
+        for (tasks, recorded) in [(65_536, AT_64K), (1_048_576, AT_1M)] {
+            let ranked: Vec<String> = planner.rank(tasks).iter().map(row).collect();
+            assert_eq!(ranked, recorded, "{tasks} tasks");
+        }
     }
 
     #[test]

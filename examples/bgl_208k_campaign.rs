@@ -18,7 +18,7 @@
 use launch::{BglCiodLauncher, CiodPatchLevel, Launcher};
 use machine::cluster::{BglMode, Cluster};
 use machine::placement::PlacementPlan;
-use stackwalk::sampler::BinaryPlacement;
+use stackwalk::sampler::{BinaryPlacement, SamplingCostModel};
 use stat_core::prelude::*;
 use tbon::topology::TreeShape;
 
@@ -62,8 +62,7 @@ fn main() {
             BinaryPlacement::RelocatedRamDisk,
         ),
     ] {
-        let estimator = PhaseEstimator::new(cluster.clone(), Representation::HierarchicalTaskList);
-        let est = estimator.sampling_estimate(tasks, placement, 2024);
+        let est = SamplingCostModel::new(cluster.clone()).estimate(tasks, placement, 2024);
         println!(
             "  {label:<40} {:>8.1} s  (symbol tables {:.1} s, walking {:.1} s)",
             est.total.as_secs(),
@@ -83,8 +82,8 @@ fn main() {
         println!(
             "  {:<40} {:>8.2} s  ({:.1} MB into the front end)",
             representation.label(),
-            est.time.as_secs(),
-            est.frontend_bytes as f64 / 1.0e6
+            est.cost.critical_path.as_secs(),
+            est.cost.frontend_bytes_in as f64 / 1.0e6
         );
         if representation == Representation::HierarchicalTaskList {
             println!(

@@ -16,31 +16,37 @@
 //! what the real merge machinery does in response.
 
 use machine::Cluster;
-use stat_core::prelude::Representation;
+use stat_core::prelude::{Representation, StatError};
 use statbench::{EmulatedJob, SweepConfig, TraceShape};
 
-fn main() {
+fn main() -> Result<(), StatError> {
     let cluster = Cluster::test_cluster(512, 8);
 
     println!("== one emulated job in detail ==");
-    let report = EmulatedJob::new(cluster.clone(), 4_096)
+    let tasks = 4_096;
+    let report = EmulatedJob::new(cluster.clone(), tasks)
         .with_shape(TraceShape::typical())
-        .run();
+        .run()?;
+    let classes = report.gather.classes.len();
     println!(
         "  {} tasks over {} daemons -> {} classes ({}x compression), merged tree {} nodes",
-        report.tasks,
+        tasks,
         report.daemons,
-        report.classes,
-        report.compression_ratio() as u64,
-        report.merged_tree_nodes
+        classes,
+        tasks / classes.max(1) as u64,
+        report.gather.tree_3d.node_count()
     );
     println!(
         "  daemon packets: mean {} bytes, max {} bytes; front end received {} bytes",
-        report.mean_daemon_packet_bytes, report.max_daemon_packet_bytes, report.frontend_bytes_in
+        report.mean_daemon_packet_bytes,
+        report.max_daemon_packet_bytes,
+        report.gather.metrics.frontend_bytes_in
     );
     println!(
         "  local phase {:?}, TBON merge {:?}, remap {:?}\n",
-        report.local_phase, report.merge_wall, report.remap_wall
+        report.phases.sample + report.phases.local_merge,
+        report.gather.metrics.merge_wall,
+        report.gather.metrics.remap_wall
     );
 
     println!("== representation comparison at 8,192 tasks ==");
@@ -50,11 +56,11 @@ fn main() {
     ] {
         let r = EmulatedJob::new(cluster.clone(), 8_192)
             .with_representation(representation)
-            .run();
+            .run()?;
         println!(
             "  {:<28} link bytes {:>12}, max daemon packet {:>9} bytes",
             representation.label(),
-            r.total_link_bytes,
+            r.gather.metrics.total_link_bytes,
             r.max_daemon_packet_bytes
         );
     }
@@ -63,12 +69,13 @@ fn main() {
     let config = SweepConfig::new(cluster.clone());
     println!(
         "{}",
-        statbench::sweep_daemon_counts(&config, &[512, 2_048, 4_096])
+        statbench::sweep_daemon_counts(&config, &[512, 2_048, 4_096])?
     );
 
     println!("== class-count stress sweep at 2,048 tasks ==");
     println!(
         "{}",
-        statbench::sweep_equivalence_classes(&config, 2_048, &[1, 8, 64, 256])
+        statbench::sweep_equivalence_classes(&config, 2_048, &[1, 8, 64, 256])?
     );
+    Ok(())
 }

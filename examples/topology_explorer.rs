@@ -57,8 +57,8 @@ fn main() {
                 None => println!(
                     "{label:<12} {:<28} {:>12.2} {:>16.1}",
                     representation.label(),
-                    est.time.as_secs(),
-                    est.frontend_bytes as f64 / 1.0e6
+                    est.cost.critical_path.as_secs(),
+                    est.cost.frontend_bytes_in as f64 / 1.0e6
                 ),
             }
         }
