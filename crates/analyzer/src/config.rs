@@ -36,6 +36,7 @@ impl Config {
                 "crates/core/src/serialize.rs",
                 "crates/tbon/src/delta.rs",
                 "crates/core/src/streaming.rs",
+                "crates/core/src/equivalence.rs",
             ]),
             word_math_modules: s(&[
                 "crates/core/src/taskset.rs",

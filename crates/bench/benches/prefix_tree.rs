@@ -6,8 +6,8 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
-use appsim::{Application, FrameVocabulary, RingHangApp};
-use stackwalk::{FrameTable, Walker};
+use appsim::{gather_samples_for_ranks, Application, FrameVocabulary, RingHangApp};
+use stackwalk::{FrameTable, StackTrace, Walker};
 use stat_core::prelude::*;
 
 fn build_tree(tasks: u64, table: &mut FrameTable) -> GlobalPrefixTree {
@@ -111,8 +111,57 @@ fn bench_encode_decode(c: &mut Criterion) {
     });
 }
 
+/// The 3D ring-hang tree the front end classifies: three samples per task, dense
+/// job-wide labels.  Sampled a block of ranks at a time so the million-task tree
+/// never holds three million traces at once.
+fn build_ring_3d(tasks: u64) -> GlobalPrefixTree {
+    let app = RingHangApp::new(tasks, FrameVocabulary::BlueGeneL);
+    let mut table = FrameTable::new();
+    let mut tree = GlobalPrefixTree::new_global(tasks);
+    let ranks: Vec<u64> = (0..tasks).collect();
+    for block in ranks.chunks(4_096) {
+        for samples in gather_samples_for_ranks(&app, block, 3, &mut table) {
+            tree.add_samples(&samples, samples.rank);
+        }
+    }
+    tree
+}
+
+/// A wide synthetic tree: `classes` leaves under 32 phases, every leaf a class of
+/// `tasks / classes` ranks — the non-empty-remainder path (one `members()` per
+/// class) that the ring hang's three classes barely touch.
+fn build_wide_tree(tasks: u64, classes: u64) -> GlobalPrefixTree {
+    let mut table = FrameTable::new();
+    let mut tree = GlobalPrefixTree::new_global(tasks);
+    for rank in 0..tasks {
+        let class = rank % classes;
+        let phase = format!("phase_{}", class % 32);
+        let leaf = format!("kernel_{class}");
+        let trace = StackTrace::new(table.intern_path(&["main", &phase, &leaf]));
+        tree.add_trace(&trace, rank);
+    }
+    tree
+}
+
+/// Behaviour-class extraction, the tail of every gather and every streaming wave
+/// (ISSUE 14 made it word-parallel; `results/BENCH_merge.md` tracks it).
+fn bench_classify(c: &mut Criterion) {
+    let mut group = c.benchmark_group("classify");
+    for tasks in [65_536u64, 1_048_576] {
+        let tree = build_ring_3d(tasks);
+        group.bench_with_input(BenchmarkId::new("ring_hang_3d", tasks), &tasks, |b, _| {
+            b.iter(|| equivalence_classes(&tree))
+        });
+    }
+    let wide = build_wide_tree(65_536, 1_024);
+    group.bench_function(BenchmarkId::new("wide_1024_classes", 65_536), |b| {
+        b.iter(|| equivalence_classes(&wide))
+    });
+    group.finish();
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_build, bench_merge, bench_hierarchical_merge_chain, bench_encode_decode);
+    targets = bench_build, bench_merge, bench_hierarchical_merge_chain, bench_encode_decode, bench_classify);
 criterion_main!(benches);

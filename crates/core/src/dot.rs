@@ -48,10 +48,10 @@ pub fn to_dot<S: TaskSetOps>(
     ));
     for (idx, frame, parent) in tree.iter_nodes() {
         let name = table.name(frame);
-        let members = tree.tasks(idx).members();
-        let label = format_rank_ranges(&members, options.max_ranges);
+        let tasks = tree.tasks(idx);
+        let label = format_rank_ranges(tasks.iter_members(), options.max_ranges);
         let color = if options.color_by_population {
-            population_color(members.len() as u64, total)
+            population_color(tasks.count(), total)
         } else {
             "white".to_string()
         };

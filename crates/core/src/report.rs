@@ -33,7 +33,7 @@ fn render_node<S: TaskSetOps>(
         out.push_str(&format!("/ ({} tasks)\n", tree.tasks(node).count()));
     } else {
         let name = tree.frame(node).map(|f| table.name(f)).unwrap_or("<root>");
-        let label = format_rank_ranges(&tree.tasks(node).members(), 4);
+        let label = format_rank_ranges(tree.tasks(node).iter_members(), 4);
         out.push_str(&format!("{}{name}  {label}\n", "  ".repeat(depth)));
     }
     for &child in tree.children(node) {

@@ -220,10 +220,26 @@ fn or_shifted(dst: &mut [u64], src: &[u64], offset: u64) {
 // ---------------------------------------------------------------------------------
 
 /// A fixed-width bit vector sized for the entire job.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(PartialEq, Eq)]
 pub struct DenseBitVector {
     width: u64,
     words: Vec<u64>,
+}
+
+impl Clone for DenseBitVector {
+    fn clone(&self) -> Self {
+        DenseBitVector {
+            width: self.width,
+            words: self.words.clone(),
+        }
+    }
+
+    /// Reuses this set's word buffer (the derive would reallocate), so a scratch
+    /// set can be reloaded once per tree node without touching the allocator.
+    fn clone_from(&mut self, source: &Self) {
+        self.width = source.width;
+        self.words.clone_from(&source.words);
+    }
 }
 
 impl DenseBitVector {
@@ -349,10 +365,25 @@ impl fmt::Debug for DenseBitVector {
 /// Internally it is a subtree-local bit vector (the paper's optimised representation
 /// keeps bit vectors too, just narrow ones), which makes concatenation an offset plus
 /// a bitmap append and keeps the serialised size proportional to the subtree.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(PartialEq, Eq)]
 pub struct SubtreeTaskList {
     width: u64,
     words: Vec<u64>,
+}
+
+impl Clone for SubtreeTaskList {
+    fn clone(&self) -> Self {
+        SubtreeTaskList {
+            width: self.width,
+            words: self.words.clone(),
+        }
+    }
+
+    /// Reuses this set's word buffer, as `DenseBitVector`'s does.
+    fn clone_from(&mut self, source: &Self) {
+        self.width = source.width;
+        self.words.clone_from(&source.words);
+    }
 }
 
 impl SubtreeTaskList {
@@ -548,14 +579,24 @@ impl fmt::Debug for SubtreeTaskList {
 // Rank-range formatting (the "1022:[0,3-1023]" labels of Figure 1)
 // ---------------------------------------------------------------------------------
 
-/// Format a sorted rank list the way STAT's visualisation does: `count:[a,b-c,...]`,
+/// Format ascending ranks the way STAT's visualisation does: `count:[a,b-c,...]`,
 /// truncated with `...` past `max_ranges` ranges (Figure 1 truncates long lists).
-pub fn format_rank_ranges(ranks: &[u64], max_ranges: usize) -> String {
+///
+/// Takes any ascending iterator — a class's `tasks` or a label's
+/// [`TaskSetOps::iter_members`] — counts as it goes and keeps at most
+/// `max_ranges + 1` ranges, so labelling a million-member edge allocates a few
+/// pairs, not an 8 MB member list.
+pub fn format_rank_ranges(ranks: impl IntoIterator<Item = u64>, max_ranges: usize) -> String {
+    let mut count = 0usize;
     let mut ranges: Vec<(u64, u64)> = Vec::new();
-    for &r in ranks {
+    for r in ranks {
+        count += 1;
+        // One range past the limit is enough to know the list was truncated.
+        let room = ranges.len() <= max_ranges;
         match ranges.last_mut() {
             Some((_, end)) if *end + 1 == r => *end = r,
-            _ => ranges.push((r, r)),
+            _ if room => ranges.push((r, r)),
+            _ => {}
         }
     }
     let mut shown: Vec<String> = ranges
@@ -572,7 +613,7 @@ pub fn format_rank_ranges(ranks: &[u64], max_ranges: usize) -> String {
     if ranges.len() > max_ranges {
         shown.push("...".to_string());
     }
-    format!("{}:[{}]", ranks.len(), shown.join(","))
+    format!("{count}:[{}]", shown.join(","))
 }
 
 #[cfg(test)]
@@ -877,12 +918,12 @@ mod tests {
     #[test]
     fn rank_range_formatting_matches_figure_1_style() {
         let ranks: Vec<u64> = std::iter::once(0).chain(3..=1023).collect();
-        assert_eq!(format_rank_ranges(&ranks, 10), "1022:[0,3-1023]");
-        assert_eq!(format_rank_ranges(&[1], 10), "1:[1]");
-        assert_eq!(format_rank_ranges(&[], 10), "0:[]");
+        assert_eq!(format_rank_ranges(ranks, 10), "1022:[0,3-1023]");
+        assert_eq!(format_rank_ranges([1], 10), "1:[1]");
+        assert_eq!(format_rank_ranges([], 10), "0:[]");
         // Truncation with an ellipsis, as in the figure's long labels.
         let scattered: Vec<u64> = (0..20).map(|i| i * 2).collect();
-        let label = format_rank_ranges(&scattered, 4);
+        let label = format_rank_ranges(scattered, 4);
         assert!(label.starts_with("20:["));
         assert!(label.ends_with(",...]"));
     }

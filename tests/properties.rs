@@ -104,7 +104,7 @@ proptest! {
 
     #[test]
     fn rank_range_formatting_reports_the_true_count(ranks in rank_set(400)) {
-        let label = format_rank_ranges(&ranks, 5);
+        let label = format_rank_ranges(ranks.iter().copied(), 5);
         let count: usize = label.split(':').next().unwrap().parse().unwrap();
         prop_assert_eq!(count, ranks.len());
     }
@@ -188,6 +188,40 @@ fn build_global(paths: &[Vec<usize>], table: &mut FrameTable) -> GlobalPrefixTre
         tree.add_trace(&trace, rank as u64);
     }
     tree
+}
+
+/// The definition of a behaviour class, deliberately naive (ROADMAP item 4's
+/// reference oracle, first instalment): per node, the tasks on its edge and on no
+/// child's edge, one ordered set and one probe per member — no word operations.
+fn reference_classes<S: TaskSetOps>(tree: &PrefixTree<S>) -> Vec<EquivalenceClass> {
+    use std::collections::BTreeSet;
+    let mut classes: Vec<EquivalenceClass> = Vec::new();
+    for (node, _, _) in tree.iter_nodes() {
+        let deeper: BTreeSet<u64> = tree
+            .children(node)
+            .iter()
+            .flat_map(|&c| tree.tasks(c).members())
+            .collect();
+        let tasks: Vec<u64> = tree
+            .tasks(node)
+            .members()
+            .into_iter()
+            .filter(|t| !deeper.contains(t))
+            .collect();
+        if !tasks.is_empty() {
+            classes.push(EquivalenceClass {
+                path: tree.path_to(node),
+                tasks,
+            });
+        }
+    }
+    classes.sort_by(|a, b| {
+        b.tasks
+            .len()
+            .cmp(&a.tasks.len())
+            .then_with(|| a.path.cmp(&b.path))
+    });
+    classes
 }
 
 proptest! {
@@ -392,6 +426,54 @@ proptest! {
             // Sorted-equal to 0..total == exhaustive AND pairwise disjoint.
             prop_assert_eq!(all, (0..total).collect::<Vec<u64>>());
         }
+    }
+
+    #[test]
+    fn equivalence_classes_match_the_naive_reference(
+        // 1..6 daemons of 1..5 tasks, each task sampled 1..4 times with an
+        // arbitrary call path per sample — the 3D case in full: a task may end at
+        // an interior node in one sample and go deeper in another, and may be
+        // terminal at several nodes.  The word-level extractor must equal the
+        // member-by-member definition — paths, members and order — on the dense
+        // tree, on the merged hierarchical tree before remap (subtree positions)
+        // and on its remap (MPI ranks).
+        daemons in prop::collection::vec(
+            prop::collection::vec(
+                prop::collection::vec(prop::collection::vec(0..FRAME_POOL.len(), 1..6), 1..4),
+                1..5,
+            ),
+            1..6,
+        ),
+        seed in 0u64..1_000,
+    ) {
+        let total: u64 = daemons.iter().map(|d| d.len() as u64).sum();
+        let mut rank_map: Vec<u64> = (0..total).collect();
+        for i in (1..rank_map.len()).rev() {
+            rank_map.swap(i, ((seed.wrapping_mul(i as u64 + 5)) % (i as u64 + 1)) as usize);
+        }
+
+        let mut table = FrameTable::new();
+        let mut dense = GlobalPrefixTree::new_global(total);
+        let mut merged = SubtreePrefixTree::new_subtree(0);
+        let mut offset = 0u64;
+        for daemon in &daemons {
+            let mut local_tree = SubtreePrefixTree::new_subtree(daemon.len() as u64);
+            for (local, samples) in daemon.iter().enumerate() {
+                for path in samples {
+                    let names: Vec<&str> = path.iter().map(|&i| FRAME_POOL[i]).collect();
+                    let trace = StackTrace::new(table.intern_path(&names));
+                    local_tree.add_trace(&trace, local as u64);
+                    dense.add_trace(&trace, rank_map[(offset + local as u64) as usize]);
+                }
+            }
+            merged.merge(local_tree);
+            offset += daemon.len() as u64;
+        }
+        let remapped = merged.remap(&rank_map, total);
+
+        prop_assert_eq!(equivalence_classes(&dense), reference_classes(&dense));
+        prop_assert_eq!(equivalence_classes(&merged), reference_classes(&merged));
+        prop_assert_eq!(equivalence_classes(&remapped), reference_classes(&remapped));
     }
 
     #[test]
