@@ -90,21 +90,21 @@ impl StatDaemon {
     ///
     /// The index used for each task depends on the representation: the global (dense)
     /// representation indexes by MPI rank in a job-wide domain, the hierarchical one
-    /// by local position in a domain the size of this daemon's task list.
+    /// (whose merges concatenate) by local position in a domain the size of this
+    /// daemon's task list.  No samples gives the daemon's empty trees.
     pub fn build_trees<S: WireTaskSet>(
         &self,
         samples: &[TaskSamples],
     ) -> (PrefixTree<S>, PrefixTree<S>) {
-        let hierarchical = S::TAG == 1;
-        let width = if hierarchical {
+        let width = if S::CONCATENATES {
             self.local_tasks()
         } else {
             self.total_tasks
         };
-        let mut tree_2d = PrefixTree::<S>::new(width, hierarchical);
-        let mut tree_3d = PrefixTree::<S>::new(width, hierarchical);
+        let mut tree_2d = PrefixTree::<S>::new(width);
+        let mut tree_3d = PrefixTree::<S>::new(width);
         for (local_pos, task) in samples.iter().enumerate() {
-            let index = if hierarchical {
+            let index = if S::CONCATENATES {
                 local_pos as u64
             } else {
                 task.rank

@@ -198,7 +198,7 @@ mod tests {
         traces: &[(u64, &[&str])],
     ) -> (PrefixTree<S>, FrameTable) {
         let mut table = FrameTable::new();
-        let mut tree = PrefixTree::<S>::new(width, false);
+        let mut tree = PrefixTree::<S>::new(width);
         for &(task, path) in traces {
             tree.add_trace(&StackTrace::new(table.intern_path(path)), task);
         }

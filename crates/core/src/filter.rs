@@ -53,21 +53,22 @@ impl<S: WireTaskSet + Send + Sync> Filter for StatMergeFilter<S> {
                 Ok(decoded) => decoded,
                 Err(_) => continue,
             };
-            merged = Some(match merged.take() {
-                None => (tree, frames),
-                Some((mut acc, mut acc_frames)) => {
-                    if acc_frames.merge(&frames).is_err() {
-                        // A foreign-session packet cannot be merged by id; skip
-                        // it like any other malformed child.
-                        (acc, acc_frames)
-                    } else {
+            match merged.as_mut() {
+                None => merged = Some((tree, frames)),
+                // A child that cannot be merged by id (a foreign session's
+                // dictionary) or by position (another job-wide width, which only
+                // a concatenating merge could absorb) is skipped like any other
+                // malformed child.
+                Some((acc, acc_frames)) => {
+                    if (S::CONCATENATES || tree.width() == acc.width())
+                        && acc_frames.merge(&frames).is_ok()
+                    {
                         // By-value merge: the decoded child tree's task sets move
                         // into the accumulator, nothing is cloned on the hot path.
                         acc.merge(tree);
-                        (acc, acc_frames)
                     }
                 }
-            });
+            }
         }
         match merged {
             Some((tree, frames)) => Packet::new(tag, node, encode_merged_tree(&tree, &frames)),
@@ -193,6 +194,20 @@ mod tests {
         let out = filter.reduce(EndpointId(0), &[bad, good]);
         let (tree, _frames): (GlobalPrefixTree, WireFrames) = decode_tree(&out.payload).unwrap();
         assert_eq!(tree.tasks(tree.root()).count(), 4);
+    }
+
+    #[test]
+    fn dense_children_over_another_job_width_are_skipped() {
+        // Well-formed, but its header claims a 32-task job where the first child
+        // claimed 24: a job-wide merge has no way to line the two domains up.
+        let dict = session_dictionary();
+        let filter = StatMergeFilter::<DenseBitVector>::new();
+        let ours = daemon_packet_global(&dict, 1, 0..8, 24, None);
+        let wider = daemon_packet_global(&dict, 2, 8..16, 32, None);
+        let out = filter.reduce(EndpointId(0), &[ours, wider]);
+        let (tree, _frames): (GlobalPrefixTree, WireFrames) = decode_tree(&out.payload).unwrap();
+        assert_eq!(tree.width(), 24);
+        assert_eq!(tree.tasks(tree.root()).count(), 8);
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //! whole point of Section V is that the *same* merge algorithm behaves completely
 //! differently at scale depending on whether edge labels are job-wide bit vectors or
 //! subtree-local task lists.  The [`PrefixTree::merge`] operation does whichever the
-//! representation requires: a plain union for the global representation, or the
-//! offset-and-concatenate ("hierarchical") merge for subtree task lists.
+//! label type's [`TaskSetOps::CONCATENATES`] states: a plain union for the global
+//! representation, or the offset-and-concatenate ("hierarchical") merge for subtree
+//! task lists.  The tree itself carries no representation flag — two trees that
+//! merge have the same label type, so they cannot disagree about it.
 //!
 //! ## The merge hot path (ISSUE 4)
 //!
@@ -93,7 +95,6 @@ struct TreeEntry<S> {
 #[derive(Clone, Debug)]
 pub struct PrefixTree<S: TaskSetOps> {
     width: u64,
-    concatenating: bool,
     nodes: Vec<TreeEntry<S>>,
     /// O(1) frame→child lookup: `(parent, frame) → child`.  Maintained by
     /// `add_child`, used by `add_trace`, `merge` and packet decode in place of the
@@ -102,17 +103,12 @@ pub struct PrefixTree<S: TaskSetOps> {
 }
 
 impl<S: TaskSetOps> PrefixTree<S> {
-    /// An empty tree over a domain of `width` task positions.
-    ///
-    /// `concatenating` selects the merge semantics: `false` for the global (dense)
-    /// representation where every tree shares the job-wide domain, `true` for the
-    /// hierarchical representation where merging concatenates the children's domains.
-    /// Use [`PrefixTree::new_global`] / [`PrefixTree::new_subtree`] from the type
-    /// aliases below rather than guessing.
-    pub fn new(width: u64, concatenating: bool) -> Self {
+    /// An empty tree over a domain of `width` task positions (the whole job for
+    /// the global representation, one daemon's or subtree's tasks for the
+    /// hierarchical one).
+    pub fn new(width: u64) -> Self {
         PrefixTree {
             width,
-            concatenating,
             nodes: vec![TreeEntry {
                 frame: None,
                 parent: None,
@@ -127,11 +123,6 @@ impl<S: TaskSetOps> PrefixTree<S> {
     /// trees).
     pub fn width(&self) -> u64 {
         self.width
-    }
-
-    /// Whether this tree merges by concatenation (hierarchical representation).
-    pub fn is_concatenating(&self) -> bool {
-        self.concatenating
     }
 
     /// Number of nodes, including the synthetic root.
@@ -298,7 +289,7 @@ impl<S: TaskSetOps> PrefixTree<S> {
     ///
     /// Callers that need to keep the source tree pass `other.clone()`.
     pub fn merge(&mut self, other: PrefixTree<S>) {
-        self.merge_walk(other, self.concatenating);
+        self.merge_walk(other, S::CONCATENATES);
     }
 
     /// Union another tree into this one **over the same domain** — no domain
@@ -321,10 +312,6 @@ impl<S: TaskSetOps> PrefixTree<S> {
     /// The traversal is an explicit worklist: merging arbitrarily deep 3D traces
     /// cannot overflow the stack.
     fn merge_walk(&mut self, mut other: PrefixTree<S>, concatenate: bool) {
-        assert_eq!(
-            self.concatenating, other.concatenating,
-            "cannot merge trees with different representations"
-        );
         let offset = if concatenate {
             let w1 = self.width;
             self.widen_all(w1 + other.width);
@@ -394,10 +381,6 @@ impl<S: TaskSetOps> PrefixTree<S> {
     /// A fully quiescent wave (`self ⊆ prev`) deltas to a lone empty root.
     pub fn delta_from(&self, prev: &PrefixTree<S>) -> PrefixTree<S> {
         assert_eq!(
-            self.concatenating, prev.concatenating,
-            "cannot delta trees with different representations"
-        );
-        assert_eq!(
             self.width, prev.width,
             "delta requires one shared task domain"
         );
@@ -444,7 +427,7 @@ impl<S: TaskSetOps> PrefixTree<S> {
 
         // Pass 3, index order again: build the delta tree (parents first, so the
         // parent's delta index always exists before its children need it).
-        let mut out = PrefixTree::new(self.width, self.concatenating);
+        let mut out = PrefixTree::new(self.width);
         let mut out_idx: Vec<Option<NodeIdx>> = Vec::with_capacity(n);
         for (i, ((bits, &kept), node)) in new_bits
             .into_iter()
@@ -513,14 +496,14 @@ pub type SubtreePrefixTree = PrefixTree<SubtreeTaskList>;
 impl GlobalPrefixTree {
     /// An empty global tree for a job of `total_tasks` tasks.
     pub fn new_global(total_tasks: u64) -> Self {
-        PrefixTree::new(total_tasks, false)
+        PrefixTree::new(total_tasks)
     }
 }
 
 impl SubtreePrefixTree {
     /// An empty subtree tree covering `local_tasks` task positions.
     pub fn new_subtree(local_tasks: u64) -> Self {
-        PrefixTree::new(local_tasks, true)
+        PrefixTree::new(local_tasks)
     }
 
     /// The front end's remap step: convert a fully merged subtree tree (whose
@@ -545,10 +528,11 @@ impl SubtreePrefixTree {
         let mut work: Vec<(NodeIdx, NodeIdx)> = vec![(self.root(), out_root)];
         while let Some((src_node, dst_node)) = work.pop() {
             for &child in self.children(src_node) {
-                let frame = self
-                    .frame(child)
-                    // stat-analyzer: allow(hot-path-panic) — `child` came off a child list; only the root lacks a frame
-                    .expect("non-root has frame");
+                // Only the root lacks a frame; a frameless child is skipped, as
+                // in `merge_walk`.
+                let Some(frame) = self.frame(child) else {
+                    continue;
+                };
                 let tasks = self
                     .tasks(child)
                     .remap_to_dense(position_to_rank, total_tasks);
@@ -974,13 +958,5 @@ mod tests {
         c.add_trace(&right, 4);
         a.merge(c);
         assert_eq!(a.node_count(), 7); // root, _start, main, 2×(branch, leaf)
-    }
-
-    #[test]
-    #[should_panic(expected = "different representations")]
-    fn mixing_representations_is_rejected() {
-        let a = PrefixTree::<DenseBitVector>::new(8, false);
-        let mut b = PrefixTree::<DenseBitVector>::new(8, true);
-        b.merge(a);
     }
 }

@@ -45,16 +45,7 @@ fn render_node<S: TaskSetOps>(
 /// `min_tasks`.  This is how a user hides the "everyone is in the barrier" bulk and
 /// looks at the outliers — or, with a high threshold, does the opposite.
 pub fn prune_by_population<S: TaskSetOps>(tree: &PrefixTree<S>, min_tasks: u64) -> PrefixTree<S> {
-    let mut out = PrefixTree::<S>::new(tree.width(), tree.is_concatenating());
-    out.replace_tasks(0, tree.tasks(tree.root()).clone());
-    copy_filtered(
-        tree,
-        tree.root(),
-        &mut out,
-        0,
-        &mut |t: &PrefixTree<S>, n| t.tasks(n).count() >= min_tasks,
-    );
-    out
+    filtered_copy(tree, &mut |t, n| t.tasks(n).count() >= min_tasks)
 }
 
 /// Return a copy of the tree containing only the subtree(s) whose paths start with
@@ -64,26 +55,28 @@ pub fn focus_on_path<S: TaskSetOps>(
     table: &FrameTable,
     prefix: &[&str],
 ) -> PrefixTree<S> {
-    let mut out = PrefixTree::<S>::new(tree.width(), tree.is_concatenating());
+    filtered_copy(tree, &mut |t, n| {
+        // Keep a node if its path is a prefix of the filter, or the filter is a
+        // prefix of its path (i.e. it lies on or below the focused branch).
+        let path: Vec<&str> = t.path_to(n).iter().map(|&f| table.name(f)).collect();
+        let shared = path
+            .iter()
+            .zip(prefix.iter())
+            .take_while(|(a, b)| a == b)
+            .count();
+        shared == path.len().min(prefix.len())
+    })
+}
+
+/// A copy of `tree` over the same domain holding the root and every node that
+/// `keep` accepts along with all of its ancestors.
+fn filtered_copy<S: TaskSetOps>(
+    tree: &PrefixTree<S>,
+    keep: &mut dyn FnMut(&PrefixTree<S>, NodeIdx) -> bool,
+) -> PrefixTree<S> {
+    let mut out = PrefixTree::<S>::new(tree.width());
     out.replace_tasks(0, tree.tasks(tree.root()).clone());
-    let prefix: Vec<String> = prefix.iter().map(|s| s.to_string()).collect();
-    copy_filtered(
-        tree,
-        tree.root(),
-        &mut out,
-        0,
-        &mut |t: &PrefixTree<S>, n| {
-            // Keep a node if its path is a prefix of the filter, or the filter is a
-            // prefix of its path (i.e. it lies on or below the focused branch).
-            let path: Vec<&str> = t.path_to(n).iter().map(|&f| table.name(f)).collect();
-            let shared = path
-                .iter()
-                .zip(prefix.iter())
-                .take_while(|(a, b)| **a == b.as_str())
-                .count();
-            shared == path.len().min(prefix.len())
-        },
-    );
+    copy_filtered(tree, tree.root(), &mut out, 0, keep);
     out
 }
 

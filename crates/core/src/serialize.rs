@@ -27,9 +27,9 @@
 //!                  global frame id varint, task-set bytes
 //! ```
 //!
-//! Task sets are encoded per representation.  Dense (job-wide) sets ship one
-//! varint per 64-bit word — an empty word costs one byte instead of eight, but
-//! the byte count still grows with the *job*, preserving the Section V scaling
+//! Task sets are encoded by the [`SetCodec`] their domain names.  Dense (job-wide)
+//! sets ship one varint per 64-bit word — an empty word costs one byte instead of
+//! eight, but the byte count still grows with the *job*, preserving the Section V scaling
 //! behaviour the dense representation exists to demonstrate.  Subtree sets ship
 //! a run-length token stream (`token = n << 2 | kind`): kind 0 is a run of `n`
 //! zero words, kind 1 a run of `n` saturated words (every valid bit for that
@@ -41,7 +41,7 @@ use std::collections::{BTreeMap, HashMap};
 use stackwalk::{FrameDictionary, FrameId, FrameTable};
 
 use crate::graph::PrefixTree;
-use crate::taskset::{DenseBitVector, SubtreeTaskList, TaskSetOps};
+use crate::taskset::TaskSetOps;
 
 /// Magic number identifying a serialised STAT prefix tree.
 pub const MAGIC: u32 = 0x5354_4154;
@@ -54,34 +54,28 @@ pub const VERSION: u8 = 2;
 /// 2^28 tasks is ~1,200× the largest job the paper measured.
 pub const MAX_WIRE_WIDTH: u64 = 1 << 28;
 
+/// How one task set's packed words are laid out in a packet body.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SetCodec {
+    /// One varint per word: an empty word costs one byte instead of eight, but the
+    /// byte count stays linear in the domain — by design, for the job-wide sets.
+    VarintWords,
+    /// Run-length tokens over zero, saturated and literal words.
+    RunLength,
+}
+
 /// Extension trait for task sets that can cross the wire.
 pub trait WireTaskSet: TaskSetOps {
     /// Representation tag stored in the header.
     const TAG: u8;
+    /// The layout of each set in the body.
+    const CODEC: SetCodec;
     /// The packed bitmap words.
-    fn wire_words(&self) -> &[u64];
-    /// Rebuild from packed words.
-    fn from_wire_words(width: u64, words: Vec<u64>) -> Self;
-}
-
-impl WireTaskSet for DenseBitVector {
-    const TAG: u8 = 0;
-    fn wire_words(&self) -> &[u64] {
-        self.words()
-    }
-    fn from_wire_words(width: u64, words: Vec<u64>) -> Self {
-        DenseBitVector::from_words(width, words)
-    }
-}
-
-impl WireTaskSet for SubtreeTaskList {
-    const TAG: u8 = 1;
-    fn wire_words(&self) -> &[u64] {
-        self.words()
-    }
-    fn from_wire_words(width: u64, words: Vec<u64>) -> Self {
-        SubtreeTaskList::from_words(width, words)
-    }
+    fn words(&self) -> &[u64];
+    /// Rebuild from packed words.  Stray bits at or above `width` in the last word
+    /// are masked off and a word vector longer than the domain requires is
+    /// rejected, so a malformed packet cannot corrupt `count`/`members`.
+    fn from_words(width: u64, words: Vec<u64>) -> Self;
 }
 
 /// Errors that can occur while decoding a packet.
@@ -451,8 +445,8 @@ fn run_kind(word: u64, full: u64) -> u64 {
 }
 
 fn write_task_set<S: WireTaskSet>(sink: &mut impl WireSink, set: &S, width: u64) {
-    let words = set.wire_words();
-    if S::TAG == DenseBitVector::TAG {
+    let words = set.words();
+    if S::CODEC == SetCodec::VarintWords {
         // Dense sets stay proportional to the job: one varint per word, so the
         // empty words Section V complains about cost one byte each instead of
         // eight — smaller, but still linear in total tasks by design.
@@ -682,23 +676,22 @@ pub fn decode_tree<S: WireTaskSet>(buf: &[u8]) -> Result<(PrefixTree<S>, WireFra
         usize::try_from(width.div_ceil(64)).map_err(|_| DecodeError::Truncated {
             offset: width_offset,
         })?;
-    // Dense sets carry at least one byte per word; reject widths the remaining
-    // buffer cannot hold before allocating for them.
-    if S::TAG == DenseBitVector::TAG && words_per_set > r.remaining() {
+    // Varint-word sets carry at least one byte per word; reject widths the
+    // remaining buffer cannot hold before allocating for them.
+    if S::CODEC == SetCodec::VarintWords && words_per_set > r.remaining() {
         return Err(DecodeError::Truncated {
             offset: width_offset,
         });
     }
     let read_set = |r: &mut Reader<'_>| -> Result<S, DecodeError> {
-        let words = if S::TAG == DenseBitVector::TAG {
-            read_dense_words(r, words_per_set)?
-        } else {
-            read_rle_words(r, words_per_set, width)?
+        let words = match S::CODEC {
+            SetCodec::VarintWords => read_dense_words(r, words_per_set)?,
+            SetCodec::RunLength => read_rle_words(r, words_per_set, width)?,
         };
-        Ok(S::from_wire_words(width, words))
+        Ok(S::from_words(width, words))
     };
 
-    let mut tree = PrefixTree::<S>::new(width, S::TAG == SubtreeTaskList::TAG);
+    let mut tree = PrefixTree::<S>::new(width);
     let root_set = read_set(&mut r)?;
     tree.replace_tasks(0, root_set);
     for idx in 1..nnodes {
@@ -810,6 +803,7 @@ pub fn decode_dictionary(buf: &[u8]) -> Result<Vec<String>, DecodeError> {
 mod tests {
     use super::*;
     use crate::graph::{GlobalPrefixTree, SubtreePrefixTree};
+    use crate::taskset::{DenseBitVector, SubtreeTaskList};
     use stackwalk::StackTrace;
 
     fn ring_dictionary() -> FrameDictionary {
@@ -864,7 +858,6 @@ mod tests {
         let dict = ring_dictionary();
         let bytes = encode_tree(&tree, &table, &dict);
         let (back, _frames): (SubtreePrefixTree, WireFrames) = decode_tree(&bytes).unwrap();
-        assert!(back.is_concatenating());
         assert_eq!(back.width(), 8);
         assert_eq!(back.tasks(back.root()).count(), 8);
     }

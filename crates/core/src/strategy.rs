@@ -6,15 +6,18 @@
 //! as anyone touched one of them.  [`RepresentationStrategy`] folds that duplication
 //! into one sealed trait: the daemon-side contribution, the in-network merge filter,
 //! whether a rank-map channel rides along, and the front-end decode/remap step are
-//! all defined once per representation.  Adding a new wire representation is one
-//! `impl` here plus one arm where `StreamingBuilder::open` boxes its typed core
-//! (the streaming pipeline's only `match` on the representation).
+//! all defined once, in one `impl` generic over the set's [`Domain`] — what differs
+//! between the representations is read from the domain's constants, not written
+//! out twice.  The run-time [`Representation`] value is matched to a domain type in
+//! two places: [`Representation::strategy`] here and the arm where
+//! `StreamingBuilder::open` boxes its typed core.
 //!
 //! The trait is *sealed* (its supertrait lives in a private module) because the
 //! session pipeline's correctness depends on the contribution, filter and finish
 //! steps agreeing about the wire format — an external implementation could not keep
 //! that bargain without access to crate internals.
 
+use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
 use appsim::Application;
@@ -27,9 +30,9 @@ use crate::daemon::{DaemonContribution, StatDaemon};
 use crate::error::{MergeChannel, StatError};
 use crate::filter::StatMergeFilter;
 use crate::frontend::Representation;
-use crate::graph::{GlobalPrefixTree, SubtreePrefixTree};
-use crate::serialize::{decode_rank_map, decode_tree, DecodeError};
-use crate::taskset::{DenseBitVector, SubtreeTaskList};
+use crate::graph::{GlobalPrefixTree, PrefixTree};
+use crate::serialize::{decode_rank_map, decode_tree, DecodeError, WireTaskSet};
+use crate::taskset::{Domain, JobWide, SubtreeLocal, TaskSet};
 
 mod sealed {
     /// Seals [`super::RepresentationStrategy`]: only this crate can implement it.
@@ -55,9 +58,6 @@ pub struct MergedTrees {
 ///
 /// Obtain an instance through [`Representation::strategy`]; the trait is sealed.
 pub trait RepresentationStrategy: sealed::Sealed + Send + Sync {
-    /// The enum tag this strategy implements.
-    fn representation(&self) -> Representation;
-
     /// Run one daemon's gather → local merge → serialise cycle against the
     /// session's negotiated frame dictionary.
     fn contribute(
@@ -95,16 +95,16 @@ impl Representation {
     /// daemon, session and STATBench emulation all share.
     pub fn strategy(self) -> &'static dyn RepresentationStrategy {
         match self {
-            Representation::GlobalBitVector => &GlobalBitVectorStrategy,
-            Representation::HierarchicalTaskList => &HierarchicalTaskListStrategy,
+            Representation::GlobalBitVector => &DomainStrategy::<JobWide>(PhantomData),
+            Representation::HierarchicalTaskList => &DomainStrategy::<SubtreeLocal>(PhantomData),
         }
     }
 }
 
-fn decode_channel<S: crate::serialize::WireTaskSet>(
+fn decode_channel<S: WireTaskSet>(
     channel: MergeChannel,
     outcome: &ReductionOutcome,
-) -> Result<crate::graph::PrefixTree<S>, StatError> {
+) -> Result<PrefixTree<S>, StatError> {
     decode_tree(&outcome.result.payload)
         .map(|(tree, _frames)| tree)
         .map_err(|source| StatError::Decode {
@@ -114,16 +114,12 @@ fn decode_channel<S: crate::serialize::WireTaskSet>(
         })
 }
 
-/// The original representation: job-wide bit vectors, no remap needed.
-struct GlobalBitVectorStrategy;
+/// The strategy of the representation whose sets live over domain `D`.
+struct DomainStrategy<D>(PhantomData<D>);
 
-impl sealed::Sealed for GlobalBitVectorStrategy {}
+impl<D: Domain> sealed::Sealed for DomainStrategy<D> {}
 
-impl RepresentationStrategy for GlobalBitVectorStrategy {
-    fn representation(&self) -> Representation {
-        Representation::GlobalBitVector
-    }
-
+impl<D: Domain> RepresentationStrategy for DomainStrategy<D> {
     fn contribute(
         &self,
         daemon: &StatDaemon,
@@ -132,63 +128,15 @@ impl RepresentationStrategy for GlobalBitVectorStrategy {
         leaf_endpoint: EndpointId,
         dict: &FrameDictionary,
     ) -> DaemonContribution {
-        daemon.contribute::<DenseBitVector>(app, samples_per_task, leaf_endpoint, dict)
+        daemon.contribute::<TaskSet<D>>(app, samples_per_task, leaf_endpoint, dict)
     }
 
     fn merge_filter(&self) -> Box<dyn Filter> {
-        Box::new(StatMergeFilter::<DenseBitVector>::new())
+        Box::new(StatMergeFilter::<TaskSet<D>>::new())
     }
 
     fn needs_rank_map(&self) -> bool {
-        false
-    }
-
-    fn finish(
-        &self,
-        out_2d: &ReductionOutcome,
-        out_3d: &ReductionOutcome,
-        _rank_map: Option<&ReductionOutcome>,
-        _total_tasks: u64,
-        dict: &FrameDictionary,
-    ) -> Result<MergedTrees, StatError> {
-        let tree_2d: GlobalPrefixTree = decode_channel(MergeChannel::Tree2d, out_2d)?;
-        let tree_3d: GlobalPrefixTree = decode_channel(MergeChannel::Tree3d, out_3d)?;
-        Ok(MergedTrees {
-            tree_2d,
-            tree_3d,
-            frames: dict.snapshot(),
-            remap_wall: Duration::ZERO,
-        })
-    }
-}
-
-/// The optimised representation: subtree task lists plus a front-end remap.
-struct HierarchicalTaskListStrategy;
-
-impl sealed::Sealed for HierarchicalTaskListStrategy {}
-
-impl RepresentationStrategy for HierarchicalTaskListStrategy {
-    fn representation(&self) -> Representation {
-        Representation::HierarchicalTaskList
-    }
-
-    fn contribute(
-        &self,
-        daemon: &StatDaemon,
-        app: &dyn Application,
-        samples_per_task: u32,
-        leaf_endpoint: EndpointId,
-        dict: &FrameDictionary,
-    ) -> DaemonContribution {
-        daemon.contribute::<SubtreeTaskList>(app, samples_per_task, leaf_endpoint, dict)
-    }
-
-    fn merge_filter(&self) -> Box<dyn Filter> {
-        Box::new(StatMergeFilter::<SubtreeTaskList>::new())
-    }
-
-    fn needs_rank_map(&self) -> bool {
-        true
+        D::CONCATENATES
     }
 
     fn finish(
@@ -199,54 +147,65 @@ impl RepresentationStrategy for HierarchicalTaskListStrategy {
         total_tasks: u64,
         dict: &FrameDictionary,
     ) -> Result<MergedTrees, StatError> {
-        let sub_2d: SubtreePrefixTree = decode_channel(MergeChannel::Tree2d, out_2d)?;
-        let sub_3d: SubtreePrefixTree = decode_channel(MergeChannel::Tree3d, out_3d)?;
-        let positions = sub_2d.width().max(sub_3d.width());
-        let map_out = rank_map.ok_or(StatError::RankMapMismatch {
-            positions,
-            mapped: 0,
-        })?;
-        let position_to_rank =
-            decode_rank_map(&map_out.result.payload).map_err(|source| StatError::Decode {
-                channel: MergeChannel::RankMap,
-                endpoint: map_out.result.source,
-                source,
-            })?;
-        if (position_to_rank.len() as u64) < positions {
-            return Err(StatError::RankMapMismatch {
-                positions,
-                mapped: position_to_rank.len(),
-            });
-        }
-        // Varint-delta maps decode permissively, so a corrupted payload can
-        // parse into ranks the job does not have; refuse before the remap
-        // would index past the dense width.
-        if let Some(&rank) = position_to_rank.iter().find(|&&r| r >= total_tasks) {
-            return Err(StatError::Decode {
-                channel: MergeChannel::RankMap,
-                endpoint: map_out.result.source,
-                source: DecodeError::RankOutOfRange {
-                    rank,
-                    tasks: total_tasks,
-                },
-            });
-        }
-        // The remap step the paper prices at 0.66 s for 208K tasks.
-        let start = Instant::now();
-        let tree_2d = sub_2d.remap(&position_to_rank, total_tasks);
-        let tree_3d = sub_3d.remap(&position_to_rank, total_tasks);
+        let merged_2d = decode_channel::<TaskSet<D>>(MergeChannel::Tree2d, out_2d)?;
+        let merged_3d = decode_channel::<TaskSet<D>>(MergeChannel::Tree3d, out_3d)?;
+        // The remap step the paper prices at 0.66 s for 208K tasks — timed only
+        // where there is one: job-wide positions already are MPI ranks.
+        let (position_to_rank, remap_start) = if D::CONCATENATES {
+            let positions = merged_2d.width().max(merged_3d.width());
+            let map = checked_rank_map(rank_map, positions, total_tasks)?;
+            (map, Some(Instant::now()))
+        } else {
+            (Vec::new(), None)
+        };
         Ok(MergedTrees {
-            tree_2d,
-            tree_3d,
+            tree_2d: D::rank_ordered(merged_2d, &position_to_rank, total_tasks),
+            tree_3d: D::rank_ordered(merged_3d, &position_to_rank, total_tasks),
             frames: dict.snapshot(),
-            remap_wall: start.elapsed(),
+            remap_wall: remap_start.map_or(Duration::ZERO, |start| start.elapsed()),
         })
+    }
+}
+
+/// Decode the reduced rank-map channel and check it can drive a remap of
+/// `positions` positions into a `total_tasks`-task job.
+fn checked_rank_map(
+    rank_map: Option<&ReductionOutcome>,
+    positions: u64,
+    total_tasks: u64,
+) -> Result<Vec<u64>, StatError> {
+    let map_out = rank_map.ok_or(StatError::RankMapMismatch {
+        positions,
+        mapped: 0,
+    })?;
+    let rank_map_error = |source| StatError::Decode {
+        channel: MergeChannel::RankMap,
+        endpoint: map_out.result.source,
+        source,
+    };
+    let position_to_rank = decode_rank_map(&map_out.result.payload).map_err(rank_map_error)?;
+    if (position_to_rank.len() as u64) < positions {
+        return Err(StatError::RankMapMismatch {
+            positions,
+            mapped: position_to_rank.len(),
+        });
+    }
+    // Varint-delta maps decode permissively, so a corrupted payload can parse
+    // into ranks the job does not have; refuse before the remap would index past
+    // the dense width.
+    match position_to_rank.iter().find(|&&rank| rank >= total_tasks) {
+        Some(&rank) => Err(rank_map_error(DecodeError::RankOutOfRange {
+            rank,
+            tasks: total_tasks,
+        })),
+        None => Ok(position_to_rank),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::SubtreePrefixTree;
     use tbon::packet::{Packet, PacketTag};
 
     fn outcome_with_payload(payload: Vec<u8>) -> ReductionOutcome {
@@ -263,12 +222,6 @@ mod tests {
 
     #[test]
     fn both_representations_resolve_to_their_own_strategy() {
-        for representation in [
-            Representation::GlobalBitVector,
-            Representation::HierarchicalTaskList,
-        ] {
-            assert_eq!(representation.strategy().representation(), representation);
-        }
         assert!(!Representation::GlobalBitVector.strategy().needs_rank_map());
         assert!(Representation::HierarchicalTaskList
             .strategy()

@@ -236,17 +236,12 @@ struct StreamCore<S: WireTaskSet> {
 
 impl<S: WireTaskSet> StreamCore<S> {
     fn new(daemons: Vec<StatDaemon>, topology: &Topology, dict: FrameDictionary) -> Self {
-        let hierarchical = S::TAG == 1;
         let streams = daemons
             .into_iter()
             .map(|daemon| {
-                let width = if hierarchical {
-                    daemon.local_tasks()
-                } else {
-                    daemon.total_tasks
-                };
                 Some(DaemonStream {
-                    cum_3d: PrefixTree::new(width, hierarchical),
+                    // No samples yet: the empty tree over this daemon's leaf domain.
+                    cum_3d: daemon.build_trees(&[]).1,
                     table: FrameTable::new(),
                     daemon,
                 })

@@ -14,9 +14,14 @@
 //!   by simple concatenation, and only the front end — after a final *remap* into MPI
 //!   rank order — ever materialises a job-wide view.
 //!
-//! Both are implemented here for real, behind the [`TaskSetOps`] trait so the prefix
-//! tree, the merge filter and the benchmarks can run the same algorithm over either
-//! representation and measure the difference instead of asserting it.
+//! Both are the *same* word-packed set, [`TaskSet`]; what differs is what a position
+//! means, and that is a type parameter: a [`Domain`] marker ([`JobWide`] or
+//! [`SubtreeLocal`]) whose constants state, once, everything that follows from the
+//! choice — the wire tag and set codec, whether a tree merge concatenates domains,
+//! and how a merged tree reaches MPI rank order.  The prefix tree, the merge filter,
+//! the wire format and the session strategy are generic over the set type
+//! ([`TaskSetOps`]) and read those constants, so the benchmarks run the same
+//! algorithm over either alias and measure the difference instead of asserting it.
 //!
 //! ## Word-level concatenation
 //!
@@ -32,9 +37,18 @@
 //! word.  `results/BENCH_merge.md` records what these rewrites bought.
 
 use std::fmt;
+use std::marker::PhantomData;
+
+use crate::graph::{GlobalPrefixTree, PrefixTree};
+use crate::serialize::{SetCodec, WireTaskSet};
 
 /// Operations a task-set representation must support for prefix-tree merging.
 pub trait TaskSetOps: Clone + fmt::Debug {
+    /// Whether merging two trees labelled with this set appends the second tree's
+    /// domain after the first's (the hierarchical representation) instead of
+    /// unioning over one shared domain (the job-wide one).
+    const CONCATENATES: bool;
+
     /// An empty set over a domain of `width` positions.
     fn empty(width: u64) -> Self;
 
@@ -145,7 +159,7 @@ impl Iterator for MemberIter<'_> {
 impl ExactSizeIterator for MemberIter<'_> {}
 
 // ---------------------------------------------------------------------------------
-// Shared word-level machinery (both representations pack members into u64 words)
+// Word-level machinery
 // ---------------------------------------------------------------------------------
 
 fn words_for(width: u64) -> usize {
@@ -165,20 +179,6 @@ fn word_of(bit: u64) -> usize {
 fn bit_of(bit: u64) -> u32 {
     // stat-analyzer: allow(truncating-cast) — a remainder mod 64 fits any integer type
     (bit % 64) as u32
-}
-
-/// Set one bit; out-of-range positions are a no-op (callers assert range first).
-fn set_bit(words: &mut [u64], index: u64) {
-    if let Some(w) = words.get_mut(word_of(index)) {
-        *w |= 1u64 << bit_of(index);
-    }
-}
-
-/// Test one bit; out-of-range positions read as unset.
-fn get_bit(words: &[u64], index: u64) -> bool {
-    words
-        .get(word_of(index))
-        .is_some_and(|w| w & (1u64 << bit_of(index)) != 0)
 }
 
 /// Zero any bits at or above `width` in the last word, so a malformed packet can
@@ -216,21 +216,104 @@ fn or_shifted(dst: &mut [u64], src: &[u64], offset: u64) {
 }
 
 // ---------------------------------------------------------------------------------
-// Dense, job-wide bit vector (the original representation)
+// The domain: what a position means, and everything that follows from it
 // ---------------------------------------------------------------------------------
 
-/// A fixed-width bit vector sized for the entire job.
-#[derive(PartialEq, Eq)]
-pub struct DenseBitVector {
-    width: u64,
-    words: Vec<u64>,
+mod sealed {
+    /// Seals [`super::Domain`]: the two representations are this crate's to define.
+    pub trait Sealed {}
 }
 
-impl Clone for DenseBitVector {
+/// What the positions of a [`TaskSet`] mean.  The Section V choice is made by
+/// picking one of the two implementors as the set's type parameter; every other
+/// layer reads the consequences from here.
+pub trait Domain: sealed::Sealed + Copy + fmt::Debug + Eq + Send + Sync + 'static {
+    /// Name of the set type over this domain, for `Debug` output.
+    const NAME: &'static str;
+    /// Representation tag in the wire header.
+    const TAG: u8;
+    /// How a set over this domain is laid out on the wire.
+    const CODEC: SetCodec;
+    /// Whether merging two trees concatenates their domains (see
+    /// [`TaskSetOps::CONCATENATES`]); such a representation ships a rank map and
+    /// needs [`Self::rank_ordered`] to do real work at the front end.
+    const CONCATENATES: bool;
+
+    /// Bring a fully merged tree into MPI rank order.  `position_to_rank` is the
+    /// concatenated, validated rank map (unused when positions already are ranks).
+    fn rank_ordered(
+        tree: PrefixTree<TaskSet<Self>>,
+        position_to_rank: &[u64],
+        total_tasks: u64,
+    ) -> GlobalPrefixTree;
+}
+
+/// Positions are MPI ranks of the whole job (the original representation).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct JobWide;
+
+/// Positions are local to the subtree of the overlay that produced the set (the
+/// optimised representation).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SubtreeLocal;
+
+impl sealed::Sealed for JobWide {}
+impl sealed::Sealed for SubtreeLocal {}
+
+impl Domain for JobWide {
+    const NAME: &'static str = "DenseBitVector";
+    const TAG: u8 = 0;
+    const CODEC: SetCodec = SetCodec::VarintWords;
+    const CONCATENATES: bool = false;
+
+    fn rank_ordered(tree: GlobalPrefixTree, _: &[u64], _: u64) -> GlobalPrefixTree {
+        tree
+    }
+}
+
+impl Domain for SubtreeLocal {
+    const NAME: &'static str = "SubtreeTaskList";
+    const TAG: u8 = 1;
+    const CODEC: SetCodec = SetCodec::RunLength;
+    const CONCATENATES: bool = true;
+
+    fn rank_ordered(
+        tree: PrefixTree<SubtreeTaskList>,
+        position_to_rank: &[u64],
+        total_tasks: u64,
+    ) -> GlobalPrefixTree {
+        tree.remap(position_to_rank, total_tasks)
+    }
+}
+
+// ---------------------------------------------------------------------------------
+// The one word-packed set body
+// ---------------------------------------------------------------------------------
+
+/// A set of task positions packed into `u64` words over a domain of `width`
+/// positions.  Both representations keep bit vectors (the paper's optimised one
+/// too, just narrow ones); `D` says what the positions mean.
+#[derive(PartialEq, Eq)]
+pub struct TaskSet<D: Domain> {
+    width: u64,
+    words: Vec<u64>,
+    domain: PhantomData<D>,
+}
+
+/// A fixed-width bit vector sized for the entire job.
+pub type DenseBitVector = TaskSet<JobWide>;
+
+/// A task set that only describes positions within its own subtree, which makes
+/// concatenation an offset plus a bitmap append and keeps the serialised size
+/// proportional to the subtree.
+pub type SubtreeTaskList = TaskSet<SubtreeLocal>;
+
+impl<D: Domain> Clone for TaskSet<D> {
     fn clone(&self) -> Self {
-        DenseBitVector {
+        TaskSet {
             width: self.width,
             words: self.words.clone(),
+            domain: PhantomData,
         }
     }
 
@@ -242,45 +325,59 @@ impl Clone for DenseBitVector {
     }
 }
 
-impl DenseBitVector {
-    /// Direct access to the packed words (used by serialisation).
-    pub fn words(&self) -> &[u64] {
+impl<D: Domain> WireTaskSet for TaskSet<D> {
+    const TAG: u8 = D::TAG;
+    const CODEC: SetCodec = D::CODEC;
+
+    fn words(&self) -> &[u64] {
         &self.words
     }
 
-    /// Reconstruct from packed words (used by deserialisation).
-    ///
-    /// Stray bits at or above `width` in the last word are masked off and a word
-    /// vector longer than the domain requires is rejected, so a malformed packet
-    /// cannot corrupt `count`/`members`.
-    pub fn from_words(width: u64, words: Vec<u64>) -> Self {
+    fn from_words(width: u64, mut words: Vec<u64>) -> Self {
         assert!(
             words.len() <= words_for(width),
-            "{} words is more than a {width}-task domain can hold",
+            "{} words is more than a {width}-position domain can hold",
             words.len()
         );
-        let mut v = DenseBitVector { width, words };
-        v.words.resize(words_for(width), 0);
-        mask_stray_bits(width, &mut v.words);
-        v
+        words.resize(words_for(width), 0);
+        mask_stray_bits(width, &mut words);
+        TaskSet {
+            width,
+            words,
+            domain: PhantomData,
+        }
     }
 }
 
-impl TaskSetOps for DenseBitVector {
+impl<D: Domain> TaskSet<D> {
+    fn assert_same_domain(&self, other: &Self, operation: &str) {
+        assert_eq!(
+            self.width, other.width,
+            "task sets must be rebased to a common domain before {operation}"
+        );
+    }
+}
+
+impl<D: Domain> TaskSetOps for TaskSet<D> {
+    const CONCATENATES: bool = D::CONCATENATES;
+
     fn empty(width: u64) -> Self {
-        DenseBitVector {
+        TaskSet {
             width,
             words: vec![0; words_for(width)],
+            domain: PhantomData,
         }
     }
 
     fn insert(&mut self, index: u64) {
         assert!(
             index < self.width,
-            "rank {index} out of range for a {}-task job",
+            "position {index} out of range for a {}-position domain",
             self.width
         );
-        set_bit(&mut self.words, index);
+        if let Some(w) = self.words.get_mut(word_of(index)) {
+            *w |= 1u64 << bit_of(index);
+        }
     }
 
     fn width(&self) -> u64 {
@@ -292,10 +389,8 @@ impl TaskSetOps for DenseBitVector {
     }
 
     fn contains(&self, index: u64) -> bool {
-        if index >= self.width {
-            return false;
-        }
-        get_bit(&self.words, index)
+        let word = self.words.get(word_of(index));
+        index < self.width && word.is_some_and(|w| w & (1u64 << bit_of(index)) != 0)
     }
 
     fn iter_members(&self) -> MemberIter<'_> {
@@ -303,20 +398,14 @@ impl TaskSetOps for DenseBitVector {
     }
 
     fn union_in_place(&mut self, other: &Self) {
-        assert_eq!(
-            self.width, other.width,
-            "dense bit vectors must share the job-wide domain"
-        );
+        self.assert_same_domain(other, "union");
         for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
             *a |= *b;
         }
     }
 
     fn subtract(&mut self, other: &Self) {
-        assert_eq!(
-            self.width, other.width,
-            "dense bit vectors must share the job-wide domain"
-        );
+        self.assert_same_domain(other, "subtract");
         for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
             *a &= !*b;
         }
@@ -327,88 +416,68 @@ impl TaskSetOps for DenseBitVector {
     }
 
     fn union_shifted(&mut self, other: &Self, offset: u64) {
-        // The dense representation's domain is the whole job; a shifted union only
-        // makes sense at offset zero, where it is a plain union.
-        assert_eq!(offset, 0, "dense bit vectors are never offset");
-        self.union_in_place(other);
+        if !D::CONCATENATES {
+            // A job-wide domain is the whole job; a shifted union only makes sense
+            // at offset zero, where it is a plain union.
+            assert_eq!(offset, 0, "job-wide sets are never offset");
+            return self.union_in_place(other);
+        }
+        assert!(
+            offset + other.width <= self.width,
+            "shifted union would push positions past this domain"
+        );
+        or_shifted(&mut self.words, &other.words, offset);
     }
 
     fn rebase(&mut self, offset: u64, new_width: u64) {
-        // The whole point of the dense representation is that the domain never
-        // changes: every node in the tree uses the job-wide width.
-        assert_eq!(offset, 0, "dense bit vectors are never offset");
-        assert_eq!(
-            new_width, self.width,
-            "dense bit vectors are already job-wide"
+        if !D::CONCATENATES {
+            // The whole point of the job-wide representation is that the domain
+            // never changes: every node in the tree uses the job-wide width.
+            assert_eq!(offset, 0, "job-wide sets are never offset");
+            assert_eq!(new_width, self.width, "job-wide sets are already job-wide");
+            return;
+        }
+        assert!(
+            offset + self.width <= new_width,
+            "rebase would push positions past the new domain"
         );
+        if offset == 0 {
+            // In-place widen: the existing words already sit at the right
+            // positions, the domain just grows (amortised by Vec's growth policy —
+            // this is what the accumulated tree pays on every hierarchical merge).
+            self.words.resize(words_for(new_width), 0);
+        } else if offset.is_multiple_of(64) {
+            // Word-aligned shift: move the words up in place, zero the gap.
+            let word_off = word_of(offset);
+            let old_len = self.words.len();
+            self.words.resize(words_for(new_width), 0);
+            self.words.copy_within(0..old_len, word_off);
+            if let Some(gap) = self.words.get_mut(..word_off.min(old_len)) {
+                gap.fill(0);
+            }
+        } else {
+            let mut words = vec![0u64; words_for(new_width)];
+            or_shifted(&mut words, &self.words, offset);
+            self.words = words;
+        }
+        self.width = new_width;
     }
 
     fn serialized_bytes(&self) -> u64 {
-        // 8-byte width header plus the full bitmap — including all the zero bits for
-        // tasks this subtree never saw.  That is the Section V problem.
+        // 8-byte width header plus a bitmap over the whole domain — for a job-wide
+        // set that includes all the zero bits for tasks this subtree never saw
+        // (the Section V problem); for a subtree set only this subtree's tasks.
         8 + self.width.div_ceil(8)
     }
 }
 
-impl fmt::Debug for DenseBitVector {
+impl<D: Domain> fmt::Debug for TaskSet<D> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "DenseBitVector({}/{})", self.count(), self.width)
-    }
-}
-
-// ---------------------------------------------------------------------------------
-// Hierarchical, subtree-local task list (the optimised representation)
-// ---------------------------------------------------------------------------------
-
-/// A task set that only describes positions within its own subtree.
-///
-/// Internally it is a subtree-local bit vector (the paper's optimised representation
-/// keeps bit vectors too, just narrow ones), which makes concatenation an offset plus
-/// a bitmap append and keeps the serialised size proportional to the subtree.
-#[derive(PartialEq, Eq)]
-pub struct SubtreeTaskList {
-    width: u64,
-    words: Vec<u64>,
-}
-
-impl Clone for SubtreeTaskList {
-    fn clone(&self) -> Self {
-        SubtreeTaskList {
-            width: self.width,
-            words: self.words.clone(),
-        }
-    }
-
-    /// Reuses this set's word buffer, as `DenseBitVector`'s does.
-    fn clone_from(&mut self, source: &Self) {
-        self.width = source.width;
-        self.words.clone_from(&source.words);
+        write!(f, "{}({}/{})", D::NAME, self.count(), self.width)
     }
 }
 
 impl SubtreeTaskList {
-    /// Direct access to the packed words (used by serialisation).
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Reconstruct from packed words (used by deserialisation).
-    ///
-    /// Stray bits at or above `width` in the last word are masked off and a word
-    /// vector longer than the domain requires is rejected, so a malformed packet
-    /// cannot corrupt `count`/`members`.
-    pub fn from_words(width: u64, words: Vec<u64>) -> Self {
-        assert!(
-            words.len() <= words_for(width),
-            "{} words is more than a {width}-position domain can hold",
-            words.len()
-        );
-        let mut v = SubtreeTaskList { width, words };
-        v.words.resize(words_for(width), 0);
-        mask_stray_bits(width, &mut v.words);
-        v
-    }
-
     /// Remap this subtree-local set into a job-wide dense bit vector, given the
     /// position→rank map collected at setup time.  This is the front end's remap
     /// step; its cost is reported alongside Figure 7 (0.66 s at 208K in the paper).
@@ -461,117 +530,6 @@ impl SubtreeTaskList {
             }
         }
         dense
-    }
-}
-
-impl TaskSetOps for SubtreeTaskList {
-    fn empty(width: u64) -> Self {
-        SubtreeTaskList {
-            width,
-            words: vec![0; words_for(width)],
-        }
-    }
-
-    fn insert(&mut self, index: u64) {
-        assert!(
-            index < self.width,
-            "position {index} out of range for a {}-task subtree",
-            self.width
-        );
-        set_bit(&mut self.words, index);
-    }
-
-    fn width(&self) -> u64 {
-        self.width
-    }
-
-    fn count(&self) -> u64 {
-        self.words.iter().map(|w| w.count_ones() as u64).sum()
-    }
-
-    fn contains(&self, index: u64) -> bool {
-        if index >= self.width {
-            return false;
-        }
-        get_bit(&self.words, index)
-    }
-
-    fn iter_members(&self) -> MemberIter<'_> {
-        MemberIter::new(&self.words)
-    }
-
-    fn union_in_place(&mut self, other: &Self) {
-        assert_eq!(
-            self.width, other.width,
-            "subtree task lists must be rebased to a common domain before union"
-        );
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a |= *b;
-        }
-    }
-
-    fn subtract(&mut self, other: &Self) {
-        assert_eq!(
-            self.width, other.width,
-            "subtree task lists must be rebased to a common domain before subtract"
-        );
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a &= !*b;
-        }
-    }
-
-    fn is_empty_set(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    fn union_shifted(&mut self, other: &Self, offset: u64) {
-        assert!(
-            offset + other.width <= self.width,
-            "shifted union would push positions past this domain"
-        );
-        or_shifted(&mut self.words, &other.words, offset);
-    }
-
-    fn rebase(&mut self, offset: u64, new_width: u64) {
-        assert!(
-            offset + self.width <= new_width,
-            "rebase would push positions past the new domain"
-        );
-        if offset == 0 {
-            // In-place widen: the existing words already sit at the right
-            // positions, the domain just grows (amortised by Vec's growth policy —
-            // this is what the accumulated tree pays on every hierarchical merge).
-            self.words.resize(words_for(new_width), 0);
-            self.width = new_width;
-            return;
-        }
-        if offset.is_multiple_of(64) {
-            // Word-aligned shift: move the words up in place, zero the gap.
-            let word_off = word_of(offset);
-            let old_len = self.words.len();
-            self.words.resize(words_for(new_width), 0);
-            self.words.copy_within(0..old_len, word_off);
-            if let Some(gap) = self.words.get_mut(..word_off.min(old_len)) {
-                gap.fill(0);
-            }
-            self.width = new_width;
-            return;
-        }
-        let mut words = vec![0u64; words_for(new_width)];
-        or_shifted(&mut words, &self.words, offset);
-        self.words = words;
-        self.width = new_width;
-    }
-
-    fn serialized_bytes(&self) -> u64 {
-        // 8-byte width header plus a bitmap covering only this subtree's tasks.
-        8 + self.width.div_ceil(8)
-    }
-}
-
-impl fmt::Debug for SubtreeTaskList {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SubtreeTaskList({}/{})", self.count(), self.width)
     }
 }
 
@@ -770,7 +728,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "more than a 70-task domain can hold")]
+    #[should_panic(expected = "more than a 70-position domain can hold")]
     fn dense_from_words_rejects_oversized_word_vectors() {
         DenseBitVector::from_words(70, vec![1, 2, 3]);
     }

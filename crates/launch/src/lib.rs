@@ -26,13 +26,11 @@
 pub mod bgl;
 pub mod launcher;
 pub mod launchmon;
-pub mod mpir;
 pub mod proctable;
 pub mod rsh;
 
 pub use bgl::{BglCiodLauncher, CiodPatchLevel};
 pub use launcher::{Launcher, StartupEstimate, StartupFailure, StartupPhase};
 pub use launchmon::LaunchMonLauncher;
-pub use mpir::{establish_session, session_startup, AttachMode, MpirSession};
 pub use proctable::{pack_indexed, pack_naive, ProcessTable, ProcessTableEntry};
 pub use rsh::{RemoteShell, RshLauncher};

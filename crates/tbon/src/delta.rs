@@ -19,21 +19,28 @@
 //!   therefore always equals what one batched merge of every wave would have
 //!   produced (the equivalence property `tests/properties.rs` pins down).
 //!
-//! The walk is deliberately sequential: quiescent-wave deltas are root-only
-//! packets a few dozen bytes long, and the interesting quantity is bytes moved
-//! and state touched, not thread-pool throughput.  `statbench`'s `streaming`
-//! benchmark measures this path against a full re-reduce at 64K endpoints.
+//! The fold is one more client of the overlay's single bottom-up level walk
+//! (`InProcessTbon::walk_levels`): one channel, labelled `tree-delta`, whose
+//! per-node step runs the filter and then folds its output into that node's
+//! resident state.  It uses the walk's inline dispatch, deliberately: quiescent-
+//! wave deltas are root-only packets a few dozen bytes long, and the interesting
+//! quantity is bytes moved and state touched, not thread-pool throughput.  What
+//! this module owns is the resident-state table and the mapping of the walk's
+//! accounting onto a [`WaveOutcome`].  `statbench`'s `streaming` benchmark
+//! measures this path against a full re-reduce at 64K endpoints.
 //!
 //! The crate knows nothing about prefix trees; resident state is abstracted
 //! behind [`ResidentState`]/[`StateFactory`], which `stat-core` implements with
 //! its serialised-tree fold.
+//!
+//! [`PacketTag::TreeDelta`]: crate::packet::PacketTag::TreeDelta
 
 use std::time::{Duration, Instant};
 
 use crate::filter::Filter;
-use crate::network::{panic_message, TbonError};
-use crate::packet::{Packet, PacketTag};
-use crate::topology::{Topology, TreeNodeRole};
+use crate::network::{ChannelInput, InProcessTbon, TbonError};
+use crate::packet::Packet;
+use crate::topology::Topology;
 
 /// Endpoint ids index per-endpoint tables.  The conversion is lossless on every
 /// supported target; an out-of-range id degrades to a table miss (a typed
@@ -86,7 +93,7 @@ pub struct WaveOutcome {
 /// packet per back-end daemon and returns the merged front-end delta plus the
 /// byte/latency accounting for the wave.
 pub struct IncrementalTbon<F: StateFactory> {
-    topology: Topology,
+    network: InProcessTbon,
     factory: F,
     /// Resident state per endpoint id; only interior nodes and the front end
     /// ever hold `Some` (back ends are the daemons' own concern).
@@ -99,7 +106,7 @@ impl<F: StateFactory> IncrementalTbon<F> {
         let mut states = Vec::new();
         states.resize_with(topology.len(), || None);
         IncrementalTbon {
-            topology,
+            network: InProcessTbon::new(topology),
             factory,
             states,
         }
@@ -107,13 +114,13 @@ impl<F: StateFactory> IncrementalTbon<F> {
 
     /// The topology the network folds over.
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        self.network.topology()
     }
 
     /// The front end's resident state — the rolling job-wide merge.  `None`
     /// until the first wave folds.
     pub fn frontend_state(&self) -> Option<&F::State> {
-        let id = self.topology.frontend();
+        let id = self.topology().frontend();
         self.states.get(slot(id.0)).and_then(|s| s.as_ref())
     }
 
@@ -137,100 +144,43 @@ impl<F: StateFactory> IncrementalTbon<F> {
         leaf_deltas: Vec<Packet>,
         filter: &dyn Filter,
     ) -> Result<WaveOutcome, TbonError> {
-        let backends = self.topology.backends();
-        if leaf_deltas.len() != backends.len() {
-            return Err(TbonError::LeafCountMismatch {
-                channel: "tree-delta",
-                expected: backends.len(),
-                actual: leaf_deltas.len(),
-            });
-        }
-
-        // Inbox per endpoint: packets arriving from children, in child order.
-        let mut inbox: Vec<Vec<Packet>> = Vec::new();
-        inbox.resize_with(self.topology.len(), Vec::new);
-        let mut delta_link_bytes = 0u64;
-        let mut deliver =
-            |inbox: &mut Vec<Vec<Packet>>, parent: u32, packet: Packet| -> Result<(), TbonError> {
-                delta_link_bytes += packet.size_bytes() as u64;
-                inbox
-                    .get_mut(slot(parent))
-                    .ok_or(TbonError::WalkInvariant {
-                        context: "delta parent endpoint outside the topology",
-                    })?
-                    .push(packet);
-                Ok(())
-            };
-
-        // Leaves first: each backend forwards its delta to its parent.
-        for (&backend, packet) in backends.iter().zip(leaf_deltas) {
-            let node = self.topology.node(backend);
-            let parent = node.parent.ok_or(TbonError::WalkInvariant {
-                context: "back-end daemon with no parent",
-            })?;
-            deliver(&mut inbox, parent.0, packet)?;
-        }
-
-        // Interior levels bottom-up (the deepest level is the backends, already
-        // delivered above; the front end is level 0 and terminates the walk).
-        let mut fold_wall = Duration::ZERO;
-        let mut filter_invocations = 0u32;
-        let mut max_node_bytes_in = 0u64;
-        let mut frontend_delta: Option<Packet> = None;
-        for level in self.topology.levels().iter().rev() {
-            for &id in level {
-                let node = self.topology.node(id);
-                if node.role == TreeNodeRole::BackEnd {
-                    continue;
-                }
-                let inputs =
-                    std::mem::take(inbox.get_mut(slot(id.0)).ok_or(TbonError::WalkInvariant {
-                        context: "interior endpoint outside the inbox",
-                    })?);
-                let bytes_in: u64 = inputs.iter().map(|p| p.size_bytes() as u64).sum();
-                max_node_bytes_in = max_node_bytes_in.max(bytes_in);
-
-                let start = Instant::now();
-                let merged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    filter.reduce(id, &inputs)
-                }))
-                .map_err(|payload| TbonError::FilterPanicked {
-                    node: id.0,
-                    channel: 0,
-                    message: panic_message(payload.as_ref()),
-                })?;
-                filter_invocations += 1;
-
-                let state_slot =
-                    self.states
+        let (states, factory) = (&mut self.states, &self.factory);
+        let channel = ChannelInput::new("tree-delta", leaf_deltas);
+        let mut outcomes = self.network.walk_levels(vec![channel], &mut |waves| {
+            waves
+                .into_iter()
+                .map(|(id, channel, inputs)| {
+                    let (merged, bytes_in, filter_wall) =
+                        InProcessTbon::reduce_one_caught(id, channel, inputs, filter)?;
+                    let start = Instant::now();
+                    states
                         .get_mut(slot(id.0))
                         .ok_or(TbonError::WalkInvariant {
                             context: "interior endpoint outside the state table",
+                        })?
+                        .get_or_insert_with(|| factory.new_state())
+                        .fold(&merged)
+                        .map_err(|message| TbonError::DeltaFold {
+                            node: id.0,
+                            message,
                         })?;
-                state_slot
-                    .get_or_insert_with(|| self.factory.new_state())
-                    .fold(&merged)
-                    .map_err(|message| TbonError::DeltaFold {
-                        node: id.0,
-                        message,
-                    })?;
-                fold_wall += start.elapsed();
-
-                match node.parent {
-                    Some(parent) => deliver(&mut inbox, parent.0, merged)?,
-                    None => frontend_delta = Some(merged),
-                }
-            }
-        }
-
-        let frontend_delta = frontend_delta
-            .unwrap_or_else(|| Packet::control(PacketTag::TreeDelta, self.topology.frontend()));
+                    Ok((
+                        id,
+                        channel,
+                        (merged, bytes_in, filter_wall + start.elapsed()),
+                    ))
+                })
+                .collect()
+        })?;
+        let outcome = outcomes.pop().ok_or(TbonError::WalkInvariant {
+            context: "one channel in, one outcome out",
+        })?;
         Ok(WaveOutcome {
-            frontend_delta,
-            delta_link_bytes,
-            max_node_bytes_in,
-            fold_wall,
-            filter_invocations,
+            frontend_delta: outcome.result,
+            delta_link_bytes: outcome.total_link_bytes,
+            max_node_bytes_in: outcome.max_node_bytes_in,
+            fold_wall: outcome.filter_time,
+            filter_invocations: u32::try_from(outcome.filter_invocations).unwrap_or(u32::MAX),
         })
     }
 }
@@ -239,7 +189,7 @@ impl<F: StateFactory> IncrementalTbon<F> {
 mod tests {
     use super::*;
     use crate::filter::SumFilter;
-    use crate::packet::EndpointId;
+    use crate::packet::{EndpointId, PacketTag};
     use crate::topology::TreeShape;
 
     /// Resident state that sums every byte folded into it.
@@ -332,6 +282,36 @@ mod tests {
             }
             other => panic!("expected DeltaFold, got {other}"),
         }
+    }
+
+    #[test]
+    fn a_panicking_filter_is_fenced_and_names_the_node() {
+        /// Panics at one node, sums everywhere else.
+        struct PanicsAt(EndpointId);
+        impl Filter for PanicsAt {
+            fn reduce(&self, node: EndpointId, inputs: &[Packet]) -> Packet {
+                assert!(node != self.0, "malformed delta");
+                SumFilter.reduce(node, inputs)
+            }
+        }
+        let topology = Topology::build(TreeShape::two_deep(8, 2));
+        let bad = topology.comm_processes()[1];
+        let mut net = IncrementalTbon::new(topology, ByteSumFactory);
+        let leaf = leaves(net.topology(), 1);
+        match net.fold_wave(leaf, &PanicsAt(bad)).unwrap_err() {
+            TbonError::FilterPanicked {
+                node,
+                channel,
+                message,
+            } => {
+                assert_eq!(node, bad.0);
+                assert_eq!(channel, 0);
+                assert!(message.contains("malformed delta"), "{message}");
+            }
+            other => panic!("expected FilterPanicked, got {other}"),
+        }
+        // The walk stopped at the failing level: the front end never folded.
+        assert!(net.frontend_state().is_none());
     }
 
     #[test]

@@ -272,6 +272,70 @@ impl InProcessTbon {
                 filters: filters.len(),
             });
         }
+
+        // With more than one worker, one pool serves the entire walk: workers are
+        // spawned once, each level's waves are queued as batches, and the per-level
+        // barrier is the arrival of that level's results — no threads are spawned
+        // (or joined) per level.  There is never a point in more workers than the
+        // widest level has waves, and a single worker runs the walk inline without
+        // the pool machinery.
+        let widest_wave = self
+            .topology
+            .levels()
+            .split_last()
+            .map(|(_, above_leaves)| above_leaves)
+            .unwrap_or(&[])
+            .iter()
+            .map(|ids| {
+                ids.iter()
+                    .filter(|&&id| self.topology.node(id).role != TreeNodeRole::BackEnd)
+                    .count()
+            })
+            .max()
+            .unwrap_or(0)
+            * filters.len();
+        let workers = self
+            .workers
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(4)
+            })
+            .min(widest_wave);
+        if workers > 1 {
+            let queue = (Mutex::new(PoolQueue::default()), Condvar::new());
+            std::thread::scope(|scope| {
+                let pool = WorkerPool::spawn(scope, workers, filters, &queue);
+                self.walk_levels(channels, &mut |items| pool.run_level(items))
+            })
+        } else {
+            self.walk_levels(channels, &mut |items| reduce_batch(items, filters))
+        }
+    }
+
+    /// The one bottom-up level walk of the overlay, pooled or inline: take one
+    /// packet per back-end daemon on every channel, then level by level (skipping
+    /// the leaves) build each node's owned input waves, hand them to `dispatch`,
+    /// and absorb the results into the slot table and the per-channel accounting
+    /// before moving up a level.  `dispatch` decides what happens at a node — the
+    /// one-shot reduction runs the channel's filter, the incremental fold
+    /// ([`crate::delta::IncrementalTbon::fold_wave`]) also folds the output into
+    /// the node's resident state.
+    ///
+    /// Work items are (node, channel) waves so that, at narrow levels — ultimately
+    /// the single front-end node — the channels themselves still run concurrently.
+    /// Each wave *moves* its child packets out of the slot table (every child has
+    /// exactly one parent), so no packet is ever cloned on its way up the tree and
+    /// peak memory stays proportional to one level.
+    ///
+    /// Any failure — a wrong leaf count, a poisoned pool, a panicking filter, an
+    /// empty slot that must be full — aborts the walk with a typed error instead
+    /// of panicking.
+    pub(crate) fn walk_levels(
+        &self,
+        channels: Vec<ChannelInput>,
+        dispatch: &mut dyn FnMut(WaveBatch) -> BatchOutcome,
+    ) -> Result<Vec<ReductionOutcome>, TbonError> {
         let backends = self.topology.backends();
         for channel in &channels {
             if channel.leaves.len() != backends.len() {
@@ -301,100 +365,8 @@ impl InProcessTbon {
                 slots
             })
             .collect();
+        let mut accounting = vec![ChannelAccounting::default(); labels.len()];
 
-        let mut accounting = vec![ChannelAccounting::default(); filters.len()];
-
-        // The single bottom-up level walk, skipping the leaf level.  Work items are
-        // (node, channel) waves so that, at narrow levels — ultimately the single
-        // front-end node — the channels themselves still run concurrently.  Each
-        // wave *moves* its child packets out of the slot table (every child has
-        // exactly one parent), so no packet is ever cloned on its way up the tree
-        // and peak memory stays proportional to one level.
-        //
-        // With more than one worker, one pool serves the entire walk: workers are
-        // spawned once, each level's waves are queued as batches, and the per-level
-        // barrier is the arrival of that level's results — no threads are spawned
-        // (or joined) per level.  There is never a point in more workers than the
-        // widest level has waves, and a single worker runs the walk inline without
-        // the pool machinery.
-        let levels = self.topology.levels();
-        let widest_wave = levels
-            .split_last()
-            .map(|(_, above_leaves)| above_leaves)
-            .unwrap_or(&[])
-            .iter()
-            .map(|ids| {
-                ids.iter()
-                    .filter(|&&id| self.topology.node(id).role != TreeNodeRole::BackEnd)
-                    .count()
-            })
-            .max()
-            .unwrap_or(0)
-            * filters.len();
-        let workers = self
-            .workers
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            })
-            .min(widest_wave);
-        if workers > 1 {
-            let queue = (Mutex::new(PoolQueue::default()), Condvar::new());
-            std::thread::scope(|scope| {
-                let pool = WorkerPool::spawn(scope, workers, filters, &queue);
-                self.walk_levels(
-                    &mut produced,
-                    &mut accounting,
-                    filters.len(),
-                    &mut |items| pool.run_level(items),
-                )
-            })?;
-        } else {
-            self.walk_levels(
-                &mut produced,
-                &mut accounting,
-                filters.len(),
-                &mut |items| reduce_batch(items, filters),
-            )?;
-        }
-
-        let frontend = self.topology.frontend().0 as usize;
-        let mut outcomes = Vec::with_capacity(accounting.len());
-        for (channel, (acc, label)) in accounting.into_iter().zip(labels).enumerate() {
-            let result = produced
-                .get_mut(channel)
-                .and_then(|slots| slots.get_mut(frontend))
-                .and_then(|slot| slot.take())
-                .ok_or(TbonError::WalkInvariant {
-                    context: "front end must have produced a result for every channel",
-                })?;
-            outcomes.push(ReductionOutcome {
-                channel: label,
-                result,
-                filter_time: acc.filter_wall,
-                filter_invocations: acc.filter_invocations,
-                frontend_bytes_in: acc.frontend_bytes_in,
-                max_node_bytes_in: acc.max_node_bytes_in,
-                total_link_bytes: acc.total_link_bytes,
-            });
-        }
-        Ok(outcomes)
-    }
-
-    /// The bottom-up level walk, pooled or inline: build each level's
-    /// owned input waves, hand them to `dispatch`, and absorb the results into the
-    /// slot table and the per-channel accounting before moving up a level.
-    ///
-    /// Any failure — a poisoned pool, a panicking filter, an empty slot that must
-    /// be full — aborts the walk with a typed error instead of panicking.
-    fn walk_levels(
-        &self,
-        produced: &mut [Vec<Option<Packet>>],
-        accounting: &mut [ChannelAccounting],
-        channels: usize,
-        dispatch: &mut dyn FnMut(Vec<InputWave>) -> Result<BatchResults, TbonError>,
-    ) -> Result<(), TbonError> {
         let levels = self.topology.levels();
         for level in (0..levels.len().saturating_sub(1)).rev() {
             let node_ids: Vec<EndpointId> = levels
@@ -406,9 +378,9 @@ impl InProcessTbon {
                 .filter(|&id| self.topology.node(id).role != TreeNodeRole::BackEnd)
                 .collect();
             // Node-major order: every channel fires at a node before the next node.
-            let mut items: Vec<InputWave> = Vec::with_capacity(node_ids.len() * channels);
+            let mut items: Vec<InputWave> = Vec::with_capacity(node_ids.len() * labels.len());
             for &id in &node_ids {
-                for channel in 0..channels {
+                for channel in 0..labels.len() {
                     let kids = &self.topology.node(id).children;
                     let mut inputs: Vec<Packet> = Vec::with_capacity(kids.len());
                     for &c in kids {
@@ -447,14 +419,35 @@ impl InProcessTbon {
                 *slot = Some(packet);
             }
         }
-        Ok(())
+
+        let frontend = self.topology.frontend().0 as usize;
+        let mut outcomes = Vec::with_capacity(accounting.len());
+        for (channel, (acc, label)) in accounting.into_iter().zip(labels).enumerate() {
+            let result = produced
+                .get_mut(channel)
+                .and_then(|slots| slots.get_mut(frontend))
+                .and_then(|slot| slot.take())
+                .ok_or(TbonError::WalkInvariant {
+                    context: "front end must have produced a result for every channel",
+                })?;
+            outcomes.push(ReductionOutcome {
+                channel: label,
+                result,
+                filter_time: acc.filter_wall,
+                filter_invocations: acc.filter_invocations,
+                frontend_bytes_in: acc.frontend_bytes_in,
+                max_node_bytes_in: acc.max_node_bytes_in,
+                total_link_bytes: acc.total_link_bytes,
+            });
+        }
+        Ok(outcomes)
     }
 
     /// Run one channel's filter at one node over its owned input wave, fenced by
     /// `catch_unwind`: a panicking user filter becomes
     /// [`TbonError::FilterPanicked`] instead of unwinding through the walk (or a
     /// pooled worker).
-    fn reduce_one_caught(
+    pub(crate) fn reduce_one_caught(
         id: EndpointId,
         channel: usize,
         inputs: Vec<Packet>,
@@ -475,7 +468,7 @@ impl InProcessTbon {
 }
 
 /// Best-effort extraction of a panic payload's message.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -486,12 +479,12 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// A batch of node×channel waves queued for the pool, and what comes back.
-type WaveBatch = Vec<InputWave>;
+pub(crate) type WaveBatch = Vec<InputWave>;
 type BatchResults = Vec<(EndpointId, usize, NodeChannelResult)>;
 /// A batch outcome: the results, or the typed error of the first wave that failed
 /// (a panicking filter is caught in the worker and converted, so a bad filter can
 /// neither strand the level barrier nor abort the process).
-type BatchOutcome = Result<BatchResults, TbonError>;
+pub(crate) type BatchOutcome = Result<BatchResults, TbonError>;
 
 /// Run every wave of a batch through its channel's filter, stopping at the first
 /// failure — the one place a filter is invoked, inline or on a pooled worker.
@@ -589,7 +582,7 @@ impl<'scope> WorkerPool<'scope> {
     /// A failed wave (panicking filter, poisoned queue) surfaces as the typed
     /// error of the first failure; the remaining batches are still drained so no
     /// worker is left blocked on a channel nobody reads.
-    fn run_level(&self, items: Vec<InputWave>) -> Result<BatchResults, TbonError> {
+    fn run_level(&self, items: WaveBatch) -> BatchOutcome {
         if items.is_empty() {
             return Ok(Vec::new());
         }
