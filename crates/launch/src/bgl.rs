@@ -16,7 +16,6 @@
 
 use machine::cluster::{Cluster, ClusterKind};
 use machine::placement::CommProcessBudget;
-use simkit::model::{CostModel, LinearCost, QuadraticCost};
 use simkit::time::SimDuration;
 use tbon::topology::TreeShape;
 
@@ -85,20 +84,13 @@ impl BglCiodLauncher {
     /// Unpatched: repeated `strcat` packing scans the growing buffer for every entry —
     /// quadratic work — plus the linear rendering cost.  Patched: linear packing only.
     pub fn process_table_cost(&self, tasks: u64) -> SimDuration {
-        let linear = LinearCost {
-            base: SimDuration::from_millis(200.0),
-            per_unit: SimDuration::from_micros(120.0),
-        };
+        let linear = SimDuration::from_millis(200.0) + SimDuration::from_micros(120.0) * tasks;
         match self.patch_level {
-            CiodPatchLevel::Patched => linear.cost(tasks),
+            CiodPatchLevel::Patched => linear,
             CiodPatchLevel::Unpatched => {
-                let quad = QuadraticCost {
-                    base: SimDuration::from_millis(200.0),
-                    per_unit: SimDuration::from_micros(120.0),
-                    // ~40 ns of buffer scanning per (entry, prior entry) pair.
-                    per_unit_sq: SimDuration::from_nanos(40),
-                };
-                quad.cost(tasks)
+                // ~40 ns of buffer scanning per (entry, prior entry) pair.
+                let entries = tasks as f64;
+                linear + SimDuration::from_nanos(40).mul_f64(entries * entries)
             }
         }
     }
@@ -283,6 +275,19 @@ mod tests {
         let launcher = BglCiodLauncher::new(CiodPatchLevel::Patched);
         let est = launcher.startup(&atlas, 1_024, &TreeShape::flat(128));
         assert!(!est.succeeded());
+    }
+
+    /// Recorded at the commit before the polynomial was written out in place of
+    /// `simkit`'s `LinearCost` / `QuadraticCost`.
+    #[test]
+    fn process_table_cost_at_208k_is_pinned_to_the_pre_refactor_values() {
+        let at = |level| {
+            BglCiodLauncher::new(level)
+                .process_table_cost(212_992)
+                .as_nanos()
+        };
+        assert_eq!(at(CiodPatchLevel::Patched), 25_759_040_000);
+        assert_eq!(at(CiodPatchLevel::Unpatched), 1_840_382_722_560);
     }
 
     #[test]

@@ -7,12 +7,20 @@
 //! daemons hit the file server at once, so the nominally node-local sampling step
 //! serializes behind the server.
 //!
-//! We model a file system as a queueing server (a [`simkit::resource::Resource`] with
-//! a small number of slots) plus per-access service-time formulas.  The crucial
-//! distinction the paper exploits — and that SBRS removes — is between *shared* file
-//! systems, where every daemon's accesses meet at the same server, and *node-local*
-//! storage (RAM disk), where each daemon has its own private "server" and accesses are
-//! embarrassingly parallel.
+//! That finding is, at heart, an observation about an M/D/c-like queue: 512 daemons
+//! simultaneously parsing a symbol table from one NFS server serialize behind the
+//! server, so an operation that is nominally O(1) per daemon becomes O(n/c) in
+//! wall-clock time.  Modelling that faithfully only requires a FIFO queue with a
+//! configurable number of server slots and per-request service times, and the only
+//! thing the figures read off the queue is when it drains — so a file system here is
+//! per-access service-time formulas plus [`FileSystem::drain_time`], the makespan of
+//! that queue.  The crucial distinction the paper exploits — and that SBRS removes —
+//! is between *shared* file systems, where every daemon's accesses meet at the same
+//! server, and *node-local* storage (RAM disk), where each daemon has its own private
+//! "server" and accesses are embarrassingly parallel.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use simkit::prelude::*;
 
@@ -148,7 +156,7 @@ impl FileSystem {
     }
 
     /// Server-side service time of one access.  This is the amount of time the access
-    /// occupies a server slot; queueing on top of it is the simulator's job.
+    /// occupies a server slot; queueing on top of it is [`FileSystem::drain_time`]'s job.
     pub fn server_service_time(&self, access: FileAccessKind, bytes: u64) -> SimDuration {
         match access {
             FileAccessKind::Metadata => self.metadata_op,
@@ -180,17 +188,40 @@ impl FileSystem {
         }
     }
 
-    /// Build the queueing resource representing this file system's server(s).
-    /// For node-local storage the notion of a shared server does not apply; callers
-    /// should check [`FileSystemKind::is_shared`] first, but we still return a very
-    /// wide resource so that accidental use degrades gracefully.
-    pub fn server_resource(&self) -> Resource {
-        let slots = if self.kind.is_shared() {
-            self.server_slots
-        } else {
-            1_000_000
-        };
-        Resource::fifo(self.kind.label(), slots)
+    /// Time until the server(s) have finished every request, each given as
+    /// `(arrival offset, service time)`.
+    ///
+    /// Requests are served first come, first served — ties in arrival keep their
+    /// order in `requests` — by `server_slots` identical slots: a request starts when
+    /// it has arrived *and* a slot is free.  Node-local storage has no shared server,
+    /// so nothing queues there and each request completes `service` after it arrives.
+    pub fn drain_time(&self, requests: &[(SimDuration, SimDuration)]) -> SimDuration {
+        if !self.kind.is_shared() {
+            return requests
+                .iter()
+                .map(|&(arrival, service)| arrival + service)
+                .max()
+                .unwrap_or(SimDuration::ZERO);
+        }
+        let slots = self.server_slots.max(1);
+        let mut queue = requests.to_vec();
+        queue.sort_by_key(|&(arrival, _)| arrival);
+        // Min-heap of the times at which the slots in use fall free.
+        let mut free_at = BinaryHeap::new();
+        let mut drained = SimDuration::ZERO;
+        for (arrival, service) in queue {
+            // A slot is taken over from an earlier request only once all are in use.
+            let freed = if free_at.len() < slots {
+                None
+            } else {
+                free_at.pop()
+            };
+            let start = freed.map_or(arrival, |Reverse(earliest)| arrival.max(earliest));
+            let done = start + service;
+            free_at.push(Reverse(done));
+            drained = drained.max(done);
+        }
+        drained
     }
 }
 
@@ -325,11 +356,49 @@ mod tests {
         assert!(!t.is_shared("/usr/lib64/libmpi.so"));
     }
 
+    fn ms(millis: f64) -> SimDuration {
+        SimDuration::from_millis(millis)
+    }
+
     #[test]
-    fn server_resource_width_matches_sharing() {
-        let nfs = FileSystem::nfs().server_resource();
-        assert_eq!(nfs.slots, 1);
-        let ram = FileSystem::ramdisk().server_resource();
-        assert!(ram.slots > 1000);
+    fn single_server_serializes_requests() {
+        let nfs = FileSystem::nfs();
+        assert_eq!(nfs.server_slots, 1);
+        let requests = [(SimDuration::ZERO, ms(10.0)); 4];
+        assert_eq!(nfs.drain_time(&requests), ms(40.0));
+        // Slots are clamped to at least one.
+        let no_slots = FileSystem {
+            server_slots: 0,
+            ..nfs
+        };
+        assert_eq!(no_slots.drain_time(&requests), ms(40.0));
+    }
+
+    #[test]
+    fn multiple_slots_run_in_parallel() {
+        let lustre = FileSystem::lustre();
+        assert_eq!(lustre.server_slots, 4);
+        let requests = [(SimDuration::ZERO, ms(10.0)); 4];
+        assert_eq!(lustre.drain_time(&requests), ms(10.0));
+        // A fifth request waits for the first slot to fall free.
+        let five = [(SimDuration::ZERO, ms(10.0)); 5];
+        assert_eq!(lustre.drain_time(&five), ms(20.0));
+    }
+
+    #[test]
+    fn staggered_arrivals_respect_time_order() {
+        // Submitted late-arrival first: the queue orders by arrival, not submission.
+        let requests = [(ms(5.0), ms(1.0)), (SimDuration::ZERO, ms(1.0))];
+        assert_eq!(FileSystem::nfs().drain_time(&requests), ms(6.0));
+    }
+
+    #[test]
+    fn node_local_storage_never_queues() {
+        let requests = [(ms(1.0), ms(10.0)), (ms(3.0), ms(10.0)), (ms(2.0), ms(4.0))];
+        for fs in [FileSystem::ramdisk(), FileSystem::local_disk()] {
+            assert_eq!(fs.drain_time(&requests), ms(13.0));
+            assert_eq!(fs.drain_time(&[]), SimDuration::ZERO);
+        }
+        assert_eq!(FileSystem::nfs().drain_time(&[]), SimDuration::ZERO);
     }
 }

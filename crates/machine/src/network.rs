@@ -7,7 +7,6 @@
 //! 2008-era hardware the paper used (DDR Infiniband on Atlas; the BG/L collective
 //! tree and the gigabit functional network to the I/O and login nodes).
 
-use simkit::model::BandwidthCost;
 use simkit::time::SimDuration;
 
 /// The kinds of links a message can traverse.
@@ -25,15 +24,31 @@ pub enum LinkClass {
     Local,
 }
 
+/// One link class's transfer-cost model: `latency + bytes / bandwidth`.
+#[derive(Clone, Copy, Debug)]
+struct Link {
+    /// One-way latency per message.
+    latency: SimDuration,
+    /// Bandwidth in bytes per second.
+    bytes_per_sec: f64,
+}
+
+impl Link {
+    /// Time to move `bytes` bytes in a single message.
+    fn transfer(&self, bytes: u64) -> SimDuration {
+        self.latency + SimDuration::from_secs(bytes as f64 / self.bytes_per_sec)
+    }
+}
+
 /// The interconnect of a machine: a transfer-cost model per link class.
 #[derive(Clone, Debug)]
 pub struct Interconnect {
     name: &'static str,
-    infiniband: BandwidthCost,
-    bgl_collective: BandwidthCost,
-    bgl_functional: BandwidthCost,
-    ethernet: BandwidthCost,
-    local: BandwidthCost,
+    infiniband: Link,
+    bgl_collective: Link,
+    bgl_functional: Link,
+    ethernet: Link,
+    local: Link,
 }
 
 impl Interconnect {
@@ -41,25 +56,25 @@ impl Interconnect {
     pub fn atlas() -> Self {
         Interconnect {
             name: "atlas",
-            infiniband: BandwidthCost {
+            infiniband: Link {
                 latency: SimDuration::from_micros(1.5),
                 bytes_per_sec: 1.5e9,
             },
             // Atlas has no BG/L networks; route those classes over Infiniband too so a
             // mis-specified link class degrades gracefully instead of panicking.
-            bgl_collective: BandwidthCost {
+            bgl_collective: Link {
                 latency: SimDuration::from_micros(1.5),
                 bytes_per_sec: 1.5e9,
             },
-            bgl_functional: BandwidthCost {
+            bgl_functional: Link {
                 latency: SimDuration::from_micros(1.5),
                 bytes_per_sec: 1.5e9,
             },
-            ethernet: BandwidthCost {
+            ethernet: Link {
                 latency: SimDuration::from_micros(50.0),
                 bytes_per_sec: 110.0e6,
             },
-            local: BandwidthCost {
+            local: Link {
                 latency: SimDuration::from_micros(0.3),
                 bytes_per_sec: 4.0e9,
             },
@@ -71,23 +86,23 @@ impl Interconnect {
     pub fn bluegene_l() -> Self {
         Interconnect {
             name: "bgl",
-            infiniband: BandwidthCost {
+            infiniband: Link {
                 latency: SimDuration::from_micros(2.5),
                 bytes_per_sec: 350.0e6,
             },
-            bgl_collective: BandwidthCost {
+            bgl_collective: Link {
                 latency: SimDuration::from_micros(2.5),
                 bytes_per_sec: 350.0e6,
             },
-            bgl_functional: BandwidthCost {
+            bgl_functional: Link {
                 latency: SimDuration::from_micros(65.0),
                 bytes_per_sec: 100.0e6,
             },
-            ethernet: BandwidthCost {
+            ethernet: Link {
                 latency: SimDuration::from_micros(80.0),
                 bytes_per_sec: 100.0e6,
             },
-            local: BandwidthCost {
+            local: Link {
                 latency: SimDuration::from_micros(0.5),
                 bytes_per_sec: 2.0e9,
             },
@@ -99,20 +114,16 @@ impl Interconnect {
         self.name
     }
 
-    /// The transfer-cost model for a link class.
-    pub fn link(&self, class: LinkClass) -> BandwidthCost {
-        match class {
+    /// Time to move `bytes` over one hop of `class`.
+    pub fn transfer(&self, class: LinkClass, bytes: u64) -> SimDuration {
+        let link = match class {
             LinkClass::InfinibandDdr => self.infiniband,
             LinkClass::BglCollective => self.bgl_collective,
             LinkClass::BglFunctional => self.bgl_functional,
             LinkClass::Ethernet1G => self.ethernet,
             LinkClass::Local => self.local,
-        }
-    }
-
-    /// Time to move `bytes` over one hop of `class`.
-    pub fn transfer(&self, class: LinkClass, bytes: u64) -> SimDuration {
-        self.link(class).transfer(bytes)
+        };
+        link.transfer(bytes)
     }
 
     /// The link class connecting a tool daemon to its parent communication process.
@@ -135,6 +146,16 @@ impl Interconnect {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn transfer_combines_latency_and_serialization() {
+        let link = Link {
+            latency: SimDuration::from_micros(5.0),
+            bytes_per_sec: 1.0e9,
+        };
+        // 1 MB at 1 GB/s = 1 ms, plus the 5 µs latency.
+        assert_eq!(link.transfer(1_000_000), SimDuration::from_micros(1_005.0));
+    }
 
     #[test]
     fn atlas_infiniband_is_faster_than_ethernet() {

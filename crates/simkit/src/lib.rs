@@ -1,63 +1,45 @@
-//! # simkit — a deterministic discrete-event simulation engine
+//! # simkit — virtual time, seeded randomness and result tables
 //!
 //! The STAT reproduction executes its *algorithms* (prefix-tree merging, task-set
 //! algebra, filter reductions) for real, but the *environment* the original tool ran
 //! in — a 104-rack BlueGene/L, an 1,152-node Infiniband cluster, NFS and Lustre file
-//! servers, rsh daemons, resource managers — is modelled.  `simkit` is the substrate
-//! those models are built on: a small, fully deterministic discrete-event simulator.
+//! servers, rsh daemons, resource managers — is modelled.  The models themselves live
+//! with what they describe (`machine`, `launch`, `stackwalk`, `tbon::cost`); `simkit`
+//! holds only the three things they all share:
 //!
-//! Design goals, in order:
+//! * [`time::SimDuration`] — spans of virtual time as integer nanoseconds, so that
+//!   sums are associative and every operation saturates instead of wrapping;
+//! * [`rng::DeterministicRng`] — the one seeded generator all jitter and every
+//!   randomized campaign draws from, so a run is reproducible from the seed it prints;
+//! * [`stats::SeriesTable`] — the scaling-curve table every figure generator emits.
 //!
-//! 1. **Determinism.**  Two runs with the same seed and the same schedule of calls
-//!    produce bit-identical virtual timelines.  All tie-breaking between simultaneous
-//!    events uses a monotonically increasing sequence number, never pointer identity
-//!    or hash-map iteration order.
-//! 2. **Analysability.**  The engine exposes the full event trace and per-resource
-//!    queueing statistics so that the figure generators can report utilisation and
-//!    contention alongside latency.
-//! 3. **No global state.**  Everything hangs off an explicit [`engine::Simulation`]
-//!    value; tests can run thousands of tiny simulations in parallel under the normal
-//!    test harness.
-//!
-//! The engine is intentionally synchronous and single-threaded: the workloads we model
-//! (launching daemons, queueing on a file server, broadcasting a binary) involve at
-//! most a few hundred thousand events per experiment, far below the point where a
-//! parallel discrete-event engine would pay off, and a single-threaded engine keeps
-//! repeatability trivial.
+//! There is no event engine: the only queue the paper's figures need — daemons
+//! serialising behind a shared file server — is a closed-form makespan owned by
+//! `machine::filesystem`.
 //!
 //! ```
 //! use simkit::prelude::*;
 //!
-//! let mut sim = Simulation::new(42);
-//! // A file server that serves one request at a time, 1 ms per request.
-//! let server = sim.add_resource(Resource::fifo("nfs", 1));
-//! for client in 0..4 {
-//!     sim.schedule(SimTime::ZERO, Event::request(server, client, SimDuration::from_millis(1.0)));
+//! let mut rng = DeterministicRng::new(42);
+//! let per_daemon = SimDuration::from_millis(12.0).mul_f64(rng.jitter(0.2));
+//! let mut table = SeriesTable::new("serialised parse", "daemons", "seconds");
+//! for daemons in [64u64, 128, 256] {
+//!     table.push("one server slot", daemons, (per_daemon * daemons).as_secs());
 //! }
-//! let report = sim.run();
-//! assert_eq!(report.completed_requests, 4);
-//! assert!(sim.now() >= SimTime::from_millis(4.0));
+//! assert!(table.loglog_slope("one server slot").unwrap() > 0.95);
 //! ```
 
 #![warn(rust_2018_idioms)]
 
-pub mod engine;
-pub mod event;
-pub mod model;
-pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 /// Convenience re-exports used by nearly every consumer of the crate.
 pub mod prelude {
-    pub use crate::engine::{RunReport, Simulation};
-    pub use crate::event::{Event, EventKind, EventLog};
-    pub use crate::model::{CostModel, LinearCost, QuadraticCost};
-    pub use crate::resource::{Resource, ResourceId, ResourcePolicy};
     pub use crate::rng::DeterministicRng;
-    pub use crate::stats::{Accumulator, Histogram, SeriesPoint, SeriesTable};
-    pub use crate::time::{SimDuration, SimTime};
+    pub use crate::stats::SeriesTable;
+    pub use crate::time::SimDuration;
 }
 
 pub use prelude::*;

@@ -2,10 +2,10 @@
 //!
 //! The environment models need small amounts of randomness — run-to-run jitter on NFS
 //! service times, the >20% variation the paper observed between "identical" BG/L
-//! sampling runs, randomised daemon→rank mappings for the remap experiment.  All of it
-//! flows through [`DeterministicRng`], a thin wrapper around a SplitMix64/xoshiro-style
-//! generator with convenience samplers, so that every experiment is reproducible from
-//! a single seed printed in its output.
+//! sampling runs, the draws of the seeded fault campaigns.  All of it flows through
+//! [`DeterministicRng`], a thin wrapper around a SplitMix64/xoshiro-style generator
+//! with convenience samplers, so that every experiment is reproducible from a single
+//! seed printed in its output.
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -24,11 +24,6 @@ impl DeterministicRng {
             inner: StdRng::seed_from_u64(seed),
             seed,
         }
-    }
-
-    /// The seed this generator was created with (recorded in experiment output).
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Derive an independent child generator; used to give each daemon or node its own
@@ -78,24 +73,6 @@ impl DeterministicRng {
         } else {
             self.inner.gen_bool(p)
         }
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        if items.len() < 2 {
-            return;
-        }
-        for i in (1..items.len()).rev() {
-            let j = self.uniform_usize(0, i + 1);
-            items.swap(i, j);
-        }
-    }
-
-    /// A random permutation of `0..n`, used for daemon→rank mappings.
-    pub fn permutation(&mut self, n: usize) -> Vec<usize> {
-        let mut p: Vec<usize> = (0..n).collect();
-        self.shuffle(&mut p);
-        p
     }
 }
 
@@ -178,29 +155,5 @@ mod tests {
         assert!(rng.chance(1.0));
         assert!(!rng.chance(-0.5));
         assert!(rng.chance(1.5));
-    }
-
-    #[test]
-    fn permutation_is_a_permutation() {
-        let mut rng = DeterministicRng::new(19);
-        let p = rng.permutation(100);
-        let mut sorted = p.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(
-            p,
-            (0..100).collect::<Vec<_>>(),
-            "shuffle should move things"
-        );
-    }
-
-    #[test]
-    fn shuffle_handles_degenerate_slices() {
-        let mut rng = DeterministicRng::new(23);
-        let mut empty: Vec<u8> = vec![];
-        rng.shuffle(&mut empty);
-        let mut one = vec![42];
-        rng.shuffle(&mut one);
-        assert_eq!(one, vec![42]);
     }
 }

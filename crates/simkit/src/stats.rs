@@ -1,195 +1,19 @@
-//! Statistics collectors and result tables.
+//! Result tables.
 //!
 //! Every experiment in the paper is presented as a scaling curve: an x-axis of task
 //! or node counts and one line per configuration.  [`SeriesTable`] is the common
-//! output format all figure generators produce; it renders to an aligned text table
-//! and to CSV so EXPERIMENTS.md and downstream plotting can both consume it.
+//! output format all figure generators produce; it renders to an aligned text table.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Streaming accumulator for mean / min / max / variance without storing samples.
-#[derive(Clone, Debug, Default)]
-pub struct Accumulator {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-    sum: f64,
-}
-
-impl Accumulator {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Accumulator {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-        }
-    }
-
-    /// Add a sample (Welford's online algorithm).
-    pub fn add(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean of samples (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 if fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample (0 if empty).
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample (0 if empty).
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Merge another accumulator into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &Accumulator) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let new_mean = self.mean + delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.mean = new_mean;
-        self.count = total;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// A fixed-bucket histogram over non-negative values (queue waits, latencies).
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    bucket_width: f64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    acc: Accumulator,
-}
-
-impl Histogram {
-    /// A histogram with `buckets` buckets of `bucket_width` each; values beyond the
-    /// last bucket are counted in an overflow bin.
-    pub fn new(bucket_width: f64, buckets: usize) -> Self {
-        Histogram {
-            bucket_width: bucket_width.max(f64::MIN_POSITIVE),
-            buckets: vec![0; buckets.max(1)],
-            overflow: 0,
-            acc: Accumulator::new(),
-        }
-    }
-
-    /// Record a value (negative values clamp to the first bucket).
-    pub fn add(&mut self, value: f64) {
-        self.acc.add(value);
-        let v = value.max(0.0);
-        let idx = (v / self.bucket_width) as usize;
-        if idx < self.buckets.len() {
-            self.buckets[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Total recorded values.
-    pub fn count(&self) -> u64 {
-        self.acc.count()
-    }
-
-    /// The underlying accumulator (mean/min/max/stddev).
-    pub fn summary(&self) -> &Accumulator {
-        &self.acc
-    }
-
-    /// Approximate quantile from the bucket midpoints (q in [0, 1]).
-    pub fn quantile(&self, q: f64) -> f64 {
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return (i as f64 + 0.5) * self.bucket_width;
-            }
-        }
-        self.acc.max()
-    }
-
-    /// Number of values that exceeded the bucketed range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-}
-
 /// One measured point of a scaling curve.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SeriesPoint {
+struct SeriesPoint {
     /// The x value (task count, daemon count, node count).
-    pub x: u64,
+    x: u64,
     /// The y value (seconds, bytes, ...).
-    pub y: f64,
+    y: f64,
 }
 
 /// A named collection of scaling curves sharing an x-axis, i.e. one paper figure.
@@ -218,11 +42,6 @@ impl SeriesTable {
         }
     }
 
-    /// The figure/table title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     /// Append a point to a named series (created on first use).
     pub fn push(&mut self, series: impl Into<String>, x: u64, y: f64) {
         self.series
@@ -246,11 +65,6 @@ impl SeriesTable {
         self.series.keys().map(String::as_str).collect()
     }
 
-    /// Points of one series.
-    pub fn series(&self, name: &str) -> Option<&[SeriesPoint]> {
-        self.series.get(name).map(Vec::as_slice)
-    }
-
     /// The y value of a series at a given x, if measured.
     pub fn value_at(&self, name: &str, x: u64) -> Option<f64> {
         self.series
@@ -261,7 +75,7 @@ impl SeriesTable {
     }
 
     /// All distinct x values across every series, sorted.
-    pub fn x_values(&self) -> Vec<u64> {
+    fn x_values(&self) -> Vec<u64> {
         let mut xs: Vec<u64> = self
             .series
             .values()
@@ -270,29 +84,6 @@ impl SeriesTable {
         xs.sort_unstable();
         xs.dedup();
         xs
-    }
-
-    /// Render as CSV: `x,series1,series2,...` with empty cells for missing points.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let names = self.series_names();
-        out.push_str(&self.x_label);
-        for n in &names {
-            out.push(',');
-            out.push_str(n);
-        }
-        out.push('\n');
-        for x in self.x_values() {
-            out.push_str(&x.to_string());
-            for n in &names {
-                out.push(',');
-                if let Some(v) = self.value_at(n, x) {
-                    out.push_str(&format!("{v:.6}"));
-                }
-            }
-            out.push('\n');
-        }
-        out
     }
 
     /// Least-squares slope of log2(y) against log2(x) for one series: ≈1 for linear
@@ -370,82 +161,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accumulator_basic_moments() {
-        let mut a = Accumulator::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            a.add(x);
-        }
-        assert_eq!(a.count(), 8);
-        assert!((a.mean() - 5.0).abs() < 1e-12);
-        assert!((a.variance() - 4.0).abs() < 1e-9);
-        assert!((a.stddev() - 2.0).abs() < 1e-9);
-        assert_eq!(a.min(), 2.0);
-        assert_eq!(a.max(), 9.0);
-    }
-
-    #[test]
-    fn empty_accumulator_is_all_zeroes() {
-        let a = Accumulator::new();
-        assert_eq!(a.mean(), 0.0);
-        assert_eq!(a.variance(), 0.0);
-        assert_eq!(a.min(), 0.0);
-        assert_eq!(a.max(), 0.0);
-    }
-
-    #[test]
-    fn merge_matches_sequential_accumulation() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() + 2.0).collect();
-        let mut whole = Accumulator::new();
-        for &x in &xs {
-            whole.add(x);
-        }
-        let mut left = Accumulator::new();
-        let mut right = Accumulator::new();
-        for &x in &xs[..37] {
-            left.add(x);
-        }
-        for &x in &xs[37..] {
-            right.add(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Accumulator::new();
-        a.add(1.0);
-        a.add(3.0);
-        let before = a.clone();
-        a.merge(&Accumulator::new());
-        assert_eq!(a.count(), before.count());
-        assert_eq!(a.mean(), before.mean());
-
-        let mut empty = Accumulator::new();
-        empty.merge(&before);
-        assert_eq!(empty.count(), 2);
-        assert_eq!(empty.mean(), before.mean());
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::new(1.0, 10);
-        for v in 0..10 {
-            h.add(v as f64 + 0.1);
-        }
-        h.add(100.0); // overflow
-        assert_eq!(h.count(), 11);
-        assert_eq!(h.overflow(), 1);
-        let median = h.quantile(0.5);
-        assert!((3.0..=6.0).contains(&median), "median was {median}");
-        assert_eq!(Histogram::new(1.0, 4).quantile(0.5), 0.0);
-    }
-
-    #[test]
     fn series_table_round_trips() {
         let mut t = SeriesTable::new("Figure X", "tasks", "seconds");
         t.push("1-deep", 8, 1.0);
@@ -455,9 +170,6 @@ mod tests {
         assert_eq!(t.value_at("1-deep", 16), Some(2.0));
         assert_eq!(t.value_at("2-deep", 16), None);
         assert_eq!(t.x_values(), vec![8, 16]);
-        let csv = t.to_csv();
-        assert!(csv.starts_with("tasks,1-deep,2-deep"));
-        assert!(csv.contains("16,2.000000,"));
         let rendered = format!("{t}");
         assert!(rendered.contains("Figure X"));
         assert!(rendered.contains("example note"));

@@ -4,15 +4,13 @@
 //! so that addition is associative and runs are reproducible regardless of the order
 //! in which durations are accumulated.  All public constructors take seconds or
 //! milliseconds as `f64` for convenience, because the cost models in the `machine`
-//! and `launch` crates are naturally expressed in seconds.
+//! and `launch` crates are naturally expressed in seconds.  Every operation
+//! saturates: an absurd input (a command-line task count fed to a quadratic model)
+//! pins a cost at "forever" instead of wrapping it to a small one.
 
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
-
-/// A point in virtual time, measured in nanoseconds since the start of the simulation.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SimTime(u64);
 
 /// A span of virtual time, measured in nanoseconds.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -21,48 +19,6 @@ pub struct SimDuration(u64);
 const NANOS_PER_SEC: f64 = 1.0e9;
 const NANOS_PER_MILLI: f64 = 1.0e6;
 const NANOS_PER_MICRO: f64 = 1.0e3;
-
-impl SimTime {
-    /// The origin of virtual time.
-    pub const ZERO: SimTime = SimTime(0);
-    /// The largest representable instant; used as a sentinel for "never".
-    pub const MAX: SimTime = SimTime(u64::MAX);
-
-    /// Construct from whole nanoseconds.
-    pub const fn from_nanos(nanos: u64) -> Self {
-        SimTime(nanos)
-    }
-
-    /// Construct from seconds.  Negative and non-finite values saturate to zero.
-    pub fn from_secs(secs: f64) -> Self {
-        SimTime(secs_to_nanos(secs))
-    }
-
-    /// Construct from milliseconds.  Negative and non-finite values saturate to zero.
-    pub fn from_millis(millis: f64) -> Self {
-        SimTime(f64_to_nanos(millis * NANOS_PER_MILLI))
-    }
-
-    /// The instant expressed in whole nanoseconds.
-    pub const fn as_nanos(self) -> u64 {
-        self.0
-    }
-
-    /// The instant expressed in (possibly lossy) seconds.
-    pub fn as_secs(self) -> f64 {
-        self.0 as f64 / NANOS_PER_SEC
-    }
-
-    /// Time elapsed since `earlier`, saturating at zero if `earlier` is in the future.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked advance by a duration, saturating at [`SimTime::MAX`].
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
-    }
-}
 
 impl SimDuration {
     /// A zero-length duration.
@@ -146,36 +102,16 @@ fn f64_to_nanos(nanos: f64) -> u64 {
     }
 }
 
-impl Add<SimDuration> for SimTime {
-    type Output = SimTime;
-    fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign<SimDuration> for SimTime {
-    fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sub<SimTime> for SimTime {
-    type Output = SimDuration;
-    fn sub(self, rhs: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
-    }
-}
-
 impl Add for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
+        self.saturating_add(rhs)
     }
 }
 
 impl AddAssign for SimDuration {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = self.saturating_add(rhs);
     }
 }
 
@@ -212,18 +148,6 @@ impl Sum for SimDuration {
     }
 }
 
-impl fmt::Debug for SimTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t={:.6}s", self.as_secs())
-    }
-}
-
-impl fmt::Display for SimTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.6}s", self.as_secs())
-    }
-}
-
 impl fmt::Debug for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.6}s", self.as_secs())
@@ -242,28 +166,38 @@ mod tests {
 
     #[test]
     fn construction_round_trips_through_seconds() {
-        let t = SimTime::from_secs(1.5);
-        assert_eq!(t.as_nanos(), 1_500_000_000);
-        assert!((t.as_secs() - 1.5).abs() < 1e-12);
+        let d = SimDuration::from_secs(1.5);
+        assert_eq!(d.as_nanos(), 1_500_000_000);
+        assert!((d.as_secs() - 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn negative_and_nan_inputs_saturate_to_zero() {
-        assert_eq!(SimTime::from_secs(-3.0), SimTime::ZERO);
+        assert_eq!(SimDuration::from_secs(-3.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs(f64::NAN), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs(f64::NEG_INFINITY), SimDuration::ZERO);
     }
 
     #[test]
     fn infinity_saturates_to_max() {
-        assert_eq!(SimTime::from_secs(f64::INFINITY), SimTime::MAX);
+        assert_eq!(SimDuration::from_secs(f64::INFINITY).as_nanos(), u64::MAX);
     }
 
     #[test]
-    fn time_arithmetic_behaves() {
-        let a = SimTime::from_millis(10.0);
+    fn addition_saturates_like_every_other_operation() {
+        let forever = SimDuration::from_secs(f64::INFINITY);
         let d = SimDuration::from_millis(5.0);
-        assert_eq!(a + d, SimTime::from_millis(15.0));
+        assert_eq!(forever + d, forever);
+        let mut total = d;
+        total += forever;
+        assert_eq!(total, forever);
+    }
+
+    #[test]
+    fn duration_arithmetic_behaves() {
+        let a = SimDuration::from_millis(10.0);
+        let d = SimDuration::from_millis(5.0);
+        assert_eq!(a + d, SimDuration::from_millis(15.0));
         assert_eq!((a + d) - a, d);
         // subtraction saturates rather than wrapping
         assert_eq!(a - (a + d), SimDuration::ZERO);
@@ -294,15 +228,7 @@ mod tests {
 
     #[test]
     fn display_is_in_seconds() {
-        let t = SimTime::from_millis(1250.0);
-        assert_eq!(format!("{t}"), "1.250000s");
-    }
-
-    #[test]
-    fn saturating_since_handles_future_reference() {
-        let early = SimTime::from_secs(1.0);
-        let late = SimTime::from_secs(2.0);
-        assert_eq!(late.saturating_since(early), SimDuration::from_secs(1.0));
-        assert_eq!(early.saturating_since(late), SimDuration::ZERO);
+        let d = SimDuration::from_millis(1250.0);
+        assert_eq!(format!("{d}"), "1.250000s");
     }
 }

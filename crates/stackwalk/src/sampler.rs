@@ -208,11 +208,12 @@ impl SamplingCostModel {
 
     /// Estimate the sampling phase for a job of `tasks` MPI tasks.
     ///
-    /// The symbol-table parse phase is run through the discrete-event simulator so
-    /// that queueing at the shared file server is modelled rather than assumed; the
-    /// walk and local-merge phases are per-daemon arithmetic with deterministic
-    /// per-daemon jitter, and the result is the maximum over daemons (the front end
-    /// cannot proceed until the slowest daemon reports).
+    /// The symbol-table parse phase queues every daemon's reads at the file server
+    /// that holds each image ([`FileSystem::drain_time`]), so contention at a shared
+    /// server is modelled rather than assumed; the walk and local-merge phases are
+    /// per-daemon arithmetic with deterministic per-daemon jitter, and the result is
+    /// the maximum over daemons (the front end cannot proceed until the slowest
+    /// daemon reports).
     pub fn estimate(&self, tasks: u64, placement: BinaryPlacement, seed: u64) -> SamplingEstimate {
         let shape = self.cluster.job(tasks);
         let daemons = shape.daemons;
@@ -226,44 +227,54 @@ impl SamplingCostModel {
         let server_load = rng.jitter(cfg.server_load_spread).max(0.5);
 
         // ---- Phase 1: symbol-table parsing, with file-server queueing. ----
+        // Group the working set by the file system that serves each image.
         let working_set = self.effective_working_set(placement);
-        let mut sim = Simulation::new(seed);
-        let mut resources: Vec<(FileSystemKind, simkit::resource::ResourceId)> = Vec::new();
-        for (_, kind) in &working_set {
-            if !resources.iter().any(|(k, _)| k == kind) {
-                let fs = FileSystem::of_kind(*kind);
-                let id = sim.add_resource(fs.server_resource());
-                resources.push((*kind, id));
+        let mut served_by: Vec<(FileSystem, Vec<&BinaryImage>)> = Vec::new();
+        for (img, kind) in &working_set {
+            match served_by.iter_mut().find(|(fs, _)| fs.kind == *kind) {
+                Some((_, images)) => images.push(img),
+                None => served_by.push((FileSystem::of_kind(*kind), vec![img])),
             }
         }
-        for daemon in 0..daemons {
-            // Daemons do not all arrive at the same nanosecond: stagger arrivals a
-            // little so the queue build-up is realistic rather than degenerate.
-            let arrival = SimTime::from_millis(rng.uniform(0.0, 5.0));
-            for (img, kind) in &working_set {
-                let fs = FileSystem::of_kind(*kind);
-                let read_bytes = (img.bytes as f64 * cfg.symtab_read_fraction).round() as u64;
-                let mut service =
-                    fs.server_service_time(FileAccessKind::SymbolTableParse, read_bytes);
-                if kind.is_shared() {
-                    service = service.mul_f64(server_load);
-                }
-                let resource = resources
-                    .iter()
-                    .find(|(k, _)| k == kind)
-                    .map(|(_, id)| *id)
-                    .expect("resource registered above");
-                sim.schedule(arrival, Event::request(resource, daemon as u64, service));
-            }
-        }
-        let report = sim.run();
-        let symbol_parse_server = report.finished_at.saturating_since(SimTime::ZERO);
-        // Client-side parse work happens per daemon after its reads complete.
-        let client_parse: SimDuration = working_set
+        // Daemons do not all arrive at the same nanosecond: stagger arrivals a
+        // little so the queue build-up is realistic rather than degenerate.
+        let arrivals: Vec<SimDuration> = (0..daemons)
+            .map(|_| SimDuration::from_millis(rng.uniform(0.0, 5.0)))
+            .collect();
+        // Every daemon reads every image; the phase lasts until the slowest file
+        // system has drained its queue.
+        let symbol_parse_server = served_by
             .iter()
-            .map(|(img, kind)| {
-                FileSystem::of_kind(*kind)
-                    .client_service_time(FileAccessKind::SymbolTableParse, img.bytes)
+            .map(|(fs, images)| {
+                let services: Vec<SimDuration> = images
+                    .iter()
+                    .map(|img| {
+                        let read_bytes =
+                            (img.bytes as f64 * cfg.symtab_read_fraction).round() as u64;
+                        let service =
+                            fs.server_service_time(FileAccessKind::SymbolTableParse, read_bytes);
+                        if fs.kind.is_shared() {
+                            service.mul_f64(server_load)
+                        } else {
+                            service
+                        }
+                    })
+                    .collect();
+                let requests: Vec<(SimDuration, SimDuration)> = arrivals
+                    .iter()
+                    .flat_map(|&arrival| services.iter().map(move |&service| (arrival, service)))
+                    .collect();
+                fs.drain_time(&requests)
+            })
+            .max()
+            .unwrap_or(SimDuration::ZERO);
+        // Client-side parse work happens per daemon after its reads complete.
+        let client_parse: SimDuration = served_by
+            .iter()
+            .flat_map(|(fs, images)| {
+                images.iter().map(move |img| {
+                    fs.client_service_time(FileAccessKind::SymbolTableParse, img.bytes)
+                })
             })
             .sum();
         let symbol_parse = symbol_parse_server + client_parse.mul_f64(slowdown);
@@ -416,6 +427,51 @@ mod tests {
         let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = times.iter().cloned().fold(0.0_f64, f64::max);
         assert!(max / min > 1.1, "expected >10% spread, got {min}..{max}");
+    }
+
+    /// Recorded at the commit before the file-server queue moved out of the
+    /// discrete-event engine: the end points of every modelled series of Figures 8–10.
+    #[test]
+    fn modelled_estimates_are_pinned_to_the_pre_refactor_values() {
+        use BinaryPlacement::{LustreScratch, NfsHome, RelocatedRamDisk};
+        let pre_update = SamplingConfig {
+            pre_os_update: true,
+            ..SamplingConfig::default()
+        };
+        let fig08 = SamplingCostModel::new(Cluster::atlas()).with_config(pre_update);
+        let vn = SamplingCostModel::new(Cluster::bluegene_l(BglMode::VirtualNode));
+        let co = SamplingCostModel::new(Cluster::bluegene_l(BglMode::CoProcessor));
+        let atlas = SamplingCostModel::new(Cluster::atlas());
+        let cases = [
+            (&fig08, 4_096, NfsHome, 42 + 4_096),
+            (&vn, 212_992, NfsHome, 11 ^ 212_992),
+            (&vn, 212_992, NfsHome, 1215 ^ 212_992),
+            (&co, 106_496, NfsHome, 11 ^ 106_496),
+            (&co, 106_496, NfsHome, 1215 ^ 106_496),
+            (&atlas, 1_024, NfsHome, 7 + 1_024),
+            (&atlas, 1_024, LustreScratch, 7 + 1_024),
+            (&atlas, 1_024, RelocatedRamDisk, 7 + 1_024),
+        ];
+        // [symbol_parse, total] in nanoseconds, one row per case above.
+        let pinned: [[u64; 2]; 8] = [
+            [31_810_434_933, 33_377_816_410],
+            [82_211_722_106, 90_365_762_870],
+            [103_723_779_499, 111_876_901_751],
+            [81_274_132_027, 86_024_094_090],
+            [78_663_389_193, 83_415_317_917],
+            [5_245_796_655, 6_813_355_657],
+            [1_846_619_800, 3_414_178_802],
+            [235_854_431, 1_803_413_433],
+        ];
+        for ((model, tasks, placement, seed), pin) in cases.into_iter().zip(pinned) {
+            let est = model.estimate(tasks, placement, seed);
+            assert_eq!(
+                [est.symbol_parse.as_nanos(), est.total.as_nanos()],
+                pin,
+                "{} at {tasks} tasks, {placement:?}, seed {seed}",
+                model.cluster().name
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * [`launch`] — rsh / LaunchMON / BG/L CIOD launcher models;
 //! * [`sbrs`] — the Scalable Binary Relocation Service;
 //! * [`machine`] — the Atlas and BlueGene/L machine models;
-//! * [`simkit`] — the deterministic discrete-event simulation engine underneath.
+//! * [`simkit`] — virtual time, the seeded RNG and the result tables the models share.
 
 #![warn(rust_2018_idioms)]
 

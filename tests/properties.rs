@@ -1,6 +1,6 @@
 //! Property-based tests (proptest) over the core data structures and invariants:
 //! task-set algebra, prefix-tree merging, wire-format round trips, topology
-//! construction and the discrete-event engine's conservation laws.
+//! construction and the file-server queue's makespan bounds.
 
 use proptest::prelude::*;
 
@@ -707,35 +707,34 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------------
-// Discrete-event engine conservation laws
+// File-server queue: bounds on the makespan
 // ---------------------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn every_scheduled_request_completes_exactly_once(
+    fn file_server_makespan_obeys_the_queueing_bounds(
         requests in prop::collection::vec((0u64..1_000, 1u64..50), 1..80),
         slots in 1usize..4,
     ) {
-        use simkit::prelude::*;
-        let mut sim = Simulation::new(7);
-        let server = sim.add_resource(Resource::fifo("srv", slots));
-        let mut total_service = SimDuration::ZERO;
-        for (i, (start_ms, service_ms)) in requests.iter().enumerate() {
-            let service = SimDuration::from_millis(*service_ms as f64);
-            total_service += service;
-            sim.schedule(
-                SimTime::from_millis(*start_ms as f64),
-                Event::request(server, i as u64, service),
-            );
-        }
-        let report = sim.run();
-        prop_assert_eq!(report.completed_requests, requests.len() as u64);
-        // The run can never finish before the last arrival plus its own service, nor
+        use machine::filesystem::FileSystem;
+        use simkit::time::SimDuration;
+        let ms = |millis: u64| SimDuration::from_millis(millis as f64);
+        let server = |server_slots| FileSystem { server_slots, ..FileSystem::nfs() };
+        let queue: Vec<_> = requests.iter().map(|&(at, service)| (ms(at), ms(service))).collect();
+        let total_service: SimDuration = queue.iter().map(|&(_, service)| service).sum();
+        let makespan = server(slots).drain_time(&queue);
+
+        // The queue can never drain before the last arrival plus its own service, nor
         // before the total service divided by the parallel slots.
-        let busy = report.resource("srv").unwrap().busy_time;
-        prop_assert_eq!(busy.as_nanos(), total_service.as_nanos());
-        prop_assert!(report.finished_at.as_secs() >= total_service.as_secs() / slots as f64);
+        let last_possible = queue.iter().map(|&(at, service)| at + service).max().unwrap();
+        prop_assert!(makespan >= last_possible);
+        prop_assert!(makespan.as_secs() >= total_service.as_secs() / slots as f64);
+        // Adding a slot never lengthens it.
+        prop_assert!(server(slots + 1).drain_time(&queue) <= makespan);
+        // One slot with everything queued at time zero serves the requests back to back.
+        let at_zero: Vec<_> = queue.iter().map(|&(_, service)| (SimDuration::ZERO, service)).collect();
+        prop_assert_eq!(server(1).drain_time(&at_zero), total_service);
     }
 }
