@@ -6,6 +6,8 @@
 //! machine.  Everything downstream (walking, interning, local merge, the TBON merge,
 //! equivalence classes) is the real tool code.
 
+use std::ops::Range;
+
 use stackwalk::{FrameTable, TaskSamples, Walker};
 
 /// A simulated parallel application.
@@ -79,21 +81,43 @@ pub fn gather_samples_for_ranks_from(
     samples: u32,
     table: &mut FrameTable,
 ) -> Vec<TaskSamples> {
-    let mut walker = Walker::new();
-    ranks
+    let per_task = samples as usize * app.threads_per_task() as usize;
+    let mut gathered: Vec<TaskSamples> = ranks
         .iter()
-        .map(|&rank| {
-            let mut traces = Vec::with_capacity(samples as usize * app.threads_per_task() as usize);
-            for sample in base..base.saturating_add(samples) {
-                for thread in 0..app.threads_per_task() {
-                    let path = app.call_path(rank, thread, sample);
-                    let path_refs: Vec<&str> = path.to_vec();
-                    traces.push(walker.walk(table, &path_refs));
-                }
+        .map(|&rank| TaskSamples::new(rank, Vec::with_capacity(per_task)))
+        .collect();
+    let mut walker = Walker::new();
+    let window = base..base.saturating_add(samples);
+    for_each_sampled_path(app, ranks, window, |position, _, path| {
+        gathered[position].traces.push(walker.walk(table, path));
+    });
+    gathered
+}
+
+/// The order a daemon samples its tasks in, stated once: rank by rank (in the
+/// order given), sample index by sample index over `window` within a rank, thread
+/// by thread within a sample.  `visit` receives the rank's position in `ranks`, the
+/// trace's number within that rank's series (0 for the task's first trace — the
+/// one the 2D analysis keeps) and the call path, outermost frame first.
+///
+/// [`gather_samples_for_ranks_from`] materialises the visit as [`TaskSamples`];
+/// `stat_core`'s daemons walk each path straight into their local prefix trees.
+pub fn for_each_sampled_path(
+    app: &dyn Application,
+    ranks: &[u64],
+    window: Range<u32>,
+    mut visit: impl FnMut(usize, usize, &[&'static str]),
+) {
+    let threads = app.threads_per_task();
+    for (position, &rank) in ranks.iter().enumerate() {
+        let mut nth = 0;
+        for sample in window.clone() {
+            for thread in 0..threads {
+                visit(position, nth, &app.call_path(rank, thread, sample));
+                nth += 1;
             }
-            TaskSamples::new(rank, traces)
-        })
-        .collect()
+        }
+    }
 }
 
 #[cfg(test)]
@@ -131,6 +155,61 @@ mod tests {
         }
         // Frames were interned: 4 distinct names across the whole job.
         assert_eq!(table.len(), 4);
+    }
+
+    #[test]
+    fn sampled_paths_are_visited_rank_then_sample_then_thread() {
+        struct Echo;
+        impl Application for Echo {
+            fn name(&self) -> &str {
+                "echo"
+            }
+            fn num_tasks(&self) -> u64 {
+                8
+            }
+            fn threads_per_task(&self) -> u32 {
+                2
+            }
+            fn call_path(&self, rank: u64, thread: u32, sample: u32) -> Vec<&'static str> {
+                const NAMES: [&str; 8] = ["f0", "f1", "f2", "f3", "f4", "f5", "f6", "f7"];
+                vec![
+                    NAMES[rank as usize],
+                    NAMES[thread as usize],
+                    NAMES[sample as usize],
+                ]
+            }
+        }
+        let mut seen = Vec::new();
+        for_each_sampled_path(&Echo, &[6, 3], 5..7, |position, nth, path| {
+            seen.push((position, nth, path.concat()));
+        });
+        let expected = [
+            (0, 0, "f6f0f5"),
+            (0, 1, "f6f1f5"),
+            (0, 2, "f6f0f6"),
+            (0, 3, "f6f1f6"),
+            (1, 0, "f3f0f5"),
+            (1, 1, "f3f1f5"),
+            (1, 2, "f3f0f6"),
+            (1, 3, "f3f1f6"),
+        ];
+        assert_eq!(seen.len(), expected.len());
+        for (got, want) in seen.iter().zip(expected) {
+            assert_eq!((got.0, got.1, got.2.as_str()), want);
+        }
+
+        // The materialised form is the same visit, one series per rank — even
+        // when the window is empty.
+        let mut table = FrameTable::new();
+        let gathered = gather_samples_for_ranks_from(&Echo, &[6, 3], 5, 2, &mut table);
+        assert_eq!(gathered.len(), 2);
+        assert_eq!(gathered[1].rank, 3);
+        assert_eq!(gathered[1].sample_count(), 4);
+        let leaf = gathered[1].traces[3].leaf().unwrap();
+        assert_eq!(table.name(leaf), "f6");
+        let none = gather_samples_for_ranks_from(&Echo, &[6, 3], 5, 0, &mut table);
+        assert_eq!(none.iter().map(|t| t.sample_count()).sum::<usize>(), 0);
+        assert_eq!(none.len(), 2);
     }
 
     #[test]

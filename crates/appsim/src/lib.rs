@@ -38,7 +38,8 @@ pub mod vocab;
 pub mod workloads;
 
 pub use app::{
-    gather_samples, gather_samples_for_ranks, gather_samples_for_ranks_from, Application,
+    for_each_sampled_path, gather_samples, gather_samples_for_ranks, gather_samples_for_ranks_from,
+    Application,
 };
 pub use progress::{CheckpointStormApp, IterativeSolverApp, StragglerApp};
 pub use ring::RingHangApp;

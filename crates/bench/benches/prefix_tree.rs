@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 use appsim::{gather_samples_for_ranks, Application, FrameVocabulary, RingHangApp};
-use stackwalk::{FrameTable, StackTrace, Walker};
+use stackwalk::{FrameDictionary, FrameTable, StackTrace, Walker};
 use stat_core::prelude::*;
 
 fn build_tree(tasks: u64, table: &mut FrameTable) -> GlobalPrefixTree {
@@ -121,7 +121,9 @@ fn build_ring_3d(tasks: u64) -> GlobalPrefixTree {
     let ranks: Vec<u64> = (0..tasks).collect();
     for block in ranks.chunks(4_096) {
         for samples in gather_samples_for_ranks(&app, block, 3, &mut table) {
-            tree.add_samples(&samples, samples.rank);
+            for trace in &samples.traces {
+                tree.add_trace(trace, samples.rank);
+            }
         }
     }
     tree
@@ -160,8 +162,57 @@ fn bench_classify(c: &mut Criterion) {
     group.finish();
 }
 
+/// An application whose every rank sits in its own callee of one `dispatch`
+/// frame: a single tree node with as many children as the daemon has tasks.
+struct WideFanoutApp {
+    callees: Vec<&'static str>,
+}
+
+impl WideFanoutApp {
+    fn new(callees: usize) -> Self {
+        let leak = |k| &*Box::leak(format!("callee_{k}").into_boxed_str());
+        WideFanoutApp {
+            callees: (0..callees).map(leak).collect(),
+        }
+    }
+}
+
+impl Application for WideFanoutApp {
+    fn name(&self) -> &str {
+        "wide_fanout"
+    }
+    fn num_tasks(&self) -> u64 {
+        self.callees.len() as u64
+    }
+    fn call_path(&self, rank: u64, _thread: u32, _sample: u32) -> Vec<&'static str> {
+        vec!["main", "dispatch", self.callees[rank as usize]]
+    }
+}
+
+/// The daemon-local phase — sample, local merge, encode — on both sides of the
+/// descent's choice: the ring hang's narrow nodes (names compared sibling by
+/// sibling, no hash) and one 4,096-callee node (table lookup + child index).
+fn bench_daemon_local(c: &mut Criterion) {
+    use tbon::packet::EndpointId;
+    let mut group = c.benchmark_group("daemon_local");
+    let ring = RingHangApp::new(128, FrameVocabulary::BlueGeneL);
+    let wide = WideFanoutApp::new(4_096);
+    let cases: [(&str, &dyn Application, u32); 2] = [
+        ("ring_hang_128x10", &ring, 10),
+        ("one_node_4096_callees", &wide, 1),
+    ];
+    for (name, app, samples) in cases {
+        let dict = FrameDictionary::negotiate(app.frame_hints());
+        let daemon = StatDaemon::new(0, (0..app.num_tasks()).collect(), app.num_tasks());
+        group.bench_function(BenchmarkId::new("contribute", name), |b| {
+            b.iter(|| daemon.contribute::<SubtreeTaskList>(app, samples, EndpointId(1), &dict))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_build, bench_merge, bench_hierarchical_merge_chain, bench_encode_decode, bench_classify);
+    targets = bench_daemon_local, bench_build, bench_merge, bench_hierarchical_merge_chain, bench_encode_decode, bench_classify);
 criterion_main!(benches);

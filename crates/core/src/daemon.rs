@@ -1,16 +1,20 @@
 //! The STAT back-end daemon.
 //!
 //! One daemon runs per compute node (Atlas) or per I/O node (BG/L).  Its job is
-//! small and local: attach to the MPI tasks it is responsible for, gather a window of
-//! stack traces from each via the stack walker, fold them into *locally merged* 2D
-//! and 3D prefix trees, and hand the serialised trees (plus its local rank list) to
-//! the overlay network.  Everything global happens in the filters above it.
+//! small and local — and it is where the volume is: walk the call paths of the MPI
+//! tasks it is responsible for straight into *locally merged* 2D and 3D prefix
+//! trees ([`StatDaemon::contribute`]; no trace is materialised on the way), and
+//! hand the serialised trees (plus its local rank list) to the overlay network.
+//! Everything global happens in the filters above it.
+
+use std::ops::Range;
+use std::time::Instant;
 
 use appsim::Application;
 use stackwalk::{FrameDictionary, FrameTable, TaskSamples};
 use tbon::packet::{EndpointId, Packet, PacketTag};
 
-use crate::graph::PrefixTree;
+use crate::graph::{NodeIdx, PrefixTree};
 use crate::serialize::{encode_rank_map, encode_tree, WireTaskSet};
 
 /// A back-end daemon responsible for a contiguous slice of MPI ranks.
@@ -76,7 +80,8 @@ impl StatDaemon {
         self.ranks.len() as u64
     }
 
-    /// Gather `samples` traces from each local task of `app`.
+    /// Gather `samples` traces from each local task of `app`, materialised: the
+    /// sampling half of [`StatDaemon::contribute`], staged.
     pub fn gather(
         &self,
         app: &dyn Application,
@@ -86,42 +91,67 @@ impl StatDaemon {
         appsim::gather_samples_for_ranks(app, &self.ranks, samples, table)
     }
 
-    /// Build the locally merged 2D and 3D trees from gathered samples.
-    ///
-    /// The index used for each task depends on the representation: the global (dense)
-    /// representation indexes by MPI rank in a job-wide domain, the hierarchical one
-    /// (whose merges concatenate) by local position in a domain the size of this
-    /// daemon's task list.  No samples gives the daemon's empty trees.
+    /// Build the locally merged 2D and 3D trees from gathered samples: the merging
+    /// half of [`StatDaemon::contribute`], staged, on the same `LocalTrees` core.
+    /// No samples gives the daemon's empty trees.
     pub fn build_trees<S: WireTaskSet>(
         &self,
         samples: &[TaskSamples],
     ) -> (PrefixTree<S>, PrefixTree<S>) {
-        let width = if S::CONCATENATES {
-            self.local_tasks()
-        } else {
-            self.total_tasks
-        };
-        let mut tree_2d = PrefixTree::<S>::new(width);
-        let mut tree_3d = PrefixTree::<S>::new(width);
-        for (local_pos, task) in samples.iter().enumerate() {
-            let index = if S::CONCATENATES {
-                local_pos as u64
-            } else {
-                task.rank
-            };
-            tree_2d.add_first_sample(task, index);
-            tree_3d.add_samples(task, index);
+        let mut trees = LocalTrees::new(self);
+        for (position, task) in samples.iter().enumerate() {
+            for (nth, trace) in task.traces.iter().enumerate() {
+                trees.record(position, task.rank, nth, |t| t.descend(trace.frames()));
+            }
         }
-        (tree_2d, tree_3d)
+        trees.close()
+    }
+
+    /// The daemon-local phase as one walk: every call path sampled over the sample
+    /// indices of `window` descends the local trees by frame name, then the
+    /// closed trees and the rank list are encoded into the three leaf packets.
+    /// Also hands back the 3D tree, for the streaming caller that goes on to diff
+    /// the wave against it.
+    pub(crate) fn contribute_from<S: WireTaskSet>(
+        &self,
+        app: &dyn Application,
+        window: Range<u32>,
+        leaf: EndpointId,
+        table: &mut FrameTable,
+        dict: &FrameDictionary,
+    ) -> (DaemonContribution, PrefixTree<S>) {
+        let sample_start = Instant::now();
+        let mut trees = LocalTrees::new(self);
+        let mut traces = 0;
+        appsim::for_each_sampled_path(app, &self.ranks, window, |position, nth, path| {
+            let rank = self.ranks[position];
+            trees.record(position, rank, nth, |t| t.descend_named(table, path));
+            traces += 1;
+        });
+        let merge_start = Instant::now();
+        let (tree_2d, tree_3d) = trees.close();
+        let packet = |tag, payload: Vec<u8>| Packet::new(tag, leaf, payload);
+        let contribution = DaemonContribution {
+            daemon_id: self.id,
+            tree_2d: packet(PacketTag::Merged2d, encode_tree(&tree_2d, table, dict)),
+            tree_3d: packet(PacketTag::Merged3d, encode_tree(&tree_3d, table, dict)),
+            rank_map: packet(PacketTag::RankMap, encode_rank_map(&self.ranks)),
+            traces_gathered: traces,
+            sample_wall: merge_start - sample_start,
+            local_merge_wall: merge_start.elapsed(),
+        };
+        (contribution, tree_3d)
     }
 
     /// Run one full gather-and-merge cycle and package the results for the TBON.
     ///
-    /// The two daemon-local phases — sampling the application and building the local
-    /// trees — are timed separately so the session can report the pipeline breakdown
-    /// the paper measures.  `dict` is the session's negotiated frame dictionary:
-    /// the daemon still symbolises into its own local [`FrameTable`], but the v2
-    /// encoder relabels every frame to its session-global id on the way out.
+    /// Sampling and local merging are one walk (`StatDaemon::contribute_from`),
+    /// still timed as the two phases the paper measures: *sample* is the
+    /// application's call paths, their descent into the local trees and the end
+    /// marks; *local merge* is the upward close and the encode.  `dict` is the
+    /// session's negotiated frame dictionary: the daemon still symbolises into its
+    /// own local [`FrameTable`], but the v2 encoder relabels every frame to its
+    /// session-global id on the way out.
     pub fn contribute<S: WireTaskSet>(
         &self,
         app: &dyn Application,
@@ -130,33 +160,60 @@ impl StatDaemon {
         dict: &FrameDictionary,
     ) -> DaemonContribution {
         let mut table = FrameTable::new();
-        let sample_start = std::time::Instant::now();
-        let gathered = self.gather(app, samples, &mut table);
-        let sample_wall = sample_start.elapsed();
-        let traces: u64 = gathered.iter().map(|t| t.sample_count() as u64).sum();
-        let merge_start = std::time::Instant::now();
-        let (tree_2d, tree_3d) = self.build_trees::<S>(&gathered);
-        DaemonContribution {
-            daemon_id: self.id,
-            tree_2d: Packet::new(
-                PacketTag::Merged2d,
-                leaf_endpoint,
-                encode_tree(&tree_2d, &table, dict),
-            ),
-            tree_3d: Packet::new(
-                PacketTag::Merged3d,
-                leaf_endpoint,
-                encode_tree(&tree_3d, &table, dict),
-            ),
-            rank_map: Packet::new(
-                PacketTag::RankMap,
-                leaf_endpoint,
-                encode_rank_map(&self.ranks),
-            ),
-            traces_gathered: traces,
-            sample_wall,
-            local_merge_wall: merge_start.elapsed(),
+        self.contribute_from::<S>(app, 0..samples, leaf_endpoint, &mut table, dict)
+            .0
+    }
+}
+
+/// A daemon's 2D and 3D trees while traces are being recorded into them.  A task
+/// is marked only on the node where a trace of its *ends*; [`LocalTrees::close`]
+/// then ORs every label into its parent, which makes each label "every task that
+/// reached this frame".  Sampled names and gathered frame ids both come through
+/// here, so they cannot disagree on a task's index or on what feeds the 2D tree.
+struct LocalTrees<S: WireTaskSet>(PrefixTree<S>, PrefixTree<S>);
+
+impl<S: WireTaskSet> LocalTrees<S> {
+    /// Empty trees over the daemon's domain: the whole job for the global (dense)
+    /// representation, the daemon's own tasks for the hierarchical one.
+    fn new(daemon: &StatDaemon) -> Self {
+        let width = if S::CONCATENATES {
+            daemon.local_tasks()
+        } else {
+            daemon.total_tasks
+        };
+        LocalTrees(PrefixTree::new(width), PrefixTree::new(width))
+    }
+
+    /// Record the `nth` trace of task `rank`, at `position` in the daemon's list:
+    /// `descend` walks it into the tree it is handed and returns the end node.
+    /// Every trace feeds the 3D tree, a task's first also the 2D tree; the task is
+    /// indexed by rank in a job-wide domain, by position in a concatenating one.
+    fn record(
+        &mut self,
+        position: usize,
+        rank: u64,
+        nth: usize,
+        mut descend: impl FnMut(&mut PrefixTree<S>) -> NodeIdx,
+    ) {
+        let index = if S::CONCATENATES {
+            position as u64
+        } else {
+            rank
+        };
+        let LocalTrees(tree_2d, tree_3d) = self;
+        if nth == 0 {
+            let end = descend(tree_2d);
+            tree_2d.mark(end, index);
         }
+        let end = descend(tree_3d);
+        tree_3d.mark(end, index);
+    }
+
+    fn close(self) -> (PrefixTree<S>, PrefixTree<S>) {
+        let LocalTrees(mut tree_2d, mut tree_3d) = self;
+        tree_2d.close_upward();
+        tree_3d.close_upward();
+        (tree_2d, tree_3d)
     }
 }
 
@@ -228,5 +285,108 @@ mod tests {
         let dense = daemons[0].contribute::<DenseBitVector>(&app, 1, EndpointId(1), &dict);
         let hier = daemons[0].contribute::<SubtreeTaskList>(&app, 1, EndpointId(1), &dict);
         assert!(dense.tree_2d.size_bytes() > 10 * hier.tree_2d.size_bytes());
+    }
+
+    /// 64-bit FNV-1a over the three payloads of every daemon's contribution, in
+    /// daemon order.
+    fn contribution_digest<S: WireTaskSet>(
+        app: &dyn Application,
+        daemons: u32,
+        samples: u32,
+    ) -> u64 {
+        let dict = FrameDictionary::negotiate(app.frame_hints());
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for daemon in StatDaemon::partition(app.num_tasks(), daemons) {
+            let c = daemon.contribute::<S>(app, samples, EndpointId(daemon.id), &dict);
+            for payload in [&c.tree_2d.payload, &c.tree_3d.payload, &c.rank_map.payload] {
+                for &byte in payload.iter() {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn daemon_leaf_bytes_are_pinned_to_the_pre_fusion_values() {
+        // Recorded at the commit before sampling and local tree building were fused
+        // (PR 16, `eb7edc1`): the fused walk must ship the same bytes, daemon for
+        // daemon, and the stream the same per-wave accounting.
+        let v = FrameVocabulary::BlueGeneL;
+        let ring = RingHangApp::new(1_024, v).with_hung_rank(5);
+        let threaded = appsim::ThreadedApp::new(256, 3, v);
+        let corrupted = appsim::CorruptedStackApp::new(512, 7, v);
+        let digests = [
+            contribution_digest::<DenseBitVector>(&ring, 8, 3),
+            contribution_digest::<SubtreeTaskList>(&ring, 8, 3),
+            contribution_digest::<DenseBitVector>(&threaded, 8, 3),
+            contribution_digest::<SubtreeTaskList>(&threaded, 8, 3),
+            contribution_digest::<DenseBitVector>(&corrupted, 8, 3),
+            contribution_digest::<SubtreeTaskList>(&corrupted, 8, 3),
+        ];
+        assert_eq!(
+            digests,
+            [
+                0x11c7_f251_06bb_dba1,
+                0x9287_c677_0010_b5d3,
+                0x3b2a_e91e_f499_3e1f,
+                0xb470_1f9a_f680_c9e7,
+                0x1a78_1a07_9df6_a46f,
+                0x98e7_cbf7_079d_ed61,
+            ],
+            "{digests:#x?}"
+        );
+
+        // A 6-wave stream over 256 tasks whose ring hang strikes at wave 2: per
+        // wave (packet_bytes, delta_bytes, full_packet_bytes, classes,
+        // resident_bytes).
+        let waves_of = |representation| {
+            let scenario = appsim::catalogue(256, v)
+                .into_iter()
+                .find(|s| s.name == "ring_hang")
+                .expect("the catalogue always carries ring_hang");
+            let mut stream =
+                crate::session::Session::builder(machine::Cluster::test_cluster(32, 8))
+                    .representation(representation)
+                    .streaming(2)
+                    .open(Box::new(appsim::FaultSchedule::new(scenario, v, 2)))
+                    .expect("the stream opens");
+            (0..6)
+                .map(|_| {
+                    let w = stream.advance().expect("the wave advances");
+                    (
+                        w.packet_bytes,
+                        w.delta_bytes,
+                        w.full_packet_bytes,
+                        w.classes,
+                        stream.resident_bytes(),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        let dense = waves_of(crate::frontend::Representation::GlobalBitVector);
+        let hier = waves_of(crate::frontend::Representation::HierarchicalTaskList);
+        assert_eq!(
+            dense,
+            [
+                (6016, 3008, 3008, 1, 1119),
+                (6016, 480, 3008, 1, 1119),
+                (10188, 3926, 5110, 4, 2039),
+                (10154, 3258, 5114, 4, 2043),
+                (10204, 480, 5114, 4, 2043),
+                (10188, 480, 5114, 4, 2043),
+            ]
+        );
+        assert_eq!(
+            hier,
+            [
+                (2360, 1024, 1024, 1, 225),
+                (2360, 352, 1024, 1, 225),
+                (5385, 2265, 2265, 4, 832),
+                (5330, 2112, 1769, 4, 706),
+                (5418, 352, 1769, 4, 706),
+                (5385, 352, 1769, 4, 706),
+            ]
+        );
     }
 }

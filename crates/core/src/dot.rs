@@ -111,7 +111,9 @@ mod tests {
         let samples = gather_samples(&app, 3, &mut table);
         let mut tree = GlobalPrefixTree::new_global(app.num_tasks());
         for s in &samples {
-            tree.add_samples(s, s.rank);
+            for trace in &s.traces {
+                tree.add_trace(trace, s.rank);
+            }
         }
         (tree, table)
     }

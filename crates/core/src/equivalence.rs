@@ -62,15 +62,17 @@ impl EquivalenceClass {
     }
 }
 
-/// Visit every non-root node whose remainder — the tasks on its incoming edge that
-/// are on none of its children's edges — is non-empty, in node-index order.
+/// Visit every node whose remainder — the tasks on its incoming edge that are on
+/// none of its children's edges — is non-empty, in node-index order.  The root
+/// counts: its remainder is the tasks whose every trace was empty, the ones the
+/// walker could not walk, and they form the class of the empty path.
 ///
 /// Every label of one tree shares the tree's width (`subtract` asserts it), so one
 /// scratch set serves every interior node; a childless node's remainder is its own
 /// label and is visited without a copy.
 fn for_each_remainder<S: TaskSetOps>(tree: &PrefixTree<S>, mut visit: impl FnMut(NodeIdx, &S)) {
     let mut scratch = S::empty(0);
-    for (node, _, _) in tree.iter_nodes() {
+    for node in 0..tree.node_count() {
         let label = tree.tasks(node);
         let children = tree.children(node);
         let remainder = if children.is_empty() {
@@ -149,7 +151,7 @@ mod tests {
     /// the word-level walker replaced; it stays as the oracle.
     fn reference_classes<S: TaskSetOps>(tree: &PrefixTree<S>) -> Vec<EquivalenceClass> {
         let mut classes: Vec<EquivalenceClass> = Vec::new();
-        for (node, _, _) in tree.iter_nodes() {
+        for node in 0..tree.node_count() {
             let deeper: BTreeSet<u64> = tree
                 .children(node)
                 .iter()
@@ -186,7 +188,9 @@ mod tests {
         let ranks: Vec<u64> = (0..tasks).collect();
         for block in ranks.chunks(4_096) {
             for s in gather_samples_for_ranks(&app, block, 3, &mut table) {
-                tree.add_samples(&s, s.rank);
+                for trace in &s.traces {
+                    tree.add_trace(trace, s.rank);
+                }
             }
         }
         (tree, table)
@@ -285,6 +289,34 @@ mod tests {
         assert_eq!(classes[0].tasks, vec![1, 2]);
         assert_eq!(classes[1].path_string(&table), "main");
         assert_eq!(classes[1].tasks, vec![0]);
+        assert_eq!(debugger_attach_set(&tree), vec![0, 1]);
+    }
+
+    #[test]
+    fn unwalkable_tasks_form_a_root_class() {
+        // Tasks 1 and 3 could never be walked: every trace of theirs is empty, so
+        // they are counted at the root and nowhere below it.  Task 2 was unwalkable
+        // once but seen in `main` later — it belongs to `main`.
+        let (tree, _): (GlobalPrefixTree, _) = tree_of(
+            4,
+            &[
+                (0, &["main"]),
+                (1, &[]),
+                (2, &[]),
+                (2, &["main"]),
+                (3, &[]),
+                (3, &[]),
+            ],
+        );
+        let classes = equivalence_classes(&tree);
+        assert_eq!(classes, reference_classes(&tree));
+        assert_eq!(classes.len(), 2);
+        // Equal sizes tie-break by path, and the empty path sorts first.
+        assert!(classes[0].path.is_empty());
+        assert_eq!(classes[0].tasks, vec![1, 3]);
+        assert_eq!(classes[0].path_string(&FrameTable::new()), "");
+        assert_eq!(classes[1].tasks, vec![0, 2]);
+        // The debugger is offered one of the tasks the tool could not walk.
         assert_eq!(debugger_attach_set(&tree), vec![0, 1]);
     }
 

@@ -24,17 +24,22 @@
 //! clones a tree, and the accumulated tree widens in place, so peak memory stays
 //! proportional to one input wave.  Callers that must keep the source pass a clone.
 //! [`PrefixTree::merge_aligned`] — the same-domain fold of the streaming delta
-//! path — is the same walk at offset zero without the widening.  Child lookup is a
-//! tree-wide `(parent, frame)` hash (an O(1) probe, not a sibling scan — `add_trace`,
-//! `merge` and packet decode all go through it), and every
+//! path — is the same walk at offset zero without the widening.  Child lookup by
+//! frame id is a tree-wide `(parent, frame)` hash (an O(1) probe — `merge`, packet
+//! decode and `descend` all go through it; only `descend_named` scans, and only
+//! nodes narrow enough that the scan is cheaper than hashing the name), and every
 //! traversal — merge, [`PrefixTree::depth`], [`SubtreePrefixTree::remap`] — runs an
 //! explicit worklist, so a pathologically deep trace cannot overflow the stack.
 //! Before/after numbers live in `results/BENCH_merge.md`.
+//!
+//! A daemon builds its local trees the other way round (`core::daemon`): each trace
+//! marks its task only on the node it *ends* at, and one reverse pass over the
+//! arena ORs the marks into the parents (`close_upward`).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use stackwalk::{FrameId, StackTrace, TaskSamples};
+use stackwalk::{FrameId, FrameTable, StackTrace};
 
 use crate::taskset::{DenseBitVector, SubtreeTaskList, TaskSetOps};
 
@@ -83,6 +88,9 @@ impl Hasher for ChildKeyHasher {
 
 type ChildIndex = HashMap<(NodeIdx, FrameId), NodeIdx, BuildHasherDefault<ChildKeyHasher>>;
 
+/// The widest node [`PrefixTree::descend_named`] still scans sibling by sibling.
+const SCAN_FANOUT: usize = 8;
+
 #[derive(Clone, Debug)]
 struct TreeEntry<S> {
     frame: Option<FrameId>,
@@ -96,9 +104,8 @@ struct TreeEntry<S> {
 pub struct PrefixTree<S: TaskSetOps> {
     width: u64,
     nodes: Vec<TreeEntry<S>>,
-    /// O(1) frame→child lookup: `(parent, frame) → child`.  Maintained by
-    /// `add_child`, used by `add_trace`, `merge` and packet decode in place of the
-    /// old linear sibling scan.
+    /// O(1) frame→child lookup: `(parent, frame) → child`, maintained by
+    /// `add_child_with_tasks`.
     child_index: ChildIndex,
 }
 
@@ -218,11 +225,6 @@ impl<S: TaskSetOps> PrefixTree<S> {
         self.child_index.get(&(node, frame)).copied()
     }
 
-    fn add_child(&mut self, parent: NodeIdx, frame: FrameId) -> NodeIdx {
-        let tasks = S::empty(self.width);
-        self.add_child_with_tasks(parent, frame, tasks)
-    }
-
     fn add_child_with_tasks(&mut self, parent: NodeIdx, frame: FrameId, tasks: S) -> NodeIdx {
         let idx = self.nodes.len();
         self.nodes.push(TreeEntry {
@@ -237,32 +239,72 @@ impl<S: TaskSetOps> PrefixTree<S> {
     }
 
     /// Add one stack trace observed from task position `index` (a global rank for
-    /// global trees, a subtree-local position for subtree trees).
+    /// global trees, a subtree-local position for subtree trees): the task joins
+    /// the label of every node on the trace's path, root included.
     pub fn add_trace(&mut self, trace: &StackTrace, index: u64) {
+        let mut cur = Some(self.descend(trace.frames()));
+        while let Some(node) = cur {
+            self.mark(node, index);
+            cur = self.entry(node).parent;
+        }
+    }
+
+    /// The child of `node` for `frame`, created if it does not exist yet.
+    fn child_or_new(&mut self, node: NodeIdx, frame: FrameId) -> NodeIdx {
+        match self.child_with_frame(node, frame) {
+            Some(child) => child,
+            None => self.append_node(node, frame),
+        }
+    }
+
+    /// Walk `frames` down from the root, creating the nodes that are missing, and
+    /// return the node the path ends at.  No label is touched.
+    pub(crate) fn descend(&mut self, frames: &[FrameId]) -> NodeIdx {
         let root = self.root();
-        self.entry_mut(root).tasks.insert(index);
-        let mut cur = root;
-        for &frame in trace.frames() {
-            let next = match self.child_with_frame(cur, frame) {
-                Some(c) => c,
-                None => self.add_child(cur, frame),
+        frames
+            .iter()
+            .fold(root, |cur, &f| self.child_or_new(cur, f))
+    }
+
+    /// [`Self::descend`] by frame *name*.  On a node of up to [`SCAN_FANOUT`]
+    /// children the callees' names are compared directly, so a path the tree already
+    /// holds costs no hash at all; a wider node, where a sibling scan would be linear
+    /// in the fan-out, and a name with no node yet go through `table` and the
+    /// `(parent, frame)` index.  Which one runs is read off the node, never
+    /// configured, and a name is interned only on its way to a node.
+    pub(crate) fn descend_named(&mut self, table: &mut FrameTable, path: &[&str]) -> NodeIdx {
+        let mut cur = self.root();
+        for &name in path {
+            let children = self.children(cur);
+            let named = |&c: &NodeIdx| self.frame(c).is_some_and(|f| table.name(f) == name);
+            let narrow = children.len() <= SCAN_FANOUT;
+            let scanned = narrow.then(|| children.iter().copied().find(named));
+            cur = match scanned.flatten() {
+                Some(child) => child,
+                None => self.child_or_new(cur, table.intern(name)),
             };
-            self.entry_mut(next).tasks.insert(index);
-            cur = next;
         }
+        cur
     }
 
-    /// Add every trace of a task's sample series (the 3D trace/space/time analysis).
-    pub fn add_samples(&mut self, samples: &TaskSamples, index: u64) {
-        for trace in &samples.traces {
-            self.add_trace(trace, index);
-        }
+    /// Record task position `index` on `node`'s label alone; such end marks become
+    /// edge labels in [`Self::close_upward`].
+    pub(crate) fn mark(&mut self, node: NodeIdx, index: u64) {
+        self.entry_mut(node).tasks.insert(index);
     }
 
-    /// Add only the first trace of a task's series (the 2D trace/space analysis).
-    pub fn add_first_sample(&mut self, samples: &TaskSamples, index: u64) {
-        if let Some(trace) = samples.traces.first() {
-            self.add_trace(trace, index);
+    /// `tasks(parent) |= tasks(child)` over the arena in reverse.  Parents precede
+    /// their children in index order, so a node already holds its whole subtree when
+    /// it is folded into its parent: one word-wide union per node, whatever the
+    /// number of traces.
+    pub(crate) fn close_upward(&mut self) {
+        for child in (1..self.nodes.len()).rev() {
+            let Some(parent) = self.entry(child).parent else {
+                continue;
+            };
+            let tasks = std::mem::replace(&mut self.entry_mut(child).tasks, S::empty(0));
+            self.entry_mut(parent).tasks.union_in_place(&tasks);
+            self.entry_mut(child).tasks = tasks;
         }
     }
 
@@ -468,10 +510,9 @@ impl<S: TaskSetOps> PrefixTree<S> {
         self.entry_mut(node).tasks = tasks;
     }
 
-    /// Append a node under `parent` with an empty task set (used by packet
-    /// deserialisation, which sees parents before children).
+    /// Append a node under `parent` with an empty task set.
     pub(crate) fn append_node(&mut self, parent: NodeIdx, frame: FrameId) -> NodeIdx {
-        self.add_child(parent, frame)
+        self.add_child_with_tasks(parent, frame, S::empty(self.width))
     }
 
     /// Iterate `(node, frame, parent)` over non-root nodes in index order.
@@ -547,7 +588,6 @@ impl SubtreePrefixTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stackwalk::FrameTable;
 
     fn trace(table: &mut FrameTable, path: &[&str]) -> StackTrace {
         StackTrace::new(table.intern_path(path))
@@ -844,16 +884,55 @@ mod tests {
             &mut table,
             &["_start", "main", "MPI_Barrier", "poll", "poll_inner"],
         );
-        let samples = TaskSamples::new(5, vec![shallow.clone(), deep.clone(), shallow.clone()]);
-
         let mut tree_3d = GlobalPrefixTree::new_global(16);
-        tree_3d.add_samples(&samples, 5);
+        for t in [&shallow, &deep, &shallow] {
+            tree_3d.add_trace(t, 5);
+        }
         // Both the shallow and deep variants appear.
         assert_eq!(tree_3d.depth(), 5);
 
         let mut tree_2d = GlobalPrefixTree::new_global(16);
-        tree_2d.add_first_sample(&samples, 5);
+        tree_2d.add_trace(&shallow, 5);
         assert_eq!(tree_2d.depth(), 4);
+    }
+
+    #[test]
+    fn end_marks_closed_upward_equal_per_frame_inserts() {
+        // 40 tasks: the even ones each in a callee of their own under `dispatch`
+        // (20 siblings, past SCAN_FANOUT), the odd ones on two shared paths, one of
+        // which is a strict prefix of the other.
+        let callees: Vec<String> = (0..20).map(|k| format!("callee_{k}")).collect();
+        let path_of = |task: u64| -> Vec<&str> {
+            match task % 4 {
+                0 | 2 => vec!["main", "dispatch", &callees[(task / 2) as usize]],
+                1 => vec!["main", "solve"],
+                _ => vec!["main", "solve", "main"],
+            }
+        };
+        let mut table = FrameTable::new();
+        let mut by_name = SubtreePrefixTree::new_subtree(40);
+        let mut by_id = SubtreePrefixTree::new_subtree(40);
+        let mut reference = SubtreePrefixTree::new_subtree(40);
+        for task in 0..40 {
+            let path = path_of(task);
+            let end = by_name.descend_named(&mut table, &path);
+            by_name.mark(end, task);
+            let frames = table.intern_path(&path);
+            let end = by_id.descend(&frames);
+            by_id.mark(end, task);
+            reference.add_trace(&StackTrace::new(frames), task);
+        }
+        // 3 + 20 names, each interned once however often it was walked.
+        assert_eq!(table.len(), 23);
+        by_name.close_upward();
+        by_id.close_upward();
+        for tree in [&by_name, &by_id] {
+            assert_eq!(tree.node_count(), reference.node_count());
+            for node in 0..reference.node_count() {
+                assert_eq!(tree.path_to(node), reference.path_to(node));
+                assert_eq!(tree.tasks(node).members(), reference.tasks(node).members());
+            }
+        }
     }
 
     #[test]

@@ -48,10 +48,10 @@ use crate::serialize::encode_dictionary;
 /// how a [`SessionReport`] exposes that.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimings {
-    /// Gathering stack traces from the application tasks (summed over daemons, all
-    /// executed in this process).
+    /// Walking the application tasks' call paths into the daemon-local prefix trees:
+    /// the paths, their descent and the end marks (summed over daemons).
     pub sample: Duration,
-    /// Building and serialising the daemon-local prefix trees (summed over daemons).
+    /// Closing the daemon-local trees upward and serialising them (summed over daemons).
     pub local_merge: Duration,
     /// The single multi-channel TBON reduction walk.
     pub reduce: Duration,

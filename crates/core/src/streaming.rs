@@ -47,7 +47,7 @@ use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
 use appsim::scenario::{Diagnosis, OverlayFault, Verdict};
-use appsim::{gather_samples_for_ranks_from, Application, WaveSource};
+use appsim::{Application, WaveSource};
 use stackwalk::{FrameDictionary, FrameTable};
 use tbon::delta::{IncrementalTbon, ResidentState, StateFactory, WaveOutcome};
 use tbon::fault::FaultTracker;
@@ -62,8 +62,7 @@ use crate::frontend::Representation;
 use crate::graph::PrefixTree;
 use crate::scenario::{diagnose, resolve_fault};
 use crate::serialize::{
-    decode_tree, encode_rank_map, encode_tree, encoded_merged_tree_size, encoded_tree_size,
-    WireFrames, WireTaskSet,
+    decode_tree, encode_tree, encoded_merged_tree_size, encoded_tree_size, WireFrames, WireTaskSet,
 };
 use crate::session::{PhaseTimings, Session};
 use crate::taskset::{DenseBitVector, SubtreeTaskList};
@@ -312,54 +311,33 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
             .flatten()
             .zip(topology.backends().iter())
         {
-            let sample_start = Instant::now();
-            let gathered = gather_samples_for_ranks_from(
+            let (mut contribution, wave_3d) = stream.daemon.contribute_from::<S>(
                 app,
-                &stream.daemon.ranks,
-                base,
-                samples,
+                base..base.saturating_add(samples),
+                leaf,
                 &mut stream.table,
+                &self.dict,
             );
-            let sample_wall = sample_start.elapsed();
-            let traces: u64 = gathered.iter().map(|t| t.sample_count() as u64).sum();
-            traces_total += traces;
-
-            let merge_start = Instant::now();
-            let (wave_2d, wave_3d) = stream.daemon.build_trees::<S>(&gathered);
-            let bytes_2d = encode_tree(&wave_2d, &stream.table, &self.dict);
-            let bytes_3d = encode_tree(&wave_3d, &stream.table, &self.dict);
+            let delta_start = Instant::now();
             let delta = wave_3d.delta_from(&stream.cum_3d);
             stream.cum_3d.merge_aligned(wave_3d);
             let delta_payload = encode_tree(&delta, &stream.table, &self.dict);
-            let local_merge_wall = merge_start.elapsed();
+            contribution.local_merge_wall += delta_start.elapsed();
 
-            let tree_2d = Packet::new(PacketTag::Merged2d, leaf, bytes_2d);
-            let tree_3d = Packet::new(PacketTag::Merged3d, leaf, bytes_3d);
-            let rank_map = Packet::new(
-                PacketTag::RankMap,
-                leaf,
-                encode_rank_map(&stream.daemon.ranks),
-            );
-            stats.packet_bytes += (tree_2d.size_bytes() + tree_3d.size_bytes()) as u64;
+            traces_total += contribution.traces_gathered;
+            stats.packet_bytes +=
+                (contribution.tree_2d.size_bytes() + contribution.tree_3d.size_bytes()) as u64;
             if needs_rank_map {
-                stats.packet_bytes += rank_map.size_bytes() as u64;
+                stats.packet_bytes += contribution.rank_map.size_bytes() as u64;
             }
             let delta_packet = Packet::new(PacketTag::TreeDelta, leaf, delta_payload);
             stats.delta_bytes += delta_packet.size_bytes() as u64;
             stats.full_packet_bytes +=
                 encoded_tree_size(&stream.cum_3d, &stream.table, &self.dict) as u64;
-            stats.sample += sample_wall;
-            stats.local_merge += local_merge_wall;
+            stats.sample += contribution.sample_wall;
+            stats.local_merge += contribution.local_merge_wall;
 
-            contributions.push(DaemonContribution {
-                daemon_id: stream.daemon.id,
-                tree_2d,
-                tree_3d,
-                rank_map,
-                traces_gathered: traces,
-                sample_wall,
-                local_merge_wall,
-            });
+            contributions.push(contribution);
             deltas.push(delta_packet);
         }
         (contributions, deltas, traces_total, stats)

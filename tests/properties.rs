@@ -174,8 +174,14 @@ const FRAME_POOL: &[&str] = &[
 
 fn arbitrary_traces(tasks: usize) -> impl Strategy<Value = Vec<Vec<usize>>> {
     // Each task gets a call path of 1..6 frame indices into FRAME_POOL.
+    traces_of_depth(tasks, 1)
+}
+
+/// `tasks` call paths of `min_depth..6` frame indices into FRAME_POOL; a minimum
+/// of 0 draws the empty path — a task the walker could not walk — as well.
+fn traces_of_depth(tasks: usize, min_depth: usize) -> impl Strategy<Value = Vec<Vec<usize>>> {
     prop::collection::vec(
-        prop::collection::vec(0..FRAME_POOL.len(), 1..6),
+        prop::collection::vec(0..FRAME_POOL.len(), min_depth..6),
         tasks..=tasks,
     )
 }
@@ -196,7 +202,8 @@ fn build_global(paths: &[Vec<usize>], table: &mut FrameTable) -> GlobalPrefixTre
 fn reference_classes<S: TaskSetOps>(tree: &PrefixTree<S>) -> Vec<EquivalenceClass> {
     use std::collections::BTreeSet;
     let mut classes: Vec<EquivalenceClass> = Vec::new();
-    for (node, _, _) in tree.iter_nodes() {
+    // The root counts: tasks on no child's edge there are the unwalkable ones.
+    for node in 0..tree.node_count() {
         let deeper: BTreeSet<u64> = tree
             .children(node)
             .iter()
@@ -228,10 +235,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn every_task_is_classified_exactly_once(paths in arbitrary_traces(24)) {
+    fn every_task_is_classified_exactly_once(paths in traces_of_depth(24, 0)) {
         let mut table = FrameTable::new();
         let tree = build_global(&paths, &mut table);
         let classes = equivalence_classes(&tree);
+        prop_assert_eq!(&classes, &reference_classes(&tree));
         let mut all: Vec<u64> = classes.iter().flat_map(|c| c.tasks.clone()).collect();
         all.sort_unstable();
         prop_assert_eq!(all, (0..24u64).collect::<Vec<_>>());
@@ -540,6 +548,253 @@ proptest! {
         // Every truncation of the buffer decodes to a typed error, not a tree.
         let keep = global_bytes.len().saturating_sub(cut);
         prop_assert!(decode_tree::<DenseBitVector>(&global_bytes[..keep]).is_err());
+    }
+}
+
+// ---------------------------------------------------------------------------------
+// The daemon-local phase against a trace-by-trace reference (first sync point:
+// "after local merge")
+// ---------------------------------------------------------------------------------
+
+/// `main` again, equal by content but at another address: the fused walk compares
+/// frame names, never pointers.
+fn main_twin() -> &'static str {
+    static TWIN: std::sync::OnceLock<&'static str> = std::sync::OnceLock::new();
+    TWIN.get_or_init(|| Box::leak(String::from("main").into_boxed_str()))
+}
+
+/// 80 distinct callees of one `dispatch` frame — far past the fan-out the fused
+/// walk scans sibling by sibling.
+fn wide_callees() -> &'static [&'static str] {
+    static CALLEES: std::sync::OnceLock<Vec<&'static str>> = std::sync::OnceLock::new();
+    CALLEES.get_or_init(|| {
+        (0..80)
+            .map(|k| &*Box::leak(format!("callee_{k}").into_boxed_str()))
+            .collect()
+    })
+}
+
+/// An application whose every `(rank, thread, sample)` picks a call path from a
+/// drawn pool — empty paths, one name at several depths and direct recursion
+/// included — except that even ranks' main threads call through the wide node.
+struct PooledApp {
+    tasks: u64,
+    threads: u32,
+    pool: Vec<Vec<&'static str>>,
+    seed: u64,
+}
+
+impl appsim::Application for PooledApp {
+    fn name(&self) -> &str {
+        "pooled"
+    }
+    fn num_tasks(&self) -> u64 {
+        self.tasks
+    }
+    fn threads_per_task(&self) -> u32 {
+        self.threads
+    }
+    fn frame_hints(&self) -> Vec<&'static str> {
+        // Part of the vocabulary only: the rest ships as incremental records.
+        vec!["main", "solve", "dispatch"]
+    }
+    fn call_path(&self, rank: u64, thread: u32, sample: u32) -> Vec<&'static str> {
+        if rank.is_multiple_of(2) && thread == 0 {
+            let callees = wide_callees();
+            let pick = (rank / 2 + 3 * u64::from(sample)) as usize % callees.len();
+            return vec![main_twin(), "dispatch", callees[pick]];
+        }
+        let mixed = (self.seed ^ rank.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .wrapping_add(u64::from(thread) * 31 + u64::from(sample) * 7);
+        self.pool[(mixed % self.pool.len() as u64) as usize].clone()
+    }
+}
+
+/// The reference: a path → members map with no tree, no bit vector and no wire.
+type PathMembers = std::collections::BTreeMap<Vec<String>, std::collections::BTreeSet<u64>>;
+
+/// The reference local merge of one daemon, trace by trace from `call_path`:
+/// task `index_of(position, rank)` joins every prefix of every trace it shows
+/// (`3D`) or of its first trace alone (`2D`).
+fn reference_local_merge(
+    app: &PooledApp,
+    ranks: &[u64],
+    samples: std::ops::Range<u32>,
+    index_of: impl Fn(usize, u64) -> u64,
+) -> (PathMembers, PathMembers) {
+    use appsim::Application;
+    // The root exists even when nothing was sampled.
+    let mut map_2d = PathMembers::from([(Vec::new(), Default::default())]);
+    let mut map_3d = map_2d.clone();
+    for (position, &rank) in ranks.iter().enumerate() {
+        let index = index_of(position, rank);
+        let mut first = true;
+        for sample in samples.clone() {
+            for thread in 0..app.threads {
+                let path = app.call_path(rank, thread, sample);
+                for depth in 0..=path.len() {
+                    let prefix: Vec<String> = path[..depth].iter().map(|f| f.to_string()).collect();
+                    if first {
+                        map_2d.entry(prefix.clone()).or_default().insert(index);
+                    }
+                    map_3d.entry(prefix).or_default().insert(index);
+                }
+                first = false;
+            }
+        }
+    }
+    (map_2d, map_3d)
+}
+
+/// A decoded leaf packet as the same path → members map.
+fn decoded_members<S: stat_core::serialize::WireTaskSet>(
+    payload: &[u8],
+    dict: &FrameDictionary,
+) -> PathMembers {
+    let (tree, _frames): (PrefixTree<S>, WireFrames) = decode_tree(payload).unwrap();
+    let names = dict.snapshot();
+    let members: PathMembers = (0..tree.node_count())
+        .map(|node| {
+            let path = tree
+                .path_to(node)
+                .iter()
+                .map(|&f| names.name(f).to_string())
+                .collect();
+            (path, tree.tasks(node).members().into_iter().collect())
+        })
+        .collect();
+    // Two nodes with one path would be a malformed prefix tree.
+    assert_eq!(members.len(), tree.node_count());
+    members
+}
+
+fn local_merge_matches_the_reference<S: stat_core::serialize::WireTaskSet>(
+    app: &PooledApp,
+    daemons: &[StatDaemon],
+    samples: u32,
+    base: u32,
+) {
+    use appsim::Application;
+    use tbon::packet::EndpointId;
+    let dict = FrameDictionary::negotiate(app.frame_hints());
+    for daemon in daemons {
+        let index_of = |position: usize, rank: u64| {
+            if S::CONCATENATES {
+                position as u64
+            } else {
+                rank
+            }
+        };
+        let (want_2d, want_3d) = reference_local_merge(app, &daemon.ranks, 0..samples, index_of);
+
+        // The fused walk, as the session runs it.
+        let c = daemon.contribute::<S>(app, samples, EndpointId(daemon.id), &dict);
+        let traces = daemon.ranks.len() as u64 * u64::from(samples) * u64::from(app.threads);
+        assert_eq!(c.traces_gathered, traces);
+        assert_eq!(&decoded_members::<S>(&c.tree_2d.payload, &dict), &want_2d);
+        assert_eq!(&decoded_members::<S>(&c.tree_3d.payload, &dict), &want_3d);
+
+        // The staged route ships the same bytes.
+        let mut table = FrameTable::new();
+        let gathered = daemon.gather(app, samples, &mut table);
+        let (tree_2d, tree_3d) = daemon.build_trees::<S>(&gathered);
+        assert_eq!(
+            &encode_tree(&tree_2d, &table, &dict)[..],
+            &c.tree_2d.payload[..]
+        );
+        assert_eq!(
+            &encode_tree(&tree_3d, &table, &dict)[..],
+            &c.tree_3d.payload[..]
+        );
+
+        // ...and keeps to the reference when the sample clock starts at `base`.
+        let later =
+            appsim::gather_samples_for_ranks_from(app, &daemon.ranks, base, samples, &mut table);
+        let (later_2d, later_3d) = daemon.build_trees::<S>(&later);
+        let (want_2d, want_3d) =
+            reference_local_merge(app, &daemon.ranks, base..base + samples, index_of);
+        assert_eq!(
+            &decoded_members::<S>(&encode_tree(&later_2d, &table, &dict), &dict),
+            &want_2d
+        );
+        assert_eq!(
+            &decoded_members::<S>(&encode_tree(&later_3d, &table, &dict), &dict),
+            &want_3d
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn daemon_local_merge_matches_the_trace_by_trace_reference(
+        // Every third case is big enough for one daemon to see > 64 distinct
+        // callees under `dispatch`.
+        tasks in (0u64..3, 0u64..24).prop_map(|(size, t)| if size == 0 { 132 + t } else { 1 + t }),
+        threads in 1u32..=3,
+        samples in 0u32..=4,
+        base in 1u32..=6,
+        pool in prop::collection::vec(prop::collection::vec(0usize..6, 0..6), 1..6),
+        cuts in prop::collection::vec(0u64..160, 0..4),
+        seed in 0u64..1_000_000,
+    ) {
+        // `main` twice (the literal and its twin), `main` below `solve`, `poll`
+        // under `poll`: whatever the indices draw.
+        let alphabet = ["main", "solve", "poll", "io_wait", main_twin(), "MPI_Barrier"];
+        let pool: Vec<Vec<&'static str>> =
+            pool.iter().map(|path| path.iter().map(|&i| alphabet[i]).collect()).collect();
+        let app = PooledApp { tasks, threads, pool, seed };
+
+        // A ragged partition (blocks of any size, empty ones included), a daemon
+        // whose ranks are neither contiguous nor ascending, and one holding the
+        // whole job.
+        let mut bounds: Vec<u64> = cuts.iter().map(|c| c % (tasks + 1)).collect();
+        bounds.extend([0, tasks]);
+        bounds.sort_unstable();
+        let mut daemons: Vec<StatDaemon> = bounds
+            .windows(2)
+            .enumerate()
+            .map(|(id, w)| StatDaemon::new(id as u32, (w[0]..w[1]).collect(), tasks))
+            .collect();
+        daemons.push(StatDaemon::new(90, (0..tasks).rev().step_by(3).collect(), tasks));
+        daemons.push(StatDaemon::new(91, (0..tasks).collect(), tasks));
+
+        local_merge_matches_the_reference::<DenseBitVector>(&app, &daemons, samples, base);
+        local_merge_matches_the_reference::<SubtreeTaskList>(&app, &daemons, samples, base);
+
+        // The wide node really is wide in the big cases: the whole-job daemon sees
+        // more than 64 distinct callees under `dispatch`.
+        let job: Vec<u64> = (0..tasks).collect();
+        if tasks >= 132 && samples >= 1 {
+            let (_, whole) = reference_local_merge(&app, &job, 0..samples, |_, rank| rank);
+            let callees = whole.keys().filter(|p| p.len() == 3 && p[1] == "dispatch").count();
+            prop_assert!(callees > 64, "only {callees} callees under dispatch");
+        }
+
+        // The fused walk at a sample clock past zero: two waves of a stream fold
+        // to the reference 3D merge of sample indices 0..2·samples over the job.
+        let per_wave = samples.max(1);
+        let (_, want) = reference_local_merge(&app, &job, 0..2 * per_wave, |_, rank| rank);
+        for representation in [Representation::GlobalBitVector, Representation::HierarchicalTaskList] {
+            let source = appsim::SteadySource::new(
+                std::sync::Arc::new(PooledApp { pool: app.pool.clone(), ..app }),
+                appsim::healthy_truth(appsim::FrameVocabulary::Linux),
+            );
+            let mut stream = Session::builder(machine::cluster::Cluster::test_cluster(16, 8))
+                .representation(representation)
+                .streaming(per_wave)
+                .open(Box::new(source))
+                .expect("the stream opens");
+            stream.advance().expect("wave 0 advances");
+            stream.advance().expect("wave 1 advances");
+            let folded: PathMembers = stream
+                .incremental_canonical()
+                .into_iter()
+                .map(|(path, members)| (path, members.into_iter().collect()))
+                .collect();
+            prop_assert_eq!(&folded, &want);
+        }
     }
 }
 
