@@ -14,7 +14,7 @@
 //!    representation-agnostic [`Diagnosis`] of a finished session and decides,
 //!    check by check, whether the tool actually recovered the injected fault.
 //!
-//! [`catalogue`] is the registry the integration suite, the STATBench emulator and
+//! [`catalogue`] is the registry the integration suite, the STATBench campaigns and
 //! the `scenario_gallery` example all iterate; [`OverlayFault`] modifiers let any
 //! scenario also run *degraded*, with tool daemons pruned mid-session the way
 //! `tbon::fault` prunes a real overlay.

@@ -97,7 +97,7 @@ pub(crate) fn campaign_surface() -> String {
          seed-derived randomized scenarios (random fault ranks and flavors, random \
          daemon loss, random mid-tree filter corruption) across a grid of seeds × \
          scales × overlay depths × healthy/degraded overlays.  Every cell runs \
-         through the real `Session` → `run_scenario_in` pipeline and is judged \
+         through the real `Session::run_scenario` pipeline and is judged \
          against its machine-checkable ground truth; mid-tree corruption cells are \
          judged **inverted** — they pass only when the poison is *detected* (a \
          failed verdict or a typed decode error), never when the poisoned diagnosis \
@@ -131,8 +131,9 @@ pub(crate) fn campaign_surface() -> String {
          number in the scenario name, e.g. `rand_stall_s2_0` is seed 2, draw 0), \
          re-derive the degraded variant with `with_overlay(BackendFromEnd(0))` if \
          the row says `degraded=true` and the name has no `_degraded` suffix, then \
-         run it through `EmulatedJob::new(cluster, tasks)\
-         .with_tree_depth(depth).with_samples_per_task(samples).run_scenario(..)`. \
+         run it through `Session::builder(cluster).topology(TreeShape::for_placement(\
+         &PlacementPlan::for_job(&cluster, tasks), depth)).samples_per_task(samples)\
+         .build().run_scenario(..)`. \
          `cargo run --example campaign_runner -- <tasks>` replays a whole small \
          grid and prints every cell.\n"
     );

@@ -77,10 +77,6 @@ impl Hasher for ChildKeyHasher {
         self.mix(value as u64);
     }
 
-    fn write_u64(&mut self, value: u64) {
-        self.mix(value);
-    }
-
     fn write_usize(&mut self, value: usize) {
         self.mix(value as u64);
     }
@@ -135,11 +131,6 @@ impl<S: TaskSetOps> PrefixTree<S> {
     /// Number of nodes, including the synthetic root.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Number of labelled edges (every node except the root has one incoming edge).
-    pub fn edge_count(&self) -> usize {
-        self.nodes.len() - 1
     }
 
     /// The root node index.
@@ -499,12 +490,6 @@ impl<S: TaskSetOps> PrefixTree<S> {
         out
     }
 
-    /// Total bytes of task-set labels a serialised copy of this tree carries — the
-    /// quantity that differs so dramatically between the two representations.
-    pub fn label_bytes(&self) -> u64 {
-        self.nodes.iter().map(|n| n.tasks.serialized_bytes()).sum()
-    }
-
     /// Replace the task set of a node wholesale (used by packet deserialisation).
     pub(crate) fn replace_tasks(&mut self, node: NodeIdx, tasks: S) {
         self.entry_mut(node).tasks = tasks;
@@ -682,7 +667,6 @@ mod tests {
         let mut ba = b.clone();
         ba.merge(a.clone());
         assert_eq!(ab.node_count(), ba.node_count());
-        assert_eq!(ab.edge_count(), ba.edge_count());
         assert_eq!(ab.tasks(ab.root()).members(), ba.tasks(ba.root()).members());
         // Leaf task populations agree regardless of merge order.
         let mut ab_counts: Vec<u64> = ab.leaves().iter().map(|&l| ab.tasks(l).count()).collect();
@@ -820,26 +804,6 @@ mod tests {
         folded.merge_aligned(delta);
         assert_eq!(shape_of(&folded), shape_of(&expected));
         assert_eq!(folded.width(), 8);
-    }
-
-    #[test]
-    fn label_bytes_show_the_representation_gap() {
-        let mut table = FrameTable::new();
-        let total_tasks = 8_192u64;
-        let local_tasks = 8u64;
-
-        // One daemon's local tree under each representation.
-        let barrier = trace(&mut table, &["_start", "main", "MPI_Barrier", "progress"]);
-        let mut global = GlobalPrefixTree::new_global(total_tasks);
-        let mut subtree = SubtreePrefixTree::new_subtree(local_tasks);
-        for local in 0..local_tasks {
-            global.add_trace(&barrier, local); // ranks 0..8 of the full job
-            subtree.add_trace(&barrier, local);
-        }
-        assert_eq!(global.node_count(), subtree.node_count());
-        // The dense labels are sized for all 8,192 tasks on every edge; the subtree
-        // labels only cover 8 tasks.
-        assert!(global.label_bytes() > 100 * subtree.label_bytes());
     }
 
     #[test]

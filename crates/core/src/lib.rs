@@ -21,7 +21,9 @@
 //! The tool is driven through one front door: [`session::Session`], a builder-style
 //! API whose [`session::Session::attach`] runs sampling → local merge → single-pass
 //! multi-channel TBON reduction → remap → classification as one pipeline and reports
-//! per-phase metrics.
+//! per-phase metrics, and whose [`session::Session::run_scenario`] runs a catalogued
+//! fault — with whatever daemon losses and mid-tree corruption it carries — through
+//! that same pipeline and judges the diagnosis against the fault's ground truth.
 //!
 //! ## Quick start
 //!
@@ -39,6 +41,14 @@
 //! assert_eq!(report.gather.classes.len(), 3);
 //! // ...so a heavyweight debugger only needs to attach to three ranks.
 //! assert_eq!(report.gather.attach_set().len(), 3);
+//!
+//! // The same fault from the scenario catalogue, with the last tool daemon lost
+//! // mid-gather: still diagnosed, and the daemon's eight ranks reported uncovered.
+//! let scenarios = appsim::scenario::catalogue(256, FrameVocabulary::Linux);
+//! let degraded = scenarios.iter().find(|s| s.name == "ring_hang_daemon_loss").unwrap();
+//! let run = session.run_scenario(degraded).expect("the survivors merge cleanly");
+//! assert!(run.verdict.passed(), "{}", run.verdict);
+//! assert_eq!((run.lost_backends, run.diagnosis.lost_ranks.len()), (1, 8));
 //! ```
 
 #![warn(rust_2018_idioms)]
@@ -71,9 +81,7 @@ pub mod prelude {
     pub use crate::report::{
         classes_above, focus_on_path, prune_by_population, render_text_tree, session_summary,
     };
-    pub use crate::scenario::{
-        diagnose, run_scenario, run_scenario_in, run_scenario_with, ScenarioRun,
-    };
+    pub use crate::scenario::{diagnose, ScenarioRun};
     pub use crate::serialize::{
         decode_tree, encode_merged_tree, encode_tree, DecodeError, WireFrames,
     };

@@ -1,17 +1,22 @@
 //! Report → verdict helpers: running fault scenarios through the real pipeline.
 //!
 //! `appsim::scenario` defines *what* to inject and *what the tool must conclude*
-//! ([`appsim::scenario::GroundTruth`]); this module supplies the missing middle —
-//! it runs a scenario's application through the real [`Session`] pipeline
-//! (planner-chosen topology, real daemons, real single-pass TBON reduction),
-//! converts the resulting [`GatherResult`] into the representation-agnostic
-//! [`Diagnosis`] the verdict checker understands, and returns the [`Verdict`].
+//! ([`appsim::scenario::GroundTruth`]); this module supplies the missing middle.
+//! [`Session::run_scenario`] runs a scenario's application through the session's
+//! own pipeline (its topology choice, real daemons, real single-pass TBON
+//! reduction), converts the resulting [`GatherResult`] into the
+//! representation-agnostic [`Diagnosis`] the verdict checker understands, and
+//! returns the [`Verdict`].
 //!
-//! Scenario entries that carry [`OverlayFault`] modifiers run *degraded*: the
-//! requested tool daemons are pruned with [`tbon::fault::FaultTracker`], only the
-//! survivors sample their tasks, and the survivors' contributions are merged over
-//! the tracker's pruned replacement shape — the exact bookkeeping a production
-//! deployment does when an interactive session loses daemons mid-gather.
+//! There is one way to run a scenario, whatever faults it carries.  The paper's
+//! operational lesson is that the tool's own processes fail first, so "a gather
+//! that lost daemons" is the *same* code as "a gather": `prune_overlay` states
+//! once which daemons are alive and what tree they merge over (the identity when
+//! the scenario carries no [`OverlayFault`]), only the survivors sample, any
+//! mid-tree corruption is aimed at the tree that actually merges, and the
+//! diagnosis reports the ranks the lost daemons covered.  The streaming path
+//! ([`Session::stream_scenario`], [`crate::streaming::StreamingSession`]) prunes
+//! through the same function.
 //!
 //! ```
 //! use appsim::scenario::catalogue;
@@ -21,7 +26,11 @@
 //!
 //! let scenarios = catalogue(64, FrameVocabulary::Linux);
 //! let ring = scenarios.iter().find(|s| s.name == "ring_hang").unwrap();
-//! let run = run_scenario(&Cluster::test_cluster(8, 8), ring, 3).unwrap();
+//! let session = Session::builder(Cluster::test_cluster(8, 8))
+//!     .plan_topology()
+//!     .samples_per_task(3)
+//!     .build();
+//! let run = session.run_scenario(ring).unwrap();
 //! assert!(run.verdict.passed(), "{}", run.verdict);
 //! ```
 
@@ -29,15 +38,17 @@ use appsim::scenario::{
     DiagnosedClass, Diagnosis, FaultScenario, MidTreeCorruption, MidTreeFault, OverlayFault,
     Verdict,
 };
-use machine::cluster::Cluster;
+use appsim::{FaultSchedule, FrameVocabulary};
+use stackwalk::FrameDictionary;
 use tbon::fault::{FaultTracker, FilterFault, FilterFaultKind};
 use tbon::packet::EndpointId;
 use tbon::topology::Topology;
 
 use crate::daemon::{DaemonContribution, StatDaemon};
 use crate::error::StatError;
-use crate::frontend::{GatherResult, Representation};
+use crate::frontend::GatherResult;
 use crate::session::{Session, SessionReport};
+use crate::streaming::{StreamingBuilder, WaveReport};
 use crate::taskset::TaskSetOps;
 
 /// Convert a finished gather into the representation-agnostic [`Diagnosis`] the
@@ -92,136 +103,114 @@ pub struct ScenarioRun {
     pub verdict: Verdict,
 }
 
-/// Run one scenario through the full pipeline with the paper's default
-/// (hierarchical) representation.  See [`run_scenario_with`].
-pub fn run_scenario(
-    cluster: &Cluster,
-    scenario: &FaultScenario,
-    samples_per_task: u32,
-) -> Result<ScenarioRun, StatError> {
-    run_scenario_with(
-        cluster,
-        scenario,
-        samples_per_task,
-        Representation::HierarchicalTaskList,
-    )
-}
-
-/// Run one scenario with a planner-chosen topology and an explicit
-/// representation.  See [`run_scenario_in`] for callers that have already
-/// configured a session (pinned topology, emulator settings, ...).
-pub fn run_scenario_with(
-    cluster: &Cluster,
-    scenario: &FaultScenario,
-    samples_per_task: u32,
-    representation: Representation,
-) -> Result<ScenarioRun, StatError> {
-    let session = Session::builder(cluster.clone())
-        .representation(representation)
-        .plan_topology()
-        .samples_per_task(samples_per_task)
-        .build();
-    run_scenario_in(&session, scenario)
-}
-
-/// Run one scenario through an already-configured [`Session`] — whatever
-/// topology choice (pinned, planned or paper-default), representation and
-/// sampling depth the session carries is what the scenario executes under —
-/// and judge the result against the scenario's ground truth.
-pub fn run_scenario_in(
-    session: &Session,
-    scenario: &FaultScenario,
-) -> Result<ScenarioRun, StatError> {
-    let app = scenario.app.as_ref();
-    let tasks = app.num_tasks();
-    let samples_per_task = session.samples_per_task();
-    let representation = session.representation();
-
-    if scenario.overlay_faults.is_empty() {
-        let spec = session.topology_for(tasks);
-        let topology = Topology::build(spec.clone());
+impl Session {
+    /// Run one scenario under this session's topology choice, representation and
+    /// sampling depth, and judge the result against the scenario's ground truth.
+    ///
+    /// One body serves every scenario: plan the overlay, prune it by the
+    /// scenario's overlay faults, let the surviving daemons contribute, aim the
+    /// mid-tree faults at the tree that actually merges, reduce, diagnose, judge.
+    pub fn run_scenario(&self, scenario: &FaultScenario) -> Result<ScenarioRun, StatError> {
+        let app = scenario.app.as_ref();
+        let tasks = app.num_tasks();
+        let planned = Topology::build(self.topology_for(tasks));
+        let total_backends = planned.backends().len();
+        let (surviving, topology) =
+            prune_overlay(planned, &scenario.overlay_faults, total_backends)?;
+        // Mid-tree faults hit the tree that merges: on a pruned overlay the
+        // corrupted comm process is one that survived and still merges its
+        // (reduced) subtree.
         let filter_faults = resolve_filter_faults(&topology, &scenario.mid_tree_faults)?;
-        // Mid-tree corruption needs a session carrying the resolved faults; a
-        // clean scenario runs through the caller's session untouched.
-        let report = if filter_faults.is_empty() {
-            session.attach(app)?
-        } else {
-            Session::builder(session.cluster().clone())
-                .representation(representation)
-                .topology(spec)
-                .samples_per_task(samples_per_task)
-                .filter_faults(filter_faults)
-                .build()
-                .attach(app)?
-        };
-        let diagnosis = diagnose(&report.gather, tasks, Vec::new());
+
+        // Only the survivors spend sampling time — a dead daemon gathers nothing —
+        // and they all encode against one session-global dictionary.
+        let dict = FrameDictionary::negotiate(app.frame_hints());
+        let strategy = self.representation().strategy();
+        let daemons = StatDaemon::partition(tasks, total_backends as u32);
+        let contributions: Vec<DaemonContribution> = surviving
+            .iter()
+            .zip(topology.backends())
+            .map(|(&idx, &leaf)| {
+                strategy.contribute(&daemons[idx], app, self.samples_per_task(), leaf, &dict)
+            })
+            .collect();
+        // `surviving` is ascending: it is a filter of the backend order.
+        let lost_ranks: Vec<u64> = daemons
+            .iter()
+            .enumerate()
+            .filter(|(idx, _)| surviving.binary_search(idx).is_err())
+            .flat_map(|(_, d)| d.ranks.iter().copied())
+            .collect();
+
+        let (gather, _) =
+            self.merge_through(&topology, contributions, tasks, &dict, &filter_faults)?;
+        let diagnosis = diagnose(&gather, tasks, lost_ranks);
         let verdict = scenario.truth.check(&scenario.name, &diagnosis);
-        return Ok(ScenarioRun {
+        Ok(ScenarioRun {
             scenario: scenario.name.clone(),
-            daemons: report.daemons,
-            lost_backends: 0,
+            daemons: total_backends as u32,
+            lost_backends: total_backends - surviving.len(),
             diagnosis,
             verdict,
-        });
+        })
     }
 
-    // Degraded path: prune the session's overlay, sample only the survivors,
-    // merge them over the tracker's replacement shape.
-    let spec = session.topology_for(tasks);
-    let topology = Topology::build(spec.clone());
-    let mut tracker = FaultTracker::new(topology.clone());
-    for fault in &scenario.overlay_faults {
-        tracker.fail(resolve_fault(&topology, *fault)?);
+    /// Run one scenario as a **continuous stream** sampling
+    /// [`samples_per_task`](Session::samples_per_task) traces per task per wave:
+    /// the job starts healthy, the scenario's fault first appears at wave
+    /// `fault_wave`, and the stream is observed for `post_fault_waves` further
+    /// waves (at least one).  The scenario's overlay faults are applied at wave
+    /// 0, so a degraded overlay is degraded for the whole stream; its mid-tree
+    /// faults are **ignored** — the streaming path does not corrupt filters yet.
+    /// Returns every per-wave report, in wave order.
+    pub fn stream_scenario(
+        &self,
+        scenario: &FaultScenario,
+        vocab: FrameVocabulary,
+        fault_wave: u32,
+        post_fault_waves: u32,
+    ) -> Result<Vec<WaveReport>, StatError> {
+        let mut builder = StreamingBuilder::new(self.clone());
+        for &fault in &scenario.overlay_faults {
+            builder = builder.overlay_fault_at(0, fault);
+        }
+        let source = FaultSchedule::new(scenario.clone(), vocab, fault_wave);
+        let mut stream = builder.open(Box::new(source))?;
+        let total = fault_wave.saturating_add(post_fault_waves.max(1));
+        (0..total).map(|_| stream.advance()).collect()
     }
+}
 
-    let total_backends = topology.backends().len();
+/// Which daemons are alive and what tree do they merge over: apply `faults` to
+/// `topology` and return the surviving backends' indices (into the backend order
+/// of `topology`) with the pruned replacement tree — `topology` itself, with
+/// every index, when there are no faults.  `total_backends` is the daemon count
+/// the session started with, for the [`StatError::SessionNotViable`] a prune that
+/// leaves no front end or no daemon reports.
+pub(crate) fn prune_overlay(
+    topology: Topology,
+    faults: &[OverlayFault],
+    total_backends: usize,
+) -> Result<(Vec<usize>, Topology), StatError> {
+    if faults.is_empty() {
+        return Ok(((0..topology.backends().len()).collect(), topology));
+    }
+    let failed = faults
+        .iter()
+        .map(|&fault| resolve_fault(&topology, fault))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut tracker = FaultTracker::new(topology);
+    for endpoint in failed {
+        tracker.fail(endpoint);
+    }
     let surviving = tracker.surviving_backend_indices();
-    let degraded_spec = tracker
+    let degraded = tracker
         .degraded_shape()
         .ok_or(StatError::SessionNotViable {
             lost_backends: total_backends - surviving.len(),
             total_backends,
         })?;
-
-    let daemons = StatDaemon::partition(tasks, spec.backends());
-    let surviving_set: std::collections::BTreeSet<usize> = surviving.iter().copied().collect();
-    let lost_ranks: Vec<u64> = daemons
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !surviving_set.contains(i))
-        .flat_map(|(_, d)| d.ranks.iter().copied())
-        .collect();
-
-    // Only the survivors spend sampling time: a dead daemon gathers nothing.
-    // The degraded gather still encodes against one session-global dictionary.
-    let dict = stackwalk::FrameDictionary::negotiate(app.frame_hints());
-    let strategy = representation.strategy();
-    let degraded_topology = Topology::build(degraded_spec.clone());
-    let contributions: Vec<DaemonContribution> = surviving
-        .iter()
-        .zip(degraded_topology.backends())
-        .map(|(&idx, &leaf)| strategy.contribute(&daemons[idx], app, samples_per_task, leaf, &dict))
-        .collect();
-
-    // Mid-tree faults hit the *degraded* tree: the corrupted comm process is
-    // one that survived the pruning and still merges its (reduced) subtree.
-    let filter_faults = resolve_filter_faults(&degraded_topology, &scenario.mid_tree_faults)?;
-    let merge_session = Session::builder(session.cluster().clone())
-        .representation(representation)
-        .topology(degraded_spec)
-        .samples_per_task(samples_per_task)
-        .filter_faults(filter_faults)
-        .build();
-    let gather = merge_session.merge(contributions, tasks, &dict)?;
-    let diagnosis = diagnose(&gather, tasks, lost_ranks);
-    let verdict = scenario.truth.check(&scenario.name, &diagnosis);
-    Ok(ScenarioRun {
-        scenario: scenario.name.clone(),
-        daemons: spec.backends(),
-        lost_backends: total_backends - surviving.len(),
-        diagnosis,
-        verdict,
-    })
+    Ok((surviving, Topology::build(degraded)))
 }
 
 /// Resolve a scenario's abstract overlay fault to a concrete endpoint of the
@@ -230,10 +219,7 @@ pub fn run_scenario_in(
 /// `BackendFromEnd(7)` on a 4-daemon tree indistinguishable from
 /// `BackendFromEnd(3)`, so a campaign sweeping fault indices across scales
 /// would quietly re-run the same fault.
-pub(crate) fn resolve_fault(
-    topology: &Topology,
-    fault: OverlayFault,
-) -> Result<EndpointId, StatError> {
+fn resolve_fault(topology: &Topology, fault: OverlayFault) -> Result<EndpointId, StatError> {
     match fault {
         OverlayFault::BackendFromEnd(i) => {
             let backends = topology.backends();
@@ -310,16 +296,27 @@ mod tests {
     use super::*;
     use appsim::scenario::catalogue;
     use appsim::FrameVocabulary;
+    use machine::cluster::Cluster;
+
+    use crate::frontend::Representation;
 
     fn cluster() -> Cluster {
         Cluster::test_cluster(32, 8)
+    }
+
+    /// A planner-chosen overlay under the paper's default representation.
+    fn planned(samples: u32) -> Session {
+        Session::builder(cluster())
+            .plan_topology()
+            .samples_per_task(samples)
+            .build()
     }
 
     #[test]
     fn the_ring_hang_scenario_is_diagnosed_end_to_end() {
         let scenarios = catalogue(256, FrameVocabulary::BlueGeneL);
         let ring = scenarios.iter().find(|s| s.name == "ring_hang").unwrap();
-        let run = run_scenario(&cluster(), ring, 3).unwrap();
+        let run = planned(3).run_scenario(ring).unwrap();
         assert!(run.verdict.passed(), "{}", run.verdict);
         assert_eq!(run.lost_backends, 0);
         // The checker saw the real classes, by name.
@@ -337,7 +334,7 @@ mod tests {
             .iter()
             .find(|s| s.name == "ring_hang_daemon_loss")
             .unwrap();
-        let run = run_scenario(&cluster(), degraded, 2).unwrap();
+        let run = planned(2).run_scenario(degraded).unwrap();
         assert!(run.verdict.passed(), "{}", run.verdict);
         assert!(run.lost_backends > 0);
         assert!(!run.diagnosis.lost_ranks.is_empty());
@@ -357,14 +354,13 @@ mod tests {
     fn both_representations_reach_the_same_verdicts() {
         let scenarios = catalogue(128, FrameVocabulary::Linux);
         for scenario in &scenarios {
-            let hier = run_scenario_with(
-                &cluster(),
-                scenario,
-                3,
-                Representation::HierarchicalTaskList,
-            )
-            .unwrap();
-            let dense = run_scenario_with(&cluster(), scenario, 3, Representation::GlobalBitVector)
+            let hier = planned(3).run_scenario(scenario).unwrap();
+            let dense = Session::builder(cluster())
+                .representation(Representation::GlobalBitVector)
+                .plan_topology()
+                .samples_per_task(3)
+                .build()
+                .run_scenario(scenario)
                 .unwrap();
             assert!(hier.verdict.passed(), "{}", hier.verdict);
             assert!(dense.verdict.passed(), "{}", dense.verdict);
@@ -384,7 +380,7 @@ mod tests {
             .unwrap();
         let mut crossed = deadlock.clone();
         crossed.truth = ring.truth.clone();
-        let run = run_scenario(&cluster(), &crossed, 3).unwrap();
+        let run = planned(3).run_scenario(&crossed).unwrap();
         assert!(!run.verdict.passed());
         assert!(run.verdict.failures().iter().any(|c| c.name == "isolation"));
     }
@@ -397,13 +393,9 @@ mod tests {
             .find(|s| s.name == "ring_hang")
             .unwrap()
             .clone();
-        let backends = Session::builder(cluster())
-            .plan_topology()
-            .build()
-            .topology_for(64)
-            .backends() as usize;
+        let backends = planned(1).topology_for(64).backends() as usize;
         wild.overlay_faults = vec![appsim::scenario::OverlayFault::BackendFromEnd(backends)];
-        let err = run_scenario(&cluster(), &wild, 1).unwrap_err();
+        let err = planned(1).run_scenario(&wild).unwrap_err();
         assert_eq!(
             err,
             StatError::FaultOutOfRange {
@@ -423,7 +415,7 @@ mod tests {
             .unwrap()
             .clone();
         wild.overlay_faults = vec![appsim::scenario::OverlayFault::CommProcessFromEnd(999)];
-        let err = run_scenario(&cluster(), &wild, 1).unwrap_err();
+        let err = planned(1).run_scenario(&wild).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -462,7 +454,7 @@ mod tests {
                 kind,
             }];
             assert!(corrupted.is_corrupting());
-            match run_scenario_in(&session, &corrupted) {
+            match session.run_scenario(&corrupted) {
                 Ok(run) => assert!(
                     !run.verdict.passed(),
                     "{kind:?} corruption produced a clean PASS:\n{}",
@@ -499,7 +491,7 @@ mod tests {
             .topology(TreeShape::flat(8))
             .samples_per_task(1)
             .build();
-        let err = run_scenario_in(&session, &corrupted).unwrap_err();
+        let err = session.run_scenario(&corrupted).unwrap_err();
         assert_eq!(
             err,
             StatError::FaultOutOfRange {
@@ -519,16 +511,49 @@ mod tests {
             .unwrap()
             .clone();
         // More faults than the topology has backends: every daemon dies.
-        let backends = Session::builder(cluster())
-            .plan_topology()
-            .build()
-            .topology_for(64)
-            .backends() as usize;
+        let backends = planned(1).topology_for(64).backends() as usize;
         doomed.overlay_faults = (0..backends)
             .map(appsim::scenario::OverlayFault::BackendFromEnd)
             .collect();
-        let err = run_scenario(&cluster(), &doomed, 1).unwrap_err();
+        let err = planned(1).run_scenario(&doomed).unwrap_err();
         assert!(matches!(err, StatError::SessionNotViable { .. }));
         assert!(err.to_string().contains("no degraded session"));
+    }
+
+    #[test]
+    fn run_scenario_honors_the_sessions_pinned_topology() {
+        // The scenario must execute under the session's configured overlay, not
+        // a planner pick: pin an unusual shape and check it is what actually ran.
+        let scenarios = catalogue(256, FrameVocabulary::Linux);
+        let ring = scenarios.iter().find(|s| s.name == "ring_hang").unwrap();
+        let run = Session::builder(cluster())
+            .topology(tbon::topology::TreeShape::two_deep(16, 4))
+            .build()
+            .run_scenario(ring)
+            .unwrap();
+        assert_eq!(run.daemons, 16, "the pinned 16-daemon overlay must be used");
+        assert!(run.verdict.passed(), "{}", run.verdict);
+    }
+
+    #[test]
+    fn stream_scenario_watches_the_fault_develop() {
+        let scenarios = catalogue(256, FrameVocabulary::Linux);
+        let ring = scenarios.iter().find(|s| s.name == "ring_hang").unwrap();
+        let reports = Session::builder(cluster())
+            .samples_per_task(2)
+            .build()
+            .stream_scenario(ring, FrameVocabulary::Linux, 2, 2)
+            .expect("the stream advances");
+        assert_eq!(reports.len(), 4);
+        for report in &reports[..2] {
+            assert!(report.verdict.passed(), "pre-fault: {}", report.verdict);
+            assert_eq!(report.classes, 1);
+        }
+        for report in &reports[2..] {
+            assert!(report.verdict.passed(), "post-fault: {}", report.verdict);
+            assert!(report.classes >= 3);
+        }
+        // The leaf ingress column is populated on every wave.
+        assert!(reports.iter().all(|r| r.packet_bytes > 0));
     }
 }

@@ -103,8 +103,8 @@ enum TopologyChoice {
     /// The paper's default: the placement-rule 2-deep shape for the job size,
     /// resolved when the job size is known.
     PaperDefault,
-    /// A caller-pinned shape — degraded gathers over a pruned overlay and tests
-    /// that need an exact tree.
+    /// A caller-pinned shape — sweeps over a placement depth, tests that need an
+    /// exact tree.
     Pinned(TreeShape),
     /// Let [`TopologyPlanner`] search candidate shapes with the cost model and use
     /// its cheapest feasible pick.
@@ -121,7 +121,6 @@ pub struct SessionBuilder {
     representation: Representation,
     samples_per_task: u32,
     topology: TopologyChoice,
-    filter_faults: Vec<FilterFault>,
 }
 
 impl SessionBuilder {
@@ -138,8 +137,7 @@ impl SessionBuilder {
     }
 
     /// Pin an explicit tree shape instead of deriving one from the machine's
-    /// placement rules — used by degraded gathers over a pruned overlay and by
-    /// tests that need an exact tree.
+    /// placement rules — used by depth sweeps and by tests that need an exact tree.
     ///
     /// Migration note: callers that used to select a family with
     /// `topology_kind(TopologyKind::ThreeDeep)` now pass the placement-rule shape
@@ -161,18 +159,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Inject mid-tree filter faults: every merge (and rank-map) filter
-    /// invocation at the named tree nodes has its output corrupted through a
-    /// [`CorruptingFilter`].  This is the fault-campaign hook for "an interior
-    /// node's filter state went bad" — the node still participates in the walk,
-    /// but the packet it forwards no longer describes its subtree, and the test
-    /// is whether the front end *detects* the damage rather than silently
-    /// producing a clean-looking diagnosis.
-    pub fn filter_faults(mut self, faults: Vec<FilterFault>) -> Self {
-        self.filter_faults = faults;
-        self
-    }
-
     /// Turn this configuration into a *streaming* session builder: instead of one
     /// attach-and-exit gather, the session will sample in waves of
     /// `samples_per_wave` traces per task, ship per-wave deltas through the
@@ -189,7 +175,6 @@ impl SessionBuilder {
             representation: self.representation,
             samples_per_task: self.samples_per_task,
             topology: self.topology,
-            filter_faults: self.filter_faults,
         }
     }
 }
@@ -220,7 +205,6 @@ pub struct Session {
     representation: Representation,
     samples_per_task: u32,
     topology: TopologyChoice,
-    filter_faults: Vec<FilterFault>,
 }
 
 impl Session {
@@ -231,13 +215,7 @@ impl Session {
             representation: Representation::HierarchicalTaskList,
             samples_per_task: 10,
             topology: TopologyChoice::PaperDefault,
-            filter_faults: Vec::new(),
         }
-    }
-
-    /// The mid-tree filter faults this session injects (empty = honest merge).
-    pub fn filter_faults(&self) -> &[FilterFault] {
-        &self.filter_faults
     }
 
     /// The machine the session is modelled on.
@@ -317,7 +295,8 @@ impl Session {
         };
         let packet_bytes = per_daemon_bytes.iter().sum::<u64>() + rank_map_bytes;
 
-        let (gather, mut phases) = self.merge_through(&topology, contributions, tasks, &dict)?;
+        let (gather, mut phases) =
+            self.merge_through(&topology, contributions, tasks, &dict, &[])?;
         phases.sample = sample;
         phases.local_merge = local_merge;
 
@@ -335,11 +314,8 @@ impl Session {
     }
 
     /// Merge already-gathered daemon contributions (one per topology leaf, in
-    /// backend order) without re-sampling.
-    ///
-    /// This is the path for degraded gathers: after overlay faults prune daemons,
-    /// the survivors' contributions can be merged over a pinned replacement topology
-    /// (see [`SessionBuilder::topology`]).
+    /// backend order) without re-sampling — the reduce → remap → classify tail of
+    /// [`attach`](Session::attach) on its own.
     ///
     /// `dict` must be the frame dictionary the contributions were encoded against —
     /// the session-global id space survives the re-merge unchanged.
@@ -351,19 +327,26 @@ impl Session {
     ) -> Result<GatherResult, StatError> {
         let spec = self.topology_for(total_tasks);
         let topology = Topology::build(spec);
-        let (gather, _) = self.merge_through(&topology, contributions, total_tasks, dict)?;
+        let (gather, _) = self.merge_through(&topology, contributions, total_tasks, dict, &[])?;
         Ok(gather)
     }
 
     /// The single-pass reduce → remap → classify tail of the pipeline.  Shared
     /// with the streaming path, which reduces each wave's view through the same
     /// machinery over its (possibly pruned) current topology.
+    ///
+    /// `filter_faults` is the fault-campaign hook for "an interior node's filter
+    /// state went bad": the named nodes still take part in the walk, but every
+    /// packet they forward is corrupted through a [`CorruptingFilter`], and the
+    /// test is whether the front end *detects* the damage.  Only
+    /// [`Session::run_scenario`] passes any; every other caller merges honestly.
     pub(crate) fn merge_through(
         &self,
         topology: &Topology,
         contributions: Vec<DaemonContribution>,
         total_tasks: u64,
         dict: &FrameDictionary,
+        filter_faults: &[FilterFault],
     ) -> Result<(GatherResult, PhaseTimings), StatError> {
         let strategy = self.representation.strategy();
 
@@ -388,10 +371,10 @@ impl Session {
         let rank_map_filter = RankMapFilter;
         // Mid-tree fault injection: wrap every filter so the designated interior
         // nodes corrupt their output on all channels they touch.  With no faults
-        // configured the wrappers are bypassed entirely.
-        let corrupting_merge = CorruptingFilter::new(merge_filter.as_ref(), &self.filter_faults);
-        let corrupting_map = CorruptingFilter::new(&rank_map_filter, &self.filter_faults);
-        let honest = self.filter_faults.is_empty();
+        // passed the wrappers are bypassed entirely.
+        let corrupting_merge = CorruptingFilter::new(merge_filter.as_ref(), filter_faults);
+        let corrupting_map = CorruptingFilter::new(&rank_map_filter, filter_faults);
+        let honest = filter_faults.is_empty();
         let merge_dyn: &dyn Filter = if honest {
             merge_filter.as_ref()
         } else {

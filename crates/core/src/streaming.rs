@@ -50,7 +50,6 @@ use appsim::scenario::{Diagnosis, OverlayFault, Verdict};
 use appsim::{Application, WaveSource};
 use stackwalk::{FrameDictionary, FrameTable};
 use tbon::delta::{IncrementalTbon, ResidentState, StateFactory, WaveOutcome};
-use tbon::fault::FaultTracker;
 use tbon::filter::Filter;
 use tbon::network::TbonError;
 use tbon::packet::{Packet, PacketTag};
@@ -60,7 +59,7 @@ use crate::daemon::{DaemonContribution, StatDaemon};
 use crate::error::StatError;
 use crate::frontend::Representation;
 use crate::graph::PrefixTree;
-use crate::scenario::{diagnose, resolve_fault};
+use crate::scenario::{diagnose, prune_overlay};
 use crate::serialize::{
     decode_tree, encode_tree, encoded_merged_tree_size, encoded_tree_size, WireFrames, WireTaskSet,
 };
@@ -469,8 +468,8 @@ impl StreamingBuilder {
     pub fn open(self, source: Box<dyn WaveSource>) -> Result<StreamingSession, StatError> {
         let tasks = source.num_tasks();
         let spec = self.session.topology_for(tasks);
-        let topology = Topology::build(spec.clone());
         let daemons = StatDaemon::partition(tasks, spec.backends());
+        let topology = Topology::build(spec);
         let total_backends = daemons.len();
         // Wire-format v2: negotiate the session-global frame dictionary once,
         // at open, from the source's wave-0 application.  Later waves (fault
@@ -495,7 +494,6 @@ impl StreamingBuilder {
             source,
             tasks,
             wave: 0,
-            spec,
             topology,
             scheduled: self.scheduled,
             lost_ranks: Vec::new(),
@@ -545,7 +543,6 @@ pub struct StreamingSession {
     source: Box<dyn WaveSource>,
     tasks: u64,
     wave: u32,
-    spec: TreeShape,
     topology: Topology,
     scheduled: Vec<(u32, OverlayFault)>,
     lost_ranks: Vec<u64>,
@@ -586,9 +583,13 @@ impl StreamingSession {
             strategy.needs_rank_map(),
         );
 
-        let (gather, mut phases) =
-            self.session
-                .merge_through(&self.topology, contributions, self.tasks, &self.dict)?;
+        let (gather, mut phases) = self.session.merge_through(
+            &self.topology,
+            contributions,
+            self.tasks,
+            &self.dict,
+            &[],
+        )?;
         phases.sample = stats.sample;
         phases.local_merge = stats.local_merge;
 
@@ -627,20 +628,10 @@ impl StreamingSession {
         faults: &[OverlayFault],
         filter: &dyn Filter,
     ) -> Result<u64, StatError> {
-        let mut tracker = FaultTracker::new(self.topology.clone());
-        for &fault in faults {
-            tracker.fail(resolve_fault(&self.topology, fault)?);
-        }
-        let surviving = tracker.surviving_backend_indices();
-        let degraded_spec = tracker
-            .degraded_shape()
-            .ok_or(StatError::SessionNotViable {
-                lost_backends: self.total_backends - surviving.len(),
-                total_backends: self.total_backends,
-            })?;
+        let (surviving, topology) =
+            prune_overlay(self.topology.clone(), faults, self.total_backends)?;
         let keep: BTreeSet<usize> = surviving.into_iter().collect();
-        self.spec = degraded_spec.clone();
-        self.topology = Topology::build(degraded_spec);
+        self.topology = topology;
         self.state
             .rebuild(&keep, &mut self.lost_ranks, &self.topology, filter)
     }
@@ -652,7 +643,7 @@ impl StreamingSession {
 
     /// The overlay shape currently in use (pruned after mid-stream faults).
     pub fn topology(&self) -> &TreeShape {
-        &self.spec
+        self.topology.shape()
     }
 
     /// Ranks whose daemons have been lost so far, ascending per loss event.

@@ -108,9 +108,6 @@ pub trait TaskSetOps: Clone + fmt::Debug {
     /// offset is a shifted word copy.  The dense representation never changes
     /// domain, so its implementation only checks that the call is the identity.
     fn rebase(&mut self, offset: u64, new_width: u64);
-
-    /// Bytes this set occupies in a serialised prefix tree.
-    fn serialized_bytes(&self) -> u64;
 }
 
 /// Allocation-free iterator over the members of a packed-word task set, ascending.
@@ -462,13 +459,6 @@ impl<D: Domain> TaskSetOps for TaskSet<D> {
         }
         self.width = new_width;
     }
-
-    fn serialized_bytes(&self) -> u64 {
-        // 8-byte width header plus a bitmap over the whole domain — for a job-wide
-        // set that includes all the zero bits for tasks this subtree never saw
-        // (the Section V problem); for a subtree set only this subtree's tasks.
-        8 + self.width.div_ceil(8)
-    }
 }
 
 impl<D: Domain> fmt::Debug for TaskSet<D> {
@@ -620,24 +610,6 @@ mod tests {
     fn dense_rejects_out_of_range_ranks() {
         let mut a = DenseBitVector::empty(10);
         a.insert(10);
-    }
-
-    #[test]
-    fn dense_serialized_size_is_job_wide_regardless_of_population() {
-        let empty = DenseBitVector::empty(212_992);
-        let mut one = DenseBitVector::empty(212_992);
-        one.insert(7);
-        assert_eq!(empty.serialized_bytes(), one.serialized_bytes());
-        // 212,992 bits = 26,624 bytes (+8 header): the megabit-per-edge problem in
-        // miniature.
-        assert_eq!(empty.serialized_bytes(), 8 + 26_624);
-    }
-
-    #[test]
-    fn subtree_serialized_size_tracks_the_subtree() {
-        let daemon_local = SubtreeTaskList::empty(128);
-        let full_job = DenseBitVector::empty(212_992);
-        assert!(daemon_local.serialized_bytes() * 100 < full_job.serialized_bytes());
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //! [`run_campaign`] sweeps the deterministic catalogue plus seed-derived
 //! randomized scenarios (see [`appsim::randomized_scenarios`]) across every
 //! requested scale × overlay depth × degraded-overlay combination, pushing each
-//! cell through the real [`EmulatedJob`] → `run_scenario_in` pipeline.  The
-//! result is a [`StabilitySurface`]: one [`CampaignCell`] per run, with the
-//! aggregate pass rate, the **first-flip frontier** (for each scenario/topology
-//! group, the smallest scale at which the verdict first fails) and a check-level
-//! failure histogram.  Mid-tree corruption cells are judged inverted: the cell
+//! cell through [`Session::run_scenario`] over the placement-rule overlay of that
+//! depth.  The result is a [`StabilitySurface`]: one [`CampaignCell`] per run,
+//! with the aggregate pass rate, the **first-flip frontier** (for each
+//! scenario/topology group, the smallest scale at which the verdict first fails)
+//! and a check-level failure histogram.  Mid-tree corruption cells are judged inverted: the cell
 //! passes when the corruption is *detected* (a failed verdict or a typed decode
 //! error), and fails when the poisoned diagnosis sails through clean.
 //!
@@ -27,9 +27,9 @@ use std::collections::BTreeMap;
 use appsim::scenario::{catalogue, randomized_scenarios, FaultScenario, OverlayFault};
 use appsim::FrameVocabulary;
 use machine::cluster::Cluster;
-use stat_core::prelude::{Representation, StatError};
-
-use crate::emulator::EmulatedJob;
+use machine::placement::PlacementPlan;
+use stat_core::prelude::{Representation, ScenarioRun, Session, StatError, WaveReport};
+use tbon::topology::TreeShape;
 
 /// The grid a campaign sweeps.  Every axis is explicit so a surface can be
 /// reproduced cell-by-cell from the config alone.
@@ -387,7 +387,7 @@ impl StabilitySurface {
 /// wave index `w >= fault_wave` whose verdict passed and whose every later
 /// observed wave also passed.  `None` when the verdict never stabilised (or no
 /// post-fault waves were observed).
-pub fn stable_wave(reports: &[stat_core::prelude::WaveReport], fault_wave: u32) -> Option<u32> {
+pub fn stable_wave(reports: &[WaveReport], fault_wave: u32) -> Option<u32> {
     let mut stable = None;
     for report in reports.iter().filter(|r| r.wave >= fault_wave) {
         if report.verdict.passed() {
@@ -407,13 +407,13 @@ pub fn stable_wave(reports: &[stat_core::prelude::WaveReport], fault_wave: u32) 
 /// streams that error out (e.g. a prune that kills the session) are unmeasured.
 fn measure_latency(
     config: &CampaignConfig,
-    job: &EmulatedJob,
+    session: &Session,
     scenario: &FaultScenario,
 ) -> Option<u32> {
     if config.latency_waves == 0 || scenario.is_corrupting() {
         return None;
     }
-    let reports = job
+    let reports = session
         .stream_scenario(
             scenario,
             config.vocab,
@@ -434,7 +434,7 @@ fn measure_latency(
 /// comes back clean is a miss.
 fn judge(
     scenario: &FaultScenario,
-    result: Result<stat_core::prelude::ScenarioRun, StatError>,
+    result: Result<ScenarioRun, StatError>,
 ) -> (bool, Vec<String>, Option<String>) {
     let corrupting = scenario.is_corrupting();
     match result {
@@ -470,6 +470,17 @@ fn judge(
     }
 }
 
+/// The session one cell runs under: the placement-rule overlay of `depth` for a
+/// job of `tasks`, with the campaign's representation and sampling depth.
+fn cell_session(config: &CampaignConfig, tasks: u64, depth: u32) -> Session {
+    let plan = PlacementPlan::for_job(&config.cluster, tasks);
+    Session::builder(config.cluster.clone())
+        .representation(config.representation)
+        .topology(TreeShape::for_placement(&plan, depth))
+        .samples_per_task(config.samples_per_task)
+        .build()
+}
+
 /// Run one scenario in one cell of the grid and record the judged result.
 fn run_cell(
     config: &CampaignConfig,
@@ -478,12 +489,9 @@ fn run_cell(
     tasks: u64,
     depth: u32,
 ) -> CampaignCell {
-    let job = EmulatedJob::new(config.cluster.clone(), tasks)
-        .with_representation(config.representation)
-        .with_tree_depth(depth)
-        .with_samples_per_task(config.samples_per_task);
-    let (passed, failed_checks, error) = judge(scenario, job.run_scenario(scenario));
-    let verdict_latency = measure_latency(config, &job, scenario);
+    let session = cell_session(config, tasks, depth);
+    let (passed, failed_checks, error) = judge(scenario, session.run_scenario(scenario));
+    let verdict_latency = measure_latency(config, &session, scenario);
     CampaignCell {
         scenario: scenario.name.clone(),
         seed,
@@ -513,9 +521,8 @@ fn variants(config: &CampaignConfig, scenario: &FaultScenario) -> Vec<FaultScena
 /// For every scale: the deterministic catalogue runs once (its cells carry no
 /// seed), then each seed generates its own batch of randomized scenarios; every
 /// scenario runs at every depth, in both healthy and (when enabled) degraded
-/// overlay variants.  Cells go through [`EmulatedJob::run_scenario`], i.e. the
-/// real `Session` → `run_scenario_in` pipeline — there is no campaign-local
-/// merge or judging shortcut.
+/// overlay variants.  Cells go through [`Session::run_scenario`] — there is no
+/// campaign-local merge or judging shortcut.
 pub fn run_campaign(config: &CampaignConfig) -> StabilitySurface {
     let mut surface = StabilitySurface::default();
     for &tasks in &config.scales {
@@ -624,8 +631,8 @@ mod tests {
         cross_wired.name = "cross_wired".into();
 
         let config = tiny_config();
-        let job = EmulatedJob::new(config.cluster.clone(), 128).with_tree_depth(2);
-        let (passed, failed_checks, error) = judge(&cross_wired, job.run_scenario(&cross_wired));
+        let run = cell_session(&config, 128, 2).run_scenario(&cross_wired);
+        let (passed, failed_checks, error) = judge(&cross_wired, run);
         assert!(!passed, "a cross-wired truth must fail its verdict");
         assert!(error.is_none());
         assert!(!failed_checks.is_empty());
@@ -710,10 +717,12 @@ mod tests {
 
     #[test]
     fn stable_wave_requires_the_verdict_to_stay_passing() {
-        let job = EmulatedJob::new(Cluster::test_cluster(16, 8), 128).with_samples_per_task(2);
+        let session = Session::builder(Cluster::test_cluster(16, 8))
+            .samples_per_task(2)
+            .build();
         let scenarios = catalogue(128, FrameVocabulary::Linux);
         let ring = scenarios.iter().find(|s| s.name == "ring_hang").unwrap();
-        let mut reports = job
+        let mut reports = session
             .stream_scenario(ring, FrameVocabulary::Linux, 1, 3)
             .expect("stream runs");
         assert_eq!(stable_wave(&reports, 1), Some(1));

@@ -177,6 +177,9 @@ impl Application for SyntheticApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use machine::{Cluster, PlacementPlan};
+    use stat_core::prelude::{Representation, Session, SessionReport};
+    use tbon::topology::TreeShape;
 
     #[test]
     fn traces_have_the_requested_depth() {
@@ -258,5 +261,50 @@ mod tests {
         );
         let path = app.main_thread_path(0, 0);
         assert!(path.len() >= 2);
+    }
+
+    /// Attach a synthetic job through the real pipeline, over the placement-rule
+    /// overlay of the given depth on a 64-node machine.
+    fn emulate(
+        tasks: u64,
+        shape: TraceShape,
+        representation: Representation,
+        depth: u32,
+    ) -> SessionReport {
+        let cluster = Cluster::test_cluster(64, 8);
+        let plan = PlacementPlan::for_job(&cluster, tasks);
+        Session::builder(cluster)
+            .representation(representation)
+            .topology(TreeShape::for_placement(&plan, depth))
+            .build()
+            .attach(&SyntheticApp::new(tasks, shape))
+            .expect("the emulation merges cleanly")
+    }
+
+    #[test]
+    fn best_case_merged_tree_is_one_path() {
+        let hier = Representation::HierarchicalTaskList;
+        let report = emulate(256, TraceShape::best_case(12), hier, 2);
+        assert_eq!(report.gather.classes.len(), 1);
+        // Root + 12 frames.
+        assert_eq!(report.gather.tree_3d.node_count(), 13);
+    }
+
+    #[test]
+    fn worst_case_merged_tree_grows_with_tasks() {
+        let hier = Representation::HierarchicalTaskList;
+        let report = emulate(128, TraceShape::worst_case(10, 128), hier, 3);
+        assert_eq!(report.gather.classes.len(), 128);
+        assert!(report.gather.tree_3d.node_count() > 128);
+    }
+
+    #[test]
+    fn representations_agree_on_classes_but_not_on_bytes() {
+        let shape = TraceShape::typical();
+        let dense = emulate(1_024, shape, Representation::GlobalBitVector, 2);
+        let hier = emulate(1_024, shape, Representation::HierarchicalTaskList, 2);
+        assert_eq!(dense.gather.classes.len(), hier.gather.classes.len());
+        assert!(dense.gather.metrics.total_link_bytes > hier.gather.metrics.total_link_bytes);
+        assert!(dense.max_daemon_packet_bytes > hier.max_daemon_packet_bytes);
     }
 }

@@ -1,4 +1,4 @@
-//! Scalability sweeps over the emulation and the topology-planning cost model.
+//! Scalability sweeps over emulated jobs and the topology-planning cost model.
 //!
 //! The STATBench paper's experiments are sweeps: hold the trace shape fixed and grow
 //! the daemon count (scaling sweep), or hold the job size fixed and grow the number
@@ -11,12 +11,13 @@
 //! simulated cores, with the [`TopologyPlanner`]'s pick recorded at every scale.
 
 use machine::cluster::Cluster;
+use machine::placement::PlacementPlan;
 use simkit::stats::SeriesTable;
-use stat_core::prelude::{Representation, StatError};
+use stat_core::prelude::{Representation, Session, StatError};
 use tbon::planner::TopologyPlanner;
+use tbon::topology::TreeShape;
 
-use crate::emulator::EmulatedJob;
-use crate::generator::TraceShape;
+use crate::generator::{SyntheticApp, TraceShape};
 
 /// Parameters shared by every point of a sweep.
 #[derive(Clone, Debug)]
@@ -42,13 +43,14 @@ impl SweepConfig {
         }
     }
 
-    fn job(&self, tasks: u64, representation: Representation) -> EmulatedJob {
-        let mut job = EmulatedJob::new(self.cluster.clone(), tasks)
-            .with_shape(self.shape)
-            .with_representation(representation)
-            .with_tree_depth(self.tree_depth);
-        job.samples_per_task = self.samples_per_task;
-        job
+    /// The session a sweep point attaches its [`SyntheticApp`] through.
+    fn session(&self, tasks: u64, representation: Representation) -> Session {
+        let plan = PlacementPlan::for_job(&self.cluster, tasks);
+        Session::builder(self.cluster.clone())
+            .representation(representation)
+            .topology(TreeShape::for_placement(&plan, self.tree_depth))
+            .samples_per_task(self.samples_per_task)
+            .build()
     }
 }
 
@@ -68,7 +70,12 @@ pub fn sweep_daemon_counts(
             Representation::GlobalBitVector,
             Representation::HierarchicalTaskList,
         ] {
-            let metrics = config.job(tasks, representation).run()?.gather.metrics;
+            let app = SyntheticApp::new(tasks, config.shape);
+            let metrics = config
+                .session(tasks, representation)
+                .attach(&app)?
+                .gather
+                .metrics;
             table.push(
                 format!("{} merge wall (s)", representation.label()),
                 tasks,
@@ -105,12 +112,10 @@ pub fn sweep_equivalence_classes(
             classes,
             ..config.shape
         };
-        let mut job = EmulatedJob::new(config.cluster.clone(), tasks)
-            .with_shape(shape)
-            .with_representation(Representation::HierarchicalTaskList)
-            .with_tree_depth(config.tree_depth);
-        job.samples_per_task = config.samples_per_task;
-        let gather = job.run()?.gather;
+        let gather = config
+            .session(tasks, Representation::HierarchicalTaskList)
+            .attach(&SyntheticApp::new(tasks, shape))?
+            .gather;
         table.push(
             "merged tree nodes",
             classes as u64,

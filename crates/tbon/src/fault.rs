@@ -12,26 +12,14 @@ use std::collections::BTreeSet;
 
 use crate::filter::Filter;
 use crate::packet::{EndpointId, Packet};
-use crate::topology::{Topology, TreeNodeRole, TreeShape};
+use crate::topology::{Topology, TreeShape};
 
-/// Tracks which endpoints have failed and what remains usable.
+/// Tracks which endpoints have failed and answers the two questions a degraded
+/// gather asks: which daemons survive, and what tree do they merge over.
 #[derive(Clone, Debug)]
 pub struct FaultTracker {
     topology: Topology,
     failed: BTreeSet<EndpointId>,
-}
-
-/// The effect of one failure (or batch of failures).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PruneReport {
-    /// Back-end daemons no longer reachable (either failed themselves or orphaned by
-    /// a failed communication process).
-    pub lost_backends: Vec<EndpointId>,
-    /// Communication processes removed from the reduction.
-    pub lost_comm_processes: Vec<EndpointId>,
-    /// Whether the session can continue at all (the front end must survive and at
-    /// least one back-end must remain).
-    pub session_viable: bool,
 }
 
 impl FaultTracker {
@@ -43,29 +31,17 @@ impl FaultTracker {
         }
     }
 
-    /// The topology being tracked.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// Record that an endpoint has failed and compute the resulting prune.
-    pub fn fail(&mut self, endpoint: EndpointId) -> PruneReport {
-        self.fail_many(&[endpoint])
-    }
-
-    /// Record several simultaneous failures (e.g. a login node taking all of its
-    /// communication processes with it).
-    pub fn fail_many(&mut self, endpoints: &[EndpointId]) -> PruneReport {
-        for &e in endpoints {
-            if (e.0 as usize) < self.topology.len() {
-                self.failed.insert(e);
-            }
+    /// Record that an endpoint has failed (an endpoint the topology does not have
+    /// is ignored).  Several calls model simultaneous failures, e.g. a login node
+    /// taking all of its communication processes with it.
+    pub fn fail(&mut self, endpoint: EndpointId) {
+        if (endpoint.0 as usize) < self.topology.len() {
+            self.failed.insert(endpoint);
         }
-        self.report()
     }
 
     /// Whether an endpoint is (transitively) unusable: it failed, or an ancestor did.
-    pub fn is_unreachable(&self, endpoint: EndpointId) -> bool {
+    fn is_unreachable(&self, endpoint: EndpointId) -> bool {
         let mut cur = Some(endpoint);
         while let Some(e) = cur {
             if self.failed.contains(&e) {
@@ -76,57 +52,9 @@ impl FaultTracker {
         false
     }
 
-    /// The back-ends that are still reachable, in backend order.
-    pub fn surviving_backends(&self) -> Vec<EndpointId> {
-        self.topology
-            .backends()
-            .iter()
-            .copied()
-            .filter(|&b| !self.is_unreachable(b))
-            .collect()
-    }
-
-    /// The fraction of back-ends still covered by the session.
-    pub fn coverage(&self) -> f64 {
-        let total = self.topology.backends().len();
-        if total == 0 {
-            return 0.0;
-        }
-        self.surviving_backends().len() as f64 / total as f64
-    }
-
-    fn report(&self) -> PruneReport {
-        let lost_backends: Vec<EndpointId> = self
-            .topology
-            .backends()
-            .iter()
-            .copied()
-            .filter(|&b| self.is_unreachable(b))
-            .collect();
-        let lost_comm_processes: Vec<EndpointId> = self
-            .topology
-            .nodes()
-            .iter()
-            .filter(|n| n.role == TreeNodeRole::CommProcess && self.is_unreachable(n.id))
-            .map(|n| n.id)
-            .collect();
-        let frontend_ok = !self.failed.contains(&self.topology.frontend());
-        let session_viable = frontend_ok && lost_backends.len() < self.topology.backends().len();
-        PruneReport {
-            lost_backends,
-            lost_comm_processes,
-            session_viable,
-        }
-    }
-
-    /// Indices (into the original backend order) of the backends still reachable.
-    ///
-    /// This is the piece a degraded *gather* needs that [`surviving_backends`]
-    /// (endpoint ids) does not give directly: which daemons' task slices are still
-    /// covered, so the survivors' contributions can be re-gathered or re-merged in
-    /// the order a pruned replacement topology expects.
-    ///
-    /// [`surviving_backends`]: FaultTracker::surviving_backends
+    /// Indices (into the original backend order) of the backends still reachable:
+    /// which daemons' task slices are still covered, in the order the pruned
+    /// replacement topology expects their contributions.
     pub fn surviving_backend_indices(&self) -> Vec<usize> {
         self.topology
             .backends()
@@ -142,8 +70,7 @@ impl FaultTracker {
     /// process takes its whole subtree with it).  Returns `None` when the session
     /// is no longer viable — the front end died, or no backend survived.
     ///
-    /// The returned shape is what a degraded session pins via its builder before
-    /// calling `merge` over the survivors' contributions.
+    /// The survivors' contributions merge over the topology built from it.
     pub fn degraded_shape(&self) -> Option<TreeShape> {
         if self.failed.contains(&self.topology.frontend()) {
             return None;
@@ -160,19 +87,6 @@ impl FaultTracker {
         // `from_level_widths` re-sanitises: interior levels emptied by failures are
         // raised back to width 1 so the surviving daemons still have a route up.
         Some(TreeShape::from_level_widths(widths))
-    }
-
-    /// Build the leaf-payload selector for a degraded reduction: given one payload
-    /// per original backend (in backend order), keep only the survivors' payloads, in
-    /// the order the pruned reduction expects.
-    pub fn filter_leaf_payloads<T: Clone>(&self, payloads: &[T]) -> Vec<T> {
-        self.topology
-            .backends()
-            .iter()
-            .zip(payloads.iter())
-            .filter(|(&b, _)| !self.is_unreachable(b))
-            .map(|(_, p)| p.clone())
-            .collect()
     }
 }
 
@@ -290,64 +204,42 @@ mod tests {
     #[test]
     fn failing_a_daemon_loses_only_that_daemon() {
         let mut t = tracker(64, 8);
-        let victim = t.topology().backends()[10];
-        let report = t.fail(victim);
-        assert_eq!(report.lost_backends, vec![victim]);
-        assert!(report.lost_comm_processes.is_empty());
-        assert!(report.session_viable);
-        assert_eq!(t.surviving_backends().len(), 63);
-        assert!((t.coverage() - 63.0 / 64.0).abs() < 1e-9);
+        let victim = t.topology.backends()[10];
+        t.fail(victim);
+        let survivors: Vec<usize> = (0..64).filter(|&i| i != 10).collect();
+        assert_eq!(t.surviving_backend_indices(), survivors);
+        assert_eq!(t.degraded_shape().unwrap().level_widths, vec![1, 8, 63]);
     }
 
     #[test]
     fn failing_a_comm_process_orphans_its_subtree() {
         let mut t = tracker(64, 8);
-        let cp = t.topology().comm_processes()[0];
-        let expected_lost = t.topology().node(cp).children.len();
-        let report = t.fail(cp);
-        assert_eq!(report.lost_backends.len(), expected_lost);
-        assert_eq!(report.lost_comm_processes, vec![cp]);
-        assert!(report.session_viable);
-    }
-
-    #[test]
-    fn failing_the_frontend_kills_the_session() {
-        let mut t = tracker(8, 2);
-        let report = t.fail(t.topology().frontend());
-        assert!(!report.session_viable);
-        assert_eq!(report.lost_backends.len(), 8);
-    }
-
-    #[test]
-    fn losing_every_backend_kills_the_session() {
-        let mut t = tracker(4, 2);
-        let backends = t.topology().backends().to_vec();
-        let report = t.fail_many(&backends);
-        assert!(!report.session_viable);
-        assert_eq!(t.coverage(), 0.0);
-    }
-
-    #[test]
-    fn leaf_payload_filtering_matches_survivors() {
-        let mut t = tracker(6, 2);
-        let victim = t.topology().backends()[2];
-        t.fail(victim);
-        let payloads: Vec<u32> = (0..6).collect();
-        assert_eq!(t.filter_leaf_payloads(&payloads), vec![0, 1, 3, 4, 5]);
+        let cp = t.topology.comm_processes()[0];
+        let orphans = t.topology.node(cp).children.len();
+        t.fail(cp);
+        // Exactly the first comm process's children are gone, nobody else.
+        assert_eq!(
+            t.surviving_backend_indices(),
+            (orphans..64).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            t.degraded_shape().unwrap().level_widths,
+            vec![1, 7, 64 - orphans as u32]
+        );
     }
 
     #[test]
     fn unknown_endpoints_are_ignored() {
         let mut t = tracker(4, 2);
-        let report = t.fail(EndpointId(10_000));
-        assert!(report.lost_backends.is_empty());
-        assert!(report.session_viable);
+        t.fail(EndpointId(10_000));
+        assert_eq!(t.surviving_backend_indices(), vec![0, 1, 2, 3]);
+        assert_eq!(t.degraded_shape().unwrap().level_widths, vec![1, 2, 4]);
     }
 
     #[test]
     fn degraded_shape_shrinks_only_the_failed_levels() {
         let mut t = tracker(64, 8);
-        let victim = t.topology().backends()[63];
+        let victim = t.topology.backends()[63];
         t.fail(victim);
         let shape = t.degraded_shape().unwrap();
         assert_eq!(shape.level_widths, vec![1, 8, 63]);
@@ -355,8 +247,8 @@ mod tests {
 
         // A failed comm process takes its subtree: one fewer comm, 8 fewer daemons.
         let mut t = tracker(64, 8);
-        let cp = t.topology().comm_processes()[7];
-        let orphans = t.topology().node(cp).children.len() as u32;
+        let cp = t.topology.comm_processes()[7];
+        let orphans = t.topology.node(cp).children.len() as u32;
         t.fail(cp);
         let shape = t.degraded_shape().unwrap();
         assert_eq!(shape.level_widths, vec![1, 7, 64 - orphans]);
@@ -366,48 +258,40 @@ mod tests {
     #[test]
     fn pruned_depth_four_shapes_account_for_every_backend() {
         // At depth ≥ 4 a mid-level comm-process failure orphans a whole
-        // multi-level subtree; the pruned shape's surviving daemons plus the
-        // report's lost daemons must still account for every original one,
-        // and the coverage fraction must agree with that arithmetic.
+        // multi-level subtree; the pruned shape's daemons must be exactly the
+        // surviving indices, and the two must still account for every original
+        // daemon.
         let topo = Topology::build(TreeShape::uniform_with_depth(64, 4, 4));
         assert!(topo.levels().len() >= 5, "shape is not 4 deep");
+        let mid = topo.levels()[2][0];
+        let orphans = topo.subtree_backends(mid) as usize;
+        assert!(orphans > 0, "a mid-level failure must orphan daemons");
         let mut t = FaultTracker::new(topo);
-        let mid = t.topology().levels()[2][0];
-        let report = t.fail(mid);
-        let lost = report.lost_backends.len();
-        assert!(lost > 0, "a mid-level failure must orphan daemons");
+        t.fail(mid);
 
         let degraded = t.degraded_shape().expect("survivors remain");
-        assert_eq!(degraded.backends() as usize + lost, 64);
-        assert!((t.coverage() - degraded.backends() as f64 / 64.0).abs() < 1e-12);
-        assert_eq!(t.surviving_backend_indices().len() + lost, 64);
+        assert_eq!(degraded.backends() as usize + orphans, 64);
+        assert_eq!(t.surviving_backend_indices().len() + orphans, 64);
 
         // The pruned shape still builds a valid topology of the same depth.
         let rebuilt = Topology::build(degraded);
-        assert_eq!(rebuilt.backends().len() + lost, 64);
+        assert_eq!(rebuilt.backends().len() + orphans, 64);
+        assert_eq!(rebuilt.depth(), 4);
     }
 
     #[test]
     fn degraded_shape_is_none_when_the_session_dies() {
+        // The front end dies: every daemon is unreachable and nothing merges.
         let mut t = tracker(8, 2);
-        t.fail(t.topology().frontend());
+        t.fail(t.topology.frontend());
         assert!(t.degraded_shape().is_none());
+        assert!(t.surviving_backend_indices().is_empty());
 
-        let mut t = tracker(4, 2);
-        let backends = t.topology().backends().to_vec();
-        t.fail_many(&backends);
-        assert!(t.degraded_shape().is_none());
-    }
-
-    #[test]
-    fn degraded_shape_is_none_when_all_backends_die_individually() {
-        // Satellite coverage: every daemon failing one by one (not via a comm
-        // cascade) must also leave no degraded shape.
+        // Every daemon fails, one by one (not via a comm cascade).
         let mut t = tracker(6, 3);
-        for b in t.topology().backends().to_vec() {
+        for b in t.topology.backends().to_vec() {
             t.fail(b);
         }
-        assert_eq!(t.coverage(), 0.0);
         assert!(t.degraded_shape().is_none());
         assert!(t.surviving_backend_indices().is_empty());
     }
@@ -417,8 +301,9 @@ mod tests {
         // Kill every backend but one: the pruned shape must still be a valid tree
         // with exactly one leaf, and the surviving index must be the survivor's.
         let mut t = tracker(8, 4);
-        let backends = t.topology().backends().to_vec();
-        t.fail_many(&backends[..7]);
+        for &b in &t.topology.backends().to_vec()[..7] {
+            t.fail(b);
+        }
         let shape = t.degraded_shape().expect("one survivor keeps the session");
         assert_eq!(shape.backends(), 1);
         assert_eq!(*shape.level_widths.first().unwrap(), 1, "frontend intact");
@@ -482,8 +367,9 @@ mod tests {
         // Kill every comm process but leave some backends' contributions needed:
         // all backends are orphaned, so the session is not viable...
         let mut t = tracker(8, 2);
-        let cps = t.topology().comm_processes();
-        t.fail_many(&cps);
+        for cp in t.topology.comm_processes() {
+            t.fail(cp);
+        }
         assert!(t.degraded_shape().is_none(), "all backends orphaned");
 
         // ...but on a 3-deep tree, losing one mid-level node keeps the rest alive

@@ -40,7 +40,7 @@ pub mod topology;
 
 pub use cost::{price_reduction, Labels, ReductionCost, TreePayload};
 pub use delta::{IncrementalTbon, ResidentState, StateFactory, WaveOutcome};
-pub use fault::{CorruptingFilter, FaultTracker, FilterFault, FilterFaultKind, PruneReport};
+pub use fault::{CorruptingFilter, FaultTracker, FilterFault, FilterFaultKind};
 pub use filter::{Filter, IdentityFilter, SumFilter};
 pub use network::{ChannelInput, InProcessTbon, ReductionOutcome, TbonError};
 pub use packet::{EndpointId, Packet, PacketTag};

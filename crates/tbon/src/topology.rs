@@ -103,11 +103,19 @@ impl TreeShape {
         if depth == 1 {
             return TreeShape::flat(backends);
         }
-        let fanout = (backends as f64).powf(1.0 / depth as f64).ceil().max(1.0) as u32;
+        // The smallest fan-out whose `depth`-th power reaches `backends`.  The float
+        // root only seeds the search: `1.0 / 5.0` is inexact, so its `ceil` alone
+        // overshoots every exact fifth power from 5^5 on.
+        let mut fanout = ((backends as f64).powf(1.0 / depth as f64) as u64)
+            .saturating_sub(1)
+            .max(1);
+        while fanout.saturating_pow(depth) < backends as u64 {
+            fanout += 1;
+        }
         let mut widths = vec![1u32];
         let mut width = 1u64;
         for _ in 1..depth {
-            width = (width * fanout as u64).min(backends as u64);
+            width = (width * fanout).min(backends as u64);
             widths.push(width as u32);
         }
         widths.push(backends);
@@ -629,6 +637,25 @@ mod tests {
         );
         let s1 = TreeShape::balanced(64, 1);
         assert_eq!(s1.depth(), 1);
+    }
+
+    #[test]
+    fn balanced_fan_out_is_the_exact_integer_root() {
+        // Every exact power that fits a daemon count, and its two neighbours.
+        for depth in 2..=8u32 {
+            for root in (2..=65_535u64).take_while(|f| f.pow(depth) <= u32::MAX as u64) {
+                let power = root.pow(depth);
+                let fan_out =
+                    |backends: u64| TreeShape::balanced(backends as u32, depth).level_widths[1];
+                assert_eq!(fan_out(power) as u64, root, "{root}^{depth}");
+                assert_eq!(fan_out(power - 1) as u64, root, "{root}^{depth} - 1");
+                if power < u32::MAX as u64 {
+                    assert_eq!(fan_out(power + 1) as u64, root + 1, "{root}^{depth} + 1");
+                }
+            }
+        }
+        let s = TreeShape::balanced(32_768, 5);
+        assert_eq!(s.level_widths, vec![1, 8, 64, 512, 4_096, 32_768]);
     }
 
     #[test]

@@ -16,17 +16,17 @@
 //! what the real merge machinery does in response.
 
 use machine::Cluster;
-use stat_core::prelude::{Representation, StatError};
-use statbench::{EmulatedJob, SweepConfig, TraceShape};
+use stat_core::prelude::{Representation, Session, StatError};
+use statbench::{SweepConfig, SyntheticApp, TraceShape};
 
 fn main() -> Result<(), StatError> {
     let cluster = Cluster::test_cluster(512, 8);
 
     println!("== one emulated job in detail ==");
     let tasks = 4_096;
-    let report = EmulatedJob::new(cluster.clone(), tasks)
-        .with_shape(TraceShape::typical())
-        .run()?;
+    let report = Session::builder(cluster.clone())
+        .build()
+        .attach(&SyntheticApp::new(tasks, TraceShape::typical()))?;
     let classes = report.gather.classes.len();
     println!(
         "  {} tasks over {} daemons -> {} classes ({}x compression), merged tree {} nodes",
@@ -54,9 +54,10 @@ fn main() -> Result<(), StatError> {
         Representation::GlobalBitVector,
         Representation::HierarchicalTaskList,
     ] {
-        let r = EmulatedJob::new(cluster.clone(), 8_192)
-            .with_representation(representation)
-            .run()?;
+        let r = Session::builder(cluster.clone())
+            .representation(representation)
+            .build()
+            .attach(&SyntheticApp::new(8_192, TraceShape::typical()))?;
         println!(
             "  {:<28} link bytes {:>12}, max daemon packet {:>9} bytes",
             representation.label(),

@@ -23,6 +23,10 @@ fn main() {
         .unwrap_or(1_024);
     let cluster = Cluster::test_cluster(((tasks / 8).max(1)) as u32, 8);
     let scenarios = catalogue(tasks, FrameVocabulary::BlueGeneL);
+    let session = Session::builder(cluster)
+        .plan_topology()
+        .samples_per_task(3)
+        .build();
 
     println!(
         "fault-scenario catalogue at {tasks} tasks ({} scenarios)\n",
@@ -34,7 +38,7 @@ fn main() {
     );
     let mut failures = 0usize;
     for scenario in &scenarios {
-        let run = match run_scenario(&cluster, scenario, 3) {
+        let run = match session.run_scenario(scenario) {
             Ok(run) => run,
             Err(err) => {
                 failures += 1;

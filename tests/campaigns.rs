@@ -1,7 +1,7 @@
 //! The randomized fault-campaign acceptance suite: seeded campaigns sweep the
 //! deterministic scenario catalogue *and* seed-derived randomized fault scenarios
 //! across seeds × scales × overlay depths × healthy/degraded overlays, through the
-//! real `Session` → `run_scenario_in` pipeline, and accumulate the verdicts into a
+//! real `Session::run_scenario` pipeline, and accumulate the verdicts into a
 //! [`statbench::campaign::StabilitySurface`].
 //!
 //! What this suite pins down beyond `tests/scenarios.rs`:
@@ -28,10 +28,11 @@ use std::collections::BTreeSet;
 use appsim::scenario::randomized_scenarios;
 use appsim::FrameVocabulary;
 use machine::cluster::{BglMode, Cluster};
+use machine::placement::PlacementPlan;
 use proptest::prelude::*;
-use stat_core::prelude::Representation;
+use stat_core::prelude::{Representation, Session};
 use statbench::campaign::{run_campaign, CampaignConfig, StabilitySurface};
-use statbench::EmulatedJob;
+use tbon::topology::TreeShape;
 
 /// Same convention as `stat_bench::fast_mode`: set (non-empty, non-`"0"`)
 /// `STATBENCH_FAST` skips the large-scale points.
@@ -169,8 +170,8 @@ fn a_flipped_verdict_lands_on_the_frontier_not_on_the_floor() {
     cross_wired.truth = deadlock.truth.clone();
     cross_wired.name = "cross_wired_stragglers".into();
 
-    let job = EmulatedJob::new(Cluster::test_cluster(32, 8), 256).with_tree_depth(2);
-    let run = job
+    let run = Session::builder(Cluster::test_cluster(32, 8))
+        .build()
         .run_scenario(&cross_wired)
         .expect("the pipeline itself runs");
     assert!(!run.verdict.passed());
@@ -238,14 +239,16 @@ fn mid_tree_corruption_is_judged_end_to_end() {
     }
 
     // Control: the stripped scenarios diagnose cleanly.
-    let job = EmulatedJob::new(Cluster::test_cluster(128, 8), 1_024)
-        .with_tree_depth(2)
-        .with_samples_per_task(2);
+    let session = Session::builder(Cluster::test_cluster(128, 8))
+        .samples_per_task(2)
+        .build();
     for scenario in randomized_scenarios(1_024, FrameVocabulary::BlueGeneL, 1, 2) {
         assert!(scenario.is_corrupting(), "seed 1's draws changed");
         let mut stripped = scenario.clone();
         stripped.mid_tree_faults.clear();
-        let run = job.run_scenario(&stripped).expect("stripped scenario runs");
+        let run = session
+            .run_scenario(&stripped)
+            .expect("stripped scenario runs");
         assert!(
             run.verdict.passed(),
             "stripped `{}` must pass: {}",
@@ -260,13 +263,16 @@ fn degraded_coverage_accounting_holds_on_deep_trees() {
     // Pruned-shape coverage accounting at depth ≥ 4: daemon loss and
     // comm-process loss (which orphans a whole subtree of the 4-deep overlay)
     // must both keep covered + lost = tasks, with the verdict intact.
-    let job = EmulatedJob::new(Cluster::test_cluster(128, 8), 1_024)
-        .with_tree_depth(4)
-        .with_samples_per_task(2);
+    let cluster = Cluster::test_cluster(128, 8);
+    let deep = TreeShape::for_placement(&PlacementPlan::for_job(&cluster, 1_024), 4);
+    let session = Session::builder(cluster)
+        .topology(deep)
+        .samples_per_task(2)
+        .build();
     let scenarios = appsim::scenario::catalogue(1_024, FrameVocabulary::BlueGeneL);
     for name in ["ring_hang_daemon_loss", "deadlock_pair_comm_loss"] {
         let scenario = scenarios.iter().find(|s| s.name == name).unwrap();
-        let run = job
+        let run = session
             .run_scenario(scenario)
             .unwrap_or_else(|e| panic!("degraded scenario `{name}` failed: {e}"));
         assert!(run.lost_backends > 0, "`{name}` pruned nothing at depth 4");
@@ -416,14 +422,14 @@ proptest! {
     // the bare (application-level) fault must pass its verdict.
     #[test]
     fn randomized_truths_judge_their_fault_free_runs_healthy(seed in 0u64..u64::MAX) {
-        let job = EmulatedJob::new(Cluster::test_cluster(16, 8), 128)
-            .with_tree_depth(2)
-            .with_samples_per_task(1);
+        let session = Session::builder(Cluster::test_cluster(16, 8))
+            .samples_per_task(1)
+            .build();
         for scenario in randomized_scenarios(128, FrameVocabulary::Linux, seed, 3) {
             let mut stripped = scenario.clone();
             stripped.overlay_faults.clear();
             stripped.mid_tree_faults.clear();
-            let run = job
+            let run = session
                 .run_scenario(&stripped)
                 .unwrap_or_else(|e| panic!("fault-free `{}` errored: {e}", stripped.name));
             prop_assert!(

@@ -28,12 +28,23 @@ fn fast_mode() -> bool {
         .unwrap_or(false)
 }
 
+/// A session over a planner-chosen topology, under the paper's default
+/// (hierarchical) representation.
+fn planned(cluster: &Cluster, samples: u32) -> Session {
+    Session::builder(cluster.clone())
+        .plan_topology()
+        .samples_per_task(samples)
+        .build()
+}
+
 /// Run every registered scenario at one scale and assert every verdict passes.
 fn assert_catalogue_passes(cluster: &Cluster, tasks: u64, samples: u32) {
     let scenarios = catalogue(tasks, FrameVocabulary::BlueGeneL);
     assert!(scenarios.len() >= 8, "the registry shrank");
+    let session = planned(cluster, samples);
     for scenario in &scenarios {
-        let run = run_scenario(cluster, scenario, samples)
+        let run = session
+            .run_scenario(scenario)
             .unwrap_or_else(|e| panic!("scenario `{}` failed to run: {e}", scenario.name));
         assert!(
             run.verdict.passed(),
@@ -99,7 +110,9 @@ fn the_ring_hang_scenario_passes_at_the_full_208k() {
     assert_eq!(tasks, 212_992);
     let scenarios = catalogue(tasks, FrameVocabulary::BlueGeneL);
     let ring = scenarios.iter().find(|s| s.name == "ring_hang").unwrap();
-    let run = run_scenario(&cluster, ring, 1).expect("the 208K session merges cleanly");
+    let run = planned(&cluster, 1)
+        .run_scenario(ring)
+        .expect("the 208K session merges cleanly");
     assert!(
         run.verdict.passed(),
         "the 208K ring hang was misdiagnosed:\n{}",
@@ -120,8 +133,10 @@ fn the_ring_hang_scenario_passes_at_the_full_208k() {
 #[test]
 fn degraded_scenarios_lose_coverage_but_not_the_diagnosis() {
     let scenarios = catalogue(1_024, FrameVocabulary::BlueGeneL);
+    let session = planned(&Cluster::test_cluster(128, 8), 2);
     for scenario in scenarios.iter().filter(|s| s.is_degraded()) {
-        let run = run_scenario(&Cluster::test_cluster(128, 8), scenario, 2)
+        let run = session
+            .run_scenario(scenario)
             .unwrap_or_else(|e| panic!("degraded scenario `{}` failed: {e}", scenario.name));
         assert!(run.lost_backends > 0, "{} pruned nothing", scenario.name);
         assert!(!run.diagnosis.lost_ranks.is_empty());
@@ -152,19 +167,228 @@ fn scenario_verdicts_are_representation_invariant_at_1k() {
     // The dense and hierarchical representations must reach the same verdicts —
     // the scenario layer is above the wire-format choice.
     let scenarios = catalogue(1_024, FrameVocabulary::Linux);
+    let session = Session::builder(Cluster::test_cluster(128, 8))
+        .representation(Representation::GlobalBitVector)
+        .plan_topology()
+        .samples_per_task(2)
+        .build();
     for scenario in &scenarios {
-        let dense = run_scenario_with(
-            &Cluster::test_cluster(128, 8),
-            scenario,
-            2,
-            Representation::GlobalBitVector,
-        )
-        .unwrap();
+        let dense = session.run_scenario(scenario).unwrap();
         assert!(
             dense.verdict.passed(),
             "scenario `{}` under the dense representation:\n{}",
             scenario.name,
             dense.verdict
         );
+    }
+}
+
+/// The one place the pin test below reaches the scenario runner, so its literal
+/// table survives a rename of the runner unedited.
+fn run_pinned(session: &Session, scenario: &FaultScenario) -> Result<ScenarioRun, StatError> {
+    session.run_scenario(scenario)
+}
+
+/// 64-bit FNV-1a over everything a scenario run reports that a refactor of the
+/// runner could move.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    fn str(&mut self, s: &str) {
+        self.bytes(s.as_bytes());
+        self.bytes(&[0xff]);
+    }
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+    fn outcome(&mut self, name: &str, outcome: &Result<ScenarioRun, StatError>) {
+        self.str(name);
+        match outcome {
+            Ok(run) => {
+                self.str(&run.scenario);
+                self.u64(run.daemons as u64);
+                self.u64(run.lost_backends as u64);
+                self.u64(run.diagnosis.lost_ranks.len() as u64);
+                run.diagnosis.lost_ranks.iter().for_each(|&r| self.u64(r));
+                for class in &run.diagnosis.classes {
+                    class.frames.iter().for_each(|f| self.str(f));
+                    self.u64(class.ranks.len() as u64);
+                    class.ranks.iter().for_each(|&r| self.u64(r));
+                }
+                for check in &run.verdict.checks {
+                    self.str(check.name);
+                    self.u64(check.passed as u64);
+                }
+            }
+            Err(err) => self.str(&err.to_string()),
+        }
+    }
+}
+
+#[test]
+fn scenario_runs_are_pinned_to_the_pre_unification_values() {
+    use appsim::scenario::{MidTreeCorruption, MidTreeFault, OverlayFault};
+    use appsim::FaultSchedule;
+    use machine::placement::PlacementPlan;
+    use tbon::topology::TreeShape;
+
+    // Recorded at the commit before the scenario runner was unified (one body, one
+    // `prune_overlay`); a runner refactor must reproduce them, never re-record them.
+    const PINNED: [(&str, u32, [u64; 3]); 4] = [
+        (
+            "hier",
+            2,
+            [0x2164ed23059fb921, 0x866f0ff6a6c8e285, 0x994e6b5f9d85ca8e],
+        ),
+        (
+            "hier",
+            4,
+            [0x76d8b06e002c7760, 0x0e3a872696e90188, 0x73138e4c9a95900c],
+        ),
+        (
+            "dense",
+            2,
+            [0x2164ed23059fb921, 0x866f0ff6a6c8e285, 0x994e6b5f9d85ca8e],
+        ),
+        (
+            "dense",
+            4,
+            [0x76d8b06e002c7760, 0x0e3a872696e90188, 0x73138e4c9a95900c],
+        ),
+    ];
+
+    let cluster = Cluster::test_cluster(64, 8);
+    let tasks = 512;
+    let scenarios = catalogue(tasks, FrameVocabulary::BlueGeneL);
+    let ring = scenarios.iter().find(|s| s.name == "ring_hang").unwrap();
+    // Three families: the catalogue as registered (degraded entries included),
+    // every healthy entry with its last comm process killed, and the ring hang
+    // with a corrupted interior filter — over the full tree and over a pruned one.
+    let pruned: Vec<FaultScenario> = scenarios
+        .iter()
+        .filter(|s| !s.is_degraded())
+        .map(|s| s.with_overlay(OverlayFault::CommProcessFromEnd(0)))
+        .collect();
+    let mut corrupting = Vec::new();
+    for kind in [MidTreeCorruption::Garbage, MidTreeCorruption::Truncate] {
+        for base in [
+            ring.clone(),
+            ring.with_overlay(OverlayFault::CommProcessFromEnd(0)),
+        ] {
+            let mut s = base;
+            s.name = format!("{}_{kind:?}", s.name);
+            s.mid_tree_faults = vec![MidTreeFault {
+                comm_from_end: 0,
+                kind,
+            }];
+            corrupting.push(s);
+        }
+    }
+
+    // Two runs that must end in a typed error, pinned by its message.
+    let mut wild = ring.with_overlay(OverlayFault::BackendFromEnd(999));
+    wild.name = "ring_hang_wild_backend".into();
+    corrupting.push(wild);
+    let mut wild = ring.clone();
+    wild.name = "ring_hang_wild_filter".into();
+    wild.mid_tree_faults = vec![MidTreeFault {
+        comm_from_end: 999,
+        kind: MidTreeCorruption::Garbage,
+    }];
+    corrupting.push(wild);
+
+    let representations = [
+        ("hier", Representation::HierarchicalTaskList),
+        ("dense", Representation::GlobalBitVector),
+    ];
+    let mut recorded = Vec::new();
+    for (label, representation) in representations {
+        for depth in [2, 4] {
+            let shape = TreeShape::for_placement(&PlacementPlan::for_job(&cluster, tasks), depth);
+            let session = Session::builder(cluster.clone())
+                .representation(representation)
+                .topology(shape)
+                .samples_per_task(2)
+                .build();
+            let hashes = [&scenarios, &pruned, &corrupting].map(|family| {
+                let mut fnv = Fnv::new();
+                for scenario in family.iter() {
+                    let outcome = run_pinned(&session, scenario);
+                    fnv.outcome(&scenario.name, &outcome);
+                }
+                fnv.0
+            });
+            recorded.push((label, depth, hashes));
+        }
+    }
+    assert_eq!(recorded, PINNED, "recorded: {recorded:#x?}");
+
+    // A 6-wave stream with two successive prunes; the second fault indexes the
+    // *already pruned* topology.  Per wave: covered, lost, re-seed bytes, classes,
+    // level widths.
+    type Wave = (u64, u64, u64, usize, &'static [u32]);
+    const STREAM: [(&str, [Wave; 6]); 2] = [
+        (
+            "hier",
+            [
+                (512, 0, 0, 1, &[1, 8, 64]),
+                (512, 0, 0, 4, &[1, 8, 64]),
+                (504, 8, 4311, 4, &[1, 8, 63]),
+                (504, 8, 0, 4, &[1, 8, 63]),
+                (448, 64, 2969, 4, &[1, 7, 56]),
+                (448, 64, 0, 4, &[1, 7, 56]),
+            ],
+        ),
+        (
+            "dense",
+            [
+                (512, 0, 0, 1, &[1, 8, 64]),
+                (512, 0, 0, 4, &[1, 8, 64]),
+                (504, 8, 13505, 4, &[1, 8, 63]),
+                (504, 8, 0, 4, &[1, 8, 63]),
+                (448, 64, 12080, 4, &[1, 7, 56]),
+                (448, 64, 0, 4, &[1, 7, 56]),
+            ],
+        ),
+    ];
+    for ((label, representation), (pinned_label, pinned)) in representations.into_iter().zip(STREAM)
+    {
+        assert_eq!(label, pinned_label);
+        let mut stream = Session::builder(cluster.clone())
+            .representation(representation)
+            .streaming(2)
+            .overlay_fault_at(2, OverlayFault::BackendFromEnd(0))
+            .overlay_fault_at(4, OverlayFault::CommProcessFromEnd(0))
+            .open(Box::new(FaultSchedule::new(
+                ring.clone(),
+                FrameVocabulary::BlueGeneL,
+                1,
+            )))
+            .unwrap();
+        let got: Vec<(u64, u64, u64, usize, Vec<u32>)> = (0..pinned.len())
+            .map(|_| {
+                let report = stream.advance().unwrap();
+                (
+                    report.covered_tasks,
+                    report.lost_tasks,
+                    report.reseed_bytes,
+                    report.classes,
+                    stream.topology().level_widths.clone(),
+                )
+            })
+            .collect();
+        let pinned: Vec<_> = pinned
+            .into_iter()
+            .map(|(c, l, r, k, w)| (c, l, r, k, w.to_vec()))
+            .collect();
+        assert_eq!(got, pinned, "{label} stream: {got:?}");
     }
 }

@@ -29,7 +29,7 @@ use appsim::scenario::{catalogue, OverlayFault};
 use appsim::{FaultSchedule, FrameVocabulary};
 use machine::cluster::{BglMode, Cluster};
 use stat_core::prelude::*;
-use statbench::{stable_wave, EmulatedJob};
+use statbench::stable_wave;
 use tbon::topology::TreeShape;
 
 /// Same convention as `stat_bench::fast_mode`: set (non-empty, non-`"0"`)
@@ -61,10 +61,9 @@ fn catalogue_converges_at(cluster: Cluster, tasks: u64, samples: u32, names: Opt
         if scenario.is_corrupting() {
             continue;
         }
-        let job = EmulatedJob::new(cluster.clone(), tasks)
-            .with_tree_depth(2)
-            .with_samples_per_task(samples);
-        let reports = job
+        let reports = Session::builder(cluster.clone())
+            .samples_per_task(samples)
+            .build()
             .stream_scenario(scenario, FrameVocabulary::BlueGeneL, FAULT_WAVE, WINDOW)
             .unwrap_or_else(|e| panic!("`{}` stream failed: {e}", scenario.name));
         assert_eq!(reports.len(), (FAULT_WAVE + WINDOW) as usize);

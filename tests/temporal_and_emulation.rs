@@ -5,7 +5,7 @@
 use appsim::{Application, CheckpointStormApp, FrameVocabulary, IterativeSolverApp, StragglerApp};
 use machine::Cluster;
 use stat_core::prelude::*;
-use statbench::{EmulatedJob, TraceShape};
+use statbench::{SyntheticApp, TraceShape};
 
 fn run(app: &dyn Application, samples: u32) -> SessionReport {
     Session::builder(Cluster::test_cluster(64, 8))
@@ -99,13 +99,11 @@ fn report_operations_work_on_real_session_output() {
 fn emulated_jobs_and_real_apps_share_the_same_pipeline() {
     // The STATBench emulation and a real (simulated) application must exercise the
     // same machinery and produce structurally comparable results.
-    let emulated = EmulatedJob::new(Cluster::test_cluster(64, 8), 1_024)
-        .with_shape(TraceShape {
-            classes: 3,
-            ..TraceShape::typical()
-        })
-        .run()
-        .expect("the emulation merges cleanly");
+    let shape = TraceShape {
+        classes: 3,
+        ..TraceShape::typical()
+    };
+    let emulated = run(&SyntheticApp::new(1_024, shape), 10);
     assert_eq!(emulated.gather.classes.len(), 3);
     // The compression the tool achieved: emulated tasks per behaviour class.
     assert!(1_024.0 / emulated.gather.classes.len() as f64 > 300.0);
@@ -125,40 +123,36 @@ fn emulated_jobs_and_real_apps_share_the_same_pipeline() {
 
 #[test]
 fn overlay_fault_handling_degrades_gracefully() {
-    use tbon::fault::FaultTracker;
-    use tbon::topology::{Topology, TreeShape};
+    use appsim::scenario::{catalogue, OverlayFault};
+    use tbon::topology::TreeShape;
 
-    let topology = Topology::build(TreeShape::two_deep(32, 4));
-    let mut tracker = FaultTracker::new(topology.clone());
-    // Lose one communication process: its 8 daemons disappear, the session survives.
-    let cp = topology.comm_processes()[1];
-    let report = tracker.fail(cp);
-    assert!(report.session_viable);
-    assert_eq!(report.lost_backends.len(), 8);
-    assert!((tracker.coverage() - 24.0 / 32.0).abs() < 1e-9);
-
-    // A degraded gather over the survivors still produces a coherent answer.
-    let app = appsim::RingHangApp::new(256, FrameVocabulary::Linux);
-    let dict = FrameDictionary::negotiate(appsim::Application::frame_hints(&app));
-    let daemons = StatDaemon::partition(256, 32);
-    let contributions: Vec<DaemonContribution> = daemons
+    // Lose one of four communication processes mid-gather: its 8 daemons
+    // disappear, the session survives, and the degraded gather over the
+    // survivors still produces a coherent answer.
+    let scenarios = catalogue(256, FrameVocabulary::Linux);
+    let ring = scenarios.iter().find(|s| s.name == "ring_hang").unwrap();
+    let run = Session::builder(Cluster::test_cluster(64, 8))
+        .topology(TreeShape::two_deep(32, 4))
+        .samples_per_task(2)
+        .build()
+        .run_scenario(&ring.with_overlay(OverlayFault::CommProcessFromEnd(2)))
+        .expect("the session survives the loss");
+    assert_eq!(run.daemons, 32);
+    assert_eq!(run.lost_backends, 8);
+    // The second comm process's daemons covered ranks 64..128.
+    assert_eq!(run.diagnosis.lost_ranks, (64..128).collect::<Vec<_>>());
+    let mut covered: Vec<u64> = run
+        .diagnosis
+        .classes
         .iter()
-        .zip(topology.backends())
-        .map(|(d, &leaf)| d.contribute::<SubtreeTaskList>(&app, 2, leaf, &dict))
+        .flat_map(|c| c.ranks.iter().copied())
         .collect();
-    let surviving = tracker.filter_leaf_payloads(&contributions);
-    assert_eq!(surviving.len(), 24);
-    // Re-merge the survivors through the session API over a pruned replacement
-    // topology pinned via the builder.
-    let degraded = Session::builder(Cluster::test_cluster(64, 8))
-        .representation(Representation::HierarchicalTaskList)
-        .topology(TreeShape::two_deep(24, 4))
-        .build();
-    let gather = degraded.merge(surviving, 256, &dict).unwrap();
-    let covered = gather.tree_3d.tasks(gather.tree_3d.root()).count();
+    covered.sort_unstable();
+    covered.dedup();
     assert_eq!(
-        covered,
+        covered.len(),
         24 * 8,
         "only the surviving daemons' tasks are covered"
     );
+    assert!(run.verdict.passed(), "{}", run.verdict);
 }
