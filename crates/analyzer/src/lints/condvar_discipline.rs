@@ -1,10 +1,11 @@
 //! Lint: **condvar-discipline** — every wait sits in a predicate loop, every
 //! condvar is declared beside its mutex.
 //!
-//! The pooled reduction walk parks workers on a `Condvar`; the instruction-driven
-//! multicore-debugging literature (PAPERS.md) singles out synchronisation points
-//! as the thing worth checking mechanically, and the rules here are the two that
-//! keep the pool deadlock-free:
+//! The instruction-driven multicore-debugging literature (PAPERS.md) singles out
+//! synchronisation points as the thing worth checking mechanically.  The
+//! workspace holds no `Condvar` today — the reduction walk's barrier is a
+//! `thread::scope` join — so this lint is the gate on the next one, and the rules
+//! are the two that keep a parked worker from hanging:
 //!
 //! 1. `Condvar::wait` returns on spurious wakeups, so a wait that is not
 //!    re-checking its predicate inside a `loop`/`while` is a latent lost-wakeup

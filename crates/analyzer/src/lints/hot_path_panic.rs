@@ -1,12 +1,13 @@
 //! Lint: **hot-path-panic** — panic-freedom on the TBON hot path.
 //!
 //! At 208K cores a tool-side panic is indistinguishable from the hang the tool is
-//! diagnosing (and under the pooled reduction walk it can strand the level barrier
-//! as a deadlock).  The modules designated hot-path in the [`Config`] — the
-//! network walk, the packet layer, the prefix tree, the task-set word math and the
-//! wire codec — must therefore report typed errors instead of panicking: no
-//! `unwrap`/`expect`, no `panic!`/`todo!`/`unreachable!`/`unimplemented!`, and no
-//! unwaived slice/array indexing (every `x[i]` is a hidden `panic!`).
+//! diagnosing (and on a worker thread of the level-parallel reduction walk it
+//! costs the whole level its result).  The modules designated hot-path in the
+//! [`Config`] — the network walk, the packet layer, the prefix tree, the task-set
+//! word math and the wire codec — must therefore report typed errors instead of
+//! panicking: no `unwrap`/`expect`, no
+//! `panic!`/`todo!`/`unreachable!`/`unimplemented!`, and no unwaived slice/array
+//! indexing (every `x[i]` is a hidden `panic!`).
 //!
 //! `#[cfg(test)]` code is exempt; everything else either gets a typed error path
 //! or carries a waiver whose reason states the invariant that makes the site

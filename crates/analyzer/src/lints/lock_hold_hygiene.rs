@@ -1,11 +1,11 @@
-//! Lint: **lock-hold-hygiene** — never call user code while holding a pool lock.
+//! Lint: **lock-hold-hygiene** — never call user code while holding a lock.
 //!
-//! The reduction pool's queue lock serialises workers; a user `Filter` (any
-//! `dyn`-trait value) invoked *while that guard is live* turns one slow or
-//! re-entrant filter into a whole-pool convoy — or, if the filter itself reaches
-//! back into the network, a deadlock.  The discipline that keeps PR 4's pooled
-//! walk safe is structural: take the batch out under the lock, drop the guard,
-//! then run the filter.  This lint enforces exactly that shape.
+//! The lock on a level's shared work iterator serialises the reduction workers; a
+//! user `Filter` (any `dyn`-trait value) invoked *while that guard is live* turns
+//! one slow or re-entrant filter into a convoy of every worker — or, if the filter
+//! itself reaches back into the network, a deadlock.  The discipline that keeps
+//! the level-parallel walk safe is structural: take the item out under the lock,
+//! drop the guard, then run the filter.  This lint enforces exactly that shape.
 //!
 //! Mechanically: within each function, any `let` binding whose initialiser calls
 //! `.lock()`/`.try_lock()` at its top level opens a *guard-live region* that ends

@@ -138,13 +138,10 @@ impl SessionBuilder {
 
     /// Pin an explicit tree shape instead of deriving one from the machine's
     /// placement rules — used by depth sweeps and by tests that need an exact tree.
-    ///
-    /// Migration note: callers that used to select a family with
-    /// `topology_kind(TopologyKind::ThreeDeep)` now pass the placement-rule shape
-    /// at that depth explicitly:
-    /// `topology(TreeShape::for_placement(&PlacementPlan::for_job(&cluster, tasks), 3))`
-    /// — or call [`plan_topology`](SessionBuilder::plan_topology) and let the cost
-    /// model pick the depth.
+    /// The placement-rule shape at a chosen depth is
+    /// `TreeShape::for_placement(&PlacementPlan::for_job(&cluster, tasks), depth)`;
+    /// [`plan_topology`](SessionBuilder::plan_topology) lets the cost model pick
+    /// the depth instead.
     pub fn topology(mut self, shape: TreeShape) -> Self {
         self.topology = TopologyChoice::Pinned(shape);
         self

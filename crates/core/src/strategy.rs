@@ -1,10 +1,10 @@
 //! The single dispatch point for task-set representations.
 //!
-//! Before this module existed, every layer that cared about the representation —
-//! the daemon, the front end, the session runner and STATBench's emulator — carried
-//! its own `match Representation { ... }`, and the four copies drifted apart as soon
-//! as anyone touched one of them.  [`RepresentationStrategy`] folds that duplication
-//! into one sealed trait: the daemon-side contribution, the in-network merge filter,
+//! Every layer that cares about the representation — the daemon, the front end
+//! and the session runner — would otherwise carry its own
+//! `match Representation { ... }`, and such copies drift apart as soon as anyone
+//! touches one of them.  [`RepresentationStrategy`] is the one sealed trait they
+//! all go through: the daemon-side contribution, the in-network merge filter,
 //! whether a rank-map channel rides along, and the front-end decode/remap step are
 //! all defined once, in one `impl` generic over the set's [`Domain`] — what differs
 //! between the representations is read from the domain's constants, not written
@@ -92,7 +92,7 @@ pub trait RepresentationStrategy: sealed::Sealed + Send + Sync {
 
 impl Representation {
     /// The strategy implementing this representation — the one dispatch point the
-    /// daemon, session and STATBench emulation all share.
+    /// daemon and the session share.
     pub fn strategy(self) -> &'static dyn RepresentationStrategy {
         match self {
             Representation::GlobalBitVector => &DomainStrategy::<JobWide>(PhantomData),

@@ -24,9 +24,9 @@
 //! per-node step runs the filter and then folds its output into that node's
 //! resident state.  It uses the walk's inline dispatch, deliberately: quiescent-
 //! wave deltas are root-only packets a few dozen bytes long, and the interesting
-//! quantity is bytes moved and state touched, not thread-pool throughput.  What
+//! quantity is bytes moved and state touched, not parallel throughput.  What
 //! this module owns is the resident-state table and the mapping of the walk's
-//! accounting onto a [`WaveOutcome`].  `statbench`'s `streaming` benchmark
+//! accounting onto a [`WaveOutcome`].  `crates/bench/benches/streaming.rs`
 //! measures this path against a full re-reduce at 64K endpoints.
 //!
 //! The crate knows nothing about prefix trees; resident state is abstracted

@@ -5,8 +5,9 @@
 //! examples and the real-execution benchmarks — run their reductions through this
 //! network: every communication process and daemon position in the topology is
 //! materialised, every filter invocation really happens on real serialised payloads,
-//! and nodes at the same tree level run concurrently on a thread pool, mirroring how
-//! the real MRNet processes run concurrently on different hosts.
+//! and nodes at the same tree level run concurrently — each level is one scoped
+//! parallel map (`par_map`), whose join is the level barrier — mirroring how the
+//! real MRNet processes run concurrently on different hosts.
 //!
 //! The paper's front end does not run its reductions one at a time: the 2D tree, the
 //! 3D tree and the rank map all flow up the same physical tree in the same session.
@@ -20,10 +21,8 @@
 //! time on a single workstation, are what distinguish the original global-bit-vector
 //! representation from the hierarchical one at scale.
 
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::mpsc;
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::filter::Filter;
@@ -32,9 +31,9 @@ use crate::topology::{Topology, TreeNodeRole};
 
 /// Errors the in-process network reports instead of panicking.
 ///
-/// A mismatch between the caller's view of the job and the topology used to be an
-/// `assert_eq!`; at 208K cores "the tool crashed" and "one daemon dropped out" are
-/// very different diagnoses, so the network now returns the context instead.
+/// At 208K cores "the tool crashed" and "one daemon dropped out" are very
+/// different diagnoses, so a mismatch between the caller's view of the job and the
+/// topology comes back with its context instead of aborting the session.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TbonError {
     /// A channel supplied a different number of leaf packets than the topology has
@@ -56,11 +55,11 @@ pub enum TbonError {
         /// Filters supplied.
         filters: usize,
     },
-    /// The reduction pool's queue lock or results channel was poisoned by a
-    /// worker failure.  The walk aborts with this instead of unwrapping the
-    /// poison and taking the whole session down.
+    /// A worker of a level's parallel map died outside the `catch_unwind` fence
+    /// around the filter.  The walk aborts with this instead of re-raising the
+    /// worker's panic and taking the whole session down.
     PoolPoisoned {
-        /// What the pool was doing when the poisoning surfaced.
+        /// What the level was doing when the death surfaced.
         context: &'static str,
     },
     /// A user filter panicked during the walk.  The panic is caught at the
@@ -110,7 +109,7 @@ impl fmt::Display for TbonError {
                  exactly one"
             ),
             TbonError::PoolPoisoned { context } => {
-                write!(f, "reduction pool poisoned while {context}")
+                write!(f, "a reduction worker died while {context}")
             }
             TbonError::FilterPanicked {
                 node,
@@ -209,10 +208,9 @@ impl InProcessTbon {
         }
     }
 
-    /// Override the worker-pool size (default: the machine's available
-    /// parallelism).  The pool is still capped at the widest level's wave count —
-    /// more workers than waves can never help — and one worker means the walk runs
-    /// inline on the calling thread, in deterministic node-major order.
+    /// Override the worker count (default: the machine's available
+    /// parallelism).  One worker means the walk runs inline on the calling
+    /// thread, in deterministic node-major order.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
@@ -257,7 +255,9 @@ impl InProcessTbon {
     /// [`ReductionOutcome`]s is what the byte-flow figures are built from.
     ///
     /// The channels are consumed: leaf packets move into the reduction, they are not
-    /// cloned per channel or per pass.
+    /// cloned per channel or per pass.  Each level's node×channel waves run through
+    /// one `par_map`; a failing level reports its earliest failure in node-major
+    /// order, whatever the schedule was.
     pub fn reduce_channels(
         &self,
         channels: Vec<ChannelInput>,
@@ -273,47 +273,23 @@ impl InProcessTbon {
             });
         }
 
-        // With more than one worker, one pool serves the entire walk: workers are
-        // spawned once, each level's waves are queued as batches, and the per-level
-        // barrier is the arrival of that level's results — no threads are spawned
-        // (or joined) per level.  There is never a point in more workers than the
-        // widest level has waves, and a single worker runs the walk inline without
-        // the pool machinery.
-        let widest_wave = self
-            .topology
-            .levels()
-            .split_last()
-            .map(|(_, above_leaves)| above_leaves)
-            .unwrap_or(&[])
-            .iter()
-            .map(|ids| {
-                ids.iter()
-                    .filter(|&&id| self.topology.node(id).role != TreeNodeRole::BackEnd)
-                    .count()
+        let workers = self.workers.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
+        });
+        self.walk_levels(channels, &mut |items| {
+            par_map(items, workers, &|(id, channel, inputs)| {
+                let filter = *filters.get(channel).ok_or(TbonError::WalkInvariant {
+                    context: "wave queued for a channel with no filter",
+                })?;
+                let r = Self::reduce_one_caught(id, channel, inputs, filter)?;
+                Ok((id, channel, r))
             })
-            .max()
-            .unwrap_or(0)
-            * filters.len();
-        let workers = self
-            .workers
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            })
-            .min(widest_wave);
-        if workers > 1 {
-            let queue = (Mutex::new(PoolQueue::default()), Condvar::new());
-            std::thread::scope(|scope| {
-                let pool = WorkerPool::spawn(scope, workers, filters, &queue);
-                self.walk_levels(channels, &mut |items| pool.run_level(items))
-            })
-        } else {
-            self.walk_levels(channels, &mut |items| reduce_batch(items, filters))
-        }
+        })
     }
 
-    /// The one bottom-up level walk of the overlay, pooled or inline: take one
+    /// The one bottom-up level walk of the overlay: take one
     /// packet per back-end daemon on every channel, then level by level (skipping
     /// the leaves) build each node's owned input waves, hand them to `dispatch`,
     /// and absorb the results into the slot table and the per-channel accounting
@@ -328,7 +304,7 @@ impl InProcessTbon {
     /// exactly one parent), so no packet is ever cloned on its way up the tree and
     /// peak memory stays proportional to one level.
     ///
-    /// Any failure — a wrong leaf count, a poisoned pool, a panicking filter, an
+    /// Any failure — a wrong leaf count, a dead worker, a panicking filter, an
     /// empty slot that must be full — aborts the walk with a typed error instead
     /// of panicking.
     pub(crate) fn walk_levels(
@@ -446,7 +422,7 @@ impl InProcessTbon {
     /// Run one channel's filter at one node over its owned input wave, fenced by
     /// `catch_unwind`: a panicking user filter becomes
     /// [`TbonError::FilterPanicked`] instead of unwinding through the walk (or a
-    /// pooled worker).
+    /// level's worker thread).
     pub(crate) fn reduce_one_caught(
         id: EndpointId,
         channel: usize,
@@ -478,175 +454,67 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A batch of node×channel waves queued for the pool, and what comes back.
+/// One level's node×channel waves handed to a dispatch, and what comes back.
 pub(crate) type WaveBatch = Vec<InputWave>;
 type BatchResults = Vec<(EndpointId, usize, NodeChannelResult)>;
-/// A batch outcome: the results, or the typed error of the first wave that failed
-/// (a panicking filter is caught in the worker and converted, so a bad filter can
-/// neither strand the level barrier nor abort the process).
+/// A level's outcome: the results in wave order, or the typed error of the
+/// earliest wave that failed.
 pub(crate) type BatchOutcome = Result<BatchResults, TbonError>;
 
-/// Run every wave of a batch through its channel's filter, stopping at the first
-/// failure — the one place a filter is invoked, inline or on a pooled worker.
-fn reduce_batch(batch: WaveBatch, filters: &[&dyn Filter]) -> BatchOutcome {
-    batch
-        .into_iter()
-        .map(|(id, channel, inputs)| {
-            let filter = *filters.get(channel).ok_or(TbonError::WalkInvariant {
-                context: "wave queued for a channel with no filter",
-            })?;
-            let r = InProcessTbon::reduce_one_caught(id, channel, inputs, filter)?;
-            Ok((id, channel, r))
-        })
-        .collect()
+/// Pull the next item off a shared iterator.  A function rather than a closure
+/// at the call site so the guard is gone before the caller runs its step; a
+/// poisoned lock (a sibling died mid-`next`) reads as "no more work".
+fn take_next<I: Iterator>(queue: &Mutex<I>) -> Option<I::Item> {
+    queue.lock().ok()?.next()
 }
 
-/// The queue the pool's workers pull from.
-#[derive(Default)]
-struct PoolQueue {
-    batches: VecDeque<WaveBatch>,
-    shutdown: bool,
-}
-
-/// A pool of reduction workers serving every level of one reduction walk.
+/// Map `step` over `items` on up to `workers` scoped threads and return the
+/// results in item order, or the error of the earliest item that failed.
 ///
-/// Workers are spawned once (scoped, so they may borrow the filters) and block on a
-/// shared queue; [`WorkerPool::run_level`] enqueues one level's waves in batches and
-/// waits for exactly that many result batches — the level barrier — leaving the
-/// workers parked, not joined, for the next level.  Batching several node×channel
-/// invocations per queue item keeps queue traffic low on wide levels.
-struct WorkerPool<'scope> {
-    queue: &'scope (Mutex<PoolQueue>, Condvar),
-    results: mpsc::Receiver<BatchOutcome>,
+/// Workers pull one item at a time from a shared iterator, so a slow item
+/// delays only the worker running it; the scope's join is the barrier.  A
+/// worker stops at its first error — items are handed out in order, so every
+/// earlier item is already running or done and the earliest failure is always
+/// observed.  A worker that died (a panic in `step` itself) is
+/// [`TbonError::PoolPoisoned`].  One worker or one item runs inline on the
+/// caller, in item order.
+fn par_map<T: Send, R: Send>(
+    items: Vec<T>,
     workers: usize,
-}
-
-impl<'scope> WorkerPool<'scope> {
-    /// Spawn `workers` scoped workers that serve `filters` until the pool is
-    /// dropped.  `queue` must be allocated outside the scope (it outlives the
-    /// workers).
-    fn spawn<'env>(
-        scope: &'scope std::thread::Scope<'scope, 'env>,
-        workers: usize,
-        filters: &'env [&'env dyn Filter],
-        queue: &'env (Mutex<PoolQueue>, Condvar),
-    ) -> WorkerPool<'scope>
-    where
-        'env: 'scope,
-    {
-        let workers = workers.max(1);
-        let (tx, rx) = mpsc::channel::<BatchOutcome>();
-        for _ in 0..workers {
-            let tx = tx.clone();
-            scope.spawn(move || {
-                let (lock, available) = queue;
-                loop {
-                    let batch = {
-                        // A poisoned queue means another thread already failed;
-                        // this worker just leaves — the caller observes the
-                        // failure as PoolPoisoned when the level's results stop
-                        // arriving, instead of a second panic here.
-                        let Ok(mut q) = lock.lock() else { return };
-                        loop {
-                            if let Some(batch) = q.batches.pop_front() {
-                                break batch;
-                            }
-                            if q.shutdown {
-                                return;
-                            }
-                            let Ok(woken) = available.wait(q) else { return };
-                            q = woken;
+    step: &(dyn Fn(T) -> Result<R, TbonError> + Sync),
+) -> Result<Vec<R>, TbonError> {
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        return items.into_iter().map(step).collect();
+    }
+    let mut done = Vec::with_capacity(items.len());
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    while let Some((index, item)) = take_next(&queue) {
+                        let result = step(item);
+                        let failed = result.is_err();
+                        mine.push((index, result));
+                        if failed {
+                            break;
                         }
-                    };
-                    // Each wave's filter invocation is fenced by catch_unwind in
-                    // reduce_one_caught: a panicking filter becomes a typed
-                    // FilterPanicked error shipped back through the results
-                    // channel, so the caller at the level barrier always hears
-                    // the outcome.
-                    if tx.send(reduce_batch(batch, filters)).is_err() {
-                        return;
                     }
-                }
-            });
-        }
-        WorkerPool {
-            queue,
-            results: rx,
-            workers,
-        }
+                    mine
+                })
+            })
+            .collect();
+        spawned.into_iter().map(|worker| worker.join()).collect()
+    });
+    for worker in joined {
+        done.extend(worker.map_err(|_| TbonError::PoolPoisoned {
+            context: "running a level's waves",
+        })?);
     }
-
-    /// Reduce one level's waves on the pool and wait for all of them — the
-    /// per-level barrier of the bottom-up walk.
-    ///
-    /// A failed wave (panicking filter, poisoned queue) surfaces as the typed
-    /// error of the first failure; the remaining batches are still drained so no
-    /// worker is left blocked on a channel nobody reads.
-    fn run_level(&self, items: WaveBatch) -> BatchOutcome {
-        if items.is_empty() {
-            return Ok(Vec::new());
-        }
-        // A few batches per worker balances load without flooding the queue.
-        let batch_size = items.len().div_ceil(self.workers * 4).max(1);
-        let mut pending = 0usize;
-        {
-            let (lock, available) = self.queue;
-            let mut q = lock.lock().map_err(|_| TbonError::PoolPoisoned {
-                context: "enqueueing a level's waves",
-            })?;
-            let mut items = items.into_iter();
-            loop {
-                let batch: WaveBatch = items.by_ref().take(batch_size).collect();
-                if batch.is_empty() {
-                    break;
-                }
-                q.batches.push_back(batch);
-                pending += 1;
-            }
-            drop(q);
-            available.notify_all();
-        }
-        let mut out: BatchResults = Vec::new();
-        let mut first_err: Option<TbonError> = None;
-        for _ in 0..pending {
-            match self.results.recv() {
-                Ok(Ok(results)) => out.extend(results),
-                Ok(Err(err)) => {
-                    // Keep draining: the other batches are still in flight and
-                    // their workers must not block on an abandoned channel.
-                    first_err.get_or_insert(err);
-                }
-                Err(_) => {
-                    // Every worker hung up mid-level: a thread died outside the
-                    // catch_unwind fence (or the queue poisoned under it).
-                    first_err.get_or_insert(TbonError::PoolPoisoned {
-                        context: "waiting for a level's results",
-                    });
-                    break;
-                }
-            }
-        }
-        match first_err {
-            Some(err) => Err(err),
-            None => Ok(out),
-        }
-    }
-}
-
-impl Drop for WorkerPool<'_> {
-    fn drop(&mut self) {
-        let (lock, available) = self.queue;
-        // Never panic in Drop: a poisoned queue still carries a usable shutdown
-        // flag, so strip the poison and set it — the workers must be released
-        // for the enclosing thread::scope to join them.
-        let mut q = match lock.lock() {
-            Ok(q) => q,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        q.shutdown = true;
-        drop(q);
-        available.notify_all();
-    }
+    done.sort_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
@@ -838,43 +706,193 @@ mod tests {
         }
     }
 
+    /// What a caller can observe of one outcome, `filter_time` aside.
+    fn observable(o: &ReductionOutcome) -> (Packet, usize, u64, u64, u64) {
+        (
+            o.result.clone(),
+            o.filter_invocations,
+            o.frontend_bytes_in,
+            o.max_node_bytes_in,
+            o.total_link_bytes,
+        )
+    }
+
     #[test]
-    fn level_parallel_reuses_one_worker_pool_across_levels() {
-        // A filter that records the thread of every invocation.  With one pool
-        // reused for the whole walk, the set of distinct worker threads is bounded
-        // by the machine's parallelism however many levels the tree has (and never
-        // includes the caller); per-level spawning would parade fresh threads past
-        // every level.
-        struct ThreadRecorder {
-            threads: &'static Mutex<Vec<std::thread::ThreadId>>,
+    fn every_schedule_yields_the_inline_outcomes_on_at_most_workers_threads() {
+        use simkit::rng::DeterministicRng;
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+
+        /// Sums like `SumFilter`, after pausing for a seed-derived 0–200 µs per
+        /// (node, channel) so that every seed is a different schedule, and
+        /// tracks how many invocations are in flight at once.  The pause is a
+        /// sleep, not a spin: it gives the CPU away, so on a host with fewer
+        /// cores than workers every worker still gets an invocation in flight.
+        struct JitteredSum<'a> {
+            seed: u64,
+            channel: u64,
+            in_flight: &'a AtomicUsize,
+            peak: &'a AtomicUsize,
         }
-        impl Filter for ThreadRecorder {
+        impl Filter for JitteredSum<'_> {
             fn reduce(&self, node: EndpointId, inputs: &[Packet]) -> Packet {
-                self.threads
-                    .lock()
-                    .unwrap()
-                    .push(std::thread::current().id());
+                self.peak
+                    .fetch_max(self.in_flight.fetch_add(1, SeqCst) + 1, SeqCst);
+                let stream = (u64::from(node.0) << 1) | self.channel;
+                let pause = DeterministicRng::new(self.seed)
+                    .fork(stream)
+                    .uniform_usize(0, 201);
+                std::thread::sleep(Duration::from_micros(pause as u64));
+                let out = SumFilter.reduce(node, inputs);
+                self.in_flight.fetch_sub(1, SeqCst);
+                out
+            }
+        }
+
+        for shape in [
+            TreeShape::uniform_with_depth(64, 2, 5),
+            TreeShape::two_deep(64, 8),
+        ] {
+            let topo = Topology::build(shape);
+            for seed in 0..16u64 {
+                let run = |workers: usize| {
+                    let (in_flight, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+                    let filter = |channel| JitteredSum {
+                        seed,
+                        channel,
+                        in_flight: &in_flight,
+                        peak: &peak,
+                    };
+                    let net = InProcessTbon::new(topo.clone()).with_workers(workers);
+                    let outcomes = net
+                        .reduce_channels(
+                            vec![
+                                ChannelInput::new("a", leaf_packets(&topo, |i| i as u64 + seed)),
+                                ChannelInput::new("b", leaf_packets(&topo, |i| (i * i) as u64)),
+                            ],
+                            &[&filter(0), &filter(1)],
+                        )
+                        .unwrap();
+                    let seen: Vec<_> = outcomes.iter().map(observable).collect();
+                    (seen, peak.load(SeqCst))
+                };
+                let (expected, inline_peak) = run(1);
+                assert_eq!(inline_peak, 1);
+                for workers in [1usize, 2, 3, 8, 64] {
+                    let (seen, peak) = run(workers);
+                    assert_eq!(seen, expected, "seed {seed}, {workers} workers");
+                    assert!(
+                        peak <= workers,
+                        "seed {seed}: {peak} invocations in flight on {workers} workers"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_earliest_failing_node_is_reported_whatever_the_schedule() {
+        /// Panics at `late` after a pause and at `early` at once; sums elsewhere.
+        struct TwoFailures {
+            late: EndpointId,
+            early: EndpointId,
+        }
+        impl Filter for TwoFailures {
+            fn reduce(&self, node: EndpointId, inputs: &[Packet]) -> Packet {
+                if node == self.late {
+                    // The verdict below does not depend on this pause; it only
+                    // makes sure the other failure has long been reported by
+                    // the time this one is, on any host.
+                    std::thread::sleep(Duration::from_millis(50));
+                    panic!("first comm process");
+                }
+                if node == self.early {
+                    panic!("last comm process");
+                }
                 SumFilter.reduce(node, inputs)
             }
         }
-        static THREADS: Mutex<Vec<std::thread::ThreadId>> = Mutex::new(Vec::new());
-        THREADS.lock().unwrap().clear();
 
-        let topo = Topology::build(TreeShape::uniform_with_depth(64, 2, 5));
-        let net = InProcessTbon::new(topo).with_workers(4);
-        let leaves = leaf_packets(net.topology(), |i| i as u64);
-        let recorder = ThreadRecorder { threads: &THREADS };
-        let out = net.reduce(leaves, &recorder).unwrap();
-        assert_eq!(SumFilter::decode(&out.result), (0..64).sum::<u64>());
+        let topo = Topology::build(TreeShape::two_deep(16, 4));
+        let comm = topo.levels()[1].clone();
+        let (first, last) = (comm[0], comm[comm.len() - 1]);
+        for workers in [4usize, 1] {
+            let net = InProcessTbon::new(topo.clone()).with_workers(workers);
+            let filter = TwoFailures {
+                late: first,
+                early: last,
+            };
+            let err = net
+                .reduce(leaf_packets(&topo, |i| i as u64), &filter)
+                .unwrap_err();
+            match err {
+                TbonError::FilterPanicked { node, .. } => {
+                    assert_eq!(node, first.0, "{workers} workers")
+                }
+                other => panic!("expected FilterPanicked, got {other:?}"),
+            }
+        }
+    }
 
-        let threads: std::collections::HashSet<std::thread::ThreadId> =
-            THREADS.lock().unwrap().iter().copied().collect();
-        assert!(
-            threads.len() <= 4,
-            "expected at most 4 pooled workers, saw {} distinct threads",
-            threads.len()
-        );
-        assert!(!threads.contains(&std::thread::current().id()));
+    #[test]
+    fn results_land_in_item_order_whatever_the_interleaving() {
+        use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+        // Items 0 and 1 rendezvous, so they are on different workers; 0 then
+        // waits for 2 to start and 2 for 3, which leaves one worker holding
+        // [0, 3] and the other [1, 2] — neither join order is item order.
+        let started: [AtomicBool; 4] = Default::default();
+        let meet = std::sync::Barrier::new(2);
+        let wait_for = |item: usize| {
+            while !started[item].load(SeqCst) {
+                std::thread::yield_now();
+            }
+        };
+        let out = par_map(vec![0usize, 1, 2, 3], 2, &|item| {
+            started[item].store(true, SeqCst);
+            match item {
+                0 => {
+                    meet.wait();
+                    wait_for(2);
+                }
+                1 => {
+                    meet.wait();
+                }
+                2 => wait_for(3),
+                _ => {}
+            }
+            Ok(item)
+        });
+        assert_eq!(out.unwrap(), [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_worker_dying_outside_the_fence_is_a_typed_error() {
+        let items = || (0..16u32).collect::<Vec<_>>();
+        for workers in [2usize, 8] {
+            let err = par_map(items(), workers, &|i| {
+                if i == 5 {
+                    panic!("step died");
+                }
+                Ok(i)
+            })
+            .unwrap_err();
+            assert!(matches!(err, TbonError::PoolPoisoned { .. }), "{err:?}");
+            // The caller's thread is intact: the next map runs and is in order.
+            assert_eq!(par_map(items(), workers, &|i| Ok(i * 2)).unwrap()[15], 30);
+        }
+        for workers in [1usize, 2, 3, 8, 64] {
+            let err = par_map(items(), workers, &|i| match i {
+                3 | 11 => Err(TbonError::DeltaFold {
+                    node: i,
+                    message: String::new(),
+                }),
+                _ => Ok(i),
+            })
+            .unwrap_err();
+            assert!(
+                matches!(err, TbonError::DeltaFold { node: 3, .. }),
+                "{workers} workers: {err:?}"
+            );
+        }
     }
 
     /// A filter that panics at every invocation.
@@ -890,7 +908,7 @@ mod tests {
         // A filter that dies on a malformed wave must surface as Err from
         // reduce_channels — not strand the level barrier in a deadlock, and not
         // abort the front end by unwinding through it.  Forcing 4 workers
-        // exercises the pooled path even on a single-CPU host.
+        // exercises the threaded path even on a single-CPU host.
         let net = InProcessTbon::new(Topology::build(TreeShape::two_deep(16, 4))).with_workers(4);
         let leaves = leaf_packets(net.topology(), |i| i as u64);
         let err = net
@@ -906,8 +924,8 @@ mod tests {
             other => panic!("expected FilterPanicked, got {other:?}"),
         }
         assert!(err.to_string().contains("panicked at node"));
-        // The network object is still usable afterwards: the pool shut down
-        // cleanly and a fresh walk spawns a fresh pool.
+        // The network object is still usable afterwards: the failed level's
+        // workers were joined and a fresh walk spawns its own.
         let leaves = leaf_packets(net.topology(), |i| i as u64);
         let out = net.reduce(leaves, &SumFilter).unwrap();
         assert_eq!(SumFilter::decode(&out.result), (0..16).sum::<u64>());
@@ -915,8 +933,8 @@ mod tests {
 
     #[test]
     fn a_panicking_filter_surfaces_as_a_typed_error_inline() {
-        // One worker takes the non-pooled dispatch path; it must report the same
-        // typed error, keeping the two paths behaviourally identical.
+        // One worker runs inline on the caller; it must report the same typed
+        // error, keeping the two paths behaviourally identical.
         let net = InProcessTbon::new(Topology::build(TreeShape::flat(4))).with_workers(1);
         let leaves = leaf_packets(net.topology(), |i| i as u64);
         let err = net.reduce(leaves, &PanickingFilter).unwrap_err();
