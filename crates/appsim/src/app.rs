@@ -2,9 +2,10 @@
 //!
 //! An [`Application`] is anything that can answer: "what is the call path of thread
 //! `t` of rank `r` at sample `s`?"  STAT's daemons answer that question with the
-//! StackWalker API against live processes; the reproduction answers it from a state
-//! machine.  Everything downstream (walking, interning, local merge, the TBON merge,
-//! equivalence classes) is the real tool code.
+//! StackWalker API against live processes; the reproduction answers it from a rule
+//! table ([`crate::workloads::RuleApp`]).  Everything downstream (walking,
+//! interning, local merge, the TBON merge, equivalence classes) is the real tool
+//! code.
 
 use std::ops::Range;
 

@@ -6,14 +6,21 @@
 //! tool code paths as a real MPI job.  This crate provides those synthetic
 //! applications:
 //!
+//! * [`workloads`] — every simulated application is a rule table, a
+//!   [`workloads::RuleApp`]: the first rule covering a rank's thread picks the
+//!   path each sample catches it in, and a fault rule names the frame that must
+//!   isolate its ranks, so a workload's ground truth is computed from the rows
+//!   that inject its fault.  The module's constructors build the suite's
+//!   workloads: all-equivalent, multi-class compute, a deadlocked pair, a
+//!   multithreaded variant for the Section VII threading projection, the
+//!   time-evolving solver / straggler / checkpoint jobs, the adversarial scenario
+//!   workloads (shared-filesystem I/O storm, OS-noise jitter, collective mismatch,
+//!   corrupted stacks) and the randomized campaign's faults.
 //! * [`ring`] — the paper's target application: an MPI ring test (Irecv from the
 //!   previous rank, Isend to the next, Waitall, Barrier) with an injected bug that
 //!   makes rank 1 hang before its send.  Its merged prefix tree is Figure 1.
-//! * [`workloads`] — additional applications used by the wider test suite and the
-//!   ablation benches: all-equivalent, multi-class compute, a deadlocked pair, a
-//!   multithreaded variant for the Section VII threading projection, and the
-//!   adversarial scenario workloads (shared-filesystem I/O storm, OS-noise jitter,
-//!   collective mismatch, corrupted stacks).
+//!   [`RingHangApp`] is a thin wrapper over its table that remembers where the
+//!   bug was injected.
 //! * [`scenario`] — the fault-scenario catalogue: every workload bundled with an
 //!   injected-fault description, a machine-checkable [`scenario::GroundTruth`] and
 //!   a [`scenario::Verdict`] checker, so the test suite can assert that the tool
@@ -30,7 +37,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod app;
-pub mod progress;
 pub mod ring;
 pub mod scenario;
 pub mod streaming;
@@ -41,15 +47,11 @@ pub use app::{
     for_each_sampled_path, gather_samples, gather_samples_for_ranks, gather_samples_for_ranks_from,
     Application,
 };
-pub use progress::{CheckpointStormApp, IterativeSolverApp, StragglerApp};
 pub use ring::RingHangApp;
 pub use scenario::{
     catalogue, randomized_scenarios, Diagnosis, FaultScenario, GroundTruth, MidTreeCorruption,
     MidTreeFault, OverlayFault, Verdict,
 };
-pub use streaming::{healthy_truth, FaultSchedule, SteadySource, WaveSource};
+pub use streaming::{FaultSchedule, SteadySource, WaveSource};
 pub use vocab::FrameVocabulary;
-pub use workloads::{
-    AllEquivalentApp, CollectiveMismatchApp, ComputeSpreadApp, CorruptedStackApp, DeadlockPairApp,
-    IoStormApp, OsNoiseApp, RandomFaultApp, RandomFaultFlavor, ThreadedApp,
-};
+pub use workloads::{RandomFaultFlavor, Ranks, Rule, RuleApp};

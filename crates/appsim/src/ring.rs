@@ -15,15 +15,19 @@
 //! * **every other rank** completed its sends and receives and is waiting in
 //!   `PMPI_Barrier`, with the progress-engine polling frames recursing to varying
 //!   depths from sample to sample (the "time" dimension of the 3D tree).
+//!
+//! Like every workload it is a rule table ([`RuleApp`]), one row per class;
+//! [`RingHangApp`] names the table and remembers where the bug was injected.
 
 use crate::app::Application;
-use crate::scenario::{GroundTruth, Isolation};
+use crate::scenario::GroundTruth;
 use crate::vocab::FrameVocabulary;
+use crate::workloads::{main_path, Ranks, Rule, RuleApp};
 
 /// The ring-topology hang.
 #[derive(Clone, Debug)]
 pub struct RingHangApp {
-    tasks: u64,
+    table: RuleApp,
     vocab: FrameVocabulary,
     hung_rank: u64,
 }
@@ -31,18 +35,14 @@ pub struct RingHangApp {
 impl RingHangApp {
     /// The paper's configuration: rank 1 hangs before its send.
     pub fn new(tasks: u64, vocab: FrameVocabulary) -> Self {
-        RingHangApp {
-            tasks: tasks.max(3),
-            vocab,
-            hung_rank: 1,
-        }
+        RingHangApp::hung_at(tasks.max(3), vocab, 1)
     }
 
     /// A variant with the bug injected at a different rank; used by tests to check
     /// that the tool finds the outlier wherever it is.
-    pub fn with_hung_rank(mut self, rank: u64) -> Self {
-        self.hung_rank = rank.min(self.tasks - 1);
-        self
+    pub fn with_hung_rank(self, rank: u64) -> Self {
+        let tasks = self.num_tasks();
+        RingHangApp::hung_at(tasks, self.vocab, rank.min(tasks - 1))
     }
 
     /// The rank that never posts its send.
@@ -52,12 +52,7 @@ impl RingHangApp {
 
     /// The rank whose receive can never complete (the next rank around the ring).
     pub fn victim_rank(&self) -> u64 {
-        (self.hung_rank + 1) % self.tasks
-    }
-
-    /// The frame vocabulary in use.
-    pub fn vocabulary(&self) -> FrameVocabulary {
-        self.vocab
+        (self.hung_rank + 1) % self.num_tasks()
     }
 
     /// The machine-checkable expectation for this workload: the hung rank alone
@@ -65,71 +60,66 @@ impl RingHangApp {
     /// of classes (shallow sampling windows split the barrier crowd by how deep
     /// the polling recursion was caught).
     pub fn ground_truth(&self) -> GroundTruth {
-        GroundTruth {
-            class_count: (3, 8),
-            isolations: vec![
-                Isolation {
-                    frame: self.vocab.send_stall(),
-                    ranks: vec![self.hung_rank],
-                },
-                Isolation {
-                    frame: self.vocab.waitall(),
-                    ranks: vec![self.victim_rank()],
-                },
-            ],
-            ubiquitous_frame: None,
-            never_coincide: vec![],
-        }
+        self.table.ground_truth()
     }
 
-    fn push_poll_chain(&self, path: &mut Vec<&'static str>, depth: usize) {
-        let step = self.vocab.poll_step();
-        for _ in 0..depth.max(1) {
-            path.extend_from_slice(step);
+    fn hung_at(tasks: u64, vocab: FrameVocabulary, hung_rank: u64) -> Self {
+        let v = vocab;
+        let victim = (hung_rank + 1) % tasks;
+        // One path per polling recursion depth, 1 to the platform's maximum.
+        let polling = |head: Vec<&'static str>| -> Vec<Vec<&'static str>> {
+            (1..=v.max_poll_depth())
+                .map(|depth| [&head[..], &v.poll_step().repeat(depth)].concat())
+                .collect()
+        };
+        let stall = main_path(v, &[&[v.send_stall()]]);
+        let rules = vec![
+            // Hung before its send: spinning in the application's stall routine,
+            // every third sample caught reading the clock.
+            Rule::new(
+                Ranks::List(vec![hung_rank]),
+                vec![stall.clone(), [&stall[..], &[v.timer()]].concat()],
+            )
+            .picked(|_, _, sample| usize::from(sample % 3 == 2))
+            .isolated_by(v.send_stall()),
+            // Waiting for a receive that will never complete.
+            Rule::new(
+                Ranks::List(vec![victim]),
+                polling(main_path(v, &[&[v.waitall()], v.progress_impl()])),
+            )
+            .isolated_by(v.waitall()),
+            // Everyone else has entered the barrier and is driving the progress
+            // engine; the polling recursion depth varies from sample to sample and
+            // from rank to rank, which is what gives the 3D tree its fan of leaves.
+            Rule::new(
+                Ranks::All,
+                polling(main_path(
+                    v,
+                    &[&[v.barrier()], v.barrier_impl(), v.progress_impl()],
+                )),
+            )
+            .picked(|rank, _, sample| rank as usize + sample as usize),
+        ];
+        RingHangApp {
+            table: RuleApp::new("mpi_ring_hang", tasks, v, (3, 8), rules),
+            vocab,
+            hung_rank,
         }
     }
 }
 
 impl Application for RingHangApp {
     fn name(&self) -> &str {
-        "mpi_ring_hang"
+        self.table.name()
     }
-
     fn num_tasks(&self) -> u64 {
-        self.tasks
+        self.table.num_tasks()
     }
-
     fn frame_hints(&self) -> Vec<&'static str> {
-        self.vocab.dictionary_hints()
+        self.table.frame_hints()
     }
-
-    fn call_path(&self, rank: u64, _thread: u32, sample_index: u32) -> Vec<&'static str> {
-        let v = self.vocab;
-        let mut path = vec![v.start(), v.main()];
-        if rank == self.hung_rank {
-            // Hung before its send: spinning in the application's stall routine,
-            // occasionally caught reading the clock.
-            path.push(v.send_stall());
-            if sample_index % 3 == 2 {
-                path.push(v.timer());
-            }
-        } else if rank == self.victim_rank() {
-            // Waiting for a receive that will never complete.
-            path.push(v.waitall());
-            path.extend_from_slice(v.progress_impl());
-            let depth = 1 + (sample_index as usize % v.max_poll_depth());
-            self.push_poll_chain(&mut path, depth);
-        } else {
-            // Everyone else has entered the barrier and is driving the progress
-            // engine; the polling recursion depth varies from sample to sample and
-            // from rank to rank, which is what gives the 3D tree its fan of leaves.
-            path.push(v.barrier());
-            path.extend_from_slice(v.barrier_impl());
-            path.extend_from_slice(v.progress_impl());
-            let depth = 1 + ((rank as usize + sample_index as usize) % v.max_poll_depth());
-            self.push_poll_chain(&mut path, depth);
-        }
-        path
+    fn call_path(&self, rank: u64, thread: u32, sample_index: u32) -> Vec<&'static str> {
+        self.table.call_path(rank, thread, sample_index)
     }
 }
 

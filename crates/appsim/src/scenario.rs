@@ -62,13 +62,9 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::app::Application;
-use crate::progress::{CheckpointStormApp, StragglerApp};
 use crate::ring::RingHangApp;
 use crate::vocab::FrameVocabulary;
-use crate::workloads::{
-    AllEquivalentApp, CollectiveMismatchApp, CorruptedStackApp, DeadlockPairApp, IoStormApp,
-    OsNoiseApp, RandomFaultApp, RandomFaultFlavor,
-};
+use crate::workloads::{self, RandomFaultFlavor};
 use simkit::rng::DeterministicRng;
 
 /// One frame-level expectation: the set of ranks that must appear in (exactly the
@@ -83,11 +79,10 @@ pub struct Isolation {
 
 /// Machine-checkable ground truth for one fault scenario.
 ///
-/// A scenario's ground truth is written down *when the fault is injected*, not
-/// after the tool has run — the workloads that take configurable fault ranks
-/// ([`DeadlockPairApp`], [`StragglerApp`], and the new scenario workloads) derive
-/// their rank getters from this type, so the workload and the expectation cannot
-/// drift apart.
+/// A workload's ground truth is computed from the rule table that injects its
+/// fault ([`workloads::RuleApp::ground_truth`]), not written down beside it: each
+/// fault rule's ranks and frame become one [`Isolation`], so the workload and the
+/// expectation cannot drift apart.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GroundTruth {
     /// Inclusive `(min, max)` band for the number of behaviour classes the merged
@@ -452,130 +447,106 @@ impl fmt::Debug for FaultScenario {
 /// [`OverlayFault`] while the application fault is still live.
 pub fn catalogue(tasks: u64, vocab: FrameVocabulary) -> Vec<FaultScenario> {
     let tasks = tasks.max(16);
-
+    let table = |name: &str, fault: &str, expected: &str, app: workloads::RuleApp| {
+        scenario(name, fault, expected, app.ground_truth(), Arc::new(app))
+    };
     let ring = RingHangApp::new(tasks, vocab);
-    let ring_truth = ring.ground_truth();
-    let deadlock = DeadlockPairApp::new(tasks, vocab);
-    let deadlock_truth = deadlock.ground_truth().clone();
-    let stragglers = StragglerApp::new(tasks, 4.min(tasks / 4).max(1), vocab);
-    let straggler_truth = stragglers.ground_truth().clone();
-    let storm = CheckpointStormApp::new(tasks, 0.75, vocab);
-    let storm_truth = storm.ground_truth();
-    let io_storm = IoStormApp::new(tasks, 3.min(tasks / 4).max(1), vocab);
-    let io_truth = io_storm.ground_truth().clone();
-    let noise = OsNoiseApp::new(tasks, vocab);
-    let noise_truth = noise.ground_truth().clone();
-    let mismatch = CollectiveMismatchApp::new(tasks, vocab);
-    let mismatch_truth = mismatch.ground_truth().clone();
-    let corrupted = CorruptedStackApp::new(tasks, 3.min(tasks / 8).max(1), vocab);
-    let corrupted_truth = corrupted.ground_truth().clone();
-
+    let ring_hang = scenario(
+        "ring_hang",
+        "MPI ring test; rank 1 hangs before its send (the paper's Figure 1 bug)",
+        "3-8 classes; the hung rank alone under do_SendOrStall, its victim under PMPI_Waitall",
+        ring.ground_truth(),
+        Arc::new(ring),
+    );
+    let deadlock_pair = table(
+        "deadlock_pair",
+        "ranks 0 and 1 deadlocked in blocking receives against each other",
+        "the pair isolated under PMPI_Recv; everyone else in the barrier",
+        workloads::deadlock_pair(tasks, vocab),
+    );
     vec![
-        FaultScenario {
-            name: "ring_hang".into(),
-            fault: "MPI ring test; rank 1 hangs before its send (the paper's Figure 1 bug)".into(),
-            expected: "3-8 classes; the hung rank alone under do_SendOrStall, its victim under PMPI_Waitall".into(),
-            app: Arc::new(ring.clone()),
-            truth: ring_truth.clone(),
-            overlay_faults: vec![],
-            mid_tree_faults: vec![],
-        },
+        ring_hang.clone(),
         FaultScenario {
             name: "ring_hang_daemon_loss".into(),
             fault: "the ring hang, with the last tool daemon killed mid-session".into(),
-            expected: "same diagnosis over the surviving daemons; the lost ranks reported uncovered".into(),
-            app: Arc::new(ring),
-            truth: ring_truth,
+            expected:
+                "same diagnosis over the surviving daemons; the lost ranks reported uncovered"
+                    .into(),
             overlay_faults: vec![OverlayFault::BackendFromEnd(0)],
-            mid_tree_faults: vec![],
+            ..ring_hang
         },
-        FaultScenario {
-            name: "deadlock_pair".into(),
-            fault: "ranks 0 and 1 deadlocked in blocking receives against each other".into(),
-            expected: "the pair isolated under PMPI_Recv; everyone else in the barrier".into(),
-            app: Arc::new(deadlock.clone()),
-            truth: deadlock_truth.clone(),
-            overlay_faults: vec![],
-            mid_tree_faults: vec![],
-        },
+        deadlock_pair.clone(),
         FaultScenario {
             name: "deadlock_pair_comm_loss".into(),
-            fault: "the deadlocked pair, with a communication process (and its subtree) killed".into(),
-            expected: "the pair still isolated; the orphaned daemons' ranks reported uncovered".into(),
-            app: Arc::new(deadlock),
-            truth: deadlock_truth,
+            fault: "the deadlocked pair, with a communication process (and its subtree) killed"
+                .into(),
+            expected: "the pair still isolated; the orphaned daemons' ranks reported uncovered"
+                .into(),
             overlay_faults: vec![OverlayFault::CommProcessFromEnd(0)],
-            mid_tree_faults: vec![],
+            ..deadlock_pair
         },
-        FaultScenario {
-            name: "stragglers".into(),
-            fault: "a few ranks persistently compute while the job waits in the barrier".into(),
-            expected: "the stragglers alone under compute_interior".into(),
-            app: Arc::new(stragglers),
-            truth: straggler_truth,
-            overlay_faults: vec![],
-            mid_tree_faults: vec![],
-        },
-        FaultScenario {
-            name: "checkpoint_storm".into(),
-            fault: "a checkpoint write storm; a quarter of the job still inside the I/O stack".into(),
-            expected: "writers isolated under MPI_File_write_all, the rest in the barrier".into(),
-            app: Arc::new(storm),
-            truth: storm_truth,
-            overlay_faults: vec![],
-            mid_tree_faults: vec![],
-        },
-        FaultScenario {
-            name: "io_storm".into(),
-            fault: "shared-filesystem metadata storm: a few ranks wedged opening a file over NFS".into(),
-            expected: "the wedged ranks alone under MPI_File_open / nfs_getattr_wait".into(),
-            app: Arc::new(io_storm),
-            truth: io_truth,
-            overlay_faults: vec![],
-            mid_tree_faults: vec![],
-        },
-        FaultScenario {
-            name: "os_noise".into(),
-            fault: "no application fault; ranks are sampled mid-kernel inside OS interrupt frames".into(),
-            expected: "every class stays inside the compute kernel — no invented outliers".into(),
-            app: Arc::new(noise),
-            truth: noise_truth,
-            overlay_faults: vec![],
-            mid_tree_faults: vec![],
-        },
-        FaultScenario {
-            name: "collective_mismatch".into(),
-            fault: "one rank enters PMPI_Reduce while the rest of the job is in PMPI_Allreduce".into(),
-            expected: "the mismatched rank alone under PMPI_Reduce".into(),
-            app: Arc::new(mismatch),
-            truth: mismatch_truth,
-            overlay_faults: vec![],
-            mid_tree_faults: vec![],
-        },
-        FaultScenario {
-            name: "corrupted_stacks".into(),
-            fault: "a few ranks return garbage frames from the stack walk".into(),
-            expected: "garbage quarantined under ??? without grafting onto the healthy spine".into(),
-            app: Arc::new(corrupted),
-            truth: corrupted_truth,
-            overlay_faults: vec![],
-            mid_tree_faults: vec![],
-        },
-        FaultScenario {
-            name: "all_equivalent".into(),
-            fault: "no fault: the whole job waits in one barrier".into(),
-            expected: "a single class covering every task".into(),
-            app: Arc::new(AllEquivalentApp::new(tasks, vocab)),
-            truth: GroundTruth {
-                class_count: (1, 1),
-                isolations: vec![],
-                ubiquitous_frame: Some(vocab.barrier()),
-                never_coincide: vec![],
-            },
-            overlay_faults: vec![],
-            mid_tree_faults: vec![],
-        },
+        table(
+            "stragglers",
+            "a few ranks persistently compute while the job waits in the barrier",
+            "the stragglers alone under compute_interior",
+            workloads::stragglers(tasks, 4.min(tasks / 4).max(1), vocab),
+        ),
+        table(
+            "checkpoint_storm",
+            "a checkpoint write storm; a quarter of the job still inside the I/O stack",
+            "writers isolated under MPI_File_write_all, the rest in the barrier",
+            workloads::checkpoint_storm(tasks, 0.75, vocab),
+        ),
+        table(
+            "io_storm",
+            "shared-filesystem metadata storm: a few ranks wedged opening a file over NFS",
+            "the wedged ranks alone under MPI_File_open / nfs_getattr_wait",
+            workloads::io_storm(tasks, 3.min(tasks / 4).max(1), vocab),
+        ),
+        table(
+            "os_noise",
+            "no application fault; ranks are sampled mid-kernel inside OS interrupt frames",
+            "every class stays inside the compute kernel — no invented outliers",
+            workloads::os_noise(tasks, vocab),
+        ),
+        table(
+            "collective_mismatch",
+            "one rank enters PMPI_Reduce while the rest of the job is in PMPI_Allreduce",
+            "the mismatched rank alone under PMPI_Reduce",
+            workloads::collective_mismatch(tasks, vocab),
+        ),
+        table(
+            "corrupted_stacks",
+            "a few ranks return garbage frames from the stack walk",
+            "garbage quarantined under ??? without grafting onto the healthy spine",
+            workloads::corrupted_stacks(tasks, 3.min(tasks / 8).max(1), vocab),
+        ),
+        table(
+            "all_equivalent",
+            "no fault: the whole job waits in one barrier",
+            "a single class covering every task",
+            workloads::all_equivalent(tasks, vocab),
+        ),
     ]
+}
+
+/// A scenario over a healthy overlay.
+fn scenario(
+    name: &str,
+    fault: &str,
+    expected: &str,
+    truth: GroundTruth,
+    app: Arc<dyn Application>,
+) -> FaultScenario {
+    FaultScenario {
+        name: name.into(),
+        fault: fault.into(),
+        expected: expected.into(),
+        app,
+        truth,
+        overlay_faults: vec![],
+        mid_tree_faults: vec![],
+    }
 }
 
 /// Generate `count` randomized fault scenarios at the given job size, fully
@@ -623,8 +594,8 @@ pub fn randomized_scenarios(
                 ranks.insert(rng.uniform_usize(1, tasks as usize) as u64);
             }
             let ranks: Vec<u64> = ranks.into_iter().collect();
-            let app = RandomFaultApp::new(tasks, vocab, flavor, ranks.clone());
-            let truth = app.ground_truth().clone();
+            let app = workloads::random_fault(tasks, vocab, flavor, ranks.clone());
+            let truth = app.ground_truth();
 
             // A third of the population also degrades the tool overlay...
             let mut suffix = String::new();

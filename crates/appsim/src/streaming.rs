@@ -19,7 +19,7 @@ use std::sync::Arc;
 use crate::app::Application;
 use crate::scenario::{FaultScenario, GroundTruth};
 use crate::vocab::FrameVocabulary;
-use crate::workloads::AllEquivalentApp;
+use crate::workloads::all_equivalent;
 
 /// A source of per-wave application behaviour for a streaming session.
 pub trait WaveSource: Send + Sync {
@@ -54,10 +54,9 @@ impl SteadySource {
     /// The healthy all-equivalent baseline: the whole job in one barrier,
     /// wave after wave.
     pub fn healthy(tasks: u64, vocab: FrameVocabulary) -> Self {
-        SteadySource::new(
-            Arc::new(AllEquivalentApp::new(tasks, vocab)),
-            healthy_truth(vocab),
-        )
+        let app = all_equivalent(tasks, vocab);
+        let truth = app.ground_truth();
+        SteadySource::new(Arc::new(app), truth)
     }
 }
 
@@ -76,23 +75,11 @@ impl WaveSource for SteadySource {
     }
 }
 
-/// The ground truth of a healthy job: one class, everyone in the barrier.
-///
-/// This is what every pre-fault wave of a [`FaultSchedule`] is judged against —
-/// the same expectation the catalogue's `all_equivalent` scenario carries.
-pub fn healthy_truth(vocab: FrameVocabulary) -> GroundTruth {
-    GroundTruth {
-        class_count: (1, 1),
-        isolations: vec![],
-        ubiquitous_frame: Some(vocab.barrier()),
-        never_coincide: vec![],
-    }
-}
-
 /// A catalogue scenario whose fault first appears at wave `fault_wave`.
 ///
 /// Waves `0..fault_wave` observe the healthy all-equivalent baseline (judged
-/// against [`healthy_truth`]); waves `fault_wave..` observe the scenario's
+/// against its table's truth, the one the catalogue's `all_equivalent` scenario
+/// carries); waves `fault_wave..` observe the scenario's
 /// faulty application (judged against the scenario's own truth).  The faulty
 /// application's sample clock still advances globally, so time-varying faults
 /// keep evolving across post-fault waves.
@@ -107,11 +94,11 @@ pub struct FaultSchedule {
 impl FaultSchedule {
     /// Schedule `scenario`'s fault to first appear at wave `fault_wave`.
     pub fn new(scenario: FaultScenario, vocab: FrameVocabulary, fault_wave: u32) -> Self {
-        let tasks = scenario.app.num_tasks();
+        let healthy = all_equivalent(scenario.app.num_tasks(), vocab);
         let name = format!("{}@wave{}", scenario.name, fault_wave);
         FaultSchedule {
-            healthy: Arc::new(AllEquivalentApp::new(tasks, vocab)),
-            healthy_truth: healthy_truth(vocab),
+            healthy_truth: healthy.ground_truth(),
+            healthy: Arc::new(healthy),
             scenario,
             fault_wave,
             name,

@@ -1,14 +1,26 @@
-//! Additional synthetic workloads.
+//! Workloads as rule tables.
 //!
-//! The ring hang is the paper's evaluation workload, but a debugging tool's test
-//! suite needs more shapes than one: jobs where *everything* is equivalent (the best
-//! case for prefix-tree compression), jobs whose ranks spread over many compute
-//! kernels (the worst case), a classic message deadlock between two ranks, a
-//! multithreaded job for the Section VII threading projection — and the adversarial
-//! scenario workloads ([`IoStormApp`], [`OsNoiseApp`], [`CollectiveMismatchApp`],
-//! [`CorruptedStackApp`]) that the fault-scenario catalogue
-//! ([`crate::scenario::catalogue`]) verifies end to end against their
-//! [`GroundTruth`].
+//! STAT observes nothing but call paths, so a simulated application is fully
+//! described by which path each (rank, thread, sample) is caught in.  A
+//! [`RuleApp`] states exactly that as an ordered table of [`Rule`]s: the first
+//! rule covering a rank's thread picks one of its paths for the sample.  A fault
+//! rule also names the frame that must isolate its ranks, so
+//! [`RuleApp::ground_truth`] is computed from the very rows that inject the fault
+//! — the workload and the verdict checker's expectation cannot drift apart.
+//!
+//! Every workload of the suite is a constructor that returns a table.  Besides
+//! the paper's ring hang ([`crate::ring::RingHangApp`]) the suite needs a job where
+//! *everything* is equivalent ([`all_equivalent`], the best case for prefix-tree
+//! compression), ranks spread over many kernels ([`compute_spread`], the worst
+//! case), a message deadlock ([`deadlock_pair`]), a multithreaded job for the
+//! Section VII projection ([`threaded`]), time-evolving jobs whose 2D and 3D trees
+//! disagree ([`iterative_solver`], [`stragglers`], [`checkpoint_storm`]), the
+//! adversarial scenario workloads ([`io_storm`], [`os_noise`],
+//! [`collective_mismatch`], [`corrupted_stacks`]) and the randomized campaign's
+//! [`random_fault`].
+
+use std::fmt;
+use std::sync::Arc;
 
 use crate::app::Application;
 use crate::scenario::{GroundTruth, Isolation};
@@ -27,508 +39,416 @@ fn mix(rank: u64, sample: u32) -> u64 {
     x
 }
 
-/// Every rank is in the same place: the ideal case for STAT, whose merged tree is a
-/// single path no matter how many tasks participate.
+/// The ranks a [`Rule`] covers.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Ranks {
+    /// Every rank.
+    All,
+    /// The listed ranks.
+    List(Vec<u64>),
+    /// Every rank from the given one on.
+    From(u64),
+    /// Every rank `r` with `r % modulus == residue` (none when `modulus` is 0).
+    Residue {
+        /// The divisor.
+        modulus: u64,
+        /// The remainder a covered rank leaves.
+        residue: u64,
+    },
+}
+
+impl Ranks {
+    fn contains(&self, rank: u64) -> bool {
+        match self {
+            Ranks::All => true,
+            Ranks::List(ranks) => ranks.contains(&rank),
+            Ranks::From(first) => rank >= *first,
+            Ranks::Residue { modulus, residue } => rank.checked_rem(*modulus) == Some(*residue),
+        }
+    }
+}
+
+/// One row of a [`RuleApp`]: which ranks' threads it covers, the distinct paths
+/// they are caught in (built once), which path a sample sees and — for a fault —
+/// the frame that must isolate the ranks the row decides.
+#[derive(Clone)]
+pub struct Rule {
+    ranks: Ranks,
+    workers: bool,
+    paths: Vec<Box<[&'static str]>>,
+    pick: Arc<dyn Fn(u64, u32, u32) -> usize + Send + Sync>,
+    isolated_by: Option<&'static str>,
+}
+
+impl Rule {
+    /// The main threads of `ranks`, caught in `paths` (outermost frame first) in
+    /// turn: sample `s` sees `paths[s % paths.len()]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `paths` is empty.
+    pub fn new(ranks: Ranks, paths: Vec<Vec<&'static str>>) -> Rule {
+        assert!(!paths.is_empty(), "a rule needs at least one path");
+        Rule {
+            ranks,
+            workers: false,
+            paths: paths.into_iter().map(Vec::into_boxed_slice).collect(),
+            pick: Arc::new(|_, _, sample| sample as usize),
+            isolated_by: None,
+        }
+    }
+
+    /// Pick the path from `(rank, thread, sample)` instead, modulo the path count.
+    pub fn picked(self, pick: impl Fn(u64, u32, u32) -> usize + Send + Sync + 'static) -> Rule {
+        Rule {
+            pick: Arc::new(pick),
+            ..self
+        }
+    }
+
+    /// Cover the worker threads (every thread but 0) instead of the main thread.
+    pub fn on_workers(self) -> Rule {
+        Rule {
+            workers: true,
+            ..self
+        }
+    }
+
+    /// Make this row an injected fault: `frame` must isolate exactly its ranks.
+    pub fn isolated_by(self, frame: &'static str) -> Rule {
+        Rule {
+            isolated_by: Some(frame),
+            ..self
+        }
+    }
+}
+
+impl fmt::Debug for Rule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Rule")
+            .field("ranks", &self.ranks)
+            .field("workers", &self.workers)
+            .field("paths", &self.paths)
+            .field("isolated_by", &self.isolated_by)
+            .finish_non_exhaustive()
+    }
+}
+
+/// A simulated application as an ordered rule table: the first [`Rule`] covering
+/// a rank's thread decides the path each sample catches it in (a thread no rule
+/// covers shows an empty path).  Besides the rules, the table holds what the
+/// rules cannot say: the band of classes the merged tree should show, a frame
+/// every class must carry, and frame pairs no class may carry together.
 #[derive(Clone, Debug)]
-pub struct AllEquivalentApp {
+pub struct RuleApp {
+    name: &'static str,
     tasks: u64,
+    threads: u32,
     vocab: FrameVocabulary,
+    rules: Vec<Rule>,
+    class_count: (usize, usize),
+    ubiquitous_frame: Option<&'static str>,
+    never_coincide: Vec<(&'static str, &'static str)>,
 }
 
-impl AllEquivalentApp {
-    /// All ranks waiting in the barrier.
-    pub fn new(tasks: u64, vocab: FrameVocabulary) -> Self {
-        AllEquivalentApp {
-            tasks: tasks.max(1),
+impl RuleApp {
+    /// A single-threaded `tasks`-rank table whose merged tree should show a
+    /// `class_count` (inclusive) band of classes, hinting `vocab`'s frames.
+    pub fn new(
+        name: &'static str,
+        tasks: u64,
+        vocab: FrameVocabulary,
+        class_count: (usize, usize),
+        rules: Vec<Rule>,
+    ) -> RuleApp {
+        RuleApp {
+            name,
+            tasks,
+            threads: 1,
             vocab,
+            rules,
+            class_count,
+            ubiquitous_frame: None,
+            never_coincide: Vec::new(),
+        }
+    }
+
+    /// The index of the rule deciding `thread` of `rank`.
+    fn rule_for(&self, rank: u64, thread: u32) -> Option<usize> {
+        self.rules
+            .iter()
+            .position(|rule| rule.workers == (thread > 0) && rule.ranks.contains(rank))
+    }
+
+    /// The machine-checkable expectation, computed from the table: one
+    /// [`Isolation`] per fault rule in rule order, holding the ranks that rule
+    /// decides, plus the table's class band, ubiquitous frame and never-coincide
+    /// pairs.
+    pub fn ground_truth(&self) -> GroundTruth {
+        let isolations = self.rules.iter().enumerate().filter_map(|(index, rule)| {
+            let thread = u32::from(rule.workers);
+            Some(Isolation {
+                frame: rule.isolated_by?,
+                ranks: (0..self.tasks)
+                    .filter(|&rank| self.rule_for(rank, thread) == Some(index))
+                    .collect(),
+            })
+        });
+        GroundTruth {
+            class_count: self.class_count,
+            isolations: isolations.collect(),
+            ubiquitous_frame: self.ubiquitous_frame,
+            never_coincide: self.never_coincide.clone(),
         }
     }
 }
 
-impl Application for AllEquivalentApp {
+impl Application for RuleApp {
     fn name(&self) -> &str {
-        "all_equivalent"
-    }
-    fn num_tasks(&self) -> u64 {
-        self.tasks
-    }
-    fn frame_hints(&self) -> Vec<&'static str> {
-        self.vocab.dictionary_hints()
-    }
-
-    fn call_path(&self, _rank: u64, _thread: u32, _sample: u32) -> Vec<&'static str> {
-        let v = self.vocab;
-        let mut path = vec![v.start(), v.main(), v.barrier()];
-        path.extend_from_slice(v.barrier_impl());
-        path.extend_from_slice(v.progress_impl());
-        path
-    }
-}
-
-/// Ranks spread across `classes` distinct compute kernels — the adversarial case
-/// where the merged tree is wide and every edge label matters.
-#[derive(Clone, Debug)]
-pub struct ComputeSpreadApp {
-    tasks: u64,
-    classes: u32,
-    vocab: FrameVocabulary,
-}
-
-impl ComputeSpreadApp {
-    /// Spread `tasks` ranks over `classes` behaviour classes.
-    pub fn new(tasks: u64, classes: u32, vocab: FrameVocabulary) -> Self {
-        ComputeSpreadApp {
-            tasks: tasks.max(1),
-            classes: classes.max(1),
-            vocab,
-        }
-    }
-
-    /// Number of distinct behaviour classes.
-    pub fn classes(&self) -> u32 {
-        self.classes
-    }
-}
-
-impl Application for ComputeSpreadApp {
-    fn name(&self) -> &str {
-        "compute_spread"
-    }
-    fn num_tasks(&self) -> u64 {
-        self.tasks
-    }
-    fn frame_hints(&self) -> Vec<&'static str> {
-        self.vocab.dictionary_hints()
-    }
-
-    fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> Vec<&'static str> {
-        let v = self.vocab;
-        let kernels = v.compute_kernels();
-        let class = (rank % self.classes as u64) as usize;
-        let kernel = kernels[class % kernels.len()];
-        let mut path = vec![v.start(), v.main(), "timestep_loop", kernel];
-        // Alternate between the kernel body and a nested helper over time so the 3D
-        // tree has temporal structure too.
-        if sample % 2 == 1 {
-            path.push("stencil_inner");
-        }
-        // Distinct classes beyond the kernel name count get a synthetic depth marker.
-        if class >= kernels.len() {
-            path.push("phase_extra");
-        }
-        path
-    }
-}
-
-/// Two ranks deadlocked against each other in blocking receives; everyone else is in
-/// the barrier.  A classic "needs a debugger" situation distinct from the ring hang.
-///
-/// The deadlocked pair is stored *only* in the workload's [`GroundTruth`]: the
-/// injected fault and the expectation the verdict checker enforces cannot drift
-/// apart, because they are the same data.
-#[derive(Clone, Debug)]
-pub struct DeadlockPairApp {
-    tasks: u64,
-    vocab: FrameVocabulary,
-    truth: GroundTruth,
-}
-
-impl DeadlockPairApp {
-    /// Deadlock ranks 0 and 1 of a `tasks`-rank job.
-    pub fn new(tasks: u64, vocab: FrameVocabulary) -> Self {
-        DeadlockPairApp {
-            tasks: tasks.max(2),
-            vocab,
-            truth: GroundTruth {
-                // The barrier crowd plus the receive class; one extra for shallow
-                // sampling that has not yet fanned the progress frames out.
-                class_count: (2, 3),
-                isolations: vec![Isolation {
-                    frame: "PMPI_Recv",
-                    ranks: vec![0, 1],
-                }],
-                ubiquitous_frame: None,
-                never_coincide: vec![],
-            },
-        }
-    }
-
-    /// The machine-checkable expectation for this workload.
-    pub fn ground_truth(&self) -> &GroundTruth {
-        &self.truth
-    }
-}
-
-impl Application for DeadlockPairApp {
-    fn name(&self) -> &str {
-        "deadlock_pair"
-    }
-    fn num_tasks(&self) -> u64 {
-        self.tasks
-    }
-    fn frame_hints(&self) -> Vec<&'static str> {
-        self.vocab.dictionary_hints()
-    }
-
-    fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> Vec<&'static str> {
-        let v = self.vocab;
-        let mut path = vec![v.start(), v.main()];
-        if self.truth.is_faulty(rank) {
-            path.push("exchange_halo");
-            path.push("PMPI_Recv");
-            path.extend_from_slice(v.progress_impl());
-        } else {
-            path.push(v.barrier());
-            path.extend_from_slice(v.barrier_impl());
-            if sample.is_multiple_of(2) {
-                path.extend_from_slice(v.progress_impl());
-            }
-        }
-        path
-    }
-}
-
-/// A multithreaded application: each rank runs one MPI thread plus `worker_threads`
-/// OpenMP-style workers.  Used for the Section VII projection, where threads act as a
-/// multiplier on the data volume the tool must collect and merge.
-#[derive(Clone, Debug)]
-pub struct ThreadedApp {
-    tasks: u64,
-    worker_threads: u32,
-    vocab: FrameVocabulary,
-}
-
-impl ThreadedApp {
-    /// `tasks` ranks with `worker_threads` extra threads each.
-    pub fn new(tasks: u64, worker_threads: u32, vocab: FrameVocabulary) -> Self {
-        ThreadedApp {
-            tasks: tasks.max(1),
-            worker_threads,
-            vocab,
-        }
-    }
-}
-
-impl Application for ThreadedApp {
-    fn name(&self) -> &str {
-        "threaded_hybrid"
+        self.name
     }
     fn num_tasks(&self) -> u64 {
         self.tasks
     }
     fn threads_per_task(&self) -> u32 {
-        1 + self.worker_threads
+        self.threads
     }
     fn frame_hints(&self) -> Vec<&'static str> {
         self.vocab.dictionary_hints()
     }
 
     fn call_path(&self, rank: u64, thread: u32, sample: u32) -> Vec<&'static str> {
-        let v = self.vocab;
-        if thread == 0 {
-            // The MPI thread behaves like the all-equivalent app.
-            let mut path = vec![v.start(), v.main(), v.barrier()];
-            path.extend_from_slice(v.barrier_impl());
-            path
-        } else {
-            // Worker threads split between two OpenMP-style regions; which region a
-            // worker is in depends on rank, thread and time, so threads genuinely
-            // multiply the distinct traces the tool must manage.
-            let mut path = vec![v.start()];
-            path.extend_from_slice(v.thread_entry());
-            let region = (rank as u32 + thread + sample) % 2;
-            if region == 0 {
-                path.push("omp_region_a");
-                path.push("dgemm_kernel");
-            } else {
-                path.push("omp_region_b");
-                path.push("halo_pack");
-            }
-            path
-        }
+        self.rule_for(rank, thread).map_or_else(Vec::new, |index| {
+            let rule = &self.rules[index];
+            rule.paths[(rule.pick)(rank, thread, sample) % rule.paths.len()].to_vec()
+        })
     }
 }
 
-/// A shared-filesystem I/O storm: a few ranks are wedged opening a restart file
-/// over the shared filesystem (the metadata server is serialising them away) while
-/// the rest of the job has opened its file and waits in the barrier.
-///
-/// This is the application-side cousin of the paper's Section VI lesson — the tool
-/// itself had to stop hammering the shared filesystem — turned into a debugging
-/// target: the merged tree must point at exactly the wedged ranks, deep inside the
-/// NFS client stack.
-#[derive(Clone, Debug)]
-pub struct IoStormApp {
-    tasks: u64,
-    vocab: FrameVocabulary,
-    truth: GroundTruth,
+/// `start → main → parts…`: the shape of every main-thread path.
+pub(crate) fn main_path(v: FrameVocabulary, parts: &[&[&'static str]]) -> Vec<&'static str> {
+    let mut path = vec![v.start(), v.main()];
+    for part in parts {
+        path.extend_from_slice(part);
+    }
+    path
 }
 
-impl IoStormApp {
-    /// `tasks` ranks of which `stuck_count` (spread evenly) never get their open
-    /// past the metadata server.
-    pub fn new(tasks: u64, stuck_count: u64, vocab: FrameVocabulary) -> Self {
-        let tasks = tasks.max(2);
-        let stuck_count = stuck_count.clamp(1, tasks - 1);
-        let stride = ((tasks - 1) / stuck_count).max(1);
-        // Spread the wedged ranks evenly, skipping rank 0 so the scenario is not
-        // confused with "the first daemon is slow".
-        let stuck: Vec<u64> = (0..stuck_count)
+/// The barrier entry point over the platform's implementation of it.
+fn barrier(v: FrameVocabulary) -> Vec<&'static str> {
+    [&[v.barrier()][..], v.barrier_impl()].concat()
+}
+
+/// The healthy crowd around a fault: in the barrier, caught inside the progress
+/// engine every other sample.
+fn barrier_crowd(v: FrameVocabulary) -> Rule {
+    let paths = vec![
+        main_path(v, &[&barrier(v), v.progress_impl()]),
+        main_path(v, &[&barrier(v)]),
+    ];
+    Rule::new(Ranks::All, paths)
+}
+
+/// `count` ranks spread evenly past rank 0 (so the fault is not confused with
+/// "the first daemon is slow"), at least one and at most all the others.
+fn spread_past_zero(tasks: u64, count: u64) -> Ranks {
+    let count = count.clamp(1, tasks - 1);
+    let stride = ((tasks - 1) / count).max(1);
+    Ranks::List(
+        (0..count)
             .map(|i| (1 + i * stride).min(tasks - 1))
-            .collect();
-        IoStormApp {
-            tasks,
-            vocab,
-            truth: GroundTruth {
-                class_count: (2, 3),
-                isolations: vec![Isolation {
-                    frame: "MPI_File_open",
-                    ranks: stuck,
-                }],
-                ubiquitous_frame: None,
-                never_coincide: vec![],
-            },
-        }
-    }
+            .collect(),
+    )
+}
 
-    /// The machine-checkable expectation for this workload.
-    pub fn ground_truth(&self) -> &GroundTruth {
-        &self.truth
+/// Every rank waiting in the barrier: the ideal case for STAT, whose merged tree
+/// is a single path no matter how many tasks participate.
+pub fn all_equivalent(tasks: u64, vocab: FrameVocabulary) -> RuleApp {
+    let v = vocab;
+    let everyone = Rule::new(
+        Ranks::All,
+        vec![main_path(v, &[&barrier(v), v.progress_impl()])],
+    );
+    RuleApp {
+        ubiquitous_frame: Some(v.barrier()),
+        ..RuleApp::new("all_equivalent", tasks.max(1), v, (1, 1), vec![everyone])
     }
 }
 
-impl Application for IoStormApp {
-    fn name(&self) -> &str {
-        "io_storm"
-    }
-    fn num_tasks(&self) -> u64 {
-        self.tasks
-    }
-    fn frame_hints(&self) -> Vec<&'static str> {
-        self.vocab.dictionary_hints()
-    }
+/// Ranks dealt round robin over `classes` compute kernels — the adversarial case
+/// where the merged tree is wide and every edge label matters.  Classes past the
+/// kernel list carry a `phase_extra` marker once per lap, so every requested
+/// class is distinct.
+pub fn compute_spread(tasks: u64, classes: u32, vocab: FrameVocabulary) -> RuleApp {
+    let v = vocab;
+    let tasks = tasks.max(1);
+    let classes = u64::from(classes.max(1));
+    let kernels = v.compute_kernels();
+    let rules = (0..classes)
+        .map(|class| {
+            let class_index = class as usize;
+            let kernel = ["timestep_loop", kernels[class_index % kernels.len()]];
+            let laps = vec!["phase_extra"; class_index / kernels.len()];
+            // Alternate between the kernel body and a nested helper over time so
+            // the 3D tree has temporal structure too.
+            let paths = vec![
+                main_path(v, &[&kernel, &laps]),
+                main_path(v, &[&kernel, &["stencil_inner"], &laps]),
+            ];
+            let ranks = Ranks::Residue {
+                modulus: classes,
+                residue: class,
+            };
+            Rule::new(ranks, paths)
+        })
+        .collect();
+    let shown = classes.min(tasks) as usize;
+    RuleApp::new("compute_spread", tasks, v, (shown, shown), rules)
+}
 
-    fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> Vec<&'static str> {
-        let v = self.vocab;
-        let mut path = vec![v.start(), v.main(), "open_restart_file"];
-        if self.truth.is_faulty(rank) {
-            path.extend_from_slice(v.shared_fs_open_impl());
-            if sample.is_multiple_of(2) {
-                path.push(v.shared_fs_retry());
-            }
-        } else {
-            path.push(v.barrier());
-            path.extend_from_slice(v.barrier_impl());
-        }
-        path
+/// Ranks 0 and 1 deadlocked against each other in blocking receives; everyone
+/// else is in the barrier.  A classic "needs a debugger" situation distinct from
+/// the ring hang.
+pub fn deadlock_pair(tasks: u64, vocab: FrameVocabulary) -> RuleApp {
+    let v = vocab;
+    let recv = main_path(v, &[&["exchange_halo", "PMPI_Recv"], v.progress_impl()]);
+    let pair = Rule::new(Ranks::List(vec![0, 1]), vec![recv]).isolated_by("PMPI_Recv");
+    // The barrier crowd plus the receive class; one extra for shallow sampling
+    // that has not yet fanned the progress frames out.
+    let rules = vec![pair, barrier_crowd(v)];
+    RuleApp::new("deadlock_pair", tasks.max(2), v, (2, 3), rules)
+}
+
+/// Each rank runs one MPI thread plus `worker_threads` OpenMP-style workers —
+/// the Section VII projection, where threads multiply the data volume the tool
+/// must collect and merge.
+pub fn threaded(tasks: u64, worker_threads: u32, vocab: FrameVocabulary) -> RuleApp {
+    let v = vocab;
+    let worker = |region: &[&'static str]| [&[v.start()][..], v.thread_entry(), region].concat();
+    let rules = vec![
+        Rule::new(Ranks::All, vec![main_path(v, &[&barrier(v)])]),
+        // Workers split between two regions by rank, thread and time, so threads
+        // genuinely multiply the distinct traces the tool must manage.
+        Rule::new(
+            Ranks::All,
+            vec![
+                worker(&["omp_region_a", "dgemm_kernel"]),
+                worker(&["omp_region_b", "halo_pack"]),
+            ],
+        )
+        .on_workers()
+        .picked(|rank, thread, sample| (rank + u64::from(thread) + u64::from(sample)) as usize),
+    ];
+    RuleApp {
+        threads: 1 + worker_threads,
+        ..RuleApp::new("threaded_hybrid", tasks.max(1), v, (1, 2), rules)
     }
 }
 
-/// OS-noise jitter: the application is perfectly healthy (every rank in the same
-/// compute kernel), but samples occasionally catch a rank mid-kernel inside an OS
-/// interrupt frame.  There is nothing to diagnose — the test is that the tool does
-/// not *invent* a diagnosis: every class must stay inside the compute kernel.
-#[derive(Clone, Debug)]
-pub struct OsNoiseApp {
-    tasks: u64,
-    vocab: FrameVocabulary,
-    truth: GroundTruth,
+/// A shared-filesystem I/O storm: `stuck_count` ranks wedged opening a restart
+/// file over NFS (the metadata server serialises them away) while the rest of the
+/// job has opened its file and waits in the barrier — the application-side
+/// cousin of the paper's Section VI lesson.
+pub fn io_storm(tasks: u64, stuck_count: u64, vocab: FrameVocabulary) -> RuleApp {
+    let v = vocab;
+    let tasks = tasks.max(2);
+    let open = [&["open_restart_file"][..], v.shared_fs_open_impl()].concat();
+    // Every other sample catches the RPC retry sleep.
+    let paths = vec![
+        main_path(v, &[&open, &[v.shared_fs_retry()]]),
+        main_path(v, &[&open]),
+    ];
+    let stuck = Rule::new(spread_past_zero(tasks, stuck_count), paths).isolated_by("MPI_File_open");
+    let opened = main_path(v, &[&["open_restart_file"], &barrier(v)]);
+    let rules = vec![stuck, Rule::new(Ranks::All, vec![opened])];
+    RuleApp::new("io_storm", tasks, v, (2, 3), rules)
 }
 
-impl OsNoiseApp {
-    /// A healthy compute job over `tasks` ranks with ~8% of samples catching an
-    /// OS interrupt frame on top of the kernel.
-    pub fn new(tasks: u64, vocab: FrameVocabulary) -> Self {
-        OsNoiseApp {
-            tasks: tasks.max(1),
-            vocab,
-            truth: GroundTruth {
-                // The undisturbed kernel class plus one class per noise frame the
-                // sampling window happened to catch.
-                class_count: (1, 1 + vocab.noise_frames().len()),
-                isolations: vec![],
-                ubiquitous_frame: Some("compute_interior"),
-                never_coincide: vec![],
-            },
-        }
-    }
-
-    /// The machine-checkable expectation for this workload.
-    pub fn ground_truth(&self) -> &GroundTruth {
-        &self.truth
-    }
-}
-
-impl Application for OsNoiseApp {
-    fn name(&self) -> &str {
-        "os_noise"
-    }
-    fn num_tasks(&self) -> u64 {
-        self.tasks
-    }
-    fn frame_hints(&self) -> Vec<&'static str> {
-        self.vocab.dictionary_hints()
-    }
-
-    fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> Vec<&'static str> {
-        let v = self.vocab;
-        let mut path = vec![
-            v.start(),
-            v.main(),
-            "timestep_loop",
-            "compute_interior",
-            "stencil_inner",
-        ];
+/// OS-noise jitter: a perfectly healthy compute job, except that about one sample
+/// in 13 catches a rank inside an OS interrupt frame on top of the kernel.  There
+/// is nothing to diagnose — every class must stay inside the kernel.
+pub fn os_noise(tasks: u64, vocab: FrameVocabulary) -> RuleApp {
+    let v = vocab;
+    let kernel = main_path(
+        v,
+        &[&["timestep_loop", "compute_interior", "stencil_inner"]],
+    );
+    let noise = v.noise_frames();
+    let noisy = noise.iter().map(|&frame| [&kernel[..], &[frame]].concat());
+    let paths = std::iter::once(kernel.clone()).chain(noisy).collect();
+    let jitter = Rule::new(Ranks::All, paths).picked(move |rank, _, sample| {
         let h = mix(rank, sample);
         if h.is_multiple_of(13) {
-            let noise = v.noise_frames();
-            path.push(noise[((h >> 8) % noise.len() as u64) as usize]);
-        }
-        path
-    }
-}
-
-/// A collective mismatch: one rank entered `PMPI_Reduce` while the rest of its
-/// communicator entered `PMPI_Allreduce`.  Every rank is "stuck in MPI", so only
-/// the distinguishing frame of the merged tree separates the culprit from its
-/// victims — the case where a debugger without aggregation shows 208K identical
-/// "waiting in a collective" backtraces.
-#[derive(Clone, Debug)]
-pub struct CollectiveMismatchApp {
-    tasks: u64,
-    vocab: FrameVocabulary,
-    truth: GroundTruth,
-}
-
-impl CollectiveMismatchApp {
-    /// A `tasks`-rank job whose middle rank calls the wrong reduction.
-    pub fn new(tasks: u64, vocab: FrameVocabulary) -> Self {
-        let tasks = tasks.max(2);
-        CollectiveMismatchApp {
-            tasks,
-            vocab,
-            truth: GroundTruth {
-                class_count: (2, 3),
-                isolations: vec![Isolation {
-                    frame: "PMPI_Reduce",
-                    ranks: vec![tasks / 2],
-                }],
-                ubiquitous_frame: None,
-                never_coincide: vec![],
-            },
-        }
-    }
-
-    /// The machine-checkable expectation for this workload.
-    pub fn ground_truth(&self) -> &GroundTruth {
-        &self.truth
-    }
-}
-
-impl Application for CollectiveMismatchApp {
-    fn name(&self) -> &str {
-        "collective_mismatch"
-    }
-    fn num_tasks(&self) -> u64 {
-        self.tasks
-    }
-    fn frame_hints(&self) -> Vec<&'static str> {
-        self.vocab.dictionary_hints()
-    }
-
-    fn call_path(&self, rank: u64, _thread: u32, _sample: u32) -> Vec<&'static str> {
-        let v = self.vocab;
-        let mut path = vec![v.start(), v.main(), "solve_timestep"];
-        if self.truth.is_faulty(rank) {
-            path.push("PMPI_Reduce");
+            1 + ((h >> 8) % noise.len() as u64) as usize
         } else {
-            path.push("PMPI_Allreduce");
-            path.push("MPIR_Allreduce_impl");
+            0
         }
-        path.extend_from_slice(v.progress_impl());
-        path
+    });
+    RuleApp {
+        ubiquitous_frame: Some("compute_interior"),
+        // The undisturbed kernel class plus one class per noise frame the
+        // sampling window happened to catch.
+        ..RuleApp::new(
+            "os_noise",
+            tasks.max(1),
+            v,
+            (1, 1 + noise.len()),
+            vec![jitter],
+        )
     }
 }
 
-/// Corrupted stacks: a few ranks return garbage from the stack walk — an
-/// unwalkable `???` frame followed by raw addresses that vary from sample to
-/// sample.  The fault *is* the garbage (those ranks smashed their stacks), and the
-/// test is twofold: the garbage ranks are quarantined under the `???` branch, and
-/// the garbage never poisons the healthy ranks' spine of the merged tree.
-#[derive(Clone, Debug)]
-pub struct CorruptedStackApp {
-    tasks: u64,
-    vocab: FrameVocabulary,
-    truth: GroundTruth,
+/// A collective mismatch: the middle rank entered `PMPI_Reduce` while the rest of
+/// its communicator entered `PMPI_Allreduce`.  Every rank is "stuck in MPI", so
+/// only the distinguishing frame separates the culprit from its victims.
+pub fn collective_mismatch(tasks: u64, vocab: FrameVocabulary) -> RuleApp {
+    let v = vocab;
+    let tasks = tasks.max(2);
+    let reduce = main_path(v, &[&["solve_timestep", "PMPI_Reduce"], v.progress_impl()]);
+    let culprit = Rule::new(Ranks::List(vec![tasks / 2]), vec![reduce]).isolated_by("PMPI_Reduce");
+    let allreduce = ["solve_timestep", "PMPI_Allreduce", "MPIR_Allreduce_impl"];
+    let victims = main_path(v, &[&allreduce, v.progress_impl()]);
+    let rules = vec![culprit, Rule::new(Ranks::All, vec![victims])];
+    RuleApp::new("collective_mismatch", tasks, v, (2, 3), rules)
 }
 
-impl CorruptedStackApp {
-    /// `tasks` ranks of which `corrupt_count` (spread evenly, skipping rank 0)
-    /// emit garbage frames.
-    pub fn new(tasks: u64, corrupt_count: u64, vocab: FrameVocabulary) -> Self {
-        let tasks = tasks.max(2);
-        let corrupt_count = corrupt_count.clamp(1, tasks - 1);
-        let stride = ((tasks - 1) / corrupt_count).max(1);
-        let corrupt: Vec<u64> = (0..corrupt_count)
-            .map(|i| (1 + i * stride).min(tasks - 1))
-            .collect();
-        let garbage = vocab.garbage_frames().len();
-        CorruptedStackApp {
+/// Corrupted stacks: `corrupt_count` ranks return an unwalkable `???` frame over a
+/// garbage frame that varies from sample to sample.  The garbage ranks must be
+/// quarantined under `???`, and the garbage must never graft onto the healthy
+/// spine of the merged tree.
+pub fn corrupted_stacks(tasks: u64, corrupt_count: u64, vocab: FrameVocabulary) -> RuleApp {
+    let v = vocab;
+    let tasks = tasks.max(2);
+    let garbage = v.garbage_frames();
+    let walks = garbage
+        .iter()
+        .map(|&frame| vec![v.unknown_frame(), frame])
+        .collect();
+    let corrupt = Rule::new(spread_past_zero(tasks, corrupt_count), walks)
+        .picked(|rank, _, sample| mix(rank, sample) as usize)
+        .isolated_by(v.unknown_frame());
+    let healthy = Rule::new(Ranks::All, vec![main_path(v, &[&barrier(v)])]);
+    RuleApp {
+        never_coincide: vec![
+            (v.unknown_frame(), v.main()),
+            (v.unknown_frame(), v.barrier()),
+        ],
+        // The healthy barrier class plus up to one class per distinct garbage
+        // frame the corrupted ranks emitted.
+        ..RuleApp::new(
+            "corrupted_stacks",
             tasks,
-            vocab,
-            truth: GroundTruth {
-                // The healthy barrier class plus up to one class per distinct
-                // garbage frame the corrupted ranks emitted.
-                class_count: (2, 2 + garbage),
-                isolations: vec![Isolation {
-                    frame: vocab.unknown_frame(),
-                    ranks: corrupt,
-                }],
-                ubiquitous_frame: None,
-                never_coincide: vec![
-                    (vocab.unknown_frame(), vocab.main()),
-                    (vocab.unknown_frame(), vocab.barrier()),
-                ],
-            },
-        }
-    }
-
-    /// The machine-checkable expectation for this workload.
-    pub fn ground_truth(&self) -> &GroundTruth {
-        &self.truth
-    }
-}
-
-impl Application for CorruptedStackApp {
-    fn name(&self) -> &str {
-        "corrupted_stacks"
-    }
-    fn num_tasks(&self) -> u64 {
-        self.tasks
-    }
-    fn frame_hints(&self) -> Vec<&'static str> {
-        self.vocab.dictionary_hints()
-    }
-
-    fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> Vec<&'static str> {
-        let v = self.vocab;
-        if self.truth.is_faulty(rank) {
-            let garbage = v.garbage_frames();
-            let pick = (mix(rank, sample) % garbage.len() as u64) as usize;
-            vec![v.unknown_frame(), garbage[pick]]
-        } else {
-            let mut path = vec![v.start(), v.main(), v.barrier()];
-            path.extend_from_slice(v.barrier_impl());
-            path
-        }
+            v,
+            (2, 2 + garbage.len()),
+            vec![corrupt, healthy],
+        )
     }
 }
 
 /// The fault archetypes a randomized campaign scenario can draw.  Each flavor
-/// reuses the frame structure of one hand-written catalogue workload, so the
-/// randomized population explores *placement* (which ranks, how many, at what
-/// scale) rather than inventing new call-path shapes the merge was never
-/// specified to handle.
+/// reuses the frame structure of one catalogue workload, so the randomized
+/// population explores *placement* (which ranks, how many, at what scale) rather
+/// than inventing new call-path shapes the merge was never specified to handle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RandomFaultFlavor {
     /// Faulty ranks wedged before a send, like the paper's ring hang.
@@ -571,125 +491,143 @@ impl RandomFaultFlavor {
     }
 }
 
-/// A randomized-campaign workload: an arbitrary set of faulty ranks placed by a
-/// seeded RNG, expressed through one of the catalogue's fault archetypes.  Like
-/// every hand-written workload, the injected ranks live *only* in the
-/// [`GroundTruth`], so the fault and the expectation cannot drift apart.
-#[derive(Clone, Debug)]
-pub struct RandomFaultApp {
+/// A randomized-campaign workload: `flavor` injected into `faulty_ranks` (clamped
+/// past rank 0 and into the job, so the fault is not confused with "the first
+/// daemon"; rank 1 when none are given) amid the barrier crowd.
+pub fn random_fault(
     tasks: u64,
     vocab: FrameVocabulary,
     flavor: RandomFaultFlavor,
-    truth: GroundTruth,
+    faulty_ranks: Vec<u64>,
+) -> RuleApp {
+    let v = vocab;
+    let tasks = tasks.max(16);
+    let mut ranks: Vec<u64> = faulty_ranks
+        .into_iter()
+        .map(|r| r.clamp(1, tasks - 1))
+        .collect();
+    if ranks.is_empty() {
+        ranks.push(1);
+    }
+    let (name, path) = match flavor {
+        RandomFaultFlavor::SendStall => (
+            "rand_stall",
+            main_path(v, &[&["ring_step", v.send_stall()], v.progress_impl()]),
+        ),
+        RandomFaultFlavor::BlockedRecv => (
+            "rand_recv",
+            main_path(v, &[&["exchange_halo", "PMPI_Recv"], v.progress_impl()]),
+        ),
+        RandomFaultFlavor::WedgedOpen => (
+            "rand_open",
+            main_path(v, &[&["open_restart_file"], v.shared_fs_open_impl()]),
+        ),
+        RandomFaultFlavor::WrongCollective => (
+            "rand_collective",
+            main_path(v, &[&["solve_timestep", "PMPI_Reduce"], v.progress_impl()]),
+        ),
+    };
+    let faulty =
+        Rule::new(Ranks::List(ranks), vec![path]).isolated_by(flavor.distinguishing_frame(v));
+    RuleApp::new(name, tasks, v, (2, 3), vec![faulty, barrier_crowd(v)])
 }
 
-impl RandomFaultApp {
-    /// Inject `flavor` into the given `faulty_ranks` (ascending, deduplicated,
-    /// never rank 0 so the fault is not confused with "the first daemon").
-    pub fn new(
-        tasks: u64,
-        vocab: FrameVocabulary,
-        flavor: RandomFaultFlavor,
-        faulty_ranks: Vec<u64>,
-    ) -> Self {
-        let tasks = tasks.max(16);
-        let mut ranks: Vec<u64> = faulty_ranks
-            .into_iter()
-            .map(|r| r.clamp(1, tasks - 1))
-            .collect();
-        ranks.sort_unstable();
-        ranks.dedup();
-        if ranks.is_empty() {
-            ranks.push(1);
-        }
-        RandomFaultApp {
-            tasks,
-            vocab,
-            flavor,
-            truth: GroundTruth {
-                class_count: (2, 3),
-                isolations: vec![Isolation {
-                    frame: flavor.distinguishing_frame(vocab),
-                    ranks,
-                }],
-                ubiquitous_frame: None,
-                never_coincide: vec![],
-            },
-        }
-    }
-
-    /// The drawn fault archetype.
-    pub fn flavor(&self) -> RandomFaultFlavor {
-        self.flavor
-    }
-
-    /// The machine-checkable expectation for this workload.
-    pub fn ground_truth(&self) -> &GroundTruth {
-        &self.truth
-    }
+/// A healthy iterative solver: every rank cycles compute → exchange → barrier,
+/// one phase per `phase_length` samples.  No rank is stuck anywhere; the 3D tree
+/// shows every rank in every phase, which is exactly how a user tells "working"
+/// from "hung".
+pub fn iterative_solver(tasks: u64, phase_length: u32, vocab: FrameVocabulary) -> RuleApp {
+    let v = vocab;
+    let phase_length = phase_length.max(1);
+    let phases = vec![
+        main_path(
+            v,
+            &[&["timestep_loop", "compute_interior", "stencil_inner"]],
+        ),
+        main_path(
+            v,
+            &[
+                &["timestep_loop", "exchange_halo", "PMPI_Waitall"],
+                v.progress_impl(),
+            ],
+        ),
+        main_path(v, &[&["timestep_loop"], &barrier(v)]),
+    ];
+    // Ranks are slightly out of phase with each other, as in any real bulk-
+    // synchronous code between barriers.
+    let cycle = Rule::new(Ranks::All, phases)
+        .picked(move |rank, _, sample| (sample / phase_length) as usize + (rank % 3) as usize);
+    // A snapshot shows up to three phases; a long enough window shows one class.
+    RuleApp::new("iterative_solver", tasks.max(1), v, (1, 3), vec![cycle])
 }
 
-impl Application for RandomFaultApp {
-    fn name(&self) -> &str {
-        match self.flavor {
-            RandomFaultFlavor::SendStall => "rand_stall",
-            RandomFaultFlavor::BlockedRecv => "rand_recv",
-            RandomFaultFlavor::WedgedOpen => "rand_open",
-            RandomFaultFlavor::WrongCollective => "rand_collective",
-        }
-    }
-    fn num_tasks(&self) -> u64 {
-        self.tasks
-    }
-    fn frame_hints(&self) -> Vec<&'static str> {
-        self.vocab.dictionary_hints()
-    }
+/// `straggler_count` ranks (spread evenly from rank 0, at most the whole job)
+/// still computing while the rest of the job waits in the barrier.  The paper's
+/// equivalence-class strategy points the debugger straight at them.
+pub fn stragglers(tasks: u64, straggler_count: u64, vocab: FrameVocabulary) -> RuleApp {
+    let v = vocab;
+    let tasks = tasks.max(1);
+    let count = straggler_count.min(tasks);
+    let stride = (tasks / count.max(1)).max(1);
+    let compute = ["timestep_loop", "compute_interior"];
+    // Every other sample catches the kernel in a cache-miss storm.
+    let paths = vec![
+        main_path(v, &[&compute, &["cache_miss_storm"]]),
+        main_path(v, &[&compute]),
+    ];
+    let slow = Rule::new(Ranks::List((0..count).map(|i| i * stride).collect()), paths)
+        .isolated_by("compute_interior");
+    let waiting = main_path(v, &[&["timestep_loop"], &barrier(v)]);
+    // The barrier crowd plus the straggler class; one extra when a single-sample
+    // window splits the cache-miss frame off.
+    let rules = vec![slow, Rule::new(Ranks::All, vec![waiting])];
+    RuleApp::new("stragglers", tasks, v, (2, 3), rules)
+}
 
-    fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> Vec<&'static str> {
-        let v = self.vocab;
-        let mut path = vec![v.start(), v.main()];
-        if self.truth.is_faulty(rank) {
-            match self.flavor {
-                RandomFaultFlavor::SendStall => {
-                    path.push("ring_step");
-                    path.push(v.send_stall());
-                    path.extend_from_slice(v.progress_impl());
-                }
-                RandomFaultFlavor::BlockedRecv => {
-                    path.push("exchange_halo");
-                    path.push("PMPI_Recv");
-                    path.extend_from_slice(v.progress_impl());
-                }
-                RandomFaultFlavor::WedgedOpen => {
-                    path.push("open_restart_file");
-                    path.extend_from_slice(v.shared_fs_open_impl());
-                }
-                RandomFaultFlavor::WrongCollective => {
-                    path.push("solve_timestep");
-                    path.push("PMPI_Reduce");
-                    path.extend_from_slice(v.progress_impl());
-                }
-            }
-        } else {
-            path.push(v.barrier());
-            path.extend_from_slice(v.barrier_impl());
-            if sample.is_multiple_of(2) {
-                path.extend_from_slice(v.progress_impl());
-            }
-        }
-        path
-    }
+/// A checkpoint storm: every rank past `completed_fraction` of the job (clamped
+/// into `[0, 1]`) is still inside the I/O stack, serialising behind the parallel
+/// file system, while the rest wait in the barrier.
+///
+/// # Panics
+///
+/// Panics if `completed_fraction` is NaN: it would otherwise flow through `clamp`
+/// unchanged and silently make *every* rank a writer (`NaN as u64 == 0`), a
+/// different workload than any the caller could have meant.
+pub fn checkpoint_storm(tasks: u64, completed_fraction: f64, vocab: FrameVocabulary) -> RuleApp {
+    assert!(
+        !completed_fraction.is_nan(),
+        "checkpoint_storm: completed_fraction must be a number in [0, 1], got NaN"
+    );
+    let v = vocab;
+    let tasks = tasks.max(1);
+    let cutoff = (tasks as f64 * completed_fraction.clamp(0.0, 1.0)) as u64;
+    let write = [
+        "write_checkpoint",
+        "MPI_File_write_all",
+        "ADIOI_GEN_WriteStridedColl",
+    ];
+    let paths = vec![
+        main_path(v, &[&write]),
+        main_path(v, &[&write, &["pwrite64"]]),
+    ];
+    let writers = Rule::new(Ranks::From(cutoff), paths).isolated_by("MPI_File_write_all");
+    let done = main_path(v, &[&["write_checkpoint"], &barrier(v)]);
+    let rules = vec![writers, Rule::new(Ranks::All, vec![done])];
+    RuleApp::new("checkpoint_storm", tasks, v, (2, 3), rules)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::app::gather_samples;
+    use crate::ring::RingHangApp;
+    use crate::scenario::{catalogue, randomized_scenarios, FaultScenario};
     use stackwalk::FrameTable;
+    use FrameVocabulary::{BlueGeneL, Linux};
 
     #[test]
     fn all_equivalent_has_one_class() {
-        let app = AllEquivalentApp::new(500, FrameVocabulary::Linux);
+        let app = all_equivalent(500, FrameVocabulary::Linux);
         let p0 = app.main_thread_path(0, 0);
         let p499 = app.main_thread_path(499, 0);
         assert_eq!(p0, p499);
@@ -697,13 +635,13 @@ mod tests {
 
     #[test]
     fn compute_spread_produces_the_requested_classes() {
-        let app = ComputeSpreadApp::new(1_000, 5, FrameVocabulary::Linux);
+        let app = compute_spread(1_000, 5, FrameVocabulary::Linux);
         let mut leaves = std::collections::HashSet::new();
         for rank in 0..1_000 {
             leaves.insert(app.main_thread_path(rank, 0));
         }
         assert_eq!(leaves.len(), 5);
-        let wide = ComputeSpreadApp::new(100, 8, FrameVocabulary::Linux);
+        let wide = compute_spread(100, 8, FrameVocabulary::Linux);
         let mut wide_leaves = std::collections::HashSet::new();
         for rank in 0..100 {
             wide_leaves.insert(wide.main_thread_path(rank, 0));
@@ -716,8 +654,21 @@ mod tests {
     }
 
     #[test]
+    fn compute_spread_yields_every_requested_class() {
+        // Classes 5 and 10 used to share a path: past the kernel list every lap
+        // added the same single marker.
+        for classes in [5, 8, 10, 11, 16, 64] {
+            let app = compute_spread(1_000, classes, Linux);
+            let paths: std::collections::HashSet<Vec<&str>> = (0..1_000)
+                .map(|rank| app.main_thread_path(rank, 0))
+                .collect();
+            assert_eq!(paths.len(), classes as usize, "{classes} classes requested");
+        }
+    }
+
+    #[test]
     fn deadlock_pair_isolates_two_ranks() {
-        let app = DeadlockPairApp::new(64, FrameVocabulary::Linux);
+        let app = deadlock_pair(64, FrameVocabulary::Linux);
         let in_recv: Vec<u64> = (0..64)
             .filter(|&r| app.main_thread_path(r, 0).contains(&"PMPI_Recv"))
             .collect();
@@ -726,7 +677,7 @@ mod tests {
 
     #[test]
     fn threaded_app_multiplies_gathered_traces() {
-        let app = ThreadedApp::new(8, 3, FrameVocabulary::Linux);
+        let app = threaded(8, 3, FrameVocabulary::Linux);
         assert_eq!(app.threads_per_task(), 4);
         let mut table = FrameTable::new();
         let samples = gather_samples(&app, 2, &mut table);
@@ -737,7 +688,7 @@ mod tests {
 
     #[test]
     fn worker_threads_have_distinct_stacks_from_the_mpi_thread() {
-        let app = ThreadedApp::new(4, 2, FrameVocabulary::BlueGeneL);
+        let app = threaded(4, 2, FrameVocabulary::BlueGeneL);
         let mpi = app.call_path(0, 0, 0);
         let worker = app.call_path(0, 1, 0);
         assert!(mpi.contains(&"PMPI_Barrier"));
@@ -747,17 +698,15 @@ mod tests {
 
     #[test]
     fn deadlock_ranks_are_fed_from_the_ground_truth() {
-        let app = DeadlockPairApp::new(64, FrameVocabulary::Linux);
+        // Which ranks show `PMPI_Recv` is checked for every fault rule by
+        // `every_fault_rule_is_isolated_by_its_frame`.
+        let app = deadlock_pair(64, FrameVocabulary::Linux);
         assert_eq!(app.ground_truth().faulty_ranks().len(), 2);
-        for rank in 0..64 {
-            let in_recv = app.main_thread_path(rank, 0).contains(&"PMPI_Recv");
-            assert_eq!(in_recv, app.ground_truth().is_faulty(rank));
-        }
     }
 
     #[test]
     fn io_storm_wedges_exactly_the_ground_truth_ranks() {
-        let app = IoStormApp::new(1_000, 3, FrameVocabulary::Linux);
+        let app = io_storm(1_000, 3, FrameVocabulary::Linux);
         let stuck = app.ground_truth().faulty_ranks();
         assert_eq!(stuck.len(), 3);
         for rank in 0..1_000 {
@@ -773,7 +722,7 @@ mod tests {
 
     #[test]
     fn os_noise_is_sparse_deterministic_and_on_top_of_the_kernel() {
-        let app = OsNoiseApp::new(2_048, FrameVocabulary::Linux);
+        let app = os_noise(2_048, FrameVocabulary::Linux);
         assert!(app.ground_truth().faulty_ranks().is_empty());
         let mut noisy = 0usize;
         for rank in 0..2_048 {
@@ -793,7 +742,7 @@ mod tests {
 
     #[test]
     fn collective_mismatch_puts_one_rank_in_the_wrong_reduction() {
-        let app = CollectiveMismatchApp::new(512, FrameVocabulary::BlueGeneL);
+        let app = collective_mismatch(512, FrameVocabulary::BlueGeneL);
         assert_eq!(app.ground_truth().faulty_ranks(), vec![256]);
         let reducers: Vec<u64> = (0..512)
             .filter(|&r| app.main_thread_path(r, 0).contains(&"PMPI_Reduce"))
@@ -804,7 +753,7 @@ mod tests {
 
     #[test]
     fn corrupted_stacks_emit_garbage_only_for_the_injected_ranks() {
-        let app = CorruptedStackApp::new(256, 3, FrameVocabulary::Linux);
+        let app = corrupted_stacks(256, 3, FrameVocabulary::Linux);
         let corrupted = app.ground_truth().faulty_ranks();
         assert_eq!(corrupted.len(), 3);
         for rank in 0..256 {
@@ -827,7 +776,7 @@ mod tests {
     #[test]
     fn random_fault_app_is_driven_by_its_ground_truth() {
         for flavor in RandomFaultFlavor::ALL {
-            let app = RandomFaultApp::new(128, FrameVocabulary::Linux, flavor, vec![3, 77, 3, 0]);
+            let app = random_fault(128, FrameVocabulary::Linux, flavor, vec![3, 77, 3, 0]);
             // Rank 0 is clamped to 1, duplicates collapse.
             assert_eq!(app.ground_truth().faulty_ranks(), vec![1, 3, 77]);
             let frame = flavor.distinguishing_frame(FrameVocabulary::Linux);
@@ -840,7 +789,7 @@ mod tests {
 
     #[test]
     fn random_fault_app_never_faults_an_empty_set() {
-        let app = RandomFaultApp::new(
+        let app = random_fault(
             64,
             FrameVocabulary::BlueGeneL,
             RandomFaultFlavor::SendStall,
@@ -854,10 +803,331 @@ mod tests {
     fn corrupted_trees_still_gather_and_intern_cleanly() {
         // The poison test at the walker level: garbage frames intern like any
         // other name and never panic the gather.
-        let app = CorruptedStackApp::new(128, 2, FrameVocabulary::BlueGeneL);
+        let app = corrupted_stacks(128, 2, FrameVocabulary::BlueGeneL);
         let mut table = FrameTable::new();
         let samples = gather_samples(&app, 4, &mut table);
         assert_eq!(samples.len(), 128);
         assert!(table.len() < 32);
+    }
+
+    #[test]
+    fn solver_tasks_visit_every_phase_over_time() {
+        let app = iterative_solver(16, 1, FrameVocabulary::Linux);
+        let mut phases = std::collections::HashSet::new();
+        for sample in 0..6 {
+            phases.insert(app.main_thread_path(5, sample)[3]);
+        }
+        assert_eq!(phases.len(), 3, "one rank moves through all three phases");
+        // At any single instant the job spans several phases.
+        let mut snapshot = std::collections::HashSet::new();
+        for rank in 0..16 {
+            snapshot.insert(app.main_thread_path(rank, 0)[3]);
+        }
+        assert!(snapshot.len() >= 2);
+    }
+
+    #[test]
+    fn stragglers_are_exactly_the_configured_ranks() {
+        let app = stragglers(1_000, 4, FrameVocabulary::Linux);
+        let slow = app.ground_truth().faulty_ranks();
+        assert_eq!(slow.len(), 4);
+        for rank in 0..1_000 {
+            let computing = app.main_thread_path(rank, 1).contains(&"compute_interior");
+            assert_eq!(computing, slow.contains(&rank));
+        }
+    }
+
+    #[test]
+    fn straggler_count_is_clamped_to_the_job() {
+        let app = stragglers(4, 100, FrameVocabulary::Linux);
+        assert!(app.ground_truth().faulty_ranks().len() <= 4);
+    }
+
+    #[test]
+    fn checkpoint_storm_splits_writers_from_waiters() {
+        let app = checkpoint_storm(100, 0.75, FrameVocabulary::Linux);
+        let writers = (0..100)
+            .filter(|&r| app.main_thread_path(r, 0).contains(&"MPI_File_write_all"))
+            .count();
+        assert_eq!(writers, 25);
+        let extremes = checkpoint_storm(10, 2.0, FrameVocabulary::Linux);
+        let writers = (0..10)
+            .filter(|&r| {
+                extremes
+                    .main_thread_path(r, 0)
+                    .contains(&"MPI_File_write_all")
+            })
+            .count();
+        assert_eq!(writers, 0, "completed fraction clamps to 1.0");
+    }
+
+    #[test]
+    fn checkpoint_storm_clamps_negative_fractions_to_zero() {
+        // Regression: a negative fraction means "nobody finished" (everyone still
+        // writing), not an out-of-range cutoff.
+        let app = checkpoint_storm(10, -3.5, FrameVocabulary::Linux);
+        let writers = (0..10)
+            .filter(|&r| app.main_thread_path(r, 0).contains(&"MPI_File_write_all"))
+            .count();
+        assert_eq!(writers, 10);
+        assert_eq!(
+            app.ground_truth().faulty_ranks(),
+            (0..10).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "completed_fraction must be a number")]
+    fn checkpoint_storm_rejects_nan() {
+        // Regression: NaN used to slip through `clamp` and silently make every
+        // rank a writer; now it is rejected at construction.
+        let _ = checkpoint_storm(10, f64::NAN, FrameVocabulary::Linux);
+    }
+
+    #[test]
+    fn checkpoint_storm_ground_truth_matches_the_walked_paths() {
+        let app = checkpoint_storm(100, 0.75, FrameVocabulary::Linux);
+        let truth = app.ground_truth();
+        for rank in 0..100 {
+            let writing = app
+                .main_thread_path(rank, 0)
+                .contains(&"MPI_File_write_all");
+            assert_eq!(writing, truth.is_faulty(rank));
+        }
+        assert_eq!(truth.faulty_ranks(), (75..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn straggler_ranks_are_fed_from_the_ground_truth() {
+        // Which ranks compute is checked for every fault rule by
+        // `every_fault_rule_is_isolated_by_its_frame`.
+        let app = stragglers(1_000, 4, FrameVocabulary::Linux);
+        assert_eq!(
+            app.ground_truth().distinguishing_frame(),
+            Some("compute_interior")
+        );
+    }
+
+    #[test]
+    fn the_first_matching_rule_decides_and_the_truth_follows_it() {
+        let v = Linux;
+        let rules = vec![
+            Rule::new(Ranks::List(vec![2]), vec![vec!["shadow"]]),
+            Rule::new(
+                Ranks::Residue {
+                    modulus: 2,
+                    residue: 0,
+                },
+                vec![vec!["a"], vec!["b"]],
+            )
+            .isolated_by("a"),
+            Rule::new(Ranks::From(6), vec![vec!["late"]]).isolated_by("late"),
+            Rule::new(
+                Ranks::Residue {
+                    modulus: 0,
+                    residue: 0,
+                },
+                vec![vec!["never"]],
+            ),
+        ];
+        let app = RuleApp::new("table", 8, v, (1, 4), rules);
+        // Rank 2 is shadowed by the first row; rank 6 by the second.
+        assert_eq!(app.call_path(2, 0, 0), ["shadow"]);
+        assert_eq!(app.call_path(4, 0, 1), ["b"]);
+        assert_eq!(app.call_path(7, 0, 0), ["late"]);
+        // Nothing covers odd ranks below 6, nor any worker thread.
+        assert!(app.call_path(3, 0, 0).is_empty());
+        assert!(app.call_path(4, 1, 0).is_empty());
+        let truth = app.ground_truth();
+        assert_eq!(truth.isolations[0].ranks, [0, 4, 6]);
+        assert_eq!(truth.isolations[1].ranks, [7]);
+        assert_eq!(truth.class_count, (1, 4));
+    }
+
+    #[test]
+    fn every_fault_rule_is_isolated_by_its_frame() {
+        // The table invariant behind every computed truth: the ranks whose
+        // paths show an isolation's frame are exactly that isolation's ranks.
+        for vocab in [Linux, BlueGeneL] {
+            for tasks in [64, 1_000] {
+                let mut scenarios = catalogue(tasks, vocab);
+                for seed in [1, 7, 42] {
+                    scenarios.extend(randomized_scenarios(tasks, vocab, seed, 12));
+                }
+                for s in &scenarios {
+                    let app = s.app.as_ref();
+                    for isolation in &s.truth.isolations {
+                        let shown: Vec<u64> = (0..app.num_tasks())
+                            .filter(|&rank| {
+                                (0..8).any(|sample| {
+                                    (0..app.threads_per_task()).any(|thread| {
+                                        app.call_path(rank, thread, sample)
+                                            .contains(&isolation.frame)
+                                    })
+                                })
+                            })
+                            .collect();
+                        assert_eq!(shown, isolation.ranks, "{} `{}`", s.name, isolation.frame);
+                    }
+                }
+            }
+        }
+    }
+
+    /// 64-bit FNV-1a fed field by field; each field ends with a 0xff byte, which
+    /// no frame name contains.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn field(&mut self, bytes: &[u8]) {
+            for &byte in bytes.iter().chain(&[0xff]) {
+                self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+
+    /// Everything an application shows the tool — name, size, threads, hints and
+    /// the path of every thread of every rank at samples 0..13 — plus the `Debug`
+    /// of its ground truth when it has one.
+    fn digest(app: &dyn Application, truth: Option<&GroundTruth>) -> u64 {
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        h.field(app.name().as_bytes());
+        h.field(&app.num_tasks().to_le_bytes());
+        h.field(&app.threads_per_task().to_le_bytes());
+        for hint in app.frame_hints() {
+            h.field(hint.as_bytes());
+        }
+        for rank in 0..app.num_tasks() {
+            for sample in 0..13 {
+                for thread in 0..app.threads_per_task() {
+                    for frame in app.call_path(rank, thread, sample) {
+                        h.field(frame.as_bytes());
+                    }
+                    h.field(b"");
+                }
+            }
+        }
+        if let Some(truth) = truth {
+            h.field(format!("{truth:?}").as_bytes());
+        }
+        h.0
+    }
+
+    /// The pinned grid: the catalogue at four sizes and the randomized
+    /// population at two, under both vocabularies, plus workloads the
+    /// catalogue does not carry.
+    fn pinned_grid() -> Vec<(String, u64)> {
+        let scenarios_digest = |scenarios: Vec<FaultScenario>| {
+            let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+            for s in &scenarios {
+                h.field(format!("{s:?}").as_bytes());
+                h.field(&digest(s.app.as_ref(), Some(&s.truth)).to_le_bytes());
+            }
+            h.0
+        };
+        let mut grid = Vec::new();
+        for vocab in [Linux, BlueGeneL] {
+            for tasks in [16, 64, 1_000, 1_024] {
+                let label = format!("catalogue {tasks} {vocab:?}");
+                grid.push((label, scenarios_digest(catalogue(tasks, vocab))));
+            }
+            for tasks in [64, 1_000] {
+                for seed in [1, 7, 42] {
+                    let label = format!("randomized {tasks} {vocab:?} seed {seed}");
+                    let population = randomized_scenarios(tasks, vocab, seed, 12);
+                    grid.push((label, scenarios_digest(population)));
+                }
+            }
+        }
+
+        let mut pin = |label: &str, app: &dyn Application, truth: Option<GroundTruth>| {
+            grid.push((label.to_string(), digest(app, truth.as_ref())));
+        };
+        pin("compute_spread 640/5", &compute_spread(640, 5, Linux), None);
+        pin(
+            "compute_spread 100/8",
+            &compute_spread(100, 8, BlueGeneL),
+            None,
+        );
+        pin(
+            "compute_spread 1000/10",
+            &compute_spread(1_000, 10, Linux),
+            None,
+        );
+        pin("threaded 8/3", &threaded(8, 3, Linux), None);
+        pin("threaded 256/3", &threaded(256, 3, BlueGeneL), None);
+        pin(
+            "iterative_solver 256/1",
+            &iterative_solver(256, 1, Linux),
+            None,
+        );
+        pin(
+            "iterative_solver 64/3",
+            &iterative_solver(64, 3, BlueGeneL),
+            None,
+        );
+        let app = stragglers(4, 100, Linux);
+        pin("stragglers 4/100", &app, Some(app.ground_truth()));
+        let app = checkpoint_storm(10, 2.0, Linux);
+        pin("checkpoint_storm 10/2.0", &app, Some(app.ground_truth()));
+        let app = checkpoint_storm(10, -3.5, BlueGeneL);
+        pin("checkpoint_storm 10/-3.5", &app, Some(app.ground_truth()));
+        let app = RingHangApp::new(16, BlueGeneL).with_hung_rank(15);
+        pin("ring_hang 16 hung 15", &app, Some(app.ground_truth()));
+        let flavor = RandomFaultFlavor::WrongCollective;
+        let app = random_fault(128, Linux, flavor, vec![3, 77, 3, 0]);
+        pin(
+            "random_fault collective 128",
+            &app,
+            Some(app.ground_truth()),
+        );
+        let app = corrupted_stacks(128, 2, BlueGeneL);
+        pin("corrupted_stacks 128/2", &app, Some(app.ground_truth()));
+        grid
+    }
+
+    #[test]
+    fn workload_tables_are_pinned_to_the_pre_table_values() {
+        // Recorded before the workloads became rule tables: every path every
+        // workload shows the tool, and every ground truth, must stay the same.
+        // Never re-record for a refactor.
+        const PINNED: [(&str, u64); 33] = [
+            ("catalogue 16 Linux", 0xdf8d_7d00_43c6_dd4f),
+            ("catalogue 64 Linux", 0x955b_45db_4319_fd9e),
+            ("catalogue 1000 Linux", 0x4fc7_ab04_6f9e_76ba),
+            ("catalogue 1024 Linux", 0x1396_9e27_920c_8f18),
+            ("randomized 64 Linux seed 1", 0x3778_d867_4148_f0ed),
+            ("randomized 64 Linux seed 7", 0x452f_8b02_5117_29b0),
+            ("randomized 64 Linux seed 42", 0xbc89_acdc_ed59_2501),
+            ("randomized 1000 Linux seed 1", 0x8ddc_7f55_c180_29d4),
+            ("randomized 1000 Linux seed 7", 0xff6a_8fa0_0850_48df),
+            ("randomized 1000 Linux seed 42", 0xe0b1_2a1e_438c_98bc),
+            ("catalogue 16 BlueGeneL", 0xe9bc_484e_d581_db16),
+            ("catalogue 64 BlueGeneL", 0xbde8_82db_1b5b_038e),
+            ("catalogue 1000 BlueGeneL", 0x9476_c319_f795_2315),
+            ("catalogue 1024 BlueGeneL", 0x5564_79f2_cb36_7ef8),
+            ("randomized 64 BlueGeneL seed 1", 0x6f53_587a_cca0_771a),
+            ("randomized 64 BlueGeneL seed 7", 0x42d2_8f2c_e648_c04d),
+            ("randomized 64 BlueGeneL seed 42", 0xb52d_e1d2_f5cd_3589),
+            ("randomized 1000 BlueGeneL seed 1", 0xd994_98ab_b266_3497),
+            ("randomized 1000 BlueGeneL seed 7", 0x1025_7468_2939_f0f2),
+            ("randomized 1000 BlueGeneL seed 42", 0xa4a7_7fd4_8d6e_f2c4),
+            ("compute_spread 640/5", 0x2f70_8ccc_1090_9f6d),
+            ("compute_spread 100/8", 0xe3fd_1afe_b625_64bf),
+            ("compute_spread 1000/10", 0xe848_43a1_e37d_76a8),
+            ("threaded 8/3", 0x29a2_084e_df2c_10ad),
+            ("threaded 256/3", 0x831a_06f7_cef8_f0ff),
+            ("iterative_solver 256/1", 0x7ef5_bfe9_78ff_7447),
+            ("iterative_solver 64/3", 0xe101_9428_22b6_893d),
+            ("stragglers 4/100", 0x2ac5_ecd6_ba6c_8ee3),
+            ("checkpoint_storm 10/2.0", 0x5de9_0c69_efa8_fbb4),
+            ("checkpoint_storm 10/-3.5", 0x1b3c_4a8f_c8ab_3ece),
+            ("ring_hang 16 hung 15", 0x1d7c_6008_f3f3_688b),
+            ("random_fault collective 128", 0xeb2c_5ee4_cad4_2833),
+            ("corrupted_stacks 128/2", 0x46d0_b9b7_a031_c442),
+        ];
+        let grid = pinned_grid();
+        let got: Vec<(&str, u64)> = grid.iter().map(|(l, h)| (l.as_str(), *h)).collect();
+        assert_eq!(got, PINNED, "{got:#x?}");
     }
 }

@@ -314,8 +314,8 @@ mod tests {
         // daemon, and the stream the same per-wave accounting.
         let v = FrameVocabulary::BlueGeneL;
         let ring = RingHangApp::new(1_024, v).with_hung_rank(5);
-        let threaded = appsim::ThreadedApp::new(256, 3, v);
-        let corrupted = appsim::CorruptedStackApp::new(512, 7, v);
+        let threaded = appsim::workloads::threaded(256, 3, v);
+        let corrupted = appsim::workloads::corrupted_stacks(512, 7, v);
         let digests = [
             contribution_digest::<DenseBitVector>(&ring, 8, 3),
             contribution_digest::<SubtreeTaskList>(&ring, 8, 3),

@@ -13,7 +13,7 @@
 //! projects sampling and merge times for thread counts via the cost models, which is
 //! what the `ablation_threads` bench reports.
 
-use appsim::{Application, FrameVocabulary, ThreadedApp};
+use appsim::{workloads::threaded, Application, FrameVocabulary};
 use machine::cluster::Cluster;
 use machine::placement::PlacementPlan;
 use simkit::time::SimDuration;
@@ -48,7 +48,7 @@ pub fn measure_thread_scaling(
     worker_threads
         .iter()
         .map(|&workers| {
-            let app = ThreadedApp::new(tasks_per_daemon, workers, FrameVocabulary::Linux);
+            let app = threaded(tasks_per_daemon, workers, FrameVocabulary::Linux);
             let dict = stackwalk::FrameDictionary::negotiate(app.frame_hints());
             let daemon = StatDaemon::new(0, (0..tasks_per_daemon).collect(), tasks_per_daemon);
             let contribution = daemon.contribute::<SubtreeTaskList>(

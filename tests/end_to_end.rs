@@ -2,7 +2,8 @@
 //! applications and overlay network, plus the interactions between the launcher,
 //! SBRS and sampling models that the figures compose.
 
-use appsim::{AllEquivalentApp, ComputeSpreadApp, DeadlockPairApp, FrameVocabulary, RingHangApp};
+use appsim::workloads::{all_equivalent, compute_spread, deadlock_pair};
+use appsim::{FrameVocabulary, RingHangApp};
 use launch::{
     BglCiodLauncher, CiodPatchLevel, LaunchMonLauncher, Launcher, RemoteShell, RshLauncher,
 };
@@ -108,7 +109,7 @@ fn moving_the_injected_bug_moves_the_diagnosis() {
 
 #[test]
 fn all_equivalent_jobs_collapse_to_one_class() {
-    let app = AllEquivalentApp::new(1_024, FrameVocabulary::Linux);
+    let app = all_equivalent(1_024, FrameVocabulary::Linux);
     let session = session(
         Cluster::test_cluster(128, 8),
         1_024,
@@ -123,7 +124,7 @@ fn all_equivalent_jobs_collapse_to_one_class() {
 
 #[test]
 fn compute_spread_produces_the_requested_number_of_classes() {
-    let app = ComputeSpreadApp::new(640, 5, FrameVocabulary::Linux);
+    let app = compute_spread(640, 5, FrameVocabulary::Linux);
     let session = session(
         Cluster::test_cluster(80, 8),
         640,
@@ -143,7 +144,7 @@ fn compute_spread_produces_the_requested_number_of_classes() {
 
 #[test]
 fn deadlocked_pair_is_isolated_from_the_barrier_crowd() {
-    let app = DeadlockPairApp::new(256, FrameVocabulary::Linux);
+    let app = deadlock_pair(256, FrameVocabulary::Linux);
     let session = session(
         Cluster::test_cluster(32, 8),
         256,

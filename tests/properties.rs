@@ -777,9 +777,10 @@ proptest! {
         let per_wave = samples.max(1);
         let (_, want) = reference_local_merge(&app, &job, 0..2 * per_wave, |_, rank| rank);
         for representation in [Representation::GlobalBitVector, Representation::HierarchicalTaskList] {
+            let healthy = appsim::workloads::all_equivalent(tasks, appsim::FrameVocabulary::Linux);
             let source = appsim::SteadySource::new(
                 std::sync::Arc::new(PooledApp { pool: app.pool.clone(), ..app }),
-                appsim::healthy_truth(appsim::FrameVocabulary::Linux),
+                healthy.ground_truth(),
             );
             let mut stream = Session::builder(machine::cluster::Cluster::test_cluster(16, 8))
                 .representation(representation)

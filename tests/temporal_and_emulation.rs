@@ -2,7 +2,8 @@
 //! genuinely disagree), the report/pruning operations, and the STATBench emulation
 //! layer driving the real tool.
 
-use appsim::{Application, CheckpointStormApp, FrameVocabulary, IterativeSolverApp, StragglerApp};
+use appsim::workloads::{checkpoint_storm, iterative_solver, stragglers};
+use appsim::{Application, FrameVocabulary};
 use machine::Cluster;
 use stat_core::prelude::*;
 use statbench::{SyntheticApp, TraceShape};
@@ -18,7 +19,7 @@ fn run(app: &dyn Application, samples: u32) -> SessionReport {
 
 #[test]
 fn healthy_solver_looks_different_in_3d_than_in_2d() {
-    let app = IterativeSolverApp::new(256, 1, FrameVocabulary::Linux);
+    let app = iterative_solver(256, 1, FrameVocabulary::Linux);
     let result = run(&app, 9);
     // A single snapshot (2D) splits the job into whichever phases the ranks happened
     // to be in at that instant: several classes, each covering only a slice of the
@@ -37,7 +38,7 @@ fn healthy_solver_looks_different_in_3d_than_in_2d() {
 
 #[test]
 fn stragglers_are_singled_out_for_the_debugger() {
-    let app = StragglerApp::new(512, 3, FrameVocabulary::Linux);
+    let app = stragglers(512, 3, FrameVocabulary::Linux);
     let result = run(&app, 4);
     let compute_class = result
         .gather
@@ -48,14 +49,14 @@ fn stragglers_are_singled_out_for_the_debugger() {
                 .contains("compute_interior")
         })
         .expect("straggler class exists");
-    assert_eq!(compute_class.tasks, app.stragglers().to_vec());
+    assert_eq!(compute_class.tasks, app.ground_truth().faulty_ranks());
     // The attach set stays tiny even though the job has 512 tasks.
     assert!(result.gather.attach_set().len() <= 4);
 }
 
 #[test]
 fn checkpoint_storm_separates_writers_from_waiters() {
-    let app = CheckpointStormApp::new(400, 0.9, FrameVocabulary::Linux);
+    let app = checkpoint_storm(400, 0.9, FrameVocabulary::Linux);
     let result = run(&app, 3);
     let writer_class = result
         .gather
@@ -71,7 +72,7 @@ fn checkpoint_storm_separates_writers_from_waiters() {
 
 #[test]
 fn report_operations_work_on_real_session_output() {
-    let app = StragglerApp::new(256, 2, FrameVocabulary::Linux);
+    let app = stragglers(256, 2, FrameVocabulary::Linux);
     let result = run(&app, 4);
 
     let text = render_text_tree(&result.gather.tree_3d, &result.gather.frames);
@@ -92,7 +93,7 @@ fn report_operations_work_on_real_session_output() {
     let focused_classes = equivalence_classes(&focused);
     assert!(focused_classes
         .iter()
-        .any(|c| c.tasks == app.stragglers().to_vec()));
+        .any(|c| c.tasks == app.ground_truth().faulty_ranks()));
 }
 
 #[test]
