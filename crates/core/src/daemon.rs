@@ -47,6 +47,15 @@ pub struct DaemonContribution {
     pub local_merge_wall: std::time::Duration,
 }
 
+impl DaemonContribution {
+    /// Bytes this contribution puts into the overlay at its leaf: the 2D and 3D
+    /// trees, plus the rank map when the representation ships one.
+    pub(crate) fn leaf_bytes(&self, with_rank_map: bool) -> u64 {
+        let rank_map = with_rank_map.then(|| self.rank_map.size_bytes());
+        (self.tree_2d.size_bytes() + self.tree_3d.size_bytes() + rank_map.unwrap_or(0)) as u64
+    }
+}
+
 impl StatDaemon {
     /// A daemon serving the given ranks of a `total_tasks`-task job.
     pub fn new(id: u32, ranks: Vec<u64>, total_tasks: u64) -> Self {

@@ -22,7 +22,7 @@
 
 use stackwalk::{FrameId, FrameTable};
 
-use crate::graph::{GlobalPrefixTree, NodeIdx, PrefixTree};
+use crate::graph::{NodeIdx, PrefixTree};
 use crate::taskset::{format_rank_ranges, TaskSetOps};
 
 /// One behaviour class: a call path and the tasks that exhibit it.
@@ -118,28 +118,13 @@ pub fn equivalence_classes<S: TaskSetOps>(tree: &PrefixTree<S>) -> Vec<Equivalen
     classes
 }
 
-/// Pick the minimal set of representative ranks a heavyweight debugger should attach
-/// to: one per class.  This is the "reduce the problem search space to a manageable
-/// subset of tasks" step of the paper's petascale debugging strategy.
-///
-/// A class's representative is the lowest set bit of its remainder, so no class is
-/// materialised; a rank that is terminal at several nodes represents them all once.
-pub fn debugger_attach_set(tree: &GlobalPrefixTree) -> Vec<u64> {
-    let mut reps: Vec<u64> = Vec::new();
-    for_each_remainder(tree, |_, remainder| {
-        reps.extend(remainder.iter_members().next());
-    });
-    reps.sort_unstable();
-    reps.dedup();
-    reps
-}
-
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeSet;
 
     use super::*;
-    use crate::frontend::Representation;
+    use crate::frontend::{GatherResult, MergeMetrics, Representation};
+    use crate::graph::GlobalPrefixTree;
     use crate::session::Session;
     use crate::taskset::{DenseBitVector, SubtreeTaskList};
     use appsim::{gather_samples_for_ranks, Application, FrameVocabulary, RingHangApp};
@@ -196,6 +181,18 @@ mod tests {
         (tree, table)
     }
 
+    /// [`GatherResult::attach_set`] of a bare merged tree.
+    fn attach_set(tree: &GlobalPrefixTree) -> Vec<u64> {
+        GatherResult {
+            tree_2d: tree.clone(),
+            tree_3d: tree.clone(),
+            frames: FrameTable::new(),
+            classes: equivalence_classes(tree),
+            metrics: MergeMetrics::default(),
+        }
+        .attach_set()
+    }
+
     /// A tree over `width` positions built from `(position, call path)` traces.
     fn tree_of<S: TaskSetOps>(
         width: u64,
@@ -232,14 +229,27 @@ mod tests {
     #[test]
     fn attach_set_is_one_task_per_class() {
         let (tree, _) = ring_tree(4_096);
-        let attach = debugger_attach_set(&tree);
-        assert_eq!(attach.len(), 3);
-        assert!(
-            attach.contains(&0),
-            "barrier class representative is rank 0"
+        // Ascending: the barrier class's representative (rank 0), then the hung
+        // rank and its victim.
+        assert_eq!(attach_set(&tree), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn attach_set_lists_a_rank_that_leads_two_classes_once() {
+        // Rank 0 ends at two sibling leaves, so it is the lowest member — the
+        // representative — of both `main > send` and `main > recv`.
+        let (tree, table): (GlobalPrefixTree, _) = tree_of(
+            2,
+            &[
+                (0, &["main", "send"]),
+                (0, &["main", "recv"]),
+                (1, &["main", "recv"]),
+            ],
         );
-        assert!(attach.contains(&1));
-        assert!(attach.contains(&2));
+        let classes = equivalence_classes(&tree);
+        let paths: Vec<String> = classes.iter().map(|c| c.path_string(&table)).collect();
+        assert_eq!(paths, ["main > recv", "main > send"]);
+        assert_eq!(attach_set(&tree), vec![0]);
     }
 
     #[test]
@@ -268,7 +278,7 @@ mod tests {
     fn empty_tree_has_no_classes() {
         let tree = GlobalPrefixTree::new_global(8);
         assert!(equivalence_classes(&tree).is_empty());
-        assert!(debugger_attach_set(&tree).is_empty());
+        assert!(attach_set(&tree).is_empty());
     }
 
     #[test]
@@ -289,7 +299,7 @@ mod tests {
         assert_eq!(classes[0].tasks, vec![1, 2]);
         assert_eq!(classes[1].path_string(&table), "main");
         assert_eq!(classes[1].tasks, vec![0]);
-        assert_eq!(debugger_attach_set(&tree), vec![0, 1]);
+        assert_eq!(attach_set(&tree), vec![0, 1]);
     }
 
     #[test]
@@ -317,7 +327,7 @@ mod tests {
         assert_eq!(classes[0].path_string(&FrameTable::new()), "");
         assert_eq!(classes[1].tasks, vec![0, 2]);
         // The debugger is offered one of the tasks the tool could not walk.
-        assert_eq!(debugger_attach_set(&tree), vec![0, 1]);
+        assert_eq!(attach_set(&tree), vec![0, 1]);
     }
 
     #[test]
@@ -388,7 +398,7 @@ mod tests {
         assert_eq!(covered.count(), TASKS);
         assert_eq!(sizes.iter().sum::<usize>() as u64, TASKS);
 
-        let attach = debugger_attach_set(&tree);
+        let attach = attach_set(&tree);
         assert_eq!(attach.len(), classes.len());
         assert!([0, 1, 2].iter().all(|rank| attach.contains(rank)));
     }

@@ -105,11 +105,18 @@ impl GatherResult {
         to_dot(&self.tree_3d, &self.frames, &DotOptions::default())
     }
 
-    /// The ranks a heavyweight debugger should attach to (one per class).
+    /// The ranks a heavyweight debugger should attach to: one representative per
+    /// class — the "reduce the problem search space to a manageable subset of
+    /// tasks" step of the paper's petascale debugging strategy.  Ascending, and a
+    /// rank that represents several classes is listed once.
     pub fn attach_set(&self) -> Vec<u64> {
-        self.classes
+        let mut reps: Vec<u64> = self
+            .classes
             .iter()
             .filter_map(EquivalenceClass::representative)
-            .collect()
+            .collect();
+        reps.sort_unstable();
+        reps.dedup();
+        reps
     }
 }

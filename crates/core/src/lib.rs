@@ -24,6 +24,10 @@
 //! per-phase metrics, and whose [`session::Session::run_scenario`] runs a catalogued
 //! fault — with whatever daemon losses and mid-tree corruption it carries — through
 //! that same pipeline and judges the diagnosis against the fault's ground truth.
+//! The two share one gather body: `attach` is a scenario run with no faults, so a
+//! fault mode, a report column or a span hook goes in one place.  The streaming
+//! driver ([`streaming::StreamingSession`]) prunes its overlay and corrupts its
+//! interior filters through the same functions, on both of its walks.
 //!
 //! ## Quick start
 //!
@@ -73,13 +77,13 @@ pub mod threads;
 pub mod prelude {
     pub use crate::daemon::{DaemonContribution, StatDaemon};
     pub use crate::dot::{to_dot, DotOptions};
-    pub use crate::equivalence::{debugger_attach_set, equivalence_classes, EquivalenceClass};
+    pub use crate::equivalence::{equivalence_classes, EquivalenceClass};
     pub use crate::error::{MergeChannel, StatError};
     pub use crate::filter::{RankMapFilter, StatMergeFilter};
     pub use crate::frontend::{GatherResult, MergeMetrics, Representation};
     pub use crate::graph::{GlobalPrefixTree, PrefixTree, SubtreePrefixTree};
     pub use crate::report::{
-        classes_above, focus_on_path, prune_by_population, render_text_tree, session_summary,
+        focus_on_path, prune_by_population, render_text_tree, session_summary,
     };
     pub use crate::scenario::{diagnose, ScenarioRun};
     pub use crate::serialize::{

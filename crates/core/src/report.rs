@@ -9,7 +9,6 @@
 
 use stackwalk::FrameTable;
 
-use crate::equivalence::equivalence_classes;
 use crate::frontend::GatherResult;
 use crate::graph::{NodeIdx, PrefixTree};
 use crate::taskset::{format_rank_ranges, TaskSetOps};
@@ -133,15 +132,10 @@ pub fn session_summary(result: &GatherResult, total_tasks: u64) -> String {
     out
 }
 
-/// The number of classes a pruned view would show — a quick way for examples and
-/// tests to ask "how much does the threshold hide?".
-pub fn classes_above<S: TaskSetOps>(tree: &PrefixTree<S>, min_tasks: u64) -> usize {
-    equivalence_classes(&prune_by_population(tree, min_tasks)).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::equivalence::equivalence_classes;
     use crate::graph::GlobalPrefixTree;
     use appsim::{gather_samples, Application, FrameVocabulary, RingHangApp};
 
@@ -203,15 +197,19 @@ mod tests {
     }
 
     #[test]
-    fn classes_above_summarises_the_threshold_effect() {
+    fn pruning_thresholds_fold_outliers_back_into_the_spine() {
         let (tree, _) = ring_tree(512);
-        assert_eq!(classes_above(&tree, 1), 3);
+        let classes_at = |min_tasks| equivalence_classes(&prune_by_population(&tree, min_tasks));
+        assert_eq!(classes_at(1).len(), 3);
         // Above a threshold of 2, the two outlier ranks fold back into the spine,
         // leaving the barrier class plus a residual {1, 2} class at `main`.
-        assert_eq!(classes_above(&tree, 2), 2);
+        assert_eq!(classes_at(2).len(), 2);
         // Above the job size every branch is cut and all 512 ranks fold back into
         // the root: one class with the empty path, not zero classes.
-        assert_eq!(classes_above(&tree, 10_000), 1);
+        let root_only = classes_at(10_000);
+        assert_eq!(root_only.len(), 1);
+        assert!(root_only[0].path.is_empty());
+        assert_eq!(root_only[0].size(), 512);
     }
 
     #[test]

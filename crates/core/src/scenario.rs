@@ -8,15 +8,18 @@
 //! representation-agnostic [`Diagnosis`] the verdict checker understands, and
 //! returns the [`Verdict`].
 //!
-//! There is one way to run a scenario, whatever faults it carries.  The paper's
-//! operational lesson is that the tool's own processes fail first, so "a gather
-//! that lost daemons" is the *same* code as "a gather": `prune_overlay` states
-//! once which daemons are alive and what tree they merge over (the identity when
-//! the scenario carries no [`OverlayFault`]), only the survivors sample, any
-//! mid-tree corruption is aimed at the tree that actually merges, and the
-//! diagnosis reports the ranks the lost daemons covered.  The streaming path
-//! ([`Session::stream_scenario`], [`crate::streaming::StreamingSession`]) prunes
-//! through the same function.
+//! There is one way to run a scenario, whatever faults it carries, and it is the
+//! way [`Session::attach`] runs.  The paper's operational lesson is that the
+//! tool's own processes fail first, so "a gather that lost daemons or has a bad
+//! filter" is the *same* code as "a gather": one crate-private gather body plans
+//! the overlay, `prune_overlay` states once which daemons are alive and what tree
+//! they merge over (the identity when the scenario carries no
+//! [`OverlayFault`]), only the survivors sample, `resolve_filter_faults` aims any
+//! mid-tree corruption at the tree that actually merges, and the report's
+//! diagnosis names the ranks the lost daemons covered.  `attach` is that body
+//! with no faults.  The streaming path ([`Session::stream_scenario`],
+//! [`crate::streaming::StreamingSession`]) prunes and aims its mid-tree faults
+//! through the same two functions.
 //!
 //! ```
 //! use appsim::scenario::catalogue;
@@ -39,17 +42,14 @@ use appsim::scenario::{
     Verdict,
 };
 use appsim::{FaultSchedule, FrameVocabulary};
-use stackwalk::FrameDictionary;
 use tbon::fault::{FaultTracker, FilterFault, FilterFaultKind};
 use tbon::packet::EndpointId;
 use tbon::topology::Topology;
 
-use crate::daemon::{DaemonContribution, StatDaemon};
 use crate::error::StatError;
 use crate::frontend::GatherResult;
 use crate::session::{Session, SessionReport};
 use crate::streaming::{StreamingBuilder, WaveReport};
-use crate::taskset::TaskSetOps;
 
 /// Convert a finished gather into the representation-agnostic [`Diagnosis`] the
 /// scenario verdict checkers consume: classes by frame *name*, plus the ranks a
@@ -75,20 +75,20 @@ pub fn diagnose(gather: &GatherResult, tasks: u64, lost_ranks: Vec<u64>) -> Diag
 }
 
 impl SessionReport {
-    /// The diagnosis this (non-degraded) session produced, ready for a
-    /// [`appsim::scenario::GroundTruth::check`].
+    /// The diagnosis this session produced, ready for a
+    /// [`appsim::scenario::GroundTruth::check`]: judged against the whole job
+    /// and the ranks the lost daemons covered.  (Not against the ranks the merged
+    /// tree happens to hold: a subtree a corrupted filter dropped would then
+    /// vanish from both sides of the coverage check.)
     pub fn diagnosis(&self) -> Diagnosis {
-        let tasks = self
-            .gather
-            .tree_3d
-            .tasks(self.gather.tree_3d.root())
-            .count();
-        diagnose(&self.gather, tasks, Vec::new())
+        let gather = &self.gather;
+        diagnose(gather, gather.tree_3d.width(), self.lost_ranks.clone())
     }
 }
 
 /// Everything one scenario run produced: the verdict plus enough context to
-/// report *how* the pipeline got there.
+/// report *how* the pipeline got there.  Derived from the run's
+/// [`SessionReport`].
 #[derive(Clone, Debug)]
 pub struct ScenarioRun {
     /// The scenario that ran.
@@ -107,49 +107,21 @@ impl Session {
     /// Run one scenario under this session's topology choice, representation and
     /// sampling depth, and judge the result against the scenario's ground truth.
     ///
-    /// One body serves every scenario: plan the overlay, prune it by the
-    /// scenario's overlay faults, let the surviving daemons contribute, aim the
-    /// mid-tree faults at the tree that actually merges, reduce, diagnose, judge.
+    /// It is the gather [`attach`](Session::attach) runs, with the scenario's
+    /// overlay and mid-tree faults, followed by the report's
+    /// [`diagnosis`](SessionReport::diagnosis) and the ground truth's judgement.
     pub fn run_scenario(&self, scenario: &FaultScenario) -> Result<ScenarioRun, StatError> {
-        let app = scenario.app.as_ref();
-        let tasks = app.num_tasks();
-        let planned = Topology::build(self.topology_for(tasks));
-        let total_backends = planned.backends().len();
-        let (surviving, topology) =
-            prune_overlay(planned, &scenario.overlay_faults, total_backends)?;
-        // Mid-tree faults hit the tree that merges: on a pruned overlay the
-        // corrupted comm process is one that survived and still merges its
-        // (reduced) subtree.
-        let filter_faults = resolve_filter_faults(&topology, &scenario.mid_tree_faults)?;
-
-        // Only the survivors spend sampling time — a dead daemon gathers nothing —
-        // and they all encode against one session-global dictionary.
-        let dict = FrameDictionary::negotiate(app.frame_hints());
-        let strategy = self.representation().strategy();
-        let daemons = StatDaemon::partition(tasks, total_backends as u32);
-        let contributions: Vec<DaemonContribution> = surviving
-            .iter()
-            .zip(topology.backends())
-            .map(|(&idx, &leaf)| {
-                strategy.contribute(&daemons[idx], app, self.samples_per_task(), leaf, &dict)
-            })
-            .collect();
-        // `surviving` is ascending: it is a filter of the backend order.
-        let lost_ranks: Vec<u64> = daemons
-            .iter()
-            .enumerate()
-            .filter(|(idx, _)| surviving.binary_search(idx).is_err())
-            .flat_map(|(_, d)| d.ranks.iter().copied())
-            .collect();
-
-        let (gather, _) =
-            self.merge_through(&topology, contributions, tasks, &dict, &filter_faults)?;
-        let diagnosis = diagnose(&gather, tasks, lost_ranks);
+        let report = self.gather(
+            scenario.app.as_ref(),
+            &scenario.overlay_faults,
+            &scenario.mid_tree_faults,
+        )?;
+        let diagnosis = report.diagnosis();
         let verdict = scenario.truth.check(&scenario.name, &diagnosis);
         Ok(ScenarioRun {
             scenario: scenario.name.clone(),
-            daemons: total_backends as u32,
-            lost_backends: total_backends - surviving.len(),
+            daemons: report.daemons,
+            lost_backends: (report.daemons - report.topology.backends()) as usize,
             diagnosis,
             verdict,
         })
@@ -160,9 +132,10 @@ impl Session {
     /// the job starts healthy, the scenario's fault first appears at wave
     /// `fault_wave`, and the stream is observed for `post_fault_waves` further
     /// waves (at least one).  The scenario's overlay faults are applied at wave
-    /// 0, so a degraded overlay is degraded for the whole stream; its mid-tree
-    /// faults are **ignored** — the streaming path does not corrupt filters yet.
-    /// Returns every per-wave report, in wave order.
+    /// 0, so a degraded overlay is degraded for the whole stream.  Its mid-tree
+    /// faults corrupt every wave, aimed at the tree that merges: both the wave's
+    /// full-view reduction and the delta fold (re-seeds included) go through the
+    /// corrupting filter.  Returns every per-wave report, in wave order.
     pub fn stream_scenario(
         &self,
         scenario: &FaultScenario,
@@ -174,6 +147,7 @@ impl Session {
         for &fault in &scenario.overlay_faults {
             builder = builder.overlay_fault_at(0, fault);
         }
+        builder.mid_tree_faults = scenario.mid_tree_faults.clone();
         let source = FaultSchedule::new(scenario.clone(), vocab, fault_wave);
         let mut stream = builder.open(Box::new(source))?;
         let total = fault_wave.saturating_add(post_fault_waves.max(1));
@@ -213,49 +187,37 @@ pub(crate) fn prune_overlay(
     Ok((surviving, Topology::build(degraded)))
 }
 
+/// The `index`-th endpoint from the end of `endpoints`.  An index past the end
+/// is a [`StatError::FaultOutOfRange`], never a silent clamp: a clamp would make
+/// `BackendFromEnd(7)` on a 4-daemon tree re-run `BackendFromEnd(3)`.
+fn from_end(
+    endpoints: &[EndpointId],
+    index: usize,
+    kind: &'static str,
+) -> Result<EndpointId, StatError> {
+    let width = endpoints.len();
+    endpoints
+        .iter()
+        .rev()
+        .nth(index)
+        .copied()
+        .ok_or(StatError::FaultOutOfRange { kind, index, width })
+}
+
 /// Resolve a scenario's abstract overlay fault to a concrete endpoint of the
-/// planned topology.  An index past the addressed level's width is a
-/// [`StatError::FaultOutOfRange`], never a silent clamp: the old clamping made
-/// `BackendFromEnd(7)` on a 4-daemon tree indistinguishable from
-/// `BackendFromEnd(3)`, so a campaign sweeping fault indices across scales
-/// would quietly re-run the same fault.
+/// topology it prunes.
 fn resolve_fault(topology: &Topology, fault: OverlayFault) -> Result<EndpointId, StatError> {
     match fault {
-        OverlayFault::BackendFromEnd(i) => {
-            let backends = topology.backends();
-            if i >= backends.len() {
-                return Err(StatError::FaultOutOfRange {
-                    kind: "backend",
-                    index: i,
-                    width: backends.len(),
-                });
-            }
-            Ok(backends[backends.len() - 1 - i])
-        }
+        OverlayFault::BackendFromEnd(i) => from_end(topology.backends(), i, "backend"),
         OverlayFault::CommProcessFromEnd(i) => {
             let comm = topology.comm_processes();
-            if comm.is_empty() {
-                // A flat tree has no comm processes to kill; degrade a daemon so
-                // the scenario still exercises the pruned path.  (Documented
-                // fallback — index 0 only, anything else is out of range.)
-                if i > 0 {
-                    return Err(StatError::FaultOutOfRange {
-                        kind: "comm-process",
-                        index: i,
-                        width: 0,
-                    });
-                }
-                let backends = topology.backends();
-                Ok(backends[backends.len() - 1])
-            } else if i >= comm.len() {
-                Err(StatError::FaultOutOfRange {
-                    kind: "comm-process",
-                    index: i,
-                    width: comm.len(),
-                })
-            } else {
-                Ok(comm[comm.len() - 1 - i])
+            if comm.is_empty() && i == 0 {
+                // A flat tree has no comm processes to kill; its last daemon
+                // stands in (index 0 only) so the scenario still exercises the
+                // pruned path.
+                return from_end(topology.backends(), 0, "backend");
             }
+            from_end(&comm, i, "comm-process")
         }
     }
 }
@@ -265,7 +227,7 @@ fn resolve_fault(topology: &Topology, fault: OverlayFault) -> Result<EndpointId,
 /// no communication processes, so *any* mid-tree fault on them is a
 /// [`StatError::FaultOutOfRange`] — there is no interior filter state to
 /// corrupt.
-fn resolve_filter_faults(
+pub(crate) fn resolve_filter_faults(
     topology: &Topology,
     faults: &[MidTreeFault],
 ) -> Result<Vec<FilterFault>, StatError> {
@@ -273,15 +235,8 @@ fn resolve_filter_faults(
     faults
         .iter()
         .map(|fault| {
-            if fault.comm_from_end >= comm.len() {
-                return Err(StatError::FaultOutOfRange {
-                    kind: "mid-tree filter",
-                    index: fault.comm_from_end,
-                    width: comm.len(),
-                });
-            }
             Ok(FilterFault {
-                node: comm[comm.len() - 1 - fault.comm_from_end],
+                node: from_end(&comm, fault.comm_from_end, "mid-tree filter")?,
                 kind: match fault.kind {
                     MidTreeCorruption::Garbage => FilterFaultKind::Garbage,
                     MidTreeCorruption::Truncate => FilterFaultKind::Truncate,
@@ -325,6 +280,30 @@ mod tests {
             .classes
             .iter()
             .any(|c| c.frames.iter().any(|f| f == "do_SendOrStall")));
+    }
+
+    #[test]
+    fn attach_is_the_fault_free_scenario_run() {
+        // One gather body: a scenario with a healthy overlay and honest filters
+        // diagnoses exactly as a plain attach of its application does.
+        for representation in [
+            Representation::HierarchicalTaskList,
+            Representation::GlobalBitVector,
+        ] {
+            let session = Session::builder(cluster())
+                .representation(representation)
+                .samples_per_task(2)
+                .build();
+            for scenario in catalogue(256, FrameVocabulary::BlueGeneL)
+                .iter()
+                .filter(|s| !s.is_degraded())
+            {
+                let report = session.attach(scenario.app.as_ref()).unwrap();
+                let run = session.run_scenario(scenario).unwrap();
+                assert_eq!(report.diagnosis(), run.diagnosis, "{}", scenario.name);
+                assert_eq!((run.daemons, run.lost_backends), (report.daemons, 0));
+            }
+        }
     }
 
     #[test]
@@ -459,6 +438,44 @@ mod tests {
                     !run.verdict.passed(),
                     "{kind:?} corruption produced a clean PASS:\n{}",
                     run.verdict
+                ),
+                Err(err) => assert!(
+                    matches!(
+                        err,
+                        StatError::Decode { .. }
+                            | StatError::RankMapMismatch { .. }
+                            | StatError::Reduce(_)
+                    ),
+                    "unexpected error class for {kind:?}: {err}"
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn stream_scenario_detects_mid_tree_corruption() {
+        // The streaming counterpart of the one-shot check above: the stream's
+        // walks take the scenario's mid-tree faults too, so a corrupted interior
+        // filter must fail a wave or stop the stream with a typed error.
+        use appsim::scenario::{MidTreeCorruption, MidTreeFault};
+        let scenarios = catalogue(128, FrameVocabulary::Linux);
+        let session = Session::builder(Cluster::test_cluster(16, 8))
+            .samples_per_task(2)
+            .build();
+        for kind in [MidTreeCorruption::Garbage, MidTreeCorruption::Truncate] {
+            let mut corrupted = scenarios
+                .iter()
+                .find(|s| s.name == "ring_hang")
+                .unwrap()
+                .clone();
+            corrupted.mid_tree_faults = vec![MidTreeFault {
+                comm_from_end: 0,
+                kind,
+            }];
+            match session.stream_scenario(&corrupted, FrameVocabulary::Linux, 1, 3) {
+                Ok(reports) => assert!(
+                    reports.iter().any(|r| !r.verdict.passed()),
+                    "{kind:?} corruption passed every wave"
                 ),
                 Err(err) => assert!(
                     matches!(

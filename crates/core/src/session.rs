@@ -10,7 +10,10 @@
 //!   in-process TBON with the real merge filters.  [`Session::attach`] returns a
 //!   [`SessionReport`] with the merged trees, behaviour classes, byte-flow metrics
 //!   and a per-phase timing breakdown.  The examples, integration tests and
-//!   real-execution benchmarks use this path.
+//!   real-execution benchmarks use this path.  `attach` is the fault-free case of
+//!   the one gather body that [`Session::run_scenario`] also runs: a gather that
+//!   lost daemons or carries a corrupted interior filter is the same code as a
+//!   gather.
 //!
 //! * [`PhaseEstimator`] prices the merge phase the paper measures (and the
 //!   front-end remap) for configurations as large as the full 212,992-task BG/L,
@@ -22,6 +25,7 @@
 
 use std::time::{Duration, Instant};
 
+use appsim::scenario::{MidTreeFault, OverlayFault};
 use appsim::Application;
 use machine::cluster::Cluster;
 use machine::placement::PlacementPlan;
@@ -39,6 +43,7 @@ use crate::equivalence::equivalence_classes;
 use crate::error::{MergeChannel, StatError};
 use crate::filter::RankMapFilter;
 use crate::frontend::{GatherResult, MergeMetrics, Representation};
+use crate::scenario::{prune_overlay, resolve_filter_faults};
 use crate::serialize::encode_dictionary;
 
 /// Wall-clock time of each phase of a real session, in pipeline order.
@@ -73,10 +78,14 @@ impl PhaseTimings {
 pub struct SessionReport {
     /// The merged trees, classes and byte-flow metrics.
     pub gather: GatherResult,
-    /// Number of daemons that participated.
+    /// Number of daemons the planned topology started with.
     pub daemons: u32,
-    /// The tree shape that was used.
+    /// The tree that actually merged: the planned shape, pruned by any daemon
+    /// losses.
     pub topology: TreeShape,
+    /// The ranks whose daemons were lost before they could contribute, ascending
+    /// (empty for a healthy overlay).
+    pub lost_ranks: Vec<u64>,
     /// Total traces gathered across all daemons.
     pub traces_gathered: u64,
     /// Per-phase wall-clock breakdown.
@@ -246,9 +255,29 @@ impl Session {
     /// the daemon-local trees, carry all channels up the overlay in one reduction
     /// walk, remap (if the representation needs it) and classify.
     pub fn attach(&self, app: &dyn Application) -> Result<SessionReport, StatError> {
+        self.gather(app, &[], &[])
+    }
+
+    /// The one gather body, whatever faults it carries: plan the overlay, prune it
+    /// by `overlay_faults` (the identity when there are none), aim
+    /// `mid_tree_faults` at the tree that actually merges, negotiate the frame
+    /// dictionary, let the surviving daemons contribute, and reduce → remap →
+    /// classify through [`merge_through`](Session::merge_through).
+    pub(crate) fn gather(
+        &self,
+        app: &dyn Application,
+        overlay_faults: &[OverlayFault],
+        mid_tree_faults: &[MidTreeFault],
+    ) -> Result<SessionReport, StatError> {
         let tasks = app.num_tasks();
-        let spec = self.topology_for(tasks);
-        let topology = Topology::build(spec.clone());
+        let planned = self.topology_for(tasks);
+        let total_backends = planned.backends();
+        let daemons = StatDaemon::partition(tasks, total_backends);
+        let (surviving, topology) =
+            prune_overlay(Topology::build(planned), overlay_faults, daemons.len())?;
+        // On a pruned overlay the corrupted comm process is one that survived and
+        // still merges its (reduced) subtree.
+        let filter_faults = resolve_filter_faults(&topology, mid_tree_faults)?;
         let strategy = self.representation.strategy();
 
         // Wire-format v2: the session-global frame dictionary is negotiated once,
@@ -260,47 +289,45 @@ impl Session {
         let dictionary_bytes =
             InProcessTbon::new(topology.clone()).broadcast_link_bytes(dictionary_payload);
 
-        let daemons = StatDaemon::partition(tasks, spec.backends());
-        let contributions: Vec<DaemonContribution> = daemons
+        // Only the survivors spend sampling time — a dead daemon gathers nothing.
+        let contributions: Vec<DaemonContribution> = surviving
             .iter()
             .zip(topology.backends())
-            .map(|(daemon, &leaf)| {
-                strategy.contribute(daemon, app, self.samples_per_task, leaf, &dict)
+            .map(|(&idx, &leaf)| {
+                strategy.contribute(&daemons[idx], app, self.samples_per_task, leaf, &dict)
             })
+            .collect();
+        // `surviving` is ascending: it is a filter of the backend order.
+        let lost_ranks: Vec<u64> = daemons
+            .iter()
+            .enumerate()
+            .filter(|(idx, _)| surviving.binary_search(idx).is_err())
+            .flat_map(|(_, d)| d.ranks.iter().copied())
             .collect();
 
         let traces_gathered = contributions.iter().map(|c| c.traces_gathered).sum();
         let sample: Duration = contributions.iter().map(|c| c.sample_wall).sum();
         let local_merge: Duration = contributions.iter().map(|c| c.local_merge_wall).sum();
-        let per_daemon_bytes: Vec<u64> = contributions
-            .iter()
-            .map(|c| (c.tree_2d.size_bytes() + c.tree_3d.size_bytes()) as u64)
-            .collect();
+        let per_daemon_bytes: Vec<u64> =
+            contributions.iter().map(|c| c.leaf_bytes(false)).collect();
         let max_daemon_packet_bytes = per_daemon_bytes.iter().copied().max().unwrap_or(0);
-        let mean_daemon_packet_bytes = if per_daemon_bytes.is_empty() {
-            0
-        } else {
-            per_daemon_bytes.iter().sum::<u64>() / per_daemon_bytes.len() as u64
-        };
-        let rank_map_bytes: u64 = if strategy.needs_rank_map() {
-            contributions
-                .iter()
-                .map(|c| c.rank_map.size_bytes() as u64)
-                .sum()
-        } else {
-            0
-        };
-        let packet_bytes = per_daemon_bytes.iter().sum::<u64>() + rank_map_bytes;
+        let mean_daemon_packet_bytes =
+            per_daemon_bytes.iter().sum::<u64>() / (per_daemon_bytes.len() as u64).max(1);
+        let packet_bytes = contributions
+            .iter()
+            .map(|c| c.leaf_bytes(strategy.needs_rank_map()))
+            .sum();
 
         let (gather, mut phases) =
-            self.merge_through(&topology, contributions, tasks, &dict, &[])?;
+            self.merge_through(&topology, contributions, tasks, &dict, &filter_faults)?;
         phases.sample = sample;
         phases.local_merge = local_merge;
 
         Ok(SessionReport {
             gather,
-            daemons: spec.backends(),
-            topology: spec,
+            daemons: total_backends,
+            topology: topology.shape().clone(),
+            lost_ranks,
             traces_gathered,
             phases,
             packet_bytes,
@@ -322,8 +349,7 @@ impl Session {
         total_tasks: u64,
         dict: &FrameDictionary,
     ) -> Result<GatherResult, StatError> {
-        let spec = self.topology_for(total_tasks);
-        let topology = Topology::build(spec);
+        let topology = Topology::build(self.topology_for(total_tasks));
         let (gather, _) = self.merge_through(&topology, contributions, total_tasks, dict, &[])?;
         Ok(gather)
     }
@@ -335,8 +361,8 @@ impl Session {
     /// `filter_faults` is the fault-campaign hook for "an interior node's filter
     /// state went bad": the named nodes still take part in the walk, but every
     /// packet they forward is corrupted through a [`CorruptingFilter`], and the
-    /// test is whether the front end *detects* the damage.  Only
-    /// [`Session::run_scenario`] passes any; every other caller merges honestly.
+    /// test is whether the front end *detects* the damage.  Every filter goes
+    /// through the wrapper; with no faults named it passes every packet through.
     pub(crate) fn merge_through(
         &self,
         topology: &Topology,
@@ -364,31 +390,19 @@ impl Session {
             }
         }
 
+        // Mid-tree fault injection: the designated interior nodes corrupt their
+        // output on every channel they touch.
         let merge_filter = strategy.merge_filter();
-        let rank_map_filter = RankMapFilter;
-        // Mid-tree fault injection: wrap every filter so the designated interior
-        // nodes corrupt their output on all channels they touch.  With no faults
-        // passed the wrappers are bypassed entirely.
-        let corrupting_merge = CorruptingFilter::new(merge_filter.as_ref(), filter_faults);
-        let corrupting_map = CorruptingFilter::new(&rank_map_filter, filter_faults);
-        let honest = filter_faults.is_empty();
-        let merge_dyn: &dyn Filter = if honest {
-            merge_filter.as_ref()
-        } else {
-            &corrupting_merge
-        };
+        let merge = CorruptingFilter::new(merge_filter.as_ref(), filter_faults);
+        let rank_map = CorruptingFilter::new(&RankMapFilter, filter_faults);
         let mut channels = vec![
             ChannelInput::new(MergeChannel::Tree2d.label(), leaves_2d),
             ChannelInput::new(MergeChannel::Tree3d.label(), leaves_3d),
         ];
-        let mut filters: Vec<&dyn Filter> = vec![merge_dyn, merge_dyn];
+        let mut filters: Vec<&dyn Filter> = vec![&merge, &merge];
         if strategy.needs_rank_map() {
             channels.push(ChannelInput::new(MergeChannel::RankMap.label(), leaves_map));
-            filters.push(if honest {
-                &rank_map_filter
-            } else {
-                &corrupting_map
-            });
+            filters.push(&rank_map);
         }
 
         // The one bottom-up level walk that carries every channel.

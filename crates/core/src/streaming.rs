@@ -31,6 +31,10 @@
 //!    between a fault first appearing and a stable correct verdict — a
 //!    machine-checkable meaning.
 //!
+//! A scenario's mid-tree faults ([`Session::stream_scenario`]) are aimed at the
+//! current tree every wave and corrupt steps 1, 3 and 4 through the one
+//! [`CorruptingFilter`] wrapper a one-shot gather uses.
+//!
 //! So a wave walks the overlay twice, and only the walk of step 3 — the wave's
 //! *own* view — feeds the verdict.  The resident tree of step 4 cannot: it is
 //! cumulative, so once a fault strikes it still holds the faulty ranks' paths
@@ -39,17 +43,18 @@
 //! the resident tree, every post-fault wave fails `clean-separation`.)
 //!
 //! [`Session::attach`]: crate::session::Session::attach
+//! [`Session::stream_scenario`]: crate::session::Session::stream_scenario
 //! [`PacketTag::TreeDelta`]: tbon::packet::PacketTag::TreeDelta
 //! [`GatherResult`]: crate::frontend::GatherResult
 
-use std::collections::BTreeSet;
 use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
-use appsim::scenario::{Diagnosis, OverlayFault, Verdict};
+use appsim::scenario::{Diagnosis, MidTreeFault, OverlayFault, Verdict};
 use appsim::{Application, WaveSource};
 use stackwalk::{FrameDictionary, FrameTable};
 use tbon::delta::{IncrementalTbon, ResidentState, StateFactory, WaveOutcome};
+use tbon::fault::CorruptingFilter;
 use tbon::filter::Filter;
 use tbon::network::TbonError;
 use tbon::packet::{Packet, PacketTag};
@@ -59,7 +64,7 @@ use crate::daemon::{DaemonContribution, StatDaemon};
 use crate::error::StatError;
 use crate::frontend::Representation;
 use crate::graph::PrefixTree;
-use crate::scenario::{diagnose, prune_overlay};
+use crate::scenario::{diagnose, prune_overlay, resolve_filter_faults};
 use crate::serialize::{
     decode_tree, encode_tree, encoded_merged_tree_size, encoded_tree_size, WireFrames, WireTaskSet,
 };
@@ -184,13 +189,13 @@ struct WaveStats {
 /// representation is matched once, when [`StreamingBuilder::open`] boxes a
 /// [`StreamCore`]; every wave after that goes through this object-safe surface.
 trait WaveStream: Send + Sync {
-    /// Drop the daemons whose surviving ordinal is not in `keep`, record their
-    /// ranks as lost, and re-seed a fresh incremental overlay over `topology`
-    /// by folding each survivor's full cumulative tree as a delta against
-    /// empty state.  Returns the bytes the re-seed shipped at the leaves.
+    /// Drop the daemons whose surviving ordinal is not in `keep` (ascending),
+    /// record their ranks as lost, and re-seed a fresh incremental overlay over
+    /// `topology` by folding each survivor's full cumulative tree as a delta
+    /// against empty state.  Returns the bytes the re-seed shipped at the leaves.
     fn rebuild(
         &mut self,
-        keep: &BTreeSet<usize>,
+        keep: &[usize],
         lost_ranks: &mut Vec<u64>,
         topology: &Topology,
         filter: &dyn Filter,
@@ -256,7 +261,7 @@ impl<S: WireTaskSet> StreamCore<S> {
 impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
     fn rebuild(
         &mut self,
-        keep: &BTreeSet<usize>,
+        keep: &[usize],
         lost_ranks: &mut Vec<u64>,
         topology: &Topology,
         filter: &dyn Filter,
@@ -264,7 +269,7 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
         let mut ordinal = 0usize;
         for slot in self.streams.iter_mut() {
             if slot.is_some() {
-                let kept = keep.contains(&ordinal);
+                let kept = keep.binary_search(&ordinal).is_ok();
                 ordinal += 1;
                 if !kept {
                     if let Some(stream) = slot.take() {
@@ -324,11 +329,7 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
             contribution.local_merge_wall += delta_start.elapsed();
 
             traces_total += contribution.traces_gathered;
-            stats.packet_bytes +=
-                (contribution.tree_2d.size_bytes() + contribution.tree_3d.size_bytes()) as u64;
-            if needs_rank_map {
-                stats.packet_bytes += contribution.rank_map.size_bytes() as u64;
-            }
+            stats.packet_bytes += contribution.leaf_bytes(needs_rank_map);
             let delta_packet = Packet::new(PacketTag::TreeDelta, leaf, delta_payload);
             stats.delta_bytes += delta_packet.size_bytes() as u64;
             stats.full_packet_bytes +=
@@ -444,6 +445,8 @@ pub struct WaveReport {
 pub struct StreamingBuilder {
     session: Session,
     scheduled: Vec<(u32, OverlayFault)>,
+    /// Interior filters every wave corrupts (set by [`Session::stream_scenario`]).
+    pub(crate) mid_tree_faults: Vec<MidTreeFault>,
 }
 
 impl StreamingBuilder {
@@ -451,6 +454,7 @@ impl StreamingBuilder {
         StreamingBuilder {
             session,
             scheduled: Vec::new(),
+            mid_tree_faults: Vec::new(),
         }
     }
 
@@ -496,6 +500,7 @@ impl StreamingBuilder {
             wave: 0,
             topology,
             scheduled: self.scheduled,
+            mid_tree_faults: self.mid_tree_faults,
             lost_ranks: Vec::new(),
             state,
             total_backends,
@@ -545,6 +550,7 @@ pub struct StreamingSession {
     wave: u32,
     topology: Topology,
     scheduled: Vec<(u32, OverlayFault)>,
+    mid_tree_faults: Vec<MidTreeFault>,
     lost_ranks: Vec<u64>,
     state: Box<dyn WaveStream>,
     total_backends: usize,
@@ -557,20 +563,33 @@ impl StreamingSession {
     pub fn advance(&mut self) -> Result<WaveReport, StatError> {
         let wave = self.wave;
         let strategy = self.session.representation().strategy();
-        let filter = strategy.merge_filter();
+        let merge_filter = strategy.merge_filter();
 
+        // Overlay faults due this wave prune the *current* (possibly already
+        // pruned) topology; the survivors re-seed a fresh incremental overlay.
         let due: Vec<OverlayFault> = self
             .scheduled
             .iter()
             .filter(|(w, _)| *w == wave)
             .map(|(_, f)| *f)
             .collect();
-        let mut reseeded = false;
-        let mut reseed_bytes = 0u64;
+        let mut surviving = None;
         if !due.is_empty() {
-            reseed_bytes = self.apply_faults(&due, filter.as_ref())?;
-            reseeded = true;
+            let (kept, topology) = prune_overlay(self.topology.clone(), &due, self.total_backends)?;
+            self.topology = topology;
+            surviving = Some(kept);
         }
+        // Mid-tree faults hit the tree that merges this wave, on every walk.
+        let filter_faults = resolve_filter_faults(&self.topology, &self.mid_tree_faults)?;
+        let filter = CorruptingFilter::new(merge_filter.as_ref(), &filter_faults);
+        let reseeded = surviving.is_some();
+        let reseed_bytes = match surviving {
+            Some(keep) => {
+                self.state
+                    .rebuild(&keep, &mut self.lost_ranks, &self.topology, &filter)?
+            }
+            None => 0,
+        };
 
         let app = self.source.app_at(wave);
         let samples = self.session.samples_per_task();
@@ -588,12 +607,12 @@ impl StreamingSession {
             contributions,
             self.tasks,
             &self.dict,
-            &[],
+            &filter_faults,
         )?;
         phases.sample = stats.sample;
         phases.local_merge = stats.local_merge;
 
-        let fold = self.state.fold_wave(deltas, filter.as_ref())?;
+        let fold = self.state.fold_wave(deltas, &filter)?;
 
         let diagnosis = diagnose(&gather, self.tasks, self.lost_ranks.clone());
         let verdict = self
@@ -619,21 +638,6 @@ impl StreamingSession {
             lost_tasks,
             reseeded,
         })
-    }
-
-    /// Apply overlay faults against the *current* (possibly already pruned)
-    /// topology, rebuild over the survivors and re-seed the incremental state.
-    fn apply_faults(
-        &mut self,
-        faults: &[OverlayFault],
-        filter: &dyn Filter,
-    ) -> Result<u64, StatError> {
-        let (surviving, topology) =
-            prune_overlay(self.topology.clone(), faults, self.total_backends)?;
-        let keep: BTreeSet<usize> = surviving.into_iter().collect();
-        self.topology = topology;
-        self.state
-            .rebuild(&keep, &mut self.lost_ranks, &self.topology, filter)
     }
 
     /// The wave source driving the stream.

@@ -32,7 +32,6 @@ use crate::packet::EndpointId;
 /// Construct one with the paper's family constructors ([`flat`](TreeShape::flat),
 /// [`two_deep`](TreeShape::two_deep), [`three_deep`](TreeShape::three_deep)), with
 /// the generalised rules ([`balanced`](TreeShape::balanced),
-/// [`uniform`](TreeShape::uniform),
 /// [`uniform_with_depth`](TreeShape::uniform_with_depth),
 /// [`for_placement`](TreeShape::for_placement)) or from explicit widths
 /// ([`from_level_widths`](TreeShape::from_level_widths)).
@@ -116,27 +115,6 @@ impl TreeShape {
         let mut width = 1u64;
         for _ in 1..depth {
             width = (width * fanout).min(backends as u64);
-            widths.push(width as u32);
-        }
-        widths.push(backends);
-        TreeShape {
-            level_widths: widths,
-        }
-    }
-
-    /// A shape in which every internal node has (up to) `fan_in` children: level
-    /// widths grow geometrically by `fan_in` until they reach the backend count.
-    /// The depth falls out of the fan-in rather than being chosen up front.
-    pub fn uniform(backends: u32, fan_in: u32) -> Self {
-        let backends = backends.max(1);
-        let fan_in = fan_in.max(2);
-        let mut widths = vec![1u32];
-        let mut width = 1u64;
-        // Grow by fan_in while a further level is still needed; the leaf level is
-        // always pinned to `backends` (if the 15-level cap is hit first, the last
-        // fan-out absorbs the remainder rather than dropping daemons).
-        while width.saturating_mul(fan_in as u64) < backends as u64 && widths.len() < 15 {
-            width *= fan_in as u64;
             widths.push(width as u32);
         }
         widths.push(backends);
@@ -668,11 +646,11 @@ mod tests {
         assert_eq!(t.backends().len(), 4_096);
         t.validate().unwrap();
 
-        let u = TreeShape::uniform(1_000, 10);
+        let u = TreeShape::uniform_with_depth(1_000, 10, 3);
         assert_eq!(u.level_widths, vec![1, 10, 100, 1_000]);
-        // Even when the level cap bites before fan_in^depth reaches the daemon
-        // count, the leaf level stays pinned to the requested backend count.
-        let huge = TreeShape::uniform(1_048_576, 2);
+        // Even when fan_in^depth falls far short of the daemon count, the leaf
+        // level stays pinned to the requested backend count.
+        let huge = TreeShape::uniform_with_depth(1_048_576, 2, 15);
         assert_eq!(huge.backends(), 1_048_576);
         assert_eq!(huge.level_widths.len(), 16);
         let ud = TreeShape::uniform_with_depth(1_664, 4, 4);

@@ -16,7 +16,7 @@
 //! stays fast — the tier-1 run exercises all three.
 
 use appsim::scenario::{catalogue, FaultScenario};
-use appsim::FrameVocabulary;
+use appsim::{Application, FrameVocabulary};
 use machine::cluster::{BglMode, Cluster};
 use stat_core::prelude::*;
 
@@ -391,4 +391,111 @@ fn scenario_runs_are_pinned_to_the_pre_unification_values() {
             .collect();
         assert_eq!(got, pinned, "{label} stream: {got:?}");
     }
+}
+
+/// The one place the attach pin below reaches the session, so its literal table
+/// survives a refactor of `attach` unedited.
+fn attach_pinned(session: &Session, app: &dyn Application) -> Result<SessionReport, StatError> {
+    session.attach(app)
+}
+
+impl Fnv {
+    fn diagnosis(&mut self, diagnosis: &appsim::scenario::Diagnosis) {
+        self.u64(diagnosis.tasks);
+        self.u64(diagnosis.lost_ranks.len() as u64);
+        diagnosis.lost_ranks.iter().for_each(|&r| self.u64(r));
+        for class in &diagnosis.classes {
+            class.frames.iter().for_each(|f| self.str(f));
+            self.u64(class.ranks.len() as u64);
+            class.ranks.iter().for_each(|&r| self.u64(r));
+        }
+    }
+
+    /// Every deterministic column of a `SessionReport`; wall times are left out.
+    fn report(&mut self, name: &str, outcome: &Result<SessionReport, StatError>) {
+        self.str(name);
+        let report = match outcome {
+            Ok(report) => report,
+            Err(err) => return self.str(&err.to_string()),
+        };
+        self.u64(report.daemons as u64);
+        let widths = &report.topology.level_widths;
+        widths.iter().for_each(|&w| self.u64(w as u64));
+        self.u64(report.traces_gathered);
+        self.u64(report.packet_bytes);
+        self.u64(report.max_daemon_packet_bytes);
+        self.u64(report.mean_daemon_packet_bytes);
+        self.u64(report.dictionary_bytes);
+        let metrics = &report.gather.metrics;
+        self.u64(metrics.frontend_bytes_in);
+        self.u64(metrics.max_node_bytes_in);
+        self.u64(metrics.total_link_bytes);
+        self.u64(metrics.filter_invocations as u64);
+        self.u64(metrics.tree_walks as u64);
+        for class in &report.gather.classes {
+            class
+                .path
+                .iter()
+                .for_each(|&f| self.str(report.gather.frames.name(f)));
+            self.u64(class.tasks.len() as u64);
+            class.tasks.iter().for_each(|&r| self.u64(r));
+        }
+        self.diagnosis(&report.diagnosis());
+    }
+}
+
+#[test]
+fn attach_reports_are_pinned_to_the_pre_unification_values() {
+    use appsim::RingHangApp;
+    use machine::placement::PlacementPlan;
+    use tbon::topology::TreeShape;
+
+    // Recorded at the commit before `attach` became the fault-free case of the
+    // one gather body; a refactor of that body must reproduce them, never
+    // re-record them.
+    const PINNED: [(&str, u32, u64); 4] = [
+        ("hier", 2, 0x527d_3e74_88e2_fbad),
+        ("hier", 4, 0xdaeb_79e8_728a_f44b),
+        ("dense", 2, 0xb6d5_35b8_c4a5_03b7),
+        ("dense", 4, 0x6ad3_2e74_dd81_5180),
+    ];
+    const RING_1K: u64 = 0xaebe_f61f_c9c0_d300;
+
+    let cluster = Cluster::test_cluster(64, 8);
+    let tasks = 512;
+    let scenarios = catalogue(tasks, FrameVocabulary::BlueGeneL);
+    let mut recorded = Vec::new();
+    for (label, representation) in [
+        ("hier", Representation::HierarchicalTaskList),
+        ("dense", Representation::GlobalBitVector),
+    ] {
+        for depth in [2, 4] {
+            let shape = TreeShape::for_placement(&PlacementPlan::for_job(&cluster, tasks), depth);
+            let session = Session::builder(cluster.clone())
+                .representation(representation)
+                .topology(shape)
+                .samples_per_task(2)
+                .build();
+            let mut fnv = Fnv::new();
+            for scenario in &scenarios {
+                fnv.report(
+                    &scenario.name,
+                    &attach_pinned(&session, scenario.app.as_ref()),
+                );
+            }
+            recorded.push((label, depth, fnv.0));
+        }
+    }
+    // The paper's default session: hierarchical lists over the placement-rule
+    // 2-deep tree, 10 samples per task.
+    let ring = RingHangApp::new(1_024, FrameVocabulary::Linux);
+    let session = Session::builder(Cluster::test_cluster(128, 8)).build();
+    let mut fnv = Fnv::new();
+    fnv.report("ring_hang_1k", &attach_pinned(&session, &ring));
+    assert_eq!(
+        (recorded.as_slice(), fnv.0),
+        (PINNED.as_slice(), RING_1K),
+        "recorded: {recorded:#x?}, ring: {:#x}",
+        fnv.0
+    );
 }
