@@ -117,18 +117,18 @@ impl StatDaemon {
     }
 
     /// The daemon-local phase as one walk: every call path sampled over the sample
-    /// indices of `window` descends the local trees by frame name, then the
-    /// closed trees and the rank list are encoded into the three leaf packets.
-    /// Also hands back the 3D tree, for the streaming caller that goes on to diff
-    /// the wave against it.
+    /// indices of `window` descends the local trees by frame name, and the trees
+    /// are closed upward.  What comes back is the encode still to do: it turns the
+    /// closed trees and the rank list into the three leaf packets against a frame
+    /// table and dictionary, and also hands back the 3D tree, for the streaming
+    /// caller that goes on to diff the wave against it.
     pub(crate) fn contribute_from<S: WireTaskSet>(
         &self,
         app: &dyn Application,
         window: Range<u32>,
         leaf: EndpointId,
         table: &mut FrameTable,
-        dict: &FrameDictionary,
-    ) -> (DaemonContribution, PrefixTree<S>) {
+    ) -> impl FnOnce(&FrameTable, &FrameDictionary) -> (DaemonContribution, PrefixTree<S>) {
         let sample_start = Instant::now();
         let mut trees = LocalTrees::new(self);
         let mut traces = 0;
@@ -139,17 +139,23 @@ impl StatDaemon {
         });
         let merge_start = Instant::now();
         let (tree_2d, tree_3d) = trees.close();
-        let packet = |tag, payload: Vec<u8>| Packet::new(tag, leaf, payload);
-        let contribution = DaemonContribution {
-            daemon_id: self.id,
-            tree_2d: packet(PacketTag::Merged2d, encode_tree(&tree_2d, table, dict)),
-            tree_3d: packet(PacketTag::Merged3d, encode_tree(&tree_3d, table, dict)),
-            rank_map: packet(PacketTag::RankMap, encode_rank_map(&self.ranks)),
-            traces_gathered: traces,
-            sample_wall: merge_start - sample_start,
-            local_merge_wall: merge_start.elapsed(),
-        };
-        (contribution, tree_3d)
+        let packet = move |tag, payload: Vec<u8>| Packet::new(tag, leaf, payload);
+        let rank_map = packet(PacketTag::RankMap, encode_rank_map(&self.ranks));
+        let (daemon_id, sample_wall) = (self.id, merge_start - sample_start);
+        let close_wall = merge_start.elapsed();
+        move |table: &FrameTable, dict: &FrameDictionary| {
+            let encode_start = Instant::now();
+            let contribution = DaemonContribution {
+                daemon_id,
+                tree_2d: packet(PacketTag::Merged2d, encode_tree(&tree_2d, table, dict)),
+                tree_3d: packet(PacketTag::Merged3d, encode_tree(&tree_3d, table, dict)),
+                rank_map,
+                traces_gathered: traces,
+                sample_wall,
+                local_merge_wall: close_wall + encode_start.elapsed(),
+            };
+            (contribution, tree_3d)
+        }
     }
 
     /// Run one full gather-and-merge cycle and package the results for the TBON.
@@ -169,8 +175,7 @@ impl StatDaemon {
         dict: &FrameDictionary,
     ) -> DaemonContribution {
         let mut table = FrameTable::new();
-        self.contribute_from::<S>(app, 0..samples, leaf_endpoint, &mut table, dict)
-            .0
+        self.contribute_from::<S>(app, 0..samples, leaf_endpoint, &mut table)(&table, dict).0
     }
 }
 
@@ -229,9 +234,13 @@ impl<S: WireTaskSet> LocalTrees<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frontend::Representation;
     use crate::serialize::decode_tree;
     use crate::taskset::{DenseBitVector, SubtreeTaskList, TaskSetOps};
     use appsim::{FrameVocabulary, RingHangApp};
+    use stackwalk::FrameId;
+    use tbon::network::InProcessTbon;
+    use tbon::topology::{Topology, TreeShape};
 
     #[test]
     fn partition_covers_every_rank_exactly_once() {
@@ -294,6 +303,115 @@ mod tests {
         let dense = daemons[0].contribute::<DenseBitVector>(&app, 1, EndpointId(1), &dict);
         let hier = daemons[0].contribute::<SubtreeTaskList>(&app, 1, EndpointId(1), &dict);
         assert!(dense.tree_2d.size_bytes() > 10 * hier.tree_2d.size_bytes());
+    }
+
+    /// A ring hang whose every call path first sleeps for a rank-derived number of
+    /// microseconds, 6.4 ms / (rank + 1), so that daemons side by side finish
+    /// their walks in reverse backend order.
+    struct Sleepy(RingHangApp);
+
+    impl Application for Sleepy {
+        fn name(&self) -> &str {
+            "sleepy_ring_hang"
+        }
+        fn num_tasks(&self) -> u64 {
+            self.0.num_tasks()
+        }
+        fn call_path(&self, rank: u64, thread: u32, sample: u32) -> Vec<&'static str> {
+            let micros = 6_400 / (rank + 1);
+            std::thread::sleep(std::time::Duration::from_micros(micros));
+            self.0.call_path(rank, thread, sample)
+        }
+        fn frame_hints(&self) -> Vec<&'static str> {
+            self.0.frame_hints()
+        }
+    }
+
+    /// The dictionary's names in id order.
+    fn names_by_id(dict: &FrameDictionary) -> Vec<String> {
+        let table = dict.snapshot();
+        let ids = (0..).map(FrameId).take(table.len());
+        ids.map(|id| table.name(id).to_string()).collect()
+    }
+
+    /// The daemon map under every worker count against a serial
+    /// `StatDaemon::contribute` loop: the same packets, byte for byte, and the
+    /// same names at the same dictionary ids.
+    fn daemon_map_matches_the_serial_loop<S: WireTaskSet>(representation: Representation) {
+        let v = FrameVocabulary::BlueGeneL;
+        let ring = RingHangApp::new(1_024, v);
+        let hints = ring.frame_hints();
+        let app = &ring;
+        let walked: std::collections::HashSet<&str> = (0..1_024)
+            .flat_map(|rank| (0..2).flat_map(move |sample| app.call_path(rank, 0, sample)))
+            .collect();
+        let walked_hints: Vec<&str> = hints
+            .iter()
+            .copied()
+            .filter(|h| walked.contains(h))
+            .collect();
+        let without = |missed: &[&str]| -> Vec<&str> {
+            let kept = hints.iter().copied().filter(|h| !missed.contains(h));
+            kept.collect()
+        };
+        // Rank 64 opens daemon 1, so that daemon walks the stall frame before any
+        // barrier frame, and it finishes long before daemon 0 does.
+        let sleepy = Sleepy(RingHangApp::new(1_024, v).with_hung_rank(64));
+        let (stall, barrier) = (v.send_stall(), v.barrier());
+        let cases: [(&str, &dyn Application, Vec<&str>); 4] = [
+            // (a) every frame negotiated;
+            ("full dictionary", &ring, hints.clone()),
+            // (b) every daemon walks names the negotiation missed;
+            (
+                "first half of the walked hints",
+                &ring,
+                walked_hints[..walked_hints.len() / 2].to_vec(),
+            ),
+            // (c) out of order: serially daemon 0 interns the barrier frame first,
+            //     side by side daemon 1 would intern the stall frame first;
+            (
+                "sleepy, stall and barrier missed",
+                &sleepy,
+                without(&[stall, barrier]),
+            ),
+            // (d) daemon 1 alone interns, while the others encode inside the map.
+            ("sleepy, stall missed", &sleepy, without(&[stall])),
+        ];
+        let daemons = StatDaemon::partition(1_024, 16);
+        let topology = Topology::build(TreeShape::flat(16));
+        let leaves = || daemons.iter().zip(topology.backends().iter().copied());
+        for (case, app, hints) in cases {
+            let serial_dict = FrameDictionary::negotiate(hints.iter().copied());
+            let serial: Vec<DaemonContribution> = leaves()
+                .map(|(d, leaf)| d.contribute::<S>(app, 2, leaf, &serial_dict))
+                .collect();
+            for workers in [1usize, 2, 3, 8, 64] {
+                let dict = FrameDictionary::negotiate(hints.iter().copied());
+                let net = InProcessTbon::new(topology.clone()).with_workers(workers);
+                let mapped = representation
+                    .strategy()
+                    .contribute_all(leaves().collect(), app, 2, &dict, &net)
+                    .expect("no worker dies");
+                assert_eq!(mapped.len(), serial.len());
+                for (m, s) in mapped.iter().zip(&serial) {
+                    let at = format!("{case}, {workers} workers, daemon {}", s.daemon_id);
+                    assert_eq!(m.daemon_id, s.daemon_id, "{at}");
+                    assert_eq!(m.tree_2d.payload, s.tree_2d.payload, "{at}");
+                    assert_eq!(m.tree_3d.payload, s.tree_3d.payload, "{at}");
+                    assert_eq!(m.rank_map.payload, s.rank_map.payload, "{at}");
+                }
+                assert_eq!(names_by_id(&dict), names_by_id(&serial_dict), "{case}");
+            }
+            // Every case but (a) really takes the held-back path.
+            let interned = serial_dict.len() > serial_dict.base_len() as usize;
+            assert_eq!(interned, case != "full dictionary", "{case}");
+        }
+    }
+
+    #[test]
+    fn the_daemon_map_ships_the_serial_bytes_and_ids_whatever_the_schedule() {
+        daemon_map_matches_the_serial_loop::<DenseBitVector>(Representation::GlobalBitVector);
+        daemon_map_matches_the_serial_loop::<SubtreeTaskList>(Representation::HierarchicalTaskList);
     }
 
     /// 64-bit FNV-1a over the three payloads of every daemon's contribution, in

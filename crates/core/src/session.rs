@@ -3,11 +3,13 @@
 //! Two ways of "running STAT" coexist in the reproduction, mirroring the split the
 //! rest of the code base makes between real algorithms and modelled environment:
 //!
-//! * [`Session`] actually runs the tool: it partitions the job over daemons, gathers
-//!   stack traces from the (simulated) application with the real walker, builds the
-//!   real local trees, and pushes the real serialised packets — 2D tree, 3D tree and
-//!   rank map together, as channels of **one** overlay walk — through the real
-//!   in-process TBON with the real merge filters.  [`Session::attach`] returns a
+//! * [`Session`] actually runs the tool: it partitions the job over daemons, lets
+//!   them gather stack traces from the (simulated) application with the real walker
+//!   and build the real local trees side by side on the overlay's workers (the
+//!   paper's daemons sample at once, and the front end waits for the slowest), and
+//!   pushes the real serialised packets — 2D tree, 3D tree and rank map together,
+//!   as channels of **one** overlay walk — through the real in-process TBON with
+//!   the real merge filters.  [`Session::attach`] returns a
 //!   [`SessionReport`] with the merged trees, behaviour classes, byte-flow metrics
 //!   and a per-phase timing breakdown.  The examples, integration tests and
 //!   real-execution benchmarks use this path.  `attach` is the fault-free case of
@@ -46,7 +48,7 @@ use crate::frontend::{GatherResult, MergeMetrics, Representation};
 use crate::scenario::{prune_overlay, resolve_filter_faults};
 use crate::serialize::encode_dictionary;
 
-/// Wall-clock time of each phase of a real session, in pipeline order.
+/// Time spent in each phase of a real session, in pipeline order.
 ///
 /// The paper's central observation is that sampling → local merge → reduction →
 /// remap is *one* pipeline whose phases must be measured together; this struct is
@@ -54,9 +56,12 @@ use crate::serialize::encode_dictionary;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimings {
     /// Walking the application tasks' call paths into the daemon-local prefix trees:
-    /// the paths, their descent and the end marks (summed over daemons).
+    /// the paths, their descent and the end marks.  A CPU-style sum over daemons,
+    /// like `ReductionOutcome::filter_time`: the daemons run side by side, so it
+    /// can exceed the wall ([`SessionReport::straggler`] is the slowest daemon).
     pub sample: Duration,
-    /// Closing the daemon-local trees upward and serialising them (summed over daemons).
+    /// Closing the daemon-local trees upward and serialising them: a sum over
+    /// daemons, like `sample`.
     pub local_merge: Duration,
     /// The single multi-channel TBON reduction walk.
     pub reduce: Duration,
@@ -67,7 +72,8 @@ pub struct PhaseTimings {
 }
 
 impl PhaseTimings {
-    /// Total wall-clock time across every phase.
+    /// Every phase added up.  `sample` and `local_merge` are CPU-style sums over
+    /// daemons that ran side by side, so the total can exceed the session's wall.
     pub fn total(&self) -> Duration {
         self.sample + self.local_merge + self.reduce + self.remap + self.classify
     }
@@ -88,8 +94,11 @@ pub struct SessionReport {
     pub lost_ranks: Vec<u64>,
     /// Total traces gathered across all daemons.
     pub traces_gathered: u64,
-    /// Per-phase wall-clock breakdown.
+    /// Per-phase breakdown.
     pub phases: PhaseTimings,
+    /// The slowest daemon and its sample + local-merge wall: the one the front
+    /// end waits for (`None` when no daemon contributed).
+    pub straggler: Option<(u32, Duration)>,
     /// Total bytes that entered the TBON at the leaves: every daemon's serialised
     /// 2D and 3D trees plus — for representations that ship one — its rank-map
     /// packet.  This is the per-gather ingress volume streaming sessions compare
@@ -261,8 +270,9 @@ impl Session {
     /// The one gather body, whatever faults it carries: plan the overlay, prune it
     /// by `overlay_faults` (the identity when there are none), aim
     /// `mid_tree_faults` at the tree that actually merges, negotiate the frame
-    /// dictionary, let the surviving daemons contribute, and reduce → remap →
-    /// classify through [`merge_through`](Session::merge_through).
+    /// dictionary, let the surviving daemons contribute side by side, and reduce →
+    /// remap → classify through [`merge_through`](Session::merge_through), all
+    /// over one network.
     pub(crate) fn gather(
         &self,
         app: &dyn Application,
@@ -286,17 +296,16 @@ impl Session {
         // encoded dictionary down the overlay, priced per link.
         let dict = FrameDictionary::negotiate(app.frame_hints());
         let dictionary_payload = encode_dictionary(&dict.negotiated_names()).len() as u64;
-        let dictionary_bytes =
-            InProcessTbon::new(topology.clone()).broadcast_link_bytes(dictionary_payload);
+        let net = InProcessTbon::new(topology);
+        let dictionary_bytes = net.broadcast_link_bytes(dictionary_payload);
 
-        // Only the survivors spend sampling time — a dead daemon gathers nothing.
-        let contributions: Vec<DaemonContribution> = surviving
-            .iter()
-            .zip(topology.backends())
-            .map(|(&idx, &leaf)| {
-                strategy.contribute(&daemons[idx], app, self.samples_per_task, leaf, &dict)
-            })
-            .collect();
+        // Only the survivors spend sampling time — a dead daemon gathers nothing —
+        // and they contribute side by side on the overlay's workers.
+        let leaves = net.topology().backends().iter().copied();
+        let survivors = surviving.iter().map(|&idx| &daemons[idx]).zip(leaves);
+        let samples = self.samples_per_task;
+        let contributions =
+            strategy.contribute_all(survivors.collect(), app, samples, &dict, &net)?;
         // `surviving` is ascending: it is a filter of the backend order.
         let lost_ranks: Vec<u64> = daemons
             .iter()
@@ -308,6 +317,10 @@ impl Session {
         let traces_gathered = contributions.iter().map(|c| c.traces_gathered).sum();
         let sample: Duration = contributions.iter().map(|c| c.sample_wall).sum();
         let local_merge: Duration = contributions.iter().map(|c| c.local_merge_wall).sum();
+        let straggler = contributions
+            .iter()
+            .map(|c| (c.daemon_id, c.sample_wall + c.local_merge_wall))
+            .max_by_key(|&(_, wall)| wall);
         let per_daemon_bytes: Vec<u64> =
             contributions.iter().map(|c| c.leaf_bytes(false)).collect();
         let max_daemon_packet_bytes = per_daemon_bytes.iter().copied().max().unwrap_or(0);
@@ -319,17 +332,18 @@ impl Session {
             .sum();
 
         let (gather, mut phases) =
-            self.merge_through(&topology, contributions, tasks, &dict, &filter_faults)?;
+            self.merge_through(&net, contributions, tasks, &dict, &filter_faults)?;
         phases.sample = sample;
         phases.local_merge = local_merge;
 
         Ok(SessionReport {
             gather,
             daemons: total_backends,
-            topology: topology.shape().clone(),
+            topology: net.topology().shape().clone(),
             lost_ranks,
             traces_gathered,
             phases,
+            straggler,
             packet_bytes,
             max_daemon_packet_bytes,
             mean_daemon_packet_bytes,
@@ -349,8 +363,8 @@ impl Session {
         total_tasks: u64,
         dict: &FrameDictionary,
     ) -> Result<GatherResult, StatError> {
-        let topology = Topology::build(self.topology_for(total_tasks));
-        let (gather, _) = self.merge_through(&topology, contributions, total_tasks, dict, &[])?;
+        let net = InProcessTbon::new(Topology::build(self.topology_for(total_tasks)));
+        let (gather, _) = self.merge_through(&net, contributions, total_tasks, dict, &[])?;
         Ok(gather)
     }
 
@@ -365,7 +379,7 @@ impl Session {
     /// through the wrapper; with no faults named it passes every packet through.
     pub(crate) fn merge_through(
         &self,
-        topology: &Topology,
+        net: &InProcessTbon,
         contributions: Vec<DaemonContribution>,
         total_tasks: u64,
         dict: &FrameDictionary,
@@ -406,7 +420,6 @@ impl Session {
         }
 
         // The one bottom-up level walk that carries every channel.
-        let net = InProcessTbon::new(topology.clone());
         let reduce_start = Instant::now();
         let outcomes = net.reduce_channels(channels, &filters)?;
         let reduce = reduce_start.elapsed();
@@ -566,6 +579,19 @@ mod tests {
         assert!(report.max_daemon_packet_bytes >= report.mean_daemon_packet_bytes);
         // The negotiated dictionary was broadcast once per overlay link.
         assert!(report.dictionary_bytes > 0);
+    }
+
+    #[test]
+    fn the_straggler_is_a_surviving_daemon_within_the_phase_sums() {
+        // The last of 32 daemons is lost before it can contribute.
+        let app = RingHangApp::new(256, FrameVocabulary::Linux);
+        let report = small_session(Representation::HierarchicalTaskList, 32)
+            .gather(&app, &[OverlayFault::BackendFromEnd(0)], &[])
+            .unwrap();
+        assert_eq!(report.lost_ranks, (248..256).collect::<Vec<u64>>());
+        let (daemon, wall) = report.straggler.expect("31 daemons contributed");
+        assert!(daemon < 31, "daemon {daemon} was lost");
+        assert!(wall <= report.phases.sample + report.phases.local_merge);
     }
 
     #[test]

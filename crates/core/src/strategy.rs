@@ -21,9 +21,9 @@ use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
 use appsim::Application;
-use stackwalk::{FrameDictionary, FrameTable};
+use stackwalk::{FrameDictionary, FrameId, FrameTable};
 use tbon::filter::Filter;
-use tbon::network::ReductionOutcome;
+use tbon::network::{InProcessTbon, ReductionOutcome, TbonError};
 use tbon::packet::EndpointId;
 
 use crate::daemon::{DaemonContribution, StatDaemon};
@@ -68,6 +68,22 @@ pub trait RepresentationStrategy: sealed::Sealed + Send + Sync {
         leaf_endpoint: EndpointId,
         dict: &FrameDictionary,
     ) -> DaemonContribution;
+
+    /// Every daemon's [`contribute`](Self::contribute), the daemons side by side
+    /// on `net`'s workers, in the order given (backend order).  A daemon encodes
+    /// in its work item only if every frame it walked has a negotiated id
+    /// (`gid < base_len`: which names are interned yet depends on the schedule);
+    /// any other hands back its closed trees and encodes after the map, in the
+    /// order given.  The packets and frame ids are a serial loop's, whatever the
+    /// schedule.
+    fn contribute_all(
+        &self,
+        daemons: Vec<(&StatDaemon, EndpointId)>,
+        app: &dyn Application,
+        samples_per_task: u32,
+        dict: &FrameDictionary,
+        net: &InProcessTbon,
+    ) -> Result<Vec<DaemonContribution>, TbonError>;
 
     /// The in-network merge filter for the two tree channels.
     fn merge_filter(&self) -> Box<dyn Filter>;
@@ -129,6 +145,36 @@ impl<D: Domain> RepresentationStrategy for DomainStrategy<D> {
         dict: &FrameDictionary,
     ) -> DaemonContribution {
         daemon.contribute::<TaskSet<D>>(app, samples_per_task, leaf_endpoint, dict)
+    }
+
+    fn contribute_all(
+        &self,
+        daemons: Vec<(&StatDaemon, EndpointId)>,
+        app: &dyn Application,
+        samples_per_task: u32,
+        dict: &FrameDictionary,
+        net: &InProcessTbon,
+    ) -> Result<Vec<DaemonContribution>, TbonError> {
+        let base_len = dict.base_len();
+        let negotiated = |table: &FrameTable| {
+            let mut ids = (0..).map(FrameId).take(table.len());
+            ids.all(|id| matches!(dict.lookup(table.name(id)), Some(gid) if gid < base_len))
+        };
+        let walked = net.map(daemons, &|(daemon, leaf)| {
+            let mut table = FrameTable::new();
+            let window = 0..samples_per_task;
+            let encode = daemon.contribute_from::<TaskSet<D>>(app, window, leaf, &mut table);
+            Ok(if negotiated(&table) {
+                Ok(encode(&table, dict).0)
+            } else {
+                // Boxed, so every result of the map stays contribution-sized.
+                Err(Box::new((encode, table)))
+            })
+        })?;
+        Ok(walked
+            .into_iter()
+            .map(|item| item.unwrap_or_else(|held| (held.0)(&held.1, dict).0))
+            .collect())
     }
 
     fn merge_filter(&self) -> Box<dyn Filter> {

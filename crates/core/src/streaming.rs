@@ -56,7 +56,7 @@ use stackwalk::{FrameDictionary, FrameTable};
 use tbon::delta::{IncrementalTbon, ResidentState, StateFactory, WaveOutcome};
 use tbon::fault::CorruptingFilter;
 use tbon::filter::Filter;
-use tbon::network::TbonError;
+use tbon::network::{InProcessTbon, TbonError};
 use tbon::packet::{Packet, PacketTag};
 use tbon::topology::{Topology, TreeShape};
 
@@ -320,8 +320,7 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
                 base..base.saturating_add(samples),
                 leaf,
                 &mut stream.table,
-                &self.dict,
-            );
+            )(&stream.table, &self.dict);
             let delta_start = Instant::now();
             let delta = wave_3d.delta_from(&stream.cum_3d);
             stream.cum_3d.merge_aligned(wave_3d);
@@ -603,7 +602,7 @@ impl StreamingSession {
         );
 
         let (gather, mut phases) = self.session.merge_through(
-            &self.topology,
+            &InProcessTbon::new(self.topology.clone()),
             contributions,
             self.tasks,
             &self.dict,

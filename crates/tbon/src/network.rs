@@ -221,6 +221,22 @@ impl InProcessTbon {
         &self.topology
     }
 
+    /// Map `step` over `items` on the network's workers — the scoped map each
+    /// level of the walk runs on — and return the results in item order, or the
+    /// error of the earliest item that failed.
+    pub fn map<T: Send, R: Send>(
+        &self,
+        items: Vec<T>,
+        step: &(dyn Fn(T) -> Result<R, TbonError> + Sync),
+    ) -> Result<Vec<R>, TbonError> {
+        let workers = self.workers.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
+        });
+        par_map(items, workers, step)
+    }
+
     /// Link bytes a store-and-forward broadcast of `payload_bytes` from the
     /// front end to every other endpoint costs: one copy per tree edge.  Used
     /// to account for the one-time frame-dictionary broadcast at session setup.
@@ -273,13 +289,8 @@ impl InProcessTbon {
             });
         }
 
-        let workers = self.workers.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        });
         self.walk_levels(channels, &mut |items| {
-            par_map(items, workers, &|(id, channel, inputs)| {
+            self.map(items, &|(id, channel, inputs)| {
                 let filter = *filters.get(channel).ok_or(TbonError::WalkInvariant {
                     context: "wave queued for a channel with no filter",
                 })?;
@@ -510,7 +521,7 @@ fn par_map<T: Send, R: Send>(
     });
     for worker in joined {
         done.extend(worker.map_err(|_| TbonError::PoolPoisoned {
-            context: "running a level's waves",
+            context: "running a parallel map's items",
         })?);
     }
     done.sort_by_key(|&(index, _)| index);
