@@ -37,6 +37,7 @@ impl Config {
                 "crates/tbon/src/delta.rs",
                 "crates/core/src/streaming.rs",
                 "crates/core/src/equivalence.rs",
+                "crates/core/src/filter.rs",
             ]),
             word_math_modules: s(&[
                 "crates/core/src/taskset.rs",

@@ -16,21 +16,16 @@
 //! task lists.  The tree itself carries no representation flag — two trees that
 //! merge have the same label type, so they cannot disagree about it.
 //!
-//! ## The merge hot path (ISSUE 4)
+//! ## Merging
 //!
-//! [`PrefixTree::merge`] consumes the other tree **by value**: matched nodes are
-//! combined with a word-level shifted union ([`TaskSetOps::union_shifted`]) and
-//! unmatched subtrees *move* their task sets across — the hierarchical path never
-//! clones a tree, and the accumulated tree widens in place, so peak memory stays
-//! proportional to one input wave.  Callers that must keep the source pass a clone.
-//! [`PrefixTree::merge_aligned`] — the same-domain fold of the streaming delta
-//! path — is the same walk at offset zero without the widening.  Child lookup by
-//! frame id is a tree-wide `(parent, frame)` hash (an O(1) probe — `merge`, packet
-//! decode and `descend` all go through it; only `descend_named` scans, and only
-//! nodes narrow enough that the scan is cheaper than hashing the name), and every
-//! traversal — merge, [`PrefixTree::depth`], [`SubtreePrefixTree::remap`] — runs an
-//! explicit worklist, so a pathologically deep trace cannot overflow the stack.
-//! Before/after numbers live in `results/BENCH_merge.md`.
+//! [`PrefixTree::merge`] consumes the other tree by value: matched nodes union
+//! their sets word by word ([`TaskSetOps::union_shifted`]) and unmatched subtrees
+//! move across, so no tree is cloned; [`PrefixTree::merge_aligned`], the
+//! streaming fold, is the same walk without the widening.  Child lookup is a
+//! tree-wide `(parent, frame)` hash, and every traversal runs an explicit
+//! worklist, so a pathologically deep trace cannot overflow the stack.  The
+//! TBON's merge filter builds no tree: it replays this walk on flat columns read
+//! off the wire (`serialize::merge_bodies`), byte for byte.
 //!
 //! A daemon builds its local trees the other way round (`core::daemon`): each trace
 //! marks its task only on the node it *ends* at, and one reverse pass over the
@@ -50,7 +45,7 @@ pub type NodeIdx = usize;
 /// small integers, so a multiply-xor mix beats the DoS-resistant default by a wide
 /// margin on the merge hot path (and we vendor no external fast-hash crate).
 #[derive(Clone, Copy, Debug, Default)]
-struct ChildKeyHasher {
+pub(crate) struct ChildKeyHasher {
     hash: u64,
 }
 

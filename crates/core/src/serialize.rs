@@ -1,17 +1,12 @@
 //! Wire format for prefix trees — version 2: interned frames, varint bodies.
 //!
 //! STAT's merge filter runs inside MRNet communication processes, which only see
-//! packed byte buffers; the filter deserialises its children's trees, merges them and
-//! re-serialises the result for its parent.  The reproduction does the same, so the
-//! packet sizes flowing through the in-process TBON are the *real* serialised sizes —
-//! including, for the dense representation, all the zero words Section V complains
-//! about.
-//!
-//! Frame names live in a session-global [`FrameDictionary`] negotiated once at
-//! session setup, packets carry u32 ids, and every length or count on the wire is
-//! an LEB128 varint, so no fixed-width cast exists to truncate a long frame name.
-//! Version 2 is the only format this module speaks: any other version byte is the
-//! typed [`DecodeError::Version`].
+//! packed byte buffers, so the packet sizes flowing through the in-process TBON
+//! are the *real* serialised sizes — including, for the dense representation, all
+//! the zero words Section V complains about.  Frame names live in a session-global
+//! [`FrameDictionary`] negotiated once at setup; packets carry u32 ids, and every
+//! length or count is an LEB128 varint.  Any version byte but 2 is the typed
+//! [`DecodeError::Version`].
 //!
 //! ```text
 //! magic    u32     0x53544154 ("STAT"), little-endian
@@ -27,21 +22,25 @@
 //!                  global frame id varint, task-set bytes
 //! ```
 //!
-//! Task sets are encoded by the [`SetCodec`] their domain names.  Dense (job-wide)
-//! sets ship one varint per 64-bit word — an empty word costs one byte instead of
-//! eight, but the byte count still grows with the *job*, preserving the Section V scaling
-//! behaviour the dense representation exists to demonstrate.  Subtree sets ship
-//! a run-length token stream (`token = n << 2 | kind`): kind 0 is a run of `n`
-//! zero words, kind 1 a run of `n` saturated words (every valid bit for that
-//! word position set — the common "all local tasks in the barrier" case costs
-//! one token), kind 2 announces `n` literal 8-byte words.
+//! Dense (job-wide) sets ship one varint per 64-bit word: an empty word costs one
+//! byte, but the size still grows with the *job*, as Section V requires.  Subtree
+//! sets ship run-length tokens (`token = n << 2 | kind`): kind 0 is `n` zero
+//! words, kind 1 `n` saturated words (every valid bit set), kind 2 announces `n`
+//! literal 8-byte words.
+//!
+//! One reader validates every body into flat columns (`FlatTree`): parents, ids
+//! and word rows, no per-node allocation.  [`decode_tree`] builds a
+//! [`PrefixTree`] from them; the merge filter instead folds its children's
+//! columns into one output at its final width and writes it through the
+//! encoders' own writer, so no tree exists between the daemons and the front end.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::BuildHasherDefault;
 
 use stackwalk::{FrameDictionary, FrameId, FrameTable};
 
-use crate::graph::PrefixTree;
-use crate::taskset::TaskSetOps;
+use crate::graph::{ChildKeyHasher, PrefixTree};
+use crate::taskset::{or_shifted, words_for, TaskSetOps};
 
 /// Magic number identifying a serialised STAT prefix tree.
 pub const MAGIC: u32 = 0x5354_4154;
@@ -178,47 +177,19 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 // ---------------------------------------------------------------------------
-// Varints and the write sink
+// Varints
 // ---------------------------------------------------------------------------
 
-/// Byte sink the encoder writes into: a real buffer, or a counter that prices
-/// the encoding without materialising it.  Sharing one write path is what lets
-/// `encoded_tree_size` match `encode_tree` byte for byte by construction.
-trait WireSink {
-    fn put(&mut self, byte: u8);
-    fn put_slice(&mut self, bytes: &[u8]);
-}
-
-impl WireSink for Vec<u8> {
-    fn put(&mut self, byte: u8) {
-        self.push(byte);
-    }
-    fn put_slice(&mut self, bytes: &[u8]) {
-        self.extend_from_slice(bytes);
-    }
-}
-
-struct ByteCount(usize);
-
-impl WireSink for ByteCount {
-    fn put(&mut self, _byte: u8) {
-        self.0 += 1;
-    }
-    fn put_slice(&mut self, bytes: &[u8]) {
-        self.0 += bytes.len();
-    }
-}
-
-fn put_varint(sink: &mut impl WireSink, mut value: u64) {
+fn put_varint(sink: &mut Vec<u8>, mut value: u64) {
     loop {
         // stat-analyzer: allow(truncating-cast) — masked to the low 7 bits first
         let low = (value & 0x7f) as u8;
         value >>= 7;
         if value == 0 {
-            sink.put(low);
+            sink.push(low);
             return;
         }
-        sink.put(low | 0x80);
+        sink.push(low | 0x80);
     }
 }
 
@@ -336,12 +307,11 @@ impl WireFrames {
     /// Absorb another packet's records.  Both packets must have negotiated the
     /// same base — a mismatch means they belong to different sessions.
     pub fn merge(&mut self, other: &WireFrames) -> Result<(), DecodeError> {
-        if self.base_len != other.base_len {
-            return Err(DecodeError::DictionaryMismatch {
-                expected: self.base_len,
-                found: other.base_len,
-            });
-        }
+        let (expected, found) = (self.base_len, other.base_len);
+        ensure(
+            expected == found,
+            DecodeError::DictionaryMismatch { expected, found },
+        )?;
         for (gid, name) in &other.records {
             self.records.entry(*gid).or_insert_with(|| name.clone());
         }
@@ -353,69 +323,73 @@ impl WireFrames {
 // v2 encoding
 // ---------------------------------------------------------------------------
 
-/// The global id of every non-root node, in [`PrefixTree::iter_nodes`] order,
-/// plus the incremental records the packet must carry to stay self-contained.
-struct FramePlan<'a> {
+/// The writer's view of a tree whose words stay in it: every node's parent and
+/// global id, root first, each frame mapped by `gid_of`.  The caller adds the
+/// incremental records that keep the packet self-contained.
+fn plan<'a, S: WireTaskSet>(
+    tree: &PrefixTree<S>,
     base_len: u32,
-    gids: Vec<u32>,
-    records: BTreeMap<u32, &'a str>,
+    mut gid_of: impl FnMut(FrameId) -> u32,
+) -> FlatTree<'a> {
+    let nodes = tree
+        .iter_nodes()
+        .map(|(_, frame, parent)| (parent, gid_of(frame)));
+    let nodes = std::iter::once((0, 0)).chain(nodes).collect();
+    let width = tree.width();
+    FlatTree {
+        width,
+        base_len,
+        nodes,
+        ..FlatTree::default()
+    }
 }
 
 fn plan_with_dictionary<'a, S: WireTaskSet>(
     tree: &PrefixTree<S>,
     table: &'a FrameTable,
     dict: &FrameDictionary,
-) -> FramePlan<'a> {
+) -> FlatTree<'a> {
     let base_len = dict.base_len();
     // Intern each distinct frame once: the dictionary is shared session state.
     let mut gid_of: HashMap<FrameId, u32> = HashMap::new();
     let mut records = BTreeMap::new();
-    let gids = tree
-        .iter_nodes()
-        .map(|(_, frame, _)| {
-            *gid_of.entry(frame).or_insert_with(|| {
-                let name = table.name(frame);
-                let gid = dict.intern(name);
-                if gid >= base_len {
-                    records.insert(gid, name);
-                }
-                gid
-            })
+    let mut plan = plan(tree, base_len, |frame| {
+        *gid_of.entry(frame).or_insert_with(|| {
+            let name = table.name(frame);
+            let gid = dict.intern(name);
+            if gid >= base_len {
+                records.insert(gid, name);
+            }
+            gid
         })
-        .collect();
-    FramePlan {
-        base_len,
-        gids,
-        records,
-    }
+    });
+    plan.records = records.into_iter().collect();
+    plan
 }
 
 fn plan_from_wire<'a, S: WireTaskSet>(
     tree: &PrefixTree<S>,
     frames: &'a WireFrames,
-) -> FramePlan<'a> {
-    let base_len = frames.base_len();
-    let mut records = BTreeMap::new();
-    let gids = tree
-        .iter_nodes()
-        .map(|(_, frame, _)| {
-            let gid = frame.0;
-            if gid >= base_len {
-                // A merged tree only references frames its decoded inputs
-                // carried, so the record is always present; ship an empty name
-                // rather than panic mid-filter if that invariant ever breaks.
-                records
-                    .entry(gid)
-                    .or_insert_with(|| frames.name_of(gid).unwrap_or(""));
-            }
-            gid
-        })
+) -> FlatTree<'a> {
+    let mut plan = plan(tree, frames.base_len(), |frame| frame.0);
+    plan.records = referenced(&plan.nodes, plan.base_len, |gid| frames.name_of(gid));
+    plan
+}
+
+/// The records a body whose nodes are `nodes` ships: one per gid past the base,
+/// in gid order.  A merged tree only references frames its inputs carried, so a
+/// name is always found; an empty one ships rather than a panic mid-filter if
+/// that invariant ever breaks.
+fn referenced<'a>(
+    nodes: &[(usize, u32)],
+    base_len: u32,
+    name_of: impl Fn(u32) -> Option<&'a str>,
+) -> Vec<(u32, &'a str)> {
+    let past_base = nodes.iter().skip(1).filter(|&&(_, gid)| gid >= base_len);
+    let records: BTreeMap<u32, &str> = past_base
+        .map(|&(_, gid)| (gid, name_of(gid).unwrap_or("")))
         .collect();
-    FramePlan {
-        base_len,
-        gids,
-        records,
-    }
+    records.into_iter().collect()
 }
 
 /// Bits of the last (possibly partial) word that are valid for a domain of
@@ -444,8 +418,7 @@ fn run_kind(word: u64, full: u64) -> u64 {
     }
 }
 
-fn write_task_set<S: WireTaskSet>(sink: &mut impl WireSink, set: &S, width: u64) {
-    let words = set.words();
+fn write_task_set<S: WireTaskSet>(sink: &mut Vec<u8>, words: &[u64], width: u64) {
     if S::CODEC == SetCodec::VarintWords {
         // Dense sets stay proportional to the job: one varint per word, so the
         // empty words Section V complains about cost one byte each instead of
@@ -468,37 +441,39 @@ fn write_task_set<S: WireTaskSet>(sink: &mut impl WireSink, set: &S, width: u64)
         for _ in 0..run {
             if let Some((_, &word)) = iter.next() {
                 if kind == RUN_LITERAL {
-                    sink.put_slice(&word.to_le_bytes());
+                    sink.extend_from_slice(&word.to_le_bytes());
                 }
             }
         }
     }
 }
 
-fn write_tree<S: WireTaskSet>(
-    sink: &mut impl WireSink,
-    tree: &PrefixTree<S>,
-    plan: &FramePlan<'_>,
+/// The one v2 writer: header, records and node links from `plan`, each node's
+/// task-set words from `row`.  Trees and the wire merge both write through it.
+fn write_body<'w, S: WireTaskSet>(
+    sink: &mut Vec<u8>,
+    plan: &FlatTree<'_>,
+    row: impl Fn(usize) -> &'w [u64],
 ) {
-    sink.put_slice(&MAGIC.to_le_bytes());
-    sink.put(VERSION);
-    sink.put(S::TAG);
-    put_varint(sink, tree.width());
+    sink.extend_from_slice(&MAGIC.to_le_bytes());
+    sink.extend([VERSION, S::TAG]);
+    put_varint(sink, plan.width);
     put_varint(sink, u64::from(plan.base_len));
     put_varint(sink, plan.records.len() as u64);
-    for (gid, name) in &plan.records {
-        put_varint(sink, u64::from(*gid));
-        put_varint(sink, name.len() as u64);
-        sink.put_slice(name.as_bytes());
-    }
-    put_varint(sink, tree.node_count() as u64);
-    write_task_set::<S>(sink, tree.tasks(tree.root()), tree.width());
-    for ((idx, _, parent), &gid) in tree.iter_nodes().zip(&plan.gids) {
-        // Parents precede children in index order, so the delta is always >= 1
-        // and usually tiny — one varint byte for the common case.
-        put_varint(sink, (idx - parent) as u64);
+    for &(gid, name) in &plan.records {
         put_varint(sink, u64::from(gid));
-        write_task_set::<S>(sink, tree.tasks(idx), tree.width());
+        put_varint(sink, name.len() as u64);
+        sink.extend_from_slice(name.as_bytes());
+    }
+    put_varint(sink, plan.nodes.len() as u64);
+    for (idx, &(parent, gid)) in plan.nodes.iter().enumerate() {
+        if idx > 0 {
+            // Parents precede children in index order, so the delta is always
+            // >= 1 and usually tiny — one varint byte for the common case.
+            put_varint(sink, (idx - parent) as u64);
+            put_varint(sink, u64::from(gid));
+        }
+        write_task_set::<S>(sink, row(idx), plan.width);
     }
 }
 
@@ -512,21 +487,18 @@ pub fn encode_tree<S: WireTaskSet>(
 ) -> Vec<u8> {
     let plan = plan_with_dictionary(tree, table, dict);
     let mut out = Vec::with_capacity(32 + tree.node_count() * 8);
-    write_tree(&mut out, tree, &plan);
+    write_body::<S>(&mut out, &plan, |node| tree.tasks(node).words());
     out
 }
 
-/// The exact size in bytes [`encode_tree`] would produce, without building the
-/// buffer.  Shares the encoder's write path, so the two cannot drift.
+/// The exact size in bytes of [`encode_tree`]'s packet: its length, so the two
+/// cannot drift.
 pub fn encoded_tree_size<S: WireTaskSet>(
     tree: &PrefixTree<S>,
     table: &FrameTable,
     dict: &FrameDictionary,
 ) -> usize {
-    let plan = plan_with_dictionary(tree, table, dict);
-    let mut count = ByteCount(0);
-    write_tree(&mut count, tree, &plan);
-    count.0
+    encode_tree(tree, table, dict).len()
 }
 
 /// Re-serialise a merged tree whose frame ids are already session-global —
@@ -535,7 +507,7 @@ pub fn encoded_tree_size<S: WireTaskSet>(
 pub fn encode_merged_tree<S: WireTaskSet>(tree: &PrefixTree<S>, frames: &WireFrames) -> Vec<u8> {
     let plan = plan_from_wire(tree, frames);
     let mut out = Vec::with_capacity(32 + tree.node_count() * 8);
-    write_tree(&mut out, tree, &plan);
+    write_body::<S>(&mut out, &plan, |node| tree.tasks(node).words());
     out
 }
 
@@ -544,65 +516,175 @@ pub fn encoded_merged_tree_size<S: WireTaskSet>(
     tree: &PrefixTree<S>,
     frames: &WireFrames,
 ) -> usize {
-    let plan = plan_from_wire(tree, frames);
-    let mut count = ByteCount(0);
-    write_tree(&mut count, tree, &plan);
-    count.0
+    encode_merged_tree(tree, frames).len()
 }
 
 // ---------------------------------------------------------------------------
 // v2 decoding
 // ---------------------------------------------------------------------------
 
-fn read_dense_words(r: &mut Reader<'_>, words_per_set: usize) -> Result<Vec<u64>, DecodeError> {
-    let mut words = Vec::with_capacity(words_per_set);
-    for _ in 0..words_per_set {
-        words.push(r.varint()?);
-    }
-    Ok(words)
+/// Fail with `err` unless `ok`.
+fn ensure(ok: bool, err: DecodeError) -> Result<(), DecodeError> {
+    ok.then_some(()).ok_or(err)
 }
 
-fn read_rle_words(
-    r: &mut Reader<'_>,
-    words_per_set: usize,
+/// No node: the end of a child list.
+const NO_NODE: usize = usize::MAX;
+
+/// A v2 body as flat columns: per node its parent (the root's is 0) and global
+/// frame id, its first child and next sibling in wire order, and a row of `wps`
+/// task-set words masked to `width`.  The reader fills one with no per-node
+/// allocation, the wire merge builds one, and the writer reads one.
+#[derive(Default)]
+struct FlatTree<'a> {
     width: u64,
-) -> Result<Vec<u64>, DecodeError> {
-    // Pre-size modestly: a lying width must not drive a huge allocation before
-    // the token stream has actually produced the words.
-    let mut words = Vec::with_capacity(words_per_set.min(1_024));
-    while words.len() < words_per_set {
-        let token_offset = r.pos;
-        let token = r.varint()?;
-        let kind = token & 3;
-        let n = usize::try_from(token >> 2).map_err(|_| DecodeError::BadIndex {
-            offset: token_offset,
-        })?;
-        if n == 0 || n > words_per_set - words.len() {
-            return Err(DecodeError::BadIndex {
-                offset: token_offset,
-            });
+    base_len: u32,
+    wps: usize,
+    nodes: Vec<(usize, u32)>,
+    links: Vec<(usize, usize)>,
+    words: Vec<u64>,
+    /// Incremental records sorted by gid; a gid shipped twice keeps wire order.
+    /// A merge's output collects every body's here until it is written.
+    records: Vec<(u32, &'a str)>,
+    /// A merge's `(parent, gid) → child` index, as a [`PrefixTree`] keeps it:
+    /// the newest child of a frame wins.
+    index: HashMap<(usize, u32), usize, BuildHasherDefault<ChildKeyHasher>>,
+}
+
+impl<'a> FlatTree<'a> {
+    /// Read and validate one v2 body, replacing what the columns held.  This is
+    /// the only v2 reader: every check a packet must pass is made here.
+    fn read<S: WireTaskSet>(&mut self, buf: &'a [u8]) -> Result<(), DecodeError> {
+        let truncated = |offset| DecodeError::Truncated { offset };
+        let bad_index = |offset| DecodeError::BadIndex { offset };
+        let mut r = Reader::new(buf);
+        ensure(r.u32()? == MAGIC, DecodeError::BadMagic)?;
+        let found = r.u8()?;
+        ensure(found == VERSION, DecodeError::Version { found })?;
+        let (found, expected) = (r.u8()?, S::TAG);
+        let wrong = DecodeError::WrongRepresentation { found, expected };
+        ensure(found == expected, wrong)?;
+        let width_at = r.pos;
+        self.width = r.varint()?;
+        ensure(self.width <= MAX_WIRE_WIDTH, truncated(width_at))?;
+        self.wps = usize::try_from(self.width.div_ceil(64)).map_err(|_| truncated(width_at))?;
+        self.base_len = r.varint_u32()?;
+        let at = r.pos;
+        let nrecords = r.varint_count()?;
+        // A corrupted count must fail as `Truncated`, not drive a huge allocation:
+        // each record needs at least its two varint bytes.
+        ensure(nrecords.saturating_mul(2) <= r.remaining(), truncated(at))?;
+        self.records.clear();
+        for _ in 0..nrecords {
+            let at = r.pos;
+            let gid = r.varint_u32()?;
+            ensure(gid >= self.base_len, bad_index(at))?;
+            let len = r.varint_count()?;
+            let offset = r.pos;
+            let name = std::str::from_utf8(r.take(len)?)
+                .map_err(|_| DecodeError::BadFrameName { offset })?;
+            self.records.push((gid, name));
         }
-        match kind {
-            RUN_ZERO => words.extend(std::iter::repeat_n(0u64, n)),
-            RUN_FULL => {
-                for _ in 0..n {
-                    let index = words.len();
-                    words.push(full_word_mask(width, index));
-                }
+        self.records.sort_by_key(|&(gid, _)| gid);
+        let at = r.pos;
+        let nnodes = r.varint_count()?;
+        ensure(nnodes > 0, bad_index(at))?;
+        // Every non-root node carries at least a parent-delta byte and a frame-id
+        // byte; a node count the buffer cannot possibly hold is a lie.
+        ensure(
+            nnodes.saturating_mul(2).saturating_sub(2) <= r.remaining(),
+            truncated(at),
+        )?;
+        // Varint-word sets carry at least one byte per word; reject widths the
+        // remaining buffer cannot hold before allocating for them.
+        let dense = S::CODEC == SetCodec::VarintWords;
+        ensure(!dense || self.wps <= r.remaining(), truncated(width_at))?;
+        self.nodes.clear();
+        self.words.clear();
+        self.nodes.reserve(nnodes);
+        self.words
+            .reserve(nnodes.saturating_mul(self.wps).min(buf.len()));
+        for idx in 0..nnodes {
+            let mut node = (0, 0);
+            if idx > 0 {
+                let at = r.pos;
+                let delta = r.varint_count()?;
+                ensure(delta > 0 && delta <= idx, bad_index(at))?;
+                let gid = r.varint_u32()?;
+                let named = self.records.binary_search_by_key(&gid, |&(g, _)| g);
+                ensure(gid < self.base_len || named.is_ok(), bad_index(at))?;
+                node = (idx - delta, gid);
             }
-            RUN_LITERAL => {
-                for _ in 0..n {
-                    words.push(r.u64()?);
-                }
-            }
-            _ => {
-                return Err(DecodeError::BadIndex {
-                    offset: token_offset,
-                })
+            self.nodes.push(node);
+            self.read_set::<S>(&mut r)?;
+        }
+        // A reverse scan pushes each node onto the front of its parent's child
+        // list, which leaves every list in wire order.
+        self.links.clear();
+        self.links.resize(nnodes, (NO_NODE, NO_NODE));
+        for (node, &(parent, _)) in self.nodes.iter().enumerate().skip(1).rev() {
+            let head = self
+                .links
+                .get_mut(parent)
+                .map(|(first, _)| std::mem::replace(first, node));
+            if let (Some(head), Some((_, next))) = (head, self.links.get_mut(node)) {
+                *next = head;
             }
         }
+        Ok(())
     }
-    Ok(words)
+
+    /// Append one task set, decoding each word exactly once.
+    fn read_set<S: WireTaskSet>(&mut self, r: &mut Reader<'a>) -> Result<(), DecodeError> {
+        let (wps, width) = (self.wps, self.width);
+        let end = self.words.len() + wps;
+        while self.words.len() < end {
+            let left = end - self.words.len();
+            if S::CODEC == SetCodec::VarintWords {
+                // Runs of one-byte words (the empty ones, mostly) in bulk.
+                let rest = r.buf.get(r.pos..).unwrap_or_default().iter().take(left);
+                self.words
+                    .extend(rest.take_while(|&&byte| byte < 0x80).map(|&b| u64::from(b)));
+                r.pos += left - (end - self.words.len());
+                if self.words.len() < end {
+                    self.words.push(r.varint()?);
+                }
+                continue;
+            }
+            let offset = r.pos;
+            let token = r.varint()?;
+            let n = usize::try_from(token >> 2).map_err(|_| DecodeError::BadIndex { offset })?;
+            ensure(n > 0 && n <= left, DecodeError::BadIndex { offset })?;
+            let first = wps - left;
+            match token & 3 {
+                RUN_ZERO => self.words.extend(std::iter::repeat_n(0, n)),
+                RUN_FULL => self
+                    .words
+                    .extend((first..first + n).map(|index| full_word_mask(width, index))),
+                RUN_LITERAL => {
+                    for _ in 0..n {
+                        self.words.push(r.u64()?);
+                    }
+                }
+                _ => return Err(DecodeError::BadIndex { offset }),
+            }
+        }
+        // Stray bits at or above the width are masked off, as
+        // `WireTaskSet::from_words` does: shifted into a concatenated domain they
+        // would land on the next body's positions.
+        if let (Some(last), Some(index)) = (self.words.last_mut(), wps.checked_sub(1)) {
+            *last &= full_word_mask(width, index);
+        }
+        Ok(())
+    }
+
+    /// The task-set words of `node`.
+    fn row(&self, node: usize) -> &[u64] {
+        let wps = self.wps;
+        self.words
+            .get(node * wps..(node + 1) * wps)
+            .unwrap_or_default()
+    }
 }
 
 /// Deserialise a v2 packet body into a tree carrying session-global frame ids,
@@ -611,109 +693,143 @@ fn read_rle_words(
 /// No frame table is needed (or touched): resolve ids against the session
 /// dictionary's snapshot, or forward them — merges compare ids directly.
 pub fn decode_tree<S: WireTaskSet>(buf: &[u8]) -> Result<(PrefixTree<S>, WireFrames), DecodeError> {
-    let mut r = Reader::new(buf);
-    if r.u32()? != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = r.u8()?;
-    if version != VERSION {
-        return Err(DecodeError::Version { found: version });
-    }
-    let tag = r.u8()?;
-    if tag != S::TAG {
-        return Err(DecodeError::WrongRepresentation {
-            found: tag,
-            expected: S::TAG,
-        });
-    }
-    let width_offset = r.pos;
-    let width = r.varint()?;
-    if width > MAX_WIRE_WIDTH {
-        return Err(DecodeError::Truncated {
-            offset: width_offset,
-        });
-    }
-    let base_len = r.varint_u32()?;
-    let nrecords_offset = r.pos;
-    let nrecords = r.varint_count()?;
-    // A corrupted count must fail as `Truncated`, not drive a huge allocation:
-    // each record needs at least its two varint bytes.
-    if nrecords.saturating_mul(2) > r.remaining() {
-        return Err(DecodeError::Truncated {
-            offset: nrecords_offset,
-        });
-    }
-    let mut frames = WireFrames::new(base_len);
-    for _ in 0..nrecords {
-        let gid_offset = r.pos;
-        let gid = r.varint_u32()?;
-        if gid < base_len {
-            return Err(DecodeError::BadIndex { offset: gid_offset });
-        }
-        let len = r.varint_count()?;
-        let name_offset = r.pos;
-        let bytes = r.take(len)?;
-        let name = std::str::from_utf8(bytes).map_err(|_| DecodeError::BadFrameName {
-            offset: name_offset,
-        })?;
+    let mut flat = FlatTree::default();
+    flat.read::<S>(buf)?;
+    let mut frames = WireFrames::new(flat.base_len);
+    for &(gid, name) in &flat.records {
         frames.insert(gid, name);
     }
-    let count_offset = r.pos;
-    let nnodes = r.varint_count()?;
-    if nnodes == 0 {
-        return Err(DecodeError::BadIndex {
-            offset: count_offset,
-        });
-    }
-    // Every non-root node carries at least a parent-delta byte and a frame-id
-    // byte; a node count the buffer cannot possibly hold is a lie.
-    if nnodes.saturating_mul(2).saturating_sub(2) > r.remaining() {
-        return Err(DecodeError::Truncated {
-            offset: count_offset,
-        });
-    }
-    let words_per_set =
-        usize::try_from(width.div_ceil(64)).map_err(|_| DecodeError::Truncated {
-            offset: width_offset,
-        })?;
-    // Varint-word sets carry at least one byte per word; reject widths the
-    // remaining buffer cannot hold before allocating for them.
-    if S::CODEC == SetCodec::VarintWords && words_per_set > r.remaining() {
-        return Err(DecodeError::Truncated {
-            offset: width_offset,
-        });
-    }
-    let read_set = |r: &mut Reader<'_>| -> Result<S, DecodeError> {
-        let words = match S::CODEC {
-            SetCodec::VarintWords => read_dense_words(r, words_per_set)?,
-            SetCodec::RunLength => read_rle_words(r, words_per_set, width)?,
-        };
-        Ok(S::from_words(width, words))
-    };
-
-    let mut tree = PrefixTree::<S>::new(width);
-    let root_set = read_set(&mut r)?;
-    tree.replace_tasks(0, root_set);
-    for idx in 1..nnodes {
-        let node_offset = r.pos;
-        let delta = r.varint_count()?;
-        if delta == 0 || delta > idx {
-            return Err(DecodeError::BadIndex {
-                offset: node_offset,
-            });
-        }
-        let parent = idx - delta;
-        let gid = r.varint_u32()?;
-        if gid >= base_len && frames.name_of(gid).is_none() {
-            return Err(DecodeError::BadIndex {
-                offset: node_offset,
-            });
-        }
-        let set = read_set(&mut r)?;
-        let node = tree.append_node(parent, FrameId(gid));
-        tree.replace_tasks(node, set);
+    let mut tree = PrefixTree::<S>::new(flat.width);
+    for (node, &(parent, gid)) in flat.nodes.iter().enumerate() {
+        // Node 0 is the root in both.
+        let idx = (node > 0).then(|| tree.append_node(parent, FrameId(gid)));
+        let idx = idx.unwrap_or(0);
+        tree.replace_tasks(idx, S::from_words(flat.width, flat.row(node).to_vec()));
     }
     Ok((tree, frames))
+}
+
+/// The wire merge: a [`FlatTree`] at the output width, built by folding bodies.
+impl<'a> FlatTree<'a> {
+    /// Start a merge from the first accepted body, node for node, over a
+    /// `width`-task domain.
+    fn merged(first: &FlatTree<'a>, width: u64) -> Self {
+        let (base_len, wps) = (first.base_len, words_for(width));
+        let mut out = FlatTree {
+            width,
+            base_len,
+            wps,
+            ..FlatTree::default()
+        };
+        for (node, &(parent, gid)) in first.nodes.iter().enumerate() {
+            out.push(parent, gid, first.row(node), 0);
+        }
+        out.records.extend(first.records.iter().rev());
+        out
+    }
+
+    /// Append a node holding `set` moved up by `offset`.
+    fn push(&mut self, parent: usize, gid: u32, set: &[u64], offset: u64) -> usize {
+        let node = self.nodes.len();
+        self.nodes.push((parent, gid));
+        self.words.resize(self.words.len() + self.wps, 0);
+        if node > 0 {
+            self.index.insert((parent, gid), node);
+        }
+        self.or_in(node, set, offset);
+        node
+    }
+
+    /// OR `set` into `node`'s row, moved up by `offset`.  Callers keep `offset +
+    /// the body's width` within this width, and the reader masked the set to its
+    /// width: `or_shifted`'s bound.
+    fn or_in(&mut self, node: usize, set: &[u64], offset: u64) {
+        let wps = self.wps;
+        if let Some(row) = self.words.get_mut(node * wps..(node + 1) * wps) {
+            or_shifted(row, set, offset);
+        }
+    }
+
+    /// Fold a later body in at `offset`, walking as `PrefixTree::merge` does: a
+    /// LIFO worklist of (merged node, body node, grafted); a body node whose
+    /// frame is new under its matched parent is appended, and so is everything
+    /// below it, without a probe.
+    fn fold(&mut self, body: &FlatTree<'a>, offset: u64) {
+        self.records.extend(body.records.iter().rev());
+        let link = |node: usize| body.links.get(node).copied().unwrap_or((NO_NODE, NO_NODE));
+        let mut work = vec![(0, 0, false)];
+        while let Some((merged, node, grafted)) = work.pop() {
+            if !grafted {
+                self.or_in(merged, body.row(node), offset);
+            }
+            let mut child = link(node).0;
+            while let Some(&(_, gid)) = body.nodes.get(child) {
+                let probe = (!grafted).then(|| self.index.get(&(merged, gid)).copied());
+                work.push(match probe.flatten() {
+                    Some(into) => (into, child, false),
+                    None => (self.push(merged, gid, body.row(child), offset), child, true),
+                });
+                child = link(child).1;
+            }
+        }
+    }
+
+    /// Write a merge's output with the records it references, as
+    /// [`encode_merged_tree`] does: within a body the last record of a gid wins,
+    /// across bodies the first.
+    fn finish<S: WireTaskSet>(mut self) -> Vec<u8> {
+        let mut names = std::mem::take(&mut self.records);
+        names.sort_by_key(|&(gid, _)| gid);
+        names.dedup_by_key(|&mut (gid, _)| gid);
+        let found = |gid| names.binary_search_by_key(&gid, |&(g, _)| g).ok();
+        let name_of = |gid| found(gid).and_then(|i| names.get(i)).map(|&(_, name)| name);
+        self.records = referenced(&self.nodes, self.base_len, name_of);
+        let mut bytes = Vec::with_capacity(32 + self.nodes.len() * 8);
+        write_body::<S>(&mut bytes, &self, |node| self.row(node));
+        bytes
+    }
+}
+
+/// The merge filter's body: fold v2 packet bodies left to right into one output
+/// body, byte for byte what [`decode_tree`] → [`PrefixTree::merge`] →
+/// [`encode_merged_tree`] produce, without building a tree.  A body that does
+/// not decode, names another dictionary base than the first accepted one, or —
+/// job-wide — another width, is skipped; `None` when no body is accepted.
+///
+/// The output domain is sized once.  Job-wide bodies fold as they arrive, each
+/// read into one reused [`FlatTree`]; concatenating bodies are all read first,
+/// and the output is their widths summed.
+pub(crate) fn merge_bodies<'a, S: WireTaskSet>(
+    bodies: impl IntoIterator<Item = &'a [u8]>,
+) -> Option<Vec<u8>> {
+    let (mut merge, mut held) = (None::<FlatTree<'a>>, Vec::new());
+    let mut body = FlatTree::default();
+    for buf in bodies {
+        if body.read::<S>(buf).is_err() {
+            continue;
+        }
+        let first = merge.as_ref().or(held.first());
+        if first.is_some_and(|first| {
+            body.base_len != first.base_len || (!S::CONCATENATES && body.width != first.width)
+        }) {
+            continue;
+        }
+        match merge.as_mut() {
+            _ if S::CONCATENATES => held.push(std::mem::take(&mut body)),
+            Some(merge) => merge.fold(&body, 0),
+            None => merge = Some(FlatTree::merged(&body, body.width)),
+        }
+    }
+    // Each concatenated body's positions follow every earlier body's.
+    if let Some((first, later)) = held.split_first() {
+        let merge = merge.insert(FlatTree::merged(first, held.iter().map(|b| b.width).sum()));
+        let mut offset = 0;
+        for (before, body) in held.iter().zip(later) {
+            offset += before.width;
+            merge.fold(body, offset);
+        }
+    }
+    merge.map(FlatTree::finish::<S>)
 }
 
 // ---------------------------------------------------------------------------
@@ -746,14 +862,9 @@ pub fn encode_rank_map(ranks: &[u64]) -> Vec<u8> {
 /// Decode a rank map.
 pub fn decode_rank_map(buf: &[u8]) -> Result<Vec<u64>, DecodeError> {
     let mut r = Reader::new(buf);
-    let count_offset = r.pos;
     let n = r.varint_count()?;
     // Each entry is at least one varint byte.
-    if n > r.remaining() {
-        return Err(DecodeError::Truncated {
-            offset: count_offset,
-        });
-    }
+    ensure(n <= r.remaining(), DecodeError::Truncated { offset: 0 })?;
     let mut out = Vec::with_capacity(n);
     let mut prev = 0u64;
     for _ in 0..n {
@@ -779,13 +890,8 @@ pub fn encode_dictionary(names: &[String]) -> Vec<u8> {
 /// Decode a dictionary broadcast payload.
 pub fn decode_dictionary(buf: &[u8]) -> Result<Vec<String>, DecodeError> {
     let mut r = Reader::new(buf);
-    let count_offset = r.pos;
     let n = r.varint_count()?;
-    if n > r.remaining() {
-        return Err(DecodeError::Truncated {
-            offset: count_offset,
-        });
-    }
+    ensure(n <= r.remaining(), DecodeError::Truncated { offset: 0 })?;
     let mut names = Vec::with_capacity(n);
     for _ in 0..n {
         let len = r.varint_count()?;

@@ -53,8 +53,14 @@ use crate::serialize::encode_dictionary;
 /// The paper's central observation is that sampling → local merge → reduction →
 /// remap is *one* pipeline whose phases must be measured together; this struct is
 /// how a [`SessionReport`] exposes that.
+///
+/// `contribute + reduce + remap + classify` are consecutive walls: their sum
+/// reconciles with the `attach` (or wave) wall, less the session's own set-up.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimings {
+    /// The daemons' contribution, wall-clock: the side-by-side map over every
+    /// daemon's walk → close → encode (the daemon loop, in a streaming wave).
+    pub contribute: Duration,
     /// Walking the application tasks' call paths into the daemon-local prefix trees:
     /// the paths, their descent and the end marks.  A CPU-style sum over daemons,
     /// like `ReductionOutcome::filter_time`: the daemons run side by side, so it
@@ -304,8 +310,10 @@ impl Session {
         let leaves = net.topology().backends().iter().copied();
         let survivors = surviving.iter().map(|&idx| &daemons[idx]).zip(leaves);
         let samples = self.samples_per_task;
+        let contribute_start = Instant::now();
         let contributions =
             strategy.contribute_all(survivors.collect(), app, samples, &dict, &net)?;
+        let contribute = contribute_start.elapsed();
         // `surviving` is ascending: it is a filter of the backend order.
         let lost_ranks: Vec<u64> = daemons
             .iter()
@@ -333,6 +341,7 @@ impl Session {
 
         let (gather, mut phases) =
             self.merge_through(&net, contributions, tasks, &dict, &filter_faults)?;
+        phases.contribute = contribute;
         phases.sample = sample;
         phases.local_merge = local_merge;
 
@@ -448,11 +457,10 @@ impl Session {
             metrics,
         };
         let phases = PhaseTimings {
-            sample: Duration::ZERO,
-            local_merge: Duration::ZERO,
             reduce,
             remap: merged.remap_wall,
             classify,
+            ..PhaseTimings::default()
         };
         Ok((gather, phases))
     }
@@ -592,6 +600,24 @@ mod tests {
         let (daemon, wall) = report.straggler.expect("31 daemons contributed");
         assert!(daemon < 31, "daemon {daemon} was lost");
         assert!(wall <= report.phases.sample + report.phases.local_merge);
+    }
+
+    #[test]
+    fn the_phase_walls_reconcile_with_the_attach_wall() {
+        let app = RingHangApp::new(1_024, FrameVocabulary::Linux);
+        let session = small_session(Representation::HierarchicalTaskList, 64);
+        let start = Instant::now();
+        let report = session.attach(&app).unwrap();
+        let wall = start.elapsed();
+        let p = report.phases;
+        assert!(p.contribute > Duration::ZERO);
+        assert!(
+            p.contribute + p.reduce + p.remap + p.classify <= wall,
+            "{p:?} vs {wall:?}"
+        );
+        // The straggler ran inside the daemon map.
+        let (_, straggler) = report.straggler.expect("64 daemons contributed");
+        assert!(straggler <= p.contribute, "{straggler:?} vs {p:?}");
     }
 
     #[test]

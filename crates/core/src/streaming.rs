@@ -593,6 +593,7 @@ impl StreamingSession {
         let app = self.source.app_at(wave);
         let samples = self.session.samples_per_task();
         let base = wave.saturating_mul(samples);
+        let contribute_start = Instant::now();
         let (contributions, deltas, traces_gathered, stats) = self.state.gather_wave(
             app.as_ref(),
             base,
@@ -600,6 +601,7 @@ impl StreamingSession {
             &self.topology,
             strategy.needs_rank_map(),
         );
+        let contribute = contribute_start.elapsed();
 
         let (gather, mut phases) = self.session.merge_through(
             &InProcessTbon::new(self.topology.clone()),
@@ -608,6 +610,7 @@ impl StreamingSession {
             &self.dict,
             &filter_faults,
         )?;
+        phases.contribute = contribute;
         phases.sample = stats.sample;
         phases.local_merge = stats.local_merge;
 

@@ -159,7 +159,7 @@ impl ExactSizeIterator for MemberIter<'_> {}
 // Word-level machinery
 // ---------------------------------------------------------------------------------
 
-fn words_for(width: u64) -> usize {
+pub(crate) fn words_for(width: u64) -> usize {
     // stat-analyzer: allow(truncating-cast) — a domain whose words fit in memory has ≤ usize::MAX words; wider domains fail at Vec allocation, not silently
     width.div_ceil(64) as usize
 }
@@ -191,10 +191,10 @@ fn mask_stray_bits(width: u64, words: &mut [u64]) {
 
 /// OR `src`'s words into `dst` at a bit offset: two shifts and an OR per word.
 /// Requires `dst` to be wide enough for every set bit of `src` shifted by `offset`
-/// (callers assert the domain arithmetic; `src` carries no stray bits above its
-/// width by construction).
-// stat-analyzer: allow(hot-path-panic, fn) — every caller asserts offset + src domain ≤ dst domain before calling, so word_off + src.len() ≤ dst.len()
-fn or_shifted(dst: &mut [u64], src: &[u64], offset: u64) {
+/// (the set methods assert the domain arithmetic, the wire merge sizes its rows
+/// to the sum of the widths; `src` carries no stray bits above its width).
+// stat-analyzer: allow(hot-path-panic, fn) — every caller keeps offset + src domain ≤ dst domain, so word_off + src.len() ≤ dst.len()
+pub(crate) fn or_shifted(dst: &mut [u64], src: &[u64], offset: u64) {
     let word_off = word_of(offset);
     let bit_off = bit_of(offset);
     if bit_off == 0 {

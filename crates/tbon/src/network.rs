@@ -488,15 +488,21 @@ fn take_next<I: Iterator>(queue: &Mutex<I>) -> Option<I::Item> {
 /// earlier item is already running or done and the earliest failure is always
 /// observed.  A worker that died (a panic in `step` itself) is
 /// [`TbonError::PoolPoisoned`].  One worker or one item runs inline on the
-/// caller, in item order.
+/// caller, in item order, behind the same fence: a panicking step is the same
+/// typed error whatever the worker count.
 fn par_map<T: Send, R: Send>(
     items: Vec<T>,
     workers: usize,
     step: &(dyn Fn(T) -> Result<R, TbonError> + Sync),
 ) -> Result<Vec<R>, TbonError> {
+    let poisoned = TbonError::PoolPoisoned {
+        context: "running a parallel map's items",
+    };
     let workers = workers.min(items.len());
     if workers <= 1 {
-        return items.into_iter().map(step).collect();
+        let inline = || items.into_iter().map(step).collect();
+        return std::panic::catch_unwind(std::panic::AssertUnwindSafe(inline))
+            .unwrap_or(Err(poisoned));
     }
     let mut done = Vec::with_capacity(items.len());
     let queue = Mutex::new(items.into_iter().enumerate());
@@ -520,9 +526,7 @@ fn par_map<T: Send, R: Send>(
         spawned.into_iter().map(|worker| worker.join()).collect()
     });
     for worker in joined {
-        done.extend(worker.map_err(|_| TbonError::PoolPoisoned {
-            context: "running a parallel map's items",
-        })?);
+        done.extend(worker.map_err(|_| poisoned.clone())?);
     }
     done.sort_by_key(|&(index, _)| index);
     done.into_iter().map(|(_, result)| result).collect()
@@ -878,18 +882,21 @@ mod tests {
     #[test]
     fn a_worker_dying_outside_the_fence_is_a_typed_error() {
         let items = || (0..16u32).collect::<Vec<_>>();
-        for workers in [2usize, 8] {
-            let err = par_map(items(), workers, &|i| {
-                if i == 5 {
-                    panic!("step died");
-                }
-                Ok(i)
-            })
-            .unwrap_err();
+        let dies_at_5 = |i: u32| {
+            if i == 5 {
+                panic!("step died");
+            }
+            Ok(i)
+        };
+        // One worker runs inline on the caller, behind the same fence.
+        for workers in [1usize, 2, 8] {
+            let err = par_map(items(), workers, &dies_at_5).unwrap_err();
             assert!(matches!(err, TbonError::PoolPoisoned { .. }), "{err:?}");
             // The caller's thread is intact: the next map runs and is in order.
             assert_eq!(par_map(items(), workers, &|i| Ok(i * 2)).unwrap()[15], 30);
         }
+        let err = par_map(vec![5], 8, &dies_at_5).unwrap_err();
+        assert!(matches!(err, TbonError::PoolPoisoned { .. }), "{err:?}");
         for workers in [1usize, 2, 3, 8, 64] {
             let err = par_map(items(), workers, &|i| match i {
                 3 | 11 => Err(TbonError::DeltaFold {
