@@ -53,15 +53,14 @@ pub fn gather_samples(
     samples: u32,
     table: &mut FrameTable,
 ) -> Vec<TaskSamples> {
-    let ranks: Vec<u64> = (0..app.num_tasks()).collect();
-    gather_samples_for_ranks(app, &ranks, samples, table)
+    gather_samples_for_ranks(app, 0..app.num_tasks(), samples, table)
 }
 
 /// Gather samples for a subset of ranks — what a single daemon does for the tasks on
 /// its node.
 pub fn gather_samples_for_ranks(
     app: &dyn Application,
-    ranks: &[u64],
+    ranks: impl IntoIterator<Item = u64> + Clone,
     samples: u32,
     table: &mut FrameTable,
 ) -> Vec<TaskSamples> {
@@ -77,19 +76,20 @@ pub fn gather_samples_for_ranks(
 /// behaviour rather than replaying sample 0 forever.
 pub fn gather_samples_for_ranks_from(
     app: &dyn Application,
-    ranks: &[u64],
+    ranks: impl IntoIterator<Item = u64> + Clone,
     base: u32,
     samples: u32,
     table: &mut FrameTable,
 ) -> Vec<TaskSamples> {
     let per_task = samples as usize * app.threads_per_task() as usize;
     let mut gathered: Vec<TaskSamples> = ranks
-        .iter()
-        .map(|&rank| TaskSamples::new(rank, Vec::with_capacity(per_task)))
+        .clone()
+        .into_iter()
+        .map(|rank| TaskSamples::new(rank, Vec::with_capacity(per_task)))
         .collect();
     let mut walker = Walker::new();
     let window = base..base.saturating_add(samples);
-    for_each_sampled_path(app, ranks, window, |position, _, path| {
+    for_each_sampled_path(app, ranks, window, |position, _, _, path| {
         gathered[position].traces.push(walker.walk(table, path));
     });
     gathered
@@ -98,23 +98,23 @@ pub fn gather_samples_for_ranks_from(
 /// The order a daemon samples its tasks in, stated once: rank by rank (in the
 /// order given), sample index by sample index over `window` within a rank, thread
 /// by thread within a sample.  `visit` receives the rank's position in `ranks`, the
-/// trace's number within that rank's series (0 for the task's first trace — the
-/// one the 2D analysis keeps) and the call path, outermost frame first.
+/// rank, the trace's number within that rank's series (0 for the task's first
+/// trace — the one the 2D analysis keeps) and the call path, outermost frame first.
 ///
 /// [`gather_samples_for_ranks_from`] materialises the visit as [`TaskSamples`];
 /// `stat_core`'s daemons walk each path straight into their local prefix trees.
 pub fn for_each_sampled_path(
     app: &dyn Application,
-    ranks: &[u64],
+    ranks: impl IntoIterator<Item = u64>,
     window: Range<u32>,
-    mut visit: impl FnMut(usize, usize, &[&'static str]),
+    mut visit: impl FnMut(usize, u64, usize, &[&'static str]),
 ) {
     let threads = app.threads_per_task();
-    for (position, &rank) in ranks.iter().enumerate() {
+    for (position, rank) in ranks.into_iter().enumerate() {
         let mut nth = 0;
         for sample in window.clone() {
             for thread in 0..threads {
-                visit(position, nth, &app.call_path(rank, thread, sample));
+                visit(position, rank, nth, &app.call_path(rank, thread, sample));
                 nth += 1;
             }
         }
@@ -181,7 +181,8 @@ mod tests {
             }
         }
         let mut seen = Vec::new();
-        for_each_sampled_path(&Echo, &[6, 3], 5..7, |position, nth, path| {
+        for_each_sampled_path(&Echo, [6, 3], 5..7, |position, rank, nth, path| {
+            assert_eq!(rank, [6, 3][position]);
             seen.push((position, nth, path.concat()));
         });
         let expected = [
@@ -202,13 +203,13 @@ mod tests {
         // The materialised form is the same visit, one series per rank — even
         // when the window is empty.
         let mut table = FrameTable::new();
-        let gathered = gather_samples_for_ranks_from(&Echo, &[6, 3], 5, 2, &mut table);
+        let gathered = gather_samples_for_ranks_from(&Echo, [6, 3], 5, 2, &mut table);
         assert_eq!(gathered.len(), 2);
         assert_eq!(gathered[1].rank, 3);
         assert_eq!(gathered[1].sample_count(), 4);
         let leaf = gathered[1].traces[3].leaf().unwrap();
         assert_eq!(table.name(leaf), "f6");
-        let none = gather_samples_for_ranks_from(&Echo, &[6, 3], 5, 0, &mut table);
+        let none = gather_samples_for_ranks_from(&Echo, [6, 3], 5, 0, &mut table);
         assert_eq!(none.iter().map(|t| t.sample_count()).sum::<usize>(), 0);
         assert_eq!(none.len(), 2);
     }
@@ -217,7 +218,7 @@ mod tests {
     fn gather_for_ranks_restricts_to_the_subset() {
         let app = TrivialApp { tasks: 100 };
         let mut table = FrameTable::new();
-        let samples = gather_samples_for_ranks(&app, &[10, 11, 12, 13], 2, &mut table);
+        let samples = gather_samples_for_ranks(&app, 10..14, 2, &mut table);
         assert_eq!(samples.len(), 4);
         assert_eq!(samples[0].rank, 10);
         assert_eq!(samples[3].rank, 13);

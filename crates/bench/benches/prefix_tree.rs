@@ -118,8 +118,8 @@ fn build_ring_3d(tasks: u64) -> GlobalPrefixTree {
     let app = RingHangApp::new(tasks, FrameVocabulary::BlueGeneL);
     let mut table = FrameTable::new();
     let mut tree = GlobalPrefixTree::new_global(tasks);
-    let ranks: Vec<u64> = (0..tasks).collect();
-    for block in ranks.chunks(4_096) {
+    for block in (0..tasks).step_by(4_096) {
+        let block = block..(block + 4_096).min(tasks);
         for samples in gather_samples_for_ranks(&app, block, 3, &mut table) {
             for trace in &samples.traces {
                 tree.add_trace(trace, samples.rank);

@@ -63,7 +63,7 @@ fn bench_subtree_concat(c: &mut Criterion) {
 /// (TBON child) order, each daemon's block of ranks contiguous and ascending,
 /// with the daemon blocks themselves permuted.  BG/L VN shape: 128 tasks per
 /// I/O-node daemon.
-fn blocked_rank_map(tasks: u64, tasks_per_daemon: u64) -> Vec<u64> {
+fn blocked_rank_map(tasks: u64, tasks_per_daemon: u64) -> RankRuns {
     let daemons = tasks / tasks_per_daemon;
     (0..tasks)
         .map(|pos| {
@@ -101,7 +101,7 @@ fn bench_remap(c: &mut Criterion) {
         for i in 0..tasks {
             set.insert(i);
         }
-        let map: Vec<u64> = (0..tasks).rev().collect();
+        let map: RankRuns = (0..tasks).rev().collect();
         group.bench_with_input(
             BenchmarkId::from_parameter(tasks),
             &tasks,

@@ -287,7 +287,7 @@ fn measure_real_remap(tasks: u64) -> f64 {
         let trace = walker.walk(&mut table, &path);
         tree.add_trace(&trace, rank);
     }
-    let position_to_rank: Vec<u64> = (0..tasks).rev().collect();
+    let position_to_rank: stat_core::taskset::RankRuns = (0..tasks).rev().collect();
     let start = std::time::Instant::now();
     let remapped = tree.remap(&position_to_rank, tasks);
     let elapsed = start.elapsed().as_secs_f64();

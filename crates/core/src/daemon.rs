@@ -4,7 +4,7 @@
 //! small and local — and it is where the volume is: walk the call paths of the MPI
 //! tasks it is responsible for straight into *locally merged* 2D and 3D prefix
 //! trees ([`StatDaemon::contribute`]; no trace is materialised on the way), and
-//! hand the serialised trees (plus its local rank list) to the overlay network.
+//! hand the serialised trees (plus its rank map) to the overlay network.
 //! Everything global happens in the filters above it.
 
 use std::ops::Range;
@@ -16,14 +16,15 @@ use tbon::packet::{EndpointId, Packet, PacketTag};
 
 use crate::graph::{NodeIdx, PrefixTree};
 use crate::serialize::{encode_rank_map, encode_tree, WireTaskSet};
+use crate::taskset::RankRuns;
 
-/// A back-end daemon responsible for a contiguous slice of MPI ranks.
+/// A back-end daemon responsible for a slice of MPI ranks.
 #[derive(Clone, Debug)]
 pub struct StatDaemon {
     /// Daemon index (also its leaf position in the TBON, in backend order).
     pub id: u32,
-    /// The MPI ranks this daemon gathers traces from, ascending.
-    pub ranks: Vec<u64>,
+    /// The MPI ranks this daemon gathers traces from, in its order, as runs.
+    pub ranks: RankRuns,
     /// Total tasks in the job (needed for the global representation's domain).
     pub total_tasks: u64,
 }
@@ -37,7 +38,7 @@ pub struct DaemonContribution {
     pub tree_2d: Packet,
     /// Serialised locally merged 3D (trace/space/time) tree.
     pub tree_3d: Packet,
-    /// The daemon's local rank list, for the front-end remap.
+    /// The daemon's rank map (its runs), for the front-end remap.
     pub rank_map: Packet,
     /// Number of traces gathered from local tasks.
     pub traces_gathered: u64,
@@ -58,7 +59,7 @@ impl DaemonContribution {
 
 impl StatDaemon {
     /// A daemon serving the given ranks of a `total_tasks`-task job.
-    pub fn new(id: u32, ranks: Vec<u64>, total_tasks: u64) -> Self {
+    pub fn new(id: u32, ranks: RankRuns, total_tasks: u64) -> Self {
         StatDaemon {
             id,
             ranks,
@@ -67,8 +68,8 @@ impl StatDaemon {
     }
 
     /// Partition a job of `total_tasks` ranks over `daemons` daemons the way the
-    /// machines in the paper do: contiguous blocks in rank order, the earlier daemons
-    /// taking the remainder.
+    /// machines in the paper do: contiguous blocks in rank order, one run per
+    /// daemon, the earlier daemons taking the remainder.
     pub fn partition(total_tasks: u64, daemons: u32) -> Vec<StatDaemon> {
         let daemons = daemons.max(1) as u64;
         let base = total_tasks / daemons;
@@ -77,7 +78,10 @@ impl StatDaemon {
         let mut next_rank = 0u64;
         for d in 0..daemons {
             let count = base + if d < extra { 1 } else { 0 };
-            let ranks: Vec<u64> = (next_rank..next_rank + count).collect();
+            let run = (count > 0).then_some(next_rank..next_rank + count);
+            let ranks = RankRuns {
+                runs: run.into_iter().collect(),
+            };
             next_rank += count;
             out.push(StatDaemon::new(d as u32, ranks, total_tasks));
         }
@@ -86,7 +90,7 @@ impl StatDaemon {
 
     /// Number of local tasks.
     pub fn local_tasks(&self) -> u64 {
-        self.ranks.len() as u64
+        self.ranks.count()
     }
 
     /// Gather `samples` traces from each local task of `app`, materialised: the
@@ -119,7 +123,7 @@ impl StatDaemon {
     /// The daemon-local phase as one walk: every call path sampled over the sample
     /// indices of `window` descends the local trees by frame name, and the trees
     /// are closed upward.  What comes back is the encode still to do: it turns the
-    /// closed trees and the rank list into the three leaf packets against a frame
+    /// closed trees and the rank runs into the three leaf packets against a frame
     /// table and dictionary, and also hands back the 3D tree, for the streaming
     /// caller that goes on to diff the wave against it.
     pub(crate) fn contribute_from<S: WireTaskSet>(
@@ -132,8 +136,7 @@ impl StatDaemon {
         let sample_start = Instant::now();
         let mut trees = LocalTrees::new(self);
         let mut traces = 0;
-        appsim::for_each_sampled_path(app, &self.ranks, window, |position, nth, path| {
-            let rank = self.ranks[position];
+        appsim::for_each_sampled_path(app, &self.ranks, window, |position, rank, nth, path| {
             trees.record(position, rank, nth, |t| t.descend_named(table, path));
             traces += 1;
         });
@@ -246,18 +249,19 @@ mod tests {
     fn partition_covers_every_rank_exactly_once() {
         let daemons = StatDaemon::partition(1_000, 7);
         assert_eq!(daemons.len(), 7);
-        let mut all: Vec<u64> = daemons.iter().flat_map(|d| d.ranks.clone()).collect();
+        let mut all: Vec<u64> = daemons.iter().flat_map(|d| &d.ranks).collect();
         all.sort_unstable();
         assert_eq!(all, (0..1_000).collect::<Vec<_>>());
-        // Sizes differ by at most one.
-        let sizes: Vec<usize> = daemons.iter().map(|d| d.ranks.len()).collect();
+        // One run per daemon; sizes differ by at most one.
+        assert!(daemons.iter().all(|d| d.ranks.runs().count() == 1));
+        let sizes: Vec<u64> = daemons.iter().map(|d| d.ranks.count()).collect();
         assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
     }
 
     #[test]
     fn partition_with_more_daemons_than_tasks() {
         let daemons = StatDaemon::partition(3, 8);
-        let nonempty = daemons.iter().filter(|d| !d.ranks.is_empty()).count();
+        let nonempty = daemons.iter().filter(|d| d.local_tasks() > 0).count();
         assert_eq!(nonempty, 3);
         assert_eq!(daemons.len(), 8);
     }
@@ -290,7 +294,8 @@ mod tests {
         assert_eq!(c.traces_gathered, 8 * 3);
         let (tree, _frames): (PrefixTree<DenseBitVector>, _) =
             decode_tree(&c.tree_2d.payload).unwrap();
-        assert_eq!(tree.tasks(tree.root()).members(), daemons[1].ranks);
+        let ranks: Vec<u64> = daemons[1].ranks.into_iter().collect();
+        assert_eq!(tree.tasks(tree.root()).members(), ranks);
         let map = crate::serialize::decode_rank_map(&c.rank_map.payload).unwrap();
         assert_eq!(map, daemons[1].ranks);
     }
@@ -414,31 +419,38 @@ mod tests {
         daemon_map_matches_the_serial_loop::<SubtreeTaskList>(Representation::HierarchicalTaskList);
     }
 
-    /// 64-bit FNV-1a over the three payloads of every daemon's contribution, in
-    /// daemon order.
+    /// 64-bit FNV-1a over every daemon's contribution, in daemon order: one digest
+    /// of the 2D and 3D tree payloads, one of the rank-map payloads.
     fn contribution_digest<S: WireTaskSet>(
         app: &dyn Application,
         daemons: u32,
         samples: u32,
-    ) -> u64 {
+    ) -> (u64, u64) {
         let dict = FrameDictionary::negotiate(app.frame_hints());
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let fnv = |hash: &mut u64, payload: &[u8]| {
+            for &byte in payload {
+                *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let (mut trees, mut rank_maps) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
         for daemon in StatDaemon::partition(app.num_tasks(), daemons) {
             let c = daemon.contribute::<S>(app, samples, EndpointId(daemon.id), &dict);
-            for payload in [&c.tree_2d.payload, &c.tree_3d.payload, &c.rank_map.payload] {
-                for &byte in payload.iter() {
-                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-                }
-            }
+            fnv(&mut trees, &c.tree_2d.payload);
+            fnv(&mut trees, &c.tree_3d.payload);
+            fnv(&mut rank_maps, &c.rank_map.payload);
         }
-        hash
+        (trees, rank_maps)
     }
 
     #[test]
     fn daemon_leaf_bytes_are_pinned_to_the_pre_fusion_values() {
         // Recorded at the commit before sampling and local tree building were fused
         // (PR 16, `eb7edc1`): the fused walk must ship the same bytes, daemon for
-        // daemon, and the stream the same per-wave accounting.
+        // daemon, and the stream the same per-wave accounting.  The tree digests,
+        // the dense waves and every column but the hierarchical `packet_bytes` are
+        // still those values; the rank-map digests and that column were
+        // re-recorded when rank maps became runs (32 contiguous daemons ship
+        // 6 bytes less each: 192 bytes per wave).
         let v = FrameVocabulary::BlueGeneL;
         let ring = RingHangApp::new(1_024, v).with_hung_rank(5);
         let threaded = appsim::workloads::threaded(256, 3, v);
@@ -451,17 +463,30 @@ mod tests {
             contribution_digest::<DenseBitVector>(&corrupted, 8, 3),
             contribution_digest::<SubtreeTaskList>(&corrupted, 8, 3),
         ];
+        let (trees, rank_maps): (Vec<u64>, Vec<u64>) = digests.into_iter().unzip();
         assert_eq!(
-            digests,
+            trees,
             [
-                0x11c7_f251_06bb_dba1,
-                0x9287_c677_0010_b5d3,
-                0x3b2a_e91e_f499_3e1f,
-                0xb470_1f9a_f680_c9e7,
-                0x1a78_1a07_9df6_a46f,
-                0x98e7_cbf7_079d_ed61,
+                0xad28_728e_1f43_3621,
+                0x4e82_0e48_be88_1e33,
+                0x465d_95e5_58c9_410d,
+                0x3420_a173_888c_0a8d,
+                0x85ae_ff7f_0a22_47cb,
+                0xbb62_7612_a645_5ab7,
             ],
-            "{digests:#x?}"
+            "{trees:#x?}"
+        );
+        assert_eq!(
+            rank_maps,
+            [
+                0x4dfe_71f6_85cc_ff1d,
+                0x4dfe_71f6_85cc_ff1d,
+                0xf3fb_e89b_fa36_c15f,
+                0xf3fb_e89b_fa36_c15f,
+                0x3a30_b776_3d9b_f94d,
+                0x3a30_b776_3d9b_f94d,
+            ],
+            "{rank_maps:#x?}"
         );
 
         // A 6-wave stream over 256 tasks whose ring hang strikes at wave 2: per
@@ -507,12 +532,12 @@ mod tests {
         assert_eq!(
             hier,
             [
-                (2360, 1024, 1024, 1, 225),
-                (2360, 352, 1024, 1, 225),
-                (5385, 2265, 2265, 4, 832),
-                (5330, 2112, 1769, 4, 706),
-                (5418, 352, 1769, 4, 706),
-                (5385, 352, 1769, 4, 706),
+                (2168, 1024, 1024, 1, 225),
+                (2168, 352, 1024, 1, 225),
+                (5193, 2265, 2265, 4, 832),
+                (5138, 2112, 1769, 4, 706),
+                (5226, 352, 1769, 4, 706),
+                (5193, 352, 1769, 4, 706),
             ]
         );
     }

@@ -172,7 +172,7 @@ mod tests {
         let mut tree = GlobalPrefixTree::new_global(app.num_tasks());
         let ranks: Vec<u64> = (0..tasks).collect();
         for block in ranks.chunks(4_096) {
-            for s in gather_samples_for_ranks(&app, block, 3, &mut table) {
+            for s in gather_samples_for_ranks(&app, block.iter().copied(), 3, &mut table) {
                 for trace in &s.traces {
                     tree.add_trace(trace, s.rank);
                 }

@@ -58,13 +58,13 @@ pub enum StatError {
         /// The underlying wire-format error, including the byte offset.
         source: DecodeError,
     },
-    /// The concatenated rank map does not cover every position of the merged tree,
-    /// so the front-end remap would invent ranks.
+    /// The concatenated rank map does not cover exactly the merged trees' positions
+    /// (or the 2D and 3D widths differ), so the remap would invent or shift ranks.
     RankMapMismatch {
         /// Positions the merged tree's domain contains.
         positions: u64,
-        /// Entries the concatenated rank map actually supplied.
-        mapped: usize,
+        /// Ranks the concatenated rank map actually supplied.
+        mapped: u64,
     },
     /// Overlay faults left no usable session: the front end died or every back-end
     /// daemon was lost, so not even a degraded gather can run.

@@ -4,9 +4,10 @@
 //! every communication process runs [`StatMergeFilter`] over the serialised prefix
 //! trees arriving from its children and forwards one merged tree to its parent, so
 //! the front end's work is independent of the daemon count.  A companion
-//! [`RankMapFilter`] concatenates the daemons' local rank lists in exactly the same
-//! child order, which is what makes the front end's remap step possible for the
-//! hierarchical representation.
+//! [`RankMapFilter`] concatenates the daemons' rank maps in exactly the same child
+//! order — coalescing adjacent `(start, len)` runs, so the default partition
+//! reaches the front end as one run at any scale — which is what makes the front
+//! end's remap step possible for the hierarchical representation.
 //!
 //! The merge filter never materialises a tree, and never touches a frame name:
 //! it reads each child's v2 body into flat columns and folds them into one output
@@ -19,6 +20,7 @@ use tbon::filter::Filter;
 use tbon::packet::{EndpointId, Packet, PacketTag};
 
 use crate::serialize::{decode_rank_map, encode_rank_map, merge_bodies, WireTaskSet};
+use crate::taskset::RankRuns;
 
 /// The prefix-tree merge filter, generic over the task-set representation.
 ///
@@ -54,20 +56,20 @@ impl<S: WireTaskSet + Send + Sync> Filter for StatMergeFilter<S> {
     }
 }
 
-/// Concatenates the daemons' rank maps in child order — the setup-phase companion of
-/// the hierarchical merge.
+/// Concatenates the daemons' rank maps in child order, run by run, coalescing a
+/// run that continues the previous child's: no rank is ever expanded.  A child
+/// whose map does not decode is skipped, as the merge filter skips a tree.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RankMapFilter;
 
 impl Filter for RankMapFilter {
     fn reduce(&self, node: EndpointId, inputs: &[Packet]) -> Packet {
-        let mut ranks = Vec::new();
-        for packet in inputs {
-            if let Ok(mut chunk) = decode_rank_map(&packet.payload) {
-                ranks.append(&mut chunk);
-            }
-        }
-        Packet::new(PacketTag::RankMap, node, encode_rank_map(&ranks))
+        let runs: RankRuns = inputs
+            .iter()
+            .filter_map(|packet| decode_rank_map(&packet.payload).ok())
+            .flat_map(|map| map.runs)
+            .collect();
+        Packet::new(PacketTag::RankMap, node, encode_rank_map(&runs))
     }
 
     fn name(&self) -> &'static str {
@@ -440,11 +442,25 @@ mod tests {
     }
 
     #[test]
-    fn rank_map_filter_concatenates_in_order() {
+    fn rank_map_filter_concatenates_in_order_and_coalesces_at_seams() {
         let filter = RankMapFilter;
-        let a = Packet::new(PacketTag::RankMap, EndpointId(1), encode_rank_map(&[0, 2]));
-        let b = Packet::new(PacketTag::RankMap, EndpointId(2), encode_rank_map(&[1, 3]));
-        let out = filter.reduce(EndpointId(0), &[a, b]);
-        assert_eq!(decode_rank_map(&out.payload).unwrap(), vec![0, 2, 1, 3]);
+        let map = |ranks: &[u64]| ranks.iter().copied().collect::<RankRuns>();
+        let packet = |ep, ranks: &[u64]| {
+            Packet::new(
+                PacketTag::RankMap,
+                EndpointId(ep),
+                encode_rank_map(&map(ranks)),
+            )
+        };
+        let out = filter.reduce(EndpointId(0), &[packet(1, &[0, 2]), packet(2, &[1, 3])]);
+        assert_eq!(decode_rank_map(&out.payload).unwrap(), map(&[0, 2, 1, 3]));
+        // Contiguous children leave as one run; a child that does not decode is
+        // skipped.
+        let garbage = Packet::new(PacketTag::RankMap, EndpointId(9), vec![9, 9]);
+        let children = [packet(1, &[0, 1, 2, 3]), garbage, packet(2, &[4, 5])];
+        let out = filter.reduce(EndpointId(0), &children);
+        let runs: Vec<_> = decode_rank_map(&out.payload).unwrap().runs().collect();
+        assert_eq!((runs.len(), runs[0].clone()), (1, 0..6));
+        assert_eq!(out.payload.len(), 3);
     }
 }

@@ -36,7 +36,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use stackwalk::{FrameId, FrameTable, StackTrace};
 
-use crate::taskset::{DenseBitVector, SubtreeTaskList, TaskSetOps};
+use crate::taskset::{DenseBitVector, RankRuns, SubtreeTaskList, TaskSetOps};
 
 /// Index of a node within one tree.
 pub type NodeIdx = usize;
@@ -529,23 +529,22 @@ impl SubtreePrefixTree {
 
     /// The front end's remap step: convert a fully merged subtree tree (whose
     /// positions are in daemon/TBON order) into a job-wide tree in MPI rank order,
-    /// using the position→rank map gathered during setup.
+    /// through the rank map gathered on the rank-map channel.
     ///
-    /// Each edge label is translated by [`SubtreeTaskList::remap_to_dense`] — which
-    /// copies the contiguous runs a daemon-ordered rank map is made of word by word,
-    /// and inserts ranks directly otherwise (never materialising a job-wide
-    /// singleton per member) — and the structure copy is an explicit worklist, so
-    /// depth is bounded by memory, not the call stack.
-    pub fn remap(&self, position_to_rank: &[u64], total_tasks: u64) -> GlobalPrefixTree {
+    /// Each edge label is translated by [`SubtreeTaskList::remap_to_dense`], which
+    /// ORs every run's bit range into the dense set at the run's first rank, and
+    /// the structure copy is an explicit worklist, so depth is bounded by memory,
+    /// not the call stack.
+    pub fn remap(&self, rank_map: &RankRuns, total_tasks: u64) -> GlobalPrefixTree {
         assert!(
-            position_to_rank.len() as u64 >= self.width,
+            rank_map.count() >= self.width,
             "rank map must cover every position in the merged tree"
         );
         let mut out = GlobalPrefixTree::new_global(total_tasks);
         let out_root = out.root();
         out.entry_mut(out_root).tasks = self
             .tasks(self.root())
-            .remap_to_dense(position_to_rank, total_tasks);
+            .remap_to_dense(rank_map, total_tasks);
         let mut work: Vec<(NodeIdx, NodeIdx)> = vec![(self.root(), out_root)];
         while let Some((src_node, dst_node)) = work.pop() {
             for &child in self.children(src_node) {
@@ -554,9 +553,7 @@ impl SubtreePrefixTree {
                 let Some(frame) = self.frame(child) else {
                     continue;
                 };
-                let tasks = self
-                    .tasks(child)
-                    .remap_to_dense(position_to_rank, total_tasks);
+                let tasks = self.tasks(child).remap_to_dense(rank_map, total_tasks);
                 let new_child = out.add_child_with_tasks(dst_node, frame, tasks);
                 work.push((child, new_child));
             }
@@ -817,7 +814,7 @@ mod tests {
 
         let mut merged = d0.clone();
         merged.merge(d1);
-        let position_to_rank = vec![0u64, 2, 1, 3];
+        let position_to_rank: RankRuns = [0u64, 2, 1, 3].into_iter().collect();
         let global = merged.remap(&position_to_rank, 4);
 
         let leaves = global.leaves();
@@ -958,7 +955,7 @@ mod tests {
         assert_eq!(d0.node_count(), 10_001);
         assert_eq!(d0.width(), 2);
 
-        let global = d0.remap(&[1, 0], 2);
+        let global = d0.remap(&[1u64, 0].into_iter().collect(), 2);
         assert_eq!(global.depth(), 10_000);
         let leaf = global.leaves()[0];
         assert_eq!(global.tasks(leaf).members(), vec![0, 1]);

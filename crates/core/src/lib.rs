@@ -95,7 +95,7 @@ pub mod prelude {
     pub use crate::strategy::{MergedTrees, RepresentationStrategy};
     pub use crate::streaming::{CanonicalTree, StreamingBuilder, StreamingSession, WaveReport};
     pub use crate::taskset::{
-        format_rank_ranges, DenseBitVector, MemberIter, SubtreeTaskList, TaskSetOps,
+        format_rank_ranges, DenseBitVector, MemberIter, RankRuns, SubtreeTaskList, TaskSetOps,
     };
     pub use crate::threads::{measure_thread_scaling, project_thread_counts};
     pub use stackwalk::FrameDictionary;

@@ -40,7 +40,7 @@ use std::hash::BuildHasherDefault;
 use stackwalk::{FrameDictionary, FrameId, FrameTable};
 
 use crate::graph::{ChildKeyHasher, PrefixTree};
-use crate::taskset::{or_shifted, words_for, TaskSetOps};
+use crate::taskset::{or_shifted, words_for, RankRuns, TaskSetOps};
 
 /// Magic number identifying a serialised STAT prefix tree.
 pub const MAGIC: u32 = 0x5354_4154;
@@ -126,9 +126,8 @@ pub enum DecodeError {
         /// Base length the offending packet claims.
         found: u32,
     },
-    /// A decoded rank map names an MPI rank outside the job.  Varint deltas
-    /// decode permissively, so a corrupted map can parse cleanly and only this
-    /// semantic check separates it from a real one.
+    /// A decoded rank map names an MPI rank outside the job: a corrupted map can
+    /// still be well-formed runs, and only this check separates it from a real one.
     RankOutOfRange {
         /// The offending decoded rank.
         rank: u64,
@@ -491,16 +490,6 @@ pub fn encode_tree<S: WireTaskSet>(
     out
 }
 
-/// The exact size in bytes of [`encode_tree`]'s packet: its length, so the two
-/// cannot drift.
-pub fn encoded_tree_size<S: WireTaskSet>(
-    tree: &PrefixTree<S>,
-    table: &FrameTable,
-    dict: &FrameDictionary,
-) -> usize {
-    encode_tree(tree, table, dict).len()
-}
-
 /// Re-serialise a merged tree whose frame ids are already session-global —
 /// the filter path.  No dictionary handle needed: the incremental records the
 /// inputs carried (unioned into `frames`) keep the packet self-contained.
@@ -509,14 +498,6 @@ pub fn encode_merged_tree<S: WireTaskSet>(tree: &PrefixTree<S>, frames: &WireFra
     let mut out = Vec::with_capacity(32 + tree.node_count() * 8);
     write_body::<S>(&mut out, &plan, |node| tree.tasks(node).words());
     out
-}
-
-/// The exact size [`encode_merged_tree`] would produce.
-pub fn encoded_merged_tree_size<S: WireTaskSet>(
-    tree: &PrefixTree<S>,
-    frames: &WireFrames,
-) -> usize {
-    encode_merged_tree(tree, frames).len()
 }
 
 // ---------------------------------------------------------------------------
@@ -844,35 +825,75 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
+/// Format tag of a rank-map payload: the high nibble of its header byte.
+pub(crate) const RANK_MAP_FORMAT: u8 = 0xA;
+
 /// Encode a daemon-order rank map (the RankMap packets that let the front end
-/// remap).  Ranks are zigzag-delta varint encoded: contiguous daemon blocks
-/// cost about one byte per rank instead of eight.
-pub fn encode_rank_map(ranks: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(2 + ranks.len());
-    put_varint(&mut out, ranks.len() as u64);
-    let mut prev = 0u64;
-    for &rank in ranks {
-        let delta = rank.wrapping_sub(prev) as i64;
-        put_varint(&mut out, zigzag(delta));
-        prev = rank;
+/// remap) as its runs:
+///
+/// ```text
+/// header   u8      format tag 0xA << 4 | run count (15: a varint count follows)
+/// per run: varint  s << 1 | (len == 1), s the first run's start, then the
+///                  zigzag delta from the previous run's end
+///          varint  len, only when len > 1
+/// ```
+///
+/// So a map cut short anywhere, or followed by stray bytes, is a typed
+/// [`DecodeError`], never a shorter map; a one-rank daemon ships the
+/// `1 + |varint(2r)|` bytes a count-prefixed list of zigzag deltas did; and a
+/// contiguous daemon ships about three bytes where such a list costs one a task.
+pub fn encode_rank_map(map: &RankRuns) -> Vec<u8> {
+    let n = map.runs.len();
+    let mut out = Vec::with_capacity(1 + 6 * n);
+    out.push(RANK_MAP_FORMAT << 4 | u8::try_from(n).map_or(15, |n| n.min(15)));
+    if n >= 15 {
+        put_varint(&mut out, n as u64);
+    }
+    let mut end = None;
+    for run in &map.runs {
+        let (start, len) = (run.start, run.end - run.start);
+        let s = end.map_or(start, |end: u64| zigzag(start.wrapping_sub(end) as i64));
+        put_varint(&mut out, s << 1 | u64::from(len == 1));
+        if len > 1 {
+            put_varint(&mut out, len);
+        }
+        end = Some(run.end);
     }
     out
 }
 
-/// Decode a rank map.
-pub fn decode_rank_map(buf: &[u8]) -> Result<Vec<u64>, DecodeError> {
+/// Decode a rank map, checking every run as it is read (a zero length or an end
+/// past `u64::MAX` is [`DecodeError::BadIndex`]); nothing is allocated from a
+/// run's length.  Whether the runs fit the job and the trees, `finish` checks.
+pub fn decode_rank_map(buf: &[u8]) -> Result<RankRuns, DecodeError> {
     let mut r = Reader::new(buf);
-    let n = r.varint_count()?;
-    // Each entry is at least one varint byte.
-    ensure(n <= r.remaining(), DecodeError::Truncated { offset: 0 })?;
-    let mut out = Vec::with_capacity(n);
-    let mut prev = 0u64;
+    let header = r.u8()?;
+    let (found, expected) = (header >> 4, RANK_MAP_FORMAT);
+    let wrong = DecodeError::WrongRepresentation { found, expected };
+    ensure(found == expected, wrong)?;
+    let n = match header & 0xf {
+        15 => r.varint_count()?,
+        n => usize::from(n),
+    };
+    // Each run is at least one varint byte.
+    ensure(n <= r.remaining(), DecodeError::Truncated { offset: r.pos })?;
+    let mut runs = Vec::with_capacity(n);
+    let mut end = None;
     for _ in 0..n {
-        let delta = unzigzag(r.varint()?);
-        prev = prev.wrapping_add(delta as u64);
-        out.push(prev);
+        let at = r.pos;
+        let v = r.varint()?;
+        let start = match end {
+            None => Some(v >> 1),
+            Some(end) => u64::checked_add_signed(end, unzigzag(v >> 1)),
+        };
+        let len = if v & 1 == 1 { 1 } else { r.varint()? };
+        let run = start.and_then(|s| Some(s..s.checked_add(len).filter(|_| len > 0)?));
+        let run = run.ok_or(DecodeError::BadIndex { offset: at })?;
+        end = Some(run.end);
+        runs.push(run);
     }
-    Ok(out)
+    ensure(r.remaining() == 0, DecodeError::BadIndex { offset: r.pos })?;
+    Ok(RankRuns { runs })
 }
 
 /// Encode the negotiated base table for the one-time dictionary broadcast down
@@ -1132,8 +1153,8 @@ mod tests {
             DecodeError::BadVarint { .. }
         ));
 
-        // Rank maps: a count far beyond the buffer.
-        let mut huge_map = Vec::new();
+        // Rank maps: a run count far beyond the buffer.
+        let mut huge_map = vec![0xAF];
         put_varint(&mut huge_map, u64::MAX / 2);
         huge_map.extend_from_slice(&[0, 0, 0]);
         assert!(matches!(
@@ -1164,42 +1185,15 @@ mod tests {
     }
 
     #[test]
-    fn encoded_size_helpers_match_the_encoders_exactly() {
+    fn a_decoded_tree_re_encodes_byte_for_byte() {
+        // The filter path: re-encoding a decoded tree through its wire records.
         let mut table = FrameTable::new();
         let tree = sample_global(&mut table);
         let dict = FrameDictionary::negotiate(["_start", "main"]);
-        assert_eq!(
-            encoded_tree_size(&tree, &table, &dict),
-            encode_tree(&tree, &table, &dict).len()
-        );
-
-        let barrier = StackTrace::new(table.intern_path(&["_start", "main", "MPI_Barrier"]));
-        let mut subtree = SubtreePrefixTree::new_subtree(200);
-        for pos in 0..200 {
-            subtree.add_trace(&barrier, pos);
-        }
-        assert_eq!(
-            encoded_tree_size(&subtree, &table, &dict),
-            encode_tree(&subtree, &table, &dict).len()
-        );
-
-        // Degenerate root-only tree (a quiescent wave's delta).
-        let empty = GlobalPrefixTree::new_global(64);
-        assert_eq!(
-            encoded_tree_size(&empty, &table, &dict),
-            encode_tree(&empty, &table, &dict).len()
-        );
-
-        // The filter path: re-encoding a decoded tree through its wire records.
         let bytes = encode_tree(&tree, &table, &dict);
         let (decoded, frames): (GlobalPrefixTree, WireFrames) = decode_tree(&bytes).unwrap();
-        let merged_bytes = encode_merged_tree(&decoded, &frames);
-        assert_eq!(
-            encoded_merged_tree_size(&decoded, &frames),
-            merged_bytes.len()
-        );
         // Identical ids and records: the re-encoding is byte-identical.
-        assert_eq!(merged_bytes, bytes);
+        assert_eq!(encode_merged_tree(&decoded, &frames), bytes);
     }
 
     #[test]
@@ -1254,20 +1248,114 @@ mod tests {
         );
     }
 
+    /// The per-rank layout the run format replaced: a varint count, then one
+    /// zigzag delta per rank.
+    fn per_rank_map(ranks: impl IntoIterator<Item = u64>) -> Vec<u8> {
+        let ranks: Vec<u64> = ranks.into_iter().collect();
+        let mut out = Vec::new();
+        put_varint(&mut out, ranks.len() as u64);
+        let mut prev = 0u64;
+        for rank in ranks {
+            put_varint(&mut out, zigzag(rank.wrapping_sub(prev) as i64));
+            prev = rank;
+        }
+        out
+    }
+
     #[test]
-    fn rank_map_round_trips() {
-        let ranks = vec![0u64, 2, 1, 3, 1_000_000];
-        let bytes = encode_rank_map(&ranks);
-        assert_eq!(decode_rank_map(&bytes).unwrap(), ranks);
-        assert!(matches!(
-            decode_rank_map(&bytes[..2]).unwrap_err(),
-            DecodeError::Truncated { .. }
-        ));
-        // Contiguous daemon blocks — the common case — cost ~1 byte per rank.
-        let block: Vec<u64> = (1_000..1_128).collect();
-        let compact = encode_rank_map(&block);
-        assert!(compact.len() < 128 + 8, "got {} bytes", compact.len());
-        assert_eq!(decode_rank_map(&compact).unwrap(), block);
+    fn rank_map_round_trips_as_runs() {
+        let scattered: RankRuns = [0u64, 2, 1, 3, 1_000_000].into_iter().collect();
+        assert_eq!(scattered.runs().count(), 5);
+        assert_eq!(
+            decode_rank_map(&encode_rank_map(&scattered)).unwrap(),
+            scattered
+        );
+        // A contiguous block is one run: header, start, length.
+        let block: RankRuns = (1_000..1_128).collect();
+        assert_eq!(encode_rank_map(&block), [0xA1, 0xD0, 0x0F, 0x80, 0x01]);
+        assert_eq!(decode_rank_map(&encode_rank_map(&block)).unwrap(), block);
+        // A one-rank daemon ships exactly what the per-rank layout did.
+        for rank in [0, 1, 63, 64, 8_191, 8_192, 1 << 20, 1 << 40] {
+            let one: RankRuns = std::iter::once(rank).collect();
+            assert_eq!(encode_rank_map(&one).len(), per_rank_map([rank]).len());
+        }
+        // 15 runs or more declare their count in a varint after the header, and
+        // later runs are zigzag deltas from the previous run's end (backwards too).
+        let many: RankRuns = (0..40u64).map(|r| 1_000 - 2 * r).collect();
+        let bytes = encode_rank_map(&many);
+        assert_eq!(bytes[..2], [0xAF, 40]);
+        assert_eq!(decode_rank_map(&bytes).unwrap(), many);
+        assert_eq!(decode_rank_map(&[0xA0]).unwrap(), RankRuns::default());
+    }
+
+    #[test]
+    fn hostile_rank_maps_are_typed_errors() {
+        use DecodeError::{BadIndex, Truncated, WrongRepresentation};
+        let wrong = |found| WrongRepresentation {
+            found,
+            expected: RANK_MAP_FORMAT,
+        };
+        let runs: RankRuns = [3u64, 4, 5, 9, 7, 8, 100].into_iter().collect();
+        let valid = encode_rank_map(&runs);
+        let mut trailing = valid.clone();
+        trailing.push(0);
+        let mut zero_len = vec![0xA1];
+        put_varint(&mut zero_len, 8 << 1);
+        zero_len.push(0);
+        let mut overflow = vec![0xA1];
+        put_varint(&mut overflow, (u64::MAX >> 2) << 1);
+        put_varint(&mut overflow, u64::MAX);
+        let mut delta_overflow = vec![0xA2, 0x03];
+        put_varint(&mut delta_overflow, zigzag(i64::MIN / 4) << 1 | 1);
+        // Payloads in the per-rank layout, of two real partitions' daemons.
+        let blocks = crate::daemon::StatDaemon::partition(1_024, 16);
+        let singles = crate::daemon::StatDaemon::partition(64, 64);
+        let rows: [(&str, Vec<u8>, DecodeError); 9] = [
+            ("empty", vec![], Truncated { offset: 0 }),
+            ("wrong format byte", vec![0x51, 0x01], wrong(5)),
+            (
+                "per-rank map, 64-task daemon",
+                per_rank_map(&blocks[1].ranks),
+                wrong(4),
+            ),
+            (
+                "per-rank map, one-task daemon",
+                per_rank_map(&singles[5].ranks),
+                wrong(0),
+            ),
+            (
+                "trailing bytes",
+                trailing,
+                BadIndex {
+                    offset: valid.len(),
+                },
+            ),
+            (
+                "run count past the bytes",
+                vec![0xAF, 0x64, 0, 0, 0],
+                Truncated { offset: 2 },
+            ),
+            ("zero length", zero_len, BadIndex { offset: 1 }),
+            ("start + len overflows", overflow, BadIndex { offset: 1 }),
+            (
+                "delta before rank 0",
+                delta_overflow,
+                BadIndex { offset: 2 },
+            ),
+        ];
+        for (name, bytes, expected) in rows {
+            assert_eq!(decode_rank_map(&bytes), Err(expected), "{name}");
+        }
+        // A cut anywhere — at a run boundary or inside a varint — is an error,
+        // never a shorter map.
+        for cut in 0..valid.len() {
+            assert!(decode_rank_map(&valid[..cut]).is_err(), "cut at {cut}");
+        }
+        // A huge run decodes without allocating for it; the front end refuses
+        // it against the job (see `strategy`).
+        let mut huge = vec![0xA1, 0x00];
+        put_varint(&mut huge, 1 << 60);
+        assert_eq!(decode_rank_map(&huge).unwrap().count(), 1 << 60);
     }
 
     #[test]

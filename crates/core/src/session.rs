@@ -319,7 +319,7 @@ impl Session {
             .iter()
             .enumerate()
             .filter(|(idx, _)| surviving.binary_search(idx).is_err())
-            .flat_map(|(_, d)| d.ranks.iter().copied())
+            .flat_map(|(_, d)| &d.ranks)
             .collect();
 
         let traces_gathered = contributions.iter().map(|c| c.traces_gathered).sum();
@@ -398,19 +398,14 @@ impl Session {
 
         // Split the contributions into channel streams, moving the packets — the
         // daemons' serialised trees are never copied on their way into the overlay.
-        let mut leaves_2d = Vec::with_capacity(contributions.len());
-        let mut leaves_3d = Vec::with_capacity(contributions.len());
-        let mut leaves_map = Vec::with_capacity(if strategy.needs_rank_map() {
-            contributions.len()
-        } else {
-            0
-        });
+        let needs_map = strategy.needs_rank_map();
+        let leaves = |wanted| Vec::with_capacity(if wanted { contributions.len() } else { 0 });
+        let (mut leaves_2d, mut leaves_3d) = (leaves(true), leaves(true));
+        let mut leaves_map = leaves(needs_map);
         for contribution in contributions {
             leaves_2d.push(contribution.tree_2d);
             leaves_3d.push(contribution.tree_3d);
-            if strategy.needs_rank_map() {
-                leaves_map.push(contribution.rank_map);
-            }
+            leaves_map.extend(needs_map.then_some(contribution.rank_map));
         }
 
         // Mid-tree fault injection: the designated interior nodes corrupt their
@@ -558,7 +553,7 @@ impl PhaseEstimator {
 mod tests {
     use super::*;
     use crate::error::MergeChannel;
-    use crate::taskset::TaskSetOps;
+    use crate::taskset::{RankRuns, TaskSetOps};
     use appsim::{FrameVocabulary, RingHangApp};
     use machine::cluster::BglMode;
     use tbon::network::TbonError;
@@ -777,9 +772,9 @@ mod tests {
     #[test]
     fn short_rank_map_fails_the_remap_instead_of_panicking() {
         let app = RingHangApp::new(64, FrameVocabulary::Linux);
-        // Corrupt every daemon's rank map (a lying count prefix with no entries
-        // behind it): the rank-map filter skips them all, the concatenated map is
-        // empty, and the remap refuses to invent ranks.
+        // Corrupt every daemon's rank map (bytes in no rank-map format): the
+        // rank-map filter skips them all, the concatenated map is empty, and the
+        // remap refuses to invent ranks.
         let (session, contributions, dict) = corrupted_contributions(&app, |c| {
             c.rank_map = Packet::new(PacketTag::RankMap, c.rank_map.source, vec![9, 9, 9]);
         });
@@ -796,15 +791,14 @@ mod tests {
     #[test]
     fn out_of_range_rank_map_fails_the_remap_instead_of_panicking() {
         let app = RingHangApp::new(64, FrameVocabulary::Linux);
-        // A bit-flipped rank map can still parse: varint deltas decode
-        // permissively, so the corruption shows up as ranks the job does not
-        // have.  The remap must refuse with a typed error, not index past the
-        // dense width.
+        // A corrupted rank map can still be well-formed runs, naming ranks the
+        // job does not have.  The remap must refuse with a typed error, not
+        // index past the dense width.
         let (session, contributions, dict) = corrupted_contributions(&app, |c| {
-            let ranks: Vec<u64> = crate::serialize::decode_rank_map(&c.rank_map.payload)
+            let ranks: RankRuns = crate::serialize::decode_rank_map(&c.rank_map.payload)
                 .unwrap()
-                .into_iter()
-                .map(|r| r + 1_000_000)
+                .runs()
+                .map(|run| run.start + 1_000_000..run.end + 1_000_000)
                 .collect();
             c.rank_map = Packet::new(
                 PacketTag::RankMap,

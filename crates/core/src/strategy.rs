@@ -32,7 +32,7 @@ use crate::filter::StatMergeFilter;
 use crate::frontend::Representation;
 use crate::graph::{GlobalPrefixTree, PrefixTree};
 use crate::serialize::{decode_rank_map, decode_tree, DecodeError, WireTaskSet};
-use crate::taskset::{Domain, JobWide, SubtreeLocal, TaskSet};
+use crate::taskset::{Domain, JobWide, RankRuns, SubtreeLocal, TaskSet};
 
 mod sealed {
     /// Seals [`super::RepresentationStrategy`]: only this crate can implement it.
@@ -197,31 +197,32 @@ impl<D: Domain> RepresentationStrategy for DomainStrategy<D> {
         let merged_3d = decode_channel::<TaskSet<D>>(MergeChannel::Tree3d, out_3d)?;
         // The remap step the paper prices at 0.66 s for 208K tasks — timed only
         // where there is one: job-wide positions already are MPI ranks.
-        let (position_to_rank, remap_start) = if D::CONCATENATES {
-            let positions = merged_2d.width().max(merged_3d.width());
-            let map = checked_rank_map(rank_map, positions, total_tasks)?;
+        let (rank_map, remap_start) = if D::CONCATENATES {
+            let widths = [merged_2d.width(), merged_3d.width()];
+            let map = checked_rank_map(rank_map, widths, total_tasks)?;
             (map, Some(Instant::now()))
         } else {
-            (Vec::new(), None)
+            (RankRuns::default(), None)
         };
         Ok(MergedTrees {
-            tree_2d: D::rank_ordered(merged_2d, &position_to_rank, total_tasks),
-            tree_3d: D::rank_ordered(merged_3d, &position_to_rank, total_tasks),
+            tree_2d: D::rank_ordered(merged_2d, &rank_map, total_tasks),
+            tree_3d: D::rank_ordered(merged_3d, &rank_map, total_tasks),
             frames: dict.snapshot(),
             remap_wall: remap_start.map_or(Duration::ZERO, |start| start.elapsed()),
         })
     }
 }
 
-/// Decode the reduced rank-map channel and check it can drive a remap of
-/// `positions` positions into a `total_tasks`-task job.
+/// Decode the reduced rank-map channel and check it can remap both trees into
+/// the job: every run lies inside it, and the 2D width, the 3D width and the run
+/// lengths' sum agree (else a child one channel skipped would shift ranks).
 fn checked_rank_map(
     rank_map: Option<&ReductionOutcome>,
-    positions: u64,
+    widths: [u64; 2],
     total_tasks: u64,
-) -> Result<Vec<u64>, StatError> {
+) -> Result<RankRuns, StatError> {
     let map_out = rank_map.ok_or(StatError::RankMapMismatch {
-        positions,
+        positions: widths[0],
         mapped: 0,
     })?;
     let rank_map_error = |source| StatError::Decode {
@@ -229,22 +230,17 @@ fn checked_rank_map(
         endpoint: map_out.result.source,
         source,
     };
-    let position_to_rank = decode_rank_map(&map_out.result.payload).map_err(rank_map_error)?;
-    if (position_to_rank.len() as u64) < positions {
-        return Err(StatError::RankMapMismatch {
-            positions,
-            mapped: position_to_rank.len(),
-        });
-    }
-    // Varint-delta maps decode permissively, so a corrupted payload can parse
-    // into ranks the job does not have; refuse before the remap would index past
-    // the dense width.
-    match position_to_rank.iter().find(|&&rank| rank >= total_tasks) {
-        Some(&rank) => Err(rank_map_error(DecodeError::RankOutOfRange {
-            rank,
+    let map = decode_rank_map(&map_out.result.payload).map_err(rank_map_error)?;
+    if let Some(run) = map.runs().find(|run| run.end > total_tasks) {
+        return Err(rank_map_error(DecodeError::RankOutOfRange {
+            rank: run.start.max(total_tasks),
             tasks: total_tasks,
-        })),
-        None => Ok(position_to_rank),
+        }));
+    }
+    let mapped = map.count();
+    match widths.into_iter().find(|&width| width != mapped) {
+        Some(positions) => Err(StatError::RankMapMismatch { positions, mapped }),
+        None => Ok(map),
     }
 }
 
@@ -252,6 +248,7 @@ fn checked_rank_map(
 mod tests {
     use super::*;
     use crate::graph::SubtreePrefixTree;
+    use crate::serialize::{encode_rank_map, encode_tree};
     use tbon::packet::{Packet, PacketTag};
 
     fn outcome_with_payload(payload: Vec<u8>) -> ReductionOutcome {
@@ -288,10 +285,52 @@ mod tests {
     }
 
     #[test]
+    fn finish_refuses_a_rank_map_that_does_not_fit_the_trees_or_the_job() {
+        let dict = FrameDictionary::default();
+        let tree = |width| {
+            let tree = SubtreePrefixTree::new_subtree(width);
+            outcome_with_payload(encode_tree(&tree, &FrameTable::new(), &dict))
+        };
+        let map = |runs: &[(u64, u64)]| {
+            let runs: RankRuns = runs.iter().map(|&(start, end)| start..end).collect();
+            outcome_with_payload(encode_rank_map(&runs))
+        };
+        let out_of_range = |rank| StatError::Decode {
+            channel: MergeChannel::RankMap,
+            endpoint: EndpointId(0),
+            source: DecodeError::RankOutOfRange { rank, tasks: 64 },
+        };
+        let mismatch = |positions, mapped| StatError::RankMapMismatch { positions, mapped };
+        let not_a_map = StatError::Decode {
+            channel: MergeChannel::RankMap,
+            endpoint: EndpointId(0),
+            source: DecodeError::WrongRepresentation {
+                found: 0,
+                expected: crate::serialize::RANK_MAP_FORMAT,
+            },
+        };
+        let finish = |width_3d, map: ReductionOutcome| {
+            let strategy = Representation::HierarchicalTaskList.strategy();
+            let got = strategy.finish(&tree(8), &tree(width_3d), Some(&map), 64, &dict);
+            got.map(|_| ())
+        };
+        let check = |width_3d, runs: &[(u64, u64)]| finish(width_3d, map(runs));
+        assert_eq!(check(8, &[(60, 64), (0, 4)]), Ok(()));
+        // A run across the job's end, and one past it.
+        assert_eq!(check(8, &[(0, 4), (62, 66)]), Err(out_of_range(64)));
+        assert_eq!(check(8, &[(0, 4), (100, 104)]), Err(out_of_range(100)));
+        // Run lengths summing short of the width, past it, and 2D/3D disagreeing.
+        assert_eq!(check(8, &[(0, 6)]), Err(mismatch(8, 6)));
+        assert_eq!(check(8, &[(0, 10)]), Err(mismatch(8, 10)));
+        assert_eq!(check(6, &[(0, 8)]), Err(mismatch(6, 8)));
+        assert_eq!(finish(8, outcome_with_payload(vec![9, 9])), Err(not_a_map));
+    }
+
+    #[test]
     fn a_missing_rank_map_channel_is_a_typed_error_not_a_panic() {
         let tree = SubtreePrefixTree::new_subtree(8);
         let dict = FrameDictionary::default();
-        let payload = crate::serialize::encode_tree(&tree, &FrameTable::new(), &dict);
+        let payload = encode_tree(&tree, &FrameTable::new(), &dict);
         let out = outcome_with_payload(payload);
         let err = Representation::HierarchicalTaskList
             .strategy()

@@ -65,9 +65,7 @@ use crate::error::StatError;
 use crate::frontend::Representation;
 use crate::graph::PrefixTree;
 use crate::scenario::{diagnose, prune_overlay, resolve_filter_faults};
-use crate::serialize::{
-    decode_tree, encode_tree, encoded_merged_tree_size, encoded_tree_size, WireFrames, WireTaskSet,
-};
+use crate::serialize::{decode_tree, encode_merged_tree, encode_tree, WireFrames, WireTaskSet};
 use crate::session::{PhaseTimings, Session};
 use crate::taskset::{DenseBitVector, SubtreeTaskList};
 
@@ -133,7 +131,7 @@ impl<S: WireTaskSet> ResidentState for TreeResident<S> {
 
     fn resident_bytes(&self) -> usize {
         match (self.tree.as_ref(), self.frames.as_ref()) {
-            (Some(tree), Some(frames)) => encoded_merged_tree_size(tree, frames),
+            (Some(tree), Some(frames)) => encode_merged_tree(tree, frames).len(),
             _ => 0,
         }
     }
@@ -273,7 +271,7 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
                 ordinal += 1;
                 if !kept {
                     if let Some(stream) = slot.take() {
-                        lost_ranks.extend(stream.daemon.ranks.iter().copied());
+                        lost_ranks.extend(&stream.daemon.ranks);
                     }
                 }
             }
@@ -332,7 +330,7 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
             let delta_packet = Packet::new(PacketTag::TreeDelta, leaf, delta_payload);
             stats.delta_bytes += delta_packet.size_bytes() as u64;
             stats.full_packet_bytes +=
-                encoded_tree_size(&stream.cum_3d, &stream.table, &self.dict) as u64;
+                encode_tree(&stream.cum_3d, &stream.table, &self.dict).len() as u64;
             stats.sample += contribution.sample_wall;
             stats.local_merge += contribution.local_merge_wall;
 

@@ -32,12 +32,13 @@
 //! two subtree trees therefore costs O(words), independent of how many members the
 //! sets hold — at 208K tasks that is ~3,300 `u64`s per edge instead of 212,992
 //! individual inserts.  [`TaskSetOps::iter_members`] walks members without
-//! materialising a `Vec`, and [`SubtreeTaskList::remap_to_dense`] recognises the
-//! contiguous runs a daemon-ordered rank map is made of and copies them word by
-//! word.  `results/BENCH_merge.md` records what these rewrites bought.
+//! materialising a `Vec`, and [`SubtreeTaskList::remap_to_dense`] copies each run
+//! of the daemon-order [`RankRuns`] map word by word.  `results/BENCH_merge.md`
+//! records what these rewrites bought.
 
 use std::fmt;
 use std::marker::PhantomData;
+use std::ops::Range;
 
 use crate::graph::{GlobalPrefixTree, PrefixTree};
 use crate::serialize::{SetCodec, WireTaskSet};
@@ -236,11 +237,11 @@ pub trait Domain: sealed::Sealed + Copy + fmt::Debug + Eq + Send + Sync + 'stati
     /// needs [`Self::rank_ordered`] to do real work at the front end.
     const CONCATENATES: bool;
 
-    /// Bring a fully merged tree into MPI rank order.  `position_to_rank` is the
+    /// Bring a fully merged tree into MPI rank order.  `rank_map` is the
     /// concatenated, validated rank map (unused when positions already are ranks).
     fn rank_ordered(
         tree: PrefixTree<TaskSet<Self>>,
-        position_to_rank: &[u64],
+        rank_map: &RankRuns,
         total_tasks: u64,
     ) -> GlobalPrefixTree;
 }
@@ -263,7 +264,7 @@ impl Domain for JobWide {
     const CODEC: SetCodec = SetCodec::VarintWords;
     const CONCATENATES: bool = false;
 
-    fn rank_ordered(tree: GlobalPrefixTree, _: &[u64], _: u64) -> GlobalPrefixTree {
+    fn rank_ordered(tree: GlobalPrefixTree, _: &RankRuns, _: u64) -> GlobalPrefixTree {
         tree
     }
 }
@@ -276,10 +277,10 @@ impl Domain for SubtreeLocal {
 
     fn rank_ordered(
         tree: PrefixTree<SubtreeTaskList>,
-        position_to_rank: &[u64],
+        rank_map: &RankRuns,
         total_tasks: u64,
     ) -> GlobalPrefixTree {
-        tree.remap(position_to_rank, total_tasks)
+        tree.remap(rank_map, total_tasks)
     }
 }
 
@@ -468,58 +469,85 @@ impl<D: Domain> fmt::Debug for TaskSet<D> {
 }
 
 impl SubtreeTaskList {
-    /// Remap this subtree-local set into a job-wide dense bit vector, given the
-    /// position→rank map collected at setup time.  This is the front end's remap
-    /// step; its cost is reported alongside Figure 7 (0.66 s at 208K in the paper).
-    ///
-    /// A rank map is a concatenation of per-daemon rank lists, and daemons own
-    /// contiguous rank blocks, so the map is mostly made of ascending runs: whenever
-    /// a fully populated word of this set covers one, the 64 members are copied as
-    /// one shifted word OR instead of 64 scattered inserts.  Arbitrary maps still
-    /// work, member by member.
-    pub fn remap_to_dense(&self, position_to_rank: &[u64], total_tasks: u64) -> DenseBitVector {
-        assert!(
-            position_to_rank.len() as u64 >= self.width,
-            "position→rank map must cover every subtree position"
-        );
+    /// The front end's remap step (0.66 s at 208K in the paper, Figure 7): into a
+    /// job-wide dense set, every run of the daemon-order rank map ORed in at its
+    /// first rank up to 64 bits at a time, so a contiguous block is a word copy.
+    /// Positions past the map and ranks past `total_tasks` are dropped; the
+    /// session's finish step refuses such maps before it remaps.
+    pub fn remap_to_dense(&self, rank_map: &RankRuns, total_tasks: u64) -> DenseBitVector {
         let mut dense = DenseBitVector::empty(total_tasks);
-        for (wi, &word) in self.words.iter().enumerate() {
-            if word == 0 {
-                continue;
-            }
-            let base = wi as u64 * 64;
-            if word == u64::MAX {
-                // Whole word populated: check whether the map carries this block as
-                // one ascending run (a single vectorisable scan of 64 entries).
-                let seg = usize::try_from(base).ok().and_then(|b| {
-                    let end = b.checked_add(64)?;
-                    position_to_rank.get(b..end)
-                });
-                if let Some((&start, seg)) = seg.and_then(|seg| seg.split_first()) {
-                    if start + 64 <= total_tasks
-                        && seg
-                            .iter()
-                            .enumerate()
-                            .all(|(i, &rank)| rank == start + 1 + i as u64)
-                    {
-                        or_shifted(&mut dense.words, std::slice::from_ref(&u64::MAX), start);
-                        continue;
-                    }
+        let word = |i| self.words.get(i).copied().unwrap_or(0);
+        let mut position = 0u64;
+        for run in &rank_map.runs {
+            let len = run.end - run.start;
+            let copied = len.min(self.width.saturating_sub(position));
+            let copied = copied.min(total_tasks.saturating_sub(run.start));
+            let mut done = 0;
+            while done < copied {
+                let (at, n) = (position + done, (copied - done).min(64));
+                let hi = word(word_of(at) + 1).checked_shl(64 - bit_of(at));
+                let bits = word(word_of(at)) >> bit_of(at) | hi.unwrap_or(0);
+                let bits = bits & (u64::MAX >> (64 - n));
+                if bits != 0 {
+                    or_shifted(&mut dense.words, &[bits], run.start + done);
                 }
+                done += n;
             }
-            let mut w = word;
-            while w != 0 {
-                let bit = w.trailing_zeros() as u64;
-                w &= w - 1;
-                let rank = usize::try_from(base + bit)
-                    .ok()
-                    .and_then(|p| position_to_rank.get(p));
-                if let Some(&rank) = rank {
-                    dense.insert(rank);
-                }
-            }
+            position = position.saturating_add(len);
         }
         dense
+    }
+}
+
+/// MPI ranks in daemon order as runs: a daemon's ranks, or the map the front end
+/// remaps through.  A run that starts where the last one ends extends it, so a
+/// contiguous block is one run at any size and a permuted proctable is 1-long runs.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RankRuns {
+    /// Non-empty ranges, in daemon order.
+    pub(crate) runs: Vec<Range<u64>>,
+}
+
+impl RankRuns {
+    /// Number of ranks: the sum of the run lengths.
+    pub fn count(&self) -> u64 {
+        self.runs
+            .iter()
+            .fold(0, |n, run| n.saturating_add(run.end - run.start))
+    }
+
+    /// The runs as rank ranges, in daemon order.
+    pub fn runs(&self) -> impl Iterator<Item = Range<u64>> + '_ {
+        self.runs.iter().cloned()
+    }
+}
+
+impl FromIterator<Range<u64>> for RankRuns {
+    fn from_iter<I: IntoIterator<Item = Range<u64>>>(runs: I) -> Self {
+        let mut map = RankRuns::default();
+        for run in runs {
+            match map.runs.last_mut() {
+                _ if run.is_empty() => {}
+                Some(last) if last.end == run.start => last.end = run.end,
+                _ => map.runs.push(run),
+            }
+        }
+        map
+    }
+}
+
+impl FromIterator<u64> for RankRuns {
+    fn from_iter<I: IntoIterator<Item = u64>>(ranks: I) -> Self {
+        ranks.into_iter().map(|rank| rank..rank + 1).collect()
+    }
+}
+
+impl<'a> IntoIterator for &'a RankRuns {
+    type Item = u64;
+    type IntoIter = std::iter::Flatten<std::iter::Cloned<std::slice::Iter<'a, Range<u64>>>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.runs.iter().cloned().flatten()
     }
 }
 
@@ -656,7 +684,7 @@ mod tests {
     fn remap_restores_mpi_rank_order() {
         // Figure 6's example: daemon 0 debugs tasks {0, 2}, daemon 1 debugs {1, 3}.
         // Positions after concatenation are [d0t0, d0t1, d1t0, d1t1] = ranks [0,2,1,3].
-        let position_to_rank = vec![0u64, 2, 1, 3];
+        let position_to_rank: RankRuns = [0u64, 2, 1, 3].into_iter().collect();
         let mut set = SubtreeTaskList::empty(4);
         set.insert(1); // daemon 0's second task  -> rank 2
         set.insert(2); // daemon 1's first task   -> rank 1
@@ -795,8 +823,8 @@ mod tests {
     #[test]
     fn remap_handles_blocked_and_scattered_maps_identically() {
         // 256 positions in 4 daemon blocks of 64; daemon blocks reversed in rank
-        // space (every block is an ascending run — the fast path), plus a fully
-        // scattered map (the slow path).  Both must agree with per-member remap.
+        // space (four runs), plus a fully scattered map (256 length-1 runs).  Both
+        // must agree with a per-member remap.
         let blocked: Vec<u64> = (0..256u64).map(|p| (3 - p / 64) * 64 + p % 64).collect();
         let scattered: Vec<u64> = (0..256u64).map(|p| (p * 37 + 11) % 256).collect();
         for map in [blocked, scattered] {
@@ -806,7 +834,7 @@ mod tests {
                     set.insert(i);
                 }
             }
-            let dense = set.remap_to_dense(&map, 256);
+            let dense = set.remap_to_dense(&map.iter().copied().collect(), 256);
             let mut expected = DenseBitVector::empty(256);
             for m in set.members() {
                 expected.insert(map[m as usize]);

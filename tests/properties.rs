@@ -95,7 +95,7 @@ proptest! {
         }
         // A deterministic but non-trivial permutation.
         let map: Vec<u64> = (0..128u64).map(|i| (i * 37 + 11) % 128).collect();
-        let dense = s.remap_to_dense(&map, 128);
+        let dense = s.remap_to_dense(&map.iter().copied().collect(), 128);
         prop_assert_eq!(dense.count(), positions.len() as u64);
         for &p in &positions {
             prop_assert!(dense.contains(map[p as usize]));
@@ -146,7 +146,7 @@ proptest! {
             offset += local;
         }
         // ...then the front-end remap through the rank map.
-        let remapped = merged.remap_to_dense(&rank_map, total);
+        let remapped = merged.remap_to_dense(&rank_map.iter().copied().collect(), total);
 
         // The round trip must agree with the dense representation built directly
         // from global ranks, member for member and lookup for lookup.
@@ -155,6 +155,161 @@ proptest! {
         for rank in 0..total {
             prop_assert_eq!(remapped.contains(rank), dense_expected.contains(rank));
         }
+    }
+}
+
+// ---------------------------------------------------------------------------------
+// Rank maps as runs: the run remap against a per-member reference
+// ---------------------------------------------------------------------------------
+
+/// The reference remap: member by member through the map's ranks listed one by
+/// one; a position past the map or a rank past the job is dropped.
+fn reference_remap(set: &SubtreeTaskList, ranks: &[u64], total: u64) -> Vec<u64> {
+    let mut out: Vec<u64> = set
+        .iter_members()
+        .filter_map(|position| ranks.get(position as usize).copied())
+        .filter(|&rank| rank < total)
+        .collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// `map` lists its ranks, is made of its maximal runs, survives the wire, and
+/// remaps `members` (positions, reduced into the map) as the reference does.
+fn run_remap_matches_the_reference(map: &RankRuns, members: &[u64], total: u64) {
+    use stat_core::serialize::{decode_rank_map, encode_rank_map};
+    let ranks: Vec<u64> = map.into_iter().collect();
+    assert_eq!(map.count(), ranks.len() as u64);
+    assert_eq!(&ranks.iter().copied().collect::<RankRuns>(), map);
+    assert_eq!(&decode_rank_map(&encode_rank_map(map)).unwrap(), map);
+    let width = map.count();
+    let mut set = SubtreeTaskList::empty(width);
+    for &m in members.iter().filter(|_| width > 0) {
+        set.insert(m % width);
+    }
+    let remapped = set.remap_to_dense(map, total);
+    assert_eq!(
+        remapped.members(),
+        reference_remap(&set, &ranks, total),
+        "{map:?}"
+    );
+}
+
+proptest! {
+    #[test]
+    fn run_remap_equals_the_per_member_reference(
+        runs in prop::collection::vec((0u64..300, 1u64..80), 1..12),
+        n in 1u64..200,
+        stride in 1usize..5,
+        seed in 0u64..1_000,
+        members in prop::collection::vec(0u64..10_000, 0..120),
+    ) {
+        // Arbitrary runs: any order, overlapping, some across the job's end.
+        let arbitrary: RankRuns = runs.iter().map(|&(start, len)| start..start + len).collect();
+        // A seeded permutation of 0..n: a list of length-1 runs.
+        let mut permuted: Vec<u64> = (0..n).collect();
+        for i in (1..permuted.len()).rev() {
+            permuted.swap(i, (seed.wrapping_mul(i as u64 + 3) % (i as u64 + 1)) as usize);
+        }
+        let maps = [
+            arbitrary,
+            permuted.into_iter().collect(),
+            (0..n).rev().step_by(stride).collect(),
+            (0..n).step_by(stride).collect(),
+            (0..n).collect(),
+        ];
+        for map in &maps {
+            run_remap_matches_the_reference(map, &members, 300);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn a_pruned_overlay_ships_one_run_per_surviving_stretch(
+        nodes in 2u32..24,
+        cores in 8u16..13,
+        depth in 2u32..4,
+        kills in prop::collection::vec((0usize..2, 0usize..64), 0..4),
+    ) {
+        use appsim::scenario::OverlayFault;
+        use machine::placement::PlacementPlan;
+        use stat_core::serialize::{decode_rank_map, encode_rank_map};
+        use tbon::fault::FaultTracker;
+        use tbon::filter::Filter;
+        use tbon::network::{ChannelInput, InProcessTbon};
+        use tbon::packet::{Packet, PacketTag};
+
+        let cluster = machine::cluster::Cluster::test_cluster(nodes, cores);
+        let tasks = u64::from(nodes) * u64::from(cores);
+        let shape = TreeShape::for_placement(&PlacementPlan::for_job(&cluster, tasks), depth);
+        let topology = Topology::build(shape.clone());
+        let daemons = StatDaemon::partition(tasks, shape.backends());
+        let (backends, comms) = (topology.backends().to_vec(), topology.comm_processes());
+
+        // Kill daemons and comm processes, and reduce the survivors' rank maps
+        // over the pruned overlay, as the session does.
+        let mut tracker = FaultTracker::new(topology.clone());
+        let mut faults = Vec::new();
+        for &(kind, i) in &kills {
+            if kind == 0 || comms.is_empty() {
+                tracker.fail(backends[i % backends.len()]);
+                faults.push(OverlayFault::BackendFromEnd(backends.len() - 1 - i % backends.len()));
+            } else {
+                tracker.fail(comms[i % comms.len()]);
+                faults.push(OverlayFault::CommProcessFromEnd(comms.len() - 1 - i % comms.len()));
+            }
+        }
+        let Some(pruned) = tracker.degraded_shape() else { return };
+        let survivors = tracker.surviving_backend_indices();
+        let net = InProcessTbon::new(Topology::build(pruned));
+        let leaves = survivors
+            .iter()
+            .zip(net.topology().backends())
+            .map(|(&d, &leaf)| Packet::new(PacketTag::RankMap, leaf, encode_rank_map(&daemons[d].ranks)))
+            .collect();
+        let filters: [&dyn Filter; 1] = [&RankMapFilter];
+        let out = net.reduce_channels(vec![ChannelInput::new("rank-map", leaves)], &filters).unwrap();
+        let map = decode_rank_map(&out[0].result.payload).unwrap();
+        // One range per stretch of consecutive surviving ranks: a single run when
+        // nothing was lost.
+        let mut stretches: Vec<std::ops::Range<u64>> = Vec::new();
+        for rank in survivors.iter().flat_map(|&d| &daemons[d].ranks) {
+            match stretches.last_mut() {
+                Some(run) if run.end == rank => run.end += 1,
+                _ => stretches.push(rank..rank + 1),
+            }
+        }
+        prop_assert_eq!(map.runs().collect::<Vec<_>>(), stretches);
+        if kills.is_empty() {
+            prop_assert_eq!(map.runs().count(), 1);
+        }
+
+        // The session over the same faults: its lost ranks and its classes
+        // partition the job, so `lost_ranks` is exactly the uncovered ranks.
+        let mut scenario = appsim::catalogue(tasks, appsim::FrameVocabulary::Linux)
+            .into_iter()
+            .find(|s| s.name == "ring_hang")
+            .unwrap();
+        for fault in faults {
+            scenario = scenario.with_overlay(fault);
+        }
+        let session = Session::builder(cluster).topology(shape).samples_per_task(1).build();
+        let run = match session.run_scenario(&scenario) {
+            Ok(run) => run,
+            Err(StatError::SessionNotViable { .. }) => return,
+            Err(err) => panic!("{err}"),
+        };
+        let lost = &run.diagnosis.lost_ranks;
+        prop_assert!(lost.windows(2).all(|w| w[0] < w[1]));
+        let mut covered: Vec<u64> =
+            run.diagnosis.classes.iter().flat_map(|c| c.ranks.iter().copied()).collect();
+        covered.extend(lost);
+        covered.sort_unstable();
+        prop_assert_eq!(covered, (0..tasks).collect::<Vec<_>>());
     }
 }
 
@@ -304,7 +459,7 @@ proptest! {
                 }
             });
         }
-        let remapped = merged.unwrap().remap(&rank_map, 16);
+        let remapped = merged.unwrap().remap(&rank_map.into_iter().collect(), 16);
 
         let classes_of = |t: &GlobalPrefixTree| {
             let mut cs: Vec<Vec<u64>> =
@@ -353,7 +508,7 @@ proptest! {
             merged.merge(local_tree);
             offset += daemon.len() as u64;
         }
-        let remapped = merged.remap(&rank_map, total);
+        let remapped = merged.remap(&rank_map.iter().copied().collect(), total);
 
         // Identical global trees: same node count, and every node carries the same
         // (path, member set) — leaves included.
@@ -422,7 +577,7 @@ proptest! {
             merged.merge(local_tree);
             offset += daemon.len() as u64;
         }
-        let remapped = merged.remap(&rank_map, total);
+        let remapped = merged.remap(&rank_map.iter().copied().collect(), total);
 
         // Both merge paths must produce a true partition of the job.
         for tree in [&dense, &remapped] {
@@ -477,7 +632,7 @@ proptest! {
             merged.merge(local_tree);
             offset += daemon.len() as u64;
         }
-        let remapped = merged.remap(&rank_map, total);
+        let remapped = merged.remap(&rank_map.iter().copied().collect(), total);
 
         prop_assert_eq!(equivalence_classes(&dense), reference_classes(&dense));
         prop_assert_eq!(equivalence_classes(&merged), reference_classes(&merged));
@@ -618,7 +773,7 @@ type PathMembers = std::collections::BTreeMap<Vec<String>, std::collections::BTr
 /// (`3D`) or of its first trace alone (`2D`).
 fn reference_local_merge(
     app: &PooledApp,
-    ranks: &[u64],
+    ranks: impl IntoIterator<Item = u64>,
     samples: std::ops::Range<u32>,
     index_of: impl Fn(usize, u64) -> u64,
 ) -> (PathMembers, PathMembers) {
@@ -626,7 +781,7 @@ fn reference_local_merge(
     // The root exists even when nothing was sampled.
     let mut map_2d = PathMembers::from([(Vec::new(), Default::default())]);
     let mut map_3d = map_2d.clone();
-    for (position, &rank) in ranks.iter().enumerate() {
+    for (position, rank) in ranks.into_iter().enumerate() {
         let index = index_of(position, rank);
         let mut first = true;
         for sample in samples.clone() {
@@ -689,7 +844,7 @@ fn local_merge_matches_the_reference<S: stat_core::serialize::WireTaskSet>(
 
         // The fused walk, as the session runs it.
         let c = daemon.contribute::<S>(app, samples, EndpointId(daemon.id), &dict);
-        let traces = daemon.ranks.len() as u64 * u64::from(samples) * u64::from(app.threads);
+        let traces = daemon.local_tasks() * u64::from(samples) * u64::from(app.threads);
         assert_eq!(c.traces_gathered, traces);
         assert_eq!(&decoded_members::<S>(&c.tree_2d.payload, &dict), &want_2d);
         assert_eq!(&decoded_members::<S>(&c.tree_3d.payload, &dict), &want_3d);
@@ -765,9 +920,9 @@ proptest! {
 
         // The wide node really is wide in the big cases: the whole-job daemon sees
         // more than 64 distinct callees under `dispatch`.
-        let job: Vec<u64> = (0..tasks).collect();
+        let job = 0..tasks;
         if tasks >= 132 && samples >= 1 {
-            let (_, whole) = reference_local_merge(&app, &job, 0..samples, |_, rank| rank);
+            let (_, whole) = reference_local_merge(&app, job.clone(), 0..samples, |_, rank| rank);
             let callees = whole.keys().filter(|p| p.len() == 3 && p[1] == "dispatch").count();
             prop_assert!(callees > 64, "only {callees} callees under dispatch");
         }
@@ -775,7 +930,7 @@ proptest! {
         // The fused walk at a sample clock past zero: two waves of a stream fold
         // to the reference 3D merge of sample indices 0..2·samples over the job.
         let per_wave = samples.max(1);
-        let (_, want) = reference_local_merge(&app, &job, 0..2 * per_wave, |_, rank| rank);
+        let (_, want) = reference_local_merge(&app, job, 0..2 * per_wave, |_, rank| rank);
         for representation in [Representation::GlobalBitVector, Representation::HierarchicalTaskList] {
             let healthy = appsim::workloads::all_equivalent(tasks, appsim::FrameVocabulary::Linux);
             let source = appsim::SteadySource::new(

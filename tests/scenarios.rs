@@ -411,8 +411,9 @@ impl Fnv {
         }
     }
 
-    /// Every deterministic column of a `SessionReport`; wall times are left out.
-    fn report(&mut self, name: &str, outcome: &Result<SessionReport, StatError>) {
+    /// Every deterministic column of a `SessionReport`; wall times are left out,
+    /// and so are the four byte columns a rank map counts in unless `wire_bytes`.
+    fn report(&mut self, name: &str, outcome: &Result<SessionReport, StatError>, wire_bytes: bool) {
         self.str(name);
         let report = match outcome {
             Ok(report) => report,
@@ -422,14 +423,18 @@ impl Fnv {
         let widths = &report.topology.level_widths;
         widths.iter().for_each(|&w| self.u64(w as u64));
         self.u64(report.traces_gathered);
-        self.u64(report.packet_bytes);
+        if wire_bytes {
+            self.u64(report.packet_bytes);
+        }
         self.u64(report.max_daemon_packet_bytes);
         self.u64(report.mean_daemon_packet_bytes);
         self.u64(report.dictionary_bytes);
         let metrics = &report.gather.metrics;
-        self.u64(metrics.frontend_bytes_in);
-        self.u64(metrics.max_node_bytes_in);
-        self.u64(metrics.total_link_bytes);
+        if wire_bytes {
+            self.u64(metrics.frontend_bytes_in);
+            self.u64(metrics.max_node_bytes_in);
+            self.u64(metrics.total_link_bytes);
+        }
         self.u64(metrics.filter_invocations as u64);
         self.u64(metrics.tree_walks as u64);
         for class in &report.gather.classes {
@@ -452,19 +457,32 @@ fn attach_reports_are_pinned_to_the_pre_unification_values() {
 
     // Recorded at the commit before `attach` became the fault-free case of the
     // one gather body; a refactor of that body must reproduce them, never
-    // re-record them.
+    // re-record them.  The `hier` rows and `RING_1K` were re-recorded once, when
+    // rank maps became runs: only their rank-map bytes moved, which the second
+    // table below checks.
     const PINNED: [(&str, u32, u64); 4] = [
-        ("hier", 2, 0x527d_3e74_88e2_fbad),
-        ("hier", 4, 0xdaeb_79e8_728a_f44b),
+        ("hier", 2, 0x6ee7_b314_9e68_acfc),
+        ("hier", 4, 0xf42d_1989_c71d_9c50),
         ("dense", 2, 0xb6d5_35b8_c4a5_03b7),
         ("dense", 4, 0x6ad3_2e74_dd81_5180),
     ];
-    const RING_1K: u64 = 0xaebe_f61f_c9c0_d300;
+    const RING_1K: u64 = 0xe850_dbc9_51d3_ac83;
+    // The same reports without the four columns that count rank-map bytes
+    // (`packet_bytes`, `frontend_bytes_in`, `max_node_bytes_in`,
+    // `total_link_bytes`), recorded at the commit before ranks became runs: a
+    // change to the rank-map wire format alone must reproduce them.
+    const PINNED_TREES: [(&str, u32, u64); 4] = [
+        ("hier", 2, 0x0c53_63dc_c640_611a),
+        ("hier", 4, 0xa704_9dd5_5881_e701),
+        ("dense", 2, 0x7094_8c25_18b6_aec7),
+        ("dense", 4, 0x8ae3_4340_e16d_3e78),
+    ];
+    const RING_1K_TREES: u64 = 0x8ae6_7e54_ba06_325e;
 
     let cluster = Cluster::test_cluster(64, 8);
     let tasks = 512;
     let scenarios = catalogue(tasks, FrameVocabulary::BlueGeneL);
-    let mut recorded = Vec::new();
+    let (mut recorded, mut recorded_trees) = (Vec::new(), Vec::new());
     for (label, representation) in [
         ("hier", Representation::HierarchicalTaskList),
         ("dense", Representation::GlobalBitVector),
@@ -476,22 +494,30 @@ fn attach_reports_are_pinned_to_the_pre_unification_values() {
                 .topology(shape)
                 .samples_per_task(2)
                 .build();
-            let mut fnv = Fnv::new();
+            let (mut fnv, mut fnv_trees) = (Fnv::new(), Fnv::new());
             for scenario in &scenarios {
-                fnv.report(
-                    &scenario.name,
-                    &attach_pinned(&session, scenario.app.as_ref()),
-                );
+                let report = attach_pinned(&session, scenario.app.as_ref());
+                fnv.report(&scenario.name, &report, true);
+                fnv_trees.report(&scenario.name, &report, false);
             }
             recorded.push((label, depth, fnv.0));
+            recorded_trees.push((label, depth, fnv_trees.0));
         }
     }
     // The paper's default session: hierarchical lists over the placement-rule
     // 2-deep tree, 10 samples per task.
     let ring = RingHangApp::new(1_024, FrameVocabulary::Linux);
     let session = Session::builder(Cluster::test_cluster(128, 8)).build();
-    let mut fnv = Fnv::new();
-    fnv.report("ring_hang_1k", &attach_pinned(&session, &ring));
+    let report = attach_pinned(&session, &ring);
+    let (mut fnv, mut fnv_trees) = (Fnv::new(), Fnv::new());
+    fnv.report("ring_hang_1k", &report, true);
+    fnv_trees.report("ring_hang_1k", &report, false);
+    assert_eq!(
+        (recorded_trees.as_slice(), fnv_trees.0),
+        (PINNED_TREES.as_slice(), RING_1K_TREES),
+        "recorded without the byte columns: {recorded_trees:#x?}, ring: {:#x}",
+        fnv_trees.0
+    );
     assert_eq!(
         (recorded.as_slice(), fnv.0),
         (PINNED.as_slice(), RING_1K),
