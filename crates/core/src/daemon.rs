@@ -11,7 +11,8 @@ use std::ops::Range;
 use std::time::Instant;
 
 use appsim::Application;
-use stackwalk::{FrameDictionary, FrameTable, TaskSamples};
+use stackwalk::{FrameDictionary, FrameId, FrameTable, TaskSamples};
+use tbon::network::{InProcessTbon, TbonError};
 use tbon::packet::{EndpointId, Packet, PacketTag};
 
 use crate::graph::{NodeIdx, PrefixTree};
@@ -46,15 +47,6 @@ pub struct DaemonContribution {
     pub sample_wall: std::time::Duration,
     /// Wall-clock time this daemon spent building and serialising its local trees.
     pub local_merge_wall: std::time::Duration,
-}
-
-impl DaemonContribution {
-    /// Bytes this contribution puts into the overlay at its leaf: the 2D and 3D
-    /// trees, plus the rank map when the representation ships one.
-    pub(crate) fn leaf_bytes(&self, with_rank_map: bool) -> u64 {
-        let rank_map = with_rank_map.then(|| self.rank_map.size_bytes());
-        (self.tree_2d.size_bytes() + self.tree_3d.size_bytes() + rank_map.unwrap_or(0)) as u64
-    }
 }
 
 impl StatDaemon {
@@ -126,7 +118,7 @@ impl StatDaemon {
     /// closed trees and the rank runs into the three leaf packets against a frame
     /// table and dictionary, and also hands back the 3D tree, for the streaming
     /// caller that goes on to diff the wave against it.
-    pub(crate) fn contribute_from<S: WireTaskSet>(
+    fn contribute_from<S: WireTaskSet>(
         &self,
         app: &dyn Application,
         window: Range<u32>,
@@ -182,6 +174,54 @@ impl StatDaemon {
     }
 }
 
+/// A driver's last step per daemon: its item, its frame table back, its encode.
+type Finish<'a, T, S, R> =
+    dyn Fn(&mut T, FrameTable, DaemonContribution, PrefixTree<S>) -> R + Sync + 'a;
+
+/// The daemon step of every gather, one-shot or streamed: each item's walk →
+/// close over the sample indices of `window`, side by side on `net`'s workers,
+/// then its encode and `finish`.  `parts` reaches an item's daemon and leaf and
+/// hands over the frame table to walk into, which `finish` gets back.  An item
+/// encodes inside the map only if every frame in its table has a negotiated id
+/// (`gid < base_len`: which names are interned yet depends on the schedule); any
+/// other encodes after the map, in item (backend) order.  So the packets and
+/// frame ids are a serial loop's whatever the schedule.  Only the work inside the
+/// map is fenced: a daemon whose walk (or in-map encode and `finish`) panics is
+/// [`TbonError::PoolPoisoned`] at any worker count.
+pub(crate) fn map_daemons<S: WireTaskSet + Send, T: Send, R: Send>(
+    net: &InProcessTbon,
+    items: Vec<T>,
+    parts: for<'a> fn(&'a mut T) -> (&'a StatDaemon, FrameTable, EndpointId),
+    (app, window): (&dyn Application, Range<u32>),
+    dict: &FrameDictionary,
+    finish: &Finish<'_, T, S, R>,
+) -> Result<Vec<R>, TbonError> {
+    let base_len = dict.base_len();
+    let negotiated = |table: &FrameTable| {
+        let mut ids = (0..).map(FrameId).take(table.len());
+        ids.all(|id| matches!(dict.lookup(table.name(id)), Some(gid) if gid < base_len))
+    };
+    let walked = net.map(items, &|mut item| {
+        let (daemon, mut table, leaf) = parts(&mut item);
+        let encode = daemon.contribute_from::<S>(app, window.clone(), leaf, &mut table);
+        Ok(if negotiated(&table) {
+            let (contribution, tree_3d) = encode(&table, dict);
+            Ok(finish(&mut item, table, contribution, tree_3d))
+        } else {
+            // Boxed, so every result of the map stays contribution-sized.
+            Err(Box::new((item, table, encode)))
+        })
+    })?;
+    let encoded = walked.into_iter().map(|item| {
+        item.unwrap_or_else(|held| {
+            let (mut item, table, encode) = *held;
+            let (contribution, tree_3d) = encode(&table, dict);
+            finish(&mut item, table, contribution, tree_3d)
+        })
+    });
+    Ok(encoded.collect())
+}
+
 /// A daemon's 2D and 3D trees while traces are being recorded into them.  A task
 /// is marked only on the node where a trace of its *ends*; [`LocalTrees::close`]
 /// then ORs every label into its parent, which makes each label "every task that
@@ -235,7 +275,7 @@ impl<S: WireTaskSet> LocalTrees<S> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::frontend::Representation;
     use crate::serialize::decode_tree;
@@ -313,7 +353,7 @@ mod tests {
     /// A ring hang whose every call path first sleeps for a rank-derived number of
     /// microseconds, 6.4 ms / (rank + 1), so that daemons side by side finish
     /// their walks in reverse backend order.
-    struct Sleepy(RingHangApp);
+    pub(crate) struct Sleepy(pub(crate) RingHangApp);
 
     impl Application for Sleepy {
         fn name(&self) -> &str {
@@ -333,7 +373,7 @@ mod tests {
     }
 
     /// The dictionary's names in id order.
-    fn names_by_id(dict: &FrameDictionary) -> Vec<String> {
+    pub(crate) fn names_by_id(dict: &FrameDictionary) -> Vec<String> {
         let table = dict.snapshot();
         let ids = (0..).map(FrameId).take(table.len());
         ids.map(|id| table.name(id).to_string()).collect()

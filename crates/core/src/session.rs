@@ -59,15 +59,15 @@ use crate::serialize::encode_dictionary;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimings {
     /// The daemons' contribution, wall-clock: the side-by-side map over every
-    /// daemon's walk → close → encode (the daemon loop, in a streaming wave).
+    /// daemon's walk → close → encode, one-shot and in every streaming wave.
     pub contribute: Duration,
     /// Walking the application tasks' call paths into the daemon-local prefix trees:
     /// the paths, their descent and the end marks.  A CPU-style sum over daemons,
     /// like `ReductionOutcome::filter_time`: the daemons run side by side, so it
     /// can exceed the wall ([`SessionReport::straggler`] is the slowest daemon).
     pub sample: Duration,
-    /// Closing the daemon-local trees upward and serialising them: a sum over
-    /// daemons, like `sample`.
+    /// Closing the daemon-local trees upward and serialising them (and a wave's
+    /// delta): a sum over daemons, like `sample`.
     pub local_merge: Duration,
     /// The single multi-channel TBON reduction walk.
     pub reduce: Duration,
@@ -119,6 +119,15 @@ pub struct SessionReport {
     /// A one-time setup cost, kept separate from the per-gather `packet_bytes`
     /// so streaming sessions can amortise it across waves.
     pub dictionary_bytes: u64,
+}
+
+/// A gather's leaf side, summed once by `merge_through`: [`SessionReport`]'s fields.
+pub(crate) struct LeafTotals {
+    pub(crate) traces_gathered: u64,
+    straggler: Option<(u32, Duration)>,
+    pub(crate) packet_bytes: u64,
+    max_daemon_packet_bytes: u64,
+    mean_daemon_packet_bytes: u64,
 }
 
 /// How a session decides its overlay tree shape.
@@ -322,40 +331,20 @@ impl Session {
             .flat_map(|(_, d)| &d.ranks)
             .collect();
 
-        let traces_gathered = contributions.iter().map(|c| c.traces_gathered).sum();
-        let sample: Duration = contributions.iter().map(|c| c.sample_wall).sum();
-        let local_merge: Duration = contributions.iter().map(|c| c.local_merge_wall).sum();
-        let straggler = contributions
-            .iter()
-            .map(|c| (c.daemon_id, c.sample_wall + c.local_merge_wall))
-            .max_by_key(|&(_, wall)| wall);
-        let per_daemon_bytes: Vec<u64> =
-            contributions.iter().map(|c| c.leaf_bytes(false)).collect();
-        let max_daemon_packet_bytes = per_daemon_bytes.iter().copied().max().unwrap_or(0);
-        let mean_daemon_packet_bytes =
-            per_daemon_bytes.iter().sum::<u64>() / (per_daemon_bytes.len() as u64).max(1);
-        let packet_bytes = contributions
-            .iter()
-            .map(|c| c.leaf_bytes(strategy.needs_rank_map()))
-            .sum();
-
-        let (gather, mut phases) =
+        let (gather, mut phases, leaf) =
             self.merge_through(&net, contributions, tasks, &dict, &filter_faults)?;
         phases.contribute = contribute;
-        phases.sample = sample;
-        phases.local_merge = local_merge;
-
         Ok(SessionReport {
             gather,
             daemons: total_backends,
             topology: net.topology().shape().clone(),
             lost_ranks,
-            traces_gathered,
+            traces_gathered: leaf.traces_gathered,
             phases,
-            straggler,
-            packet_bytes,
-            max_daemon_packet_bytes,
-            mean_daemon_packet_bytes,
+            straggler: leaf.straggler,
+            packet_bytes: leaf.packet_bytes,
+            max_daemon_packet_bytes: leaf.max_daemon_packet_bytes,
+            mean_daemon_packet_bytes: leaf.mean_daemon_packet_bytes,
             dictionary_bytes,
         })
     }
@@ -373,13 +362,17 @@ impl Session {
         dict: &FrameDictionary,
     ) -> Result<GatherResult, StatError> {
         let net = InProcessTbon::new(Topology::build(self.topology_for(total_tasks)));
-        let (gather, _) = self.merge_through(&net, contributions, total_tasks, dict, &[])?;
+        let (gather, _, _) = self.merge_through(&net, contributions, total_tasks, dict, &[])?;
         Ok(gather)
     }
 
     /// The single-pass reduce → remap → classify tail of the pipeline.  Shared
     /// with the streaming path, which reduces each wave's view through the same
     /// machinery over its (possibly pruned) current topology.
+    ///
+    /// The leaf side (traces, `sample` / `local_merge`, leaf bytes, straggler) is
+    /// summed here, once, as the contributions split into channels; the caller
+    /// times `phases.contribute`.
     ///
     /// `filter_faults` is the fault-campaign hook for "an interior node's filter
     /// state went bad": the named nodes still take part in the walk, but every
@@ -393,20 +386,36 @@ impl Session {
         total_tasks: u64,
         dict: &FrameDictionary,
         filter_faults: &[FilterFault],
-    ) -> Result<(GatherResult, PhaseTimings), StatError> {
+    ) -> Result<(GatherResult, PhaseTimings, LeafTotals), StatError> {
         let strategy = self.representation.strategy();
 
         // Split the contributions into channel streams, moving the packets — the
         // daemons' serialised trees are never copied on their way into the overlay.
         let needs_map = strategy.needs_rank_map();
-        let leaves = |wanted| Vec::with_capacity(if wanted { contributions.len() } else { 0 });
+        let daemons = contributions.len() as u64;
+        let leaves = |wanted| Vec::with_capacity(if wanted { daemons as usize } else { 0 });
         let (mut leaves_2d, mut leaves_3d) = (leaves(true), leaves(true));
         let mut leaves_map = leaves(needs_map);
-        for contribution in contributions {
-            leaves_2d.push(contribution.tree_2d);
-            leaves_3d.push(contribution.tree_3d);
-            leaves_map.extend(needs_map.then_some(contribution.rank_map));
+        let (mut phases, mut traces_gathered, mut straggler) = (PhaseTimings::default(), 0, None);
+        // Per daemon, alive to the end: running sums instead move glibc's
+        // dynamic mmap threshold and lift a 1M-task attach's peak RSS ~12 %.
+        let mut tree_bytes = Vec::with_capacity(daemons as usize);
+        for c in contributions {
+            traces_gathered += c.traces_gathered;
+            phases.sample += c.sample_wall;
+            phases.local_merge += c.local_merge_wall;
+            // The last of equally slow daemons, as `max_by_key` picks.
+            let wall = c.sample_wall + c.local_merge_wall;
+            straggler = straggler
+                .filter(|&(_, slow)| slow > wall)
+                .or(Some((c.daemon_id, wall)));
+            tree_bytes.push((c.tree_2d.size_bytes() + c.tree_3d.size_bytes()) as u64);
+            leaves_2d.push(c.tree_2d);
+            leaves_3d.push(c.tree_3d);
+            leaves_map.extend(needs_map.then_some(c.rank_map));
         }
+        let tree_total: u64 = tree_bytes.iter().sum();
+        let map_total: u64 = leaves_map.iter().map(|p| p.size_bytes() as u64).sum();
 
         // Mid-tree fault injection: the designated interior nodes corrupt their
         // output on every channel they touch.
@@ -426,10 +435,10 @@ impl Session {
         // The one bottom-up level walk that carries every channel.
         let reduce_start = Instant::now();
         let outcomes = net.reduce_channels(channels, &filters)?;
-        let reduce = reduce_start.elapsed();
+        phases.reduce = reduce_start.elapsed();
 
         let mut metrics = MergeMetrics::default();
-        metrics.absorb_walk(&outcomes, reduce);
+        metrics.absorb_walk(&outcomes, phases.reduce);
 
         let merged = strategy.finish(
             &outcomes[0],
@@ -439,10 +448,11 @@ impl Session {
             dict,
         )?;
         metrics.remap_wall = merged.remap_wall;
+        phases.remap = merged.remap_wall;
 
         let classify_start = Instant::now();
         let classes = equivalence_classes(&merged.tree_3d);
-        let classify = classify_start.elapsed();
+        phases.classify = classify_start.elapsed();
 
         let gather = GatherResult {
             tree_2d: merged.tree_2d,
@@ -451,13 +461,14 @@ impl Session {
             classes,
             metrics,
         };
-        let phases = PhaseTimings {
-            reduce,
-            remap: merged.remap_wall,
-            classify,
-            ..PhaseTimings::default()
+        let leaf = LeafTotals {
+            traces_gathered,
+            straggler,
+            packet_bytes: tree_total + map_total,
+            max_daemon_packet_bytes: tree_bytes.into_iter().max().unwrap_or(0),
+            mean_daemon_packet_bytes: tree_total / daemons.max(1),
         };
-        Ok((gather, phases))
+        Ok((gather, phases, leaf))
     }
 }
 
@@ -603,16 +614,34 @@ mod tests {
         let session = small_session(Representation::HierarchicalTaskList, 64);
         let start = Instant::now();
         let report = session.attach(&app).unwrap();
-        let wall = start.elapsed();
-        let p = report.phases;
-        assert!(p.contribute > Duration::ZERO);
+        let attach_wall = start.elapsed();
+        // A stream wave over the same job, timed around `advance`.
+        let truth = app.ground_truth();
+        let source = appsim::SteadySource::new(std::sync::Arc::new(app), truth);
+        let mut stream = Session::builder(Cluster::test_cluster(64, 8))
+            .streaming(3)
+            .open(Box::new(source))
+            .unwrap();
+        let start = Instant::now();
+        let wave = stream.advance().unwrap();
+        let wave_wall = start.elapsed();
+        // A wave's phases lie end to end within its wall, fold included.
+        let p = wave.phases;
+        assert!(p.sample + p.local_merge <= p.contribute, "{p:?}");
         assert!(
-            p.contribute + p.reduce + p.remap + p.classify <= wall,
-            "{p:?} vs {wall:?}"
+            p.total() + wave.fold_wall <= wave_wall,
+            "{p:?} vs {wave_wall:?}"
         );
+        for (p, wall) in [(report.phases, attach_wall), (wave.phases, wave_wall)] {
+            assert!(p.contribute > Duration::ZERO);
+            assert!(
+                p.contribute + p.reduce + p.remap + p.classify <= wall,
+                "{p:?} vs {wall:?}"
+            );
+        }
         // The straggler ran inside the daemon map.
         let (_, straggler) = report.straggler.expect("64 daemons contributed");
-        assert!(straggler <= p.contribute, "{straggler:?} vs {p:?}");
+        assert!(straggler <= report.phases.contribute, "{straggler:?}");
     }
 
     #[test]

@@ -21,12 +21,12 @@ use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
 use appsim::Application;
-use stackwalk::{FrameDictionary, FrameId, FrameTable};
+use stackwalk::{FrameDictionary, FrameTable};
 use tbon::filter::Filter;
 use tbon::network::{InProcessTbon, ReductionOutcome, TbonError};
 use tbon::packet::EndpointId;
 
-use crate::daemon::{DaemonContribution, StatDaemon};
+use crate::daemon::{map_daemons, DaemonContribution, StatDaemon};
 use crate::error::{MergeChannel, StatError};
 use crate::filter::StatMergeFilter;
 use crate::frontend::Representation;
@@ -69,13 +69,11 @@ pub trait RepresentationStrategy: sealed::Sealed + Send + Sync {
         dict: &FrameDictionary,
     ) -> DaemonContribution;
 
-    /// Every daemon's [`contribute`](Self::contribute), the daemons side by side
-    /// on `net`'s workers, in the order given (backend order).  A daemon encodes
-    /// in its work item only if every frame it walked has a negotiated id
-    /// (`gid < base_len`: which names are interned yet depends on the schedule);
-    /// any other hands back its closed trees and encodes after the map, in the
-    /// order given.  The packets and frame ids are a serial loop's, whatever the
-    /// schedule.
+    /// Every daemon's [`contribute`](Self::contribute), side by side on `net`'s
+    /// workers in the order given (backend order), through the one daemon map
+    /// (`daemon::map_daemons`) a streaming wave runs too: the packets and frame
+    /// ids are a serial loop's whatever the schedule, and a daemon whose walk
+    /// panics is [`TbonError::PoolPoisoned`].
     fn contribute_all(
         &self,
         daemons: Vec<(&StatDaemon, EndpointId)>,
@@ -155,26 +153,14 @@ impl<D: Domain> RepresentationStrategy for DomainStrategy<D> {
         dict: &FrameDictionary,
         net: &InProcessTbon,
     ) -> Result<Vec<DaemonContribution>, TbonError> {
-        let base_len = dict.base_len();
-        let negotiated = |table: &FrameTable| {
-            let mut ids = (0..).map(FrameId).take(table.len());
-            ids.all(|id| matches!(dict.lookup(table.name(id)), Some(gid) if gid < base_len))
-        };
-        let walked = net.map(daemons, &|(daemon, leaf)| {
-            let mut table = FrameTable::new();
-            let window = 0..samples_per_task;
-            let encode = daemon.contribute_from::<TaskSet<D>>(app, window, leaf, &mut table);
-            Ok(if negotiated(&table) {
-                Ok(encode(&table, dict).0)
-            } else {
-                // Boxed, so every result of the map stays contribution-sized.
-                Err(Box::new((encode, table)))
-            })
-        })?;
-        Ok(walked
-            .into_iter()
-            .map(|item| item.unwrap_or_else(|held| (held.0)(&held.1, dict).0))
-            .collect())
+        map_daemons::<TaskSet<D>, _, _>(
+            net,
+            daemons,
+            |(daemon, leaf)| (*daemon, FrameTable::new(), *leaf),
+            (app, 0..samples_per_task),
+            dict,
+            &|_, _, contribution, _| contribution,
+        )
     }
 
     fn merge_filter(&self) -> Box<dyn Filter> {

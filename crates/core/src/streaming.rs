@@ -14,7 +14,8 @@
 //!    subsequent waves, the overlay is rebuilt over the survivors and their
 //!    cumulative trees re-seed the fresh resident state.  A prune that leaves no
 //!    viable session is a typed [`StatError::SessionNotViable`].
-//! 2. **Gather**: every surviving daemon samples its ranks at the global sample
+//! 2. **Gather**: the surviving daemons run side by side, through the one daemon
+//!    map [`Session::attach`] runs: each samples its ranks at the global sample
 //!    clock (`wave × samples_per_wave`), builds its wave-local 2D/3D trees, and
 //!    diffs the wave 3D tree against its cumulative local tree.
 //! 3. **Wave reduction**: the wave's 2D/3D trees (and rank map) ride the
@@ -48,6 +49,7 @@
 //! [`GatherResult`]: crate::frontend::GatherResult
 
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use appsim::scenario::{Diagnosis, MidTreeFault, OverlayFault, Verdict};
@@ -60,7 +62,7 @@ use tbon::network::{InProcessTbon, TbonError};
 use tbon::packet::{Packet, PacketTag};
 use tbon::topology::{Topology, TreeShape};
 
-use crate::daemon::{DaemonContribution, StatDaemon};
+use crate::daemon::{map_daemons, DaemonContribution, StatDaemon};
 use crate::error::StatError;
 use crate::frontend::Representation;
 use crate::graph::PrefixTree;
@@ -173,16 +175,6 @@ struct DaemonStream<S: WireTaskSet> {
     cum_3d: PrefixTree<S>,
 }
 
-/// Per-wave daemon-side accounting, summed over survivors.
-#[derive(Default)]
-struct WaveStats {
-    sample: Duration,
-    local_merge: Duration,
-    packet_bytes: u64,
-    delta_bytes: u64,
-    full_packet_bytes: u64,
-}
-
 /// What a [`StreamingSession`] asks of its representation-typed core.  The
 /// representation is matched once, when [`StreamingBuilder::open`] boxes a
 /// [`StreamCore`]; every wave after that goes through this object-safe surface.
@@ -199,19 +191,17 @@ trait WaveStream: Send + Sync {
         filter: &dyn Filter,
     ) -> Result<u64, StatError>;
 
-    /// Sample one wave on every surviving daemon: build the wave trees, encode
-    /// the full-packet channels, diff the wave's 3D tree against the cumulative
-    /// local tree and fold the wave in.  Every survivor always emits a delta —
-    /// a quiescent daemon ships its root-only empty tree — which keeps
+    /// Sample `window` on the survivors through the daemon map `attach` runs and
+    /// diff each wave's 3D tree against the cumulative one: the contributions,
+    /// the deltas and the bytes of the full cumulative trees.  Every survivor
+    /// emits a delta (a quiescent daemon its root-only empty tree), which keeps
     /// hierarchical domain offsets stable at every merge above it.
     fn gather_wave(
         &mut self,
         app: &dyn Application,
-        base: u32,
-        samples: u32,
-        topology: &Topology,
-        needs_rank_map: bool,
-    ) -> (Vec<DaemonContribution>, Vec<Packet>, u64, WaveStats);
+        window: Range<u32>,
+        net: &InProcessTbon,
+    ) -> Result<(Vec<DaemonContribution>, Vec<Packet>, u64), TbonError>;
 
     /// Fold one wave of per-daemon deltas into the overlay's resident state.
     fn fold_wave(
@@ -264,15 +254,11 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
         topology: &Topology,
         filter: &dyn Filter,
     ) -> Result<u64, StatError> {
-        let mut ordinal = 0usize;
-        for slot in self.streams.iter_mut() {
-            if slot.is_some() {
-                let kept = keep.binary_search(&ordinal).is_ok();
-                ordinal += 1;
-                if !kept {
-                    if let Some(stream) = slot.take() {
-                        lost_ranks.extend(&stream.daemon.ranks);
-                    }
+        let survivors = self.streams.iter_mut().filter(|slot| slot.is_some());
+        for (ordinal, slot) in survivors.enumerate() {
+            if keep.binary_search(&ordinal).is_err() {
+                if let Some(stream) = slot.take() {
+                    lost_ranks.extend(&stream.daemon.ranks);
                 }
             }
         }
@@ -298,46 +284,32 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
     fn gather_wave(
         &mut self,
         app: &dyn Application,
-        base: u32,
-        samples: u32,
-        topology: &Topology,
-        needs_rank_map: bool,
-    ) -> (Vec<DaemonContribution>, Vec<Packet>, u64, WaveStats) {
-        let mut contributions = Vec::new();
-        let mut deltas = Vec::new();
-        let mut traces_total = 0u64;
-        let mut stats = WaveStats::default();
-        for (stream, &leaf) in self
-            .streams
-            .iter_mut()
-            .flatten()
-            .zip(topology.backends().iter())
-        {
-            let (mut contribution, wave_3d) = stream.daemon.contribute_from::<S>(
-                app,
-                base..base.saturating_add(samples),
-                leaf,
-                &mut stream.table,
-            )(&stream.table, &self.dict);
-            let delta_start = Instant::now();
-            let delta = wave_3d.delta_from(&stream.cum_3d);
-            stream.cum_3d.merge_aligned(wave_3d);
-            let delta_payload = encode_tree(&delta, &stream.table, &self.dict);
-            contribution.local_merge_wall += delta_start.elapsed();
-
-            traces_total += contribution.traces_gathered;
-            stats.packet_bytes += contribution.leaf_bytes(needs_rank_map);
-            let delta_packet = Packet::new(PacketTag::TreeDelta, leaf, delta_payload);
-            stats.delta_bytes += delta_packet.size_bytes() as u64;
-            stats.full_packet_bytes +=
-                encode_tree(&stream.cum_3d, &stream.table, &self.dict).len() as u64;
-            stats.sample += contribution.sample_wall;
-            stats.local_merge += contribution.local_merge_wall;
-
-            contributions.push(contribution);
-            deltas.push(delta_packet);
-        }
-        (contributions, deltas, traces_total, stats)
+        window: Range<u32>,
+        net: &InProcessTbon,
+    ) -> Result<(Vec<DaemonContribution>, Vec<Packet>, u64), TbonError> {
+        let leaves = net.topology().backends().iter().copied();
+        let items = self.streams.iter_mut().flatten().zip(leaves).collect();
+        let per_daemon = map_daemons::<S, _, _>(
+            net,
+            items,
+            |(stream, leaf)| (&stream.daemon, std::mem::take(&mut stream.table), *leaf),
+            (app, window),
+            &self.dict,
+            &|(stream, leaf), table, mut contribution, wave_3d| {
+                let delta_start = Instant::now();
+                let delta = wave_3d.delta_from(&stream.cum_3d);
+                stream.cum_3d.merge_aligned(wave_3d);
+                let delta_payload = encode_tree(&delta, &table, &self.dict);
+                contribution.local_merge_wall += delta_start.elapsed();
+                let full = encode_tree(&stream.cum_3d, &table, &self.dict).len() as u64;
+                stream.table = table;
+                let delta = Packet::new(PacketTag::TreeDelta, *leaf, delta_payload);
+                (contribution, delta, full)
+            },
+        )?;
+        let full_packet_bytes = per_daemon.iter().map(|(_, _, full)| full).sum();
+        let (contributions, deltas) = per_daemon.into_iter().map(|(c, d, _)| (c, d)).unzip();
+        Ok((contributions, deltas, full_packet_bytes))
     }
 
     fn fold_wave(
@@ -364,13 +336,9 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
         // Frame ids in the resident tree are session-global, so the dictionary
         // snapshot — the same table every daemon encoded against — resolves
         // every name, including incrementally interned ones.
-        match self.incremental.frontend_state() {
-            Some(state) => match state.tree.as_ref() {
-                Some(tree) => canonical(tree, &self.dict.snapshot()),
-                None => Vec::new(),
-            },
-            None => Vec::new(),
-        }
+        let state = self.incremental.frontend_state();
+        let tree = state.and_then(|state| state.tree.as_ref());
+        tree.map_or_else(Vec::new, |tree| canonical(tree, &self.dict.snapshot()))
     }
 
     fn batched_canonical(&self) -> CanonicalTree {
@@ -385,10 +353,7 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
                 Some(acc) => acc.merge(tree),
             }
         }
-        match merged {
-            Some(tree) => canonical(&tree, &self.dict.snapshot()),
-            None => Vec::new(),
-        }
+        merged.map_or_else(Vec::new, |tree| canonical(&tree, &self.dict.snapshot()))
     }
 }
 
@@ -397,7 +362,9 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
 pub struct WaveReport {
     /// The wave index this report describes (0-based).
     pub wave: u32,
-    /// Per-phase wall-clock breakdown of the wave's full-view pipeline.
+    /// Per-phase wall-clock breakdown of the wave's full-view pipeline, with
+    /// `sample` / `local_merge` (the daemons' CPU sums) scaled to split
+    /// `contribute`, so every phase and `fold_wall` lie end to end within `advance`'s wall.
     pub phases: PhaseTimings,
     /// Wall-clock the incremental path spent merging and folding deltas.
     pub fold_wall: Duration,
@@ -556,7 +523,9 @@ pub struct StreamingSession {
 
 impl StreamingSession {
     /// Run the next wave: apply any faults due, gather, reduce the wave's view,
-    /// fold the deltas, and judge the diagnosis against the wave's truth.
+    /// fold the deltas, and judge the diagnosis against the wave's truth.  An
+    /// `Err` (a daemon whose walk panicked is [`TbonError::PoolPoisoned`]) leaves
+    /// the per-daemon state part-way through the wave: the stream is over.
     pub fn advance(&mut self) -> Result<WaveReport, StatError> {
         let wave = self.wave;
         let strategy = self.session.representation().strategy();
@@ -564,12 +533,8 @@ impl StreamingSession {
 
         // Overlay faults due this wave prune the *current* (possibly already
         // pruned) topology; the survivors re-seed a fresh incremental overlay.
-        let due: Vec<OverlayFault> = self
-            .scheduled
-            .iter()
-            .filter(|(w, _)| *w == wave)
-            .map(|(_, f)| *f)
-            .collect();
+        let due = self.scheduled.iter().filter(|(w, _)| *w == wave);
+        let due: Vec<OverlayFault> = due.map(|(_, f)| *f).collect();
         let mut surviving = None;
         if !due.is_empty() {
             let (kept, topology) = prune_overlay(self.topology.clone(), &due, self.total_backends)?;
@@ -591,27 +556,23 @@ impl StreamingSession {
         let app = self.source.app_at(wave);
         let samples = self.session.samples_per_task();
         let base = wave.saturating_mul(samples);
+        let window = base..base.saturating_add(samples);
+        let net = InProcessTbon::new(self.topology.clone());
         let contribute_start = Instant::now();
-        let (contributions, deltas, traces_gathered, stats) = self.state.gather_wave(
-            app.as_ref(),
-            base,
-            samples,
-            &self.topology,
-            strategy.needs_rank_map(),
-        );
+        let (contributions, deltas, full_packet_bytes) =
+            self.state.gather_wave(app.as_ref(), window, &net)?;
         let contribute = contribute_start.elapsed();
+        let delta_bytes = deltas.iter().map(|p| p.size_bytes() as u64).sum();
 
-        let (gather, mut phases) = self.session.merge_through(
-            &InProcessTbon::new(self.topology.clone()),
-            contributions,
-            self.tasks,
-            &self.dict,
-            &filter_faults,
-        )?;
+        let (tasks, dict) = (self.tasks, &self.dict);
+        let (gather, mut phases, leaf) =
+            self.session
+                .merge_through(&net, contributions, tasks, dict, &filter_faults)?;
+        // The daemons' CPU sums split the map's wall (see `WaveReport::phases`).
+        let cpu = (phases.sample + phases.local_merge).as_secs_f64();
+        phases.sample = contribute.mul_f64(phases.sample.as_secs_f64() / cpu.max(1e-12));
+        phases.local_merge = contribute.saturating_sub(phases.sample);
         phases.contribute = contribute;
-        phases.sample = stats.sample;
-        phases.local_merge = stats.local_merge;
-
         let fold = self.state.fold_wave(deltas, &filter)?;
 
         let diagnosis = diagnose(&gather, self.tasks, self.lost_ranks.clone());
@@ -626,11 +587,11 @@ impl StreamingSession {
             wave,
             phases,
             fold_wall: fold.fold_wall,
-            packet_bytes: stats.packet_bytes,
-            delta_bytes: stats.delta_bytes,
+            packet_bytes: leaf.packet_bytes,
+            delta_bytes,
             reseed_bytes,
-            full_packet_bytes: stats.full_packet_bytes,
-            traces_gathered,
+            full_packet_bytes,
+            traces_gathered: leaf.traces_gathered,
             classes: gather.classes.len(),
             diagnosis,
             verdict,
@@ -686,9 +647,12 @@ impl StreamingSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::daemon::tests::{names_by_id, Sleepy};
     use appsim::scenario::catalogue;
-    use appsim::{FaultSchedule, FrameVocabulary, SteadySource};
+    use appsim::{FaultSchedule, FrameVocabulary, RingHangApp, SteadySource};
     use machine::cluster::Cluster;
+    use std::sync::Arc;
+    use tbon::topology::TreeShape;
 
     fn ring_schedule(tasks: u64, fault_wave: u32) -> FaultSchedule {
         let scenario = catalogue(tasks, FrameVocabulary::Linux)
@@ -854,6 +818,119 @@ mod tests {
             matches!(err, StatError::SessionNotViable { .. }),
             "expected SessionNotViable, got {err:?}"
         );
+    }
+
+    /// Four waves of `StreamCore` over the sleepy ring hang, with the stall frames
+    /// (and in the first case the barrier frame) left out of the negotiation, so
+    /// that which daemon interns first depends on the schedule: every worker
+    /// count ships the contributions, deltas, full-tree bytes and dictionary ids
+    /// of one worker, which is a serial loop; and wave 0 ships the leaf packets
+    /// `contribute_all` ships for the same daemons and window.
+    fn stream_waves_match_the_serial_loop<S: WireTaskSet + Send + Sync>(
+        representation: Representation,
+    ) {
+        let v = FrameVocabulary::BlueGeneL;
+        // Rank 64 opens daemon 1, which walks the stall frame first and finishes
+        // long before daemon 0 does.
+        let sleepy = Sleepy(RingHangApp::new(1_024, v).with_hung_rank(64));
+        let hints = sleepy.frame_hints();
+        let topology = Topology::build(TreeShape::flat(16));
+        let daemons = StatDaemon::partition(1_024, 16);
+        let packets = |c: &DaemonContribution| {
+            let packets = [&c.tree_2d, &c.tree_3d, &c.rank_map];
+            (c.daemon_id, packets.map(|p| p.clone()))
+        };
+        for missed in [&[v.send_stall(), v.barrier()][..], &[v.send_stall()]] {
+            let negotiate = || {
+                let kept = hints.iter().copied().filter(|h| !missed.contains(h));
+                FrameDictionary::negotiate(kept)
+            };
+            let run = |workers| {
+                let net = InProcessTbon::new(topology.clone()).with_workers(workers);
+                let mut core = StreamCore::<S>::new(daemons.clone(), &topology, negotiate());
+                let waves: Vec<_> = (0..4u32)
+                    .map(|wave| {
+                        let window = wave * 2..wave * 2 + 2;
+                        let (contributions, deltas, full) = core
+                            .gather_wave(&sleepy, window, &net)
+                            .expect("no daemon dies");
+                        (
+                            contributions.iter().map(packets).collect::<Vec<_>>(),
+                            deltas,
+                            full,
+                        )
+                    })
+                    .collect();
+                (waves, names_by_id(&core.dict))
+            };
+            let serial = run(1);
+            for workers in [2, 3, 8, 64] {
+                assert_eq!(run(workers), serial, "{missed:?} missed, {workers} workers");
+            }
+            // The stall frame really was interned after the negotiation.
+            assert!(serial.1.contains(&v.send_stall().to_string()));
+
+            let dict = negotiate();
+            let leaves = daemons.iter().zip(topology.backends().iter().copied());
+            let net = InProcessTbon::new(topology.clone());
+            let strategy = representation.strategy();
+            let shipped = strategy.contribute_all(leaves.collect(), &sleepy, 2, &dict, &net);
+            let shipped: Vec<_> = shipped
+                .expect("no daemon dies")
+                .iter()
+                .map(packets)
+                .collect();
+            assert_eq!(
+                shipped, serial.0[0].0,
+                "wave 0 vs contribute_all, {missed:?} missed"
+            );
+        }
+    }
+
+    #[test]
+    fn the_stream_ships_the_serial_waves_whatever_the_schedule() {
+        stream_waves_match_the_serial_loop::<DenseBitVector>(Representation::GlobalBitVector);
+        stream_waves_match_the_serial_loop::<SubtreeTaskList>(Representation::HierarchicalTaskList);
+    }
+
+    /// A ring hang whose stack walk of rank 12 dies from sample 2 on.
+    struct DiesAtRank12(RingHangApp);
+
+    impl Application for DiesAtRank12 {
+        fn name(&self) -> &str {
+            "dies_at_rank_12"
+        }
+        fn num_tasks(&self) -> u64 {
+            self.0.num_tasks()
+        }
+        fn call_path(&self, rank: u64, thread: u32, sample: u32) -> Vec<&'static str> {
+            assert!(rank != 12 || sample < 2, "the stack walk of rank 12 died");
+            self.0.call_path(rank, thread, sample)
+        }
+        fn frame_hints(&self) -> Vec<&'static str> {
+            self.0.frame_hints()
+        }
+    }
+
+    #[test]
+    fn a_panicking_daemon_is_a_typed_error_one_shot_and_streamed() {
+        let app = Arc::new(DiesAtRank12(RingHangApp::new(64, FrameVocabulary::Linux)));
+        let poisoned = |result: Result<_, StatError>| {
+            let err = result.err();
+            let typed = matches!(err, Some(StatError::Reduce(TbonError::PoolPoisoned { .. })));
+            assert!(typed, "expected PoolPoisoned, got {err:?}");
+        };
+        let session = Session::builder(Cluster::test_cluster(8, 8))
+            .samples_per_task(3)
+            .build();
+        poisoned(session.attach(app.as_ref()).map(|_| ()));
+
+        // Wave 0 samples 0 and 1 and is whole; wave 1 reaches sample 2.
+        let truth = ring_schedule(64, 0).truth_at(0).clone();
+        let source = SteadySource::new(app, truth);
+        let mut stream = stream_with(Representation::HierarchicalTaskList, Box::new(source));
+        stream.advance().unwrap();
+        poisoned(stream.advance().map(|_| ()));
     }
 
     #[test]
