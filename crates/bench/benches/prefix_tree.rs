@@ -6,7 +6,9 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
-use appsim::{gather_samples_for_ranks, Application, FrameVocabulary, RingHangApp};
+use appsim::{
+    for_each_sampled_path, gather_samples_for_ranks, Application, FrameVocabulary, RingHangApp,
+};
 use stackwalk::{FrameDictionary, FrameTable, StackTrace, Walker};
 use stat_core::prelude::*;
 
@@ -191,14 +193,19 @@ impl Application for WideFanoutApp {
 
 /// The daemon-local phase — sample, local merge, encode — on both sides of the
 /// descent's choice: the ring hang's narrow nodes (names compared sibling by
-/// sibling, no hash) and one 4,096-callee node (table lookup + child index).
+/// sibling, no hash) and one 4,096-callee node (table lookup + child index), plus
+/// `attach_1m`'s daemon shape (64 tasks, one sample).  `call_paths` is the
+/// application's share of the ring hang's walk: the same paths in the same order,
+/// descended into nothing, so `contribute − call_paths` is the tool's.
 fn bench_daemon_local(c: &mut Criterion) {
     use tbon::packet::EndpointId;
     let mut group = c.benchmark_group("daemon_local");
     let ring = RingHangApp::new(128, FrameVocabulary::BlueGeneL);
+    let ring_64 = RingHangApp::new(64, FrameVocabulary::BlueGeneL);
     let wide = WideFanoutApp::new(4_096);
-    let cases: [(&str, &dyn Application, u32); 2] = [
+    let cases: [(&str, &dyn Application, u32); 3] = [
         ("ring_hang_128x10", &ring, 10),
+        ("ring_hang_64x1", &ring_64, 1),
         ("one_node_4096_callees", &wide, 1),
     ];
     for (name, app, samples) in cases {
@@ -208,6 +215,16 @@ fn bench_daemon_local(c: &mut Criterion) {
             b.iter(|| daemon.contribute::<SubtreeTaskList>(app, samples, EndpointId(1), &dict))
         });
     }
+    let ranks: RankRuns = (0..ring.num_tasks()).collect();
+    group.bench_function(BenchmarkId::new("call_paths", "ring_hang_128x10"), |b| {
+        b.iter(|| {
+            let mut frames = 0;
+            for_each_sampled_path(&ring, &ranks, 0..10, |_, _, _, path| {
+                frames += criterion::black_box(path).len()
+            });
+            frames
+        })
+    });
     group.finish();
 }
 

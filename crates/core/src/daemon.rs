@@ -15,7 +15,7 @@ use stackwalk::{FrameDictionary, FrameId, FrameTable, TaskSamples};
 use tbon::network::{InProcessTbon, TbonError};
 use tbon::packet::{EndpointId, Packet, PacketTag};
 
-use crate::graph::{NodeIdx, PrefixTree};
+use crate::graph::{NodeIdx, PrefixTree, Trail};
 use crate::serialize::{encode_rank_map, encode_tree, WireTaskSet};
 use crate::taskset::RankRuns;
 
@@ -106,7 +106,7 @@ impl StatDaemon {
         let mut trees = LocalTrees::new(self);
         for (position, task) in samples.iter().enumerate() {
             for (nth, trace) in task.traces.iter().enumerate() {
-                trees.record(position, task.rank, nth, |t| t.descend(trace.frames()));
+                trees.record(position, task.rank, nth, |t, _| t.descend(trace.frames()));
             }
         }
         trees.close()
@@ -128,8 +128,8 @@ impl StatDaemon {
         let sample_start = Instant::now();
         let mut trees = LocalTrees::new(self);
         let mut traces = 0;
-        appsim::for_each_sampled_path(app, &self.ranks, window, |position, rank, nth, path| {
-            trees.record(position, rank, nth, |t| t.descend_named(table, path));
+        appsim::for_each_sampled_path(app, &self.ranks, window, |pos, rank, nth, path| {
+            trees.record(pos, rank, nth, |t, tr| t.descend_named(table, tr, path));
             traces += 1;
         });
         let merge_start = Instant::now();
@@ -222,12 +222,13 @@ pub(crate) fn map_daemons<S: WireTaskSet + Send, T: Send, R: Send>(
     Ok(encoded.collect())
 }
 
-/// A daemon's 2D and 3D trees while traces are being recorded into them.  A task
-/// is marked only on the node where a trace of its *ends*; [`LocalTrees::close`]
-/// then ORs every label into its parent, which makes each label "every task that
-/// reached this frame".  Sampled names and gathered frame ids both come through
-/// here, so they cannot disagree on a task's index or on what feeds the 2D tree.
-struct LocalTrees<S: WireTaskSet>(PrefixTree<S>, PrefixTree<S>);
+/// A daemon's 2D and 3D trees while traces are recorded into them, each with its
+/// trail (the 3D tree's last path is the previous trace, the 2D tree's the previous
+/// task's first).  A task is marked only on the node where a trace of its *ends*;
+/// [`LocalTrees::close`] then ORs every label into its parent, which makes each
+/// label "every task that reached this frame".  Sampled names and gathered frame ids
+/// both come through here, so they cannot disagree on a task's index or 2D feed.
+struct LocalTrees<S: WireTaskSet>([(PrefixTree<S>, Trail<'static>); 2]);
 
 impl<S: WireTaskSet> LocalTrees<S> {
     /// Empty trees over the daemon's domain: the whole job for the global (dense)
@@ -238,11 +239,11 @@ impl<S: WireTaskSet> LocalTrees<S> {
         } else {
             daemon.total_tasks
         };
-        LocalTrees(PrefixTree::new(width), PrefixTree::new(width))
+        LocalTrees([(); 2].map(|()| (PrefixTree::new(width), Trail::new())))
     }
 
     /// Record the `nth` trace of task `rank`, at `position` in the daemon's list:
-    /// `descend` walks it into the tree it is handed and returns the end node.
+    /// `descend` walks it into the tree and trail it is handed, returning the end node.
     /// Every trace feeds the 3D tree, a task's first also the 2D tree; the task is
     /// indexed by rank in a job-wide domain, by position in a concatenating one.
     fn record(
@@ -250,24 +251,21 @@ impl<S: WireTaskSet> LocalTrees<S> {
         position: usize,
         rank: u64,
         nth: usize,
-        mut descend: impl FnMut(&mut PrefixTree<S>) -> NodeIdx,
+        mut descend: impl FnMut(&mut PrefixTree<S>, &mut Trail<'static>) -> NodeIdx,
     ) {
         let index = if S::CONCATENATES {
             position as u64
         } else {
             rank
         };
-        let LocalTrees(tree_2d, tree_3d) = self;
-        if nth == 0 {
-            let end = descend(tree_2d);
-            tree_2d.mark(end, index);
+        for (tree, trail) in self.0.iter_mut().skip(usize::from(nth > 0)) {
+            let end = descend(tree, trail);
+            tree.mark(end, index);
         }
-        let end = descend(tree_3d);
-        tree_3d.mark(end, index);
     }
 
     fn close(self) -> (PrefixTree<S>, PrefixTree<S>) {
-        let LocalTrees(mut tree_2d, mut tree_3d) = self;
+        let LocalTrees([(mut tree_2d, _), (mut tree_3d, _)]) = self;
         tree_2d.close_upward();
         tree_3d.close_upward();
         (tree_2d, tree_3d)
