@@ -194,9 +194,10 @@ impl Application for WideFanoutApp {
 /// The daemon-local phase — sample, local merge, encode — on both sides of the
 /// descent's choice: the ring hang's narrow nodes (names compared sibling by
 /// sibling, no hash) and one 4,096-callee node (table lookup + child index), plus
-/// `attach_1m`'s daemon shape (64 tasks, one sample).  `call_paths` is the
-/// application's share of the ring hang's walk: the same paths in the same order,
-/// descended into nothing, so `contribute − call_paths` is the tool's.
+/// `attach_1m`'s daemon shape (64 tasks, one sample) and its `encode` alone.
+/// `call_paths` is the application's share of the ring hang's walk: the same
+/// paths in the same order, descended into nothing, so `contribute − call_paths`
+/// is the tool's.
 fn bench_daemon_local(c: &mut Criterion) {
     use tbon::packet::EndpointId;
     let mut group = c.benchmark_group("daemon_local");
@@ -215,6 +216,15 @@ fn bench_daemon_local(c: &mut Criterion) {
             b.iter(|| daemon.contribute::<SubtreeTaskList>(app, samples, EndpointId(1), &dict))
         });
     }
+    // The encode share of `attach_1m`'s daemon: its two trees against the dictionary.
+    let dict = FrameDictionary::negotiate(ring_64.frame_hints());
+    let daemon = StatDaemon::new(0, (0..ring_64.num_tasks()).collect(), ring_64.num_tasks());
+    let mut table = dict.table();
+    let samples = daemon.gather(&ring_64, 1, &mut table);
+    let trees = daemon.build_trees::<SubtreeTaskList>(&samples);
+    group.bench_function(BenchmarkId::new("encode", "ring_hang_64x1"), |b| {
+        b.iter(|| [&trees.0, &trees.1].map(|tree| encode_tree(tree, &table, &dict)))
+    });
     let ranks: RankRuns = (0..ring.num_tasks()).collect();
     group.bench_function(BenchmarkId::new("call_paths", "ring_hang_128x10"), |b| {
         b.iter(|| {

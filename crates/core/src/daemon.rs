@@ -11,7 +11,7 @@ use std::ops::Range;
 use std::time::Instant;
 
 use appsim::Application;
-use stackwalk::{FrameDictionary, FrameId, FrameTable, TaskSamples};
+use stackwalk::{FrameDictionary, FrameTable, TaskSamples};
 use tbon::network::{InProcessTbon, TbonError};
 use tbon::packet::{EndpointId, Packet, PacketTag};
 
@@ -159,9 +159,9 @@ impl StatDaemon {
     /// still timed as the two phases the paper measures: *sample* is the
     /// application's call paths, their descent into the local trees and the end
     /// marks; *local merge* is the upward close and the encode.  `dict` is the
-    /// session's negotiated frame dictionary: the daemon still symbolises into its
-    /// own local [`FrameTable`], but the v2 encoder relabels every frame to its
-    /// session-global id on the way out.
+    /// session's negotiated frame dictionary: the daemon symbolises into a
+    /// [`FrameTable`] over its shared base, so a negotiated frame's id already is
+    /// its global id and the v2 encoder interns only the frames outside the base.
     pub fn contribute<S: WireTaskSet>(
         &self,
         app: &dyn Application,
@@ -169,7 +169,7 @@ impl StatDaemon {
         leaf_endpoint: EndpointId,
         dict: &FrameDictionary,
     ) -> DaemonContribution {
-        let mut table = FrameTable::new();
+        let mut table = dict.table();
         self.contribute_from::<S>(app, 0..samples, leaf_endpoint, &mut table)(&table, dict).0
     }
 }
@@ -181,30 +181,26 @@ type Finish<'a, T, S, R> =
 /// The daemon step of every gather, one-shot or streamed: each item's walk →
 /// close over the sample indices of `window`, side by side on `net`'s workers,
 /// then its encode and `finish`.  `parts` reaches an item's daemon and leaf and
-/// hands over the frame table to walk into, which `finish` gets back.  An item
-/// encodes inside the map only if every frame in its table has a negotiated id
-/// (`gid < base_len`: which names are interned yet depends on the schedule); any
-/// other encodes after the map, in item (backend) order.  So the packets and
-/// frame ids are a serial loop's whatever the schedule.  Only the work inside the
-/// map is fenced: a daemon whose walk (or in-map encode and `finish`) panics is
-/// [`TbonError::PoolPoisoned`] at any worker count.
+/// hands over the frame table to walk into (a fresh one is `dict`'s), which
+/// `finish` gets back.  An item encodes inside the map only if its table is over
+/// `dict`'s base with an empty overflow, so the encode interns nothing (which
+/// names are interned yet depends on the schedule); any other encodes after the
+/// map, in item (backend) order.  So the packets and frame ids are a serial
+/// loop's whatever the schedule.  Only the work inside the map is fenced: a daemon
+/// whose walk (or in-map encode and `finish`) panics is [`TbonError::PoolPoisoned`].
 pub(crate) fn map_daemons<S: WireTaskSet + Send, T: Send, R: Send>(
     net: &InProcessTbon,
     items: Vec<T>,
-    parts: for<'a> fn(&'a mut T) -> (&'a StatDaemon, FrameTable, EndpointId),
+    parts: for<'a> fn(&'a mut T, &FrameDictionary) -> (&'a StatDaemon, FrameTable, EndpointId),
     (app, window): (&dyn Application, Range<u32>),
     dict: &FrameDictionary,
     finish: &Finish<'_, T, S, R>,
 ) -> Result<Vec<R>, TbonError> {
-    let base_len = dict.base_len();
-    let negotiated = |table: &FrameTable| {
-        let mut ids = (0..).map(FrameId).take(table.len());
-        ids.all(|id| matches!(dict.lookup(table.name(id)), Some(gid) if gid < base_len))
-    };
+    let base_len = dict.base_len() as usize;
     let walked = net.map(items, &|mut item| {
-        let (daemon, mut table, leaf) = parts(&mut item);
+        let (daemon, mut table, leaf) = parts(&mut item, dict);
         let encode = daemon.contribute_from::<S>(app, window.clone(), leaf, &mut table);
-        Ok(if negotiated(&table) {
+        Ok(if dict.shares_base(&table) && table.len() == base_len {
             let (contribution, tree_3d) = encode(&table, dict);
             Ok(finish(&mut item, table, contribution, tree_3d))
         } else {

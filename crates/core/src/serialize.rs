@@ -349,10 +349,14 @@ fn plan_with_dictionary<'a, S: WireTaskSet>(
     dict: &FrameDictionary,
 ) -> FlatTree<'a> {
     let base_len = dict.base_len();
-    // Intern each distinct frame once: the dictionary is shared session state.
+    // Base ids of a table over `dict`'s base are global; others intern once each.
+    let negotiated = if dict.shares_base(table) { base_len } else { 0 };
     let mut gid_of: HashMap<FrameId, u32> = HashMap::new();
     let mut records = BTreeMap::new();
     let mut plan = plan(tree, base_len, |frame| {
+        if frame.0 < negotiated {
+            return frame.0;
+        }
         *gid_of.entry(frame).or_insert_with(|| {
             let name = table.name(frame);
             let gid = dict.intern(name);
@@ -476,9 +480,9 @@ fn write_body<'w, S: WireTaskSet>(
     }
 }
 
-/// Serialise a tree into a v2 packet body, interning its frames into the
-/// session dictionary.  Frames past the negotiated base travel as incremental
-/// dictionary records, once per packet.
+/// Serialise a tree into a v2 packet body: base ids of a table over `dict`'s base
+/// ship as they are, any other frame is interned into the session dictionary.
+/// Frames past the negotiated base travel as incremental records, once per packet.
 pub fn encode_tree<S: WireTaskSet>(
     tree: &PrefixTree<S>,
     table: &FrameTable,
@@ -929,7 +933,7 @@ pub fn decode_dictionary(buf: &[u8]) -> Result<Vec<String>, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{GlobalPrefixTree, SubtreePrefixTree};
+    use crate::graph::{GlobalPrefixTree, SubtreePrefixTree, Trail};
     use crate::taskset::{DenseBitVector, SubtreeTaskList};
     use stackwalk::StackTrace;
 
@@ -1005,6 +1009,69 @@ mod tests {
         assert_eq!(back.node_count(), tree.node_count());
     }
 
+    /// Two trees (a daemon's 2D and 3D) walked by name into `table` as a daemon
+    /// walks them, encoded against `dict`: the bodies and the dictionary's names
+    /// in id order after them.
+    fn walked_bodies<S: WireTaskSet>(
+        mut table: FrameTable,
+        dict: &FrameDictionary,
+    ) -> (Vec<Vec<u8>>, Vec<String>) {
+        // "poll_step" and "PMPI_Init" are outside every negotiation below.
+        let paths: [&[&str]; 5] = [
+            &["_start", "main", "MPI_Barrier"],
+            &["_start", "main", "do_SendOrStall", "poll_step"],
+            &["_start", "PMPI_Init", "main"],
+            &["_start", "main", "do_SendOrStall", "MPI_Waitall"],
+            &["_start", "main", "MPI_Barrier", "poll_step"],
+        ];
+        let trees = [1, 3].map(|stride| {
+            let (mut tree, mut trail) = (PrefixTree::<S>::new(16), Trail::new());
+            for task in 0..16 {
+                let path = paths[(task as usize * stride) % paths.len()];
+                let end = tree.descend_named(&mut table, &mut trail, path);
+                tree.mark(end, task);
+            }
+            tree.close_upward();
+            tree
+        });
+        let bodies = trees.iter().map(|t| encode_tree(t, &table, dict)).collect();
+        let snapshot = dict.snapshot();
+        let ids = (0..).map(FrameId).take(snapshot.len());
+        (
+            bodies,
+            ids.map(|id| snapshot.name(id).to_string()).collect(),
+        )
+    }
+
+    #[test]
+    fn the_shared_base_encodes_the_plain_table_bytes() {
+        fn check<S: WireTaskSet>() {
+            let hints = [
+                "main",
+                "MPI_Waitall",
+                "_start",
+                "MPI_Barrier",
+                "do_SendOrStall",
+            ];
+            let plain = walked_bodies::<S>(FrameTable::new(), &FrameDictionary::negotiate(hints));
+            let (_, frames) = decode_tree::<S>(&plain.0[0]).unwrap();
+            let records: Vec<_> = frames.records().collect();
+            assert_eq!(records, [(5, "poll_step"), (6, "PMPI_Init")]);
+            assert_eq!(plain.1[5..], ["poll_step", "PMPI_Init"]);
+            let dict = FrameDictionary::negotiate(hints);
+            assert_eq!(walked_bodies::<S>(dict.table(), &dict), plain);
+            // A table over another negotiation (the same names, another order):
+            // its base ids are not this dictionary's, so none passes through.
+            let mut reversed = hints;
+            reversed.reverse();
+            let foreign = FrameDictionary::negotiate(reversed).table();
+            let dict = FrameDictionary::negotiate(hints);
+            assert_eq!(walked_bodies::<S>(foreign, &dict), plain);
+        }
+        check::<DenseBitVector>();
+        check::<SubtreeTaskList>();
+    }
+
     #[test]
     fn representation_mismatch_is_detected() {
         let mut table = FrameTable::new();
@@ -1052,7 +1119,7 @@ mod tests {
         assert_eq!(back.node_count(), tree.node_count());
         let (gid, name) = frames.records().next().unwrap();
         assert_eq!(name.len(), 70_000);
-        assert_eq!(dict.name(gid).as_deref(), Some(huge_name.as_str()));
+        assert_eq!(dict.snapshot().name(FrameId(gid)), huge_name);
     }
 
     #[test]

@@ -156,7 +156,7 @@ impl<D: Domain> RepresentationStrategy for DomainStrategy<D> {
         map_daemons::<TaskSet<D>, _, _>(
             net,
             daemons,
-            |(daemon, leaf)| (*daemon, FrameTable::new(), *leaf),
+            |(daemon, leaf), dict| (*daemon, dict.table(), *leaf),
             (app, 0..samples_per_task),
             dict,
             &|_, _, contribution, _| contribution,

@@ -233,7 +233,7 @@ impl<S: WireTaskSet> StreamCore<S> {
                 Some(DaemonStream {
                     // No samples yet: the empty tree over this daemon's leaf domain.
                     cum_3d: daemon.build_trees(&[]).1,
-                    table: FrameTable::new(),
+                    table: dict.table(),
                     daemon,
                 })
             })
@@ -292,7 +292,7 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
         let per_daemon = map_daemons::<S, _, _>(
             net,
             items,
-            |(stream, leaf)| (&stream.daemon, std::mem::take(&mut stream.table), *leaf),
+            |(stream, leaf), _| (&stream.daemon, std::mem::take(&mut stream.table), *leaf),
             (app, window),
             &self.dict,
             &|(stream, leaf), table, mut contribution, wave_3d| {

@@ -13,37 +13,41 @@
 //!   the dictionary — it seeds the table with the frame names the application's
 //!   runtime is expected to produce ([`negotiate`](FrameDictionary::negotiate))
 //!   and broadcasts that base table down the overlay once;
-//! * daemons intern against the shared table while encoding
-//!   ([`intern`](FrameDictionary::intern)); a frame the negotiation did not
-//!   anticipate gets an id past [`base_len`](FrameDictionary::base_len) and its
-//!   name ships exactly once per packet as an *incremental dictionary record*;
+//! * daemons walk into tables over that base ([`table`](FrameDictionary::table)):
+//!   every table shares the base's names read-only, so a negotiated frame's id
+//!   *is* its global id and encoding it takes no lock; a frame the negotiation
+//!   did not anticipate is interned ([`intern`](FrameDictionary::intern)) past
+//!   [`base_len`](FrameDictionary::base_len), and its name ships exactly once per
+//!   packet as an *incremental dictionary record*;
 //! * merge filters never look names up at all — with a session-global id space,
 //!   comparing two frames is integer equality on ids.
 //!
 //! The handle is cheap to clone (all clones share one table) and callable from
-//! every daemon thread; a poisoned lock is recovered rather than propagated,
-//! because the table is append-only and never observed mid-update.
+//! every daemon thread.  Only the incremental names sit behind a lock; a poisoned
+//! lock is recovered rather than propagated, because the table is append-only
+//! and never observed mid-update.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::frame::FrameTable;
-
-#[derive(Debug, Default)]
-struct DictionaryInner {
-    names: Vec<String>,
-    index: HashMap<String, u32>,
-    base_len: u32,
-}
+use crate::frame::{FrameId, FrameTable};
 
 /// A shared, session-global frame interner with a negotiated base table.
 ///
 /// Ids below [`base_len`](Self::base_len) were agreed at session setup and need
 /// never travel again; ids at or above it are incremental and ship their name
 /// once per referencing packet.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct FrameDictionary {
-    inner: Arc<Mutex<DictionaryInner>>,
+    /// The negotiated base under an empty overflow: read without the lock.
+    base: FrameTable,
+    /// The same base, its overflow every incremental name interned so far.
+    interned: Arc<Mutex<FrameTable>>,
+}
+
+impl Default for FrameDictionary {
+    fn default() -> Self {
+        FrameDictionary::negotiate([])
+    }
 }
 
 impl FrameDictionary {
@@ -52,95 +56,81 @@ impl FrameDictionary {
     /// Duplicate hints collapse onto the first occurrence, so vocabularies can
     /// be concatenated freely.
     pub fn negotiate<'a>(hints: impl IntoIterator<Item = &'a str>) -> Self {
-        let dict = FrameDictionary::default();
-        {
-            let mut inner = dict.lock();
-            for name in hints {
-                if !inner.index.contains_key(name) {
-                    let id = u32::try_from(inner.names.len()).unwrap_or(u32::MAX);
-                    inner.names.push(name.to_string());
-                    inner.index.insert(name.to_string(), id);
-                }
-            }
-            inner.base_len = u32::try_from(inner.names.len()).unwrap_or(u32::MAX);
+        let base = FrameTable::with_base(hints);
+        FrameDictionary {
+            interned: Arc::new(Mutex::new(base.clone())),
+            base,
         }
-        dict
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, DictionaryInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, FrameTable> {
+        self.interned.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Intern a frame name, returning its session-global id.  Names beyond the
-    /// negotiated base get fresh incremental ids.
+    /// negotiated base get fresh incremental ids; only those take the lock.
     pub fn intern(&self, name: &str) -> u32 {
-        let mut inner = self.lock();
-        if let Some(&id) = inner.index.get(name) {
-            return id;
+        match self.base.lookup(name) {
+            Some(id) => id.0,
+            None => self.lock().intern(name).0,
         }
-        let id = u32::try_from(inner.names.len()).unwrap_or(u32::MAX);
-        inner.names.push(name.to_string());
-        inner.index.insert(name.to_string(), id);
-        id
     }
 
-    /// Look up a name without interning it.
-    pub fn lookup(&self, name: &str) -> Option<u32> {
-        self.lock().index.get(name).copied()
+    /// An empty [`FrameTable`] over the negotiated base, for a daemon to walk
+    /// into: its ids below [`base_len`](Self::base_len) are global ids, and only
+    /// a name outside the base lands in its own overflow.
+    pub fn table(&self) -> FrameTable {
+        self.base.clone()
     }
 
-    /// The name behind a session-global id, if the dictionary has seen it.
-    pub fn name(&self, id: u32) -> Option<String> {
-        self.lock().names.get(usize::try_from(id).ok()?).cloned()
+    /// True when `table` is over this dictionary's negotiated base, so that its
+    /// ids below [`base_len`](Self::base_len) are global ids.  An identity test:
+    /// a table over another negotiation of the same names is not.
+    pub fn shares_base(&self, table: &FrameTable) -> bool {
+        self.base.shares_base(table)
     }
 
     /// Size of the negotiated base table: ids below this were agreed at session
     /// setup and are never re-shipped.
     pub fn base_len(&self) -> u32 {
-        self.lock().base_len
+        u32::try_from(self.base.len()).unwrap_or(u32::MAX)
     }
 
     /// Total names interned so far (base + incremental).
     pub fn len(&self) -> usize {
-        self.lock().names.len()
+        self.lock().len()
     }
 
     /// True if nothing was negotiated or interned.
     pub fn is_empty(&self) -> bool {
-        self.lock().names.is_empty()
+        self.lock().is_empty()
     }
 
     /// The negotiated base names in id order — the payload of the one-time
     /// dictionary broadcast down the overlay.
     pub fn negotiated_names(&self) -> Vec<String> {
-        let inner = self.lock();
-        let base = usize::try_from(inner.base_len).unwrap_or(inner.names.len());
-        inner.names.iter().take(base).cloned().collect()
+        let ids = (0..).map(FrameId).take(self.base.len());
+        ids.map(|id| self.base.name(id).to_string()).collect()
     }
 
-    /// A point-in-time [`FrameTable`] whose [`FrameId`](crate::frame::FrameId)s equal
-    /// the dictionary's global ids — the front end resolves decoded trees against this.
+    /// A point-in-time [`FrameTable`] whose [`FrameId`]s equal
+    /// the dictionary's global ids: the shared base plus the incremental names.
+    /// The front end resolves decoded trees against this.
     pub fn snapshot(&self) -> FrameTable {
-        let inner = self.lock();
-        let mut table = FrameTable::new();
-        for name in &inner.names {
-            table.intern(name);
-        }
-        table
+        self.lock().clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::FrameId;
 
     #[test]
     fn negotiation_fixes_the_base_and_dedupes_hints() {
         let dict = FrameDictionary::negotiate(["_start", "main", "MPI_Barrier", "main"]);
         assert_eq!(dict.base_len(), 3);
         assert_eq!(dict.len(), 3);
-        assert_eq!(dict.lookup("main"), Some(1));
+        assert_eq!(dict.snapshot().lookup("main"), Some(FrameId(1)));
         assert_eq!(
             dict.negotiated_names(),
             vec!["_start", "main", "MPI_Barrier"]
@@ -156,7 +146,7 @@ mod tests {
         // Idempotent, and the base never moves.
         assert_eq!(dict.intern("do_SendOrStall"), late);
         assert_eq!(dict.base_len(), 2);
-        assert_eq!(dict.name(late).as_deref(), Some("do_SendOrStall"));
+        assert_eq!(dict.snapshot().name(FrameId(late)), "do_SendOrStall");
     }
 
     #[test]
@@ -177,6 +167,21 @@ mod tests {
         assert_eq!(table.len(), 3);
         assert_eq!(table.name(FrameId(2)), "poll_step");
         assert_eq!(table.lookup("_start"), Some(FrameId(0)));
+    }
+
+    #[test]
+    fn tables_share_the_negotiated_base_and_not_its_interns() {
+        let dict = FrameDictionary::negotiate(["_start", "main"]);
+        let mut table = dict.table();
+        assert!(dict.shares_base(&table) && dict.shares_base(&dict.snapshot()));
+        assert_eq!((table.lookup("main"), table.len()), (Some(FrameId(1)), 2));
+        // A daemon's overflow stays its own until the encoder interns it.
+        assert_eq!(table.intern("poll_step"), FrameId(2));
+        assert_eq!(dict.len(), 2);
+        assert_eq!(dict.intern("MPI_Barrier"), 2);
+        assert_eq!(dict.table().len(), 2, "a fresh table is the base alone");
+        let again = FrameDictionary::negotiate(["_start", "main"]);
+        assert!(!dict.shares_base(&again.table()) && !dict.shares_base(&FrameTable::new()));
     }
 
     #[test]
