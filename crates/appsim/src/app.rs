@@ -3,9 +3,10 @@
 //! An [`Application`] is anything that can answer: "what is the call path of thread
 //! `t` of rank `r` at sample `s`?"  STAT's daemons answer that question with the
 //! StackWalker API against live processes; the reproduction answers it from a rule
-//! table ([`crate::workloads::RuleApp`]).  Everything downstream (walking,
-//! interning, local merge, the TBON merge, equivalence classes) is the real tool
-//! code.
+//! table ([`crate::workloads::RuleApp`]) by lending a path the table already holds,
+//! so the simulated process costs a lookup and no allocation per trace.
+//! Everything downstream (walking, interning, local merge, the TBON merge,
+//! equivalence classes) is the real tool code.
 
 use std::ops::Range;
 
@@ -25,12 +26,13 @@ pub trait Application: Send + Sync {
     }
 
     /// The call path (outermost frame first) of `thread` of `rank` at sample
-    /// `sample_index`.  Implementations must be deterministic in their arguments so
-    /// that experiments are reproducible.
-    fn call_path(&self, rank: u64, thread: u32, sample_index: u32) -> Vec<&'static str>;
+    /// `sample_index`, lent from a table the application holds: the caller reads
+    /// it and never owns a copy, so answering costs no allocation.  The answer must
+    /// be deterministic in the arguments so that experiments are reproducible.
+    fn call_path(&self, rank: u64, thread: u32, sample_index: u32) -> &[&'static str];
 
     /// Convenience: the call path of the main thread.
-    fn main_thread_path(&self, rank: u64, sample_index: u32) -> Vec<&'static str> {
+    fn main_thread_path(&self, rank: u64, sample_index: u32) -> &[&'static str] {
         self.call_path(rank, 0, sample_index)
     }
 
@@ -44,20 +46,10 @@ pub trait Application: Send + Sync {
     }
 }
 
-/// Gather `samples` stack traces from every rank of an application, exactly as a
-/// whole job's worth of daemons would.  Traces from all threads of a task are
-/// associated with the task (the paper's planned thread support keeps per-process
+/// Gather `samples` stack traces from each of `ranks` — what a single daemon does
+/// for the tasks on its node.  Traces from all threads of a task are associated
+/// with the task (the paper's planned thread support keeps per-process
 /// attribution, Section VII).
-pub fn gather_samples(
-    app: &dyn Application,
-    samples: u32,
-    table: &mut FrameTable,
-) -> Vec<TaskSamples> {
-    gather_samples_for_ranks(app, 0..app.num_tasks(), samples, table)
-}
-
-/// Gather samples for a subset of ranks — what a single daemon does for the tasks on
-/// its node.
 pub fn gather_samples_for_ranks(
     app: &dyn Application,
     ranks: impl IntoIterator<Item = u64> + Clone,
@@ -99,7 +91,8 @@ pub fn gather_samples_for_ranks_from(
 /// order given), sample index by sample index over `window` within a rank, thread
 /// by thread within a sample.  `visit` receives the rank's position in `ranks`, the
 /// rank, the trace's number within that rank's series (0 for the task's first
-/// trace — the one the 2D analysis keeps) and the call path, outermost frame first.
+/// trace — the one the 2D analysis keeps) and the call path, outermost frame first,
+/// as the application lends it: nothing is copied or allocated between the two.
 ///
 /// [`gather_samples_for_ranks_from`] materialises the visit as [`TaskSamples`];
 /// `stat_core`'s daemons walk each path straight into their local prefix trees.
@@ -114,7 +107,7 @@ pub fn for_each_sampled_path(
         let mut nth = 0;
         for sample in window.clone() {
             for thread in 0..threads {
-                visit(position, rank, nth, &app.call_path(rank, thread, sample));
+                visit(position, rank, nth, app.call_path(rank, thread, sample));
                 nth += 1;
             }
         }
@@ -136,11 +129,11 @@ mod tests {
         fn num_tasks(&self) -> u64 {
             self.tasks
         }
-        fn call_path(&self, rank: u64, _thread: u32, _sample: u32) -> Vec<&'static str> {
+        fn call_path(&self, rank: u64, _thread: u32, _sample: u32) -> &[&'static str] {
             if rank == 0 {
-                vec!["_start", "main", "io_wait"]
+                &["_start", "main", "io_wait"]
             } else {
-                vec!["_start", "main", "compute"]
+                &["_start", "main", "compute"]
             }
         }
     }
@@ -149,7 +142,7 @@ mod tests {
     fn gather_produces_one_series_per_rank() {
         let app = TrivialApp { tasks: 5 };
         let mut table = FrameTable::new();
-        let samples = gather_samples(&app, 3, &mut table);
+        let samples = gather_samples_for_ranks(&app, 0..5, 3, &mut table);
         assert_eq!(samples.len(), 5);
         for s in &samples {
             assert_eq!(s.sample_count(), 3);
@@ -160,7 +153,9 @@ mod tests {
 
     #[test]
     fn sampled_paths_are_visited_rank_then_sample_then_thread() {
-        struct Echo;
+        const NAMES: [&str; 8] = ["f0", "f1", "f2", "f3", "f4", "f5", "f6", "f7"];
+        /// Every (rank, thread, sample) path, at `(rank * 2 + thread) * 8 + sample`.
+        struct Echo(Vec<[&'static str; 3]>);
         impl Application for Echo {
             fn name(&self) -> &str {
                 "echo"
@@ -171,17 +166,17 @@ mod tests {
             fn threads_per_task(&self) -> u32 {
                 2
             }
-            fn call_path(&self, rank: u64, thread: u32, sample: u32) -> Vec<&'static str> {
-                const NAMES: [&str; 8] = ["f0", "f1", "f2", "f3", "f4", "f5", "f6", "f7"];
-                vec![
-                    NAMES[rank as usize],
-                    NAMES[thread as usize],
-                    NAMES[sample as usize],
-                ]
+            fn call_path(&self, rank: u64, thread: u32, sample: u32) -> &[&'static str] {
+                &self.0[(rank as usize * 2 + thread as usize) * 8 + sample as usize]
             }
         }
+        let echo = Echo(
+            (0..128)
+                .map(|i| [NAMES[i / 16], NAMES[i / 8 % 2], NAMES[i % 8]])
+                .collect(),
+        );
         let mut seen = Vec::new();
-        for_each_sampled_path(&Echo, [6, 3], 5..7, |position, rank, nth, path| {
+        for_each_sampled_path(&echo, [6, 3], 5..7, |position, rank, nth, path| {
             assert_eq!(rank, [6, 3][position]);
             seen.push((position, nth, path.concat()));
         });
@@ -203,13 +198,13 @@ mod tests {
         // The materialised form is the same visit, one series per rank — even
         // when the window is empty.
         let mut table = FrameTable::new();
-        let gathered = gather_samples_for_ranks_from(&Echo, [6, 3], 5, 2, &mut table);
+        let gathered = gather_samples_for_ranks_from(&echo, [6, 3], 5, 2, &mut table);
         assert_eq!(gathered.len(), 2);
         assert_eq!(gathered[1].rank, 3);
         assert_eq!(gathered[1].sample_count(), 4);
         let leaf = gathered[1].traces[3].leaf().unwrap();
         assert_eq!(table.name(leaf), "f6");
-        let none = gather_samples_for_ranks_from(&Echo, [6, 3], 5, 0, &mut table);
+        let none = gather_samples_for_ranks_from(&echo, [6, 3], 5, 0, &mut table);
         assert_eq!(none.iter().map(|t| t.sample_count()).sum::<usize>(), 0);
         assert_eq!(none.len(), 2);
     }

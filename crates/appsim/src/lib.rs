@@ -44,8 +44,7 @@ pub mod vocab;
 pub mod workloads;
 
 pub use app::{
-    for_each_sampled_path, gather_samples, gather_samples_for_ranks, gather_samples_for_ranks_from,
-    Application,
+    for_each_sampled_path, gather_samples_for_ranks, gather_samples_for_ranks_from, Application,
 };
 pub use ring::RingHangApp;
 pub use scenario::{

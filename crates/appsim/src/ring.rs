@@ -118,7 +118,7 @@ impl Application for RingHangApp {
     fn frame_hints(&self) -> Vec<&'static str> {
         self.table.frame_hints()
     }
-    fn call_path(&self, rank: u64, thread: u32, sample_index: u32) -> Vec<&'static str> {
+    fn call_path(&self, rank: u64, thread: u32, sample_index: u32) -> &[&'static str] {
         self.table.call_path(rank, thread, sample_index)
     }
 }
@@ -126,7 +126,7 @@ impl Application for RingHangApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::gather_samples;
+    use crate::app::gather_samples_for_ranks;
     use stackwalk::FrameTable;
 
     #[test]
@@ -196,7 +196,7 @@ mod tests {
     fn gathering_at_figure_1_scale_produces_the_expected_shape() {
         let app = RingHangApp::new(1_024, FrameVocabulary::BlueGeneL);
         let mut table = FrameTable::new();
-        let samples = gather_samples(&app, 3, &mut table);
+        let samples = gather_samples_for_ranks(&app, 0..1_024, 3, &mut table);
         assert_eq!(samples.len(), 1_024);
         // The whole 1,024-task, 3-sample job only needs a couple dozen distinct frames
         // — this is why interning matters.

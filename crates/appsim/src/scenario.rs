@@ -111,11 +111,6 @@ impl GroundTruth {
         set.into_iter().collect()
     }
 
-    /// Whether the fault was injected into `rank`.
-    pub fn is_faulty(&self, rank: u64) -> bool {
-        self.isolations.iter().any(|i| i.ranks.contains(&rank))
-    }
-
     /// The primary distinguishing frame (the first isolation's), if any.
     pub fn distinguishing_frame(&self) -> Option<&'static str> {
         self.isolations.first().map(|i| i.frame)
@@ -721,7 +716,12 @@ mod tests {
                 let frame = s.truth.distinguishing_frame().unwrap();
                 for rank in 0..256 {
                     let flagged = s.app.main_thread_path(rank, 0).contains(&frame);
-                    assert_eq!(flagged, s.truth.is_faulty(rank), "{} rank {rank}", s.name);
+                    assert_eq!(
+                        flagged,
+                        s.truth.faulty_ranks().contains(&rank),
+                        "{} rank {rank}",
+                        s.name
+                    );
                 }
                 // Suffixes advertise the tool-side modifiers.
                 assert_eq!(s.is_degraded(), s.name.contains("_degraded"));
@@ -889,8 +889,8 @@ mod tests {
             never_coincide: vec![],
         };
         assert_eq!(truth.faulty_ranks(), vec![1, 2, 5]);
-        assert!(truth.is_faulty(2));
-        assert!(!truth.is_faulty(3));
+        assert!(truth.faulty_ranks().contains(&2));
+        assert!(!truth.faulty_ranks().contains(&3));
         assert_eq!(truth.distinguishing_frame(), Some("a"));
     }
 }

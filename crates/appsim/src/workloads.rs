@@ -121,6 +121,11 @@ impl Rule {
             ..self
         }
     }
+
+    /// The path `(rank, thread, sample)` is caught in, lent from the row's table.
+    pub fn path(&self, rank: u64, thread: u32, sample: u32) -> &[&'static str] {
+        &self.paths[(self.pick)(rank, thread, sample) % self.paths.len()]
+    }
 }
 
 impl fmt::Debug for Rule {
@@ -217,11 +222,9 @@ impl Application for RuleApp {
         self.vocab.dictionary_hints()
     }
 
-    fn call_path(&self, rank: u64, thread: u32, sample: u32) -> Vec<&'static str> {
-        self.rule_for(rank, thread).map_or_else(Vec::new, |index| {
-            let rule = &self.rules[index];
-            rule.paths[(rule.pick)(rank, thread, sample) % rule.paths.len()].to_vec()
-        })
+    fn call_path(&self, rank: u64, thread: u32, sample: u32) -> &[&'static str] {
+        self.rule_for(rank, thread)
+            .map_or(&[], |index| self.rules[index].path(rank, thread, sample))
     }
 }
 
@@ -619,7 +622,7 @@ pub fn checkpoint_storm(tasks: u64, completed_fraction: f64, vocab: FrameVocabul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::gather_samples;
+    use crate::app::gather_samples_for_ranks;
     use crate::ring::RingHangApp;
     use crate::scenario::{catalogue, randomized_scenarios, FaultScenario};
     use stackwalk::FrameTable;
@@ -659,7 +662,7 @@ mod tests {
         // added the same single marker.
         for classes in [5, 8, 10, 11, 16, 64] {
             let app = compute_spread(1_000, classes, Linux);
-            let paths: std::collections::HashSet<Vec<&str>> = (0..1_000)
+            let paths: std::collections::HashSet<&[&str]> = (0..1_000)
                 .map(|rank| app.main_thread_path(rank, 0))
                 .collect();
             assert_eq!(paths.len(), classes as usize, "{classes} classes requested");
@@ -680,7 +683,7 @@ mod tests {
         let app = threaded(8, 3, FrameVocabulary::Linux);
         assert_eq!(app.threads_per_task(), 4);
         let mut table = FrameTable::new();
-        let samples = gather_samples(&app, 2, &mut table);
+        let samples = gather_samples_for_ranks(&app, 0..8, 2, &mut table);
         assert_eq!(samples.len(), 8);
         // 2 samples × 4 threads = 8 traces per task.
         assert!(samples.iter().all(|s| s.sample_count() == 8));
@@ -711,7 +714,7 @@ mod tests {
         assert_eq!(stuck.len(), 3);
         for rank in 0..1_000 {
             let wedged = app.main_thread_path(rank, 0).contains(&"nfs_getattr_wait");
-            assert_eq!(wedged, app.ground_truth().is_faulty(rank));
+            assert_eq!(wedged, app.ground_truth().faulty_ranks().contains(&rank));
         }
         // Deterministic but time-varying: the retry frame alternates.
         assert_ne!(
@@ -758,7 +761,7 @@ mod tests {
         assert_eq!(corrupted.len(), 3);
         for rank in 0..256 {
             let path = app.main_thread_path(rank, 0);
-            if app.ground_truth().is_faulty(rank) {
+            if app.ground_truth().faulty_ranks().contains(&rank) {
                 assert_eq!(path[0], "???");
                 assert!(FrameVocabulary::Linux.garbage_frames().contains(&path[1]));
             } else {
@@ -768,7 +771,7 @@ mod tests {
         }
         // Garbage varies over time (harder on the merge than a fixed bad frame).
         let corrupt = corrupted[0];
-        let distinct: std::collections::HashSet<Vec<&str>> =
+        let distinct: std::collections::HashSet<&[&str]> =
             (0..8).map(|s| app.main_thread_path(corrupt, s)).collect();
         assert!(distinct.len() > 1);
     }
@@ -782,7 +785,11 @@ mod tests {
             let frame = flavor.distinguishing_frame(FrameVocabulary::Linux);
             for rank in 0..128 {
                 let flagged = app.main_thread_path(rank, 0).contains(&frame);
-                assert_eq!(flagged, app.ground_truth().is_faulty(rank), "{flavor:?}");
+                assert_eq!(
+                    flagged,
+                    app.ground_truth().faulty_ranks().contains(&rank),
+                    "{flavor:?}"
+                );
             }
         }
     }
@@ -805,7 +812,7 @@ mod tests {
         // other name and never panic the gather.
         let app = corrupted_stacks(128, 2, FrameVocabulary::BlueGeneL);
         let mut table = FrameTable::new();
-        let samples = gather_samples(&app, 4, &mut table);
+        let samples = gather_samples_for_ranks(&app, 0..128, 4, &mut table);
         assert_eq!(samples.len(), 128);
         assert!(table.len() < 32);
     }
@@ -892,7 +899,7 @@ mod tests {
             let writing = app
                 .main_thread_path(rank, 0)
                 .contains(&"MPI_File_write_all");
-            assert_eq!(writing, truth.is_faulty(rank));
+            assert_eq!(writing, truth.faulty_ranks().contains(&rank));
         }
         assert_eq!(truth.faulty_ranks(), (75..100).collect::<Vec<_>>());
     }

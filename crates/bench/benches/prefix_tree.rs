@@ -18,7 +18,7 @@ fn build_tree(tasks: u64, table: &mut FrameTable) -> GlobalPrefixTree {
     let mut tree = GlobalPrefixTree::new_global(tasks);
     for rank in 0..tasks {
         let path = app.main_thread_path(rank, 0);
-        let trace = walker.walk(table, &path);
+        let trace = walker.walk(table, path);
         tree.add_trace(&trace, rank);
     }
     tree
@@ -35,7 +35,7 @@ fn build_daemon_trees(tasks: u64, daemons: u64, table: &mut FrameTable) -> Vec<S
             let mut tree = SubtreePrefixTree::new_subtree(local);
             for pos in 0..local {
                 let path = app.main_thread_path(d * local + pos, 0);
-                let trace = walker.walk(table, &path);
+                let trace = walker.walk(table, path);
                 tree.add_trace(&trace, pos);
             }
             tree
@@ -167,14 +167,16 @@ fn bench_classify(c: &mut Criterion) {
 /// An application whose every rank sits in its own callee of one `dispatch`
 /// frame: a single tree node with as many children as the daemon has tasks.
 struct WideFanoutApp {
-    callees: Vec<&'static str>,
+    paths: Vec<[&'static str; 3]>,
 }
 
 impl WideFanoutApp {
     fn new(callees: usize) -> Self {
         let leak = |k| &*Box::leak(format!("callee_{k}").into_boxed_str());
         WideFanoutApp {
-            callees: (0..callees).map(leak).collect(),
+            paths: (0..callees)
+                .map(|k| ["main", "dispatch", leak(k)])
+                .collect(),
         }
     }
 }
@@ -184,10 +186,10 @@ impl Application for WideFanoutApp {
         "wide_fanout"
     }
     fn num_tasks(&self) -> u64 {
-        self.callees.len() as u64
+        self.paths.len() as u64
     }
-    fn call_path(&self, rank: u64, _thread: u32, _sample: u32) -> Vec<&'static str> {
-        vec!["main", "dispatch", self.callees[rank as usize]]
+    fn call_path(&self, rank: u64, _thread: u32, _sample: u32) -> &[&'static str] {
+        &self.paths[rank as usize]
     }
 }
 

@@ -33,7 +33,7 @@ fn build_daemon_trees(table: &mut FrameTable) -> Vec<SubtreePrefixTree> {
             let mut tree = SubtreePrefixTree::new_subtree(local);
             for pos in 0..local {
                 let path = app.main_thread_path(d * local + pos, 0);
-                let trace = walker.walk(table, &path);
+                let trace = walker.walk(table, path);
                 tree.add_trace(&trace, pos);
             }
             tree

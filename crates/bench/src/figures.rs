@@ -284,7 +284,7 @@ fn measure_real_remap(tasks: u64) -> f64 {
     let mut walker = stackwalk::Walker::new();
     for rank in 0..tasks {
         let path = app.main_thread_path(rank, 0);
-        let trace = walker.walk(&mut table, &path);
+        let trace = walker.walk(&mut table, path);
         tree.add_trace(&trace, rank);
     }
     let position_to_rank: stat_core::taskset::RankRuns = (0..tasks).rev().collect();

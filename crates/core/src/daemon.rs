@@ -85,6 +85,15 @@ impl StatDaemon {
         self.ranks.count()
     }
 
+    /// Its trees' width: the job (global representation) or its own tasks (hierarchical).
+    pub(crate) fn leaf_width<S: WireTaskSet>(&self) -> u64 {
+        if S::CONCATENATES {
+            self.local_tasks()
+        } else {
+            self.total_tasks
+        }
+    }
+
     /// Gather `samples` traces from each local task of `app`, materialised: the
     /// sampling half of [`StatDaemon::contribute`], staged.
     pub fn gather(
@@ -98,7 +107,6 @@ impl StatDaemon {
 
     /// Build the locally merged 2D and 3D trees from gathered samples: the merging
     /// half of [`StatDaemon::contribute`], staged, on the same `LocalTrees` core.
-    /// No samples gives the daemon's empty trees.
     pub fn build_trees<S: WireTaskSet>(
         &self,
         samples: &[TaskSamples],
@@ -227,15 +235,8 @@ pub(crate) fn map_daemons<S: WireTaskSet + Send, T: Send, R: Send>(
 struct LocalTrees<S: WireTaskSet>([(PrefixTree<S>, Trail<'static>); 2]);
 
 impl<S: WireTaskSet> LocalTrees<S> {
-    /// Empty trees over the daemon's domain: the whole job for the global (dense)
-    /// representation, the daemon's own tasks for the hierarchical one.
     fn new(daemon: &StatDaemon) -> Self {
-        let width = if S::CONCATENATES {
-            daemon.local_tasks()
-        } else {
-            daemon.total_tasks
-        };
-        LocalTrees([(); 2].map(|()| (PrefixTree::new(width), Trail::new())))
+        LocalTrees([(); 2].map(|()| (PrefixTree::new(daemon.leaf_width::<S>()), Trail::new())))
     }
 
     /// Record the `nth` trace of task `rank`, at `position` in the daemon's list:
@@ -356,7 +357,7 @@ pub(crate) mod tests {
         fn num_tasks(&self) -> u64 {
             self.0.num_tasks()
         }
-        fn call_path(&self, rank: u64, thread: u32, sample: u32) -> Vec<&'static str> {
+        fn call_path(&self, rank: u64, thread: u32, sample: u32) -> &[&'static str] {
             let micros = 6_400 / (rank + 1);
             std::thread::sleep(std::time::Duration::from_micros(micros));
             self.0.call_path(rank, thread, sample)
@@ -382,7 +383,9 @@ pub(crate) mod tests {
         let hints = ring.frame_hints();
         let app = &ring;
         let walked: std::collections::HashSet<&str> = (0..1_024)
-            .flat_map(|rank| (0..2).flat_map(move |sample| app.call_path(rank, 0, sample)))
+            .flat_map(|rank| {
+                (0..2).flat_map(move |sample| app.call_path(rank, 0, sample).iter().copied())
+            })
             .collect();
         let walked_hints: Vec<&str> = hints
             .iter()

@@ -102,13 +102,13 @@ fn escape(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::graph::GlobalPrefixTree;
-    use appsim::{gather_samples, Application, FrameVocabulary, RingHangApp};
+    use appsim::{gather_samples_for_ranks, Application, FrameVocabulary, RingHangApp};
     use stackwalk::FrameTable;
 
     fn figure_1_tree() -> (GlobalPrefixTree, FrameTable) {
         let app = RingHangApp::new(1_024, FrameVocabulary::BlueGeneL);
         let mut table = FrameTable::new();
-        let samples = gather_samples(&app, 3, &mut table);
+        let samples = gather_samples_for_ranks(&app, 0..app.num_tasks(), 3, &mut table);
         let mut tree = GlobalPrefixTree::new_global(app.num_tasks());
         for s in &samples {
             for trace in &s.traces {

@@ -137,12 +137,12 @@ mod tests {
     use super::*;
     use crate::equivalence::equivalence_classes;
     use crate::graph::GlobalPrefixTree;
-    use appsim::{gather_samples, Application, FrameVocabulary, RingHangApp};
+    use appsim::{gather_samples_for_ranks, Application, FrameVocabulary, RingHangApp};
 
     fn ring_tree(tasks: u64) -> (GlobalPrefixTree, FrameTable) {
         let app = RingHangApp::new(tasks, FrameVocabulary::BlueGeneL);
         let mut table = FrameTable::new();
-        let samples = gather_samples(&app, 3, &mut table);
+        let samples = gather_samples_for_ranks(&app, 0..app.num_tasks(), 3, &mut table);
         let mut tree = GlobalPrefixTree::new_global(app.num_tasks());
         for s in &samples {
             for trace in &s.traces {

@@ -231,8 +231,7 @@ impl<S: WireTaskSet> StreamCore<S> {
             .into_iter()
             .map(|daemon| {
                 Some(DaemonStream {
-                    // No samples yet: the empty tree over this daemon's leaf domain.
-                    cum_3d: daemon.build_trees(&[]).1,
+                    cum_3d: PrefixTree::new(daemon.leaf_width::<S>()),
                     table: dict.table(),
                     daemon,
                 })
@@ -903,7 +902,7 @@ mod tests {
         fn num_tasks(&self) -> u64 {
             self.0.num_tasks()
         }
-        fn call_path(&self, rank: u64, thread: u32, sample: u32) -> Vec<&'static str> {
+        fn call_path(&self, rank: u64, thread: u32, sample: u32) -> &[&'static str] {
             assert!(rank != 12 || sample < 2, "the stack walk of rank 12 died");
             self.0.call_path(rank, thread, sample)
         }

@@ -7,8 +7,13 @@
 //! the space between STAT's best case (every task identical — the merged tree is one
 //! path) and its worst case (every task different — the merged tree is as wide as the
 //! job).
+//!
+//! The generator runs once, when a [`SyntheticApp`] is built: every distinct path
+//! of the shape goes into one `appsim` [`Rule`] table, its frame names interned
+//! then, so sampling a task is a lookup that lends a path, as for every other
+//! simulated application.
 
-use appsim::Application;
+use appsim::{Application, Ranks, Rule};
 
 /// The shape knobs of a synthetic workload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,7 +68,8 @@ impl TraceShape {
             depth,
             classes: self.classes.max(1),
             divergence_depth: self.divergence_depth.clamp(1, depth),
-            temporal_frames: self.temporal_frames.min(depth / 2),
+            // A sample catches the polling chain at most 3 frames deep.
+            temporal_frames: self.temporal_frames.min(depth / 2).min(3),
         }
     }
 }
@@ -73,19 +79,43 @@ impl TraceShape {
 /// Frame names are drawn from a fixed synthetic vocabulary (`spine_k`, `class_c_k`,
 /// `poll_v`) so that the number of *distinct* frames — and therefore the size of the
 /// frame table travelling with each packet — is controlled by the shape, not by the
-/// job size, just as in the real tool.
+/// job size, just as in the real tool.  The names are interned and the paths built
+/// once, by [`SyntheticApp::new`]: one path per class and polling depth, which
+/// [`Application::call_path`] lends.
 #[derive(Clone, Debug)]
 pub struct SyntheticApp {
     tasks: u64,
     shape: TraceShape,
+    paths: Rule,
 }
 
 impl SyntheticApp {
     /// A synthetic job of `tasks` tasks with the given trace shape.
     pub fn new(tasks: u64, shape: TraceShape) -> Self {
+        let shape = shape.clamped();
+        let (divergence, temporal) = (shape.divergence_depth, shape.temporal_frames);
+        // One path per class and polling depth: the shared spine, the class's own
+        // frames, then the polling chain caught 1 to `temporal` frames deep (or not
+        // at all), so every shallower variant is a prefix of the deepest one — the
+        // same structure the ring test's progress engine produces.
+        let path = |class, depth| -> Vec<_> {
+            let spine = (0..divergence).map(|level| Self::frame_name("spine", level, 0));
+            let own = divergence..shape.depth.saturating_sub(temporal);
+            let own = own.map(|level| Self::frame_name("class", class, level));
+            let polls = (0..depth).map(|k| Self::frame_name("poll", k, 0));
+            spine.chain(own).chain(polls).collect()
+        };
+        let (classes, caught) = (u64::from(shape.classes), temporal.max(1));
+        let depths = move |class| (1..=caught).map(move |depth| path(class, depth.min(temporal)));
+        let paths = (0..shape.classes).flat_map(depths).collect();
+        // Classes stripe over ranks; sample `s` is caught `1 + s % 3` deep, at most `temporal`.
+        let pick = move |rank: u64, _, sample: u32| {
+            (rank % classes) as usize * caught as usize + (sample % 3).min(caught - 1) as usize
+        };
         SyntheticApp {
             tasks: tasks.max(1),
-            shape: shape.clamped(),
+            shape,
+            paths: Rule::new(Ranks::All, paths).picked(pick),
         }
     }
 
@@ -101,9 +131,9 @@ impl SyntheticApp {
     }
 
     fn frame_name(kind: &str, a: u32, b: u32) -> &'static str {
-        // Synthetic frame names must be 'static for the Application trait; intern
-        // them in a process-wide leak-once table.  The vocabulary is bounded by the
-        // shape (depth × classes), so the leak is bounded and shared across apps.
+        // Synthetic frame names must be 'static for the Application trait; an app
+        // interns them when it is built, in a process-wide leak-once table.  The
+        // vocabulary is bounded by the shape, so the leak is bounded and shared.
         use std::collections::HashMap;
         use std::sync::{Mutex, OnceLock};
         type NameTable = Mutex<HashMap<(String, u32, u32), &'static str>>;
@@ -149,28 +179,8 @@ impl Application for SyntheticApp {
         hints
     }
 
-    fn call_path(&self, rank: u64, _thread: u32, sample_index: u32) -> Vec<&'static str> {
-        let shape = self.shape;
-        let class = self.class_of(rank);
-        let mut path = Vec::with_capacity(shape.depth as usize);
-        // Shared spine.
-        for level in 0..shape.divergence_depth {
-            path.push(Self::frame_name("spine", level, 0));
-        }
-        // Class-specific frames.
-        for level in shape.divergence_depth..shape.depth.saturating_sub(shape.temporal_frames) {
-            path.push(Self::frame_name("class", class, level));
-        }
-        // Temporal (per-sample) frames: the sample is caught at a varying depth of a
-        // fixed polling chain, so every shallower variant is a prefix of the deepest
-        // one — the same structure the ring test's progress engine produces.
-        if shape.temporal_frames > 0 {
-            let reps = (1 + sample_index % 3).min(shape.temporal_frames);
-            for k in 0..reps {
-                path.push(Self::frame_name("poll", k, 0));
-            }
-        }
-        path
+    fn call_path(&self, rank: u64, thread: u32, sample_index: u32) -> &[&'static str] {
+        self.paths.path(rank, thread, sample_index)
     }
 }
 
@@ -183,19 +193,105 @@ mod tests {
 
     #[test]
     fn traces_have_the_requested_depth() {
-        let app = SyntheticApp::new(100, TraceShape::typical());
-        // The deepest sample of the polling chain reaches the full requested depth;
-        // shallower samples are prefixes of it.
-        let deepest = (0..3)
-            .map(|s| app.main_thread_path(0, s).len())
-            .max()
-            .unwrap();
-        assert_eq!(deepest as u32, app.shape().depth);
-        let shallowest = (0..3)
-            .map(|s| app.main_thread_path(0, s).len())
-            .min()
-            .unwrap();
-        assert!(shallowest as u32 >= app.shape().depth - app.shape().temporal_frames);
+        // More temporal frames than a sample can catch are clamped to the 3 it can.
+        let deep_polling = TraceShape {
+            temporal_frames: 5,
+            ..TraceShape::typical()
+        };
+        for shape in [TraceShape::typical(), deep_polling] {
+            let app = SyntheticApp::new(100, shape);
+            // The deepest sample of the polling chain reaches the full requested
+            // depth; shallower samples are prefixes of it.
+            let deepest = (0..3)
+                .map(|s| app.main_thread_path(0, s).len())
+                .max()
+                .unwrap();
+            assert_eq!(deepest as u32, app.shape().depth);
+            let shallowest = (0..3)
+                .map(|s| app.main_thread_path(0, s).len())
+                .min()
+                .unwrap();
+            assert!(shallowest as u32 >= app.shape().depth - app.shape().temporal_frames);
+            // Every hinted polling frame is one a path contains.
+            let walked: std::collections::HashSet<&str> = (0..3)
+                .flat_map(|s| app.main_thread_path(0, s).iter().copied())
+                .collect();
+            let hints = app.frame_hints();
+            let mut polls = hints.iter().filter(|h| h.starts_with("poll"));
+            assert!(polls.all(|h| walked.contains(h)), "{shape:?}");
+        }
+    }
+
+    /// The generator as it ran per trace before the table: the spine, the class's
+    /// frames and the polling chain caught `1 + s % 3` deep, name by name.
+    fn reference_path(app: &SyntheticApp, rank: u64, sample_index: u32) -> Vec<&'static str> {
+        let shape = app.shape();
+        let class = app.class_of(rank);
+        let mut path = Vec::with_capacity(shape.depth as usize);
+        for level in 0..shape.divergence_depth {
+            path.push(SyntheticApp::frame_name("spine", level, 0));
+        }
+        for level in shape.divergence_depth..shape.depth.saturating_sub(shape.temporal_frames) {
+            path.push(SyntheticApp::frame_name("class", class, level));
+        }
+        if shape.temporal_frames > 0 {
+            let reps = (1 + sample_index % 3).min(shape.temporal_frames);
+            for k in 0..reps {
+                path.push(SyntheticApp::frame_name("poll", k, 0));
+            }
+        }
+        path
+    }
+
+    #[test]
+    fn the_lent_paths_are_the_generated_paths() {
+        // Every shape statbench runs: the default, both extremes, the class counts
+        // the sweeps and the emulation tests use, and the shapes the clamp fixes.
+        let mut shapes = vec![
+            TraceShape::typical(),
+            TraceShape::best_case(12),
+            TraceShape::worst_case(12, 200),
+            TraceShape::worst_case(10, 128),
+            TraceShape {
+                temporal_frames: 5,
+                ..TraceShape::typical()
+            },
+            TraceShape {
+                depth: 0,
+                classes: 0,
+                divergence_depth: 99,
+                temporal_frames: 99,
+            },
+        ];
+        for temporal_frames in 0..4 {
+            shapes.push(TraceShape {
+                temporal_frames,
+                ..TraceShape::typical()
+            });
+        }
+        for classes in [1, 2, 3, 4, 6, 8, 16, 64, 256, 1_000, 1_024] {
+            shapes.push(TraceShape {
+                classes,
+                ..TraceShape::typical()
+            });
+        }
+        for shape in shapes {
+            let app = SyntheticApp::new(4_096, shape);
+            let classes = u64::from(app.shape().classes);
+            let ranks = (0..2 * classes + 3).chain([4_095, 1 << 40]);
+            for rank in ranks {
+                for sample in 0..6 {
+                    let lent = app.call_path(rank, 0, sample);
+                    // Lent from the table: a second call returns the same slice.
+                    assert!(std::ptr::eq(lent, app.call_path(rank, 0, sample)));
+                    assert_eq!(
+                        lent,
+                        reference_path(&app, rank, sample),
+                        "{shape:?} {rank} {sample}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -206,7 +302,7 @@ mod tests {
                 ..TraceShape::typical()
             };
             let app = SyntheticApp::new(256, shape);
-            let distinct: std::collections::HashSet<Vec<&str>> =
+            let distinct: std::collections::HashSet<&[&str]> =
                 (0..256).map(|r| app.main_thread_path(r, 0)).collect();
             assert_eq!(distinct.len() as u32, classes);
         }
@@ -232,18 +328,18 @@ mod tests {
         let s1 = app.main_thread_path(3, 1);
         assert_ne!(s0, s1);
         // The shallower sample is a prefix of the deeper one.
-        assert_eq!(&s1[..s0.len()], &s0[..]);
+        assert_eq!(&s1[..s0.len()], s0);
     }
 
     #[test]
     fn best_and_worst_cases_bracket_the_class_count() {
         let best = SyntheticApp::new(1_000, TraceShape::best_case(12));
-        let distinct_best: std::collections::HashSet<Vec<&str>> =
+        let distinct_best: std::collections::HashSet<&[&str]> =
             (0..1_000).map(|r| best.main_thread_path(r, 0)).collect();
         assert_eq!(distinct_best.len(), 1);
 
         let worst = SyntheticApp::new(200, TraceShape::worst_case(12, 200));
-        let distinct_worst: std::collections::HashSet<Vec<&str>> =
+        let distinct_worst: std::collections::HashSet<&[&str]> =
             (0..200).map(|r| worst.main_thread_path(r, 0)).collect();
         assert_eq!(distinct_worst.len(), 200);
     }

@@ -718,13 +718,19 @@ fn main_twin() -> &'static str {
     TWIN.get_or_init(|| Box::leak(String::from("main").into_boxed_str()))
 }
 
-/// 80 distinct callees of one `dispatch` frame — far past the fan-out the fused
-/// walk scans sibling by sibling.
-fn wide_callees() -> &'static [&'static str] {
-    static CALLEES: std::sync::OnceLock<Vec<&'static str>> = std::sync::OnceLock::new();
-    CALLEES.get_or_init(|| {
+/// `main → dispatch → callee` to 80 distinct callees of one `dispatch` frame —
+/// far past the fan-out the fused walk scans sibling by sibling.
+fn wide_paths() -> &'static [[&'static str; 3]] {
+    static PATHS: std::sync::OnceLock<Vec<[&'static str; 3]>> = std::sync::OnceLock::new();
+    PATHS.get_or_init(|| {
         (0..80)
-            .map(|k| &*Box::leak(format!("callee_{k}").into_boxed_str()))
+            .map(|k| {
+                [
+                    main_twin(),
+                    "dispatch",
+                    Box::leak(format!("callee_{k}").into_boxed_str()),
+                ]
+            })
             .collect()
     })
 }
@@ -753,15 +759,15 @@ impl appsim::Application for PooledApp {
         // Part of the vocabulary only: the rest ships as incremental records.
         vec!["main", "solve", "dispatch"]
     }
-    fn call_path(&self, rank: u64, thread: u32, sample: u32) -> Vec<&'static str> {
+    fn call_path(&self, rank: u64, thread: u32, sample: u32) -> &[&'static str] {
         if rank.is_multiple_of(2) && thread == 0 {
-            let callees = wide_callees();
-            let pick = (rank / 2 + 3 * u64::from(sample)) as usize % callees.len();
-            return vec![main_twin(), "dispatch", callees[pick]];
+            let paths = wide_paths();
+            let pick = (rank / 2 + 3 * u64::from(sample)) as usize % paths.len();
+            return &paths[pick];
         }
         let mixed = (self.seed ^ rank.wrapping_mul(0x9e37_79b9_7f4a_7c15))
             .wrapping_add(u64::from(thread) * 31 + u64::from(sample) * 7);
-        self.pool[(mixed % self.pool.len() as u64) as usize].clone()
+        &self.pool[(mixed % self.pool.len() as u64) as usize]
     }
 }
 
