@@ -97,7 +97,7 @@ fn bench_single_pass_vs_sequential(c: &mut Criterion) {
     bench_shape(
         c,
         "reduce_64k_endpoints_3deep",
-        TreeShape::three_deep(ENDPOINTS, 16, 1_024),
+        TreeShape::from_level_widths(vec![1, 16, 1_024, ENDPOINTS]),
     );
 }
 

@@ -11,50 +11,23 @@ use stackwalk::FrameTable;
 use crate::graph::PrefixTree;
 use crate::taskset::{format_rank_ranges, TaskSetOps};
 
-/// Options controlling the rendering.
-#[derive(Clone, Debug)]
-pub struct DotOptions {
-    /// Graph name.
-    pub name: String,
-    /// Maximum rank ranges to print per edge label before truncating with `...`.
-    pub max_ranges: usize,
-    /// Colour nodes by the size of their task set (mimics STAT's red/blue palette).
-    pub color_by_population: bool,
-}
+/// Rank ranges printed per edge label before truncating with `...`.
+const MAX_RANGES: usize = 6;
 
-impl Default for DotOptions {
-    fn default() -> Self {
-        DotOptions {
-            name: "stat_prefix_tree".to_string(),
-            max_ranges: 6,
-            color_by_population: true,
-        }
-    }
-}
-
-/// Render a tree to DOT.
-pub fn to_dot<S: TaskSetOps>(
-    tree: &PrefixTree<S>,
-    table: &FrameTable,
-    options: &DotOptions,
-) -> String {
+/// Render a tree to DOT, colouring nodes by the size of their task set (STAT's
+/// red/blue palette).
+pub fn to_dot<S: TaskSetOps>(tree: &PrefixTree<S>, table: &FrameTable) -> String {
     let total = tree.tasks(tree.root()).count().max(1);
     let mut out = String::new();
-    out.push_str(&format!("digraph {} {{\n", sanitize(&options.name)));
+    out.push_str("digraph stat_prefix_tree {\n");
     out.push_str("  node [shape=box, fontname=\"Helvetica\"];\n");
-    out.push_str(&format!(
-        "  n0 [label=\"{}\", style=filled, fillcolor=lightgrey];\n",
-        "/" // the synthetic root, drawn as "/" like STAT's GUI
-    ));
+    // The synthetic root, drawn as "/" like STAT's GUI.
+    out.push_str("  n0 [label=\"/\", style=filled, fillcolor=lightgrey];\n");
     for (idx, frame, parent) in tree.iter_nodes() {
         let name = table.name(frame);
         let tasks = tree.tasks(idx);
-        let label = format_rank_ranges(tasks.iter_members(), options.max_ranges);
-        let color = if options.color_by_population {
-            population_color(tasks.count(), total)
-        } else {
-            "white".to_string()
-        };
+        let label = format_rank_ranges(tasks.iter_members(), MAX_RANGES);
+        let color = population_color(tasks.count(), total);
         out.push_str(&format!(
             "  n{idx} [label=\"{}\", style=filled, fillcolor=\"{color}\"];\n",
             escape(name)
@@ -82,18 +55,6 @@ fn population_color(count: u64, total: u64) -> String {
     }
 }
 
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
-}
-
 fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -101,8 +62,11 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frontend::Representation;
     use crate::graph::GlobalPrefixTree;
+    use crate::session::Session;
     use appsim::{gather_samples_for_ranks, Application, FrameVocabulary, RingHangApp};
+    use machine::{BglMode, Cluster};
     use stackwalk::FrameTable;
 
     fn figure_1_tree() -> (GlobalPrefixTree, FrameTable) {
@@ -121,7 +85,7 @@ mod tests {
     #[test]
     fn dot_output_contains_figure_1_landmarks() {
         let (tree, table) = figure_1_tree();
-        let dot = to_dot(&tree, &table, &DotOptions::default());
+        let dot = to_dot(&tree, &table);
         assert!(dot.starts_with("digraph stat_prefix_tree {"));
         assert!(dot.contains("_start_blrts"));
         assert!(dot.contains("PMPI_Barrier"));
@@ -135,15 +99,31 @@ mod tests {
     #[test]
     fn every_non_root_node_has_exactly_one_incoming_edge() {
         let (tree, table) = figure_1_tree();
-        let dot = to_dot(&tree, &table, &DotOptions::default());
+        let dot = to_dot(&tree, &table);
         // Every node except the synthetic root has one.
         assert_eq!(dot.matches(" -> ").count(), tree.node_count() - 1);
     }
 
     #[test]
+    fn figure_1_dot_bytes_are_pinned_to_the_pre_constant_values() {
+        // FNV-1a of `GatherResult::to_dot()` for fig01's gather (the 1,024-task
+        // BG/L ring hang, hierarchical, 3 samples), recorded while the rendering
+        // still took an options struct: the constants must render the same bytes.
+        let app = RingHangApp::new(1_024, FrameVocabulary::BlueGeneL);
+        let session = Session::builder(Cluster::bluegene_l(BglMode::CoProcessor))
+            .representation(Representation::HierarchicalTaskList)
+            .samples_per_task(3)
+            .build();
+        let dot = session.attach(&app).unwrap().gather.to_dot();
+        let hash = dot.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((dot.len(), hash), (2_652, 0xe27d_9906_86d3_ba54));
+    }
+
+    #[test]
     fn names_are_escaped() {
         assert_eq!(escape("operator\"new\""), "operator\\\"new\\\"");
-        assert_eq!(sanitize("my graph!"), "my_graph_");
     }
 
     #[test]

@@ -80,6 +80,7 @@ impl Filter for RankMapFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::tests::leaves;
     use crate::graph::{GlobalPrefixTree, PrefixTree, SubtreePrefixTree};
     use crate::serialize::{
         decode_tree, encode_merged_tree, encode_tree, SetCodec, WireFrames, MAGIC, VERSION,
@@ -130,7 +131,7 @@ mod tests {
         let out = filter.reduce(EndpointId(0), &inputs);
         let (tree, _frames): (GlobalPrefixTree, WireFrames) = decode_tree(&out.payload).unwrap();
         assert_eq!(tree.tasks(tree.root()).count(), 24);
-        let leaves = tree.leaves();
+        let leaves = leaves(&tree);
         assert_eq!(leaves.len(), 2);
         let stall_leaf = leaves
             .iter()

@@ -13,7 +13,7 @@ use std::time::Duration;
 use stackwalk::FrameTable;
 use tbon::network::ReductionOutcome;
 
-use crate::dot::{to_dot, DotOptions};
+use crate::dot::to_dot;
 use crate::equivalence::EquivalenceClass;
 use crate::graph::GlobalPrefixTree;
 
@@ -102,7 +102,7 @@ pub struct GatherResult {
 impl GatherResult {
     /// Render the 3D tree as DOT (the Figure 1 reproduction).
     pub fn to_dot(&self) -> String {
-        to_dot(&self.tree_3d, &self.frames, &DotOptions::default())
+        to_dot(&self.tree_3d, &self.frames)
     }
 
     /// The ranks a heavyweight debugger should attach to: one representative per

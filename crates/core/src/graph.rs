@@ -173,30 +173,6 @@ impl<S: TaskSetOps> PrefixTree<S> {
         &self.entry(node).tasks
     }
 
-    /// Maximum depth (frames) of any path in the tree.
-    ///
-    /// Iterative (a worklist, not recursion), so a pathologically deep trace — tens
-    /// of thousands of frames — cannot overflow the stack.
-    pub fn depth(&self) -> usize {
-        let mut deepest = 0;
-        let mut work: Vec<(NodeIdx, usize)> = vec![(self.root(), 0)];
-        while let Some((node, depth)) = work.pop() {
-            deepest = deepest.max(depth);
-            work.extend(self.children(node).iter().map(|&c| (c, depth + 1)));
-        }
-        deepest
-    }
-
-    /// Leaf node indices, in a stable order.
-    pub fn leaves(&self) -> Vec<NodeIdx> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, node)| node.children.is_empty() && *i != 0)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// The path of frames from the root to a node (outermost first).
     pub fn path_to(&self, node: NodeIdx) -> Vec<FrameId> {
         let mut path = Vec::new();
@@ -580,8 +556,27 @@ impl SubtreePrefixTree {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Maximum depth (frames) of any path in the tree.  Iterative, so a
+    /// pathologically deep trace cannot overflow the test's stack.
+    pub(crate) fn depth<S: TaskSetOps>(tree: &PrefixTree<S>) -> usize {
+        let mut deepest = 0;
+        let mut work: Vec<(NodeIdx, usize)> = vec![(tree.root(), 0)];
+        while let Some((node, depth)) = work.pop() {
+            deepest = deepest.max(depth);
+            work.extend(tree.children(node).iter().map(|&c| (c, depth + 1)));
+        }
+        deepest
+    }
+
+    /// Leaf node indices, in arena order.
+    pub(crate) fn leaves<S: TaskSetOps>(tree: &PrefixTree<S>) -> Vec<NodeIdx> {
+        (1..tree.node_count())
+            .filter(|&n| tree.children(n).is_empty())
+            .collect()
+    }
 
     fn trace(table: &mut FrameTable, path: &[&str]) -> StackTrace {
         StackTrace::new(table.intern_path(path))
@@ -612,9 +607,9 @@ mod tests {
         let mut tree = GlobalPrefixTree::new_global(8);
         tree.add_trace(&t, 3);
         assert_eq!(tree.node_count(), 4); // root + 3 frames
-        assert_eq!(tree.depth(), 3);
-        assert_eq!(tree.leaves().len(), 1);
-        let leaf = tree.leaves()[0];
+        assert_eq!(depth(&tree), 3);
+        assert_eq!(leaves(&tree).len(), 1);
+        let leaf = leaves(&tree)[0];
         assert_eq!(tree.tasks(leaf).members(), vec![3]);
         assert_eq!(tree.path_to(leaf).len(), 3);
     }
@@ -625,8 +620,8 @@ mod tests {
         let tree = ring_like_global(&mut table, 64);
         // _start and main are shared; three branches below main; progress appears
         // twice (under Barrier and under Waitall).
-        assert_eq!(tree.depth(), 4);
-        assert_eq!(tree.leaves().len(), 3);
+        assert_eq!(depth(&tree), 4);
+        assert_eq!(leaves(&tree).len(), 3);
         // root + _start + main + (Barrier + progress) + (Waitall + progress) + stall
         assert_eq!(tree.node_count(), 8);
         // Every task passes through main.
@@ -650,7 +645,7 @@ mod tests {
         }
         left.merge(right);
         assert_eq!(left.tasks(left.root()).count(), 16);
-        let leaves = left.leaves();
+        let leaves = leaves(&left);
         assert_eq!(leaves.len(), 2);
         let barrier_leaf = leaves
             .iter()
@@ -678,8 +673,8 @@ mod tests {
         assert_eq!(ab.node_count(), ba.node_count());
         assert_eq!(ab.tasks(ab.root()).members(), ba.tasks(ba.root()).members());
         // Leaf task populations agree regardless of merge order.
-        let mut ab_counts: Vec<u64> = ab.leaves().iter().map(|&l| ab.tasks(l).count()).collect();
-        let mut ba_counts: Vec<u64> = ba.leaves().iter().map(|&l| ba.tasks(l).count()).collect();
+        let mut ab_counts: Vec<u64> = leaves(&ab).iter().map(|&l| ab.tasks(l).count()).collect();
+        let mut ba_counts: Vec<u64> = leaves(&ba).iter().map(|&l| ba.tasks(l).count()).collect();
         ab_counts.sort_unstable();
         ba_counts.sort_unstable();
         assert_eq!(ab_counts, ba_counts);
@@ -703,7 +698,7 @@ mod tests {
         merged.merge(d1);
         assert_eq!(merged.width(), 4);
         assert_eq!(merged.tasks(merged.root()).count(), 4);
-        let leaves = merged.leaves();
+        let leaves = leaves(&merged);
         assert_eq!(leaves.len(), 2);
         let barrier_leaf = leaves
             .iter()
@@ -742,7 +737,7 @@ mod tests {
         acc.merge_aligned(wave);
         assert_eq!(acc.width(), 16, "aligned merge must not widen the domain");
         assert_eq!(acc.tasks(acc.root()).count(), 16);
-        assert_eq!(acc.leaves().len(), 2);
+        assert_eq!(leaves(&acc).len(), 2);
 
         // Hierarchical: same-domain union (a daemon folding wave trees locally).
         let mut sub_acc = SubtreePrefixTree::new_subtree(4);
@@ -834,7 +829,7 @@ mod tests {
         let position_to_rank: RankRuns = [0u64, 2, 1, 3].into_iter().collect();
         let global = merged.remap(&position_to_rank, 4);
 
-        let leaves = global.leaves();
+        let leaves = leaves(&global);
         let stall_leaf = leaves
             .iter()
             .copied()
@@ -862,11 +857,11 @@ mod tests {
             tree_3d.add_trace(t, 5);
         }
         // Both the shallow and deep variants appear.
-        assert_eq!(tree_3d.depth(), 5);
+        assert_eq!(depth(&tree_3d), 5);
 
         let mut tree_2d = GlobalPrefixTree::new_global(16);
         tree_2d.add_trace(&shallow, 5);
-        assert_eq!(tree_2d.depth(), 4);
+        assert_eq!(depth(&tree_2d), 4);
     }
 
     #[test]
@@ -1048,7 +1043,7 @@ mod tests {
             offset += local;
         }
         assert_eq!(acc.width(), offset);
-        let leaf = acc.leaves()[0];
+        let leaf = leaves(&acc)[0];
         assert_eq!(acc.tasks(leaf).members(), expected);
     }
 
@@ -1063,18 +1058,18 @@ mod tests {
 
         let mut d0 = SubtreePrefixTree::new_subtree(1);
         d0.add_trace(&deep, 0);
-        assert_eq!(d0.depth(), 10_000);
+        assert_eq!(depth(&d0), 10_000);
 
         let mut d1 = SubtreePrefixTree::new_subtree(1);
         d1.add_trace(&deep, 0);
         d0.merge(d1);
-        assert_eq!(d0.depth(), 10_000);
+        assert_eq!(depth(&d0), 10_000);
         assert_eq!(d0.node_count(), 10_001);
         assert_eq!(d0.width(), 2);
 
         let global = d0.remap(&[1u64, 0].into_iter().collect(), 2);
-        assert_eq!(global.depth(), 10_000);
-        let leaf = global.leaves()[0];
+        assert_eq!(depth(&global), 10_000);
+        let leaf = leaves(&global)[0];
         assert_eq!(global.tasks(leaf).members(), vec![0, 1]);
     }
 
@@ -1096,7 +1091,7 @@ mod tests {
         }
         a.merge(b);
         assert_eq!(a.tasks(a.root()).count(), 16);
-        let leaves = a.leaves();
+        let leaves = leaves(&a);
         assert_eq!(leaves.len(), 2);
         for &leaf in &leaves {
             let members = a.tasks(leaf).members();

@@ -64,7 +64,6 @@ pub mod error;
 pub mod filter;
 pub mod frontend;
 pub mod graph;
-pub mod report;
 pub mod scenario;
 pub mod serialize;
 pub mod session;
@@ -76,15 +75,12 @@ pub mod threads;
 /// The most commonly used types, re-exported.
 pub mod prelude {
     pub use crate::daemon::{DaemonContribution, StatDaemon};
-    pub use crate::dot::{to_dot, DotOptions};
+    pub use crate::dot::to_dot;
     pub use crate::equivalence::{equivalence_classes, EquivalenceClass};
     pub use crate::error::{MergeChannel, StatError};
     pub use crate::filter::{RankMapFilter, StatMergeFilter};
     pub use crate::frontend::{GatherResult, MergeMetrics, Representation};
     pub use crate::graph::{GlobalPrefixTree, PrefixTree, SubtreePrefixTree};
-    pub use crate::report::{
-        focus_on_path, prune_by_population, render_text_tree, session_summary,
-    };
     pub use crate::scenario::{diagnose, ScenarioRun};
     pub use crate::serialize::{
         decode_tree, encode_merged_tree, encode_tree, DecodeError, WireFrames,

@@ -933,6 +933,7 @@ pub fn decode_dictionary(buf: &[u8]) -> Result<Vec<String>, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::tests::leaves;
     use crate::graph::{GlobalPrefixTree, SubtreePrefixTree, Trail};
     use crate::taskset::{DenseBitVector, SubtreeTaskList};
     use stackwalk::StackTrace;
@@ -969,8 +970,7 @@ mod tests {
         assert_eq!(frames.records().count(), 0);
         // ...and ids resolve against the session dictionary's snapshot.
         let snapshot = dict.snapshot();
-        let names: Vec<&str> = back
-            .leaves()
+        let names: Vec<&str> = leaves(&back)
             .iter()
             .map(|&l| snapshot.name(back.frame(l).unwrap()))
             .collect();
@@ -1294,8 +1294,7 @@ mod tests {
         assert_eq!(back_frames.name_of(3), Some("poll_step"));
         // Merging identical ids produced one shared "poll_step" leaf.
         let snapshot = dict.snapshot();
-        let poll_leaves = back
-            .leaves()
+        let poll_leaves = leaves(&back)
             .iter()
             .filter(|&&l| snapshot.name(back.frame(l).unwrap()) == "poll_step")
             .count();

@@ -210,7 +210,6 @@ trait WaveStream: Send + Sync {
         filter: &dyn Filter,
     ) -> Result<WaveOutcome, TbonError>;
 
-    fn covered_tasks(&self) -> u64;
     fn resident_bytes(&self) -> usize;
     fn incremental_canonical(&self) -> CanonicalTree;
     fn batched_canonical(&self) -> CanonicalTree;
@@ -317,14 +316,6 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
         filter: &dyn Filter,
     ) -> Result<WaveOutcome, TbonError> {
         self.incremental.fold_wave(deltas, filter)
-    }
-
-    fn covered_tasks(&self) -> u64 {
-        self.streams
-            .iter()
-            .flatten()
-            .map(|s| s.daemon.local_tasks())
-            .sum()
     }
 
     fn resident_bytes(&self) -> usize {
@@ -615,11 +606,6 @@ impl StreamingSession {
         &self.lost_ranks
     }
 
-    /// Tasks still covered by surviving daemons.
-    pub fn covered_tasks(&self) -> u64 {
-        self.state.covered_tasks()
-    }
-
     /// Total resident footprint of the incremental overlay state, in bytes.
     pub fn resident_bytes(&self) -> usize {
         self.state.resident_bytes()
@@ -774,7 +760,6 @@ mod tests {
         assert!(wave1.reseeded);
         assert_eq!(wave1.lost_tasks, 8);
         assert_eq!(wave1.covered_tasks + wave1.lost_tasks, 64);
-        assert_eq!(stream.covered_tasks(), 56);
         assert_eq!(stream.lost_ranks(), (56..64).collect::<Vec<_>>());
         // The three byte columns stay decoupled: the re-seed charges its own
         // column and the delta column stays pure steady-state traffic.  Seven

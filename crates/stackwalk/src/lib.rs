@@ -10,7 +10,7 @@
 //!   negotiates at session setup, so packets carry u32 ids instead of names;
 //! * [`trace`] — stack traces and per-task sample series (the "space" and "time"
 //!   dimensions of STAT's 2D and 3D prefix trees);
-//! * [`symtab`] — binary images and the symbol-table bookkeeping a daemon performs
+//! * [`symtab`] — the binary images whose symbol tables a daemon reads
 //!   before it can symbolise its first trace;
 //! * [`sampler`] — the real walker that converts an application's in-memory stack
 //!   into an interned [`trace::StackTrace`], plus the environment cost model that
@@ -28,5 +28,5 @@ pub mod trace;
 pub use dictionary::FrameDictionary;
 pub use frame::{FrameId, FrameTable};
 pub use sampler::{SamplingConfig, SamplingCostModel, SamplingEstimate, Walker};
-pub use symtab::{BinaryImage, SymbolTableCache};
+pub use symtab::BinaryImage;
 pub use trace::{StackTrace, TaskSamples};

@@ -399,7 +399,7 @@ mod tests {
     #[test]
     fn per_level_times_sum_to_critical_path() {
         let net = Interconnect::atlas();
-        let topo = Topology::build(TreeShape::three_deep(128, 4, 16));
+        let topo = Topology::build(TreeShape::from_level_widths(vec![1, 4, 16, 128]));
         let cost = model(&topo, &net).reduce(&|subtree| subtree as u64 * 100);
         let sum: SimDuration = cost.per_level.iter().copied().sum();
         assert_eq!(sum, cost.critical_path);

@@ -374,7 +374,8 @@ mod tests {
 
         // ...but on a 3-deep tree, losing one mid-level node keeps the rest alive
         // and the sanitiser keeps every level at width >= 1.
-        let topo = Topology::build(crate::topology::TreeShape::three_deep(27, 3, 9));
+        let shape = crate::topology::TreeShape::from_level_widths(vec![1, 3, 9, 27]);
+        let topo = Topology::build(shape);
         let mut t = FaultTracker::new(topo.clone());
         let mid = topo.comm_processes()[0];
         t.fail(mid);

@@ -57,7 +57,8 @@ impl Filter for IdentityFilter {
 }
 
 /// A filter that treats every payload as a little-endian `u64` and sums them.
-/// Used by tests and by the launcher model to count connected daemons.
+/// The network tests' fixture (also `fault`'s and `delta`'s tests' and the topology
+/// bench's): a reduction whose right answer is a number.  No pipeline stage uses it.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SumFilter;
 

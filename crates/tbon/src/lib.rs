@@ -8,8 +8,8 @@
 //! this crate is a from-scratch Rust workalike with the pieces STAT needs:
 //!
 //! * [`topology`] — arbitrary-depth [`TreeShape`]s (the paper's flat/1-deep,
-//!   2-deep and 3-deep trees are constructors, not an enum) and balanced-tree
-//!   construction with typed structural validation;
+//!   2-deep and 3-deep trees are shapes, not enum variants) and balanced-tree
+//!   construction with structural validation;
 //! * [`planner`] — cost-model-driven topology planning: enumerate candidate shapes
 //!   for a cluster and job size, price them, rank them under placement constraints;
 //! * [`packet`] — tagged, byte-serialised packets;
@@ -45,4 +45,4 @@ pub use filter::{Filter, IdentityFilter, SumFilter};
 pub use network::{ChannelInput, InProcessTbon, ReductionOutcome, TbonError};
 pub use packet::{EndpointId, Packet, PacketTag};
 pub use planner::{CandidateOrigin, PlanConstraint, PlannedTopology, TopologyPlanner};
-pub use topology::{Topology, TopologyError, TreeNode, TreeNodeRole, TreeShape};
+pub use topology::{Topology, TreeNode, TreeNodeRole, TreeShape};

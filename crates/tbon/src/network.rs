@@ -566,7 +566,7 @@ mod tests {
         for spec in [
             TreeShape::flat(100),
             TreeShape::two_deep(100, 10),
-            TreeShape::three_deep(100, 4, 16),
+            TreeShape::from_level_widths(vec![1, 4, 16, 100]),
         ] {
             let net = InProcessTbon::new(Topology::build(spec));
             let leaves = leaf_packets(net.topology(), |i| i as u64 * 3 + 1);

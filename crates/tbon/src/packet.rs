@@ -23,10 +23,6 @@ impl fmt::Display for EndpointId {
 /// Operation tags.  A closed enum keeps dispatch explicit and the wire format stable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PacketTag {
-    /// Front-end → daemons: attach to the application processes.
-    Attach,
-    /// Front-end → daemons: take `n` stack-trace samples.
-    SampleTraces,
     /// Daemons → front-end: a serialised 2D (trace/space) prefix tree.
     Merged2d,
     /// Daemons → front-end: a serialised 3D (trace/space/time) prefix tree.
@@ -36,13 +32,6 @@ pub enum PacketTag {
     /// Daemons → front-end: a serialised tree *delta* — only the nodes and
     /// task-set words a streaming wave added over the last acknowledged wave.
     TreeDelta,
-    /// SBRS broadcast of a binary image.
-    BinaryBroadcast,
-    /// Front-end → daemons: the negotiated frame-dictionary base table for
-    /// wire format v2, broadcast once at session setup.
-    Dictionary,
-    /// Detach / tear down.
-    Detach,
     /// Application-defined tag (tests, auxiliary tools).
     Custom(u16),
 }
@@ -93,14 +82,14 @@ mod tests {
     fn packet_sizes_reflect_payload() {
         let p = Packet::new(PacketTag::Merged2d, EndpointId(3), vec![0u8; 128]);
         assert_eq!(p.size_bytes(), 128);
-        let c = Packet::control(PacketTag::Detach, EndpointId(0));
+        let c = Packet::control(PacketTag::RankMap, EndpointId(0));
         assert_eq!(c.size_bytes(), 0);
     }
 
     #[test]
     fn tags_distinguish_operations() {
         assert_ne!(PacketTag::Merged2d, PacketTag::Merged3d);
-        assert_ne!(PacketTag::Dictionary, PacketTag::BinaryBroadcast);
+        assert_ne!(PacketTag::RankMap, PacketTag::TreeDelta);
         assert_ne!(PacketTag::Custom(1), PacketTag::Custom(2));
         assert_eq!(PacketTag::Custom(7), PacketTag::Custom(7));
     }

@@ -14,13 +14,12 @@
 //! needs arbitrary shapes, so the family enum is gone: a [`TreeShape`] describes a
 //! reduction tree of any depth (explicit per-level widths, or a uniform fan-in),
 //! and the paper's families are merely constructors ([`TreeShape::flat`],
-//! [`TreeShape::two_deep`], [`TreeShape::three_deep`], [`TreeShape::balanced`]).
+//! [`TreeShape::two_deep`], [`TreeShape::balanced`]; the placement rule
+//! [`TreeShape::for_placement`] gives the 3-deep shape at depth 3).
 //! [`Topology::build`] turns a shape into a concrete tree with stable endpoint ids,
 //! balanced so that every parent at a level has child counts differing by at most
 //! one.  [`crate::planner::TopologyPlanner`] searches candidate shapes with the
 //! reduction cost model.
-
-use std::fmt;
 
 use machine::placement::PlacementPlan;
 
@@ -30,9 +29,8 @@ use crate::packet::EndpointId;
 /// from the front end (width 1) down to the back-end daemons.
 ///
 /// Construct one with the paper's family constructors ([`flat`](TreeShape::flat),
-/// [`two_deep`](TreeShape::two_deep), [`three_deep`](TreeShape::three_deep)), with
-/// the generalised rules ([`balanced`](TreeShape::balanced),
-/// [`uniform_with_depth`](TreeShape::uniform_with_depth),
+/// [`two_deep`](TreeShape::two_deep)), with the generalised rules
+/// ([`balanced`](TreeShape::balanced), [`uniform_with_depth`](TreeShape::uniform_with_depth),
 /// [`for_placement`](TreeShape::for_placement)) or from explicit widths
 /// ([`from_level_widths`](TreeShape::from_level_widths)).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -80,16 +78,6 @@ impl TreeShape {
         let comm = comm_processes.clamp(1, backends);
         TreeShape {
             level_widths: vec![1, comm, backends],
-        }
-    }
-
-    /// A 3-deep shape with explicit level widths.
-    pub fn three_deep(backends: u32, first_level: u32, second_level: u32) -> Self {
-        let backends = backends.max(1);
-        let first = first_level.clamp(1, backends);
-        let second = second_level.clamp(first, backends);
-        TreeShape {
-            level_widths: vec![1, first, second, backends],
         }
     }
 
@@ -217,120 +205,6 @@ pub struct TreeNode {
     /// Children, in ascending id order.
     pub children: Vec<EndpointId>,
 }
-
-/// A structural invariant violation found by [`Topology::validate`].
-///
-/// Each variant carries the level, endpoint and expected/actual counts the caller
-/// needs to localise the problem — the same typed-error convention `TbonError` and
-/// `StatError` follow elsewhere in the workspace.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TopologyError {
-    /// The topology contains no nodes at all.
-    Empty,
-    /// The front end (endpoint 0) has a parent.
-    FrontEndHasParent {
-        /// The parent it claims.
-        parent: EndpointId,
-    },
-    /// A node with the front-end role sits below the root level.
-    FrontEndOffRoot {
-        /// The level it was found at.
-        level: u32,
-    },
-    /// A non-root node has no parent link.
-    MissingParent {
-        /// The orphaned endpoint.
-        endpoint: EndpointId,
-        /// Its level.
-        level: u32,
-    },
-    /// A node's parent does not sit exactly one level above it.
-    LevelSkew {
-        /// The child endpoint.
-        endpoint: EndpointId,
-        /// The child's level.
-        level: u32,
-        /// The parent endpoint.
-        parent: EndpointId,
-        /// The parent's level.
-        parent_level: u32,
-    },
-    /// A node names a parent whose child list does not contain it.
-    UnlinkedChild {
-        /// The child endpoint.
-        endpoint: EndpointId,
-        /// The parent whose child list is missing it.
-        parent: EndpointId,
-    },
-    /// A back-end daemon (tree leaf) has children.
-    BackEndWithChildren {
-        /// The offending endpoint.
-        endpoint: EndpointId,
-        /// How many children it has.
-        children: u32,
-    },
-    /// The number of reachable back-end daemons disagrees with the shape.
-    BackEndCount {
-        /// Daemons the shape promises.
-        expected: u32,
-        /// Daemons actually present.
-        actual: u32,
-    },
-    /// Sibling fan-outs at one level differ by more than one child.
-    UnbalancedFanOut {
-        /// The parent level whose children are skewed.
-        level: u32,
-        /// Smallest child count at that level.
-        min_fanout: u32,
-        /// Largest child count at that level.
-        max_fanout: u32,
-    },
-}
-
-impl fmt::Display for TopologyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TopologyError::Empty => write!(f, "empty topology"),
-            TopologyError::FrontEndHasParent { parent } => {
-                write!(f, "front end has a parent ({parent})")
-            }
-            TopologyError::FrontEndOffRoot { level } => {
-                write!(f, "front end found at level {level}, expected level 0")
-            }
-            TopologyError::MissingParent { endpoint, level } => {
-                write!(f, "{endpoint} at level {level} has no parent")
-            }
-            TopologyError::LevelSkew {
-                endpoint,
-                level,
-                parent,
-                parent_level,
-            } => write!(
-                f,
-                "{endpoint} at level {level} has parent {parent} at level {parent_level}"
-            ),
-            TopologyError::UnlinkedChild { endpoint, parent } => {
-                write!(f, "{endpoint} missing from the child list of {parent}")
-            }
-            TopologyError::BackEndWithChildren { endpoint, children } => {
-                write!(f, "backend {endpoint} has {children} children")
-            }
-            TopologyError::BackEndCount { expected, actual } => {
-                write!(f, "expected {expected} backends, found {actual}")
-            }
-            TopologyError::UnbalancedFanOut {
-                level,
-                min_fanout,
-                max_fanout,
-            } => write!(
-                f,
-                "unbalanced level {level}: child counts range {min_fanout}..{max_fanout}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TopologyError {}
 
 /// A concrete, fully wired tree.
 #[derive(Clone, Debug)]
@@ -472,79 +346,59 @@ impl Topology {
             .unwrap_or(0)
     }
 
-    /// Verify structural invariants; used by property tests.  Returns a typed
-    /// description of the first violation found, if any.
-    pub fn validate(&self) -> Result<(), TopologyError> {
+    /// Verify structural invariants; used by property tests.  Describes the
+    /// first violation found, naming the invariant and the endpoint or level.
+    pub fn validate(&self) -> Result<(), String> {
         if self.nodes.is_empty() {
-            return Err(TopologyError::Empty);
+            return Err("empty topology".to_string());
         }
         if let Some(parent) = self.node(self.frontend()).parent {
-            return Err(TopologyError::FrontEndHasParent { parent });
+            return Err(format!("front end has a parent ({parent})"));
         }
         let mut reachable_backends = 0u32;
         for n in &self.nodes {
-            match n.role {
-                TreeNodeRole::FrontEnd => {
-                    if n.level != 0 {
-                        return Err(TopologyError::FrontEndOffRoot { level: n.level });
-                    }
+            let (id, level) = (n.id, n.level);
+            if n.role == TreeNodeRole::FrontEnd {
+                if level != 0 {
+                    return Err(format!("front end at level {level}, not level 0"));
                 }
-                TreeNodeRole::CommProcess | TreeNodeRole::BackEnd => {
-                    let parent = match n.parent {
-                        Some(p) => p,
-                        None => {
-                            return Err(TopologyError::MissingParent {
-                                endpoint: n.id,
-                                level: n.level,
-                            })
-                        }
-                    };
-                    let pnode = self.node(parent);
-                    if pnode.level + 1 != n.level {
-                        return Err(TopologyError::LevelSkew {
-                            endpoint: n.id,
-                            level: n.level,
-                            parent,
-                            parent_level: pnode.level,
-                        });
-                    }
-                    if !pnode.children.contains(&n.id) {
-                        return Err(TopologyError::UnlinkedChild {
-                            endpoint: n.id,
-                            parent,
-                        });
-                    }
-                    if n.role == TreeNodeRole::BackEnd {
-                        if !n.children.is_empty() {
-                            return Err(TopologyError::BackEndWithChildren {
-                                endpoint: n.id,
-                                children: n.children.len() as u32,
-                            });
-                        }
-                        reachable_backends += 1;
-                    }
+                continue;
+            }
+            let Some(parent) = n.parent else {
+                return Err(format!("{id} at level {level} has no parent"));
+            };
+            let pnode = self.node(parent);
+            if pnode.level + 1 != level {
+                return Err(format!(
+                    "{id} at level {level} has parent {parent} at level {}",
+                    pnode.level
+                ));
+            }
+            if !pnode.children.contains(&id) {
+                return Err(format!("{id} missing from the child list of {parent}"));
+            }
+            if n.role == TreeNodeRole::BackEnd {
+                if !n.children.is_empty() {
+                    return Err(format!("backend {id} has {} children", n.children.len()));
                 }
+                reachable_backends += 1;
             }
         }
-        if reachable_backends != self.shape.backends() {
-            return Err(TopologyError::BackEndCount {
-                expected: self.shape.backends(),
-                actual: reachable_backends,
-            });
+        let expected = self.shape.backends();
+        if reachable_backends != expected {
+            return Err(format!(
+                "expected {expected} backends, found {reachable_backends}"
+            ));
         }
         // Sibling balance: child counts at each level differ by at most one.
-        for level in 0..self.levels.len().saturating_sub(1) {
-            let counts: Vec<usize> = self.levels[level]
-                .iter()
-                .map(|&id| self.node(id).children.len())
-                .collect();
-            if let (Some(&min), Some(&max)) = (counts.iter().min(), counts.iter().max()) {
+        let parent_levels = self.levels.len().saturating_sub(1);
+        for (level, ids) in self.levels.iter().enumerate().take(parent_levels) {
+            let counts = ids.iter().map(|&id| self.node(id).children.len());
+            if let (Some(min), Some(max)) = (counts.clone().min(), counts.max()) {
                 if max - min > 1 {
-                    return Err(TopologyError::UnbalancedFanOut {
-                        level: level as u32,
-                        min_fanout: min as u32,
-                        max_fanout: max as u32,
-                    });
+                    return Err(format!(
+                        "unbalanced level {level}: child counts range {min}..{max}"
+                    ));
                 }
             }
         }
@@ -593,7 +447,7 @@ mod tests {
 
     #[test]
     fn three_deep_has_two_comm_levels() {
-        let t = Topology::build(TreeShape::three_deep(256, 4, 16));
+        let t = Topology::build(TreeShape::from_level_widths(vec![1, 4, 16, 256]));
         assert_eq!(t.depth(), 3);
         assert_eq!(t.levels().len(), 4);
         assert_eq!(t.levels()[1].len(), 4);
@@ -701,7 +555,7 @@ mod tests {
 
     #[test]
     fn subtree_backend_counts_sum_to_total() {
-        let t = Topology::build(TreeShape::three_deep(100, 4, 16));
+        let t = Topology::build(TreeShape::from_level_widths(vec![1, 4, 16, 100]));
         let total: u32 = t
             .node(t.frontend())
             .children
@@ -728,47 +582,46 @@ mod tests {
     fn labels_match_figures() {
         assert_eq!(TreeShape::flat(64).label(), "1-deep");
         assert_eq!(TreeShape::two_deep(64, 8).label(), "2-deep");
-        assert_eq!(TreeShape::three_deep(64, 4, 16).label(), "3-deep");
+        assert_eq!(
+            TreeShape::from_level_widths(vec![1, 4, 16, 64]).label(),
+            "3-deep"
+        );
         assert_eq!(TreeShape::balanced(4_096, 5).label(), "5-deep");
     }
 
     #[test]
-    fn validate_reports_typed_violations() {
-        // Corrupt a healthy tree and check the typed variants carry the context.
+    fn validate_names_the_violating_endpoint_or_level() {
+        // Corrupt a healthy tree four ways; each is an error naming where.
         let mut t = Topology::build(TreeShape::two_deep(8, 2));
         t.nodes[3].children.push(EndpointId(1));
-        assert_eq!(
-            t.validate(),
-            Err(TopologyError::BackEndWithChildren {
-                endpoint: EndpointId(3),
-                children: 1,
-            })
-        );
+        assert_eq!(t.validate().unwrap_err(), "backend ep3 has 1 children");
 
         let mut t = Topology::build(TreeShape::flat(4));
         t.nodes[2].parent = None;
-        assert_eq!(
-            t.validate(),
-            Err(TopologyError::MissingParent {
-                endpoint: EndpointId(2),
-                level: 1,
-            })
-        );
+        assert_eq!(t.validate().unwrap_err(), "ep2 at level 1 has no parent");
 
-        let mut t = Topology::build(TreeShape::two_deep(9, 3));
         // Rewire one daemon under a different comm process: siblings now have
         // child counts 2 and 4.
+        let mut t = Topology::build(TreeShape::two_deep(9, 3));
         let moved = t.levels[2][0];
         t.nodes[moved.0 as usize].parent = Some(EndpointId(2));
         t.nodes[1].children.retain(|&c| c != moved);
         t.nodes[2].children.push(moved);
         assert_eq!(
-            t.validate(),
-            Err(TopologyError::UnbalancedFanOut {
-                level: 1,
-                min_fanout: 2,
-                max_fanout: 4,
-            })
+            t.validate().unwrap_err(),
+            "unbalanced level 1: child counts range 2..4"
+        );
+
+        // A daemon that still names its parent but is gone from its child list.
+        let mut t = Topology::build(TreeShape::two_deep(9, 3));
+        let dropped = t.levels[2][4];
+        let parent = t.nodes[dropped.0 as usize].parent.unwrap();
+        t.nodes[parent.0 as usize]
+            .children
+            .retain(|&c| c != dropped);
+        assert_eq!(
+            t.validate().unwrap_err(),
+            format!("{dropped} missing from the child list of {parent}")
         );
     }
 }

@@ -1,5 +1,5 @@
 //! Integration tests for the time-evolving workloads (where the 2D and 3D analyses
-//! genuinely disagree), the report/pruning operations, and the STATBench emulation
+//! genuinely disagree), the stragglers' isolation, and the STATBench emulation
 //! layer driving the real tool.
 
 use appsim::workloads::{checkpoint_storm, iterative_solver, stragglers};
@@ -68,32 +68,6 @@ fn checkpoint_storm_separates_writers_from_waiters() {
         })
         .expect("writer class exists");
     assert_eq!(writer_class.size(), 40);
-}
-
-#[test]
-fn report_operations_work_on_real_session_output() {
-    let app = stragglers(256, 2, FrameVocabulary::Linux);
-    let result = run(&app, 4);
-
-    let text = render_text_tree(&result.gather.tree_3d, &result.gather.frames);
-    assert!(text.contains("timestep_loop"));
-    assert_eq!(text.lines().count(), result.gather.tree_3d.node_count());
-
-    let summary = session_summary(&result.gather, 256);
-    assert!(summary.contains("behaviour classes"));
-
-    // Pruning away small populations hides the stragglers; focusing finds them again.
-    let pruned = prune_by_population(&result.gather.tree_3d, 10);
-    assert!(pruned.node_count() < result.gather.tree_3d.node_count());
-    let focused = focus_on_path(
-        &result.gather.tree_3d,
-        &result.gather.frames,
-        &["_start", "main", "timestep_loop", "compute_interior"],
-    );
-    let focused_classes = equivalence_classes(&focused);
-    assert!(focused_classes
-        .iter()
-        .any(|c| c.tasks == app.ground_truth().faulty_ranks()));
 }
 
 #[test]
