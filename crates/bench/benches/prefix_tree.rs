@@ -9,6 +9,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use appsim::{
     for_each_sampled_path, gather_samples_for_ranks, Application, FrameVocabulary, RingHangApp,
 };
+use machine::cluster::{BglMode, Cluster};
 use stackwalk::{FrameDictionary, FrameTable, StackTrace, Walker};
 use stat_core::prelude::*;
 
@@ -197,9 +198,10 @@ impl Application for WideFanoutApp {
 /// descent's choice: the ring hang's narrow nodes (names compared sibling by
 /// sibling, no hash) and one 4,096-callee node (table lookup + child index), plus
 /// `attach_1m`'s daemon shape (64 tasks, one sample) and its `encode` alone.
-/// `call_paths` is the application's share of the ring hang's walk: the same
-/// paths in the same order, descended into nothing, so `contribute − call_paths`
-/// is the tool's.
+/// `advance` is a whole streaming wave of a hung 1,024-task ring hang, each
+/// daemon walking the wave into the 3D arena it keeps.  `call_paths` is the
+/// application's share of the ring hang's walk: the same paths in the same
+/// order, descended into nothing, so `contribute − call_paths` is the tool's.
 fn bench_daemon_local(c: &mut Criterion) {
     use tbon::packet::EndpointId;
     let mut group = c.benchmark_group("daemon_local");
@@ -226,6 +228,23 @@ fn bench_daemon_local(c: &mut Criterion) {
     let trees = daemon.build_trees::<SubtreeTaskList>(&samples);
     group.bench_function(BenchmarkId::new("encode", "ring_hang_64x1"), |b| {
         b.iter(|| [&trees.0, &trees.1].map(|tree| encode_tree(tree, &table, &dict)))
+    });
+    // `stream_64k_hang`'s daemon shape at 1,024 tasks: 16 daemons of 64 tasks,
+    // one sample a wave; every iteration is one hung wave after the fault's.
+    let v = FrameVocabulary::BlueGeneL;
+    let scenario = appsim::catalogue(1_024, v)
+        .into_iter()
+        .find(|s| s.name == "ring_hang");
+    let scenario = scenario.expect("the catalogue always carries ring_hang");
+    let mut stream = Session::builder(Cluster::bluegene_l(BglMode::CoProcessor))
+        .streaming(1)
+        .open(Box::new(appsim::FaultSchedule::new(scenario, v, 4)))
+        .expect("the stream opens");
+    for _ in 0..=4 {
+        stream.advance().expect("the wave advances");
+    }
+    group.bench_function(BenchmarkId::new("advance", "ring_hang_1024_hung"), |b| {
+        b.iter(|| stream.advance().expect("the wave advances"))
     });
     let ranks: RankRuns = (0..ring.num_tasks()).collect();
     group.bench_function(BenchmarkId::new("call_paths", "ring_hang_128x10"), |b| {

@@ -5,19 +5,21 @@
 //! tasks it is responsible for straight into *locally merged* 2D and 3D prefix
 //! trees ([`StatDaemon::contribute`]; no trace is materialised on the way), and
 //! hand the serialised trees (plus its rank map) to the overlay network.
-//! Everything global happens in the filters above it.
+//! Everything global happens in the filters above it.  Both trees share one arena
+//! that each call path descends once; a streaming daemon keeps it from wave to
+//! wave (`LocalTrees`).
 
 use std::ops::Range;
 use std::time::Instant;
 
 use appsim::Application;
-use stackwalk::{FrameDictionary, FrameTable, TaskSamples};
+use stackwalk::{FrameDictionary, FrameId, FrameTable, TaskSamples};
 use tbon::network::{InProcessTbon, TbonError};
 use tbon::packet::{EndpointId, Packet, PacketTag};
 
 use crate::graph::{NodeIdx, PrefixTree, Trail};
-use crate::serialize::{encode_rank_map, encode_tree, WireTaskSet};
-use crate::taskset::RankRuns;
+use crate::serialize::{encode_ordered, encode_rank_map, WireTaskSet};
+use crate::taskset::{words_for, RankRuns};
 
 /// A back-end daemon responsible for a slice of MPI ranks.
 #[derive(Clone, Debug)]
@@ -111,53 +113,58 @@ impl StatDaemon {
         &self,
         samples: &[TaskSamples],
     ) -> (PrefixTree<S>, PrefixTree<S>) {
-        let mut trees = LocalTrees::new(self);
+        let mut trees = LocalTrees::new(self.leaf_width::<S>());
+        trees.begin();
         for (position, task) in samples.iter().enumerate() {
             for (nth, trace) in task.traces.iter().enumerate() {
                 trees.record(position, task.rank, nth, |t, _| t.descend(trace.frames()));
             }
         }
-        trees.close()
+        trees.close();
+        let [tree_2d, tree_3d] = [0, 1].map(|column| trees.labelled_tree(column));
+        (tree_2d, tree_3d)
     }
 
     /// The daemon-local phase as one walk: every call path sampled over the sample
-    /// indices of `window` descends the local trees by frame name, and the trees
-    /// are closed upward.  What comes back is the encode still to do: it turns the
-    /// closed trees and the rank runs into the three leaf packets against a frame
-    /// table and dictionary, and also hands back the 3D tree, for the streaming
-    /// caller that goes on to diff the wave against it.
+    /// indices of `window` descends `trees`' arena by frame name, under a new
+    /// epoch, and the trees are closed upward.  What comes back is the encode
+    /// still to do: it turns the closed trees and the rank runs into the three leaf
+    /// packets against a frame table and dictionary, and hands `trees` back, for
+    /// the streaming caller that keeps them for the next wave.
     fn contribute_from<S: WireTaskSet>(
         &self,
         app: &dyn Application,
         window: Range<u32>,
         leaf: EndpointId,
         table: &mut FrameTable,
-    ) -> impl FnOnce(&FrameTable, &FrameDictionary) -> (DaemonContribution, PrefixTree<S>) {
+        mut trees: LocalTrees<S>,
+    ) -> impl FnOnce(&FrameTable, &FrameDictionary) -> (DaemonContribution, LocalTrees<S>) {
         let sample_start = Instant::now();
-        let mut trees = LocalTrees::new(self);
+        trees.begin();
         let mut traces = 0;
         appsim::for_each_sampled_path(app, &self.ranks, window, |pos, rank, nth, path| {
             trees.record(pos, rank, nth, |t, tr| t.descend_named(table, tr, path));
             traces += 1;
         });
         let merge_start = Instant::now();
-        let (tree_2d, tree_3d) = trees.close();
+        trees.close();
         let packet = move |tag, payload: Vec<u8>| Packet::new(tag, leaf, payload);
         let rank_map = packet(PacketTag::RankMap, encode_rank_map(&self.ranks));
         let (daemon_id, sample_wall) = (self.id, merge_start - sample_start);
         let close_wall = merge_start.elapsed();
         move |table: &FrameTable, dict: &FrameDictionary| {
             let encode_start = Instant::now();
+            let [tree_2d, tree_3d] = trees.encode(table, dict);
             let contribution = DaemonContribution {
                 daemon_id,
-                tree_2d: packet(PacketTag::Merged2d, encode_tree(&tree_2d, table, dict)),
-                tree_3d: packet(PacketTag::Merged3d, encode_tree(&tree_3d, table, dict)),
+                tree_2d: packet(PacketTag::Merged2d, tree_2d),
+                tree_3d: packet(PacketTag::Merged3d, tree_3d),
                 rank_map,
                 traces_gathered: traces,
                 sample_wall,
                 local_merge_wall: close_wall + encode_start.elapsed(),
             };
-            (contribution, tree_3d)
+            (contribution, trees)
         }
     }
 
@@ -178,39 +185,47 @@ impl StatDaemon {
         dict: &FrameDictionary,
     ) -> DaemonContribution {
         let mut table = dict.table();
-        self.contribute_from::<S>(app, 0..samples, leaf_endpoint, &mut table)(&table, dict).0
+        let trees = LocalTrees::new(self.leaf_width::<S>());
+        let encode = self.contribute_from::<S>(app, 0..samples, leaf_endpoint, &mut table, trees);
+        encode(&table, dict).0
     }
 }
 
-/// A driver's last step per daemon: its item, its frame table back, its encode.
+/// A driver's last step per daemon: its item, its frame table and local trees
+/// back, its encode.
 type Finish<'a, T, S, R> =
-    dyn Fn(&mut T, FrameTable, DaemonContribution, PrefixTree<S>) -> R + Sync + 'a;
+    dyn Fn(&mut T, FrameTable, DaemonContribution, LocalTrees<S>) -> R + Sync + 'a;
+
+/// An item's daemon, the frame table and local trees it walks into, and its leaf.
+type Parts<'a, S> = (&'a StatDaemon, FrameTable, LocalTrees<S>, EndpointId);
 
 /// The daemon step of every gather, one-shot or streamed: each item's walk →
 /// close over the sample indices of `window`, side by side on `net`'s workers,
 /// then its encode and `finish`.  `parts` reaches an item's daemon and leaf and
-/// hands over the frame table to walk into (a fresh one is `dict`'s), which
-/// `finish` gets back.  An item encodes inside the map only if its table is over
-/// `dict`'s base with an empty overflow, so the encode interns nothing (which
-/// names are interned yet depends on the schedule); any other encodes after the
-/// map, in item (backend) order.  So the packets and frame ids are a serial
-/// loop's whatever the schedule.  Only the work inside the map is fenced: a daemon
-/// whose walk (or in-map encode and `finish`) panics is [`TbonError::PoolPoisoned`].
+/// hands over the frame table (a fresh one is `dict`'s) and the local trees (a
+/// fresh arena, or a stream's from its last wave) to walk into, which `finish`
+/// gets back.  An item encodes inside the map only if its table is over `dict`'s
+/// base with an empty overflow, so the encode interns nothing (which names are
+/// interned yet depends on the schedule); any other encodes after the map, in
+/// item (backend) order.  So the packets and frame ids are a serial loop's
+/// whatever the schedule.
+/// Only the work inside the map is fenced: a daemon whose walk (or in-map encode
+/// and `finish`) panics is [`TbonError::PoolPoisoned`].
 pub(crate) fn map_daemons<S: WireTaskSet + Send, T: Send, R: Send>(
     net: &InProcessTbon,
     items: Vec<T>,
-    parts: for<'a> fn(&'a mut T, &FrameDictionary) -> (&'a StatDaemon, FrameTable, EndpointId),
+    parts: for<'a> fn(&'a mut T, &FrameDictionary) -> Parts<'a, S>,
     (app, window): (&dyn Application, Range<u32>),
     dict: &FrameDictionary,
     finish: &Finish<'_, T, S, R>,
 ) -> Result<Vec<R>, TbonError> {
     let base_len = dict.base_len() as usize;
     let walked = net.map(items, &|mut item| {
-        let (daemon, mut table, leaf) = parts(&mut item, dict);
-        let encode = daemon.contribute_from::<S>(app, window.clone(), leaf, &mut table);
+        let (daemon, mut table, trees, leaf) = parts(&mut item, dict);
+        let encode = daemon.contribute_from::<S>(app, window.clone(), leaf, &mut table, trees);
         Ok(if dict.shares_base(&table) && table.len() == base_len {
-            let (contribution, tree_3d) = encode(&table, dict);
-            Ok(finish(&mut item, table, contribution, tree_3d))
+            let (contribution, trees) = encode(&table, dict);
+            Ok(finish(&mut item, table, contribution, trees))
         } else {
             // Boxed, so every result of the map stays contribution-sized.
             Err(Box::new((item, table, encode)))
@@ -219,53 +234,304 @@ pub(crate) fn map_daemons<S: WireTaskSet + Send, T: Send, R: Send>(
     let encoded = walked.into_iter().map(|item| {
         item.unwrap_or_else(|held| {
             let (mut item, table, encode) = *held;
-            let (contribution, tree_3d) = encode(&table, dict);
-            finish(&mut item, table, contribution, tree_3d)
+            let (contribution, trees) = encode(&table, dict);
+            finish(&mut item, table, contribution, trees)
         })
     });
     Ok(encoded.collect())
 }
 
-/// A daemon's 2D and 3D trees while traces are recorded into them, each with its
-/// trail (the 3D tree's last path is the previous trace, the 2D tree's the previous
-/// task's first).  A task is marked only on the node where a trace of its *ends*;
-/// [`LocalTrees::close`] then ORs every label into its parent, which makes each
-/// label "every task that reached this frame".  Sampled names and gathered frame ids
-/// both come through here, so they cannot disagree on a task's index or 2D feed.
-struct LocalTrees<S: WireTaskSet>([(PrefixTree<S>, Trail<'static>); 2]);
+/// A daemon's 2D and 3D trees: one arena that every trace descends by name, and
+/// a label column per tree.  Every trace marks its task in the 3D column, a
+/// task's first trace also in the 2D column; a task is marked only on the node
+/// where its trace *ends*, and [`LocalTrees::close`] ORs every row into its
+/// parent's, which makes each label "every task that reached this frame".  The
+/// task is indexed by rank in a job-wide domain, by position in a concatenating
+/// one.  Sampled names and gathered frame ids both come through here, so they
+/// cannot disagree on a task's index or 2D feed.
+///
+/// A gather opens an epoch ([`LocalTrees::begin`]).  A fresh tree numbers its
+/// nodes in the order the walk first reaches them, and each column records
+/// exactly that order (see [`Column`]), so its packet is a fresh tree's whatever
+/// the arena already held: a stream daemon keeps its trees from wave to wave and
+/// walks each wave into them, a one-shot gather walks a fresh arena.
+pub(crate) struct LocalTrees<S: WireTaskSet> {
+    /// Every node any epoch reached; its own labels stay empty.
+    pub(crate) tree: PrefixTree<S>,
+    trail: Trail<'static>,
+    /// The labels' domain width, and the words a row of it takes.
+    pub(crate) width: u64,
+    pub(crate) wps: usize,
+    /// The arena's node count when the epoch began: nodes from here on are its own.
+    pub(crate) fresh_from: usize,
+    /// The 2D tree's column, then the 3D tree's.
+    columns: [Column; 2],
+}
+
+/// One tree's labels in a daemon's arena.  The first time an epoch's walk
+/// reaches a node for this tree, the node and each ancestor the epoch has not
+/// reached yet are stamped, pushed onto the first-touch list outermost first, and
+/// their rows (left by an earlier epoch) zeroed.
+pub(crate) struct Column {
+    epoch: u32,
+    /// Per arena node, the tasks the last epoch to reach it marked there (once
+    /// closed, every task that reached it then).
+    rows: Rows,
+    /// Per arena node: the last epoch that reached it, and its first-touch
+    /// position then (an arena past `u32::MAX` nodes would exhaust memory first).
+    stamps: Vec<(u32, u32)>,
+    /// The current epoch's first-touch list, root first.
+    pub(crate) touched: Vec<NodeIdx>,
+}
 
 impl<S: WireTaskSet> LocalTrees<S> {
-    fn new(daemon: &StatDaemon) -> Self {
-        LocalTrees([(); 2].map(|()| (PrefixTree::new(daemon.leaf_width::<S>()), Trail::new())))
+    /// An empty arena over a domain of `width` task positions.
+    pub(crate) fn new(width: u64) -> Self {
+        let wps = words_for(width);
+        LocalTrees {
+            tree: PrefixTree::new(0),
+            trail: Trail::new(),
+            width,
+            wps,
+            fresh_from: 0,
+            columns: [Column::new(wps), Column::new(wps)],
+        }
+    }
+
+    /// The 3D tree's column.
+    pub(crate) fn column_3d(&self) -> &Column {
+        &self.columns[1]
+    }
+
+    /// Open the next epoch: nothing is reached yet but the root.  The trail is
+    /// empty (a walk lets it go), so it is reserved to the epoch's first path as
+    /// a fresh tree's would be.
+    fn begin(&mut self) {
+        self.fresh_from = self.tree.node_count();
+        for column in &mut self.columns {
+            column.epoch += 1;
+            column.touched.clear();
+            column.touch(&self.tree, self.tree.root());
+        }
     }
 
     /// Record the `nth` trace of task `rank`, at `position` in the daemon's list:
-    /// `descend` walks it into the tree and trail it is handed, returning the end node.
-    /// Every trace feeds the 3D tree, a task's first also the 2D tree; the task is
-    /// indexed by rank in a job-wide domain, by position in a concatenating one.
+    /// `descend` walks it into the arena and trail it is handed, returning the end
+    /// node.
     fn record(
         &mut self,
         position: usize,
         rank: u64,
         nth: usize,
-        mut descend: impl FnMut(&mut PrefixTree<S>, &mut Trail<'static>) -> NodeIdx,
+        descend: impl FnOnce(&mut PrefixTree<S>, &mut Trail<'static>) -> NodeIdx,
     ) {
         let index = if S::CONCATENATES {
             position as u64
         } else {
             rank
         };
-        for (tree, trail) in self.0.iter_mut().skip(usize::from(nth > 0)) {
-            let end = descend(tree, trail);
-            tree.mark(end, index);
+        let end = descend(&mut self.tree, &mut self.trail);
+        for column in self.columns.iter_mut().skip(usize::from(nth > 0)) {
+            if column.position(end).is_none() {
+                column.touch(&self.tree, end);
+            }
+            if let Some(word) = column.rows.row_mut(end).get_mut((index / 64) as usize) {
+                *word |= 1 << (index % 64);
+            }
         }
     }
 
-    fn close(self) -> (PrefixTree<S>, PrefixTree<S>) {
-        let LocalTrees([(mut tree_2d, _), (mut tree_3d, _)]) = self;
-        tree_2d.close_upward();
-        tree_3d.close_upward();
-        (tree_2d, tree_3d)
+    /// End the walk: let the trail go and OR every reached node's row into its
+    /// parent's, children first.
+    fn close(&mut self) {
+        self.trail = Trail::new();
+        for column in &mut self.columns {
+            column.close(&self.tree);
+        }
+    }
+
+    /// Both trees as v2 packet bodies, each column's nodes in first-touch order.
+    /// The 2D column is then let go: only the 3D labels outlive a gather.
+    fn encode(&mut self, table: &FrameTable, dict: &FrameDictionary) -> [Vec<u8>; 2] {
+        let bodies = self.columns.each_ref().map(|column| {
+            let links = column
+                .touched
+                .iter()
+                .skip(1)
+                .map(|&n| column.link(&self.tree, n));
+            let row = |at: usize| column.row(column.touched[at]);
+            encode_ordered::<S>(self.width, links, row, table, dict)
+        });
+        self.columns[0] = Column::new(self.wps);
+        bodies
+    }
+
+    /// One column's tree as a labelled tree, its nodes in first-touch order.
+    fn labelled_tree(&self, column: usize) -> PrefixTree<S> {
+        let column = &self.columns[column];
+        let label = |node| S::from_words(self.width, column.row(node).to_vec());
+        let mut tree = PrefixTree::new(self.width);
+        tree.replace_tasks(tree.root(), label(self.tree.root()));
+        for &node in column.touched.iter().skip(1) {
+            let (parent, frame) = column.link(&self.tree, node);
+            let added = tree.append_node(parent, frame);
+            tree.replace_tasks(added, label(node));
+        }
+        tree
+    }
+}
+
+impl Column {
+    fn new(wps: usize) -> Self {
+        Column {
+            epoch: 0,
+            rows: Rows::new(wps),
+            stamps: Vec::new(),
+            touched: Vec::new(),
+        }
+    }
+
+    /// Where `node` stands on the current epoch's first-touch list, if it is on it.
+    fn position(&self, node: NodeIdx) -> Option<usize> {
+        let &(epoch, position) = self.stamps.get(node)?;
+        (epoch == self.epoch).then_some(position as usize)
+    }
+
+    /// A node's row of label words.
+    pub(crate) fn row(&self, node: NodeIdx) -> &[u64] {
+        self.rows.row(node)
+    }
+
+    /// A touched node's parent, as a first-touch position (the root's is 0), and frame.
+    pub(crate) fn link<S: WireTaskSet>(
+        &self,
+        tree: &PrefixTree<S>,
+        node: NodeIdx,
+    ) -> (usize, FrameId) {
+        let parent = tree.parent(node).and_then(|p| self.position(p));
+        (parent.unwrap_or(0), tree.frame(node).unwrap_or(FrameId(0)))
+    }
+
+    /// Reach `end`: it and every ancestor the epoch has not reached yet join the
+    /// first-touch list, outermost first, their rows zeroed.
+    fn touch<S: WireTaskSet>(&mut self, tree: &PrefixTree<S>, end: NodeIdx) {
+        let first = self.touched.len();
+        let mut node = Some(end);
+        while let Some(unreached) = node.filter(|&n| self.position(n).is_none()) {
+            self.touched.push(unreached);
+            node = tree.parent(unreached);
+        }
+        self.touched[first..].reverse();
+        let known = self.rows.len();
+        self.stamps.resize(tree.node_count(), (0, 0));
+        self.rows.grow(tree.node_count());
+        for (position, &node) in self.touched.iter().enumerate().skip(first) {
+            self.stamps[node] = (self.epoch, position as u32);
+            if node < known {
+                self.rows.row_mut(node).fill(0);
+            }
+        }
+    }
+
+    /// OR every reached node's row into its parent's, children first (a parent's
+    /// arena index is below its child's): end marks become edge labels.
+    fn close<S: WireTaskSet>(&mut self, tree: &PrefixTree<S>) {
+        for &child in self.touched.iter().skip(1).rev() {
+            self.rows.or_into(tree.parent(child).unwrap_or(0), child);
+        }
+    }
+}
+
+/// The most words one block of [`Rows`] holds (8 KiB).
+const BLOCK_WORDS: usize = 1024;
+
+/// Rows of `wps` label words, one per arena node, in blocks of at most
+/// [`BLOCK_WORDS`] words: a new row never moves the rows before it, and no
+/// block is large enough for the allocator to map (and fault in) on its own,
+/// however wide the domain.
+pub(crate) struct Rows {
+    wps: usize,
+    /// Rows per block: `1 << shift`.
+    shift: u32,
+    len: usize,
+    blocks: Vec<Vec<u64>>,
+}
+
+impl Rows {
+    pub(crate) fn new(wps: usize) -> Self {
+        let per_block = (BLOCK_WORDS / wps.max(1)).max(1);
+        let shift = usize::BITS - 1 - per_block.leading_zeros();
+        Rows {
+            wps,
+            shift,
+            len: 0,
+            blocks: Vec::new(),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Row `row`'s block and its words' span there.
+    fn at(&self, row: usize) -> (usize, Range<usize>) {
+        let start = (row & ((1 << self.shift) - 1)) * self.wps;
+        (row >> self.shift, start..start + self.wps)
+    }
+
+    /// Row `row` (empty past the last).
+    pub(crate) fn row(&self, row: usize) -> &[u64] {
+        let (block, span) = self.at(row);
+        self.blocks
+            .get(block)
+            .and_then(|b| b.get(span))
+            .unwrap_or(&[])
+    }
+
+    pub(crate) fn row_mut(&mut self, row: usize) -> &mut [u64] {
+        let (block, span) = self.at(row);
+        let words = self.blocks.get_mut(block).and_then(|b| b.get_mut(span));
+        words.unwrap_or(&mut [])
+    }
+
+    /// Append a row of `words`, zero-padded to `wps`.
+    pub(crate) fn push(&mut self, words: impl IntoIterator<Item = u64>) {
+        let (block, _) = self.at(self.len);
+        if block == self.blocks.len() {
+            self.blocks.push(Vec::new());
+        }
+        if let Some(b) = self.blocks.get_mut(block) {
+            b.extend(words.into_iter().chain(std::iter::repeat(0)).take(self.wps));
+        }
+        self.len += 1;
+    }
+
+    /// Grow to `len` rows, the new ones empty.
+    pub(crate) fn grow(&mut self, len: usize) {
+        while self.len < len {
+            self.push([]);
+        }
+    }
+
+    /// OR row `from` into the earlier row `into`.
+    fn or_into(&mut self, into: usize, from: usize) {
+        let ((ib, is), (fb, fs)) = (self.at(into), self.at(from));
+        let blocks = self.blocks.len();
+        let (head, tail) = self.blocks.split_at_mut(fb.min(blocks));
+        let Some(block) = tail.first_mut() else {
+            return;
+        };
+        let (into, from) = if ib == fb {
+            let len = block.len();
+            let (before, rest) = block.split_at_mut(fs.start.min(len));
+            (before.get_mut(is), rest.get(..self.wps))
+        } else {
+            let into = head.get_mut(ib).and_then(|b| b.get_mut(is));
+            (into, block.get(fs))
+        };
+        if let (Some(into), Some(from)) = (into, from) {
+            into.iter_mut().zip(from).for_each(|(i, f)| *i |= f);
+        }
     }
 }
 
@@ -276,9 +542,51 @@ pub(crate) mod tests {
     use crate::serialize::decode_tree;
     use crate::taskset::{DenseBitVector, SubtreeTaskList, TaskSetOps};
     use appsim::{FrameVocabulary, RingHangApp};
-    use stackwalk::FrameId;
     use tbon::network::InProcessTbon;
     use tbon::topology::{Topology, TreeShape};
+
+    #[test]
+    fn rows_in_blocks_read_as_one_flat_array() {
+        // One row per block (1000, 1025, 3000 words), several (3, 64), none (0).
+        for wps in [0, 1, 3, 64, 1000, 1024, 1025, 3000] {
+            let (mut rows, mut flat) = (Rows::new(wps), Vec::<u64>::new());
+            let mut state = 0x9e37_79b9_7f4a_7c15u64;
+            let mut next = || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            for n in 0..40 {
+                // Every third row is pushed short and must come back zero-padded.
+                let words: Vec<u64> = (0..wps - wps.min(n % 3)).map(|_| next()).collect();
+                rows.push(words.iter().copied());
+                flat.extend(words.into_iter().chain(std::iter::repeat(0)).take(wps));
+                if n > 0 {
+                    let into = next() as usize % n;
+                    rows.or_into(into, n);
+                    for k in 0..wps {
+                        flat[into * wps + k] |= flat[n * wps + k];
+                    }
+                }
+                if n % 7 == 3 {
+                    rows.row_mut(n / 2).fill(0);
+                    flat[n / 2 * wps..(n / 2 + 1) * wps].fill(0);
+                }
+            }
+            rows.grow(45);
+            flat.resize(45 * wps, 0);
+            assert_eq!(rows.len(), 45);
+            for r in 0..45 {
+                assert_eq!(
+                    rows.row(r),
+                    &flat[r * wps..(r + 1) * wps],
+                    "{wps} words, row {r}"
+                );
+            }
+            assert!(rows.row(45).is_empty());
+        }
+    }
 
     #[test]
     fn partition_covers_every_rank_exactly_once() {

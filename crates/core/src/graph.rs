@@ -21,16 +21,17 @@
 //! [`PrefixTree::merge`] consumes the other tree by value: matched nodes union
 //! their sets word by word ([`TaskSetOps::union_shifted`]) and unmatched subtrees
 //! move across, so no tree is cloned; [`PrefixTree::merge_aligned`], the
-//! streaming fold, is the same walk without the widening.  Child lookup is a
-//! tree-wide `(parent, frame)` hash, and every traversal runs an explicit
-//! worklist, so a pathologically deep trace cannot overflow the stack.  The
-//! TBON's merge filter builds no tree: it replays this walk on flat columns read
-//! off the wire (`serialize::merge_bodies`), byte for byte.
+//! streaming path's resident fold, is the same walk without the widening.  Child
+//! lookup is a tree-wide `(parent, frame)` hash, and every traversal runs an
+//! explicit worklist, so a pathologically deep trace cannot overflow the stack.
+//! The TBON's merge filter builds no tree: it replays this walk on flat columns
+//! read off the wire (`serialize::merge_bodies`), byte for byte.
 //!
-//! A daemon builds its local trees the other way round (`core::daemon`): each trace
-//! marks its task only on the node it *ends* at, and one reverse pass over the
-//! arena ORs the marks into the parents (`close_upward`).  A trace descends by name
-//! from where the tree's previous path diverged (`descend_named`'s trail).
+//! A daemon builds its local trees the other way round (`core::daemon`): its 2D
+//! and 3D trees share one arena whose labels it keeps in rows of its own, each
+//! trace marks its task only on the node it *ends* at, and one reverse pass over
+//! the nodes the walk reached ORs the marks into the parents.  A trace descends
+//! by name from where the previous path diverged (`descend_named`'s trail).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -266,25 +267,9 @@ impl<S: TaskSetOps> PrefixTree<S> {
         cur
     }
 
-    /// Record task position `index` on `node`'s label alone; such end marks become
-    /// edge labels in [`Self::close_upward`].
+    /// Record task position `index` on `node`'s label alone.
     pub(crate) fn mark(&mut self, node: NodeIdx, index: u64) {
         self.entry_mut(node).tasks.insert(index);
-    }
-
-    /// `tasks(parent) |= tasks(child)` over the arena in reverse.  Parents precede
-    /// their children in index order, so a node already holds its whole subtree when
-    /// it is folded into its parent: one word-wide union per node, whatever the
-    /// number of traces.
-    pub(crate) fn close_upward(&mut self) {
-        for child in (1..self.nodes.len()).rev() {
-            let Some(parent) = self.entry(child).parent else {
-                continue;
-            };
-            let tasks = std::mem::replace(&mut self.entry_mut(child).tasks, S::empty(0));
-            self.entry_mut(parent).tasks.union_in_place(&tasks);
-            self.entry_mut(child).tasks = tasks;
-        }
     }
 
     /// Widen every task set in place to `new_width` (the accumulated tree's side of
@@ -317,11 +302,13 @@ impl<S: TaskSetOps> PrefixTree<S> {
     /// concatenation for either representation.  Matched edge labels union at
     /// offset zero and unmatched subtrees move their task sets across.
     ///
-    /// This is the fold step of the streaming delta path: a wave tree or a
-    /// [`PrefixTree::delta_from`] delta describes the *same* task positions as the
-    /// accumulated tree it folds into (a daemon's own local domain, or one tree
-    /// node's already-concatenated subtree domain), so the hierarchical
-    /// representation must not widen here the way [`PrefixTree::merge`] does.
+    /// This is the fold step of the streaming delta path's resident state: a
+    /// delta describes the *same* task positions as the accumulated tree it folds
+    /// into (one tree node's already-concatenated subtree domain, or a daemon's
+    /// own local domain), so the hierarchical representation must not widen here
+    /// the way [`PrefixTree::merge`] does.  A daemon folds its waves in its own
+    /// arena instead; this walk and [`PrefixTree::delta_from`] are what its
+    /// deltas are checked against.
     pub fn merge_aligned(&mut self, other: PrefixTree<S>) {
         self.merge_walk(other, false);
     }
@@ -399,7 +386,10 @@ impl<S: TaskSetOps> PrefixTree<S> {
     /// Applying the result to `prev` with [`PrefixTree::merge_aligned`]
     /// reconstructs `prev ∪ self` — the streaming invariant the daemons rely on
     /// when they ship one delta per wave instead of the whole accumulated tree.
-    /// A fully quiescent wave (`self ⊆ prev`) deltas to a lone empty root.
+    /// A fully quiescent wave (`self ⊆ prev`) deltas to a lone empty root.  A
+    /// streaming daemon computes the same bytes from the nodes its wave reached
+    /// in the arena it keeps (`core::streaming`); this is the oracle its tests
+    /// hold it to, and what the benchmark's delta replay times.
     pub fn delta_from(&self, prev: &PrefixTree<S>) -> PrefixTree<S> {
         assert_eq!(
             self.width, prev.width,
@@ -569,6 +559,19 @@ pub(crate) mod tests {
             work.extend(tree.children(node).iter().map(|&c| (c, depth + 1)));
         }
         deepest
+    }
+
+    /// `tasks(parent) |= tasks(child)` over the arena in reverse: end marks become
+    /// edge labels (parents precede their children in index order).
+    pub(crate) fn close_upward<S: TaskSetOps>(tree: &mut PrefixTree<S>) {
+        for child in (1..tree.nodes.len()).rev() {
+            let Some(parent) = tree.entry(child).parent else {
+                continue;
+            };
+            let tasks = std::mem::replace(&mut tree.entry_mut(child).tasks, S::empty(0));
+            tree.entry_mut(parent).tasks.union_in_place(&tasks);
+            tree.entry_mut(child).tasks = tasks;
+        }
     }
 
     /// Leaf node indices, in arena order.
@@ -893,8 +896,8 @@ pub(crate) mod tests {
         }
         // 3 + 20 names, each interned once however often it was walked.
         assert_eq!(table.len(), 23);
-        by_name.close_upward();
-        by_id.close_upward();
+        close_upward(&mut by_name);
+        close_upward(&mut by_id);
         for tree in [&by_name, &by_id] {
             assert_eq!(tree.node_count(), reference.node_count());
             for node in 0..reference.node_count() {

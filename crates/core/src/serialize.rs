@@ -322,19 +322,18 @@ impl WireFrames {
 // v2 encoding
 // ---------------------------------------------------------------------------
 
-/// The writer's view of a tree whose words stay in it: every node's parent and
-/// global id, root first, each frame mapped by `gid_of`.  The caller adds the
-/// incremental records that keep the packet self-contained.
-fn plan<'a, S: WireTaskSet>(
-    tree: &PrefixTree<S>,
+/// The writer's view of a body whose words stay where they are: the root, then
+/// each node of `nodes` as its parent's position in this order and its frame
+/// mapped by `gid_of`.  The caller adds the incremental records that keep the
+/// packet self-contained.
+fn plan<'a>(
+    width: u64,
     base_len: u32,
+    nodes: impl Iterator<Item = (usize, FrameId)>,
     mut gid_of: impl FnMut(FrameId) -> u32,
 ) -> FlatTree<'a> {
-    let nodes = tree
-        .iter_nodes()
-        .map(|(_, frame, parent)| (parent, gid_of(frame)));
+    let nodes = nodes.map(|(parent, frame)| (parent, gid_of(frame)));
     let nodes = std::iter::once((0, 0)).chain(nodes).collect();
-    let width = tree.width();
     FlatTree {
         width,
         base_len,
@@ -343,8 +342,16 @@ fn plan<'a, S: WireTaskSet>(
     }
 }
 
-fn plan_with_dictionary<'a, S: WireTaskSet>(
+/// A tree's non-root nodes in index order, each as `(parent, frame)`.
+pub(crate) fn links<S: TaskSetOps>(
     tree: &PrefixTree<S>,
+) -> impl Iterator<Item = (usize, FrameId)> + '_ {
+    tree.iter_nodes().map(|(_, frame, parent)| (parent, frame))
+}
+
+fn plan_with_dictionary<'a>(
+    width: u64,
+    nodes: impl Iterator<Item = (usize, FrameId)>,
     table: &'a FrameTable,
     dict: &FrameDictionary,
 ) -> FlatTree<'a> {
@@ -353,7 +360,7 @@ fn plan_with_dictionary<'a, S: WireTaskSet>(
     let negotiated = if dict.shares_base(table) { base_len } else { 0 };
     let mut gid_of: HashMap<FrameId, u32> = HashMap::new();
     let mut records = BTreeMap::new();
-    let mut plan = plan(tree, base_len, |frame| {
+    let mut plan = plan(width, base_len, nodes, |frame| {
         if frame.0 < negotiated {
             return frame.0;
         }
@@ -374,7 +381,9 @@ fn plan_from_wire<'a, S: WireTaskSet>(
     tree: &PrefixTree<S>,
     frames: &'a WireFrames,
 ) -> FlatTree<'a> {
-    let mut plan = plan(tree, frames.base_len(), |frame| frame.0);
+    let mut plan = plan(tree.width(), frames.base_len(), links(tree), |frame| {
+        frame.0
+    });
     plan.records = referenced(&plan.nodes, plan.base_len, |gid| frames.name_of(gid));
     plan
 }
@@ -488,9 +497,24 @@ pub fn encode_tree<S: WireTaskSet>(
     table: &FrameTable,
     dict: &FrameDictionary,
 ) -> Vec<u8> {
-    let plan = plan_with_dictionary(tree, table, dict);
-    let mut out = Vec::with_capacity(32 + tree.node_count() * 8);
-    write_body::<S>(&mut out, &plan, |node| tree.tasks(node).words());
+    let row = |node| tree.tasks(node).words();
+    encode_ordered::<S>(tree.width(), links(tree), row, table, dict)
+}
+
+/// [`encode_tree`] of a tree given in the order its nodes ship: the non-root
+/// nodes as `(parent's position, frame)`, each parent listed before its
+/// children, and `row` answering a position's task-set words (the root's is 0).
+/// A daemon encodes its trees in the order its walk first reached their nodes.
+pub(crate) fn encode_ordered<'t, S: WireTaskSet>(
+    width: u64,
+    nodes: impl Iterator<Item = (usize, FrameId)>,
+    row: impl Fn(usize) -> &'t [u64],
+    table: &FrameTable,
+    dict: &FrameDictionary,
+) -> Vec<u8> {
+    let plan = plan_with_dictionary(width, nodes, table, dict);
+    let mut out = Vec::with_capacity(32 + plan.nodes.len() * 8);
+    write_body::<S>(&mut out, &plan, row);
     out
 }
 
@@ -1031,7 +1055,7 @@ mod tests {
                 let end = tree.descend_named(&mut table, &mut trail, path);
                 tree.mark(end, task);
             }
-            tree.close_upward();
+            crate::graph::tests::close_upward(&mut tree);
             tree
         });
         let bodies = trees.iter().map(|t| encode_tree(t, &table, dict)).collect();

@@ -26,7 +26,7 @@ use tbon::filter::Filter;
 use tbon::network::{InProcessTbon, ReductionOutcome, TbonError};
 use tbon::packet::EndpointId;
 
-use crate::daemon::{map_daemons, DaemonContribution, StatDaemon};
+use crate::daemon::{map_daemons, DaemonContribution, LocalTrees, StatDaemon};
 use crate::error::{MergeChannel, StatError};
 use crate::filter::StatMergeFilter;
 use crate::frontend::Representation;
@@ -156,7 +156,10 @@ impl<D: Domain> RepresentationStrategy for DomainStrategy<D> {
         map_daemons::<TaskSet<D>, _, _>(
             net,
             daemons,
-            |(daemon, leaf), dict| (*daemon, dict.table(), *leaf),
+            |(daemon, leaf), dict| {
+                let trees = LocalTrees::new(daemon.leaf_width::<TaskSet<D>>());
+                (*daemon, dict.table(), trees, *leaf)
+            },
             (app, 0..samples_per_task),
             dict,
             &|_, _, contribution, _| contribution,

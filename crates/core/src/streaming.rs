@@ -16,8 +16,15 @@
 //!    viable session is a typed [`StatError::SessionNotViable`].
 //! 2. **Gather**: the surviving daemons run side by side, through the one daemon
 //!    map [`Session::attach`] runs: each samples its ranks at the global sample
-//!    clock (`wave × samples_per_wave`), builds its wave-local 2D/3D trees, and
-//!    diffs the wave 3D tree against its cumulative local tree.
+//!    clock (`wave × samples_per_wave`) into its local trees, which it keeps
+//!    from wave to wave: one arena every trace descends once, with a 2D and a 3D
+//!    label column.  The wave opens an epoch, so the walk resets only the rows of
+//!    the nodes it reaches and ships the packets fresh trees would.  The 3D
+//!    nodes it reached then give the delta: those whose row has members the
+//!    daemon's cumulative row lacks, or that the wave created, with the
+//!    ancestors that reach them, labelled with the new members only; the fold
+//!    ORs those members into the cumulative rows.  Nothing else of the arena is
+//!    visited, and a quiescent wave re-encodes nothing.
 //! 3. **Wave reduction**: the wave's 2D/3D trees (and rank map) ride the
 //!    ordinary single-pass multi-channel reduction, producing the wave's
 //!    [`GatherResult`]-derived diagnosis, behaviour-class count and phase
@@ -27,6 +34,10 @@
 //!    the ordinary merge filter and fold the result into their resident state,
 //!    so the front end's resident tree always equals one batched merge of
 //!    everything seen so far (the equivalence `tests/streaming.rs` pins down).
+//!    A daemon's delta is byte for byte what [`PrefixTree::delta_from`] makes of
+//!    a fresh wave tree against a cumulative tree built by
+//!    [`PrefixTree::merge_aligned`]; that pair stays as the tests' oracle and the
+//!    benchmark's replay.
 //! 5. **Judgement**: the diagnosis is checked against the wave source's ground
 //!    truth for that wave, giving verdict *latency* — the number of waves
 //!    between a fault first appearing and a stable correct verdict — a
@@ -62,12 +73,14 @@ use tbon::network::{InProcessTbon, TbonError};
 use tbon::packet::{Packet, PacketTag};
 use tbon::topology::{Topology, TreeShape};
 
-use crate::daemon::{map_daemons, DaemonContribution, StatDaemon};
+use crate::daemon::{map_daemons, DaemonContribution, LocalTrees, Rows, StatDaemon};
 use crate::error::StatError;
 use crate::frontend::Representation;
 use crate::graph::PrefixTree;
 use crate::scenario::{diagnose, prune_overlay, resolve_filter_faults};
-use crate::serialize::{decode_tree, encode_merged_tree, encode_tree, WireFrames, WireTaskSet};
+use crate::serialize::{
+    decode_tree, encode_merged_tree, encode_ordered, links, WireFrames, WireTaskSet,
+};
 use crate::session::{PhaseTimings, Session};
 use crate::taskset::{DenseBitVector, SubtreeTaskList};
 
@@ -166,13 +179,83 @@ impl<S: WireTaskSet> StateFactory for TreeResidentFactory<S> {
     }
 }
 
-/// One daemon's persistent streaming state: its rank slice, its frame table
-/// (shared by every wave so frame ids stay stable across diffs) and the
-/// cumulative local 3D tree its deltas are computed against.
+/// One daemon's persistent streaming state: its rank slice; its frame table
+/// (shared by every wave so frame ids stay stable across deltas); its local
+/// trees, whose arena holds every node any wave reached and which each wave
+/// walks into under a new epoch; per arena node a row of every task that has
+/// reached it so far (the cumulative tree its deltas are computed against); and
+/// that tree's packet length, encoded again only when a wave adds to it (0
+/// before the first wave).
 struct DaemonStream<S: WireTaskSet> {
     daemon: StatDaemon,
     table: FrameTable,
-    cum_3d: PrefixTree<S>,
+    trees: LocalTrees<S>,
+    cumulative: Rows,
+    full_bytes: u64,
+}
+
+impl<S: WireTaskSet> DaemonStream<S> {
+    /// The cumulative tree's packet body: the arena in index order, each node
+    /// labelled with every task that has reached it.
+    fn encode_cumulative(&self, dict: &FrameDictionary) -> Vec<u8> {
+        let (trees, rows) = (&self.trees, |node| self.cumulative.row(node));
+        encode_ordered::<S>(trees.width, links(&trees.tree), rows, &self.table, dict)
+    }
+
+    /// Fold the wave's closed 3D tree into the cumulative rows, and encode its
+    /// delta: in first-touch order, the root, every node the wave reached whose
+    /// row adds members (and every node it created), and the ancestors that reach
+    /// them, each labelled with only the members it adds, which is what
+    /// [`PrefixTree::delta_from`] ships.  Returns the delta and whether it added
+    /// anything.
+    fn fold_delta(&mut self, dict: &FrameDictionary) -> (Vec<u8>, bool) {
+        let (trees, cumulative) = (&self.trees, &mut self.cumulative);
+        let column = trees.column_3d();
+        // The members a reached node's wave row adds over its cumulative row.
+        let added = |node| {
+            let seen = cumulative.row(node).iter().chain(std::iter::repeat(&0));
+            column.row(node).iter().zip(seen).map(|(w, s)| w & !s)
+        };
+        let adds = |node| node >= trees.fresh_from || added(node).any(|w| w != 0);
+        let mut kept: Vec<bool> = column.touched.iter().map(|&node| adds(node)).collect();
+        let changed = kept.contains(&true);
+        // The root always ships, and (children first) a kept node keeps its parent.
+        if let Some(root) = kept.first_mut() {
+            *root = true;
+        }
+        for (at, &node) in column.touched.iter().enumerate().rev() {
+            if kept.get(at) == Some(&true) {
+                if let Some(parent) = kept.get_mut(column.link(&trees.tree, node).0) {
+                    *parent = true;
+                }
+            }
+        }
+        // The kept nodes renumbered in first-touch order, with their links and rows.
+        let (mut places, mut links, mut rows) = (Vec::new(), Vec::new(), Rows::new(trees.wps));
+        for ((at, &node), &keep) in column.touched.iter().enumerate().zip(&kept) {
+            places.push(rows.len());
+            if keep {
+                let (parent, frame) = column.link(&trees.tree, node);
+                if at > 0 {
+                    links.push((places.get(parent).copied().unwrap_or(0), frame));
+                }
+                rows.push(added(node));
+            }
+        }
+        let rows = |place| rows.row(place);
+        let delta = encode_ordered::<S>(trees.width, links.into_iter(), rows, &self.table, dict);
+
+        cumulative.grow(trees.tree.node_count());
+        for (&node, _) in column.touched.iter().zip(&kept).filter(|(_, &keep)| keep) {
+            let wave = column.row(node).iter();
+            cumulative
+                .row_mut(node)
+                .iter_mut()
+                .zip(wave)
+                .for_each(|(s, w)| *s |= w);
+        }
+        (delta, changed)
+    }
 }
 
 /// What a [`StreamingSession`] asks of its representation-typed core.  The
@@ -191,9 +274,10 @@ trait WaveStream: Send + Sync {
         filter: &dyn Filter,
     ) -> Result<u64, StatError>;
 
-    /// Sample `window` on the survivors through the daemon map `attach` runs and
-    /// diff each wave's 3D tree against the cumulative one: the contributions,
-    /// the deltas and the bytes of the full cumulative trees.  Every survivor
+    /// Sample `window` on the survivors through the daemon map `attach` runs,
+    /// each into its own local trees, and fold each wave into the daemon's
+    /// cumulative tree: the contributions, the deltas and the bytes of the full
+    /// cumulative trees.  Every survivor
     /// emits a delta (a quiescent daemon its root-only empty tree), which keeps
     /// hierarchical domain offsets stable at every merge above it.
     fn gather_wave(
@@ -229,10 +313,15 @@ impl<S: WireTaskSet> StreamCore<S> {
         let streams = daemons
             .into_iter()
             .map(|daemon| {
+                let trees = LocalTrees::new(daemon.leaf_width::<S>());
+                let mut cumulative = Rows::new(trees.wps);
+                cumulative.grow(1);
                 Some(DaemonStream {
-                    cum_3d: PrefixTree::new(daemon.leaf_width::<S>()),
+                    cumulative,
+                    trees,
                     table: dict.table(),
                     daemon,
+                    full_bytes: 0,
                 })
             })
             .collect();
@@ -267,11 +356,8 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
             .flatten()
             .zip(topology.backends().iter())
             .map(|(stream, &leaf)| {
-                Packet::new(
-                    PacketTag::TreeDelta,
-                    leaf,
-                    encode_tree(&stream.cum_3d, &stream.table, &self.dict),
-                )
+                let payload = stream.encode_cumulative(&self.dict);
+                Packet::new(PacketTag::TreeDelta, leaf, payload)
             })
             .collect();
         let reseed_bytes = packets.iter().map(|p| p.size_bytes() as u64).sum();
@@ -290,19 +376,23 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
         let per_daemon = map_daemons::<S, _, _>(
             net,
             items,
-            |(stream, leaf), _| (&stream.daemon, std::mem::take(&mut stream.table), *leaf),
+            |(stream, leaf), _| {
+                let table = std::mem::take(&mut stream.table);
+                let trees = std::mem::replace(&mut stream.trees, LocalTrees::new(0));
+                (&stream.daemon, table, trees, *leaf)
+            },
             (app, window),
             &self.dict,
-            &|(stream, leaf), table, mut contribution, wave_3d| {
+            &|(stream, leaf), table, mut contribution, trees| {
                 let delta_start = Instant::now();
-                let delta = wave_3d.delta_from(&stream.cum_3d);
-                stream.cum_3d.merge_aligned(wave_3d);
-                let delta_payload = encode_tree(&delta, &table, &self.dict);
+                (stream.table, stream.trees) = (table, trees);
+                let (delta_payload, added) = stream.fold_delta(&self.dict);
                 contribution.local_merge_wall += delta_start.elapsed();
-                let full = encode_tree(&stream.cum_3d, &table, &self.dict).len() as u64;
-                stream.table = table;
+                if added || stream.full_bytes == 0 {
+                    stream.full_bytes = stream.encode_cumulative(&self.dict).len() as u64;
+                }
                 let delta = Packet::new(PacketTag::TreeDelta, *leaf, delta_payload);
-                (contribution, delta, full)
+                (contribution, delta, stream.full_bytes)
             },
         )?;
         let full_packet_bytes = per_daemon.iter().map(|(_, _, full)| full).sum();
@@ -334,7 +424,7 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
     fn batched_canonical(&self) -> CanonicalTree {
         let mut merged: Option<PrefixTree<S>> = None;
         for stream in self.streams.iter().flatten() {
-            let payload = encode_tree(&stream.cum_3d, &stream.table, &self.dict);
+            let payload = stream.encode_cumulative(&self.dict);
             let Ok((tree, _frames)) = decode_tree::<S>(&payload) else {
                 return Vec::new();
             };
@@ -633,6 +723,7 @@ impl StreamingSession {
 mod tests {
     use super::*;
     use crate::daemon::tests::{names_by_id, Sleepy};
+    use crate::serialize::encode_tree;
     use appsim::scenario::catalogue;
     use appsim::{FaultSchedule, FrameVocabulary, RingHangApp, SteadySource};
     use machine::cluster::Cluster;
@@ -875,6 +966,253 @@ mod tests {
     fn the_stream_ships_the_serial_waves_whatever_the_schedule() {
         stream_waves_match_the_serial_loop::<DenseBitVector>(Representation::GlobalBitVector);
         stream_waves_match_the_serial_loop::<SubtreeTaskList>(Representation::HierarchicalTaskList);
+    }
+
+    /// An application whose paths move between waves on every edge the warm 3D
+    /// arena has: a `dispatch` node with more callees than `SCAN_FANOUT` that
+    /// gains new ones as the sample clock shifts, paths from sample 4 on twice as
+    /// deep as the first path walked (which sizes the trail), and from sample 10
+    /// on a frame the negotiation never saw.
+    struct Shifting(Vec<Vec<&'static str>>);
+
+    impl Shifting {
+        const CALLEES: [&'static str; 12] = [
+            "callee_0",
+            "callee_1",
+            "callee_2",
+            "callee_3",
+            "callee_4",
+            "callee_5",
+            "callee_6",
+            "callee_7",
+            "callee_8",
+            "callee_9",
+            "callee_10",
+            "callee_11",
+        ];
+
+        fn new() -> Self {
+            let mut paths = vec![
+                vec!["main", "solve", "wait"],
+                vec![
+                    "main", "solve", "wait", "poll", "main", "solve", "wait", "deep",
+                ],
+                vec!["main", "solve", "late_frame", "wait"],
+            ];
+            paths.extend(Self::CALLEES.map(|callee| vec!["main", "dispatch", callee]));
+            Shifting(paths)
+        }
+    }
+
+    impl Application for Shifting {
+        fn name(&self) -> &str {
+            "shifting"
+        }
+        fn num_tasks(&self) -> u64 {
+            256
+        }
+        fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> &[&'static str] {
+            let sample = u64::from(sample);
+            let pick = match rank % 3 {
+                _ if sample >= 10 && rank.is_multiple_of(5) => 2,
+                1 => 3 + (rank / 3 + sample) % 12,
+                0 if sample >= 4 => 1,
+                _ => 0,
+            };
+            &self.0[pick as usize]
+        }
+        fn frame_hints(&self) -> Vec<&'static str> {
+            let names = self
+                .0
+                .iter()
+                .flatten()
+                .copied()
+                .filter(|&n| n != "late_frame");
+            let mut hints: Vec<&'static str> = names.collect();
+            hints.sort_unstable();
+            hints.dedup();
+            hints
+        }
+    }
+
+    /// What the stream's daemons ship each wave, built the way it was before the
+    /// warm arena: a fresh 2D and 3D tree per daemon from the staged gather, the
+    /// delta `delta_from` makes of the wave against a cumulative tree that
+    /// `merge_aligned` folds, and that tree's content.
+    struct Reference<S: WireTaskSet> {
+        dict: FrameDictionary,
+        daemons: Vec<(StatDaemon, FrameTable, PrefixTree<S>)>,
+    }
+
+    /// One wave as both sides see it: per daemon the 2D, 3D and delta payloads,
+    /// and per daemon the cumulative tree's content.
+    type Shipped = (Vec<[Vec<u8>; 3]>, Vec<CanonicalTree>);
+
+    impl<S: WireTaskSet> Reference<S> {
+        fn new(daemons: &[StatDaemon], hints: &[&'static str]) -> Self {
+            let dict = FrameDictionary::negotiate(hints.iter().copied());
+            let daemons = daemons.iter().map(|daemon| {
+                let cumulative = PrefixTree::new(daemon.leaf_width::<S>());
+                (daemon.clone(), dict.table(), cumulative)
+            });
+            let daemons = daemons.collect();
+            Reference { dict, daemons }
+        }
+
+        fn wave(&mut self, app: &dyn Application, window: Range<u32>) -> Shipped {
+            let dict = &self.dict;
+            let per_daemon = self.daemons.iter_mut().map(|(daemon, table, cumulative)| {
+                let count = window.end - window.start;
+                let gathered = appsim::gather_samples_for_ranks_from(
+                    app,
+                    &daemon.ranks,
+                    window.start,
+                    count,
+                    table,
+                );
+                let (tree_2d, tree_3d) = daemon.build_trees::<S>(&gathered);
+                let [packet_2d, packet_3d] =
+                    [&tree_2d, &tree_3d].map(|t| encode_tree(t, table, dict));
+                let delta = encode_tree(&tree_3d.delta_from(cumulative), table, dict);
+                cumulative.merge_aligned(tree_3d);
+                ([packet_2d, packet_3d, delta], canonical(cumulative, table))
+            });
+            per_daemon.unzip()
+        }
+    }
+
+    /// Drive `StreamCore` through `apps` (one per wave, two samples a wave) on 8
+    /// daemons at 1, 2 and 8 workers, against the reference: every wave ships the
+    /// fresh walk's 2D and 3D packets and `delta_from`'s delta, byte for byte,
+    /// the cumulative labels hold the reference's cumulative tree, and the cached
+    /// full length is a fresh encode's.
+    fn warm_waves_match_the_cold_reference<S: WireTaskSet + Send + Sync>(
+        case: &str,
+        apps: &[Arc<dyn Application>],
+    ) {
+        let tasks = apps[0].num_tasks();
+        let hints = apps[0].frame_hints();
+        let daemons = StatDaemon::partition(tasks, 8);
+        let topology = Topology::build(TreeShape::flat(8));
+        let mut reference = Reference::<S>::new(&daemons, &hints);
+        let windows = (0u32..).map(|wave| wave * 2..wave * 2 + 2);
+        let expected: Vec<Shipped> = apps
+            .iter()
+            .zip(windows.clone())
+            .map(|(app, window)| reference.wave(app.as_ref(), window))
+            .collect();
+        for workers in [1, 2, 8] {
+            let net = InProcessTbon::new(topology.clone()).with_workers(workers);
+            let dict = FrameDictionary::negotiate(hints.iter().copied());
+            let mut core = StreamCore::<S>::new(daemons.clone(), &topology, dict);
+            for ((wave, app), window) in apps.iter().enumerate().zip(windows.clone()) {
+                let at = format!("{case}, wave {wave}, {workers} workers");
+                let (contributions, deltas, full) = core
+                    .gather_wave(app.as_ref(), window, &net)
+                    .expect("no daemon dies");
+                let shipped = contributions
+                    .iter()
+                    .zip(&deltas)
+                    .map(|(c, delta)| [&c.tree_2d, &c.tree_3d, delta].map(|p| p.payload.to_vec()));
+                let streams = core.streams.iter().flatten();
+                let cumulative = streams.clone().map(|stream| {
+                    let payload = stream.encode_cumulative(&core.dict);
+                    let (tree, _) =
+                        decode_tree::<S>(&payload).expect("the cumulative tree decodes");
+                    canonical(&tree, &core.dict.snapshot())
+                });
+                let got: Shipped = (shipped.collect(), cumulative.collect());
+                let (packets, trees) = &expected[wave];
+                for (daemon, (got, want)) in got.0.iter().zip(packets).enumerate() {
+                    for (channel, (got, want)) in
+                        ["2D", "3D", "delta"].iter().zip(got.iter().zip(want))
+                    {
+                        assert!(
+                            got == want,
+                            "{at}, daemon {daemon}: the {channel} packet differs"
+                        );
+                    }
+                }
+                assert_eq!(&got.1, trees, "{at}: cumulative trees");
+                let fresh = streams.map(|stream| stream.encode_cumulative(&core.dict).len() as u64);
+                assert_eq!(full, fresh.sum::<u64>(), "{at}: cached full length");
+            }
+            assert_eq!(
+                names_by_id(&core.dict),
+                names_by_id(&reference.dict),
+                "{case}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_warm_wave_ships_the_fresh_walk_and_delta_from_bytes() {
+        let v = FrameVocabulary::BlueGeneL;
+        let ring = ring_schedule(256, 3);
+        let apps = |app: Arc<dyn Application>| vec![app; 9];
+        let cases: [(&str, Vec<Arc<dyn Application>>); 4] = [
+            (
+                "ring hang from wave 3",
+                (0..9).map(|wave| ring.app_at(wave)).collect(),
+            ),
+            (
+                "threaded",
+                apps(Arc::new(appsim::workloads::threaded(256, 3, v))),
+            ),
+            (
+                "corrupted stacks",
+                apps(Arc::new(appsim::workloads::corrupted_stacks(256, 9, v))),
+            ),
+            (
+                "wide, deep and un-negotiated",
+                apps(Arc::new(Shifting::new())),
+            ),
+        ];
+        for (case, apps) in &cases {
+            warm_waves_match_the_cold_reference::<DenseBitVector>(case, apps);
+            warm_waves_match_the_cold_reference::<SubtreeTaskList>(case, apps);
+        }
+        // The last case really grows a node past the sibling scan and interns a
+        // frame after the negotiation.
+        let shifting = Shifting::new();
+        let dict = FrameDictionary::negotiate(shifting.frame_hints());
+        let mut table = dict.table();
+        let samples = appsim::gather_samples_for_ranks_from(&shifting, 0..32, 16, 2, &mut table);
+        let (_, tree_3d) =
+            StatDaemon::new(0, (0..32).collect(), 256).build_trees::<DenseBitVector>(&samples);
+        assert!((0..tree_3d.node_count()).any(|n| tree_3d.children(n).len() > 8));
+        assert!(table.len() > dict.base_len() as usize);
+    }
+
+    #[test]
+    fn a_hung_stream_keeps_its_arena_flat_and_its_full_length_fresh() {
+        fn run<S: WireTaskSet + Send + Sync>() {
+            let schedule = ring_schedule(1_024, 2);
+            let daemons = StatDaemon::partition(1_024, 16);
+            let topology = Topology::build(TreeShape::flat(16));
+            let dict = FrameDictionary::negotiate(schedule.app_at(0).frame_hints());
+            let mut core = StreamCore::<S>::new(daemons, &topology, dict);
+            let net = InProcessTbon::new(topology.clone());
+            let mut hung = None;
+            for wave in 0..12u32 {
+                let window = wave * 2..wave * 2 + 2;
+                let app = schedule.app_at(wave);
+                let (_, _, full) = core.gather_wave(app.as_ref(), window, &net).unwrap();
+                let streams = core.streams.iter().flatten();
+                let fresh = streams
+                    .clone()
+                    .map(|s| s.encode_cumulative(&core.dict).len() as u64);
+                assert_eq!(full, fresh.sum::<u64>(), "wave {wave}");
+                let nodes: Vec<usize> = streams.map(|s| s.trees.tree.node_count()).collect();
+                // Three waves after the onset the hang is all the job does.
+                if wave >= 5 {
+                    let first = hung.get_or_insert_with(|| nodes.clone());
+                    assert_eq!(&nodes, first, "wave {wave}: the arena grew while hung");
+                }
+            }
+        }
+        run::<DenseBitVector>();
+        run::<SubtreeTaskList>();
     }
 
     /// A ring hang whose stack walk of rank 12 dies from sample 2 on.
