@@ -103,12 +103,8 @@ pub struct GroundTruth {
 impl GroundTruth {
     /// Every rank a fault was injected into, ascending and deduplicated.
     pub fn faulty_ranks(&self) -> Vec<u64> {
-        let set: BTreeSet<u64> = self
-            .isolations
-            .iter()
-            .flat_map(|i| i.ranks.iter().copied())
-            .collect();
-        set.into_iter().collect()
+        let all = self.isolations.iter().flat_map(|i| i.ranks.iter().copied());
+        all.collect::<BTreeSet<u64>>().into_iter().collect()
     }
 
     /// The primary distinguishing frame (the first isolation's), if any.
@@ -116,35 +112,33 @@ impl GroundTruth {
         self.isolations.first().map(|i| i.frame)
     }
 
-    /// Judge a diagnosis against this ground truth, check by check.
+    /// Judge a diagnosis against this ground truth, check by check, in time
+    /// linear in the diagnosis: coverage reads one bitmap of `tasks` bits, and a
+    /// rank's isolation and separation are looked up among the faulty ranks.
     pub fn check(&self, scenario: &str, diagnosis: &Diagnosis) -> Verdict {
-        let mut checks = Vec::new();
-        let lost: BTreeSet<u64> = diagnosis.lost_ranks.iter().copied().collect();
+        let (mut checks, tasks, classes) = (Vec::new(), diagnosis.tasks, &diagnosis.classes);
+        let lost = RankSet::new(tasks, diagnosis.lost_ranks.iter().copied());
+        let under = |c: &DiagnosedClass, frame| c.frames.iter().any(|f| f == frame);
 
         // 1. Coverage: every rank the (possibly degraded) session still covers
         // appears in at least one class, and no class invents a rank.
-        let mut seen: Vec<u64> = diagnosis
-            .classes
-            .iter()
-            .flat_map(|c| c.ranks.iter().copied())
-            .collect();
-        seen.sort_unstable();
-        seen.dedup();
-        let expected: Vec<u64> = (0..diagnosis.tasks).filter(|r| !lost.contains(r)).collect();
+        let seen = RankSet::new(tasks, classes.iter().flat_map(|c| c.ranks.iter().copied()));
+        let expected = tasks - lost.within();
+        let disjoint = seen.words.iter().zip(&lost.words).all(|(s, l)| s & l == 0);
         checks.push(Check {
             name: "coverage",
-            passed: seen == expected,
+            passed: seen.beyond.is_empty() && disjoint && seen.within() == expected,
             detail: format!(
                 "{} of {} covered ranks appear in classes ({} lost to daemon faults)",
                 seen.len(),
-                expected.len(),
+                expected,
                 lost.len()
             ),
         });
 
         // 2. Class count within the expected band.
         let (min, max) = self.class_count;
-        let n = diagnosis.classes.len();
+        let n = classes.len();
         checks.push(Check {
             name: "class-count",
             passed: (min..=max).contains(&n),
@@ -154,24 +148,16 @@ impl GroundTruth {
         // 3. Isolation: the union of the classes under each distinguishing frame
         // is exactly the injected ranks (minus any lost to daemon faults).
         for isolation in &self.isolations {
-            let mut flagged: Vec<u64> = diagnosis
-                .classes
-                .iter()
-                .filter(|c| c.frames.iter().any(|f| f == isolation.frame))
-                .flat_map(|c| c.ranks.iter().copied())
-                .collect();
-            flagged.sort_unstable();
-            flagged.dedup();
-            let mut injected: Vec<u64> = isolation
-                .ranks
-                .iter()
-                .copied()
-                .filter(|r| !lost.contains(r))
-                .collect();
+            let flagged = classes.iter().filter(|c| under(c, isolation.frame));
+            let flagged = RankSet::new(tasks, flagged.flat_map(|c| c.ranks.iter().copied()));
+            let mut injected: Vec<u64> = isolation.ranks.clone();
+            injected.retain(|&r| !lost.contains(r));
             injected.sort_unstable();
+            let distinct = injected.windows(2).all(|w| w[0] < w[1]);
+            let found = injected.iter().all(|&r| flagged.contains(r));
             checks.push(Check {
                 name: "isolation",
-                passed: flagged == injected,
+                passed: distinct && found && flagged.len() == injected.len(),
                 detail: format!(
                     "`{}` isolates {} ranks, expected {} (injected: {:?}...)",
                     isolation.frame,
@@ -187,19 +173,12 @@ impl GroundTruth {
         // deduplicates members, so without this a merge regression that listed a
         // faulty rank in both its fault class and the healthy crowd would pass.
         if !self.isolations.is_empty() {
-            let faulty: BTreeSet<u64> = self.faulty_ranks().into_iter().collect();
-            let mut leaked: Vec<u64> = diagnosis
-                .classes
+            let faulty = RankSet::new(tasks, self.faulty_ranks());
+            let crowd = classes
                 .iter()
-                .filter(|c| {
-                    !self
-                        .isolations
-                        .iter()
-                        .any(|i| c.frames.iter().any(|f| f == i.frame))
-                })
-                .flat_map(|c| c.ranks.iter().copied())
-                .filter(|r| faulty.contains(r))
-                .collect();
+                .filter(|c| !self.isolations.iter().any(|i| under(c, i.frame)));
+            let crowd = crowd.flat_map(|c| c.ranks.iter().copied());
+            let mut leaked: Vec<u64> = crowd.filter(|&r| faulty.contains(r)).collect();
             leaked.sort_unstable();
             leaked.dedup();
             checks.push(Check {
@@ -215,11 +194,7 @@ impl GroundTruth {
 
         // 4. Healthy scenarios: every class must stay inside the one behaviour.
         if let Some(frame) = self.ubiquitous_frame {
-            let missing = diagnosis
-                .classes
-                .iter()
-                .filter(|c| !c.frames.iter().any(|f| f == frame))
-                .count();
+            let missing = classes.iter().filter(|c| !under(c, frame)).count();
             checks.push(Check {
                 name: "ubiquitous-frame",
                 passed: missing == 0,
@@ -229,10 +204,9 @@ impl GroundTruth {
 
         // 5. Poison check: forbidden frame pairs never share a class path.
         for &(a, b) in &self.never_coincide {
-            let poisoned = diagnosis
-                .classes
+            let poisoned = classes
                 .iter()
-                .filter(|c| c.frames.iter().any(|f| f == a) && c.frames.iter().any(|f| f == b))
+                .filter(|c| under(c, a) && under(c, b))
                 .count();
             checks.push(Check {
                 name: "no-poison",
@@ -245,6 +219,42 @@ impl GroundTruth {
             scenario: scenario.to_string(),
             checks,
         }
+    }
+}
+
+/// Distinct ranks: a bitmap over `0..tasks`, and the (few) ranks past it.
+struct RankSet {
+    words: Vec<u64>,
+    beyond: BTreeSet<u64>,
+}
+
+impl RankSet {
+    fn new(tasks: u64, ranks: impl IntoIterator<Item = u64>) -> Self {
+        let (words, beyond) = (vec![0; tasks.div_ceil(64) as usize], BTreeSet::new());
+        let mut set = RankSet { words, beyond };
+        for rank in ranks {
+            let word = set.words.get_mut((rank / 64) as usize);
+            match word.filter(|_| rank < tasks) {
+                Some(word) => *word |= 1 << (rank % 64),
+                None => _ = set.beyond.insert(rank),
+            }
+        }
+        set
+    }
+
+    /// How many of the ranks lie in `0..tasks`.
+    fn within(&self) -> u64 {
+        self.words.iter().map(|w| u64::from(w.count_ones())).sum()
+    }
+
+    fn len(&self) -> usize {
+        self.within() as usize + self.beyond.len()
+    }
+
+    /// A bit past `tasks` in the last word is never set.
+    fn contains(&self, rank: u64) -> bool {
+        let word = self.words.get((rank / 64) as usize);
+        word.is_some_and(|w| w >> (rank % 64) & 1 == 1) || self.beyond.contains(&rank)
     }
 }
 
@@ -305,20 +315,13 @@ impl Verdict {
 
     /// A one-line-per-check report, failures first.
     pub fn summary(&self) -> String {
-        let mut out = format!(
-            "{}: {}\n",
-            self.scenario,
-            if self.passed() { "PASS" } else { "FAIL" }
-        );
+        let verdict = if self.passed() { "PASS" } else { "FAIL" };
+        let mut out = format!("{}: {verdict}\n", self.scenario);
         let mut ordered: Vec<&Check> = self.checks.iter().collect();
         ordered.sort_by_key(|c| c.passed);
         for check in ordered {
-            out.push_str(&format!(
-                "  [{}] {:<16} {}\n",
-                if check.passed { "ok" } else { "FAIL" },
-                check.name,
-                check.detail
-            ));
+            let mark = if check.passed { "ok" } else { "FAIL" };
+            out.push_str(&format!("  [{mark}] {:<16} {}\n", check.name, check.detail));
         }
         out
     }
@@ -602,11 +605,8 @@ pub fn randomized_scenarios(
             // ...and a quarter corrupts an interior node's filter state.
             let mut mid_tree_faults = Vec::new();
             if rng.chance(0.25) {
-                let kind = if rng.chance(0.5) {
-                    MidTreeCorruption::Garbage
-                } else {
-                    MidTreeCorruption::Truncate
-                };
+                let kinds = [MidTreeCorruption::Truncate, MidTreeCorruption::Garbage];
+                let kind = kinds[usize::from(rng.chance(0.5))];
                 mid_tree_faults.push(MidTreeFault {
                     comm_from_end: rng.uniform_usize(0, 2),
                     kind,
@@ -869,6 +869,299 @@ mod tests {
         assert!(!verdict.passed());
         assert!(verdict.failures().iter().any(|c| c.name == "no-poison"));
         assert!(verdict.summary().contains("no-poison"));
+    }
+
+    /// The judge as it was before it ran in linear time: sorted, deduplicated
+    /// rank lists and ordered sets, kept as the reference `check` must agree with.
+    fn reference_check(truth: &GroundTruth, scenario: &str, diagnosis: &Diagnosis) -> Verdict {
+        let mut checks = Vec::new();
+        let lost: BTreeSet<u64> = diagnosis.lost_ranks.iter().copied().collect();
+
+        // 1. Coverage: every rank the (possibly degraded) session still covers
+        // appears in at least one class, and no class invents a rank.
+        let mut seen: Vec<u64> = diagnosis
+            .classes
+            .iter()
+            .flat_map(|c| c.ranks.iter().copied())
+            .collect();
+        seen.sort_unstable();
+        seen.dedup();
+        let expected: Vec<u64> = (0..diagnosis.tasks).filter(|r| !lost.contains(r)).collect();
+        checks.push(Check {
+            name: "coverage",
+            passed: seen == expected,
+            detail: format!(
+                "{} of {} covered ranks appear in classes ({} lost to daemon faults)",
+                seen.len(),
+                expected.len(),
+                lost.len()
+            ),
+        });
+
+        // 2. Class count within the expected band.
+        let (min, max) = truth.class_count;
+        let n = diagnosis.classes.len();
+        checks.push(Check {
+            name: "class-count",
+            passed: (min..=max).contains(&n),
+            detail: format!("{n} classes, expected {min}..={max}"),
+        });
+
+        // 3. Isolation: the union of the classes under each distinguishing frame
+        // is exactly the injected ranks (minus any lost to daemon faults).
+        for isolation in &truth.isolations {
+            let mut flagged: Vec<u64> = diagnosis
+                .classes
+                .iter()
+                .filter(|c| c.frames.iter().any(|f| f == isolation.frame))
+                .flat_map(|c| c.ranks.iter().copied())
+                .collect();
+            flagged.sort_unstable();
+            flagged.dedup();
+            let mut injected: Vec<u64> = isolation
+                .ranks
+                .iter()
+                .copied()
+                .filter(|r| !lost.contains(r))
+                .collect();
+            injected.sort_unstable();
+            checks.push(Check {
+                name: "isolation",
+                passed: flagged == injected,
+                detail: format!(
+                    "`{}` isolates {} ranks, expected {} (injected: {:?}...)",
+                    isolation.frame,
+                    flagged.len(),
+                    injected.len(),
+                    injected.iter().take(4).collect::<Vec<_>>()
+                ),
+            });
+        }
+
+        // 3b. Clean separation: an injected rank must not *also* appear in a
+        // class carrying none of the distinguishing frames.  The coverage check
+        // deduplicates members, so without this a merge regression that listed a
+        // faulty rank in both its fault class and the healthy crowd would pass.
+        if !truth.isolations.is_empty() {
+            let faulty: BTreeSet<u64> = truth.faulty_ranks().into_iter().collect();
+            let mut leaked: Vec<u64> = diagnosis
+                .classes
+                .iter()
+                .filter(|c| {
+                    !truth
+                        .isolations
+                        .iter()
+                        .any(|i| c.frames.iter().any(|f| f == i.frame))
+                })
+                .flat_map(|c| c.ranks.iter().copied())
+                .filter(|r| faulty.contains(r))
+                .collect();
+            leaked.sort_unstable();
+            leaked.dedup();
+            checks.push(Check {
+                name: "clean-separation",
+                passed: leaked.is_empty(),
+                detail: format!(
+                    "{} injected ranks also appear in undistinguished classes ({:?}...)",
+                    leaked.len(),
+                    leaked.iter().take(4).collect::<Vec<_>>()
+                ),
+            });
+        }
+
+        // 4. Healthy scenarios: every class must stay inside the one behaviour.
+        if let Some(frame) = truth.ubiquitous_frame {
+            let missing = diagnosis
+                .classes
+                .iter()
+                .filter(|c| !c.frames.iter().any(|f| f == frame))
+                .count();
+            checks.push(Check {
+                name: "ubiquitous-frame",
+                passed: missing == 0,
+                detail: format!("`{frame}` missing from {missing} class paths"),
+            });
+        }
+
+        // 5. Poison check: forbidden frame pairs never share a class path.
+        for &(a, b) in &truth.never_coincide {
+            let poisoned = diagnosis
+                .classes
+                .iter()
+                .filter(|c| c.frames.iter().any(|f| f == a) && c.frames.iter().any(|f| f == b))
+                .count();
+            checks.push(Check {
+                name: "no-poison",
+                passed: poisoned == 0,
+                detail: format!("`{a}` and `{b}` share {poisoned} class paths"),
+            });
+        }
+
+        Verdict {
+            scenario: scenario.to_string(),
+            checks,
+        }
+    }
+
+    /// Every check of a verdict as (name, passed, detail).
+    fn checks_of(verdict: &Verdict) -> Vec<(&'static str, bool, String)> {
+        let checks = verdict.checks.iter();
+        checks
+            .map(|c| (c.name, c.passed, c.detail.clone()))
+            .collect()
+    }
+
+    /// A diagnosis read off the application itself: one class per distinct call
+    /// path over samples 0..3 and every thread, holding the ranks that took it.
+    fn path_classes(app: &dyn Application) -> Diagnosis {
+        let mut by_path: std::collections::BTreeMap<Vec<&str>, Vec<u64>> = Default::default();
+        for rank in 0..app.num_tasks() {
+            for (sample, thread) in
+                (0..3).flat_map(|s| (0..app.threads_per_task()).map(move |t| (s, t)))
+            {
+                let ranks = by_path
+                    .entry(app.call_path(rank, thread, sample).to_vec())
+                    .or_default();
+                if ranks.last() != Some(&rank) {
+                    ranks.push(rank);
+                }
+            }
+        }
+        let classes = by_path.into_iter().map(|(frames, ranks)| DiagnosedClass {
+            frames: frames.into_iter().map(String::from).collect(),
+            ranks,
+        });
+        Diagnosis {
+            tasks: app.num_tasks(),
+            lost_ranks: vec![],
+            classes: classes.collect(),
+        }
+    }
+
+    #[test]
+    fn the_linear_judge_reads_as_the_reference_judge() {
+        let v = FrameVocabulary::BlueGeneL;
+        let mut scenarios = catalogue(1_024, v);
+        scenarios.extend(randomized_scenarios(1_024, v, 7, 12));
+        let (mut judged, mut failed, mut sampled_passed) = (0, 0, 0);
+        for scenario in &scenarios {
+            let truth = &scenario.truth;
+            let base = path_classes(scenario.app.as_ref());
+            let tasks = base.tasks;
+            let under_no_isolation = |c: &DiagnosedClass| {
+                !truth
+                    .isolations
+                    .iter()
+                    .any(|i| c.frames.iter().any(|f| f == i.frame))
+            };
+            let crowd = base.classes.iter().position(under_no_isolation);
+            let mut mutants: Vec<(&str, Diagnosis)> = vec![("as sampled", base.clone())];
+            let mut mutate = |name, change: &dyn Fn(&mut Diagnosis)| {
+                let mut d = base.clone();
+                change(&mut d);
+                mutants.push((name, d));
+            };
+            mutate("a dropped rank", &|d| {
+                d.classes
+                    .iter_mut()
+                    .for_each(|c| c.ranks.retain(|&r| r != 700));
+            });
+            mutate("a rank in two classes", &|d| {
+                let moved = d.classes[0].ranks[0];
+                d.classes.last_mut().unwrap().ranks.push(moved);
+            });
+            mutate("a rank twice in one class", &|d| {
+                let twice = d.classes[0].ranks[0];
+                d.classes[0].ranks.push(twice);
+            });
+            mutate("a rank past the job", &|d| {
+                d.classes[0].ranks.push(tasks + 3)
+            });
+            mutate("two ranks far past the job", &|d| {
+                d.classes[0].ranks.extend([u64::MAX, tasks + 64, u64::MAX]);
+            });
+            if let (Some(crowd), Some(&faulty)) = (crowd, truth.faulty_ranks().first()) {
+                mutate("a faulty rank leaked into the crowd", &|d| {
+                    d.classes[crowd].ranks.push(faulty);
+                });
+            }
+            mutate("a faulty rank dropped", &|d| {
+                let faulty = truth.faulty_ranks();
+                d.classes
+                    .iter_mut()
+                    .for_each(|c| c.ranks.retain(|r| faulty.first() != Some(r)));
+            });
+            mutate("lost ranks", &|d| {
+                d.lost_ranks = (960..1_024).collect();
+                d.classes
+                    .iter_mut()
+                    .for_each(|c| c.ranks.retain(|&r| r < 960));
+            });
+            mutate("lost ranks still in classes", &|d| {
+                d.lost_ranks = vec![1, 2, 3, 1_000]
+            });
+            mutate("lost ranks repeated and past the job", &|d| {
+                d.lost_ranks = vec![5, 5, tasks, tasks + 1, tasks];
+                d.classes
+                    .iter_mut()
+                    .for_each(|c| c.ranks.retain(|&r| r != 5));
+            });
+            mutate("every faulty rank lost", &|d| {
+                d.lost_ranks = truth.faulty_ranks();
+                let lost = truth.faulty_ranks();
+                d.classes
+                    .iter_mut()
+                    .for_each(|c| c.ranks.retain(|r| !lost.contains(r)));
+            });
+            mutate("a lost rank shown in place of a covered one", &|d| {
+                d.lost_ranks = vec![5];
+                d.classes
+                    .iter_mut()
+                    .for_each(|c| c.ranks.retain(|&r| r != 700));
+            });
+            mutate("an empty diagnosis", &|d| d.classes.clear());
+            mutate("an empty job", &|d| d.tasks = 0);
+            // A truth that names a rank twice, or one past the job, against
+            // diagnoses that show a rank past the job under the fault and in the crowd.
+            let mut truths = vec![("", truth.clone())];
+            if let Some(first) = truth.isolations.first() {
+                let under_fault = |c: &DiagnosedClass| c.frames.iter().any(|f| f == first.frame);
+                if let Some(flagged) = base.classes.iter().position(under_fault) {
+                    mutate("a rank past the job under the fault", &|d| {
+                        d.classes[flagged].ranks.push(tasks + 5)
+                    });
+                }
+                if let Some(crowd) = crowd {
+                    mutate("a rank past the job in the crowd", &|d| {
+                        d.classes[crowd].ranks.push(tasks + 5)
+                    });
+                }
+                let (mut doubled, mut past) = (truth.clone(), truth.clone());
+                doubled.isolations[0].ranks.extend(first.ranks.clone());
+                past.isolations[0].ranks.push(tasks + 5);
+                truths.extend([
+                    (" vs a doubled truth", doubled),
+                    (" vs a truth past the job", past),
+                ]);
+            }
+            for ((mutant, diagnosis), (variant, truth)) in mutants
+                .iter()
+                .flat_map(|m| truths.iter().map(move |t| (m, t)))
+            {
+                let at = format!("{} / {mutant}{variant}", scenario.name);
+                let reference = reference_check(truth, &scenario.name, diagnosis);
+                let verdict = truth.check(&scenario.name, diagnosis);
+                assert_eq!(checks_of(&verdict), checks_of(&reference), "{at}");
+                assert_eq!(verdict.scenario, reference.scenario, "{at}");
+                judged += 1;
+                failed += usize::from(!verdict.passed());
+                let sampled = *mutant == "as sampled" && variant.is_empty();
+                sampled_passed += usize::from(sampled && verdict.passed());
+            }
+        }
+        // Every diagnosis as sampled passes, and the mutants really fail checks.
+        assert_eq!(sampled_passed, scenarios.len());
+        assert!(failed > judged / 2, "{failed} of {judged} verdicts failed");
     }
 
     #[test]

@@ -259,8 +259,53 @@ fn bench_daemon_local(c: &mut Criterion) {
     group.finish();
 }
 
+/// The front end's share of a one-sample gather: `session_merge` is
+/// `Session::merge` over 4,096 one-task daemons that sampled once each
+/// (`merge_wide_64kd`'s shape, smaller), and `judge` is the ground-truth check
+/// of a 65,536-task ring hang's diagnosis, the judge `stream_64k_hang` runs
+/// every wave.
+fn bench_front_end(c: &mut Criterion) {
+    let daemons = 4_096u32;
+    let app = RingHangApp::new(u64::from(daemons), FrameVocabulary::BlueGeneL);
+    let session = Session::builder(Cluster::test_cluster(daemons, 1))
+        .samples_per_task(1)
+        .build();
+    let dict = FrameDictionary::negotiate(app.frame_hints());
+    let strategy = session.representation().strategy();
+    let topology = tbon::topology::Topology::build(session.topology_for(app.num_tasks()));
+    let contributions: Vec<DaemonContribution> = StatDaemon::partition(app.num_tasks(), daemons)
+        .iter()
+        .zip(topology.backends())
+        .map(|(daemon, &leaf)| strategy.contribute(daemon, &app, 1, leaf, &dict))
+        .collect();
+    let merged = session.merge(contributions.clone(), app.num_tasks(), &dict);
+    merged.expect("the merge runs");
+    let mut group = c.benchmark_group("session_merge");
+    group.bench_function("one_task_daemons_4096", |b| {
+        b.iter_batched(
+            || contributions.clone(),
+            |contributions| session.merge(contributions, app.num_tasks(), &dict),
+            BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+
+    let ring = RingHangApp::new(65_536, FrameVocabulary::BlueGeneL);
+    let report = Session::builder(Cluster::bluegene_l(BglMode::CoProcessor))
+        .samples_per_task(1)
+        .build()
+        .attach(&ring)
+        .expect("the session merges cleanly");
+    let (truth, diagnosis) = (ring.ground_truth(), report.diagnosis());
+    let mut group = c.benchmark_group("judge");
+    group.bench_function("ring_hang_65536", |b| {
+        b.iter(|| truth.check("ring_hang", &diagnosis))
+    });
+    group.finish();
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_daemon_local, bench_build, bench_merge, bench_hierarchical_merge_chain, bench_encode_decode, bench_classify);
+    targets = bench_daemon_local, bench_front_end, bench_build, bench_merge, bench_hierarchical_merge_chain, bench_encode_decode, bench_classify);
 criterion_main!(benches);

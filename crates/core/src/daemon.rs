@@ -37,7 +37,8 @@ pub struct StatDaemon {
 pub struct DaemonContribution {
     /// The daemon that produced this contribution.
     pub daemon_id: u32,
-    /// Serialised locally merged 2D (trace/space) tree.
+    /// Serialised locally merged 2D (trace/space) tree.  When each task gave one
+    /// trace it is the 3D tree, and shares `tree_3d`'s buffer.
     pub tree_2d: Packet,
     /// Serialised locally merged 3D (trace/space/time) tree.
     pub tree_3d: Packet,
@@ -114,7 +115,7 @@ impl StatDaemon {
         samples: &[TaskSamples],
     ) -> (PrefixTree<S>, PrefixTree<S>) {
         let mut trees = LocalTrees::new(self.leaf_width::<S>());
-        trees.begin();
+        trees.begin(false);
         for (position, task) in samples.iter().enumerate() {
             for (nth, trace) in task.traces.iter().enumerate() {
                 trees.record(position, task.rank, nth, |t, _| t.descend(trace.frames()));
@@ -140,7 +141,7 @@ impl StatDaemon {
         mut trees: LocalTrees<S>,
     ) -> impl FnOnce(&FrameTable, &FrameDictionary) -> (DaemonContribution, LocalTrees<S>) {
         let sample_start = Instant::now();
-        trees.begin();
+        trees.begin(window.len() == 1 && app.threads_per_task() == 1);
         let mut traces = 0;
         appsim::for_each_sampled_path(app, &self.ranks, window, |pos, rank, nth, path| {
             trees.record(pos, rank, nth, |t, tr| t.descend_named(table, tr, path));
@@ -154,11 +155,13 @@ impl StatDaemon {
         let close_wall = merge_start.elapsed();
         move |table: &FrameTable, dict: &FrameDictionary| {
             let encode_start = Instant::now();
-            let [tree_2d, tree_3d] = trees.encode(table, dict);
+            let (tree_2d, tree_3d) = trees.encode(table, dict);
+            let tree_3d = packet(PacketTag::Merged3d, tree_3d);
+            let tree_2d = tree_2d.map_or_else(|| tree_3d.payload.clone(), Into::into);
             let contribution = DaemonContribution {
                 daemon_id,
-                tree_2d: packet(PacketTag::Merged2d, tree_2d),
-                tree_3d: packet(PacketTag::Merged3d, tree_3d),
+                tree_2d: Packet::new(PacketTag::Merged2d, leaf, tree_2d),
+                tree_3d,
                 rank_map,
                 traces_gathered: traces,
                 sample_wall,
@@ -250,6 +253,9 @@ pub(crate) fn map_daemons<S: WireTaskSet + Send, T: Send, R: Send>(
 /// one.  Sampled names and gathered frame ids both come through here, so they
 /// cannot disagree on a task's index or 2D feed.
 ///
+/// When each task gives one trace (one sample, one thread), the 2D tree *is* the
+/// 3D tree: that epoch marks, closes and encodes the 3D column alone.
+///
 /// A gather opens an epoch ([`LocalTrees::begin`]).  A fresh tree numbers its
 /// nodes in the order the walk first reaches them, and each column records
 /// exactly that order (see [`Column`]), so its packet is a fresh tree's whatever
@@ -266,6 +272,8 @@ pub(crate) struct LocalTrees<S: WireTaskSet> {
     pub(crate) fresh_from: usize,
     /// The 2D tree's column, then the 3D tree's.
     columns: [Column; 2],
+    /// This epoch leaves the 2D column alone: the 3D one serves for both.
+    one_column: bool,
 }
 
 /// One tree's labels in a daemon's arena.  The first time an epoch's walk
@@ -295,6 +303,7 @@ impl<S: WireTaskSet> LocalTrees<S> {
             wps,
             fresh_from: 0,
             columns: [Column::new(wps), Column::new(wps)],
+            one_column: false,
         }
     }
 
@@ -305,10 +314,11 @@ impl<S: WireTaskSet> LocalTrees<S> {
 
     /// Open the next epoch: nothing is reached yet but the root.  The trail is
     /// empty (a walk lets it go), so it is reserved to the epoch's first path as
-    /// a fresh tree's would be.
-    fn begin(&mut self) {
+    /// a fresh tree's would be.  `one_column`: every task gives one trace.
+    fn begin(&mut self, one_column: bool) {
         self.fresh_from = self.tree.node_count();
-        for column in &mut self.columns {
+        self.one_column = one_column;
+        for column in &mut self.columns[usize::from(one_column)..] {
             column.epoch += 1;
             column.touched.clear();
             column.touch(&self.tree, self.tree.root());
@@ -331,7 +341,7 @@ impl<S: WireTaskSet> LocalTrees<S> {
             rank
         };
         let end = descend(&mut self.tree, &mut self.trail);
-        for column in self.columns.iter_mut().skip(usize::from(nth > 0)) {
+        for column in &mut self.columns[usize::from(nth > 0 || self.one_column)..] {
             if column.position(end).is_none() {
                 column.touch(&self.tree, end);
             }
@@ -345,15 +355,15 @@ impl<S: WireTaskSet> LocalTrees<S> {
     /// parent's, children first.
     fn close(&mut self) {
         self.trail = Trail::new();
-        for column in &mut self.columns {
+        for column in &mut self.columns[usize::from(self.one_column)..] {
             column.close(&self.tree);
         }
     }
 
-    /// Both trees as v2 packet bodies, each column's nodes in first-touch order.
-    /// The 2D column is then let go: only the 3D labels outlive a gather.
-    fn encode(&mut self, table: &FrameTable, dict: &FrameDictionary) -> [Vec<u8>; 2] {
-        let bodies = self.columns.each_ref().map(|column| {
+    /// Both trees as v2 packet bodies (a one-column epoch's 2D tree is its 3D),
+    /// each in first-touch order.  The 2D column is then let go.
+    fn encode(&mut self, table: &FrameTable, dict: &FrameDictionary) -> (Option<Vec<u8>>, Vec<u8>) {
+        let body = |column: &Column| {
             let links = column
                 .touched
                 .iter()
@@ -361,9 +371,12 @@ impl<S: WireTaskSet> LocalTrees<S> {
                 .map(|&n| column.link(&self.tree, n));
             let row = |at: usize| column.row(column.touched[at]);
             encode_ordered::<S>(self.width, links, row, table, dict)
-        });
+        };
+        // The 2D tree first: the encode interns un-negotiated names in tree order.
+        let tree_2d = (!self.one_column).then(|| body(&self.columns[0]));
+        let tree_3d = body(&self.columns[1]);
         self.columns[0] = Column::new(self.wps);
-        bodies
+        (tree_2d, tree_3d)
     }
 
     /// One column's tree as a labelled tree, its nodes in first-touch order.

@@ -46,6 +46,7 @@ pub struct MergeMetrics {
     /// Cumulative time spent inside reduction filters, summed across channels and
     /// tree nodes.  Filter invocations run concurrently under the default
     /// level-parallel execution, so this CPU-style total can exceed `merge_wall`.
+    /// Only filters that ran count: a 2D tree that is the 3D tree merges once.
     pub filter_wall: Duration,
     /// Wall-clock time of the front-end remap step (zero for the global
     /// representation, which needs none).
@@ -56,7 +57,7 @@ pub struct MergeMetrics {
     pub max_node_bytes_in: u64,
     /// Total bytes that crossed overlay links.
     pub total_link_bytes: u64,
-    /// Filter invocations executed across all channels.
+    /// Filter invocations executed across all channels (only those that ran).
     pub filter_invocations: usize,
     /// Bottom-up level walks of the overlay that were executed, counted once per
     /// [`MergeMetrics::absorb_walk`] call.  The single-pass session pipeline invokes

@@ -36,7 +36,8 @@ use stackwalk::FrameDictionary;
 use tbon::cost::{price_reduction, Labels, ReductionCost, TreePayload};
 use tbon::fault::{CorruptingFilter, FilterFault};
 use tbon::filter::Filter;
-use tbon::network::{ChannelInput, InProcessTbon};
+use tbon::network::{ChannelInput, InProcessTbon, TbonError};
+use tbon::packet::Packet;
 use tbon::planner::TopologyPlanner;
 use tbon::topology::{Topology, TreeShape};
 
@@ -379,6 +380,13 @@ impl Session {
     /// packet they forward is corrupted through a [`CorruptingFilter`], and the
     /// test is whether the front end *detects* the damage.  Every filter goes
     /// through the wrapper; with no faults named it passes every packet through.
+    ///
+    /// When every daemon's 2D packet shares its 3D packet's buffer (each task
+    /// gave one trace), the walk carries the 2D channel and the rank map only,
+    /// and the 2D outcome serves as the 3D one: the merge filter, corrupted or
+    /// not, gives a node the same output for the same inputs.  The wire still
+    /// carries both trees, so the byte columns count both; only the filters that
+    /// ran are timed and counted.  Errors read as the three-channel walk's.
     pub(crate) fn merge_through(
         &self,
         net: &InProcessTbon,
@@ -422,11 +430,14 @@ impl Session {
         let merge_filter = strategy.merge_filter();
         let merge = CorruptingFilter::new(merge_filter.as_ref(), filter_faults);
         let rank_map = CorruptingFilter::new(&RankMapFilter, filter_faults);
-        let mut channels = vec![
-            ChannelInput::new(MergeChannel::Tree2d.label(), leaves_2d),
-            ChannelInput::new(MergeChannel::Tree3d.label(), leaves_3d),
-        ];
-        let mut filters: Vec<&dyn Filter> = vec![&merge, &merge];
+        let same = |(a, b): (&Packet, &Packet)| std::ptr::eq(&*a.payload, &*b.payload);
+        let shared = leaves_2d.iter().zip(&leaves_3d).all(same);
+        let mut channels = vec![ChannelInput::new(MergeChannel::Tree2d.label(), leaves_2d)];
+        let mut filters: Vec<&dyn Filter> = vec![&merge];
+        if !shared {
+            channels.push(ChannelInput::new(MergeChannel::Tree3d.label(), leaves_3d));
+            filters.push(&merge);
+        }
         if strategy.needs_rank_map() {
             channels.push(ChannelInput::new(MergeChannel::RankMap.label(), leaves_map));
             filters.push(&rank_map);
@@ -434,8 +445,18 @@ impl Session {
 
         // The one bottom-up level walk that carries every channel.
         let reduce_start = Instant::now();
-        let outcomes = net.reduce_channels(channels, &filters)?;
+        let mut walked = net.reduce_channels(channels, &filters);
         phases.reduce = reduce_start.elapsed();
+        // The rank map keeps its channel index when the 3D channel is left out.
+        if let Err(TbonError::FilterPanicked { channel, .. }) = &mut walked {
+            *channel += usize::from(shared && *channel > 0);
+        }
+        let mut outcomes = walked?;
+        if shared {
+            let mut ditto = outcomes[0].clone();
+            (ditto.filter_time, ditto.filter_invocations) = (Duration::ZERO, 0);
+            outcomes.insert(1, ditto);
+        }
 
         let mut metrics = MergeMetrics::default();
         metrics.absorb_walk(&outcomes, phases.reduce);
@@ -568,7 +589,7 @@ mod tests {
     use appsim::{FrameVocabulary, RingHangApp};
     use machine::cluster::BglMode;
     use tbon::network::TbonError;
-    use tbon::packet::{Packet, PacketTag};
+    use tbon::packet::PacketTag;
 
     fn small_session(representation: Representation, nodes: u32) -> Session {
         Session::builder(Cluster::test_cluster(nodes, 8))
@@ -971,5 +992,212 @@ mod tests {
         {
             assert_eq!(d.tasks, f.tasks);
         }
+    }
+
+    /// What the oracle compares of a merge: both trees' encoded bytes, the
+    /// classes, the diagnosis, `packet_bytes` and the three byte columns.
+    type Merged = (
+        [Vec<u8>; 2],
+        Vec<crate::equivalence::EquivalenceClass>,
+        appsim::Diagnosis,
+        [u64; 4],
+    );
+
+    fn merged(gather: &GatherResult, tasks: u64, dict: &FrameDictionary, leaf: u64) -> Merged {
+        let encode = |tree| crate::serialize::encode_tree(tree, &gather.frames, dict);
+        let m = &gather.metrics;
+        (
+            [encode(&gather.tree_2d), encode(&gather.tree_3d)],
+            gather.classes.clone(),
+            crate::scenario::diagnose(gather, tasks, Vec::new()),
+            [
+                leaf,
+                m.frontend_bytes_in,
+                m.max_node_bytes_in,
+                m.total_link_bytes,
+            ],
+        )
+    }
+
+    /// The merge as three channels, spelled out: every daemon's 2D tree, 3D tree
+    /// and rank map up one walk, each tree finished on its own, then classified.
+    /// Also the filter invocations the tree channels took, 2D and 3D.
+    fn three_channel_merge(
+        session: &Session,
+        net: &InProcessTbon,
+        contributions: Vec<DaemonContribution>,
+        tasks: u64,
+        dict: &FrameDictionary,
+        faults: &[FilterFault],
+    ) -> Result<(Merged, [usize; 2]), StatError> {
+        let strategy = session.representation().strategy();
+        let needs_map = strategy.needs_rank_map();
+        let mut leaves = [Vec::new(), Vec::new(), Vec::new()];
+        let mut packet_bytes = 0;
+        for c in contributions {
+            let map = needs_map.then_some(c.rank_map);
+            packet_bytes += c.tree_2d.size_bytes() + c.tree_3d.size_bytes();
+            packet_bytes += map.as_ref().map_or(0, Packet::size_bytes);
+            leaves[0].push(c.tree_2d);
+            leaves[1].push(c.tree_3d);
+            leaves[2].extend(map);
+        }
+        let filter = strategy.merge_filter();
+        let merge = CorruptingFilter::new(filter.as_ref(), faults);
+        let rank_map = CorruptingFilter::new(&RankMapFilter, faults);
+        let [l2d, l3d, lmap] = leaves;
+        let mut channels = vec![
+            ChannelInput::new("2d-tree", l2d),
+            ChannelInput::new("3d-tree", l3d),
+        ];
+        let mut filters: Vec<&dyn Filter> = vec![&merge, &merge];
+        if needs_map {
+            channels.push(ChannelInput::new("rank-map", lmap));
+            filters.push(&rank_map);
+        }
+        let outcomes = net.reduce_channels(channels, &filters)?;
+        let map = outcomes.get(2);
+        let alone = |o| strategy.finish(o, o, map, tasks, dict);
+        let (tree_2d, tree_3d) = (alone(&outcomes[0])?, alone(&outcomes[1])?);
+        let mut metrics = MergeMetrics::default();
+        metrics.absorb_walk(&outcomes, Duration::ZERO);
+        let gather = GatherResult {
+            classes: equivalence_classes(&tree_3d.tree_3d),
+            tree_2d: tree_2d.tree_2d,
+            tree_3d: tree_3d.tree_3d,
+            frames: dict.snapshot(),
+            metrics,
+        };
+        let invocations = [0, 1].map(|c| outcomes[c].filter_invocations);
+        Ok((
+            merged(&gather, tasks, dict, packet_bytes as u64),
+            invocations,
+        ))
+    }
+
+    /// One sample a task, over both representations and depths 2 and 3: the
+    /// one-channel merge reads as the three-channel walk; threads, a daemon
+    /// whose 2D packet is a copy or differs, and a corrupted interior filter
+    /// take (or judge as) the full walk.
+    fn one_trace_merges_as_three_channels<S: crate::serialize::WireTaskSet>(
+        representation: Representation,
+    ) {
+        use appsim::scenario::{MidTreeCorruption, MidTreeFault};
+        use machine::placement::PlacementPlan;
+        let v = FrameVocabulary::BlueGeneL;
+        let tasks = 256;
+        let cluster = Cluster::test_cluster(32, 8);
+        let ring = RingHangApp::new(tasks, v);
+        let corrupted = appsim::workloads::corrupted_stacks(tasks, 9, v);
+        let threaded = appsim::workloads::threaded(tasks, 3, v);
+        let apps: [(&str, &dyn Application); 3] = [
+            ("ring hang", &ring),
+            ("corrupted stacks", &corrupted),
+            ("threaded", &threaded),
+        ];
+        for depth in [2, 3] {
+            let shape = TreeShape::for_placement(&PlacementPlan::for_job(&cluster, tasks), depth);
+            let session = Session::builder(cluster.clone())
+                .representation(representation)
+                .topology(shape.clone())
+                .samples_per_task(1)
+                .build();
+            let net = InProcessTbon::new(Topology::build(shape));
+            let daemons = StatDaemon::partition(tasks, net.topology().backends().len() as u32);
+            for (name, app) in apps {
+                let one_trace = app.threads_per_task() == 1;
+                let dict = FrameDictionary::negotiate(app.frame_hints());
+                let leaves = daemons
+                    .iter()
+                    .zip(net.topology().backends().iter().copied());
+                let strategy = representation.strategy();
+                let contributions = strategy.contribute_all(leaves.collect(), app, 1, &dict, &net);
+                let contributions = contributions.expect("no daemon panics");
+                for (d, c) in daemons.iter().zip(&contributions) {
+                    let shares = std::ptr::eq(&*c.tree_2d.payload, &*c.tree_3d.payload);
+                    assert_eq!(shares, one_trace, "{name}, daemon {}", d.id);
+                    // The one-column walk's 2D tree is the two-column walk's.
+                    let mut table = dict.table();
+                    let (tree_2d, _) = d.build_trees::<S>(&d.gather(app, 1, &mut table));
+                    let two_column = crate::serialize::encode_tree(&tree_2d, &table, &dict);
+                    assert_eq!(c.tree_2d.payload, two_column, "{name}, daemon {}", d.id);
+                }
+                // The contributions as walked, one daemon's 2D packet copied into a
+                // buffer of its own, and one daemon's 2D packet differing.
+                let mut copied = contributions.clone();
+                let bytes = copied[3].tree_2d.payload.to_vec();
+                copied[3].tree_2d =
+                    Packet::new(PacketTag::Merged2d, copied[3].tree_2d.source, bytes);
+                let mut differing = contributions.clone();
+                differing[5].tree_2d = differing[0].tree_2d.clone();
+                assert_ne!(differing[5].tree_2d.payload, differing[5].tree_3d.payload);
+                let garbage = MidTreeCorruption::Garbage;
+                let [truncating, garbling] = [MidTreeCorruption::Truncate, garbage].map(|kind| {
+                    let fault = MidTreeFault {
+                        comm_from_end: 0,
+                        kind,
+                    };
+                    let resolved = crate::scenario::resolve_filter_faults(net.topology(), &[fault]);
+                    resolved.expect("the tree has a communication process")
+                });
+                let cases = [
+                    ("as walked", contributions.clone(), one_trace, Vec::new()),
+                    ("a copied 2D buffer", copied, false, Vec::new()),
+                    ("a differing 2D packet", differing, false, Vec::new()),
+                    (
+                        "a truncating interior filter",
+                        contributions.clone(),
+                        one_trace,
+                        truncating,
+                    ),
+                    (
+                        "a garbling interior filter",
+                        contributions,
+                        one_trace,
+                        garbling,
+                    ),
+                ];
+                let mut as_walked = None;
+                for (case, contributions, shared, faults) in cases {
+                    let at = format!("{name}, {case}, depth {depth}, {representation:?}");
+                    let reference = three_channel_merge(
+                        &session,
+                        &net,
+                        contributions.clone(),
+                        tasks,
+                        &dict,
+                        &faults,
+                    );
+                    let got = session
+                        .merge_through(&net, contributions, tasks, &dict, &faults)
+                        .map(|(gather, _, leaf)| {
+                            let merged = merged(&gather, tasks, &dict, leaf.packet_bytes);
+                            (merged, gather.metrics.filter_invocations)
+                        });
+                    let result = got.as_ref().map(|(merged, _)| merged);
+                    assert_eq!(result, reference.as_ref().map(|(merged, _)| merged), "{at}");
+                    // A corrupted interior filter changes what the front end sees.
+                    let owned = result.cloned().map_err(StatError::clone);
+                    match &as_walked {
+                        None => as_walked = Some(owned),
+                        Some(walked) if !faults.is_empty() => assert_ne!(walked, &owned, "{at}"),
+                        Some(_) => {}
+                    }
+                    // Only the filters that ran count: a shared walk skips the 3D channel's.
+                    if let (Ok((_, got)), Ok((_, [_, skipped]))) = (&got, &reference) {
+                        let channels = if S::CONCATENATES { 3 } else { 2 };
+                        let all = channels * skipped;
+                        assert_eq!(*got, if shared { all - skipped } else { all }, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_one_trace_merge_reads_as_the_three_channel_walk() {
+        use crate::taskset::{DenseBitVector, SubtreeTaskList};
+        one_trace_merges_as_three_channels::<DenseBitVector>(Representation::GlobalBitVector);
+        one_trace_merges_as_three_channels::<SubtreeTaskList>(Representation::HierarchicalTaskList);
     }
 }

@@ -183,19 +183,24 @@ impl<D: Domain> RepresentationStrategy for DomainStrategy<D> {
         dict: &FrameDictionary,
     ) -> Result<MergedTrees, StatError> {
         let merged_2d = decode_channel::<TaskSet<D>>(MergeChannel::Tree2d, out_2d)?;
-        let merged_3d = decode_channel::<TaskSet<D>>(MergeChannel::Tree3d, out_3d)?;
+        // The same bytes are the same tree: decoded and remapped once.
+        let same = out_3d.result.payload == out_2d.result.payload;
+        let merged_3d = (!same).then(|| decode_channel(MergeChannel::Tree3d, out_3d));
+        let merged_3d = merged_3d.transpose()?;
         // The remap step the paper prices at 0.66 s for 208K tasks — timed only
         // where there is one: job-wide positions already are MPI ranks.
         let (rank_map, remap_start) = if D::CONCATENATES {
-            let widths = [merged_2d.width(), merged_3d.width()];
-            let map = checked_rank_map(rank_map, widths, total_tasks)?;
+            let width_3d = merged_3d.as_ref().map_or(merged_2d.width(), |t| t.width());
+            let map = checked_rank_map(rank_map, [merged_2d.width(), width_3d], total_tasks)?;
             (map, Some(Instant::now()))
         } else {
             (RankRuns::default(), None)
         };
+        let remap = |tree| D::rank_ordered(tree, &rank_map, total_tasks);
+        let tree_2d = remap(merged_2d);
         Ok(MergedTrees {
-            tree_2d: D::rank_ordered(merged_2d, &rank_map, total_tasks),
-            tree_3d: D::rank_ordered(merged_3d, &rank_map, total_tasks),
+            tree_3d: merged_3d.map_or_else(|| tree_2d.clone(), remap),
+            tree_2d,
             frames: dict.snapshot(),
             remap_wall: remap_start.map_or(Duration::ZERO, |start| start.elapsed()),
         })
