@@ -10,26 +10,28 @@
 //! end's remap step possible for the hierarchical representation.
 //!
 //! The merge filter never materialises a tree, and never touches a frame name:
-//! it reads each child's v2 body into flat columns and folds them into one output
-//! body, matching frames by their session-global ids and forwarding the
-//! incremental dictionary records the output references.
+//! it reads each distinct child body once into flat columns and folds them into
+//! one output body, matching frames by their session-global ids and forwarding
+//! the incremental dictionary records the output references.
 
 use std::marker::PhantomData;
 
 use tbon::filter::Filter;
 use tbon::packet::{EndpointId, Packet, PacketTag};
 
-use crate::serialize::{decode_rank_map, encode_rank_map, merge_bodies, WireTaskSet};
+use crate::serialize::{decode_rank_runs, encode_rank_map, merge_bodies, WireTaskSet};
 use crate::taskset::RankRuns;
 
 /// The prefix-tree merge filter, generic over the task-set representation.
 ///
 /// The filter is stateless: each invocation folds the child packets left to right
 /// into the bytes a decode → [`crate::graph::PrefixTree::merge`] → re-encode of
-/// them would ship.  Malformed child payloads — including packets whose
-/// dictionary negotiation does not match the sibling packets' — are skipped rather
-/// than poisoning the whole reduction: a daemon that produced garbage should not
-/// take down the session.
+/// them would ship; equal children (daemons that behave alike, under the
+/// hierarchical representation) are read once and replayed through a node map.
+/// Malformed child payloads — including packets whose dictionary negotiation
+/// does not match the sibling packets' — are skipped rather than poisoning the
+/// whole reduction: a daemon that produced garbage should not take down the
+/// session.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StatMergeFilter<S> {
     _repr: PhantomData<S>,
@@ -57,18 +59,20 @@ impl<S: WireTaskSet + Send + Sync> Filter for StatMergeFilter<S> {
 }
 
 /// Concatenates the daemons' rank maps in child order, run by run, coalescing a
-/// run that continues the previous child's: no rank is ever expanded.  A child
-/// whose map does not decode is skipped, as the merge filter skips a tree.
+/// run that continues the previous child's: no rank is ever expanded, and every
+/// child decodes into one reused run list.  A child whose map does not decode is
+/// skipped, as the merge filter skips a tree.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RankMapFilter;
 
 impl Filter for RankMapFilter {
     fn reduce(&self, node: EndpointId, inputs: &[Packet]) -> Packet {
-        let runs: RankRuns = inputs
-            .iter()
-            .filter_map(|packet| decode_rank_map(&packet.payload).ok())
-            .flat_map(|map| map.runs)
-            .collect();
+        let (mut runs, mut child) = (RankRuns::default(), Vec::new());
+        for packet in inputs {
+            if decode_rank_runs(&packet.payload, &mut child).is_ok() {
+                runs.extend(child.drain(..));
+            }
+        }
         Packet::new(PacketTag::RankMap, node, encode_rank_map(&runs))
     }
 
@@ -83,7 +87,8 @@ mod tests {
     use crate::graph::tests::leaves;
     use crate::graph::{GlobalPrefixTree, PrefixTree, SubtreePrefixTree};
     use crate::serialize::{
-        decode_tree, encode_merged_tree, encode_tree, SetCodec, WireFrames, MAGIC, VERSION,
+        decode_rank_map, decode_tree, encode_merged_tree, encode_tree, SetCodec, WireFrames, MAGIC,
+        MAX_WIRE_WIDTH, VERSION,
     };
     use crate::taskset::{DenseBitVector, SubtreeTaskList, TaskSetOps};
     use appsim::Application;
@@ -264,6 +269,14 @@ mod tests {
         }
     }
 
+    fn varint(out: &mut Vec<u8>, mut value: u64) {
+        while value >= 0x80 {
+            out.push((value as u8) | 0x80);
+            value >>= 7;
+        }
+        out.push(value as u8);
+    }
+
     /// A v2 body written by hand over a domain of at most 64 tasks (one word per
     /// set): its records, then `(parent delta, gid, word)` per non-root node.
     /// Sets are written as literals, so a word may carry bits at or above `width`.
@@ -274,13 +287,6 @@ mod tests {
         root: u64,
         nodes: &[(u64, u32, u64)],
     ) -> Packet {
-        fn varint(out: &mut Vec<u8>, mut value: u64) {
-            while value >= 0x80 {
-                out.push((value as u8) | 0x80);
-                value >>= 7;
-            }
-            out.push(value as u8);
-        }
         let set = |out: &mut Vec<u8>, word: u64| match S::CODEC {
             SetCodec::VarintWords => varint(out, word),
             SetCodec::RunLength => {
@@ -323,7 +329,15 @@ mod tests {
         [tree_2d, tree_3d]
     }
 
+    /// Whether two packets of `wave` carry equal bodies.
+    fn has_repeat(wave: &[Packet]) -> bool {
+        let bodies: std::collections::HashSet<&[u8]> =
+            wave.iter().map(|p| p.payload.as_ref()).collect();
+        bodies.len() < wave.len()
+    }
+
     fn catalogue_waves<S: WireTaskSet + Send + Sync>() {
+        let mut waves_with_repeats = 0;
         for scenario in appsim::catalogue(512, appsim::FrameVocabulary::Linux) {
             let dict = FrameDictionary::negotiate(scenario.app.frame_hints());
             for samples in [1, 3] {
@@ -331,10 +345,18 @@ mod tests {
                     for fan_in in [1, 2, 7, 64, 256] {
                         let what = format!("{} x{samples} fan-in {fan_in}", scenario.name);
                         two_levels::<S>(&leaves, fan_in, &what);
+                        waves_with_repeats +=
+                            leaves.chunks(fan_in).filter(|w| has_repeat(w)).count();
                     }
                 }
             }
         }
+        // Concatenated bodies are relative to their daemon, so equal behaviour
+        // ships equal bytes and the merge folds repeats through a node map.
+        assert!(
+            !S::CONCATENATES || waves_with_repeats > 100,
+            "{waves_with_repeats}"
+        );
     }
 
     fn hostile_waves<S: WireTaskSet + Send + Sync>() {
@@ -422,15 +444,60 @@ mod tests {
         for (k, hand) in [
             vec![twins.clone(), twins.clone(), stray.clone()],
             vec![stray.clone(), twins.clone(), stray.clone(), twins.clone()],
-            vec![wave[0].clone(), twins.clone(), stray, wave[1].clone()],
+            vec![
+                wave[0].clone(),
+                twins.clone(),
+                stray.clone(),
+                wave[1].clone(),
+            ],
             vec![renamed.clone(), other_name.clone(), renamed.clone()],
             vec![other_name, renamed.clone()],
-            vec![twins, renamed],
+            vec![twins.clone(), renamed],
         ]
         .iter()
         .enumerate()
         {
             same_bytes::<S>(hand, &format!("hand-written wave {k}"));
+        }
+
+        // Repeats: of a body between garbage, of a body skipped for its base,
+        // and of `twins`, whose second walk probes onto the newest sibling.
+        let garbage = packet(vec![0xde, 0xad, 0xbe, 0xef]);
+        let foreign = foreign[1].clone();
+        for (k, repeats) in [
+            vec![garbage.clone(), wave[1].clone(), garbage, wave[1].clone()],
+            vec![
+                wave[0].clone(),
+                foreign.clone(),
+                foreign.clone(),
+                wave[2].clone(),
+                foreign,
+            ],
+            vec![twins.clone(), stray, twins.clone(), twins.clone()],
+        ]
+        .iter()
+        .enumerate()
+        {
+            assert!(has_repeat(repeats));
+            same_bytes::<S>(repeats, &format!("repeated wave {k}"));
+        }
+
+        // Concatenated widths stop at what a packet may claim: a root-only body
+        // over just over half of it, repeated, is skipped from its second copy,
+        // and a narrow body after it still fits.
+        if S::CONCATENATES {
+            let half = MAX_WIRE_WIDTH / 2 + 1;
+            let mut wide = MAGIC.to_le_bytes().to_vec();
+            wide.extend([VERSION, S::TAG]);
+            for value in [half, u64::from(base), 0, 1, half.div_ceil(64) << 2 | 1] {
+                varint(&mut wide, value);
+            }
+            let wide = packet(wide);
+            let got = StatMergeFilter::<S>::new().reduce(
+                EndpointId(0),
+                &[wide.clone(), wide.clone(), twins.clone(), wide.clone()],
+            );
+            assert!(got == tree_merge_reference::<S>(&[wide, twins]));
         }
     }
 

@@ -45,7 +45,8 @@ pub type NodeIdx = usize;
 
 /// A minimal FxHash-style hasher for the `(parent, frame)` child index: the keys are
 /// small integers, so a multiply-xor mix beats the DoS-resistant default by a wide
-/// margin on the merge hot path (and we vendor no external fast-hash crate).
+/// margin on the merge hot path (and we vendor no external fast-hash crate).  The
+/// wire merge keys whole packet bodies with it, mixed eight bytes at a time.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct ChildKeyHasher {
     hash: u64,
@@ -65,8 +66,10 @@ impl Hasher for ChildKeyHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.mix(b as u64);
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word.iter_mut().zip(chunk).for_each(|(w, &b)| *w = b);
+            self.mix(u64::from_le_bytes(word));
         }
     }
 

@@ -33,9 +33,13 @@
 //! [`PrefixTree`] from them; the merge filter instead folds its children's
 //! columns into one output at its final width and writes it through the
 //! encoders' own writer, so no tree exists between the daemons and the front end.
+//! Equal children are read once: the filter keys each concatenating body by its
+//! bytes, and a repeat ORs its rows in at its own offset through the node map its
+//! first copy left in the merge's `(parent, frame)` index.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasherDefault;
+use std::ops::Range;
 
 use stackwalk::{FrameDictionary, FrameId, FrameTable};
 
@@ -759,14 +763,34 @@ impl<'a> FlatTree<'a> {
         }
     }
 
-    /// Fold a later body in at `offset`, walking as `PrefixTree::merge` does: a
-    /// LIFO worklist of (merged node, body node, grafted); a body node whose
-    /// frame is new under its matched parent is appended, and so is everything
-    /// below it, without a probe.
-    fn fold(&mut self, body: &FlatTree<'a>, offset: u64) {
-        self.records.extend(body.records.iter().rev());
+    /// Fold a copy of a body in at `offset`.  A first copy (`map` is `None`) adds
+    /// its records; a repeat adds none (the first wins) and ORs its rows in
+    /// through its node map, derived into `map` once every probe hits.  Else it
+    /// walks as `PrefixTree::merge` does: a LIFO worklist of (merged node, body
+    /// node, grafted), a node new under its matched parent grafted unprobed.
+    fn fold(
+        &mut self,
+        body: &FlatTree<'a>,
+        offset: u64,
+        map: Option<&mut Option<Vec<usize>>>,
+        work: &mut Vec<(usize, usize, bool)>,
+    ) {
+        match map {
+            None => self.records.extend(body.records.iter().rev()),
+            Some(map) => {
+                if map.is_none() {
+                    *map = self.node_map(body);
+                }
+                if let Some(map) = map {
+                    for (node, &into) in map.iter().enumerate() {
+                        self.or_in(into, body.row(node), offset);
+                    }
+                    return;
+                }
+            }
+        }
         let link = |node: usize| body.links.get(node).copied().unwrap_or((NO_NODE, NO_NODE));
-        let mut work = vec![(0, 0, false)];
+        work.push((0, 0, false));
         while let Some((merged, node, grafted)) = work.pop() {
             if !grafted {
                 self.or_in(merged, body.row(node), offset);
@@ -781,6 +805,18 @@ impl<'a> FlatTree<'a> {
                 child = link(child).1;
             }
         }
+    }
+
+    /// Where a walk of `body` lands each node when no probe misses: node `i` on
+    /// its parent's landing's child under its frame.  A walk only adds keys, or
+    /// re-keys under nodes it appends, so a whole map stays true for later folds.
+    fn node_map(&self, body: &FlatTree<'_>) -> Option<Vec<usize>> {
+        let mut map = Vec::with_capacity(body.nodes.len());
+        map.push(0);
+        for &(parent, gid) in body.nodes.iter().skip(1) {
+            map.push(*self.index.get(&(*map.get(parent)?, gid))?);
+        }
+        Some(map)
     }
 
     /// Write a merge's output with the records it references, as
@@ -803,39 +839,56 @@ impl<'a> FlatTree<'a> {
 /// body, byte for byte what [`decode_tree`] → [`PrefixTree::merge`] →
 /// [`encode_merged_tree`] produce, without building a tree.  A body that does
 /// not decode, names another dictionary base than the first accepted one, or —
-/// job-wide — another width, is skipped; `None` when no body is accepted.
+/// job-wide — another width, is skipped, as is a concatenating body that would
+/// take the output past [`MAX_WIRE_WIDTH`]; `None` when no body is accepted.
 ///
-/// The output domain is sized once.  Job-wide bodies fold as they arrive, each
-/// read into one reused [`FlatTree`]; concatenating bodies are all read first,
-/// and the output is their widths summed.
+/// Job-wide bodies fold as they arrive, each read into one reused [`FlatTree`]
+/// at offset 0.  Concatenating bodies are held until the widths are summed, and
+/// read once each: acceptance hangs on a body's bytes and the first accepted
+/// body alone, so a repeat is keyed by its bytes and folds through a node map.
 pub(crate) fn merge_bodies<'a, S: WireTaskSet>(
     bodies: impl IntoIterator<Item = &'a [u8]>,
 ) -> Option<Vec<u8>> {
-    let (mut merge, mut held) = (None::<FlatTree<'a>>, Vec::new());
-    let mut body = FlatTree::default();
+    let bodies = bodies.into_iter();
+    let (mut merge, mut held, mut copies) = (None::<FlatTree<'a>>, Vec::new(), Vec::new());
+    let mut seen: HashMap<&'a [u8], usize, BuildHasherDefault<ChildKeyHasher>> =
+        HashMap::with_capacity_and_hasher(bodies.size_hint().0, Default::default());
+    let (mut width, mut body, mut work) = (0, FlatTree::default(), Vec::new());
     for buf in bodies {
-        if body.read::<S>(buf).is_err() {
+        let repeat = seen.get(buf).copied();
+        if repeat.is_none()
+            && (body.read::<S>(buf).is_err()
+                || merge.as_ref().or(held.first()).is_some_and(|first| {
+                    body.base_len != first.base_len
+                        || (!S::CONCATENATES && body.width != first.width)
+                }))
+        {
             continue;
         }
-        let first = merge.as_ref().or(held.first());
-        if first.is_some_and(|first| {
-            body.base_len != first.base_len || (!S::CONCATENATES && body.width != first.width)
-        }) {
+        let offset = if S::CONCATENATES { width } else { 0 };
+        let end = offset + repeat.and_then(|c| held.get(c)).unwrap_or(&body).width;
+        if end > MAX_WIRE_WIDTH {
             continue;
         }
-        match merge.as_mut() {
-            _ if S::CONCATENATES => held.push(std::mem::take(&mut body)),
-            Some(merge) => merge.fold(&body, 0),
-            None => merge = Some(FlatTree::merged(&body, body.width)),
+        width = end;
+        match (repeat, merge.as_mut()) {
+            (Some(copy), _) => copies.push((copy, offset, true)),
+            _ if S::CONCATENATES => {
+                seen.insert(buf, held.len());
+                copies.push((held.len(), offset, false));
+                held.push(std::mem::take(&mut body));
+            }
+            (None, Some(merge)) => merge.fold(&body, 0, None, &mut work),
+            (None, None) => merge = Some(FlatTree::merged(&body, width)),
         }
     }
-    // Each concatenated body's positions follow every earlier body's.
-    if let Some((first, later)) = held.split_first() {
-        let merge = merge.insert(FlatTree::merged(first, held.iter().map(|b| b.width).sum()));
-        let mut offset = 0;
-        for (before, body) in held.iter().zip(later) {
-            offset += before.width;
-            merge.fold(body, offset);
+    if let Some((&(first, ..), later)) = copies.split_first() {
+        let merge = merge.insert(FlatTree::merged(held.get(first)?, width));
+        let mut maps = vec![None; held.len()];
+        for &(copy, offset, repeat) in later {
+            if let (Some(body), Some(map)) = (held.get(copy), maps.get_mut(copy)) {
+                merge.fold(body, offset, repeat.then_some(map), &mut work);
+            }
         }
     }
     merge.map(FlatTree::finish::<S>)
@@ -894,6 +947,13 @@ pub fn encode_rank_map(map: &RankRuns) -> Vec<u8> {
 /// past `u64::MAX` is [`DecodeError::BadIndex`]); nothing is allocated from a
 /// run's length.  Whether the runs fit the job and the trees, `finish` checks.
 pub fn decode_rank_map(buf: &[u8]) -> Result<RankRuns, DecodeError> {
+    let mut runs = Vec::new();
+    decode_rank_runs(buf, &mut runs).map(|()| RankRuns { runs })
+}
+
+/// [`decode_rank_map`] into `runs`, which is cleared first: the rank-map filter
+/// decodes every child into one list.  On an error `runs` holds a prefix.
+pub(crate) fn decode_rank_runs(buf: &[u8], runs: &mut Vec<Range<u64>>) -> Result<(), DecodeError> {
     let mut r = Reader::new(buf);
     let header = r.u8()?;
     let (found, expected) = (header >> 4, RANK_MAP_FORMAT);
@@ -905,7 +965,8 @@ pub fn decode_rank_map(buf: &[u8]) -> Result<RankRuns, DecodeError> {
     };
     // Each run is at least one varint byte.
     ensure(n <= r.remaining(), DecodeError::Truncated { offset: r.pos })?;
-    let mut runs = Vec::with_capacity(n);
+    runs.clear();
+    runs.reserve(n);
     let mut end = None;
     for _ in 0..n {
         let at = r.pos;
@@ -920,8 +981,7 @@ pub fn decode_rank_map(buf: &[u8]) -> Result<RankRuns, DecodeError> {
         end = Some(run.end);
         runs.push(run);
     }
-    ensure(r.remaining() == 0, DecodeError::BadIndex { offset: r.pos })?;
-    Ok(RankRuns { runs })
+    ensure(r.remaining() == 0, DecodeError::BadIndex { offset: r.pos })
 }
 
 /// Encode the negotiated base table for the one-time dictionary broadcast down

@@ -522,16 +522,22 @@ impl RankRuns {
     }
 }
 
+impl Extend<Range<u64>> for RankRuns {
+    fn extend<I: IntoIterator<Item = Range<u64>>>(&mut self, runs: I) {
+        for run in runs {
+            match self.runs.last_mut() {
+                _ if run.is_empty() => {}
+                Some(last) if last.end == run.start => last.end = run.end,
+                _ => self.runs.push(run),
+            }
+        }
+    }
+}
+
 impl FromIterator<Range<u64>> for RankRuns {
     fn from_iter<I: IntoIterator<Item = Range<u64>>>(runs: I) -> Self {
         let mut map = RankRuns::default();
-        for run in runs {
-            match map.runs.last_mut() {
-                _ if run.is_empty() => {}
-                Some(last) if last.end == run.start => last.end = run.end,
-                _ => map.runs.push(run),
-            }
-        }
+        map.extend(runs);
         map
     }
 }
