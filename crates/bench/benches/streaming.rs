@@ -2,8 +2,8 @@
 //!
 //! A streaming session maintains the job-wide temporal tree across waves.  The
 //! naive way is to re-reduce every daemon's *full* cumulative tree through the
-//! overlay each wave; the delta path ships only what changed and folds it into
-//! per-node resident state.  On a **quiescent** wave — the common case for a
+//! overlay each wave; the delta path ships only what changed, merges it on the
+//! way up and folds it into the front end's resident state.  On a **quiescent** wave — the common case for a
 //! hung job, where nothing moves between samples — the deltas are root-only
 //! stubs, so the incremental path's work collapses while the full re-reduce
 //! still pays for every byte of every cumulative tree.

@@ -808,7 +808,9 @@ pub(crate) mod tests {
         // the dense waves and every column but the hierarchical `packet_bytes` are
         // still those values; the rank-map digests and that column were
         // re-recorded when rank maps became runs (32 contiguous daemons ship
-        // 6 bytes less each: 192 bytes per wave).
+        // 6 bytes less each: 192 bytes per wave).  The `resident_bytes` column
+        // was re-recorded when only the front end kept a resident tree (it had
+        // summed the interior nodes' copies too).
         let v = FrameVocabulary::BlueGeneL;
         let ring = RingHangApp::new(1_024, v).with_hung_rank(5);
         let threaded = appsim::workloads::threaded(256, 3, v);
@@ -879,23 +881,23 @@ pub(crate) mod tests {
         assert_eq!(
             dense,
             [
-                (6016, 3008, 3008, 1, 1119),
-                (6016, 480, 3008, 1, 1119),
-                (10188, 3926, 5110, 4, 2039),
-                (10154, 3258, 5114, 4, 2043),
-                (10204, 480, 5114, 4, 2043),
-                (10188, 480, 5114, 4, 2043),
+                (6016, 3008, 3008, 1, 345),
+                (6016, 480, 3008, 1, 345),
+                (10188, 3926, 5110, 4, 661),
+                (10154, 3258, 5114, 4, 663),
+                (10204, 480, 5114, 4, 663),
+                (10188, 480, 5114, 4, 663),
             ]
         );
         assert_eq!(
             hier,
             [
-                (2168, 1024, 1024, 1, 225),
-                (2168, 352, 1024, 1, 225),
-                (5193, 2265, 2265, 4, 832),
-                (5138, 2112, 1769, 4, 706),
-                (5226, 352, 1769, 4, 706),
-                (5193, 352, 1769, 4, 706),
+                (2168, 1024, 1024, 1, 33),
+                (2168, 352, 1024, 1, 33),
+                (5193, 2265, 2265, 4, 283),
+                (5138, 2112, 1769, 4, 237),
+                (5226, 352, 1769, 4, 237),
+                (5193, 352, 1769, 4, 237),
             ]
         );
     }

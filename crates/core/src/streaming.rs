@@ -31,9 +31,10 @@
 //!    timings.
 //! 4. **Delta fold**: the per-daemon deltas ride the incremental path
 //!    ([`tbon::delta::IncrementalTbon`]); interior nodes merge child deltas with
-//!    the ordinary merge filter and fold the result into their resident state,
-//!    so the front end's resident tree always equals one batched merge of
-//!    everything seen so far (the equivalence `tests/streaming.rs` pins down).
+//!    the ordinary merge filter and forward the result, keeping nothing, and
+//!    the front end alone folds it into its resident tree, which therefore
+//!    always equals one batched merge of everything seen so far (the
+//!    equivalence `tests/streaming.rs` pins down).
 //!    A daemon's delta is byte for byte what [`PrefixTree::delta_from`] makes of
 //!    a fresh wave tree against a cumulative tree built by
 //!    [`PrefixTree::merge_aligned`]; that pair stays as the tests' oracle and the
@@ -105,8 +106,8 @@ fn canonical<S: WireTaskSet>(tree: &PrefixTree<S>, table: &FrameTable) -> Canoni
     out
 }
 
-/// Per-node resident state of the incremental path: a rolling merged tree plus
-/// the accumulated incremental dictionary records its deltas shipped.  Under
+/// The front end's resident state: a rolling merged tree plus the
+/// accumulated incremental dictionary records its deltas shipped.  Under
 /// wire format v2 the resident never re-resolves a frame name: deltas carry
 /// session-global ids, so folding is id-aligned merging plus a union of the
 /// [`WireFrames`] records.  Public (opaque) so benchmarks can drive the
@@ -287,7 +288,7 @@ trait WaveStream: Send + Sync {
         net: &InProcessTbon,
     ) -> Result<(Vec<DaemonContribution>, Vec<Packet>, u64), TbonError>;
 
-    /// Fold one wave of per-daemon deltas into the overlay's resident state.
+    /// Fold one wave of per-daemon deltas into the front end's resident state.
     fn fold_wave(
         &mut self,
         deltas: Vec<Packet>,
@@ -696,7 +697,7 @@ impl StreamingSession {
         &self.lost_ranks
     }
 
-    /// Total resident footprint of the incremental overlay state, in bytes.
+    /// Resident footprint of the front end's incrementally folded tree, in bytes.
     pub fn resident_bytes(&self) -> usize {
         self.state.resident_bytes()
     }

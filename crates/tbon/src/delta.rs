@@ -1,5 +1,5 @@
-//! Incremental (delta) reduction: fold per-wave deltas into per-node resident
-//! state instead of re-reducing every wave from scratch.
+//! Incremental (delta) reduction: fold per-wave deltas into the front end's
+//! resident state instead of re-reducing every wave from scratch.
 //!
 //! A one-shot gather ships every daemon's whole local tree up the overlay each
 //! time it runs.  A *streaming* session runs every few seconds for the life of
@@ -13,21 +13,20 @@
 //!   task-set words;
 //! * each interior node merges its children's deltas with the ordinary channel
 //!   filter — the merge of deltas over disjoint child domains *is* the delta of
-//!   the merge — folds the result into its own resident state, and forwards the
-//!   merged delta upward;
-//! * the front end folds the final delta into the job-wide resident tree, which
-//!   therefore always equals what one batched merge of every wave would have
-//!   produced (the equivalence property `tests/properties.rs` pins down).
+//!   the merge — and forwards the merged delta upward, holding nothing between
+//!   waves;
+//! * the front end alone folds the final delta into the job-wide resident tree,
+//!   which therefore always equals what one batched merge of every wave would
+//!   have produced (the equivalence property `tests/properties.rs` pins down).
 //!
-//! The fold is one more client of the overlay's single bottom-up level walk
-//! (`InProcessTbon::walk_levels`): one channel, labelled `tree-delta`, whose
-//! per-node step runs the filter and then folds its output into that node's
-//! resident state.  It uses the walk's inline dispatch, deliberately: quiescent-
-//! wave deltas are root-only packets a few dozen bytes long, and the interesting
-//! quantity is bytes moved and state touched, not parallel throughput.  What
-//! this module owns is the resident-state table and the mapping of the walk's
-//! accounting onto a [`WaveOutcome`].  `crates/bench/benches/streaming.rs`
-//! measures this path against a full re-reduce at 64K endpoints.
+//! So a wave is one ordinary reduction of one channel, labelled `tree-delta`,
+//! followed by one fold.  The reduction runs inline on the caller's thread
+//! (one worker), deliberately: quiescent-wave deltas are root-only packets a
+//! few dozen bytes long, and the interesting quantity is bytes moved and state
+//! touched, not parallel throughput.  What this module owns is the front end's
+//! resident state and the mapping of the walk's accounting onto a
+//! [`WaveOutcome`].  `crates/bench/benches/streaming.rs` measures this path
+//! against a full re-reduce at 64K endpoints.
 //!
 //! The crate knows nothing about prefix trees; resident state is abstracted
 //! behind [`ResidentState`]/[`StateFactory`], which `stat-core` implements with
@@ -42,26 +41,19 @@ use crate::network::{ChannelInput, InProcessTbon, TbonError};
 use crate::packet::Packet;
 use crate::topology::Topology;
 
-/// Endpoint ids index per-endpoint tables.  The conversion is lossless on every
-/// supported target; an out-of-range id degrades to a table miss (a typed
-/// `WalkInvariant`), never a truncated index.
-fn slot(index: u32) -> usize {
-    usize::try_from(index).unwrap_or(usize::MAX)
-}
-
-/// Per-node accumulated state the incremental walk folds merged deltas into.
+/// Accumulated state the front end folds each wave's merged delta into.
 pub trait ResidentState {
     /// Fold one merged delta packet into the state.  An `Err` message becomes
-    /// [`TbonError::DeltaFold`] with the folding node attached.
+    /// [`TbonError::DeltaFold`] with the front end attached.
     fn fold(&mut self, delta: &Packet) -> Result<(), String>;
 
     /// Approximate resident footprint in bytes, for reporting.
     fn resident_bytes(&self) -> usize;
 }
 
-/// Builds the initial (empty) resident state for a node.
+/// Builds the initial (empty) resident state.
 pub trait StateFactory {
-    /// The state type held at each interior node and the front end.
+    /// The state type the front end holds.
     type State: ResidentState;
 
     /// A fresh, empty state.
@@ -79,13 +71,14 @@ pub struct WaveOutcome {
     pub delta_link_bytes: u64,
     /// The largest per-node input wave, in bytes — the hot-spot quantity.
     pub max_node_bytes_in: u64,
-    /// Wall-clock spent in filter invocations and state folds.
+    /// Wall-clock spent in filter invocations and the front end's fold.
     pub fold_wall: Duration,
     /// Filter invocations performed (one per interior node and the front end).
     pub filter_invocations: u32,
 }
 
-/// A TBON whose interior nodes and front end hold resident state across waves.
+/// A TBON whose front end holds resident state across waves; its interior
+/// nodes merge and forward each wave's deltas and keep nothing.
 ///
 /// Construct one per streaming session (and a fresh one after a mid-stream
 /// topology rebuild — re-seed it by folding each survivor's full tree as a
@@ -95,20 +88,17 @@ pub struct WaveOutcome {
 pub struct IncrementalTbon<F: StateFactory> {
     network: InProcessTbon,
     factory: F,
-    /// Resident state per endpoint id; only interior nodes and the front end
-    /// ever hold `Some` (back ends are the daemons' own concern).
-    states: Vec<Option<F::State>>,
+    /// The front end's resident state; `None` until the first wave folds.
+    state: Option<F::State>,
 }
 
 impl<F: StateFactory> IncrementalTbon<F> {
-    /// A delta network over `topology` with empty resident state everywhere.
+    /// A delta network over `topology` with empty resident state.
     pub fn new(topology: Topology, factory: F) -> Self {
-        let mut states = Vec::new();
-        states.resize_with(topology.len(), || None);
         IncrementalTbon {
-            network: InProcessTbon::new(topology),
+            network: InProcessTbon::new(topology).with_workers(1),
             factory,
-            states,
+            state: None,
         }
     }
 
@@ -120,17 +110,12 @@ impl<F: StateFactory> IncrementalTbon<F> {
     /// The front end's resident state — the rolling job-wide merge.  `None`
     /// until the first wave folds.
     pub fn frontend_state(&self) -> Option<&F::State> {
-        let id = self.topology().frontend();
-        self.states.get(slot(id.0)).and_then(|s| s.as_ref())
+        self.state.as_ref()
     }
 
-    /// Total resident footprint across every node holding state, in bytes.
+    /// The front end's resident footprint, in bytes (0 before the first fold).
     pub fn resident_bytes(&self) -> usize {
-        self.states
-            .iter()
-            .flatten()
-            .map(|s| s.resident_bytes())
-            .sum()
+        self.state.as_ref().map_or(0, |s| s.resident_bytes())
     }
 
     /// Fold one wave of per-daemon deltas up the tree.
@@ -144,42 +129,25 @@ impl<F: StateFactory> IncrementalTbon<F> {
         leaf_deltas: Vec<Packet>,
         filter: &dyn Filter,
     ) -> Result<WaveOutcome, TbonError> {
-        let (states, factory) = (&mut self.states, &self.factory);
         let channel = ChannelInput::new("tree-delta", leaf_deltas);
-        let mut outcomes = self.network.walk_levels(vec![channel], &mut |waves| {
-            waves
-                .into_iter()
-                .map(|(id, channel, inputs)| {
-                    let (merged, bytes_in, filter_wall) =
-                        InProcessTbon::reduce_one_caught(id, channel, inputs, filter)?;
-                    let start = Instant::now();
-                    states
-                        .get_mut(slot(id.0))
-                        .ok_or(TbonError::WalkInvariant {
-                            context: "interior endpoint outside the state table",
-                        })?
-                        .get_or_insert_with(|| factory.new_state())
-                        .fold(&merged)
-                        .map_err(|message| TbonError::DeltaFold {
-                            node: id.0,
-                            message,
-                        })?;
-                    Ok((
-                        id,
-                        channel,
-                        (merged, bytes_in, filter_wall + start.elapsed()),
-                    ))
-                })
-                .collect()
-        })?;
-        let outcome = outcomes.pop().ok_or(TbonError::WalkInvariant {
-            context: "one channel in, one outcome out",
-        })?;
+        let outcome = self
+            .network
+            .reduce_channels(vec![channel], &[filter])?
+            .pop()
+            .ok_or(TbonError::WalkInvariant {
+                context: "one channel in, one outcome out",
+            })?;
+        let start = Instant::now();
+        let node = self.topology().frontend().0;
+        self.state
+            .get_or_insert_with(|| self.factory.new_state())
+            .fold(&outcome.result)
+            .map_err(|message| TbonError::DeltaFold { node, message })?;
         Ok(WaveOutcome {
             frontend_delta: outcome.result,
             delta_link_bytes: outcome.total_link_bytes,
             max_node_bytes_in: outcome.max_node_bytes_in,
-            fold_wall: outcome.filter_time,
+            fold_wall: outcome.filter_time + start.elapsed(),
             filter_invocations: u32::try_from(outcome.filter_invocations).unwrap_or(u32::MAX),
         })
     }
@@ -220,7 +188,7 @@ mod tests {
     }
 
     #[test]
-    fn folds_accumulate_across_waves_at_every_interior_node() {
+    fn folds_accumulate_across_waves_at_the_front_end() {
         let topology = Topology::build(TreeShape::two_deep(8, 2));
         let mut net = IncrementalTbon::new(topology, ByteSumFactory);
         let filter = SumFilter;
@@ -235,8 +203,8 @@ mod tests {
                                                        // its payload bytes, which for a little-endian 8 is just 8.
             assert_eq!(net.frontend_state().unwrap().0, 8 * wave);
         }
-        // 2 comms + 1 front end hold state; backends hold none.
-        assert_eq!(net.resident_bytes(), 3 * 8);
+        // The front end alone holds state; comms and backends hold none.
+        assert_eq!(net.resident_bytes(), 8);
     }
 
     #[test]

@@ -79,11 +79,12 @@ pub enum TbonError {
         /// The violated invariant.
         context: &'static str,
     },
-    /// A node's resident state rejected a delta during an incremental fold
-    /// (see [`crate::delta::IncrementalTbon`]) — e.g. the delta failed to
-    /// decode or described a different task domain than the state holds.
+    /// The front end's resident state rejected the merged delta of an
+    /// incremental fold (see [`crate::delta::IncrementalTbon`]) — e.g. the
+    /// delta failed to decode or described a different task domain than the
+    /// state holds.
     DeltaFold {
-        /// The tree node whose fold failed.
+        /// The front end, the one node that folds.
         node: u32,
         /// What the resident state objected to.
         message: String,
@@ -189,9 +190,6 @@ struct ChannelAccounting {
 /// from its children on that channel, and the time its filter invocation took.
 type NodeChannelResult = (Packet, u64, Duration);
 
-/// One unit of level work: a node, a channel, and the owned child packets to reduce.
-type InputWave = (EndpointId, usize, Vec<Packet>);
-
 /// An in-process TBON bound to a concrete topology.
 #[derive(Clone, Debug)]
 pub struct InProcessTbon {
@@ -268,12 +266,18 @@ impl InProcessTbon {
     /// channel's filter over that channel's child packets.  This is how the session
     /// front end merges the 2D tree, the 3D tree and the rank map without paying for
     /// three traversals of the overlay, and the per-channel accounting in the returned
-    /// [`ReductionOutcome`]s is what the byte-flow figures are built from.
+    /// [`ReductionOutcome`]s is what the byte-flow figures are built from.  It is
+    /// the overlay's one level walk; [`crate::delta::IncrementalTbon::fold_wave`]
+    /// is this walk over one channel, then a fold at the front end.
     ///
-    /// The channels are consumed: leaf packets move into the reduction, they are not
-    /// cloned per channel or per pass.  Each level's node×channel waves run through
-    /// one `par_map`; a failing level reports its earliest failure in node-major
-    /// order, whatever the schedule was.
+    /// The channels are consumed: each node×channel wave *moves* its child packets
+    /// out of the slot table (every child has one parent), so no packet is cloned
+    /// on its way up and peak memory stays proportional to one level.  Each level's
+    /// waves run through one `par_map`, so even at the single front-end node the
+    /// channels run concurrently.  Any failure — a wrong leaf count, a dead worker,
+    /// a panicking filter, an empty slot that must be full — is a typed error; a
+    /// failing level reports its earliest failure in node-major order, whatever
+    /// the schedule was.
     pub fn reduce_channels(
         &self,
         channels: Vec<ChannelInput>,
@@ -289,40 +293,6 @@ impl InProcessTbon {
             });
         }
 
-        self.walk_levels(channels, &mut |items| {
-            self.map(items, &|(id, channel, inputs)| {
-                let filter = *filters.get(channel).ok_or(TbonError::WalkInvariant {
-                    context: "wave queued for a channel with no filter",
-                })?;
-                let r = Self::reduce_one_caught(id, channel, inputs, filter)?;
-                Ok((id, channel, r))
-            })
-        })
-    }
-
-    /// The one bottom-up level walk of the overlay: take one
-    /// packet per back-end daemon on every channel, then level by level (skipping
-    /// the leaves) build each node's owned input waves, hand them to `dispatch`,
-    /// and absorb the results into the slot table and the per-channel accounting
-    /// before moving up a level.  `dispatch` decides what happens at a node — the
-    /// one-shot reduction runs the channel's filter, the incremental fold
-    /// ([`crate::delta::IncrementalTbon::fold_wave`]) also folds the output into
-    /// the node's resident state.
-    ///
-    /// Work items are (node, channel) waves so that, at narrow levels — ultimately
-    /// the single front-end node — the channels themselves still run concurrently.
-    /// Each wave *moves* its child packets out of the slot table (every child has
-    /// exactly one parent), so no packet is ever cloned on its way up the tree and
-    /// peak memory stays proportional to one level.
-    ///
-    /// Any failure — a wrong leaf count, a dead worker, a panicking filter, an
-    /// empty slot that must be full — aborts the walk with a typed error instead
-    /// of panicking.
-    pub(crate) fn walk_levels(
-        &self,
-        channels: Vec<ChannelInput>,
-        dispatch: &mut dyn FnMut(WaveBatch) -> BatchOutcome,
-    ) -> Result<Vec<ReductionOutcome>, TbonError> {
         let backends = self.topology.backends();
         for channel in &channels {
             if channel.leaves.len() != backends.len() {
@@ -365,9 +335,9 @@ impl InProcessTbon {
                 .filter(|&id| self.topology.node(id).role != TreeNodeRole::BackEnd)
                 .collect();
             // Node-major order: every channel fires at a node before the next node.
-            let mut items: Vec<InputWave> = Vec::with_capacity(node_ids.len() * labels.len());
+            let mut items = Vec::with_capacity(node_ids.len() * filters.len());
             for &id in &node_ids {
-                for channel in 0..labels.len() {
+                for (channel, &filter) in filters.iter().enumerate() {
                     let kids = &self.topology.node(id).children;
                     let mut inputs: Vec<Packet> = Vec::with_capacity(kids.len());
                     for &c in kids {
@@ -380,11 +350,14 @@ impl InProcessTbon {
                             })?;
                         inputs.push(packet);
                     }
-                    items.push((id, channel, inputs));
+                    items.push((id, channel, filter, inputs));
                 }
             }
 
-            for (id, channel, (packet, bytes_in, wall)) in dispatch(items)? {
+            let results = self.map(items, &|(id, channel, filter, inputs)| {
+                Ok((id, channel, reduce_one_caught(id, channel, inputs, filter)?))
+            })?;
+            for (id, channel, (packet, bytes_in, wall)) in results {
                 let acc = accounting
                     .get_mut(channel)
                     .ok_or(TbonError::WalkInvariant {
@@ -429,29 +402,29 @@ impl InProcessTbon {
         }
         Ok(outcomes)
     }
+}
 
-    /// Run one channel's filter at one node over its owned input wave, fenced by
-    /// `catch_unwind`: a panicking user filter becomes
-    /// [`TbonError::FilterPanicked`] instead of unwinding through the walk (or a
-    /// level's worker thread).
-    pub(crate) fn reduce_one_caught(
-        id: EndpointId,
-        channel: usize,
-        inputs: Vec<Packet>,
-        filter: &dyn Filter,
-    ) -> Result<NodeChannelResult, TbonError> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let bytes_in: u64 = inputs.iter().map(|p| p.size_bytes() as u64).sum();
-            let start = Instant::now();
-            let packet = filter.reduce(id, &inputs);
-            (packet, bytes_in, start.elapsed())
-        }))
-        .map_err(|payload| TbonError::FilterPanicked {
-            node: id.0,
-            channel,
-            message: panic_message(payload.as_ref()),
-        })
-    }
+/// Run one channel's filter at one node over its owned input wave, fenced by
+/// `catch_unwind`: a panicking user filter becomes
+/// [`TbonError::FilterPanicked`] instead of unwinding through the walk (or a
+/// level's worker thread).
+fn reduce_one_caught(
+    id: EndpointId,
+    channel: usize,
+    inputs: Vec<Packet>,
+    filter: &dyn Filter,
+) -> Result<NodeChannelResult, TbonError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let bytes_in: u64 = inputs.iter().map(|p| p.size_bytes() as u64).sum();
+        let start = Instant::now();
+        let packet = filter.reduce(id, &inputs);
+        (packet, bytes_in, start.elapsed())
+    }))
+    .map_err(|payload| TbonError::FilterPanicked {
+        node: id.0,
+        channel,
+        message: panic_message(payload.as_ref()),
+    })
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -464,13 +437,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         "non-string panic payload".to_string()
     }
 }
-
-/// One level's node×channel waves handed to a dispatch, and what comes back.
-pub(crate) type WaveBatch = Vec<InputWave>;
-type BatchResults = Vec<(EndpointId, usize, NodeChannelResult)>;
-/// A level's outcome: the results in wave order, or the typed error of the
-/// earliest wave that failed.
-pub(crate) type BatchOutcome = Result<BatchResults, TbonError>;
 
 /// Pull the next item off a shared iterator.  A function rather than a closure
 /// at the call site so the guard is gone before the caller runs its step; a
