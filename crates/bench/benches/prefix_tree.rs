@@ -220,6 +220,25 @@ fn bench_daemon_local(c: &mut Criterion) {
             b.iter(|| daemon.contribute::<SubtreeTaskList>(app, samples, EndpointId(1), &dict))
         });
     }
+    // `attach_1m`'s daemon shape, 1,024 daemons of 64 tasks sampled once, through
+    // the one-shot daemon map on one worker.
+    let ring_64k = RingHangApp::new(65_536, FrameVocabulary::BlueGeneL);
+    let dict = FrameDictionary::negotiate(ring_64k.frame_hints());
+    let daemons = StatDaemon::partition(ring_64k.num_tasks(), 1_024);
+    let topology = tbon::topology::Topology::build(tbon::topology::TreeShape::flat(1_024));
+    let net = tbon::network::InProcessTbon::new(topology.clone()).with_workers(1);
+    let strategy = Representation::HierarchicalTaskList.strategy();
+    group.bench_function(
+        BenchmarkId::new("contribute_all", "ring_hang_1024x64"),
+        |b| {
+            b.iter(|| {
+                let leaves = daemons.iter().zip(topology.backends().iter().copied());
+                let contributions =
+                    strategy.contribute_all(leaves.collect(), &ring_64k, 1, &dict, &net);
+                contributions.expect("no worker dies")
+            })
+        },
+    );
     // The encode share of `attach_1m`'s daemon: its two trees against the dictionary.
     let dict = FrameDictionary::negotiate(ring_64.frame_hints());
     let daemon = StatDaemon::new(0, (0..ring_64.num_tasks()).collect(), ring_64.num_tasks());

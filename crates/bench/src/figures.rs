@@ -1,6 +1,6 @@
 //! One regenerator function per figure of the paper.
 
-use appsim::{Application, FrameVocabulary, RingHangApp};
+use appsim::{FrameVocabulary, RingHangApp};
 use launch::{
     BglCiodLauncher, CiodPatchLevel, LaunchMonLauncher, Launcher, RemoteShell, RshLauncher,
 };
@@ -254,8 +254,7 @@ pub fn fig07_merge_optimized() -> SeriesTable {
             table.note(format!("{series}: log-log slope {slope:.2}"));
         }
     }
-    // Remap cost: the model's estimate and a real measurement at 208K positions
-    // (shrunk under `STATBENCH_FAST` so the unit suite stays fast).
+    // Remap cost: the model's estimate (`benches/taskset.rs` times the real one).
     let estimator = PhaseEstimator::new(
         Cluster::bluegene_l(BglMode::VirtualNode),
         Representation::HierarchicalTaskList,
@@ -264,35 +263,7 @@ pub fn fig07_merge_optimized() -> SeriesTable {
         "remap estimate at 208K tasks: {:.2} s (paper: 0.66 s)",
         estimator.remap_estimate(208_000).as_secs()
     ));
-    let remap_tasks = crate::scaled(212_992, 8_192);
-    table.note(format!(
-        "real remap of a {remap_tasks}-position merged tree on this host: {:.3} s",
-        measure_real_remap(remap_tasks)
-    ));
     table
-}
-
-/// Really build and remap a full-scale merged subtree tree, returning seconds.
-fn measure_real_remap(tasks: u64) -> f64 {
-    use stat_core::taskset::TaskSetOps;
-    // A merged tree shaped like the ring hang: ~14 levels of shared spine plus the
-    // class split; every task appears on ~14 edges.
-    let mut table = stackwalk::FrameTable::new();
-    let app = RingHangApp::new(tasks, FrameVocabulary::BlueGeneL);
-    let mut tree = stat_core::graph::SubtreePrefixTree::new_subtree(tasks);
-    // Build directly (one trace per task) — this is the front end's input shape.
-    let mut walker = stackwalk::Walker::new();
-    for rank in 0..tasks {
-        let path = app.main_thread_path(rank, 0);
-        let trace = walker.walk(&mut table, path);
-        tree.add_trace(&trace, rank);
-    }
-    let position_to_rank: stat_core::taskset::RankRuns = (0..tasks).rev().collect();
-    let start = std::time::Instant::now();
-    let remapped = tree.remap(&position_to_rank, tasks);
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(remapped.tasks(remapped.root()).count(), tasks);
-    elapsed
 }
 
 /// Figure 8: sampling time on Atlas with a flat topology and binaries on NFS, before

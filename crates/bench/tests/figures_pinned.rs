@@ -4,25 +4,13 @@
 //! that moves a modelled series on purpose copies the new files over the
 //! goldens and says why.
 //!
-//! Two outputs are timed on the host rather than modelled, so they are not
-//! compared: `ablation_proctable` (a table of walls) is skipped by name, and
-//! fig07's note on the real remap is compared up to its measured wall.
+//! One output is timed on the host rather than modelled, so it is not
+//! compared: `ablation_proctable` (a table of walls) is skipped by name.
 
 use std::path::Path;
 
 /// Wall-clock output: every experiment but this one is deterministic.
 const TIMED: &str = "ablation_proctable";
-
-/// The marker after which a line reports a wall measured on the host.
-const HOST_WALL: &str = " on this host: ";
-
-/// `text` with every host wall cut off its line.
-fn modelled(text: &str) -> String {
-    text.lines()
-        .map(|line| line.find(HOST_WALL).map_or(line, |at| &line[..at]))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
 
 #[test]
 fn fast_figures_match_their_goldens() {
@@ -35,6 +23,6 @@ fn fast_figures_match_their_goldens() {
         let path = golden.join(format!("{name}.txt"));
         let want =
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        assert_eq!(modelled(&generate()), modelled(&want), "{name}");
+        assert_eq!(generate(), want, "{name}");
     }
 }

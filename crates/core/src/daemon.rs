@@ -7,9 +7,10 @@
 //! hand the serialised trees (plus its rank map) to the overlay network.
 //! Everything global happens in the filters above it.  Both trees share one arena
 //! that each call path descends once; a streaming daemon keeps it from wave to
-//! wave (`LocalTrees`).
+//! wave, and a one-shot gather's daemons hand theirs on (`LocalTrees`).
 
 use std::ops::Range;
+use std::sync::Mutex;
 use std::time::Instant;
 
 use appsim::Application;
@@ -115,7 +116,7 @@ impl StatDaemon {
         samples: &[TaskSamples],
     ) -> (PrefixTree<S>, PrefixTree<S>) {
         let mut trees = LocalTrees::new(self.leaf_width::<S>());
-        trees.begin(false);
+        trees.begin(self.leaf_width::<S>(), false);
         for (position, task) in samples.iter().enumerate() {
             for (nth, trace) in task.traces.iter().enumerate() {
                 trees.record(position, task.rank, nth, |t, _| t.descend(trace.frames()));
@@ -141,7 +142,8 @@ impl StatDaemon {
         mut trees: LocalTrees<S>,
     ) -> impl FnOnce(&FrameTable, &FrameDictionary) -> (DaemonContribution, LocalTrees<S>) {
         let sample_start = Instant::now();
-        trees.begin(window.len() == 1 && app.threads_per_task() == 1);
+        let one_column = window.len() == 1 && app.threads_per_task() == 1;
+        trees.begin(self.leaf_width::<S>(), one_column);
         let mut traces = 0;
         appsim::for_each_sampled_path(app, &self.ranks, window, |pos, rank, nth, path| {
             trees.record(pos, rank, nth, |t, tr| t.descend_named(table, tr, path));
@@ -222,11 +224,10 @@ pub(crate) fn map_daemons<S: WireTaskSet + Send, T: Send, R: Send>(
     dict: &FrameDictionary,
     finish: &Finish<'_, T, S, R>,
 ) -> Result<Vec<R>, TbonError> {
-    let base_len = dict.base_len() as usize;
     let walked = net.map(items, &|mut item| {
         let (daemon, mut table, trees, leaf) = parts(&mut item, dict);
         let encode = daemon.contribute_from::<S>(app, window.clone(), leaf, &mut table, trees);
-        Ok(if dict.shares_base(&table) && table.len() == base_len {
+        Ok(if negotiated_only(&table, dict) {
             let (contribution, trees) = encode(&table, dict);
             Ok(finish(&mut item, table, contribution, trees))
         } else {
@@ -244,6 +245,50 @@ pub(crate) fn map_daemons<S: WireTaskSet + Send, T: Send, R: Send>(
     Ok(encoded.collect())
 }
 
+/// A table over `dict`'s base with an empty overflow: its ids are global ids.
+fn negotiated_only(table: &FrameTable, dict: &FrameDictionary) -> bool {
+    dict.shares_base(table) && table.len() == dict.base_len() as usize
+}
+
+/// Every daemon's [`StatDaemon::contribute`] through [`map_daemons`], each
+/// walking a new epoch into an arena of `pool` an earlier daemon left (one of
+/// another row width is dropped), so a worker builds its daemons' shared frames
+/// once.  An arena goes back only if its table is [`negotiated_only`] (no
+/// table-local id reaches another table) and its epoch reached at least half
+/// its nodes (so it holds at most twice one daemon's tree).  A poisoned pool
+/// reads as empty.
+pub(crate) fn contribute_pooled<S: WireTaskSet + Send>(
+    net: &InProcessTbon,
+    daemons: Vec<(&StatDaemon, EndpointId)>,
+    (app, samples): (&dyn Application, u32),
+    dict: &FrameDictionary,
+    pool: &Mutex<Vec<LocalTrees<S>>>,
+) -> Result<Vec<DaemonContribution>, TbonError> {
+    let items = daemons.into_iter().map(|(d, leaf)| (d, leaf, pool));
+    map_daemons::<S, _, _>(
+        net,
+        items.collect(),
+        |(daemon, leaf, pool), dict| {
+            let width = daemon.leaf_width::<S>();
+            let pooled = pool.lock().ok().and_then(|mut arenas| arenas.pop());
+            let trees = pooled.filter(|trees| trees.wps == words_for(width));
+            let trees = trees.unwrap_or_else(|| LocalTrees::new(width));
+            (*daemon, dict.table(), trees, *leaf)
+        },
+        (app, 0..samples),
+        dict,
+        &|(_, _, pool), table, contribution, trees| {
+            let reached = trees.column_3d().touched.len();
+            if negotiated_only(&table, dict) && 2 * reached >= trees.tree.node_count() {
+                if let Ok(mut arenas) = pool.lock() {
+                    arenas.push(trees);
+                }
+            }
+            contribution
+        },
+    )
+}
+
 /// A daemon's 2D and 3D trees: one arena that every trace descends by name, and
 /// a label column per tree.  Every trace marks its task in the 3D column, a
 /// task's first trace also in the 2D column; a task is marked only on the node
@@ -256,11 +301,13 @@ pub(crate) fn map_daemons<S: WireTaskSet + Send, T: Send, R: Send>(
 /// When each task gives one trace (one sample, one thread), the 2D tree *is* the
 /// 3D tree: that epoch marks, closes and encodes the 3D column alone.
 ///
-/// A gather opens an epoch ([`LocalTrees::begin`]).  A fresh tree numbers its
-/// nodes in the order the walk first reaches them, and each column records
-/// exactly that order (see [`Column`]), so its packet is a fresh tree's whatever
-/// the arena already held: a stream daemon keeps its trees from wave to wave and
-/// walks each wave into them, a one-shot gather walks a fresh arena.
+/// A gather opens an epoch ([`LocalTrees::begin`]), which sets the domain's
+/// width (the rows' words stay the arena's).  A fresh tree numbers its nodes in
+/// the order the walk first reaches them, and each column records exactly that
+/// order (see [`Column`]), so its packet is a fresh tree's whatever the arena
+/// already held: a stream daemon keeps its trees from wave to wave and walks
+/// each wave into them, and a one-shot gather's daemon walks into an arena an
+/// earlier daemon of the same map left ([`contribute_pooled`]).
 pub(crate) struct LocalTrees<S: WireTaskSet> {
     /// Every node any epoch reached; its own labels stay empty.
     pub(crate) tree: PrefixTree<S>,
@@ -312,10 +359,13 @@ impl<S: WireTaskSet> LocalTrees<S> {
         &self.columns[1]
     }
 
-    /// Open the next epoch: nothing is reached yet but the root.  The trail is
-    /// empty (a walk lets it go), so it is reserved to the epoch's first path as
-    /// a fresh tree's would be.  `one_column`: every task gives one trace.
-    fn begin(&mut self, one_column: bool) {
+    /// Open the next epoch over `width` task positions, as many words a row as
+    /// the arena's: nothing is reached yet but the root.  The trail is empty (a
+    /// walk lets it go), so it is reserved to the epoch's first path as a fresh
+    /// tree's would be.  `one_column`: every task gives one trace.
+    fn begin(&mut self, width: u64, one_column: bool) {
+        debug_assert_eq!(words_for(width), self.wps);
+        self.width = width;
         self.fresh_from = self.tree.node_count();
         self.one_column = one_column;
         for column in &mut self.columns[usize::from(one_column)..] {
@@ -775,6 +825,159 @@ pub(crate) mod tests {
     fn the_daemon_map_ships_the_serial_bytes_and_ids_whatever_the_schedule() {
         daemon_map_matches_the_serial_loop::<DenseBitVector>(Representation::GlobalBitVector);
         daemon_map_matches_the_serial_loop::<SubtreeTaskList>(Representation::HierarchicalTaskList);
+    }
+
+    /// Nodes of `pool`'s arenas whose frame id is past `dict`'s base: a table-local
+    /// id, which would name another frame in the next daemon's table.
+    fn table_local_nodes<S: WireTaskSet>(
+        pool: &Mutex<Vec<LocalTrees<S>>>,
+        dict: &FrameDictionary,
+    ) -> usize {
+        let arenas = pool.lock().expect("no walk panicked");
+        let frames = arenas
+            .iter()
+            .flat_map(|t| (0..t.tree.node_count()).map(|n| t.tree.frame(n)));
+        frames.flatten().filter(|f| f.0 >= dict.base_len()).count()
+    }
+
+    /// The pooled daemon map at workers 1, 2 and 8, one sample (one column) and
+    /// three, against a `StatDaemon::contribute` per daemon, each into a fresh
+    /// arena: the same packets, byte for byte, and the same names at the same
+    /// dictionary ids, from a map over an empty pool (`contribute_all`) and again
+    /// from a second map over the arenas the first left.  The ring hang's hung
+    /// rank opens daemon 5 of 16, so the daemons after it walk into an arena
+    /// holding its stall path.  At one worker the first map leaves one arena,
+    /// walked by the last daemons in a row of one row width and negotiated
+    /// frames alone.
+    fn pooled_map_matches_fresh_arenas<S: WireTaskSet + Send>() {
+        let v = FrameVocabulary::BlueGeneL;
+        let ring = |tasks| RingHangApp::new(tasks, v).with_hung_rank(330);
+        let hints = ring(1_024).frame_hints();
+        let no_stall: Vec<&str> = hints
+            .iter()
+            .copied()
+            .filter(|&h| h != v.send_stall())
+            .collect();
+        // (case, app, negotiated names, epochs of the last arena at one worker:
+        // job-wide rows, rows of the daemon's own tasks).
+        let cases = [
+            // Six daemons of 65 tasks (two words a row of their own), ten of 64 (one).
+            ("64 and 65 tasks", ring(1_030), hints.clone(), (16, 10)),
+            // Twelve daemons of 64 tasks, four of 63: one word a row either way.
+            ("63 and 64 tasks", ring(1_020), hints.clone(), (16, 16)),
+            // The hung daemon interns the stall frame: it is held back and its
+            // arena is not handed on.
+            ("stall frame un-negotiated", ring(1_024), no_stall, (10, 10)),
+        ];
+        let topology = Topology::build(TreeShape::flat(16));
+        for ((case, app, hints, epochs), samples) in cases.iter().flat_map(|c| [(c, 1), (c, 3)]) {
+            let daemons = StatDaemon::partition(app.num_tasks(), 16);
+            let leaves = || daemons.iter().zip(topology.backends().iter().copied());
+            let serial_dict = FrameDictionary::negotiate(hints.iter().copied());
+            let serial: Vec<DaemonContribution> = leaves()
+                .map(|(d, leaf)| d.contribute::<S>(app, samples, leaf, &serial_dict))
+                .collect();
+            for workers in [1usize, 2, 8] {
+                let dict = FrameDictionary::negotiate(hints.iter().copied());
+                let net = InProcessTbon::new(topology.clone()).with_workers(workers);
+                let pool = Mutex::<Vec<LocalTrees<S>>>::default();
+                for pass in ["first map", "second map"] {
+                    let at = format!("{case}, {samples} samples, {workers} workers, {pass}");
+                    let mapped =
+                        contribute_pooled(&net, leaves().collect(), (app, samples), &dict, &pool)
+                            .expect("no worker dies");
+                    assert_eq!(mapped.len(), serial.len(), "{at}");
+                    for (m, s) in mapped.iter().zip(&serial) {
+                        let at = format!("{at}, daemon {}", s.daemon_id);
+                        assert_eq!(m.tree_2d.payload, s.tree_2d.payload, "{at}");
+                        assert_eq!(m.tree_3d.payload, s.tree_3d.payload, "{at}");
+                        assert_eq!(m.rank_map.payload, s.rank_map.payload, "{at}");
+                    }
+                    assert_eq!(names_by_id(&dict), names_by_id(&serial_dict), "{at}");
+                    assert_eq!(table_local_nodes(&pool, &dict), 0, "{at}");
+                    if (workers, pass) == (1, "first map") {
+                        let arenas = pool.lock().expect("no walk panicked");
+                        let want = if S::CONCATENATES { epochs.1 } else { epochs.0 };
+                        let walked: Vec<u32> = arenas.iter().map(|t| t.column_3d().epoch).collect();
+                        assert_eq!(walked, [want], "{at}: epochs of the pooled arenas");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_pooled_daemon_map_ships_each_fresh_arenas_bytes_and_ids() {
+        pooled_map_matches_fresh_arenas::<DenseBitVector>();
+        pooled_map_matches_fresh_arenas::<SubtreeTaskList>();
+    }
+
+    /// Each daemon's tasks walk five frames of the daemon's own, then one of three
+    /// more of its own by rank: no two daemons share a node but the root.
+    struct Disjoint {
+        per_daemon: u64,
+        paths: Vec<Vec<&'static str>>,
+    }
+
+    impl Disjoint {
+        fn new(daemons: u64, per_daemon: u64) -> Self {
+            let name = |d, f| -> &'static str { Box::leak(format!("d{d}_f{f}").into_boxed_str()) };
+            let paths = (0..daemons * 3).map(|p| {
+                let (d, leaf) = (p / 3, 5 + p % 3);
+                (0..5).chain([leaf]).map(|f| name(d, f)).collect()
+            });
+            Disjoint {
+                per_daemon,
+                paths: paths.collect(),
+            }
+        }
+    }
+
+    impl Application for Disjoint {
+        fn name(&self) -> &str {
+            "disjoint"
+        }
+        fn num_tasks(&self) -> u64 {
+            self.paths.len() as u64 / 3 * self.per_daemon
+        }
+        fn call_path(&self, rank: u64, _thread: u32, _sample: u32) -> &[&'static str] {
+            &self.paths[(rank / self.per_daemon * 3 + rank % 3) as usize]
+        }
+        fn frame_hints(&self) -> Vec<&'static str> {
+            self.paths.iter().flatten().copied().collect()
+        }
+    }
+
+    fn pooled_arenas_stay_within_twice_a_daemon_tree<S: WireTaskSet + Send>() {
+        let app = Disjoint::new(16, 64);
+        let dict = FrameDictionary::negotiate(app.frame_hints());
+        let daemons = StatDaemon::partition(app.num_tasks(), 16);
+        let topology = Topology::build(TreeShape::flat(16));
+        for workers in [1usize, 2] {
+            let net = InProcessTbon::new(topology.clone()).with_workers(workers);
+            let pool = Mutex::<Vec<LocalTrees<S>>>::default();
+            let leaves = daemons.iter().zip(topology.backends().iter().copied());
+            let mapped = contribute_pooled(&net, leaves.collect(), (&app, 1), &dict, &pool)
+                .expect("no worker dies");
+            let tree = |c: &DaemonContribution| {
+                let (tree, _): (PrefixTree<S>, _) = decode_tree(&c.tree_3d.payload).unwrap();
+                tree.node_count()
+            };
+            let largest = mapped.iter().map(tree).max().unwrap_or(0);
+            let arenas = pool.lock().expect("no walk panicked");
+            let held: Vec<usize> = arenas.iter().map(|t| t.tree.node_count()).collect();
+            assert!(!held.is_empty(), "{workers} workers: no arena went back");
+            assert!(
+                held.iter().all(|&n| n <= 2 * largest),
+                "{workers} workers: arenas of {held:?} nodes, daemon trees of at most {largest}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_pooled_arena_holds_at_most_twice_a_daemon_tree() {
+        pooled_arenas_stay_within_twice_a_daemon_tree::<DenseBitVector>();
+        pooled_arenas_stay_within_twice_a_daemon_tree::<SubtreeTaskList>();
     }
 
     /// 64-bit FNV-1a over every daemon's contribution, in daemon order: one digest

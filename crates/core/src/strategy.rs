@@ -26,7 +26,7 @@ use tbon::filter::Filter;
 use tbon::network::{InProcessTbon, ReductionOutcome, TbonError};
 use tbon::packet::EndpointId;
 
-use crate::daemon::{map_daemons, DaemonContribution, LocalTrees, StatDaemon};
+use crate::daemon::{contribute_pooled, DaemonContribution, StatDaemon};
 use crate::error::{MergeChannel, StatError};
 use crate::filter::StatMergeFilter;
 use crate::frontend::Representation;
@@ -73,7 +73,9 @@ pub trait RepresentationStrategy: sealed::Sealed + Send + Sync {
     /// workers in the order given (backend order), through the one daemon map
     /// (`daemon::map_daemons`) a streaming wave runs too: the packets and frame
     /// ids are a serial loop's whatever the schedule, and a daemon whose walk
-    /// panics is [`TbonError::PoolPoisoned`].
+    /// panics is [`TbonError::PoolPoisoned`].  A daemon walks into the local
+    /// trees an earlier daemon of the call left, not a fresh arena; no arena
+    /// outlives the call.
     fn contribute_all(
         &self,
         daemons: Vec<(&StatDaemon, EndpointId)>,
@@ -153,17 +155,8 @@ impl<D: Domain> RepresentationStrategy for DomainStrategy<D> {
         dict: &FrameDictionary,
         net: &InProcessTbon,
     ) -> Result<Vec<DaemonContribution>, TbonError> {
-        map_daemons::<TaskSet<D>, _, _>(
-            net,
-            daemons,
-            |(daemon, leaf), dict| {
-                let trees = LocalTrees::new(daemon.leaf_width::<TaskSet<D>>());
-                (*daemon, dict.table(), trees, *leaf)
-            },
-            (app, 0..samples_per_task),
-            dict,
-            &|_, _, contribution, _| contribution,
-        )
+        let pool = Default::default();
+        contribute_pooled::<TaskSet<D>>(net, daemons, (app, samples_per_task), dict, &pool)
     }
 
     fn merge_filter(&self) -> Box<dyn Filter> {
