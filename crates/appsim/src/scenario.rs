@@ -38,7 +38,7 @@
 //!     classes: vec![
 //!         DiagnosedClass {
 //!             frames: vec!["_start".into(), "main".into(), "PMPI_Recv".into()],
-//!             ranks: vec![0, 1],
+//!             ranks: [0, 1].into_iter().collect(),
 //!         },
 //!         DiagnosedClass {
 //!             frames: vec!["_start".into(), "main".into(), "PMPI_Barrier".into()],
@@ -50,7 +50,7 @@
 //!
 //! // ...and rejects one that blames an innocent rank.
 //! let mut bad = good.clone();
-//! bad.classes[0].ranks = vec![0, 5];
+//! bad.classes[0].ranks = [0, 5].into_iter().collect();
 //! bad.classes[1].ranks = (1..64).filter(|&r| r != 5).collect();
 //! let verdict = deadlock.truth.check(&deadlock.name, &bad);
 //! assert!(!verdict.passed());
@@ -66,6 +66,7 @@ use crate::ring::RingHangApp;
 use crate::vocab::FrameVocabulary;
 use crate::workloads::{self, RandomFaultFlavor};
 use simkit::rng::DeterministicRng;
+use stackwalk::RankSet;
 
 /// One frame-level expectation: the set of ranks that must appear in (exactly the
 /// union of) the behaviour classes whose call path contains `frame`.
@@ -112,22 +113,29 @@ impl GroundTruth {
         self.isolations.first().map(|i| i.frame)
     }
 
-    /// Judge a diagnosis against this ground truth, check by check, in time
-    /// linear in the diagnosis: coverage reads one bitmap of `tasks` bits, and a
-    /// rank's isolation and separation are looked up among the faulty ranks.
+    /// Judge a diagnosis against this ground truth, check by check: the classes'
+    /// rank sets are united into one set per check ([`RankSet::union_of`]: every
+    /// class for coverage, the classes under a frame for isolation, the
+    /// undistinguished crowd for clean separation), and the lost and faulty
+    /// ranks are looked up in it.  The cost is the words or members each class
+    /// keeps, not the job's ranks.
     pub fn check(&self, scenario: &str, diagnosis: &Diagnosis) -> Verdict {
         let (mut checks, tasks, classes) = (Vec::new(), diagnosis.tasks, &diagnosis.classes);
-        let lost = RankSet::new(tasks, diagnosis.lost_ranks.iter().copied());
+        let lost: RankSet = diagnosis.lost_ranks.iter().copied().collect();
         let under = |c: &DiagnosedClass, frame| c.frames.iter().any(|f| f == frame);
+        let union = |keep: &dyn Fn(&DiagnosedClass) -> bool| {
+            RankSet::union_of(classes.iter().filter(|c| keep(c)).map(|c| &c.ranks))
+        };
 
         // 1. Coverage: every rank the (possibly degraded) session still covers
         // appears in at least one class, and no class invents a rank.
-        let seen = RankSet::new(tasks, classes.iter().flat_map(|c| c.ranks.iter().copied()));
-        let expected = tasks - lost.within();
-        let disjoint = seen.words.iter().zip(&lost.words).all(|(s, l)| s & l == 0);
+        let seen = union(&|_| true);
+        let invented = seen.last().is_some_and(|r| r >= tasks);
+        let disjoint = lost.iter().all(|r| !seen.contains(r));
+        let expected = tasks - lost.iter().take_while(|&r| r < tasks).count() as u64;
         checks.push(Check {
             name: "coverage",
-            passed: seen.beyond.is_empty() && disjoint && seen.within() == expected,
+            passed: !invented && disjoint && seen.len() == expected,
             detail: format!(
                 "{} of {} covered ranks appear in classes ({} lost to daemon faults)",
                 seen.len(),
@@ -148,8 +156,7 @@ impl GroundTruth {
         // 3. Isolation: the union of the classes under each distinguishing frame
         // is exactly the injected ranks (minus any lost to daemon faults).
         for isolation in &self.isolations {
-            let flagged = classes.iter().filter(|c| under(c, isolation.frame));
-            let flagged = RankSet::new(tasks, flagged.flat_map(|c| c.ranks.iter().copied()));
+            let flagged = union(&|c| under(c, isolation.frame));
             let mut injected: Vec<u64> = isolation.ranks.clone();
             injected.retain(|&r| !lost.contains(r));
             injected.sort_unstable();
@@ -157,7 +164,7 @@ impl GroundTruth {
             let found = injected.iter().all(|&r| flagged.contains(r));
             checks.push(Check {
                 name: "isolation",
-                passed: distinct && found && flagged.len() == injected.len(),
+                passed: distinct && found && flagged.len() == injected.len() as u64,
                 detail: format!(
                     "`{}` isolates {} ranks, expected {} (injected: {:?}...)",
                     isolation.frame,
@@ -173,14 +180,9 @@ impl GroundTruth {
         // deduplicates members, so without this a merge regression that listed a
         // faulty rank in both its fault class and the healthy crowd would pass.
         if !self.isolations.is_empty() {
-            let faulty = RankSet::new(tasks, self.faulty_ranks());
-            let crowd = classes
-                .iter()
-                .filter(|c| !self.isolations.iter().any(|i| under(c, i.frame)));
-            let crowd = crowd.flat_map(|c| c.ranks.iter().copied());
-            let mut leaked: Vec<u64> = crowd.filter(|&r| faulty.contains(r)).collect();
-            leaked.sort_unstable();
-            leaked.dedup();
+            let crowd = union(&|c| !self.isolations.iter().any(|i| under(c, i.frame)));
+            let mut leaked = self.faulty_ranks();
+            leaked.retain(|&r| crowd.contains(r));
             checks.push(Check {
                 name: "clean-separation",
                 passed: leaked.is_empty(),
@@ -222,42 +224,6 @@ impl GroundTruth {
     }
 }
 
-/// Distinct ranks: a bitmap over `0..tasks`, and the (few) ranks past it.
-struct RankSet {
-    words: Vec<u64>,
-    beyond: BTreeSet<u64>,
-}
-
-impl RankSet {
-    fn new(tasks: u64, ranks: impl IntoIterator<Item = u64>) -> Self {
-        let (words, beyond) = (vec![0; tasks.div_ceil(64) as usize], BTreeSet::new());
-        let mut set = RankSet { words, beyond };
-        for rank in ranks {
-            let word = set.words.get_mut((rank / 64) as usize);
-            match word.filter(|_| rank < tasks) {
-                Some(word) => *word |= 1 << (rank % 64),
-                None => _ = set.beyond.insert(rank),
-            }
-        }
-        set
-    }
-
-    /// How many of the ranks lie in `0..tasks`.
-    fn within(&self) -> u64 {
-        self.words.iter().map(|w| u64::from(w.count_ones())).sum()
-    }
-
-    fn len(&self) -> usize {
-        self.within() as usize + self.beyond.len()
-    }
-
-    /// A bit past `tasks` in the last word is never set.
-    fn contains(&self, rank: u64) -> bool {
-        let word = self.words.get((rank / 64) as usize);
-        word.is_some_and(|w| w >> (rank % 64) & 1 == 1) || self.beyond.contains(&rank)
-    }
-}
-
 /// A representation-agnostic summary of what a finished session concluded: the
 /// behaviour classes by frame *name* plus which ranks a degraded gather lost.
 ///
@@ -273,13 +239,16 @@ pub struct Diagnosis {
     pub classes: Vec<DiagnosedClass>,
 }
 
-/// One behaviour class of a [`Diagnosis`]: a call path by frame name plus members.
+/// One behaviour class of a [`Diagnosis`]: a call path by frame name plus its
+/// rank set.  `stat_core::scenario::diagnose` copies the front end's class's
+/// set, words or list as it is kept; a hand-built class collects one, as in
+/// `(2..64).collect()`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DiagnosedClass {
     /// The call path, outermost frame first, by name.
     pub frames: Vec<String>,
-    /// The MPI ranks in the class, ascending.
-    pub ranks: Vec<u64>,
+    /// The MPI ranks in the class.
+    pub ranks: RankSet,
 }
 
 /// One pass/fail check of a [`Verdict`], with human-readable detail.
@@ -646,7 +615,7 @@ mod tests {
                 .into_iter()
                 .map(|(frames, ranks)| DiagnosedClass {
                     frames: frames.into_iter().map(String::from).collect(),
-                    ranks,
+                    ranks: ranks.into_iter().collect(),
                 })
                 .collect(),
         }
@@ -882,7 +851,7 @@ mod tests {
         let mut seen: Vec<u64> = diagnosis
             .classes
             .iter()
-            .flat_map(|c| c.ranks.iter().copied())
+            .flat_map(|c| c.ranks.iter())
             .collect();
         seen.sort_unstable();
         seen.dedup();
@@ -914,7 +883,7 @@ mod tests {
                 .classes
                 .iter()
                 .filter(|c| c.frames.iter().any(|f| f == isolation.frame))
-                .flat_map(|c| c.ranks.iter().copied())
+                .flat_map(|c| c.ranks.iter())
                 .collect();
             flagged.sort_unstable();
             flagged.dedup();
@@ -953,7 +922,7 @@ mod tests {
                         .iter()
                         .any(|i| c.frames.iter().any(|f| f == i.frame))
                 })
-                .flat_map(|c| c.ranks.iter().copied())
+                .flat_map(|c| c.ranks.iter())
                 .filter(|r| faulty.contains(r))
                 .collect();
             leaked.sort_unstable();
@@ -1003,6 +972,19 @@ mod tests {
         }
     }
 
+    /// Keep in every class of `d` only the ranks `keep` accepts.
+    fn retain(d: &mut Diagnosis, keep: impl Fn(u64) -> bool) {
+        for class in &mut d.classes {
+            class.ranks = class.ranks.iter().filter(|&r| keep(r)).collect();
+        }
+    }
+
+    /// Add `ranks` to class `class` of `d`.
+    fn add(d: &mut Diagnosis, class: usize, ranks: &[u64]) {
+        let ranks = d.classes[class].ranks.iter().chain(ranks.iter().copied());
+        d.classes[class].ranks = ranks.collect();
+    }
+
     /// Every check of a verdict as (name, passed, detail).
     fn checks_of(verdict: &Verdict) -> Vec<(&'static str, bool, String)> {
         let checks = verdict.checks.iter();
@@ -1029,7 +1011,7 @@ mod tests {
         }
         let classes = by_path.into_iter().map(|(frames, ranks)| DiagnosedClass {
             frames: frames.into_iter().map(String::from).collect(),
-            ranks,
+            ranks: ranks.into_iter().collect(),
         });
         Diagnosis {
             tasks: app.num_tasks(),
@@ -1062,62 +1044,44 @@ mod tests {
                 mutants.push((name, d));
             };
             mutate("a dropped rank", &|d| {
-                d.classes
-                    .iter_mut()
-                    .for_each(|c| c.ranks.retain(|&r| r != 700));
+                retain(d, |r| r != 700);
             });
             mutate("a rank in two classes", &|d| {
-                let moved = d.classes[0].ranks[0];
-                d.classes.last_mut().unwrap().ranks.push(moved);
+                let moved = d.classes[0].ranks.iter().next().unwrap();
+                add(d, d.classes.len() - 1, &[moved]);
             });
-            mutate("a rank twice in one class", &|d| {
-                let twice = d.classes[0].ranks[0];
-                d.classes[0].ranks.push(twice);
-            });
-            mutate("a rank past the job", &|d| {
-                d.classes[0].ranks.push(tasks + 3)
-            });
+            mutate("a rank past the job", &|d| add(d, 0, &[tasks + 3]));
             mutate("two ranks far past the job", &|d| {
-                d.classes[0].ranks.extend([u64::MAX, tasks + 64, u64::MAX]);
+                add(d, 0, &[u64::MAX, tasks + 64, u64::MAX]);
             });
             if let (Some(crowd), Some(&faulty)) = (crowd, truth.faulty_ranks().first()) {
                 mutate("a faulty rank leaked into the crowd", &|d| {
-                    d.classes[crowd].ranks.push(faulty);
+                    add(d, crowd, &[faulty]);
                 });
             }
             mutate("a faulty rank dropped", &|d| {
                 let faulty = truth.faulty_ranks();
-                d.classes
-                    .iter_mut()
-                    .for_each(|c| c.ranks.retain(|r| faulty.first() != Some(r)));
+                retain(d, |r| faulty.first() != Some(&r));
             });
             mutate("lost ranks", &|d| {
                 d.lost_ranks = (960..1_024).collect();
-                d.classes
-                    .iter_mut()
-                    .for_each(|c| c.ranks.retain(|&r| r < 960));
+                retain(d, |r| r < 960);
             });
             mutate("lost ranks still in classes", &|d| {
                 d.lost_ranks = vec![1, 2, 3, 1_000]
             });
             mutate("lost ranks repeated and past the job", &|d| {
                 d.lost_ranks = vec![5, 5, tasks, tasks + 1, tasks];
-                d.classes
-                    .iter_mut()
-                    .for_each(|c| c.ranks.retain(|&r| r != 5));
+                retain(d, |r| r != 5);
             });
             mutate("every faulty rank lost", &|d| {
                 d.lost_ranks = truth.faulty_ranks();
                 let lost = truth.faulty_ranks();
-                d.classes
-                    .iter_mut()
-                    .for_each(|c| c.ranks.retain(|r| !lost.contains(r)));
+                retain(d, |r| !lost.contains(&r));
             });
             mutate("a lost rank shown in place of a covered one", &|d| {
                 d.lost_ranks = vec![5];
-                d.classes
-                    .iter_mut()
-                    .for_each(|c| c.ranks.retain(|&r| r != 700));
+                retain(d, |r| r != 700);
             });
             mutate("an empty diagnosis", &|d| d.classes.clear());
             mutate("an empty job", &|d| d.tasks = 0);
@@ -1128,12 +1092,12 @@ mod tests {
                 let under_fault = |c: &DiagnosedClass| c.frames.iter().any(|f| f == first.frame);
                 if let Some(flagged) = base.classes.iter().position(under_fault) {
                     mutate("a rank past the job under the fault", &|d| {
-                        d.classes[flagged].ranks.push(tasks + 5)
+                        add(d, flagged, &[tasks + 5])
                     });
                 }
                 if let Some(crowd) = crowd {
                     mutate("a rank past the job in the crowd", &|d| {
-                        d.classes[crowd].ranks.push(tasks + 5)
+                        add(d, crowd, &[tasks + 5])
                     });
                 }
                 let (mut doubled, mut past) = (truth.clone(), truth.clone());

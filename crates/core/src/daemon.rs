@@ -411,7 +411,9 @@ impl<S: WireTaskSet> LocalTrees<S> {
     }
 
     /// Both trees as v2 packet bodies (a one-column epoch's 2D tree is its 3D),
-    /// each in first-touch order.  The 2D column is then let go.
+    /// each in first-touch order.  Both columns stay: the next epoch's stamps
+    /// make the rows this one left unreadable, so an arena handed on in a pool
+    /// keeps its 2D rows and stamps instead of growing them again.
     fn encode(&mut self, table: &FrameTable, dict: &FrameDictionary) -> (Option<Vec<u8>>, Vec<u8>) {
         let body = |column: &Column| {
             let links = column
@@ -425,8 +427,13 @@ impl<S: WireTaskSet> LocalTrees<S> {
         // The 2D tree first: the encode interns un-negotiated names in tree order.
         let tree_2d = (!self.one_column).then(|| body(&self.columns[0]));
         let tree_3d = body(&self.columns[1]);
-        self.columns[0] = Column::new(self.wps);
         (tree_2d, tree_3d)
+    }
+
+    /// Let the 2D column go: a stream daemon keeps its arena from wave to wave
+    /// and folds only the 3D rows, so its resident bytes stay one column's.
+    pub(crate) fn release_2d(&mut self) {
+        self.columns[0] = Column::new(self.wps);
     }
 
     /// One column's tree as a labelled tree, its nodes in first-touch order.
@@ -910,6 +917,27 @@ pub(crate) mod tests {
     fn the_pooled_daemon_map_ships_each_fresh_arenas_bytes_and_ids() {
         pooled_map_matches_fresh_arenas::<DenseBitVector>();
         pooled_map_matches_fresh_arenas::<SubtreeTaskList>();
+    }
+
+    #[test]
+    fn a_pooled_arena_keeps_its_2d_column_from_daemon_to_daemon() {
+        // At one worker the sixteen 64-task daemons of a three-sample ring hang
+        // walk one arena in a row: its 2D column has seen every epoch its 3D
+        // column has, instead of starting over after each daemon's encode.
+        let app = RingHangApp::new(1_024, FrameVocabulary::BlueGeneL).with_hung_rank(330);
+        let dict = FrameDictionary::negotiate(app.frame_hints());
+        let daemons = StatDaemon::partition(app.num_tasks(), 16);
+        let topology = Topology::build(TreeShape::flat(16));
+        let net = InProcessTbon::new(topology.clone()).with_workers(1);
+        let pool = Mutex::<Vec<LocalTrees<SubtreeTaskList>>>::default();
+        let leaves = daemons.iter().zip(topology.backends().iter().copied());
+        contribute_pooled(&net, leaves.collect(), (&app, 3), &dict, &pool).expect("no worker dies");
+        let arenas = pool.lock().expect("no walk panicked");
+        let epochs: Vec<[u32; 2]> = arenas
+            .iter()
+            .map(|t| t.columns.each_ref().map(|c| c.epoch))
+            .collect();
+        assert_eq!(epochs, [[16, 16]]);
     }
 
     /// Each daemon's tasks walk five frames of the daemon's own, then one of three

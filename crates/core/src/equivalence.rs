@@ -12,39 +12,41 @@
 //! A task belongs to the class of the *deepest* node its traces reach, so a node's
 //! class is its **remainder**: `tasks(node) AND NOT (tasks(child₁) OR tasks(child₂)
 //! …)`.  Edge labels are packed bit vectors, so the remainder is one
-//! [`TaskSetOps::subtract`] per child into a reusable scratch copy of the node's
-//! label and one [`TaskSetOps::is_empty_set`] to skip the (overwhelmingly common)
+//! `TaskSetOps::subtract` per child into a reusable scratch copy of the node's
+//! label and one `TaskSetOps::is_empty_set` to skip the (overwhelmingly common)
 //! empty result — O(Σ_nodes (1 + children) × words), 16,384 word operations per node
-//! at a million tasks, with members touched only to materialise the few classes that
-//! exist.  (The per-member hash-set formulation this replaced cost ≈2 M hash
-//! operations per interior node at that scale; it survives as the unit tests'
-//! reference.)
+//! at a million tasks.  A class keeps its remainder as a [`RankSet`], words or
+//! listed members, whichever are fewer: one job-wide bitmap for the healthy crowd,
+//! one word for the hung rank, never more than its members listed.  (The per-member
+//! hash-set formulation this replaced survives as the tests' reference.)
 
-use stackwalk::{FrameId, FrameTable};
+use stackwalk::{FrameId, FrameTable, RankSet};
 
-use crate::graph::{NodeIdx, PrefixTree};
-use crate::taskset::{format_rank_ranges, TaskSetOps};
+use crate::graph::PrefixTree;
+use crate::serialize::WireTaskSet;
+use crate::taskset::format_rank_ranges;
 
-/// One behaviour class: a call path and the tasks that exhibit it.
+/// One behaviour class: a call path and the set of tasks that exhibit it, the
+/// merged tree's remainder at the path's node (MPI ranks for a global tree;
+/// subtree-local positions for a subtree tree, to remap before presenting them).
 #[derive(Clone, Debug, PartialEq)]
 pub struct EquivalenceClass {
     /// The call path, outermost frame first.
     pub path: Vec<FrameId>,
-    /// The member tasks, ascending.  For a global tree these are MPI ranks; for a
-    /// subtree tree they are subtree-local positions (remap before presenting them).
-    pub tasks: Vec<u64>,
+    /// The member tasks, as words or listed, whichever is smaller.
+    pub tasks: RankSet,
 }
 
 impl EquivalenceClass {
     /// Number of member tasks.
     pub fn size(&self) -> usize {
-        self.tasks.len()
+        self.tasks.len() as usize
     }
 
     /// A representative task to hand to a heavyweight debugger (the smallest member,
     /// matching STAT's default of picking the lowest rank).
     pub fn representative(&self) -> Option<u64> {
-        self.tasks.first().copied()
+        self.tasks.iter().next()
     }
 
     /// Render the path as `frame > frame > frame`.
@@ -58,35 +60,7 @@ impl EquivalenceClass {
 
     /// Render the member set the way Figure 1 labels edges.
     pub fn tasks_string(&self) -> String {
-        format_rank_ranges(self.tasks.iter().copied(), 8)
-    }
-}
-
-/// Visit every node whose remainder — the tasks on its incoming edge that are on
-/// none of its children's edges — is non-empty, in node-index order.  The root
-/// counts: its remainder is the tasks whose every trace was empty, the ones the
-/// walker could not walk, and they form the class of the empty path.
-///
-/// Every label of one tree shares the tree's width (`subtract` asserts it), so one
-/// scratch set serves every interior node; a childless node's remainder is its own
-/// label and is visited without a copy.
-fn for_each_remainder<S: TaskSetOps>(tree: &PrefixTree<S>, mut visit: impl FnMut(NodeIdx, &S)) {
-    let mut scratch = S::empty(0);
-    for node in 0..tree.node_count() {
-        let label = tree.tasks(node);
-        let children = tree.children(node);
-        let remainder = if children.is_empty() {
-            label
-        } else {
-            scratch.clone_from(label);
-            for &child in children {
-                scratch.subtract(tree.tasks(child));
-            }
-            &scratch
-        };
-        if !remainder.is_empty_set() {
-            visit(node, remainder);
-        }
+        format_rank_ranges(self.tasks.iter(), 8)
     }
 }
 
@@ -95,26 +69,34 @@ fn for_each_remainder<S: TaskSetOps>(tree: &PrefixTree<S>, mut visit: impl FnMut
 /// A task belongs to the class of the *deepest* node its traces reach: for every
 /// node, the class members are the tasks on that node's incoming edge that do not
 /// appear on any of its children's edges.  (Taking only leaves would mis-classify a
-/// task whose entire trace is a prefix of some other task's trace.)  Computed word
-/// by word — see the module docs — so the cost is per node, not per task.
+/// task whose entire trace is a prefix of some other task's trace.)  The root
+/// counts: its remainder is the tasks whose every trace was empty, the class of the
+/// empty path.  Every label of a tree shares its width, so one scratch set serves
+/// every interior node; a class keeps [`RankSet::from_words`] of its remainder.
 ///
-/// Members are ascending; classes are ordered largest first, ties by path.
-pub fn equivalence_classes<S: TaskSetOps>(tree: &PrefixTree<S>) -> Vec<EquivalenceClass> {
-    let mut classes: Vec<EquivalenceClass> = Vec::new();
-    for_each_remainder(tree, |node, remainder| {
-        classes.push(EquivalenceClass {
-            path: tree.path_to(node),
-            tasks: remainder.members(),
-        });
-    });
+/// Classes are ordered largest first, ties by path.
+pub fn equivalence_classes<S: WireTaskSet>(tree: &PrefixTree<S>) -> Vec<EquivalenceClass> {
+    let (mut classes, mut scratch) = (Vec::new(), S::empty(0));
+    for node in 0..tree.node_count() {
+        let remainder = match tree.children(node) {
+            [] => tree.tasks(node),
+            children => {
+                scratch.clone_from(tree.tasks(node));
+                children
+                    .iter()
+                    .for_each(|&c| scratch.subtract(tree.tasks(c)));
+                &scratch
+            }
+        };
+        if !remainder.is_empty_set() {
+            let tasks = RankSet::from_words(remainder.words());
+            let path = tree.path_to(node);
+            classes.push(EquivalenceClass { path, tasks });
+        }
+    }
     // Largest classes first: the user looks at the outliers (smallest classes) last
     // in the visualisation but the sort makes reports deterministic.
-    classes.sort_by(|a, b| {
-        b.tasks
-            .len()
-            .cmp(&a.tasks.len())
-            .then_with(|| a.path.cmp(&b.path))
-    });
+    classes.sort_by(|a, b| b.size().cmp(&a.size()).then_with(|| a.path.cmp(&b.path)));
     classes
 }
 
@@ -126,7 +108,7 @@ mod tests {
     use crate::frontend::{GatherResult, MergeMetrics, Representation};
     use crate::graph::GlobalPrefixTree;
     use crate::session::Session;
-    use crate::taskset::{DenseBitVector, SubtreeTaskList};
+    use crate::taskset::{DenseBitVector, SubtreeTaskList, TaskSetOps};
     use appsim::{gather_samples_for_ranks, Application, FrameVocabulary, RingHangApp};
     use machine::{BglMode, Cluster};
     use stackwalk::StackTrace;
@@ -142,11 +124,8 @@ mod tests {
                 .iter()
                 .flat_map(|&c| tree.tasks(c).iter_members())
                 .collect();
-            let tasks: Vec<u64> = tree
-                .tasks(node)
-                .iter_members()
-                .filter(|t| !deeper.contains(t))
-                .collect();
+            let members = tree.tasks(node).iter_members();
+            let tasks: RankSet = members.filter(|t| !deeper.contains(t)).collect();
             if !tasks.is_empty() {
                 classes.push(EquivalenceClass {
                     path: tree.path_to(node),
@@ -154,12 +133,7 @@ mod tests {
                 });
             }
         }
-        classes.sort_by(|a, b| {
-            b.tasks
-                .len()
-                .cmp(&a.tasks.len())
-                .then_with(|| a.path.cmp(&b.path))
-        });
+        classes.sort_by(|a, b| b.size().cmp(&a.size()).then_with(|| a.path.cmp(&b.path)));
         classes
     }
 
@@ -215,7 +189,7 @@ mod tests {
         assert_eq!(classes[0].size(), 1_022);
         assert!(classes[0].path_string(&table).contains("PMPI_Barrier"));
         // The two singletons are ranks 1 and 2.
-        let singles: Vec<u64> = classes[1..].iter().flat_map(|c| c.tasks.clone()).collect();
+        let singles: Vec<u64> = classes[1..].iter().flat_map(|c| c.tasks.iter()).collect();
         assert_eq!(
             {
                 let mut s = singles.clone();
@@ -296,9 +270,9 @@ mod tests {
         assert_eq!(classes, reference_classes(&tree));
         assert_eq!(classes.len(), 2);
         assert_eq!(classes[0].path_string(&table), "main > solve");
-        assert_eq!(classes[0].tasks, vec![1, 2]);
+        assert_eq!(classes[0].tasks, [1, 2].into_iter().collect());
         assert_eq!(classes[1].path_string(&table), "main");
-        assert_eq!(classes[1].tasks, vec![0]);
+        assert_eq!(classes[1].tasks, [0].into_iter().collect());
         assert_eq!(attach_set(&tree), vec![0, 1]);
     }
 
@@ -323,9 +297,9 @@ mod tests {
         assert_eq!(classes.len(), 2);
         // Equal sizes tie-break by path, and the empty path sorts first.
         assert!(classes[0].path.is_empty());
-        assert_eq!(classes[0].tasks, vec![1, 3]);
+        assert_eq!(classes[0].tasks, [1, 3].into_iter().collect());
         assert_eq!(classes[0].path_string(&FrameTable::new()), "");
-        assert_eq!(classes[1].tasks, vec![0, 2]);
+        assert_eq!(classes[1].tasks, [0, 2].into_iter().collect());
         // The debugger is offered one of the tasks the tool could not walk.
         assert_eq!(attach_set(&tree), vec![0, 1]);
     }
@@ -350,13 +324,13 @@ mod tests {
         assert_eq!(classes, reference_classes(&tree));
         let paths: Vec<String> = classes.iter().map(|c| c.path_string(&table)).collect();
         assert_eq!(paths, ["main > recv", "main > send", "main > recv > poll"]);
-        assert_eq!(classes[0].tasks, vec![1, 2]);
+        assert_eq!(classes[0].tasks, [1, 2].into_iter().collect());
     }
 
     /// Every position of a `width`-wide tree is classified exactly once, under
     /// both label types — position `i` ends at depth `1 + i % 3` of a shared spine,
     /// so classes form at interior nodes and straddle the last, partial word.
-    fn assert_ragged_width_partitions<S: TaskSetOps>(width: u64) {
+    fn assert_ragged_width_partitions<S: WireTaskSet>(width: u64) {
         let spine = ["main", "step", "wait"];
         let traces: Vec<(u64, &[&str])> = (0..width)
             .map(|i| (i, &spine[..1 + (i % 3) as usize]))
@@ -365,7 +339,7 @@ mod tests {
         let classes = equivalence_classes(&tree);
         assert_eq!(classes, reference_classes(&tree));
         assert_eq!(classes.len(), 3);
-        let mut all: Vec<u64> = classes.iter().flat_map(|c| c.tasks.clone()).collect();
+        let mut all: Vec<u64> = classes.iter().flat_map(|c| c.tasks.iter()).collect();
         all.sort_unstable();
         assert_eq!(all, (0..width).collect::<Vec<u64>>());
     }
@@ -379,6 +353,26 @@ mod tests {
     }
 
     #[test]
+    fn many_small_classes_are_the_reference_classes() {
+        // Ranks dealt round robin over 256 paths: each class holds 16 of 4,096
+        // ranks, fewer than a job-wide set's 64 words, so each is kept as a list.
+        let paths: Vec<[String; 2]> = (0..256).map(|k| ["main".into(), format!("k{k}")]).collect();
+        let traces: Vec<Vec<&str>> = paths.iter().map(|p| vec![&*p[0], &*p[1]]).collect();
+        let traces: Vec<(u64, &[&str])> = (0..4_096)
+            .map(|r| (r, &*traces[r as usize % 256]))
+            .collect();
+        let (tree, _): (GlobalPrefixTree, _) = tree_of(4_096, &traces);
+        let classes = equivalence_classes(&tree);
+        assert_eq!(classes, reference_classes(&tree));
+        assert_eq!(classes.len(), 256);
+        assert!(classes.iter().all(|c| c.size() == 16));
+        let ranks: Vec<u64> = (0..16).map(|i| 5 + 256 * i).collect();
+        assert!(classes
+            .iter()
+            .any(|c| c.tasks.iter().eq(ranks.iter().copied())));
+    }
+
+    #[test]
     fn a_million_task_ring_hang_classifies_word_by_word() {
         // Affordable as a unit test only because classification no longer touches
         // members: 16,384 words per node, not a million hash probes.
@@ -387,15 +381,16 @@ mod tests {
         let classes = equivalence_classes(&tree);
         let sizes: Vec<usize> = classes.iter().map(EquivalenceClass::size).collect();
         assert_eq!(sizes.first().copied(), sizes.iter().copied().max());
-        assert!(classes.iter().any(|c| c.tasks == [1]), "the hung rank");
-        assert!(classes.iter().any(|c| c.tasks == [2]), "its victim");
-        // The classes cover 0..TASKS exactly: `insert` rejects an invented rank,
-        // and sizes summing to the covered count rules out a double count.
-        let mut covered = DenseBitVector::empty(TASKS);
-        for &task in classes.iter().flat_map(|c| &c.tasks) {
-            covered.insert(task);
-        }
-        assert_eq!(covered.count(), TASKS);
+        let single = |rank| {
+            let mut singletons = classes.iter().filter(|c| c.size() == 1);
+            singletons.any(|c| c.representative() == Some(rank))
+        };
+        assert!(single(1), "the hung rank");
+        assert!(single(2), "its victim");
+        // The classes cover 0..TASKS exactly: no class reaches past the job, and
+        // sizes summing to the covered count rules out a double count.
+        let covered = RankSet::union_of(classes.iter().map(|c| &c.tasks));
+        assert_eq!((covered.len(), covered.last()), (TASKS, Some(TASKS - 1)));
         assert_eq!(sizes.iter().sum::<usize>() as u64, TASKS);
 
         let attach = attach_set(&tree);

@@ -52,8 +52,8 @@ use crate::session::{Session, SessionReport};
 use crate::streaming::{StreamingBuilder, WaveReport};
 
 /// Convert a finished gather into the representation-agnostic [`Diagnosis`] the
-/// scenario verdict checkers consume: classes by frame *name*, plus the ranks a
-/// degraded gather lost.
+/// scenario verdict checkers consume: classes by frame *name*, each with a copy
+/// of its task set, plus the ranks a degraded gather lost.
 pub fn diagnose(gather: &GatherResult, tasks: u64, lost_ranks: Vec<u64>) -> Diagnosis {
     let classes = gather
         .classes
@@ -320,12 +320,7 @@ mod tests {
         // The lost ranks are exactly the tail daemon's slice: high ranks, so the
         // injected bug (ranks 1 and 2) stayed covered.
         assert!(run.diagnosis.lost_ranks.iter().all(|&r| r > 2));
-        let covered: u64 = run
-            .diagnosis
-            .classes
-            .iter()
-            .map(|c| c.ranks.len() as u64)
-            .sum();
+        let covered: u64 = run.diagnosis.classes.iter().map(|c| c.ranks.len()).sum();
         assert!(covered >= 256 - run.diagnosis.lost_ranks.len() as u64);
     }
 

@@ -387,6 +387,7 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
             &|(stream, leaf), table, mut contribution, trees| {
                 let delta_start = Instant::now();
                 (stream.table, stream.trees) = (table, trees);
+                stream.trees.release_2d();
                 let (delta_payload, added) = stream.fold_delta(&self.dict);
                 contribution.local_merge_wall += delta_start.elapsed();
                 if added || stream.full_bytes == 0 {

@@ -10,6 +10,8 @@
 //!   negotiates at session setup, so packets carry u32 ids instead of names;
 //! * [`trace`] — stack traces and per-task sample series (the "space" and "time"
 //!   dimensions of STAT's 2D and 3D prefix trees);
+//! * [`RankSet`] — a set of tasks by rank, as packed words or a list, whichever
+//!   is smaller: what a behaviour class holds;
 //! * [`symtab`] — the binary images whose symbol tables a daemon reads
 //!   before it can symbolise its first trace;
 //! * [`sampler`] — the real walker that converts an application's in-memory stack
@@ -21,12 +23,14 @@
 
 pub mod dictionary;
 pub mod frame;
+mod ranks;
 pub mod sampler;
 pub mod symtab;
 pub mod trace;
 
 pub use dictionary::FrameDictionary;
 pub use frame::{FrameId, FrameTable};
+pub use ranks::RankSet;
 pub use sampler::{SamplingConfig, SamplingCostModel, SamplingEstimate, Walker};
 pub use symtab::BinaryImage;
 pub use trace::{StackTrace, TaskSamples};

@@ -281,7 +281,7 @@ fn degraded_coverage_accounting_holds_on_deep_trees() {
                 .diagnosis
                 .classes
                 .iter()
-                .flat_map(|c| c.ranks.iter().copied())
+                .flat_map(|c| c.ranks.iter())
                 .collect();
             all.sort_unstable();
             all.dedup();

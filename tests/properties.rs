@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use stackwalk::{FrameTable, StackTrace};
+use stackwalk::{FrameTable, RankSet, StackTrace};
 use stat_core::prelude::*;
 use tbon::topology::{Topology, TreeShape};
 
@@ -306,7 +306,7 @@ proptest! {
         let lost = &run.diagnosis.lost_ranks;
         prop_assert!(lost.windows(2).all(|w| w[0] < w[1]));
         let mut covered: Vec<u64> =
-            run.diagnosis.classes.iter().flat_map(|c| c.ranks.iter().copied()).collect();
+            run.diagnosis.classes.iter().flat_map(|c| c.ranks.iter()).collect();
         covered.extend(lost);
         covered.sort_unstable();
         prop_assert_eq!(covered, (0..tasks).collect::<Vec<_>>());
@@ -364,7 +364,7 @@ fn reference_classes<S: TaskSetOps>(tree: &PrefixTree<S>) -> Vec<EquivalenceClas
             .iter()
             .flat_map(|&c| tree.tasks(c).members())
             .collect();
-        let tasks: Vec<u64> = tree
+        let tasks: RankSet = tree
             .tasks(node)
             .members()
             .into_iter()
@@ -377,12 +377,7 @@ fn reference_classes<S: TaskSetOps>(tree: &PrefixTree<S>) -> Vec<EquivalenceClas
             });
         }
     }
-    classes.sort_by(|a, b| {
-        b.tasks
-            .len()
-            .cmp(&a.tasks.len())
-            .then_with(|| a.path.cmp(&b.path))
-    });
+    classes.sort_by(|a, b| b.size().cmp(&a.size()).then_with(|| a.path.cmp(&b.path)));
     classes
 }
 
@@ -395,7 +390,7 @@ proptest! {
         let tree = build_global(&paths, &mut table);
         let classes = equivalence_classes(&tree);
         prop_assert_eq!(&classes, &reference_classes(&tree));
-        let mut all: Vec<u64> = classes.iter().flat_map(|c| c.tasks.clone()).collect();
+        let mut all: Vec<u64> = classes.iter().flat_map(|c| c.tasks.iter()).collect();
         all.sort_unstable();
         prop_assert_eq!(all, (0..24u64).collect::<Vec<_>>());
     }
@@ -426,7 +421,7 @@ proptest! {
 
         let classes_of = |t: &GlobalPrefixTree| {
             let mut cs: Vec<Vec<u64>> =
-                equivalence_classes(t).into_iter().map(|c| c.tasks).collect();
+                equivalence_classes(t).into_iter().map(|c| c.tasks.iter().collect::<Vec<_>>()).collect();
             cs.sort();
             cs
         };
@@ -463,7 +458,7 @@ proptest! {
 
         let classes_of = |t: &GlobalPrefixTree| {
             let mut cs: Vec<Vec<u64>> =
-                equivalence_classes(t).into_iter().map(|c| c.tasks).collect();
+                equivalence_classes(t).into_iter().map(|c| c.tasks.iter().collect::<Vec<_>>()).collect();
             cs.sort();
             cs
         };
@@ -582,9 +577,9 @@ proptest! {
         // Both merge paths must produce a true partition of the job.
         for tree in [&dense, &remapped] {
             let classes = equivalence_classes(tree);
-            let sizes: usize = classes.iter().map(|c| c.tasks.len()).sum();
+            let sizes: usize = classes.iter().map(EquivalenceClass::size).sum();
             prop_assert_eq!(sizes as u64, total, "class sizes must sum to the task count");
-            let mut all: Vec<u64> = classes.iter().flat_map(|c| c.tasks.clone()).collect();
+            let mut all: Vec<u64> = classes.iter().flat_map(|c| c.tasks.iter()).collect();
             all.sort_unstable();
             // Sorted-equal to 0..total == exhaustive AND pairwise disjoint.
             prop_assert_eq!(all, (0..total).collect::<Vec<u64>>());

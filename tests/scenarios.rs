@@ -127,7 +127,7 @@ fn the_ring_hang_scenario_passes_at_the_full_208k() {
         .iter()
         .find(|c| c.frames.iter().any(|f| f == "do_SendOrStall"))
         .expect("a do_SendOrStall class exists");
-    assert_eq!(hung_class.ranks, vec![1]);
+    assert_eq!(hung_class.ranks.iter().collect::<Vec<_>>(), [1]);
 }
 
 #[test]
@@ -152,7 +152,7 @@ fn degraded_scenarios_lose_coverage_but_not_the_diagnosis() {
                 .diagnosis
                 .classes
                 .iter()
-                .flat_map(|c| c.ranks.iter().copied())
+                .flat_map(|c| c.ranks.iter())
                 .collect();
             all.sort_unstable();
             all.dedup();
@@ -220,8 +220,8 @@ impl Fnv {
                 run.diagnosis.lost_ranks.iter().for_each(|&r| self.u64(r));
                 for class in &run.diagnosis.classes {
                     class.frames.iter().for_each(|f| self.str(f));
-                    self.u64(class.ranks.len() as u64);
-                    class.ranks.iter().for_each(|&r| self.u64(r));
+                    self.u64(class.ranks.len());
+                    class.ranks.iter().for_each(|r| self.u64(r));
                 }
                 for check in &run.verdict.checks {
                     self.str(check.name);
@@ -406,8 +406,8 @@ impl Fnv {
         diagnosis.lost_ranks.iter().for_each(|&r| self.u64(r));
         for class in &diagnosis.classes {
             class.frames.iter().for_each(|f| self.str(f));
-            self.u64(class.ranks.len() as u64);
-            class.ranks.iter().for_each(|&r| self.u64(r));
+            self.u64(class.ranks.len());
+            class.ranks.iter().for_each(|r| self.u64(r));
         }
     }
 
@@ -442,8 +442,8 @@ impl Fnv {
                 .path
                 .iter()
                 .for_each(|&f| self.str(report.gather.frames.name(f)));
-            self.u64(class.tasks.len() as u64);
-            class.tasks.iter().for_each(|&r| self.u64(r));
+            self.u64(class.tasks.len());
+            class.tasks.iter().for_each(|r| self.u64(r));
         }
         self.diagnosis(&report.diagnosis());
     }
