@@ -29,6 +29,10 @@ pub trait Application: Send + Sync {
     /// `sample_index`, lent from a table the application holds: the caller reads
     /// it and never owns a copy, so answering costs no allocation.  The answer must
     /// be deterministic in the arguments so that experiments are reproducible.
+    /// A lent slice is its path's identity: while the application is borrowed,
+    /// the same address and length hold the same path (safe code can neither
+    /// rewrite nor free a borrowed table, and the workspace denies `unsafe`), so a
+    /// daemon's walk descends each slice once.  Between borrows (waves) it may not.
     fn call_path(&self, rank: u64, thread: u32, sample_index: u32) -> &[&'static str];
 
     /// Convenience: the call path of the main thread.

@@ -27,7 +27,7 @@ use crate::workloads::{main_path, Ranks, Rule, RuleApp};
 /// The ring-topology hang.
 #[derive(Clone, Debug)]
 pub struct RingHangApp {
-    table: RuleApp,
+    pub(crate) table: RuleApp,
     vocab: FrameVocabulary,
     hung_rank: u64,
 }

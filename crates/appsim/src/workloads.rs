@@ -19,6 +19,7 @@
 //! [`collective_mismatch`], [`corrupted_stacks`]) and the randomized campaign's
 //! [`random_fault`].
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -64,6 +65,23 @@ impl Ranks {
             Ranks::List(ranks) => ranks.contains(&rank),
             Ranks::From(first) => rank >= *first,
             Ranks::Residue { modulus, residue } => rank.checked_rem(*modulus) == Some(*residue),
+        }
+    }
+
+    /// Every rank below `tasks` this covers, ascending.
+    fn candidates(&self, tasks: u64) -> Box<dyn Iterator<Item = u64>> {
+        match *self {
+            Ranks::All => Box::new(0..tasks),
+            Ranks::List(ref ranks) => {
+                let listed: BTreeSet<u64> = ranks.iter().copied().filter(|&r| r < tasks).collect();
+                Box::new(listed.into_iter())
+            }
+            Ranks::From(first) => Box::new(first..tasks),
+            Ranks::Residue { modulus, residue } => {
+                let stride = usize::try_from(modulus).map_or(usize::MAX, |m| m.max(1));
+                let stepped = (residue..tasks).step_by(stride);
+                Box::new(stepped.take_while(move |_| residue < modulus))
+            }
         }
     }
 }
@@ -187,16 +205,15 @@ impl RuleApp {
 
     /// The machine-checkable expectation, computed from the table: one
     /// [`Isolation`] per fault rule in rule order, holding the ranks that rule
-    /// decides, plus the table's class band, ubiquitous frame and never-coincide
-    /// pairs.
+    /// decides (of its own ranks, those no earlier rule takes), plus the table's
+    /// class band, ubiquitous frame and never-coincide pairs.
     pub fn ground_truth(&self) -> GroundTruth {
         let isolations = self.rules.iter().enumerate().filter_map(|(index, rule)| {
             let thread = u32::from(rule.workers);
+            let decided = |&rank: &u64| self.rule_for(rank, thread) == Some(index);
             Some(Isolation {
                 frame: rule.isolated_by?,
-                ranks: (0..self.tasks)
-                    .filter(|&rank| self.rule_for(rank, thread) == Some(index))
-                    .collect(),
+                ranks: rule.ranks.candidates(self.tasks).filter(decided).collect(),
             })
         });
         GroundTruth {
@@ -627,6 +644,120 @@ mod tests {
     use crate::scenario::{catalogue, randomized_scenarios, FaultScenario};
     use stackwalk::FrameTable;
     use FrameVocabulary::{BlueGeneL, Linux};
+
+    /// The per-rank scan `ground_truth` used to be: every rank through
+    /// `rule_for`, once per fault rule.
+    fn scanned_truth(app: &RuleApp) -> GroundTruth {
+        let isolations = app.rules.iter().enumerate().filter_map(|(index, rule)| {
+            let thread = u32::from(rule.workers);
+            let ranks = (0..app.tasks).filter(|&rank| app.rule_for(rank, thread) == Some(index));
+            Some(Isolation {
+                frame: rule.isolated_by?,
+                ranks: ranks.collect(),
+            })
+        });
+        GroundTruth {
+            class_count: app.class_count,
+            isolations: isolations.collect(),
+            ubiquitous_frame: app.ubiquitous_frame,
+            never_coincide: app.never_coincide.clone(),
+        }
+    }
+
+    #[test]
+    fn the_candidate_ranks_give_the_scanned_truth() {
+        for (tasks, v) in [
+            (1_024, Linux),
+            (1_024, BlueGeneL),
+            (1_001, Linux),
+            (1_001, BlueGeneL),
+        ] {
+            // The tables `catalogue` runs, by the name its scenarios start with.
+            let tables = [
+                ("ring_hang", RingHangApp::new(tasks, v).table),
+                ("deadlock_pair", deadlock_pair(tasks, v)),
+                ("stragglers", stragglers(tasks, 4, v)),
+                ("checkpoint_storm", checkpoint_storm(tasks, 0.75, v)),
+                ("io_storm", io_storm(tasks, 3, v)),
+                ("os_noise", os_noise(tasks, v)),
+                ("collective_mismatch", collective_mismatch(tasks, v)),
+                ("corrupted_stacks", corrupted_stacks(tasks, 3, v)),
+                ("all_equivalent", all_equivalent(tasks, v)),
+            ];
+            for scenario in catalogue(tasks, v) {
+                let table = tables
+                    .iter()
+                    .find(|(name, _)| scenario.name.starts_with(name));
+                let (_, table) = table.unwrap_or_else(|| panic!("no table for {}", scenario.name));
+                let at = format!("{} at {tasks}", scenario.name);
+                assert_eq!(table.ground_truth(), scenario.truth, "{at}");
+                assert_eq!(table.ground_truth(), scanned_truth(table), "{at}");
+            }
+            for flavor in RandomFaultFlavor::ALL {
+                let app = random_fault(tasks, v, flavor, vec![1, 3, tasks - 1]);
+                assert_eq!(
+                    app.ground_truth(),
+                    scanned_truth(&app),
+                    "{flavor:?} at {tasks}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_shadowed_rule_isolates_only_the_ranks_it_decides() {
+        let path = |frame| vec![vec!["_start", "main", frame]];
+        let rule = |ranks, frame| Rule::new(ranks, path(frame)).isolated_by(frame);
+        let rules = vec![
+            rule(Ranks::List(vec![40, 5, 3]), "first"),
+            // 5 is the first rule's.
+            rule(
+                Ranks::Residue {
+                    modulus: 8,
+                    residue: 5,
+                },
+                "residue",
+            ),
+            // Unsorted, repeated and past the job; 3 and 40 are the first rule's.
+            rule(Ranks::List(vec![40, 7, 3, 7, 2_000, 99]), "listed"),
+            // 40 is the first rule's, 45, 53 and 61 the residue rule's.
+            rule(Ranks::From(38), "from"),
+            rule(
+                Ranks::Residue {
+                    modulus: 0,
+                    residue: 0,
+                },
+                "no modulus",
+            ),
+            rule(
+                Ranks::Residue {
+                    modulus: 4,
+                    residue: 9,
+                },
+                "past its modulus",
+            ),
+            rule(Ranks::List(vec![2, 5]), "workers").on_workers(),
+            rule(Ranks::All, "crowd"),
+        ];
+        let app = RuleApp {
+            threads: 2,
+            ..RuleApp::new("shadowed", 64, Linux, (1, 8), rules)
+        };
+        let truth = app.ground_truth();
+        assert_eq!(truth, scanned_truth(&app));
+        let ranks = |frame| {
+            let isolation = truth.isolations.iter().find(|i| i.frame == frame);
+            isolation.map(|i| i.ranks.clone()).unwrap_or_default()
+        };
+        assert_eq!(ranks("first"), [3, 5, 40]);
+        assert_eq!(ranks("residue"), [13, 21, 29, 37, 45, 53, 61]);
+        assert_eq!(ranks("listed"), [7]);
+        let from: Vec<u64> = (38..64).filter(|r| ![40, 45, 53, 61].contains(r)).collect();
+        assert_eq!(ranks("from"), from);
+        assert!(ranks("no modulus").is_empty() && ranks("past its modulus").is_empty());
+        assert_eq!(ranks("workers"), [2, 5]);
+        assert_eq!(ranks("crowd").len(), 64 - 3 - 7 - 1 - from.len());
+    }
 
     #[test]
     fn all_equivalent_has_one_class() {

@@ -198,6 +198,8 @@ impl Application for WideFanoutApp {
 /// descent's choice: the ring hang's narrow nodes (names compared sibling by
 /// sibling, no hash) and one 4,096-callee node (table lookup + child index), plus
 /// `attach_1m`'s daemon shape (64 tasks, one sample) and its `encode` alone.
+/// `spread_64_classes_64x10` lends 128 distinct paths, more than a walk keeps
+/// end nodes for, so it pays the descent on every first sighting and eviction.
 /// `advance` is a whole streaming wave of a hung 1,024-task ring hang, each
 /// daemon walking the wave into the 3D arena it keeps.  `call_paths` is the
 /// application's share of the ring hang's walk: the same paths in the same
@@ -208,10 +210,12 @@ fn bench_daemon_local(c: &mut Criterion) {
     let ring = RingHangApp::new(128, FrameVocabulary::BlueGeneL);
     let ring_64 = RingHangApp::new(64, FrameVocabulary::BlueGeneL);
     let wide = WideFanoutApp::new(4_096);
-    let cases: [(&str, &dyn Application, u32); 3] = [
+    let spread = appsim::workloads::compute_spread(64, 64, FrameVocabulary::BlueGeneL);
+    let cases: [(&str, &dyn Application, u32); 4] = [
         ("ring_hang_128x10", &ring, 10),
         ("ring_hang_64x1", &ring_64, 1),
         ("one_node_4096_callees", &wide, 1),
+        ("spread_64_classes_64x10", &spread, 10),
     ];
     for (name, app, samples) in cases {
         let dict = FrameDictionary::negotiate(app.frame_hints());

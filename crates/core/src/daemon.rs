@@ -6,8 +6,9 @@
 //! trees ([`StatDaemon::contribute`]; no trace is materialised on the way), and
 //! hand the serialised trees (plus its rank map) to the overlay network.
 //! Everything global happens in the filters above it.  Both trees share one arena
-//! that each call path descends once; a streaming daemon keeps it from wave to
-//! wave, and a one-shot gather's daemons hand theirs on (`LocalTrees`).
+//! that a walk descends once per distinct path it is lent (`PathEnds`); a
+//! streaming daemon keeps it from wave to wave, and a one-shot gather's daemons
+//! hand theirs on (`LocalTrees`).
 
 use std::ops::Range;
 use std::sync::Mutex;
@@ -18,7 +19,7 @@ use stackwalk::{FrameDictionary, FrameId, FrameTable, TaskSamples};
 use tbon::network::{InProcessTbon, TbonError};
 use tbon::packet::{EndpointId, Packet, PacketTag};
 
-use crate::graph::{NodeIdx, PrefixTree, Trail};
+use crate::graph::{NodeIdx, PrefixTree};
 use crate::serialize::{encode_ordered, encode_rank_map, WireTaskSet};
 use crate::taskset::{words_for, RankRuns};
 
@@ -119,7 +120,8 @@ impl StatDaemon {
         trees.begin(self.leaf_width::<S>(), false);
         for (position, task) in samples.iter().enumerate() {
             for (nth, trace) in task.traces.iter().enumerate() {
-                trees.record(position, task.rank, nth, |t, _| t.descend(trace.frames()));
+                let end = trees.tree.descend(trace.frames());
+                trees.record(position, task.rank, nth, end);
             }
         }
         trees.close();
@@ -128,11 +130,12 @@ impl StatDaemon {
     }
 
     /// The daemon-local phase as one walk: every call path sampled over the sample
-    /// indices of `window` descends `trees`' arena by frame name, under a new
-    /// epoch, and the trees are closed upward.  What comes back is the encode
-    /// still to do: it turns the closed trees and the rank runs into the three leaf
-    /// packets against a frame table and dictionary, and hands `trees` back, for
-    /// the streaming caller that keeps them for the next wave.
+    /// indices of `window` reaches its end node in `trees`' arena under a new epoch
+    /// (by name, when the walk first sees its lent slice: [`PathEnds`]), and the
+    /// trees are closed upward.  What comes back is the encode still to do: it
+    /// turns the closed trees and the rank runs into the three leaf packets
+    /// against a frame table and dictionary, and hands `trees` back, for the
+    /// streaming caller that keeps them for the next wave.
     fn contribute_from<S: WireTaskSet>(
         &self,
         app: &dyn Application,
@@ -144,9 +147,10 @@ impl StatDaemon {
         let sample_start = Instant::now();
         let one_column = window.len() == 1 && app.threads_per_task() == 1;
         trees.begin(self.leaf_width::<S>(), one_column);
-        let mut traces = 0;
+        let (mut traces, mut ends) = (0, PathEnds([(0, 0, 0); PATH_SLOTS]));
         appsim::for_each_sampled_path(app, &self.ranks, window, |pos, rank, nth, path| {
-            trees.record(pos, rank, nth, |t, tr| t.descend_named(table, tr, path));
+            let end = ends.end_of(path, || trees.tree.descend_named(table, path));
+            trees.record(pos, rank, nth, end);
             traces += 1;
         });
         let merge_start = Instant::now();
@@ -193,6 +197,48 @@ impl StatDaemon {
         let trees = LocalTrees::new(self.leaf_width::<S>());
         let encode = self.contribute_from::<S>(app, 0..samples, leaf_endpoint, &mut table, trees);
         encode(&table, dict).0
+    }
+}
+
+/// The slots of a walk's [`PathEnds`].
+const PATH_SLOTS: usize = 64;
+/// How many slots a lookup reads, from a path's home slot on.
+const PATH_PROBES: usize = 8;
+
+/// One walk's end nodes by lent path, keyed by the slice's address and length,
+/// which name the path for as long as the application is borrowed
+/// ([`Application::call_path`]).  A local of the walk, so it outlives neither
+/// that borrow nor the epoch.  A path lands in the first empty slot of its
+/// probes, or else in its home slot: slots are overwritten, never emptied, so
+/// a path still held is found before an empty slot, and paths that share a home
+/// slot evict each other only past [`PATH_PROBES`] of them.
+struct PathEnds([(usize, usize, NodeIdx); PATH_SLOTS]);
+
+impl PathEnds {
+    /// A path's home slot: a multiplicative hash of its address (no slice starts
+    /// at 0, which marks an empty slot).
+    fn home(address: usize) -> usize {
+        let hash = (address as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (hash >> (64 - PATH_SLOTS.trailing_zeros())) as usize
+    }
+
+    /// `path`'s end node, from its slot or, on a miss, from `descend`.
+    fn end_of(&mut self, path: &[&str], descend: impl FnOnce() -> NodeIdx) -> NodeIdx {
+        let key = (path.as_ptr() as usize, path.len());
+        let home = Self::home(key.0);
+        let mut free = home;
+        for at in (home..home + PATH_PROBES).map(|at| at % PATH_SLOTS) {
+            let (address, len, end) = self.0[at];
+            if (address, len) == key {
+                return end;
+            } else if address == 0 {
+                free = at;
+                break;
+            }
+        }
+        let end = descend();
+        self.0[free] = (key.0, key.1, end);
+        end
     }
 }
 
@@ -289,7 +335,7 @@ pub(crate) fn contribute_pooled<S: WireTaskSet + Send>(
     )
 }
 
-/// A daemon's 2D and 3D trees: one arena that every trace descends by name, and
+/// A daemon's 2D and 3D trees: one arena that every trace reaches by name, and
 /// a label column per tree.  Every trace marks its task in the 3D column, a
 /// task's first trace also in the 2D column; a task is marked only on the node
 /// where its trace *ends*, and [`LocalTrees::close`] ORs every row into its
@@ -311,7 +357,6 @@ pub(crate) fn contribute_pooled<S: WireTaskSet + Send>(
 pub(crate) struct LocalTrees<S: WireTaskSet> {
     /// Every node any epoch reached; its own labels stay empty.
     pub(crate) tree: PrefixTree<S>,
-    trail: Trail<'static>,
     /// The labels' domain width, and the words a row of it takes.
     pub(crate) width: u64,
     pub(crate) wps: usize,
@@ -345,7 +390,6 @@ impl<S: WireTaskSet> LocalTrees<S> {
         let wps = words_for(width);
         LocalTrees {
             tree: PrefixTree::new(0),
-            trail: Trail::new(),
             width,
             wps,
             fresh_from: 0,
@@ -360,9 +404,8 @@ impl<S: WireTaskSet> LocalTrees<S> {
     }
 
     /// Open the next epoch over `width` task positions, as many words a row as
-    /// the arena's: nothing is reached yet but the root.  The trail is empty (a
-    /// walk lets it go), so it is reserved to the epoch's first path as a fresh
-    /// tree's would be.  `one_column`: every task gives one trace.
+    /// the arena's: nothing is reached yet but the root.  `one_column`: every
+    /// task gives one trace.
     fn begin(&mut self, width: u64, one_column: bool) {
         debug_assert_eq!(words_for(width), self.wps);
         self.width = width;
@@ -375,22 +418,14 @@ impl<S: WireTaskSet> LocalTrees<S> {
         }
     }
 
-    /// Record the `nth` trace of task `rank`, at `position` in the daemon's list:
-    /// `descend` walks it into the arena and trail it is handed, returning the end
-    /// node.
-    fn record(
-        &mut self,
-        position: usize,
-        rank: u64,
-        nth: usize,
-        descend: impl FnOnce(&mut PrefixTree<S>, &mut Trail<'static>) -> NodeIdx,
-    ) {
+    /// Record the `nth` trace of task `rank`, at `position` in the daemon's list,
+    /// which ends at arena node `end`.
+    fn record(&mut self, position: usize, rank: u64, nth: usize, end: NodeIdx) {
         let index = if S::CONCATENATES {
             position as u64
         } else {
             rank
         };
-        let end = descend(&mut self.tree, &mut self.trail);
         for column in &mut self.columns[usize::from(nth > 0 || self.one_column)..] {
             if column.position(end).is_none() {
                 column.touch(&self.tree, end);
@@ -401,10 +436,9 @@ impl<S: WireTaskSet> LocalTrees<S> {
         }
     }
 
-    /// End the walk: let the trail go and OR every reached node's row into its
-    /// parent's, children first.
+    /// End the walk: OR every reached node's row into its parent's, children
+    /// first.
     fn close(&mut self) {
-        self.trail = Trail::new();
         for column in &mut self.columns[usize::from(self.one_column)..] {
             column.close(&self.tree);
         }
@@ -1006,6 +1040,175 @@ pub(crate) mod tests {
     fn a_pooled_arena_holds_at_most_twice_a_daemon_tree() {
         pooled_arenas_stay_within_twice_a_daemon_tree::<DenseBitVector>();
         pooled_arenas_stay_within_twice_a_daemon_tree::<SubtreeTaskList>();
+    }
+
+    #[test]
+    fn paths_that_share_a_home_slot_are_each_descended_once() {
+        // Leak one-name paths until nine of them share a home slot.
+        let mut by_home: Vec<Vec<&'static [&'static str]>> = vec![Vec::new(); PATH_SLOTS];
+        let shared = loop {
+            let path: &'static [&'static str] = Box::leak(Box::new(["main"]));
+            let home = &mut by_home[PathEnds::home(path.as_ptr() as usize)];
+            home.push(path);
+            if home.len() > 8 {
+                break home.clone();
+            }
+        };
+        let mut ends = PathEnds([(0, 0, 0); PATH_SLOTS]);
+        // Lend `paths` in turn ten times over; the descents it took.
+        let mut lend = |paths: &[&'static [&'static str]]| {
+            let mut descents = 0;
+            for _ in 0..10 {
+                for (n, path) in paths.iter().enumerate() {
+                    let end = ends.end_of(path, || {
+                        descents += 1;
+                        n
+                    });
+                    assert_eq!(end, n, "path {n}");
+                }
+            }
+            descents
+        };
+        // Eight stay held (a lookup probes as many slots): each is descended once.
+        assert_eq!(lend(&shared[..8]), 8);
+        // One more evicts another, and every end node is still its own.
+        assert!(lend(&shared) > 1);
+    }
+
+    /// `app`'s paths `base` samples on, each lent from a copy leaked for the
+    /// call: no two calls lend the same slice, so a walk descends every trace.
+    pub(crate) struct Leaked<'a>(pub(crate) &'a dyn Application, pub(crate) u32);
+
+    impl Application for Leaked<'_> {
+        fn name(&self) -> &str {
+            "leaked"
+        }
+        fn num_tasks(&self) -> u64 {
+            self.0.num_tasks()
+        }
+        fn threads_per_task(&self) -> u32 {
+            self.0.threads_per_task()
+        }
+        fn call_path(&self, rank: u64, thread: u32, sample: u32) -> &[&'static str] {
+            Box::leak(self.0.call_path(rank, thread, sample + self.1).into())
+        }
+        fn frame_hints(&self) -> Vec<&'static str> {
+            self.0.frame_hints()
+        }
+    }
+
+    /// Each daemon's [`StatDaemon::contribute`] over `window`, into a fresh arena
+    /// and through [`Leaked`], so that every trace is descended: the packets, and
+    /// the frame ids in `dict`, that a walk skipping no descent ships.
+    pub(crate) fn descended<S: WireTaskSet>(
+        leaves: &[(&StatDaemon, EndpointId)],
+        app: &dyn Application,
+        window: Range<u32>,
+        dict: &FrameDictionary,
+    ) -> Vec<DaemonContribution> {
+        let (leaked, samples) = (Leaked(app, window.start), window.len() as u32);
+        let each = |&(daemon, leaf): &(&StatDaemon, _)| {
+            daemon.contribute::<S>(&leaked, samples, leaf, dict)
+        };
+        leaves.iter().map(each).collect()
+    }
+
+    /// The three packets of every contribution, in daemon order.
+    pub(crate) fn payloads(contributions: &[DaemonContribution]) -> Vec<[Vec<u8>; 3]> {
+        let packets = |c: &DaemonContribution| {
+            [&c.tree_2d, &c.tree_3d, &c.rank_map].map(|p| p.payload.to_vec())
+        };
+        contributions.iter().map(packets).collect()
+    }
+
+    /// One array whose prefixes are every path: the same address, lent at
+    /// lengths 0 to 8 by rank and sample.
+    static FULL: [&str; 8] = [
+        "_start", "main", "solve", "wait", "poll", "main", "solve", "wait",
+    ];
+
+    struct Prefixes;
+
+    impl Application for Prefixes {
+        fn name(&self) -> &str {
+            "prefixes"
+        }
+        fn num_tasks(&self) -> u64 {
+            1_024
+        }
+        fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> &[&'static str] {
+            &FULL[..((rank / 3 + u64::from(sample)) % 9) as usize]
+        }
+        fn frame_hints(&self) -> Vec<&'static str> {
+            FULL[..3].to_vec()
+        }
+    }
+
+    /// The pooled daemon map over apps whose lent slices are no help or a trap
+    /// to a walk that skips the descent of a slice it saw: (a) prefixes of one
+    /// array (one address, many lengths; "wait" and "poll" un-negotiated), (b) a
+    /// leaked slice per call (no slice repeats), (c) 1,024 tasks in 256 classes
+    /// of two paths, so each 64-task daemon lends 128 slices, more than it has
+    /// slots.  At workers 1, 2 and 8, one sample and three, twice over one pool:
+    /// the packets and frame ids of a walk that descends every trace.
+    fn lent_paths_end_where_they_descend<S: WireTaskSet + Send>() {
+        let v = FrameVocabulary::BlueGeneL;
+        let ring = RingHangApp::new(1_024, v).with_hung_rank(330);
+        let leaked = Leaked(&ring, 0);
+        let spread = appsim::workloads::compute_spread(1_024, 256, v);
+        let cases: [(&str, &dyn Application); 3] = [
+            ("prefixes of one array", &Prefixes),
+            ("a leaked slice per call", &leaked),
+            ("more paths than slots", &spread),
+        ];
+        let topology = Topology::build(TreeShape::flat(16));
+        let daemons = StatDaemon::partition(1_024, 16);
+        let leaves: Vec<_> = daemons
+            .iter()
+            .zip(topology.backends().iter().copied())
+            .collect();
+        let slices = |d: &StatDaemon| {
+            let mut seen = std::collections::HashSet::new();
+            appsim::for_each_sampled_path(&spread, &d.ranks, 0..3, |_, _, _, path| {
+                seen.insert((path.as_ptr(), path.len()));
+            });
+            seen.len()
+        };
+        assert!(
+            daemons.iter().all(|d| slices(d) > PATH_SLOTS),
+            "(c) lends more slices than its slots"
+        );
+        for ((case, app), samples) in cases.iter().flat_map(|c| [(c, 1), (c, 3)]) {
+            let hints = app.frame_hints();
+            let serial_dict = FrameDictionary::negotiate(hints.iter().copied());
+            let serial = descended::<S>(&leaves, *app, 0..samples, &serial_dict);
+            for workers in [1usize, 2, 8] {
+                let dict = FrameDictionary::negotiate(hints.iter().copied());
+                let net = InProcessTbon::new(topology.clone()).with_workers(workers);
+                let pool = Mutex::<Vec<LocalTrees<S>>>::default();
+                for pass in ["first map", "second map"] {
+                    let at = format!("{case}, {samples} samples, {workers} workers, {pass}");
+                    let mapped =
+                        contribute_pooled(&net, leaves.clone(), (*app, samples), &dict, &pool);
+                    let mapped = mapped.expect("no worker dies");
+                    assert!(
+                        payloads(&mapped) == payloads(&serial),
+                        "{at}: packets differ"
+                    );
+                    assert_eq!(names_by_id(&dict), names_by_id(&serial_dict), "{at}");
+                }
+            }
+        }
+        // (a) really interns names past the negotiation.
+        let dict = FrameDictionary::negotiate(Prefixes.frame_hints());
+        descended::<S>(&leaves, &Prefixes, 0..1, &dict);
+        assert_eq!(dict.len(), dict.base_len() as usize + 2);
+    }
+
+    #[test]
+    fn every_lent_path_ends_where_its_descent_ends() {
+        lent_paths_end_where_they_descend::<DenseBitVector>();
+        lent_paths_end_where_they_descend::<SubtreeTaskList>();
     }
 
     /// 64-bit FNV-1a over every daemon's contribution, in daemon order: one digest

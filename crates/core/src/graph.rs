@@ -30,8 +30,8 @@
 //! A daemon builds its local trees the other way round (`core::daemon`): its 2D
 //! and 3D trees share one arena whose labels it keeps in rows of its own, each
 //! trace marks its task only on the node it *ends* at, and one reverse pass over
-//! the nodes the walk reached ORs the marks into the parents.  A trace descends
-//! by name from where the previous path diverged (`descend_named`'s trail).
+//! the nodes the walk reached ORs the marks into the parents.  A walk descends
+//! each distinct path it is lent once, by name from the root (`descend_named`).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -86,9 +86,6 @@ type ChildIndex = HashMap<(NodeIdx, FrameId), NodeIdx, BuildHasherDefault<ChildK
 
 /// The widest node [`PrefixTree::descend_named`] still scans sibling by sibling.
 const SCAN_FANOUT: usize = 8;
-
-/// A tree's previous path: its names and the nodes they reached, outermost first.
-pub(crate) type Trail<'n> = Vec<(&'n str, NodeIdx)>;
 
 #[derive(Clone, Debug)]
 struct TreeEntry<S> {
@@ -236,38 +233,20 @@ impl<S: TaskSetOps> PrefixTree<S> {
             .fold(root, |cur, &f| self.child_or_new(cur, f))
     }
 
-    /// [`Self::descend`] by frame *name*, resumed from this tree's `trail`: a parent
-    /// has one child per name, so the path's longest common prefix with the trail is
-    /// skipped by name equality (one address compare for the same `&str`) and the
-    /// trail cut there.  The trail is reserved once, to its first path's length, and
-    /// never grows; a longer path resumes only as deep as it reaches.  On a node of up
-    /// to [`SCAN_FANOUT`] children names are compared directly; a wider node and a
-    /// name with no node yet go through `table` and the `(parent, frame)` index, and a
-    /// name is interned only on its way to a node.
-    pub(crate) fn descend_named<'n>(
-        &mut self,
-        table: &mut FrameTable,
-        trail: &mut Trail<'n>,
-        path: &[&'n str],
-    ) -> NodeIdx {
-        let same = |(was, now): &(&(&str, _), &&str)| std::ptr::eq(was.0, **now) || was.0 == **now;
-        trail.truncate(std::iter::zip(&*trail, path).take_while(same).count());
-        if trail.capacity() == 0 {
-            trail.reserve_exact(path.len());
-        }
-        let mut cur = trail.last().map_or(self.root(), |&(_, node)| node);
-        for &name in path.iter().skip(trail.len()) {
+    /// [`Self::descend`] by frame *name*, on a daemon walk's first sighting of a
+    /// lent path (`daemon::PathEnds`).  On a node of up to [`SCAN_FANOUT`] children
+    /// names are compared directly; a wider node and a name with no node yet go
+    /// through `table` and the `(parent, frame)` index, interning it on the way.
+    pub(crate) fn descend_named(&mut self, table: &mut FrameTable, path: &[&str]) -> NodeIdx {
+        path.iter().fold(self.root(), |cur, &name| {
             let children = self.children(cur);
             let named = |&c: &NodeIdx| self.frame(c).is_some_and(|f| table.name(f) == name);
             let narrow = children.len() <= SCAN_FANOUT;
             let scanned = narrow.then(|| children.iter().copied().find(named));
-            let child = scanned.flatten();
-            cur = child.unwrap_or_else(|| self.child_or_new(cur, table.intern(name)));
-            if trail.len() < trail.capacity() {
-                trail.push((name, cur));
-            }
-        }
-        cur
+            scanned
+                .flatten()
+                .unwrap_or_else(|| self.child_or_new(cur, table.intern(name)))
+        })
     }
 
     /// Record task position `index` on `node`'s label alone.
@@ -884,13 +863,12 @@ pub(crate) mod tests {
             }
         };
         let mut table = FrameTable::new();
-        let mut trail = Trail::new();
         let mut by_name = SubtreePrefixTree::new_subtree(40);
         let mut by_id = SubtreePrefixTree::new_subtree(40);
         let mut reference = SubtreePrefixTree::new_subtree(40);
         for task in 0..40 {
             let path = path_of(task);
-            let end = by_name.descend_named(&mut table, &mut trail, &path);
+            let end = by_name.descend_named(&mut table, &path);
             by_name.mark(end, task);
             let frames = table.intern_path(&path);
             let end = by_id.descend(&frames);
@@ -907,105 +885,6 @@ pub(crate) mod tests {
                 assert_eq!(tree.path_to(node), reference.path_to(node));
                 assert_eq!(tree.tasks(node).members(), reference.tasks(node).members());
             }
-        }
-    }
-
-    /// Every node's frame, parent and children, in arena order.
-    fn arena_of<S: TaskSetOps>(tree: &PrefixTree<S>) -> Vec<NodeShape> {
-        (0..tree.node_count())
-            .map(|n| (tree.frame(n), tree.parent(n), tree.children(n).to_vec()))
-            .collect()
-    }
-
-    type NodeShape = (Option<FrameId>, Option<NodeIdx>, Vec<NodeIdx>);
-
-    /// The table's names in id order.
-    fn names_of(table: &FrameTable) -> Vec<String> {
-        let ids = (0..).map(FrameId).take(table.len());
-        ids.map(|id| table.name(id).to_string()).collect()
-    }
-
-    #[test]
-    fn a_carried_trail_descends_as_a_fresh_walk_from_the_root() {
-        let callees: Vec<String> = (0..SCAN_FANOUT + 4)
-            .map(|k| format!("callee_{k}"))
-            .collect();
-        // The first path sizes the trail, which then never grows.
-        let mut paths: Vec<Vec<&str>> = vec![
-            vec!["main", "solve", "wait", "poll", "main", "solve"],
-            vec![],
-            vec!["main", "solve", "wait", "poll"],
-            vec!["main", "solve"], // a strict prefix of the previous path
-            vec!["main", "solve", "wait", "poll", "main"], // which this one extends
-            vec!["main", "main", "main"], // one name at several depths
-            vec!["main", "main", "solve", "main"],
-            vec![
-                "main", "main", "solve", "main", "wait", "poll", "main", "solve",
-            ],
-            vec![
-                "main", "main", "solve", "main", "wait", "poll", "main", "wait",
-            ],
-            vec!["solve", "main"],
-        ];
-        // `dispatch` gets a child past SCAN_FANOUT, and is then revisited.
-        paths.extend(callees.iter().map(|c| vec!["main", "dispatch", c, "wait"]));
-        paths.extend(callees.iter().rev().map(|c| vec!["main", "dispatch", c]));
-        // Then random paths of up to six names from a pool of six.
-        let pool = [
-            "main",
-            "solve",
-            "wait",
-            "dispatch",
-            &callees[0],
-            &callees[9],
-        ];
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        let mut next = |bound: usize| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % bound as u64) as usize
-        };
-        for _ in 0..2_000 {
-            let len = next(7);
-            paths.push((0..len).map(|_| pool[next(pool.len())]).collect());
-        }
-        // Once with the names as given (an equal name is mostly the same `&str`),
-        // once with every name a `String` of its own (equal names never share
-        // storage).
-        let owned: Vec<Vec<String>> = paths
-            .iter()
-            .map(|path| path.iter().map(|name| name.to_string()).collect())
-            .collect();
-        let distinct: Vec<Vec<&str>> = owned
-            .iter()
-            .map(|path| path.iter().map(String::as_str).collect())
-            .collect();
-        for paths in [&paths, &distinct] {
-            let (mut carried, mut carried_table) =
-                (SubtreePrefixTree::new_subtree(1), FrameTable::new());
-            let (mut fresh, mut fresh_table) =
-                (SubtreePrefixTree::new_subtree(1), FrameTable::new());
-            let mut trail = Trail::new();
-            for (step, path) in paths.iter().enumerate() {
-                let end = carried.descend_named(&mut carried_table, &mut trail, path);
-                let from_root = fresh.descend_named(&mut fresh_table, &mut Trail::new(), path);
-                assert_eq!(end, from_root, "path {step}: {path:?}");
-                let names = carried
-                    .path_to(end)
-                    .into_iter()
-                    .map(|f| carried_table.name(f));
-                assert!(names.eq(path.iter().copied()), "path {step}: {path:?}");
-            }
-            assert_eq!(
-                trail.capacity(),
-                6,
-                "reserved once, to the first path's length"
-            );
-            let wide = (0..carried.node_count()).any(|n| carried.children(n).len() > SCAN_FANOUT);
-            assert!(wide, "some node outgrows the sibling scan");
-            assert_eq!(arena_of(&carried), arena_of(&fresh));
-            assert_eq!(names_of(&carried_table), names_of(&fresh_table));
         }
     }
 

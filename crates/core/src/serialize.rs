@@ -1018,7 +1018,7 @@ pub fn decode_dictionary(buf: &[u8]) -> Result<Vec<String>, DecodeError> {
 mod tests {
     use super::*;
     use crate::graph::tests::leaves;
-    use crate::graph::{GlobalPrefixTree, SubtreePrefixTree, Trail};
+    use crate::graph::{GlobalPrefixTree, SubtreePrefixTree};
     use crate::taskset::{DenseBitVector, SubtreeTaskList};
     use stackwalk::StackTrace;
 
@@ -1109,10 +1109,10 @@ mod tests {
             &["_start", "main", "MPI_Barrier", "poll_step"],
         ];
         let trees = [1, 3].map(|stride| {
-            let (mut tree, mut trail) = (PrefixTree::<S>::new(16), Trail::new());
+            let mut tree = PrefixTree::<S>::new(16);
             for task in 0..16 {
                 let path = paths[(task as usize * stride) % paths.len()];
-                let end = tree.descend_named(&mut table, &mut trail, path);
+                let end = tree.descend_named(&mut table, path);
                 tree.mark(end, task);
             }
             crate::graph::tests::close_upward(&mut tree);

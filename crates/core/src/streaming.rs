@@ -724,7 +724,7 @@ impl StreamingSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::daemon::tests::{names_by_id, Sleepy};
+    use crate::daemon::tests::{descended, names_by_id, payloads, Sleepy};
     use crate::serialize::encode_tree;
     use appsim::scenario::catalogue;
     use appsim::{FaultSchedule, FrameVocabulary, RingHangApp, SteadySource};
@@ -973,7 +973,7 @@ mod tests {
     /// An application whose paths move between waves on every edge the warm 3D
     /// arena has: a `dispatch` node with more callees than `SCAN_FANOUT` that
     /// gains new ones as the sample clock shifts, paths from sample 4 on twice as
-    /// deep as the first path walked (which sizes the trail), and from sample 10
+    /// deep as the first path walked, and from sample 10
     /// on a frame the negotiation never saw.
     struct Shifting(Vec<Vec<&'static str>>);
 
@@ -1184,6 +1184,106 @@ mod tests {
             StatDaemon::new(0, (0..32).collect(), 256).build_trees::<DenseBitVector>(&samples);
         assert!((0..tree_3d.node_count()).any(|n| tree_3d.children(n).len() > 8));
         assert!(table.len() > dict.base_len() as usize);
+    }
+
+    /// Sixteen paths of five frames lent from rows the application rewrites in
+    /// place: from its fault wave on, half the rows hold the stall path, so the
+    /// same slices (address and length) lend other paths than before.
+    struct Rewritten(Vec<Vec<&'static str>>);
+
+    impl Rewritten {
+        fn new() -> Self {
+            Rewritten((0..16).map(|_| Vec::with_capacity(5)).collect())
+        }
+
+        /// The rows as wave `wave` sees them, rewritten within their capacity.
+        fn at(&mut self, wave: u32) -> &Self {
+            for (row, path) in self.0.iter_mut().enumerate() {
+                let stalled = wave >= 2 && row % 2 == 1;
+                let call = if stalled {
+                    "do_SendOrStall"
+                } else {
+                    "MPI_Barrier"
+                };
+                let depth = ["poll", "wait"][row % 4 / 2];
+                path.clear();
+                path.extend(["_start", "main", call, "progress", depth]);
+            }
+            self
+        }
+    }
+
+    impl Application for Rewritten {
+        fn name(&self) -> &str {
+            "rewritten"
+        }
+        fn num_tasks(&self) -> u64 {
+            256
+        }
+        fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> &[&'static str] {
+            &self.0[((rank + u64::from(sample)) % 16) as usize]
+        }
+        fn frame_hints(&self) -> Vec<&'static str> {
+            vec!["_start", "main", "MPI_Barrier", "progress", "poll", "wait"]
+        }
+    }
+
+    /// Six two-sample waves of `StreamCore` on 8 daemons at workers 1, 2 and 8:
+    /// each wave ships, and interns, what a walk descending every trace of the
+    /// wave's application into fresh arenas does (`descended`).
+    fn waves_end_where_they_descend<S: WireTaskSet + Send + Sync>(
+        case: &str,
+        hints: &[&'static str],
+        mut wave_app: impl FnMut(u32, &mut dyn FnMut(&dyn Application)),
+    ) {
+        let topology = Topology::build(TreeShape::flat(8));
+        let daemons = StatDaemon::partition(256, 8);
+        let leaves: Vec<_> = daemons
+            .iter()
+            .zip(topology.backends().iter().copied())
+            .collect();
+        for workers in [1usize, 2, 8] {
+            let net = InProcessTbon::new(topology.clone()).with_workers(workers);
+            let negotiate = || FrameDictionary::negotiate(hints.iter().copied());
+            let (mut core, reference) = (
+                StreamCore::<S>::new(daemons.clone(), &topology, negotiate()),
+                negotiate(),
+            );
+            for wave in 0..6u32 {
+                let at = format!("{case}, wave {wave}, {workers} workers");
+                let window = wave * 2..wave * 2 + 2;
+                wave_app(wave, &mut |app| {
+                    let (walked, _, _) = core
+                        .gather_wave(app, window.clone(), &net)
+                        .expect("no daemon dies");
+                    let want = descended::<S>(&leaves, app, window.clone(), &reference);
+                    assert!(payloads(&walked) == payloads(&want), "{at}: packets differ");
+                });
+                assert_eq!(names_by_id(&core.dict), names_by_id(&reference), "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_stream_whose_table_changes_ships_the_descended_waves() {
+        let schedule = ring_schedule(256, 2);
+        let hints = schedule.app_at(0).frame_hints();
+        let mut rewritten = Rewritten::new();
+        let addresses = |r: &Rewritten| r.0.iter().map(|row| row.as_ptr()).collect::<Vec<_>>();
+        let before = addresses(rewritten.at(0));
+        assert_eq!(addresses(rewritten.at(2)), before, "rewritten in place");
+        let by_schedule =
+            |wave, walk: &mut dyn FnMut(&dyn Application)| walk(schedule.app_at(wave).as_ref());
+        let mut in_place = |wave, walk: &mut dyn FnMut(&dyn Application)| walk(rewritten.at(wave));
+        waves_end_where_they_descend::<DenseBitVector>("fault schedule", &hints, by_schedule);
+        waves_end_where_they_descend::<SubtreeTaskList>("fault schedule", &hints, by_schedule);
+        let hints = Rewritten::new().frame_hints();
+        waves_end_where_they_descend::<DenseBitVector>("rewritten in place", &hints, &mut in_place);
+        waves_end_where_they_descend::<SubtreeTaskList>(
+            "rewritten in place",
+            &hints,
+            &mut in_place,
+        );
     }
 
     #[test]
