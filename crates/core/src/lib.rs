@@ -70,7 +70,6 @@ pub mod session;
 pub mod strategy;
 pub mod streaming;
 pub mod taskset;
-pub mod threads;
 
 /// The most commonly used types, re-exported.
 pub mod prelude {
@@ -93,7 +92,6 @@ pub mod prelude {
     pub use crate::taskset::{
         format_rank_ranges, DenseBitVector, MemberIter, RankRuns, SubtreeTaskList, TaskSetOps,
     };
-    pub use crate::threads::{measure_thread_scaling, project_thread_counts};
     pub use stackwalk::FrameDictionary;
 }
 

@@ -18,10 +18,11 @@
 //!   gather.
 //!
 //! * [`PhaseEstimator`] prices the merge phase the paper measures (and the
-//!   front-end remap) for configurations as large as the full 212,992-task BG/L,
-//!   through the reduction cost model's one entry point
-//!   ([`tbon::cost::price_reduction`]); startup and sampling are priced by the
-//!   `launch` crate and `stackwalk`'s `SamplingCostModel` directly.  The figure
+//!   front-end remap) for configurations as large as the full 212,992-task BG/L:
+//!   [`PhaseEstimator::merge_estimate`] runs the reduction cost model's one entry
+//!   point ([`tbon::cost::price_reduction`]) over the placement-rule shape of a
+//!   depth; startup and sampling are priced by the `launch` crate and
+//!   `stackwalk`'s `SamplingCostModel` directly.  The figure
 //!   generators use this path, with the real path cross-checking the small-scale
 //!   points.
 
@@ -527,36 +528,25 @@ impl PhaseEstimator {
         }
     }
 
-    /// The placement-rule tree shape for this machine, job size and depth (1 =
-    /// flat, 2/3 = the paper's families, deeper = the generalised budget-fitted
-    /// rule).
-    pub fn topology_for(&self, tasks: u64, depth: u32) -> TreeShape {
-        let plan = PlacementPlan::for_job(&self.cluster, tasks);
-        TreeShape::for_placement(&plan, depth)
-    }
-
     /// Estimate the merge phase (Figures 4, 5 and 7) over the placement-rule shape
-    /// of the given depth.
+    /// of the given depth (1 = flat, 2/3 = the paper's families, deeper = the
+    /// generalised budget-fitted rule).
     pub fn merge_estimate(&self, tasks: u64, depth: u32) -> MergeEstimate {
-        self.merge_estimate_shape(tasks, &self.topology_for(tasks, depth))
-    }
-
-    /// Estimate the merge phase over an explicit tree shape.
-    pub fn merge_estimate_shape(&self, tasks: u64, spec: &TreeShape) -> MergeEstimate {
+        let spec = TreeShape::for_placement(&PlacementPlan::for_job(&self.cluster, tasks), depth);
         let job = self.cluster.job(tasks);
         let labels = match self.representation {
             Representation::GlobalBitVector => Labels::JobWide,
             Representation::HierarchicalTaskList => Labels::Subtree,
         };
         let payload = TreePayload::ring_hang(job.tasks, job.tasks_per_daemon as u64, labels);
-        let cost = price_reduction(&self.cluster, spec, &payload);
+        let cost = price_reduction(&self.cluster, &spec, &payload);
 
         // The paper's 1-deep tree on BG/L failed outright at 256 I/O-node daemons:
         // the front end cannot sustain that many direct connections each carrying
         // job-wide bit vectors.  The rule is shared with the planner's feasibility
         // check so the estimator and the planner cannot drift.
         let failed =
-            if tbon::planner::flat_frontend_overloaded(spec, self.cluster.daemons_on_io_nodes()) {
+            if tbon::planner::flat_frontend_overloaded(&spec, self.cluster.daemons_on_io_nodes()) {
                 Some(format!(
                     "1-deep topology failed: the front end cannot absorb {} direct daemon \
                  connections (the paper observed this failure at {} I/O nodes)",
@@ -945,9 +935,18 @@ mod tests {
     #[test]
     fn estimator_uses_the_paper_topology_rules() {
         let bgl = Cluster::bluegene_l(BglMode::VirtualNode);
-        let est = PhaseEstimator::new(bgl, Representation::GlobalBitVector);
-        let spec = est.topology_for(212_992, 2);
-        assert_eq!(spec.level_widths, vec![1, 28, 1_664]);
+        let est = PhaseEstimator::new(bgl.clone(), Representation::GlobalBitVector);
+        let estimate = est.merge_estimate(212_992, 2).cost;
+        // The paper's two-deep BG/L tree: 1,664 I/O-node daemons under 28 CPs.
+        let spec = TreeShape::from_level_widths(vec![1, 28, 1_664]);
+        let job = bgl.job(212_992);
+        let payload =
+            TreePayload::ring_hang(job.tasks, job.tasks_per_daemon as u64, Labels::JobWide);
+        let expected = price_reduction(&bgl, &spec, &payload);
+        assert_eq!(estimate.per_level.len(), 2);
+        assert_eq!(estimate.critical_path, expected.critical_path);
+        assert_eq!(estimate.max_node_bytes_in, expected.max_node_bytes_in);
+        assert_eq!(estimate.total_link_bytes, expected.total_link_bytes);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! applications and overlay network, plus the interactions between the launcher,
 //! SBRS and sampling models that the figures compose.
 
-use appsim::workloads::{all_equivalent, compute_spread, deadlock_pair};
-use appsim::{FrameVocabulary, RingHangApp};
+use appsim::workloads::{all_equivalent, compute_spread, deadlock_pair, threaded};
+use appsim::{Application, FrameVocabulary, RingHangApp};
 use launch::{
     BglCiodLauncher, CiodPatchLevel, LaunchMonLauncher, Launcher, RemoteShell, RshLauncher,
 };
@@ -296,11 +296,15 @@ fn interposition_redirects_every_shared_open_after_relocation() {
 
 #[test]
 fn threading_projection_is_consistent_with_real_data_growth() {
-    let measured = stat_core::measure_thread_scaling(4, &[0, 3], 2);
-    let growth = measured[1].tree_bytes as f64 / measured[0].tree_bytes as f64;
-    assert!(growth > 1.0);
-    let cluster = Cluster::bluegene_l(BglMode::CoProcessor);
-    let projected = stat_core::project_thread_counts(&cluster, 16_384, &[1, 4], 1);
-    assert!(projected[1].sampling > projected[0].sampling);
-    assert!(projected[1].merge >= projected[0].merge);
+    // Section VII: threads are "a potentially unbounded multiplier" on the data
+    // the tool collects.  One daemon over four tasks gathers one trace per thread.
+    let daemon = StatDaemon::new(0, (0..4).collect(), 4);
+    let gather = |workers| {
+        let app = threaded(4, workers, FrameVocabulary::Linux);
+        let dict = FrameDictionary::negotiate(app.frame_hints());
+        daemon.contribute::<SubtreeTaskList>(&app, 2, tbon::packet::EndpointId(1), &dict)
+    };
+    let (one, four) = (gather(0), gather(3));
+    assert_eq!(four.traces_gathered, 4 * one.traces_gathered);
+    assert!(four.tree_3d.size_bytes() > one.tree_3d.size_bytes());
 }
