@@ -20,7 +20,7 @@ use tbon::network::{InProcessTbon, TbonError};
 use tbon::packet::{EndpointId, Packet, PacketTag};
 
 use crate::graph::{NodeIdx, PrefixTree};
-use crate::serialize::{encode_ordered, encode_rank_map, WireTaskSet};
+use crate::serialize::{encode_ordered, encode_rank_map, relabel, Ids, WireTaskSet};
 use crate::taskset::{words_for, RankRuns};
 
 /// A back-end daemon responsible for a slice of MPI ranks.
@@ -129,21 +129,21 @@ impl StatDaemon {
         (tree_2d, tree_3d)
     }
 
-    /// The daemon-local phase as one walk: every call path sampled over the sample
-    /// indices of `window` reaches its end node in `trees`' arena under a new epoch
-    /// (by name, when the walk first sees its lent slice: [`PathEnds`]), and the
-    /// trees are closed upward.  What comes back is the encode still to do: it
-    /// turns the closed trees and the rank runs into the three leaf packets
-    /// against a frame table and dictionary, and hands `trees` back, for the
-    /// streaming caller that keeps them for the next wave.
+    /// The daemon-local phase as one call: every call path sampled over the
+    /// sample indices of `window` reaches its end node in `trees`' arena under a
+    /// new epoch (by name, when the walk first sees its lent slice: [`PathEnds`]),
+    /// the trees are closed upward and encoded, with the rank runs, into the three
+    /// leaf packets against `ids` (their fresh ids wait for
+    /// [`DaemonContribution::relabel`]); `trees` comes back, for the caller that
+    /// keeps or pools it.
     fn contribute_from<S: WireTaskSet>(
         &self,
         app: &dyn Application,
         window: Range<u32>,
-        leaf: EndpointId,
+        (leaf, ids): (EndpointId, Ids<'_>),
         table: &mut FrameTable,
         mut trees: LocalTrees<S>,
-    ) -> impl FnOnce(&FrameTable, &FrameDictionary) -> (DaemonContribution, LocalTrees<S>) {
+    ) -> (DaemonContribution, LocalTrees<S>) {
         let sample_start = Instant::now();
         let one_column = window.len() == 1 && app.threads_per_task() == 1;
         trees.begin(self.leaf_width::<S>(), one_column);
@@ -155,26 +155,20 @@ impl StatDaemon {
         });
         let merge_start = Instant::now();
         trees.close();
-        let packet = move |tag, payload: Vec<u8>| Packet::new(tag, leaf, payload);
-        let rank_map = packet(PacketTag::RankMap, encode_rank_map(&self.ranks));
-        let (daemon_id, sample_wall) = (self.id, merge_start - sample_start);
-        let close_wall = merge_start.elapsed();
-        move |table: &FrameTable, dict: &FrameDictionary| {
-            let encode_start = Instant::now();
-            let (tree_2d, tree_3d) = trees.encode(table, dict);
-            let tree_3d = packet(PacketTag::Merged3d, tree_3d);
-            let tree_2d = tree_2d.map_or_else(|| tree_3d.payload.clone(), Into::into);
-            let contribution = DaemonContribution {
-                daemon_id,
-                tree_2d: Packet::new(PacketTag::Merged2d, leaf, tree_2d),
-                tree_3d,
-                rank_map,
-                traces_gathered: traces,
-                sample_wall,
-                local_merge_wall: close_wall + encode_start.elapsed(),
-            };
-            (contribution, trees)
-        }
+        let (tree_2d, tree_3d) = trees.encode(table, ids);
+        let packet = |tag, payload: Vec<u8>| Packet::new(tag, leaf, payload);
+        let tree_3d = packet(PacketTag::Merged3d, tree_3d);
+        let tree_2d = tree_2d.map_or_else(|| tree_3d.payload.clone(), Into::into);
+        let contribution = DaemonContribution {
+            daemon_id: self.id,
+            tree_2d: Packet::new(PacketTag::Merged2d, leaf, tree_2d),
+            tree_3d,
+            rank_map: packet(PacketTag::RankMap, encode_rank_map(&self.ranks)),
+            traces_gathered: traces,
+            sample_wall: merge_start - sample_start,
+            local_merge_wall: merge_start.elapsed(),
+        };
+        (contribution, trees)
     }
 
     /// Run one full gather-and-merge cycle and package the results for the TBON.
@@ -185,18 +179,36 @@ impl StatDaemon {
     /// marks; *local merge* is the upward close and the encode.  `dict` is the
     /// session's negotiated frame dictionary: the daemon symbolises into a
     /// [`FrameTable`] over its shared base, so a negotiated frame's id already is
-    /// its global id and the v2 encoder interns only the frames outside the base.
+    /// its global id, and the relabel after the encode interns only the others.
     pub fn contribute<S: WireTaskSet>(
         &self,
         app: &dyn Application,
         samples: u32,
-        leaf_endpoint: EndpointId,
+        leaf: EndpointId,
         dict: &FrameDictionary,
     ) -> DaemonContribution {
-        let mut table = dict.table();
-        let trees = LocalTrees::new(self.leaf_width::<S>());
-        let encode = self.contribute_from::<S>(app, 0..samples, leaf_endpoint, &mut table, trees);
-        encode(&table, dict).0
+        let (mut table, ids) = (dict.table(), (dict, &dict.table()));
+        let trees = LocalTrees::<S>::new(self.leaf_width::<S>());
+        let (mut c, _) = self.contribute_from(app, 0..samples, (leaf, ids), &mut table, trees);
+        c.relabel::<S>(ids);
+        c
+    }
+}
+
+impl DaemonContribution {
+    /// Its tree packets in session ids ([`relabel`]), 2D first, as one encode
+    /// interns; a one-column 2D packet stays its 3D packet's buffer.
+    pub(crate) fn relabel<S: WireTaskSet>(&mut self, ids: Ids<'_>) {
+        let shared = std::ptr::eq(&*self.tree_2d.payload, &*self.tree_3d.payload);
+        let trees = [&mut self.tree_2d, &mut self.tree_3d];
+        for packet in trees.into_iter().skip(usize::from(shared)) {
+            if let Ok(Some(body)) = relabel::<S>(&packet.payload, ids) {
+                packet.payload = body.into();
+            }
+        }
+        if shared {
+            self.tree_2d.payload = self.tree_3d.payload.clone();
+        }
     }
 }
 
@@ -242,67 +254,47 @@ impl PathEnds {
     }
 }
 
-/// A driver's last step per daemon: its item, its frame table and local trees
-/// back, its encode.
+/// A driver's last step per daemon, inside the map: its item, its frame table
+/// and local trees back, its contribution.
 type Finish<'a, T, S, R> =
-    dyn Fn(&mut T, FrameTable, DaemonContribution, LocalTrees<S>) -> R + Sync + 'a;
+    dyn Fn(T, FrameTable, DaemonContribution, LocalTrees<S>) -> R + Sync + 'a;
 
 /// An item's daemon, the frame table and local trees it walks into, and its leaf.
 type Parts<'a, S> = (&'a StatDaemon, FrameTable, LocalTrees<S>, EndpointId);
 
 /// The daemon step of every gather, one-shot or streamed: each item's walk →
-/// close over the sample indices of `window`, side by side on `net`'s workers,
-/// then its encode and `finish`.  `parts` reaches an item's daemon and leaf and
-/// hands over the frame table (a fresh one is `dict`'s) and the local trees (a
-/// fresh arena, or a stream's from its last wave) to walk into, which `finish`
-/// gets back.  An item encodes inside the map only if its table is over `dict`'s
-/// base with an empty overflow, so the encode interns nothing (which names are
-/// interned yet depends on the schedule); any other encodes after the map, in
-/// item (backend) order.  So the packets and frame ids are a serial loop's
-/// whatever the schedule.
-/// Only the work inside the map is fenced: a daemon whose walk (or in-map encode
-/// and `finish`) panics is [`TbonError::PoolPoisoned`].
+/// close → encode over the sample indices of `window`, then its `finish`, side
+/// by side on `net`'s workers.  `parts` reaches an item's daemon and leaf and
+/// hands over the frame table (a fresh one is the dictionary's) and the local
+/// trees (a fresh arena, or a stream's from its last wave) to walk into, which
+/// `finish` gets back.  Nothing in the map interns: every body is written
+/// against `ids`, so no id depends on the schedule, and the caller relabels
+/// what each `finish` shipped after the map, in item (backend) order.  An arena
+/// outlives its item's step only where `finish` keeps it.  A daemon whose walk
+/// or `finish` panics is [`TbonError::PoolPoisoned`].
 pub(crate) fn map_daemons<S: WireTaskSet + Send, T: Send, R: Send>(
     net: &InProcessTbon,
     items: Vec<T>,
     parts: for<'a> fn(&'a mut T, &FrameDictionary) -> Parts<'a, S>,
     (app, window): (&dyn Application, Range<u32>),
-    dict: &FrameDictionary,
+    ids: Ids<'_>,
     finish: &Finish<'_, T, S, R>,
 ) -> Result<Vec<R>, TbonError> {
-    let walked = net.map(items, &|mut item| {
-        let (daemon, mut table, trees, leaf) = parts(&mut item, dict);
-        let encode = daemon.contribute_from::<S>(app, window.clone(), leaf, &mut table, trees);
-        Ok(if negotiated_only(&table, dict) {
-            let (contribution, trees) = encode(&table, dict);
-            Ok(finish(&mut item, table, contribution, trees))
-        } else {
-            // Boxed, so every result of the map stays contribution-sized.
-            Err(Box::new((item, table, encode)))
-        })
-    })?;
-    let encoded = walked.into_iter().map(|item| {
-        item.unwrap_or_else(|held| {
-            let (mut item, table, encode) = *held;
-            let (contribution, trees) = encode(&table, dict);
-            finish(&mut item, table, contribution, trees)
-        })
-    });
-    Ok(encoded.collect())
-}
-
-/// A table over `dict`'s base with an empty overflow: its ids are global ids.
-fn negotiated_only(table: &FrameTable, dict: &FrameDictionary) -> bool {
-    dict.shares_base(table) && table.len() == dict.base_len() as usize
+    net.map(items, &|mut item| {
+        let (daemon, mut table, trees, leaf) = parts(&mut item, ids.0);
+        let at = (leaf, ids);
+        let (shipped, trees) = daemon.contribute_from(app, window.clone(), at, &mut table, trees);
+        Ok(finish(item, table, shipped, trees))
+    })
 }
 
 /// Every daemon's [`StatDaemon::contribute`] through [`map_daemons`], each
 /// walking a new epoch into an arena of `pool` an earlier daemon left (one of
 /// another row width is dropped), so a worker builds its daemons' shared frames
-/// once.  An arena goes back only if its table is [`negotiated_only`] (no
-/// table-local id reaches another table) and its epoch reached at least half
-/// its nodes (so it holds at most twice one daemon's tree).  A poisoned pool
-/// reads as empty.
+/// once.  An arena goes back only if its table (`dict`'s) has an empty overflow
+/// (no table-local id reaches another table) and its epoch reached at least half
+/// its nodes (so it holds at most twice one daemon's tree); any other is
+/// dropped inside the map.  A poisoned pool reads as empty.
 pub(crate) fn contribute_pooled<S: WireTaskSet + Send>(
     net: &InProcessTbon,
     daemons: Vec<(&StatDaemon, EndpointId)>,
@@ -311,7 +303,8 @@ pub(crate) fn contribute_pooled<S: WireTaskSet + Send>(
     pool: &Mutex<Vec<LocalTrees<S>>>,
 ) -> Result<Vec<DaemonContribution>, TbonError> {
     let items = daemons.into_iter().map(|(d, leaf)| (d, leaf, pool));
-    map_daemons::<S, _, _>(
+    let ids = (dict, &dict.snapshot());
+    let mut shipped = map_daemons::<S, _, _>(
         net,
         items.collect(),
         |(daemon, leaf, pool), dict| {
@@ -322,17 +315,20 @@ pub(crate) fn contribute_pooled<S: WireTaskSet + Send>(
             (*daemon, dict.table(), trees, *leaf)
         },
         (app, 0..samples),
-        dict,
+        ids,
         &|(_, _, pool), table, contribution, trees| {
             let reached = trees.column_3d().touched.len();
-            if negotiated_only(&table, dict) && 2 * reached >= trees.tree.node_count() {
+            let negotiated = table.len() == dict.base_len() as usize;
+            if negotiated && 2 * reached >= trees.tree.node_count() {
                 if let Ok(mut arenas) = pool.lock() {
                     arenas.push(trees);
                 }
             }
             contribution
         },
-    )
+    )?;
+    shipped.iter_mut().for_each(|c| c.relabel::<S>(ids));
+    Ok(shipped)
 }
 
 /// A daemon's 2D and 3D trees: one arena that every trace reaches by name, and
@@ -448,7 +444,7 @@ impl<S: WireTaskSet> LocalTrees<S> {
     /// each in first-touch order.  Both columns stay: the next epoch's stamps
     /// make the rows this one left unreadable, so an arena handed on in a pool
     /// keeps its 2D rows and stamps instead of growing them again.
-    fn encode(&mut self, table: &FrameTable, dict: &FrameDictionary) -> (Option<Vec<u8>>, Vec<u8>) {
+    fn encode(&mut self, table: &FrameTable, ids: Ids<'_>) -> (Option<Vec<u8>>, Vec<u8>) {
         let body = |column: &Column| {
             let links = column
                 .touched
@@ -456,9 +452,9 @@ impl<S: WireTaskSet> LocalTrees<S> {
                 .skip(1)
                 .map(|&n| column.link(&self.tree, n));
             let row = |at: usize| column.row(column.touched[at]);
-            encode_ordered::<S>(self.width, links, row, table, dict)
+            encode_ordered::<S>(self.width, links, row, table, ids)
         };
-        // The 2D tree first: the encode interns un-negotiated names in tree order.
+        // The 2D tree first: the relabel interns its names before the 3D tree's.
         let tree_2d = (!self.one_column).then(|| body(&self.columns[0]));
         let tree_3d = body(&self.columns[1]);
         (tree_2d, tree_3d)

@@ -6,7 +6,8 @@
 //! the zero words Section V complains about.  Frame names live in a session-global
 //! [`FrameDictionary`] negotiated once at setup; packets carry u32 ids, and every
 //! length or count is an LEB128 varint.  Any version byte but 2 is the typed
-//! [`DecodeError::Version`].
+//! [`DecodeError::Version`].  A daemon interns nothing: a name the dictionary
+//! lacks ships a fresh id, named by a record, until `relabel` after the map.
 //!
 //! ```text
 //! magic    u32     0x53544154 ("STAT"), little-endian
@@ -327,16 +328,12 @@ impl WireFrames {
 // ---------------------------------------------------------------------------
 
 /// The writer's view of a body whose words stay where they are: the root, then
-/// each node of `nodes` as its parent's position in this order and its frame
-/// mapped by `gid_of`.  The caller adds the incremental records that keep the
-/// packet self-contained.
+/// each node of `nodes` as its parent's position in this order and its gid.
+/// The caller adds the incremental records that keep the packet self-contained.
 fn plan<'a>(
-    width: u64,
-    base_len: u32,
-    nodes: impl Iterator<Item = (usize, FrameId)>,
-    mut gid_of: impl FnMut(FrameId) -> u32,
+    (width, base_len): (u64, u32),
+    nodes: impl Iterator<Item = (usize, u32)>,
 ) -> FlatTree<'a> {
-    let nodes = nodes.map(|(parent, frame)| (parent, gid_of(frame)));
     let nodes = std::iter::once((0, 0)).chain(nodes).collect();
     FlatTree {
         width,
@@ -351,45 +348,6 @@ pub(crate) fn links<S: TaskSetOps>(
     tree: &PrefixTree<S>,
 ) -> impl Iterator<Item = (usize, FrameId)> + '_ {
     tree.iter_nodes().map(|(_, frame, parent)| (parent, frame))
-}
-
-fn plan_with_dictionary<'a>(
-    width: u64,
-    nodes: impl Iterator<Item = (usize, FrameId)>,
-    table: &'a FrameTable,
-    dict: &FrameDictionary,
-) -> FlatTree<'a> {
-    let base_len = dict.base_len();
-    // Base ids of a table over `dict`'s base are global; others intern once each.
-    let negotiated = if dict.shares_base(table) { base_len } else { 0 };
-    let mut gid_of: HashMap<FrameId, u32> = HashMap::new();
-    let mut records = BTreeMap::new();
-    let mut plan = plan(width, base_len, nodes, |frame| {
-        if frame.0 < negotiated {
-            return frame.0;
-        }
-        *gid_of.entry(frame).or_insert_with(|| {
-            let name = table.name(frame);
-            let gid = dict.intern(name);
-            if gid >= base_len {
-                records.insert(gid, name);
-            }
-            gid
-        })
-    });
-    plan.records = records.into_iter().collect();
-    plan
-}
-
-fn plan_from_wire<'a, S: WireTaskSet>(
-    tree: &PrefixTree<S>,
-    frames: &'a WireFrames,
-) -> FlatTree<'a> {
-    let mut plan = plan(tree.width(), frames.base_len(), links(tree), |frame| {
-        frame.0
-    });
-    plan.records = referenced(&plan.nodes, plan.base_len, |gid| frames.name_of(gid));
-    plan
 }
 
 /// The records a body whose nodes are `nodes` ships: one per gid past the base,
@@ -501,32 +459,97 @@ pub fn encode_tree<S: WireTaskSet>(
     table: &FrameTable,
     dict: &FrameDictionary,
 ) -> Vec<u8> {
-    let row = |node| tree.tasks(node).words();
-    encode_ordered::<S>(tree.width(), links(tree), row, table, dict)
+    let (row, ids) = (|node| tree.tasks(node).words(), (dict, &dict.table()));
+    let body = encode_ordered::<S>(tree.width(), links(tree), row, table, ids);
+    relabel::<S>(&body, ids).ok().flatten().unwrap_or(body)
 }
 
-/// [`encode_tree`] of a tree given in the order its nodes ship: the non-root
-/// nodes as `(parent's position, frame)`, each parent listed before its
-/// children, and `row` answering a position's task-set words (the root's is 0).
-/// A daemon encodes its trees in the order its walk first reached their nodes.
+/// The dictionary, and a table of ids it held before a body: a snapshot or its base.
+pub(crate) type Ids<'a> = (&'a FrameDictionary, &'a FrameTable);
+
+/// A tree given in the order its nodes ship, as a body whose fresh ids wait for
+/// [`relabel`]: the non-root nodes as `(parent's position, frame)`, each parent
+/// listed before its children, and `row` answering a position's task-set words
+/// (the root's is 0).  A frame `known` names ships its session id, any other a
+/// fresh id past `known`'s, numbered in node order and named by a record.
 pub(crate) fn encode_ordered<'t, S: WireTaskSet>(
     width: u64,
     nodes: impl Iterator<Item = (usize, FrameId)>,
     row: impl Fn(usize) -> &'t [u64],
     table: &FrameTable,
-    dict: &FrameDictionary,
+    (dict, known): Ids<'_>,
 ) -> Vec<u8> {
-    let plan = plan_with_dictionary(width, nodes, table, dict);
+    let fresh = u32::try_from(known.len()).unwrap_or(u32::MAX);
+    let base_len = dict.base_len();
+    // Base ids of a table over `dict`'s base are session ids; others go by name.
+    let negotiated = if dict.shares_base(table) { base_len } else { 0 };
+    let (mut gids, mut unnamed) = (HashMap::new(), Vec::new());
+    let mut gid_of = |frame: FrameId| {
+        let name = table.name(frame);
+        if let Some(gid) = known.lookup(name) {
+            return gid.0;
+        }
+        unnamed.push(name);
+        fresh + u32::try_from(unnamed.len() - 1).unwrap_or(u32::MAX)
+    };
+    let nodes = nodes.map(|(parent, frame)| match frame.0 < negotiated {
+        true => (parent, frame.0),
+        false => (parent, *gids.entry(frame).or_insert_with(|| gid_of(frame))),
+    });
+    let mut plan = plan((width, base_len), nodes);
+    plan.records = referenced(&plan.nodes, base_len, |gid| match gid.checked_sub(fresh) {
+        Some(at) => unnamed.get(usize::try_from(at).ok()?).copied(),
+        None => Some(known.name(FrameId(gid))),
+    });
     let mut out = Vec::with_capacity(32 + plan.nodes.len() * 8);
     write_body::<S>(&mut out, &plan, row);
     out
+}
+
+/// A body [`encode_ordered`] wrote against `known`, in session ids: the one place
+/// names meet the dictionary.  Interning the fresh records in id order interns in
+/// node order, as one encode through the dictionary would.  `None`: each fresh id
+/// already is its name's id, so the body stands, read no further than its records
+/// (a body wider than [`MAX_WIRE_WIDTH`] fails to read, and the filter rejects it).
+pub(crate) fn relabel<S: WireTaskSet>(
+    body: &[u8],
+    (dict, known): Ids<'_>,
+) -> Result<Option<Vec<u8>>, DecodeError> {
+    // The records follow the magic, version, tag, width and base.
+    let (mut records, mut gids) = (Reader::new(body), Vec::new());
+    let fresh = u32::try_from(known.len()).unwrap_or(u32::MAX);
+    records.take(6)?;
+    let (_width, _base) = (records.varint()?, records.varint()?);
+    for _ in 0..records.varint()? {
+        let (id, len, offset) = (records.varint_u32()?, records.varint_count()?, records.pos);
+        let name = std::str::from_utf8(records.take(len)?)
+            .map_err(|_| DecodeError::BadFrameName { offset })?;
+        gids.extend((id >= fresh).then(|| (id, dict.intern(name))));
+    }
+    if gids.iter().all(|(id, gid)| id == gid) {
+        return Ok(None);
+    }
+    let mut flat = FlatTree::default();
+    flat.read::<S>(body)?;
+    let nodes = flat.nodes.iter_mut().skip(1).map(|(_, id)| id);
+    for id in nodes.chain(flat.records.iter_mut().map(|(id, _)| id)) {
+        if let Ok(at) = gids.binary_search_by_key(&*id, |&(fresh, _)| fresh) {
+            *id = gids.get(at).map_or(*id, |&(_, gid)| gid);
+        }
+    }
+    flat.records.sort_unstable_by_key(|&(gid, _)| gid);
+    let mut out = Vec::with_capacity(body.len() + 8);
+    write_body::<S>(&mut out, &flat, |node| flat.row(node));
+    Ok(Some(out))
 }
 
 /// Re-serialise a merged tree whose frame ids are already session-global —
 /// the filter path.  No dictionary handle needed: the incremental records the
 /// inputs carried (unioned into `frames`) keep the packet self-contained.
 pub fn encode_merged_tree<S: WireTaskSet>(tree: &PrefixTree<S>, frames: &WireFrames) -> Vec<u8> {
-    let plan = plan_from_wire(tree, frames);
+    let at = (tree.width(), frames.base_len());
+    let mut plan = plan(at, links(tree).map(|(parent, frame)| (parent, frame.0)));
+    plan.records = referenced(&plan.nodes, plan.base_len, |gid| frames.name_of(gid));
     let mut out = Vec::with_capacity(32 + tree.node_count() * 8);
     write_body::<S>(&mut out, &plan, |node| tree.tasks(node).words());
     out
@@ -1151,6 +1174,208 @@ mod tests {
             let foreign = FrameDictionary::negotiate(reversed).table();
             let dict = FrameDictionary::negotiate(hints);
             assert_eq!(walked_bodies::<S>(foreign, &dict), plain);
+        }
+        check::<DenseBitVector>();
+        check::<SubtreeTaskList>();
+    }
+
+    /// The encoder as it was before the relabel, the oracle of the tests below:
+    /// every frame outside a shared base is interned into `dict` in node order
+    /// while the body is planned, and ships that id.
+    fn interning_encode<S: WireTaskSet>(
+        tree: &PrefixTree<S>,
+        table: &FrameTable,
+        dict: &FrameDictionary,
+    ) -> Vec<u8> {
+        let negotiated = if dict.shares_base(table) {
+            dict.base_len()
+        } else {
+            0
+        };
+        let (mut gid_of, mut name_of) = (HashMap::new(), HashMap::new());
+        for (_, frame) in links(tree).filter(|(_, frame)| frame.0 >= negotiated) {
+            let name = table.name(frame);
+            let gid = *gid_of.entry(frame).or_insert_with(|| dict.intern(name));
+            name_of.insert(gid, name);
+        }
+        let gid = |frame: FrameId| gid_of.get(&frame).copied().unwrap_or(frame.0);
+        let at = (tree.width(), dict.base_len());
+        let nodes = links(tree).map(|(parent, frame)| (parent, gid(frame)));
+        let mut plan = plan(at, nodes);
+        plan.records = referenced(&plan.nodes, at.1, |gid| name_of.get(&gid).copied());
+        let mut out = Vec::new();
+        write_body::<S>(&mut out, &plan, |node| tree.tasks(node).words());
+        out
+    }
+
+    /// A 103-name base: 100 fillers, then the ring's spine.
+    fn wide_hints() -> Vec<String> {
+        let fillers = (0..100).map(|k| format!("filler_{k}"));
+        let spine = ["_start", "main", "MPI_Barrier"].map(String::from);
+        fillers.chain(spine).collect()
+    }
+
+    /// A daemon's 2D and 3D trees over 16 tasks, walked by name into `table`:
+    /// "late_a", "late_b" and "poll" are outside [`wide_hints`], and the walk
+    /// reaches "late_a" first.
+    fn cold_trees<S: WireTaskSet>(table: &mut FrameTable) -> [PrefixTree<S>; 2] {
+        let paths: [&[&str]; 4] = [
+            &["_start", "main", "MPI_Barrier"],
+            &["_start", "main", "late_a", "poll"],
+            &["_start", "late_b", "main"],
+            &["_start", "main", "late_a", "late_b"],
+        ];
+        [1, 3].map(|stride| {
+            let mut tree = PrefixTree::<S>::new(16);
+            for task in 0..16 {
+                let end = tree.descend_named(table, paths[(task as usize * stride) % 4]);
+                tree.mark(end, task);
+            }
+            crate::graph::tests::close_upward(&mut tree);
+            tree
+        })
+    }
+
+    #[test]
+    fn a_relabelled_body_is_the_interning_encoders() {
+        fn check<S: WireTaskSet>(case: &str, earlier: usize, table_order: &[&str], late_a: bool) {
+            let hints = wide_hints();
+            let negotiate = || {
+                let dict = FrameDictionary::negotiate(hints.iter().map(String::as_str));
+                // Names an earlier daemon's relabel interned.
+                for k in 0..earlier {
+                    dict.intern(&format!("earlier_{k}"));
+                }
+                if late_a {
+                    dict.intern("late_a");
+                }
+                dict
+            };
+            let (reference, relabelled) = (negotiate(), negotiate());
+            // Known before the map: the snapshot's names ship their session ids.
+            let known = if late_a {
+                relabelled.snapshot()
+            } else {
+                relabelled.table()
+            };
+            let mut table = relabelled.table();
+            for name in table_order {
+                table.intern(name);
+            }
+            let trees = cold_trees::<S>(&mut table);
+            for (tree, first) in trees.iter().zip([true, false]) {
+                let at = format!("{case}, {} nodes", tree.node_count());
+                let want = interning_encode(tree, &table, &reference);
+                let row = |node| tree.tasks(node).words();
+                let ids = (&relabelled, &known);
+                let body = encode_ordered::<S>(tree.width(), links(tree), row, &table, ids);
+                let got = relabel::<S>(&body, ids).expect("a written body reads");
+                // Rewritten where the dictionary numbers the names otherwise;
+                // the first body's fresh names are the next ids when none was
+                // interned before it.
+                if earlier > 0 && !late_a {
+                    assert!(got.is_some(), "{at}");
+                } else if first {
+                    assert_eq!(got, None, "{at}");
+                }
+                assert_eq!(got.unwrap_or_else(|| body.clone()), want, "{at}");
+                // encode_tree is the same two steps.
+                assert_eq!(encode_tree(tree, &table, &relabelled), want, "{at}");
+                if earlier > 0 && !late_a {
+                    assert!(want.len() > body.len(), "{at}: the ids past 127 grew");
+                }
+            }
+            let names = |dict: &FrameDictionary| {
+                let table = dict.snapshot();
+                let ids = (0..).map(FrameId).take(table.len());
+                ids.map(|id| table.name(id).to_string()).collect::<Vec<_>>()
+            };
+            assert_eq!(names(&relabelled), names(&reference), "{case}");
+            let late = names(&relabelled).split_off(hints.len() + earlier);
+            assert_eq!(
+                late,
+                ["late_a", "poll", "late_b"],
+                "{case}: interned in node order"
+            );
+        }
+        for (case, earlier, table_order, late_a) in [
+            ("ids below 128", 0, &[][..], false),
+            ("global ids past 127", 40, &[], false),
+            (
+                "the table holds late_b before late_a",
+                0,
+                &["late_b", "late_a"],
+                false,
+            ),
+            ("both", 40, &["poll", "late_b", "late_a"], false),
+            ("late_a known before the map", 40, &["poll"], true),
+        ] {
+            check::<DenseBitVector>(case, earlier, table_order, late_a);
+            check::<SubtreeTaskList>(case, earlier, table_order, late_a);
+        }
+    }
+
+    #[test]
+    fn a_body_with_no_fresh_id_comes_back_as_it_is() {
+        fn check<S: WireTaskSet>() {
+            // Every name negotiated: no record.  Every name interned before the
+            // map: records, each already naming its session id.
+            let all = ["_start", "main", "late_a", "late_b", "poll", "MPI_Barrier"];
+            let negotiated = FrameDictionary::negotiate(all);
+            let interned = FrameDictionary::negotiate(wide_hints().iter().map(String::as_str));
+            for name in all {
+                interned.intern(name);
+            }
+            for dict in [negotiated, interned] {
+                let (known, mut table) = (dict.snapshot(), dict.table());
+                for tree in cold_trees::<S>(&mut table) {
+                    let row = |node| tree.tasks(node).words();
+                    let ids = (&dict, &known);
+                    let body = encode_ordered::<S>(tree.width(), links(&tree), row, &table, ids);
+                    assert_eq!(relabel::<S>(&body, ids), Ok(None));
+                    assert_eq!(body, interning_encode(&tree, &table, &dict));
+                }
+                assert_eq!(dict.len(), known.len(), "nothing was interned");
+            }
+        }
+        check::<DenseBitVector>();
+        check::<SubtreeTaskList>();
+    }
+
+    #[test]
+    fn a_broken_body_fails_the_relabel_with_a_typed_error() {
+        fn check<S: WireTaskSet>() {
+            let dict = FrameDictionary::negotiate(wide_hints().iter().map(String::as_str));
+            let (mut table, base) = (dict.table(), dict.table());
+            let [tree, _] = cold_trees::<S>(&mut table);
+            let (row, ids) = (|node| tree.tasks(node).words(), (&dict, &base));
+            let body = encode_ordered::<S>(tree.width(), links(&tree), row, &table, ids);
+            // Another body interned a name first: this one's must be rewritten.
+            dict.intern("earlier");
+            for cut in 1..body.len() {
+                let err = relabel::<S>(&body[..body.len() - cut], ids);
+                assert!(err.is_err(), "cut {cut}: {err:?}");
+            }
+            // The record count sits after the magic, version, tag, width and base.
+            let at = 6 + [tree.width(), u64::from(dict.base_len())]
+                .map(|v| {
+                    let mut sink = Vec::new();
+                    put_varint(&mut sink, v);
+                    sink.len()
+                })
+                .iter()
+                .sum::<usize>();
+            assert_eq!(body[at], 3, "three records: late_a, poll, late_b");
+            let lying = |count: u64| {
+                let mut lie = body[..at].to_vec();
+                put_varint(&mut lie, count);
+                lie.extend_from_slice(&body[at + 1..]);
+                relabel::<S>(&lie, ids)
+            };
+            assert!(lying(4).is_err(), "one record more than shipped");
+            let huge = lying(1 << 40);
+            assert!(huge.is_err(), "{huge:?}");
+            assert!(relabel::<S>(&body, ids).is_ok_and(|body| body.is_some()));
         }
         check::<DenseBitVector>();
         check::<SubtreeTaskList>();

@@ -80,7 +80,7 @@ use crate::frontend::Representation;
 use crate::graph::PrefixTree;
 use crate::scenario::{diagnose, prune_overlay, resolve_filter_faults};
 use crate::serialize::{
-    decode_tree, encode_merged_tree, encode_ordered, links, WireFrames, WireTaskSet,
+    decode_tree, encode_merged_tree, encode_ordered, links, relabel, Ids, WireFrames, WireTaskSet,
 };
 use crate::session::{PhaseTimings, Session};
 use crate::taskset::{DenseBitVector, SubtreeTaskList};
@@ -196,20 +196,21 @@ struct DaemonStream<S: WireTaskSet> {
 }
 
 impl<S: WireTaskSet> DaemonStream<S> {
-    /// The cumulative tree's packet body: the arena in index order, each node
-    /// labelled with every task that has reached it.
-    fn encode_cumulative(&self, dict: &FrameDictionary) -> Vec<u8> {
+    /// The cumulative tree's packet body against `ids`: the arena in index order,
+    /// each node labelled with every task that has reached it (a later snapshot
+    /// names every frame a wave met, so the body is then in session ids).
+    fn encode_cumulative(&self, ids: Ids<'_>) -> Vec<u8> {
         let (trees, rows) = (&self.trees, |node| self.cumulative.row(node));
-        encode_ordered::<S>(trees.width, links(&trees.tree), rows, &self.table, dict)
+        encode_ordered::<S>(trees.width, links(&trees.tree), rows, &self.table, ids)
     }
 
     /// Fold the wave's closed 3D tree into the cumulative rows, and encode its
-    /// delta: in first-touch order, the root, every node the wave reached whose
-    /// row adds members (and every node it created), and the ancestors that reach
-    /// them, each labelled with only the members it adds, which is what
-    /// [`PrefixTree::delta_from`] ships.  Returns the delta and whether it added
-    /// anything.
-    fn fold_delta(&mut self, dict: &FrameDictionary) -> (Vec<u8>, bool) {
+    /// delta against `ids`: in first-touch order, the root, every node the
+    /// wave reached whose row adds members (and every node it created), and the
+    /// ancestors that reach them, each labelled with only the members it adds,
+    /// which is what [`PrefixTree::delta_from`] ships.  Returns the delta and
+    /// whether it added anything.
+    fn fold_delta(&mut self, ids: Ids<'_>) -> (Vec<u8>, bool) {
         let (trees, cumulative) = (&self.trees, &mut self.cumulative);
         let column = trees.column_3d();
         // The members a reached node's wave row adds over its cumulative row.
@@ -244,7 +245,7 @@ impl<S: WireTaskSet> DaemonStream<S> {
             }
         }
         let rows = |place| rows.row(place);
-        let delta = encode_ordered::<S>(trees.width, links.into_iter(), rows, &self.table, dict);
+        let delta = encode_ordered::<S>(trees.width, links.into_iter(), rows, &self.table, ids);
 
         cumulative.grow(trees.tree.node_count());
         for (&node, _) in column.touched.iter().zip(&kept).filter(|(_, &keep)| keep) {
@@ -351,13 +352,14 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
             }
         }
         self.incremental = IncrementalTbon::new(topology.clone(), TreeResidentFactory(PhantomData));
+        let known = self.dict.snapshot();
         let packets: Vec<Packet> = self
             .streams
             .iter()
             .flatten()
             .zip(topology.backends().iter())
             .map(|(stream, &leaf)| {
-                let payload = stream.encode_cumulative(&self.dict);
+                let payload = stream.encode_cumulative((&self.dict, &known));
                 Packet::new(PacketTag::TreeDelta, leaf, payload)
             })
             .collect();
@@ -374,7 +376,8 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
     ) -> Result<(Vec<DaemonContribution>, Vec<Packet>, u64), TbonError> {
         let leaves = net.topology().backends().iter().copied();
         let items = self.streams.iter_mut().flatten().zip(leaves).collect();
-        let per_daemon = map_daemons::<S, _, _>(
+        let ids = (&self.dict, &self.dict.snapshot());
+        let mut per_daemon = map_daemons::<S, _, _>(
             net,
             items,
             |(stream, leaf), _| {
@@ -383,22 +386,33 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
                 (&stream.daemon, table, trees, *leaf)
             },
             (app, window),
-            &self.dict,
+            ids,
             &|(stream, leaf), table, mut contribution, trees| {
                 let delta_start = Instant::now();
                 (stream.table, stream.trees) = (table, trees);
                 stream.trees.release_2d();
-                let (delta_payload, added) = stream.fold_delta(&self.dict);
+                let (delta, added) = stream.fold_delta(ids);
                 contribution.local_merge_wall += delta_start.elapsed();
-                if added || stream.full_bytes == 0 {
-                    stream.full_bytes = stream.encode_cumulative(&self.dict).len() as u64;
-                }
-                let delta = Packet::new(PacketTag::TreeDelta, *leaf, delta_payload);
-                (contribution, delta, stream.full_bytes)
+                let full = (added || stream.full_bytes == 0).then(|| stream.encode_cumulative(ids));
+                stream.full_bytes = full.as_ref().map_or(stream.full_bytes, |b| b.len() as u64);
+                // Only a table past the base ships fresh ids, which may change the length.
+                let full = full.filter(|_| stream.table.len() > ids.0.base_len() as usize);
+                let delta = Packet::new(PacketTag::TreeDelta, leaf, delta);
+                (stream, contribution, delta, full)
             },
         )?;
-        let full_packet_bytes = per_daemon.iter().map(|(_, _, full)| full).sum();
-        let (contributions, deltas) = per_daemon.into_iter().map(|(c, d, _)| (c, d)).unzip();
+        // After the map, in backend order: every body in session ids.
+        for (stream, contribution, delta, full) in &mut per_daemon {
+            contribution.relabel::<S>(ids);
+            if let Ok(Some(body)) = relabel::<S>(&delta.payload, ids) {
+                delta.payload = body.into();
+            }
+            if let Some(Ok(Some(body))) = full.take().map(|body| relabel::<S>(&body, ids)) {
+                stream.full_bytes = body.len() as u64;
+            }
+        }
+        let full_packet_bytes = per_daemon.iter().map(|r| r.0.full_bytes).sum();
+        let (contributions, deltas) = per_daemon.into_iter().map(|(_, c, d, _)| (c, d)).unzip();
         Ok((contributions, deltas, full_packet_bytes))
     }
 
@@ -424,9 +438,9 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
     }
 
     fn batched_canonical(&self) -> CanonicalTree {
-        let mut merged: Option<PrefixTree<S>> = None;
+        let (mut merged, known) = (None::<PrefixTree<S>>, self.dict.snapshot());
         for stream in self.streams.iter().flatten() {
-            let payload = stream.encode_cumulative(&self.dict);
+            let payload = stream.encode_cumulative((&self.dict, &known));
             let Ok((tree, _frames)) = decode_tree::<S>(&payload) else {
                 return Vec::new();
             };
@@ -1118,7 +1132,7 @@ mod tests {
                     .map(|(c, delta)| [&c.tree_2d, &c.tree_3d, delta].map(|p| p.payload.to_vec()));
                 let streams = core.streams.iter().flatten();
                 let cumulative = streams.clone().map(|stream| {
-                    let payload = stream.encode_cumulative(&core.dict);
+                    let payload = stream.encode_cumulative((&core.dict, &core.dict.snapshot()));
                     let (tree, _) =
                         decode_tree::<S>(&payload).expect("the cumulative tree decodes");
                     canonical(&tree, &core.dict.snapshot())
@@ -1136,7 +1150,11 @@ mod tests {
                     }
                 }
                 assert_eq!(&got.1, trees, "{at}: cumulative trees");
-                let fresh = streams.map(|stream| stream.encode_cumulative(&core.dict).len() as u64);
+                let fresh = streams.map(|stream| {
+                    stream
+                        .encode_cumulative((&core.dict, &core.dict.snapshot()))
+                        .len() as u64
+                });
                 assert_eq!(full, fresh.sum::<u64>(), "{at}: cached full length");
             }
             assert_eq!(
@@ -1301,9 +1319,10 @@ mod tests {
                 let app = schedule.app_at(wave);
                 let (_, _, full) = core.gather_wave(app.as_ref(), window, &net).unwrap();
                 let streams = core.streams.iter().flatten();
-                let fresh = streams
-                    .clone()
-                    .map(|s| s.encode_cumulative(&core.dict).len() as u64);
+                let fresh = streams.clone().map(|s| {
+                    s.encode_cumulative((&core.dict, &core.dict.snapshot()))
+                        .len() as u64
+                });
                 assert_eq!(full, fresh.sum::<u64>(), "wave {wave}");
                 let nodes: Vec<usize> = streams.map(|s| s.trees.tree.node_count()).collect();
                 // Three waves after the onset the hang is all the job does.

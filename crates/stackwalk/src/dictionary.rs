@@ -16,8 +16,13 @@
 //! * daemons walk into tables over that base ([`table`](FrameDictionary::table)):
 //!   every table shares the base's names read-only, so a negotiated frame's id
 //!   *is* its global id and encoding it takes no lock; a frame the negotiation
-//!   did not anticipate is interned ([`intern`](FrameDictionary::intern)) past
-//!   [`base_len`](FrameDictionary::base_len), and its name ships exactly once per
+//!   did not anticipate lands in the daemon's own overflow.  Its packet carries
+//!   the id a snapshot of the dictionary taken before the daemons' side-by-side
+//!   map gives its name, or, for a name interned by no one yet, a fresh id and a
+//!   record.  Interning ([`intern`](FrameDictionary::intern)) happens after the
+//!   map, in backend order, when those records are relabelled: the frame gets a
+//!   global id past [`base_len`](FrameDictionary::base_len), so the ids do not
+//!   depend on which daemon finished first, and its name ships exactly once per
 //!   packet as an *incremental dictionary record*;
 //! * merge filters never look names up at all — with a session-global id space,
 //!   comparing two frames is integer equality on ids.
@@ -175,7 +180,7 @@ mod tests {
         let mut table = dict.table();
         assert!(dict.shares_base(&table) && dict.shares_base(&dict.snapshot()));
         assert_eq!((table.lookup("main"), table.len()), (Some(FrameId(1)), 2));
-        // A daemon's overflow stays its own until the encoder interns it.
+        // A daemon's overflow stays its own until the relabel interns it.
         assert_eq!(table.intern("poll_step"), FrameId(2));
         assert_eq!(dict.len(), 2);
         assert_eq!(dict.intern("MPI_Barrier"), 2);
