@@ -502,6 +502,43 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_body_folds_its_rows_across_word_seams() {
+        // Bodies a word short, a word, a word and a bit and two words and two
+        // bits wide, with tasks on both sides of every seam, repeated adjacent
+        // and interleaved: most copies land at offsets that are no multiple of
+        // 64, so each row's words carry into the next.
+        let dict = session_dictionary();
+        let mut table = FrameTable::new();
+        let traces = [
+            &["_start", "main", "MPI_Barrier"][..],
+            &["_start", "main", "do_SendOrStall"],
+            &["_start", "main"],
+        ]
+        .map(|path| StackTrace::new(table.intern_path(path)));
+        let body = |width: u64| {
+            let mut tree = SubtreePrefixTree::new_subtree(width);
+            for task in 0..width {
+                tree.add_trace(&traces[(task % 3) as usize], task);
+            }
+            let bytes = encode_tree(&tree, &table, &dict);
+            Packet::new(PacketTag::Merged3d, EndpointId(9), bytes)
+        };
+        let bodies = [63, 64, 65, 130].map(body);
+        let orders: [&[usize]; 5] = [
+            &[0, 0, 0, 0],
+            &[2, 2, 2],
+            &[3, 3, 0, 3],
+            &[1, 0, 1, 2, 0, 3],
+            &[0, 2, 3, 0, 2, 3, 1],
+        ];
+        for order in orders {
+            let wave: Vec<Packet> = order.iter().map(|&k| bodies[k].clone()).collect();
+            assert!(has_repeat(&wave));
+            same_bytes::<SubtreeTaskList>(&wave, &format!("bodies {order:?}"));
+        }
+    }
+
+    #[test]
     fn the_wire_merge_ships_the_tree_merge_bytes() {
         catalogue_waves::<DenseBitVector>();
         catalogue_waves::<SubtreeTaskList>();

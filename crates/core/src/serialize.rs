@@ -45,7 +45,7 @@ use std::ops::Range;
 use stackwalk::{FrameDictionary, FrameId, FrameTable};
 
 use crate::graph::{ChildKeyHasher, PrefixTree};
-use crate::taskset::{or_shifted, words_for, RankRuns, TaskSetOps};
+use crate::taskset::{bit_of, or_shifted, word_of, words_for, RankRuns, TaskSetOps};
 
 /// Magic number identifying a serialised STAT prefix tree.
 pub const MAGIC: u32 = 0x5354_4154;
@@ -786,6 +786,27 @@ impl<'a> FlatTree<'a> {
         }
     }
 
+    /// OR every row of `body` into the row `map` lands it on, moved up by `offset`,
+    /// in one pass: the offset splits once, and each word carries its high bits into
+    /// the next (`bits >> 1 >> (63 - shift)` is `bits >> (64 - shift)`, 0 for no
+    /// shift).  `or_in`'s bound keeps every word a row writes inside that row.
+    fn or_rows(&mut self, body: &FlatTree<'_>, map: &[usize], offset: u64) {
+        let (wps, skip, shift) = (self.wps, word_of(offset), bit_of(offset));
+        let width = body.wps.max(1);
+        for (set, &into) in body.words.chunks_exact(width).zip(map) {
+            let (at, mut carry) = (into * wps + skip, 0);
+            for (i, &bits) in set.iter().enumerate() {
+                if let Some(word) = self.words.get_mut(at + i) {
+                    *word |= bits << shift | carry;
+                }
+                carry = bits >> 1 >> (63 - shift);
+            }
+            if let Some(word) = self.words.get_mut(at + width).filter(|_| carry != 0) {
+                *word |= carry;
+            }
+        }
+    }
+
     /// Fold a copy of a body in at `offset`.  A first copy (`map` is `None`) adds
     /// its records; a repeat adds none (the first wins) and ORs its rows in
     /// through its node map, derived into `map` once every probe hits.  Else it
@@ -805,9 +826,7 @@ impl<'a> FlatTree<'a> {
                     *map = self.node_map(body);
                 }
                 if let Some(map) = map {
-                    for (node, &into) in map.iter().enumerate() {
-                        self.or_in(into, body.row(node), offset);
-                    }
+                    self.or_rows(body, map, offset);
                     return;
                 }
             }

@@ -38,7 +38,6 @@ use tbon::cost::{price_reduction, Labels, ReductionCost, TreePayload};
 use tbon::fault::{CorruptingFilter, FilterFault};
 use tbon::filter::Filter;
 use tbon::network::{ChannelInput, InProcessTbon, TbonError};
-use tbon::packet::Packet;
 use tbon::planner::TopologyPlanner;
 use tbon::topology::{Topology, TreeShape};
 
@@ -398,12 +397,14 @@ impl Session {
     ) -> Result<(GatherResult, PhaseTimings, LeafTotals), StatError> {
         let strategy = self.representation.strategy();
 
-        // Split the contributions into channel streams, moving the packets — the
-        // daemons' serialised trees are never copied on their way into the overlay.
+        // Split the contributions into the channels the walk carries (no 3D one when
+        // every 2D packet shares its 3D buffer), moving the packets, never copying.
         let needs_map = strategy.needs_rank_map();
+        let same = |c: &DaemonContribution| std::ptr::eq(&*c.tree_2d.payload, &*c.tree_3d.payload);
+        let shared = contributions.iter().all(same);
         let daemons = contributions.len() as u64;
         let leaves = |wanted| Vec::with_capacity(if wanted { daemons as usize } else { 0 });
-        let (mut leaves_2d, mut leaves_3d) = (leaves(true), leaves(true));
+        let (mut leaves_2d, mut leaves_3d) = (leaves(true), leaves(!shared));
         let mut leaves_map = leaves(needs_map);
         let (mut phases, mut traces_gathered, mut straggler) = (PhaseTimings::default(), 0, None);
         // Per daemon, alive to the end: running sums instead move glibc's
@@ -420,7 +421,7 @@ impl Session {
                 .or(Some((c.daemon_id, wall)));
             tree_bytes.push((c.tree_2d.size_bytes() + c.tree_3d.size_bytes()) as u64);
             leaves_2d.push(c.tree_2d);
-            leaves_3d.push(c.tree_3d);
+            leaves_3d.extend((!shared).then_some(c.tree_3d));
             leaves_map.extend(needs_map.then_some(c.rank_map));
         }
         let tree_total: u64 = tree_bytes.iter().sum();
@@ -431,15 +432,13 @@ impl Session {
         let merge_filter = strategy.merge_filter();
         let merge = CorruptingFilter::new(merge_filter.as_ref(), filter_faults);
         let rank_map = CorruptingFilter::new(&RankMapFilter, filter_faults);
-        let same = |(a, b): (&Packet, &Packet)| std::ptr::eq(&*a.payload, &*b.payload);
-        let shared = leaves_2d.iter().zip(&leaves_3d).all(same);
         let mut channels = vec![ChannelInput::new(MergeChannel::Tree2d.label(), leaves_2d)];
         let mut filters: Vec<&dyn Filter> = vec![&merge];
         if !shared {
             channels.push(ChannelInput::new(MergeChannel::Tree3d.label(), leaves_3d));
             filters.push(&merge);
         }
-        if strategy.needs_rank_map() {
+        if needs_map {
             channels.push(ChannelInput::new(MergeChannel::RankMap.label(), leaves_map));
             filters.push(&rank_map);
         }
@@ -579,7 +578,7 @@ mod tests {
     use appsim::{FrameVocabulary, RingHangApp};
     use machine::cluster::BglMode;
     use tbon::network::TbonError;
-    use tbon::packet::PacketTag;
+    use tbon::packet::{Packet, PacketTag};
 
     fn small_session(representation: Representation, nodes: u32) -> Session {
         Session::builder(Cluster::test_cluster(nodes, 8))

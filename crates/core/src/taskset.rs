@@ -168,13 +168,13 @@ pub(crate) fn words_for(width: u64) -> usize {
 /// Word index of a bit position.  The one audited `u64`→`usize` cast for word
 /// indexing: any position that can address an in-memory `Vec<u64>` of words
 /// satisfies `bit / 64 < words.len()`, and `words.len()` is a `usize`.
-fn word_of(bit: u64) -> usize {
+pub(crate) fn word_of(bit: u64) -> usize {
     // stat-analyzer: allow(truncating-cast) — quotient is bounded by the word vector's usize length
     (bit / 64) as usize
 }
 
 /// Offset of a bit position within its word — always `< 64`.
-fn bit_of(bit: u64) -> u32 {
+pub(crate) fn bit_of(bit: u64) -> u32 {
     // stat-analyzer: allow(truncating-cast) — a remainder mod 64 fits any integer type
     (bit % 64) as u32
 }

@@ -25,7 +25,7 @@ use machine::cluster::Cluster;
 use machine::network::{Interconnect, LinkClass};
 use simkit::time::SimDuration;
 
-use crate::topology::{Topology, TreeNodeRole, TreeShape};
+use crate::topology::{Topology, TreeShape};
 
 /// Filter compute cost per byte of input on a 2.4 GHz reference core: merging
 /// serialised prefix trees costs a few ns per byte of input on a 2008-era core
@@ -134,46 +134,29 @@ impl<'a> ReductionCostModel<'a> {
     /// `subtree_backends` daemons emits `packet_bytes(subtree_backends)` bytes.
     fn reduce(&self, packet_bytes: &dyn Fn(u32) -> u64) -> ReductionCost {
         let topo = self.topology;
-        let n = topo.len();
-
-        // Bytes each node sends to its parent.
-        let mut bytes_out = vec![0u64; n];
-        for node in topo.nodes() {
-            bytes_out[node.id.0 as usize] = packet_bytes(topo.subtree_backends(node.id));
-        }
+        let levels = topo.levels();
         let mut per_level = Vec::new();
         let mut frontend_bytes_in = 0u64;
         let mut max_node_bytes_in = 0u64;
         let mut total_link_bytes = 0u64;
 
-        let levels = topo.levels();
         // Internal levels, processed leaf-most first; reported root-first at the end.
         let mut level_times_bottom_up = Vec::new();
         for level in (0..levels.len().saturating_sub(1)).rev() {
+            let (link, pack_slowdown) = if level + 2 == levels.len() {
+                (self.daemon_uplink, self.daemon_host_slowdown)
+            } else {
+                (self.upper_link, self.comm_host_slowdown)
+            };
             let mut worst = SimDuration::ZERO;
-            for &id in &levels[level] {
-                let node = topo.node(id);
-                if node.role == TreeNodeRole::BackEnd {
-                    continue;
-                }
+            for (index, &id) in levels[level].iter().enumerate() {
                 let mut bytes_in = 0u64;
                 let mut recv = SimDuration::ZERO;
-                for &child in &node.children {
-                    let child_role = topo.node(child).role;
-                    let link = if child_role == TreeNodeRole::BackEnd {
-                        self.daemon_uplink
-                    } else {
-                        self.upper_link
-                    };
-                    let child_bytes = bytes_out[child.0 as usize];
+                for &child in &levels[level + 1][topo.children_run(level, index)] {
+                    let child_bytes = packet_bytes(topo.subtree_backends(child));
                     bytes_in += child_bytes;
                     recv += self.interconnect.transfer(link, child_bytes);
                     // Sender-side packing cost on the child's host.
-                    let pack_slowdown = if child_role == TreeNodeRole::BackEnd {
-                        self.daemon_host_slowdown
-                    } else {
-                        self.comm_host_slowdown
-                    };
                     recv += SimDuration::from_secs(
                         child_bytes as f64 * PACK_SECS_PER_BYTE * pack_slowdown,
                     );

@@ -47,7 +47,7 @@ impl FaultTracker {
             if self.failed.contains(&e) {
                 return true;
             }
-            cur = self.topology.node(e).parent;
+            cur = self.topology.parent(e);
         }
         false
     }

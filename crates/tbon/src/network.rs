@@ -3,11 +3,10 @@
 //! The figure generators use the analytic [`crate::cost`] model to reason about
 //! 212,992-task configurations, but the tool itself — and the integration tests, the
 //! examples and the real-execution benchmarks — run their reductions through this
-//! network: every communication process and daemon position in the topology is
-//! materialised, every filter invocation really happens on real serialised payloads,
-//! and nodes at the same tree level run concurrently — each level is one scoped
-//! parallel map (`par_map`), whose join is the level barrier — mirroring how the
-//! real MRNet processes run concurrently on different hosts.
+//! network: every communication process in the topology runs its filter on real
+//! serialised payloads, and nodes at the same tree level run concurrently — each
+//! level is one scoped parallel map (`par_map`), whose join is the level barrier —
+//! mirroring how the real MRNet processes run concurrently on different hosts.
 //!
 //! The paper's front end does not run its reductions one at a time: the 2D tree, the
 //! 3D tree and the rank map all flow up the same physical tree in the same session.
@@ -27,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use crate::filter::Filter;
 use crate::packet::{EndpointId, Packet};
-use crate::topology::{Topology, TreeNodeRole};
+use crate::topology::Topology;
 
 /// Errors the in-process network reports instead of panicking.
 ///
@@ -73,8 +72,8 @@ pub enum TbonError {
         /// The panic payload, when it was a string.
         message: String,
     },
-    /// An internal invariant of the level walk failed (a packet slot that must
-    /// be full was empty, or a result arrived for an unknown channel).
+    /// An internal invariant of the level walk failed (a node's run of child
+    /// packets came up short, or a result arrived for an unknown channel).
     WalkInvariant {
         /// The violated invariant.
         context: &'static str,
@@ -270,14 +269,17 @@ impl InProcessTbon {
     /// the overlay's one level walk; [`crate::delta::IncrementalTbon::fold_wave`]
     /// is this walk over one channel, then a fold at the front end.
     ///
-    /// The channels are consumed: each node×channel wave *moves* its child packets
-    /// out of the slot table (every child has one parent), so no packet is cloned
-    /// on its way up and peak memory stays proportional to one level.  Each level's
+    /// The channels are consumed: each level's output is one `Vec` per channel in
+    /// level order, and since a node's children are one contiguous run of the level
+    /// below, each node×channel wave *moves* the next run of packets out of it
+    /// (every child has one parent).  No packet is cloned on its way up, no
+    /// per-endpoint table is built, and a wave's packets are dropped when its
+    /// filter returns, so peak memory stays proportional to one level.  Each level's
     /// waves run through one `par_map`, so even at the single front-end node the
     /// channels run concurrently.  Any failure — a wrong leaf count, a dead worker,
-    /// a panicking filter, an empty slot that must be full — is a typed error; a
-    /// failing level reports its earliest failure in node-major order, whatever
-    /// the schedule was.
+    /// a panicking filter, a run of child packets that comes up short — is a typed
+    /// error; a failing level reports its earliest failure in node-major order,
+    /// whatever the schedule was.
     pub fn reduce_channels(
         &self,
         channels: Vec<ChannelInput>,
@@ -305,61 +307,43 @@ impl InProcessTbon {
         }
 
         let labels: Vec<&'static str> = channels.iter().map(|c| c.label).collect();
-        // Current packet produced by each endpoint, per channel, indexed by
-        // endpoint id.
-        let mut produced: Vec<Vec<Option<Packet>>> = channels
-            .into_iter()
-            .map(|channel| {
-                let mut slots: Vec<Option<Packet>> = vec![None; self.topology.len()];
-                for (&backend, packet) in backends.iter().zip(channel.leaves) {
-                    // Backend ids index the topology that minted them; if that
-                    // ever breaks, the walk reports the empty slot as a typed
-                    // WalkInvariant instead of panicking here.
-                    if let Some(slot) = slots.get_mut(backend.0 as usize) {
-                        *slot = Some(packet);
-                    }
-                }
-                slots
-            })
-            .collect();
+        // The packets the level below produced, per channel, in level order:
+        // a node's children are the next run of them.
+        let mut produced: Vec<Vec<Packet>> = channels.into_iter().map(|c| c.leaves).collect();
         let mut accounting = vec![ChannelAccounting::default(); labels.len()];
 
         let levels = self.topology.levels();
         for level in (0..levels.len().saturating_sub(1)).rev() {
-            let node_ids: Vec<EndpointId> = levels
-                .get(level)
-                .map(|ids| ids.as_slice())
-                .unwrap_or(&[])
-                .iter()
-                .copied()
-                .filter(|&id| self.topology.node(id).role != TreeNodeRole::BackEnd)
-                .collect();
+            let node_ids = levels.get(level).map(Vec::as_slice).unwrap_or_default();
+            let mut below: Vec<_> = produced.into_iter().map(Vec::into_iter).collect();
             // Node-major order: every channel fires at a node before the next node.
             let mut items = Vec::with_capacity(node_ids.len() * filters.len());
-            for &id in &node_ids {
-                for (channel, &filter) in filters.iter().enumerate() {
-                    let kids = &self.topology.node(id).children;
-                    let mut inputs: Vec<Packet> = Vec::with_capacity(kids.len());
-                    for &c in kids {
-                        let packet = produced
-                            .get_mut(channel)
-                            .and_then(|slots| slots.get_mut(c.0 as usize))
-                            .and_then(|slot| slot.take())
-                            .ok_or(TbonError::WalkInvariant {
-                                context: "child must have produced a packet before its parent runs",
-                            })?;
-                        inputs.push(packet);
+            for (index, &id) in node_ids.iter().enumerate() {
+                let kids = self.topology.children_run(level, index).len();
+                for ((channel, &filter), packets) in filters.iter().enumerate().zip(&mut below) {
+                    let inputs: Vec<Packet> = packets.take(kids).collect();
+                    if inputs.len() < kids {
+                        return Err(TbonError::WalkInvariant {
+                            context: "child must have produced a packet before its parent runs",
+                        });
                     }
                     items.push((id, channel, filter, inputs));
                 }
             }
 
+            // Every packet of the level below is in a wave: free its buffers now.
+            drop(below);
             let results = self.map(items, &|(id, channel, filter, inputs)| {
                 Ok((id, channel, reduce_one_caught(id, channel, inputs, filter)?))
             })?;
+            produced = labels
+                .iter()
+                .map(|_| Vec::with_capacity(node_ids.len()))
+                .collect();
             for (id, channel, (packet, bytes_in, wall)) in results {
-                let acc = accounting
+                let (acc, out) = accounting
                     .get_mut(channel)
+                    .zip(produced.get_mut(channel))
                     .ok_or(TbonError::WalkInvariant {
                         context: "result arrived for a channel with no accounting",
                     })?;
@@ -370,26 +354,15 @@ impl InProcessTbon {
                 if id == self.topology.frontend() {
                     acc.frontend_bytes_in = bytes_in;
                 }
-                let slot = produced
-                    .get_mut(channel)
-                    .and_then(|slots| slots.get_mut(id.0 as usize))
-                    .ok_or(TbonError::WalkInvariant {
-                        context: "result arrived for a node outside the topology",
-                    })?;
-                *slot = Some(packet);
+                out.push(packet);
             }
         }
 
-        let frontend = self.topology.frontend().0 as usize;
         let mut outcomes = Vec::with_capacity(accounting.len());
-        for (channel, (acc, label)) in accounting.into_iter().zip(labels).enumerate() {
-            let result = produced
-                .get_mut(channel)
-                .and_then(|slots| slots.get_mut(frontend))
-                .and_then(|slot| slot.take())
-                .ok_or(TbonError::WalkInvariant {
-                    context: "front end must have produced a result for every channel",
-                })?;
+        for ((acc, label), mut level) in accounting.into_iter().zip(labels).zip(produced) {
+            let result = level.pop().ok_or(TbonError::WalkInvariant {
+                context: "front end must have produced a result for every channel",
+            })?;
             outcomes.push(ReductionOutcome {
                 channel: label,
                 result,

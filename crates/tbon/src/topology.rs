@@ -16,10 +16,14 @@
 //! and the paper's families are merely constructors ([`TreeShape::flat`],
 //! [`TreeShape::two_deep`], [`TreeShape::balanced`]; the placement rule
 //! [`TreeShape::for_placement`] gives the 3-deep shape at depth 3).
-//! [`Topology::build`] turns a shape into a concrete tree with stable endpoint ids,
-//! balanced so that every parent at a level has child counts differing by at most
-//! one.  [`crate::planner::TopologyPlanner`] searches candidate shapes with the
+//! [`Topology::build`] numbers a shape's endpoints level by level, balanced so that
+//! every parent at a level has child counts differing by at most one: each node's
+//! children are one contiguous run of the level below, so a [`Topology`] is its
+//! level widths and a [`TreeNode`] is computed on demand, not stored.
+//! [`crate::planner::TopologyPlanner`] searches candidate shapes with the
 //! reduction cost model.
+
+use std::ops::Range;
 
 use machine::placement::PlacementPlan;
 
@@ -206,11 +210,12 @@ pub struct TreeNode {
     pub children: Vec<EndpointId>,
 }
 
-/// A concrete, fully wired tree.
+/// A concrete, fully wired tree: its endpoint ids, numbered level by level from
+/// the front end (id 0).  No per-endpoint table is kept: every node's children
+/// are one contiguous run of the level below, so each relation is arithmetic.
 #[derive(Clone, Debug)]
 pub struct Topology {
     shape: TreeShape,
-    nodes: Vec<TreeNode>,
     levels: Vec<Vec<EndpointId>>,
 }
 
@@ -218,56 +223,49 @@ impl Topology {
     /// Build a balanced tree from a shape.  Children are distributed contiguously so
     /// that sibling subtree sizes differ by at most one daemon.
     pub fn build(shape: TreeShape) -> Self {
-        let mut nodes: Vec<TreeNode> = Vec::new();
-        let mut levels: Vec<Vec<EndpointId>> = Vec::new();
-        let depth = shape.depth();
         let mut next_id = 0u32;
+        let levels = shape
+            .level_widths
+            .iter()
+            .map(|&width| {
+                let ids = (next_id..next_id + width).map(EndpointId).collect();
+                next_id += width;
+                ids
+            })
+            .collect();
+        Topology { shape, levels }
+    }
 
-        for (level, &width) in shape.level_widths.iter().enumerate() {
-            let mut ids = Vec::with_capacity(width as usize);
-            for index in 0..width {
-                let id = EndpointId(next_id);
-                next_id += 1;
-                let role = if level == 0 {
-                    TreeNodeRole::FrontEnd
-                } else if level as u32 == depth {
-                    TreeNodeRole::BackEnd
-                } else {
-                    TreeNodeRole::CommProcess
-                };
-                nodes.push(TreeNode {
-                    id,
-                    role,
-                    level: level as u32,
-                    index_in_level: index,
-                    parent: None,
-                    children: Vec::new(),
-                });
-                ids.push(id);
+    /// The children of node `index` of `level`, as indices into `level + 1`: parent
+    /// `j` of `p` over `c` has `⌈j·c/p⌉..⌈(j+1)·c/p⌉` (empty on the leaf level).
+    /// `index` may be the level's width, whose run starts past the last child.
+    pub(crate) fn children_run(&self, level: usize, index: usize) -> Range<usize> {
+        let width = |level: usize| self.levels.get(level).map_or(0, Vec::len) as u64;
+        let (p, c) = (width(level).max(1), width(level + 1));
+        let first = |j: usize| (j as u64 * c).div_ceil(p) as usize;
+        first(index)..first(index + 1)
+    }
+
+    /// The level of `id` and its index within that level.
+    fn locate(&self, id: EndpointId) -> Option<(usize, usize)> {
+        let mut index = id.0 as usize;
+        for (level, ids) in self.levels.iter().enumerate() {
+            if index < ids.len() {
+                return Some((level, index));
             }
-            levels.push(ids);
+            index -= ids.len();
         }
+        None
+    }
 
-        // Wire each level to its parent level: child i of a level of width c attaches
-        // to parent floor(i * p / c) of the level above (width p).  This spreads
-        // children as evenly as possible and keeps rank ranges contiguous per subtree,
-        // which is what the hierarchical task-list representation relies on.
-        for level in 1..levels.len() {
-            let parent_width = levels[level - 1].len() as u64;
-            let child_width = levels[level].len() as u64;
-            for (i, &child_id) in levels[level].iter().enumerate() {
-                let parent_idx = (i as u64 * parent_width) / child_width;
-                let parent_id = levels[level - 1][parent_idx as usize];
-                nodes[child_id.0 as usize].parent = Some(parent_id);
-                nodes[parent_id.0 as usize].children.push(child_id);
-            }
-        }
-
-        Topology {
-            shape,
-            nodes,
-            levels,
-        }
+    /// The parent of `id` (child `i` of `c` under parent `⌊i·p/c⌋` of `p`):
+    /// `None` for the front end and for an id outside the tree.
+    pub(crate) fn parent(&self, id: EndpointId) -> Option<EndpointId> {
+        let (level, index) = self.locate(id)?;
+        let above = self.levels.get(level.checked_sub(1)?)?;
+        above
+            .get(index * above.len() / self.levels[level].len())
+            .copied()
     }
 
     /// The shape the tree was built from.
@@ -287,21 +285,40 @@ impl Topology {
 
     /// Endpoint ids of every communication process.
     pub fn comm_processes(&self) -> Vec<EndpointId> {
-        self.nodes
+        let interior = self.levels.get(1..self.levels.len().saturating_sub(1));
+        interior.unwrap_or_default().concat()
+    }
+
+    /// Node metadata, computed from the level widths.  Panics on an id outside
+    /// the tree.
+    pub fn node(&self, id: EndpointId) -> TreeNode {
+        let (level, index) = self.locate(id).expect("endpoint id is in the tree");
+        let role = match level {
+            0 => TreeNodeRole::FrontEnd,
+            l if l + 1 == self.levels.len() => TreeNodeRole::BackEnd,
+            _ => TreeNodeRole::CommProcess,
+        };
+        let children = self
+            .levels
+            .get(level + 1)
+            .map(|below| &below[self.children_run(level, index)]);
+        TreeNode {
+            id,
+            role,
+            level: level as u32,
+            index_in_level: index as u32,
+            parent: self.parent(id),
+            children: children.unwrap_or_default().to_vec(),
+        }
+    }
+
+    /// All nodes, in id order.
+    pub fn nodes(&self) -> Vec<TreeNode> {
+        self.levels
             .iter()
-            .filter(|n| n.role == TreeNodeRole::CommProcess)
-            .map(|n| n.id)
+            .flatten()
+            .map(|&id| self.node(id))
             .collect()
-    }
-
-    /// Node metadata.
-    pub fn node(&self, id: EndpointId) -> &TreeNode {
-        &self.nodes[id.0 as usize]
-    }
-
-    /// All nodes.
-    pub fn nodes(&self) -> &[TreeNode] {
-        &self.nodes
     }
 
     /// Endpoint ids level by level, root first.
@@ -314,34 +331,32 @@ impl Topology {
         self.shape.depth()
     }
 
-    /// Total number of endpoints.
+    /// Total number of endpoints: the sum of the level widths.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.levels.iter().map(Vec::len).sum()
     }
 
     /// True only for a degenerate empty tree (never produced by [`Topology::build`]).
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.len() == 0
     }
 
-    /// The number of back-end daemons in the subtree rooted at `id`.
+    /// The number of back-end daemons in the subtree rooted at `id`: its run
+    /// of indices carried down level by level to the leaves.
     pub fn subtree_backends(&self, id: EndpointId) -> u32 {
-        let node = self.node(id);
-        match node.role {
-            TreeNodeRole::BackEnd => 1,
-            _ => node
-                .children
-                .iter()
-                .map(|&c| self.subtree_backends(c))
-                .sum(),
-        }
+        let (level, index) = self.locate(id).expect("endpoint id is in the tree");
+        let leaves = (level..self.levels.len() - 1).fold(index..index + 1, |run, level| {
+            self.children_run(level, run.start).start..self.children_run(level, run.end).start
+        });
+        leaves.len() as u32
     }
 
-    /// The largest fan-out actually present in the built tree.
+    /// The largest fan-out actually present in the built tree: `⌈c/p⌉` over
+    /// every pair of adjacent levels.
     pub fn max_fanout(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| n.children.len())
+        self.levels
+            .windows(2)
+            .map(|pair| pair[1].len().div_ceil(pair[0].len().max(1)))
             .max()
             .unwrap_or(0)
     }
@@ -349,14 +364,21 @@ impl Topology {
     /// Verify structural invariants; used by property tests.  Describes the
     /// first violation found, naming the invariant and the endpoint or level.
     pub fn validate(&self) -> Result<(), String> {
-        if self.nodes.is_empty() {
+        self.validate_nodes(&self.nodes())
+    }
+
+    /// [`validate`](Topology::validate) as an oracle over an explicit node list
+    /// (in id order), checked against this tree's levels and shape.
+    fn validate_nodes(&self, nodes: &[TreeNode]) -> Result<(), String> {
+        let node = |id: EndpointId| nodes.get(id.0 as usize);
+        let Some(frontend) = node(self.frontend()) else {
             return Err("empty topology".to_string());
-        }
-        if let Some(parent) = self.node(self.frontend()).parent {
+        };
+        if let Some(parent) = frontend.parent {
             return Err(format!("front end has a parent ({parent})"));
         }
         let mut reachable_backends = 0u32;
-        for n in &self.nodes {
+        for n in nodes {
             let (id, level) = (n.id, n.level);
             if n.role == TreeNodeRole::FrontEnd {
                 if level != 0 {
@@ -367,7 +389,9 @@ impl Topology {
             let Some(parent) = n.parent else {
                 return Err(format!("{id} at level {level} has no parent"));
             };
-            let pnode = self.node(parent);
+            let Some(pnode) = node(parent) else {
+                return Err(format!("{id} has parent {parent} outside the tree"));
+            };
             if pnode.level + 1 != level {
                 return Err(format!(
                     "{id} at level {level} has parent {parent} at level {}",
@@ -393,7 +417,7 @@ impl Topology {
         // Sibling balance: child counts at each level differ by at most one.
         let parent_levels = self.levels.len().saturating_sub(1);
         for (level, ids) in self.levels.iter().enumerate().take(parent_levels) {
-            let counts = ids.iter().map(|&id| self.node(id).children.len());
+            let counts = ids.iter().filter_map(|&id| Some(node(id)?.children.len()));
             if let (Some(min), Some(max)) = (counts.clone().min(), counts.max()) {
                 if max - min > 1 {
                     return Err(format!(
@@ -591,36 +615,45 @@ mod tests {
 
     #[test]
     fn validate_names_the_violating_endpoint_or_level() {
-        // Corrupt a healthy tree four ways; each is an error naming where.
-        let mut t = Topology::build(TreeShape::two_deep(8, 2));
-        t.nodes[3].children.push(EndpointId(1));
-        assert_eq!(t.validate().unwrap_err(), "backend ep3 has 1 children");
+        // Corrupt a healthy tree's node list four ways; each is an error naming
+        // where.
+        let t = Topology::build(TreeShape::two_deep(8, 2));
+        let mut nodes = t.nodes();
+        nodes[3].children.push(EndpointId(1));
+        assert_eq!(
+            t.validate_nodes(&nodes).unwrap_err(),
+            "backend ep3 has 1 children"
+        );
 
-        let mut t = Topology::build(TreeShape::flat(4));
-        t.nodes[2].parent = None;
-        assert_eq!(t.validate().unwrap_err(), "ep2 at level 1 has no parent");
+        let t = Topology::build(TreeShape::flat(4));
+        let mut nodes = t.nodes();
+        nodes[2].parent = None;
+        assert_eq!(
+            t.validate_nodes(&nodes).unwrap_err(),
+            "ep2 at level 1 has no parent"
+        );
 
         // Rewire one daemon under a different comm process: siblings now have
         // child counts 2 and 4.
-        let mut t = Topology::build(TreeShape::two_deep(9, 3));
-        let moved = t.levels[2][0];
-        t.nodes[moved.0 as usize].parent = Some(EndpointId(2));
-        t.nodes[1].children.retain(|&c| c != moved);
-        t.nodes[2].children.push(moved);
+        let t = Topology::build(TreeShape::two_deep(9, 3));
+        let mut nodes = t.nodes();
+        let moved = t.levels()[2][0];
+        nodes[moved.0 as usize].parent = Some(EndpointId(2));
+        nodes[1].children.retain(|&c| c != moved);
+        nodes[2].children.push(moved);
         assert_eq!(
-            t.validate().unwrap_err(),
+            t.validate_nodes(&nodes).unwrap_err(),
             "unbalanced level 1: child counts range 2..4"
         );
 
         // A daemon that still names its parent but is gone from its child list.
-        let mut t = Topology::build(TreeShape::two_deep(9, 3));
-        let dropped = t.levels[2][4];
-        let parent = t.nodes[dropped.0 as usize].parent.unwrap();
-        t.nodes[parent.0 as usize]
-            .children
-            .retain(|&c| c != dropped);
+        let t = Topology::build(TreeShape::two_deep(9, 3));
+        let mut nodes = t.nodes();
+        let dropped = t.levels()[2][4];
+        let parent = nodes[dropped.0 as usize].parent.unwrap();
+        nodes[parent.0 as usize].children.retain(|&c| c != dropped);
         assert_eq!(
-            t.validate().unwrap_err(),
+            t.validate_nodes(&nodes).unwrap_err(),
             format!("{dropped} missing from the child list of {parent}")
         );
     }

@@ -1118,6 +1118,73 @@ proptest! {
     }
 }
 
+/// A shape of depth 1–6 over up to 4,095 backends from arbitrary widths below
+/// the root, sanitised as every shape is.
+fn arbitrary_shape() -> impl Strategy<Value = TreeShape> {
+    prop::collection::vec(1u32..4_096, 1..=6)
+        .prop_map(|widths| TreeShape::from_level_widths([vec![1], widths].concat()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn computed_parents_and_children_agree_both_ways(shape in arbitrary_shape()) {
+        // No node table is stored: every relation is computed from the level
+        // widths, so the two directions must agree with each other.
+        let topo = Topology::build(shape.clone());
+        let total: u32 = shape.level_widths.iter().sum();
+        prop_assert_eq!(topo.len(), total as usize);
+        for node in topo.nodes() {
+            for pair in node.children.windows(2) {
+                prop_assert_eq!(pair[0].0 + 1, pair[1].0, "{} children not one run", node.id);
+            }
+            for &child in &node.children {
+                prop_assert_eq!(topo.node(child).parent, Some(node.id));
+            }
+            if let Some(parent) = node.parent {
+                prop_assert!(topo.node(parent).children.contains(&node.id));
+            }
+        }
+        for level in topo.levels() {
+            let sum: u32 = level.iter().map(|&id| topo.subtree_backends(id)).sum();
+            prop_assert_eq!(sum, shape.backends());
+        }
+        prop_assert!(topo.validate().is_ok(), "{:?}", topo.validate());
+    }
+
+    #[test]
+    fn the_level_walk_concatenates_the_leaves_in_backend_order(
+        shape in arbitrary_shape(),
+        pick in 0usize..4,
+    ) {
+        use tbon::filter::IdentityFilter;
+        use tbon::network::{ChannelInput, InProcessTbon};
+        use tbon::packet::{Packet, PacketTag};
+
+        let workers = [1, 2, 3, 8][pick];
+        let topo = Topology::build(shape);
+        let leaves: Vec<Packet> = topo
+            .backends()
+            .iter()
+            .zip(0u32..)
+            .map(|(&id, i)| Packet::new(PacketTag::Custom(0), id, i.to_le_bytes().to_vec()))
+            .collect();
+        let want: Vec<u8> = leaves.iter().flat_map(|p| p.payload.to_vec()).collect();
+        let net = InProcessTbon::new(topo).with_workers(workers);
+        let channels = vec![
+            ChannelInput::new("a", leaves.clone()),
+            ChannelInput::new("b", leaves),
+        ];
+        let outcomes = net
+            .reduce_channels(channels, &[&IdentityFilter, &IdentityFilter])
+            .expect("the walk completes");
+        for outcome in outcomes {
+            prop_assert_eq!(outcome.result.payload.to_vec(), want.clone(), "{} workers", workers);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------------
 // File-server queue: bounds on the makespan
 // ---------------------------------------------------------------------------------
