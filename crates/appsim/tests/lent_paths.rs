@@ -2,30 +2,34 @@
 //! path from the table the application holds, and [`for_each_sampled_path`] hands
 //! that slice straight to its visitor.
 //!
-//! The allocation count is process-wide, so this binary holds a single test: no
-//! other test can allocate while it counts.
+//! The allocator counts only on the thread that armed it, so the count sees the
+//! sampling walk alone, whatever else the process runs beside it.
 
 // A counting `#[global_allocator]` must implement the unsafe `GlobalAlloc`; the
 // workspace denies unsafe code, and this test binary alone is exempt.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use appsim::workloads::threaded;
 use appsim::{for_each_sampled_path, Application, FrameVocabulary, RingHangApp};
 
-/// The system allocator, counting every allocation (`realloc` and
-/// `alloc_zeroed` go through `alloc` by default).
+/// The system allocator, counting every allocation made on a thread that armed
+/// it (`realloc` and `alloc_zeroed` go through `alloc` by default).
 struct Counting;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// `Some(allocations so far)` while this thread counts.
+    static ALLOCATIONS: Cell<Option<usize>> = const { Cell::new(None) };
+}
 
 // SAFETY: every call is forwarded unchanged to the system allocator, which upholds
-// `GlobalAlloc`'s contract; counting is one atomic add, which never allocates.
+// `GlobalAlloc`'s contract; counting reads and writes a const-initialised
+// thread-local `Cell`, which never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get().map(|n| n + 1)));
         // SAFETY: forwarded unchanged from the caller, who upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -39,15 +43,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Every trace of every rank over ten samples: the allocations the walk made and
-/// the frames it was lent.
+/// Every trace of every rank over ten samples: the allocations this thread made
+/// during the walk and the frames it was lent.
 fn sample_everything(app: &dyn Application) -> (usize, usize) {
     let mut frames = 0;
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    ALLOCATIONS.with(|n| n.set(Some(0)));
     for_each_sampled_path(app, 0..app.num_tasks(), 0..10, |_, _, _, path| {
         frames += path.len();
     });
-    (ALLOCATIONS.load(Ordering::SeqCst) - before, frames)
+    (ALLOCATIONS.with(|n| n.take()).unwrap_or_default(), frames)
 }
 
 #[test]

@@ -8,7 +8,9 @@
 //! Everything global happens in the filters above it.  Both trees share one arena
 //! that a walk descends once per distinct path it is lent (`PathEnds`); a
 //! streaming daemon keeps it from wave to wave, and a one-shot gather's daemons
-//! hand theirs on (`LocalTrees`).
+//! hand theirs on (`LocalTrees`).  Its packets are self-contained: a frame the
+//! negotiated base lacks ships an id of the packet's own (numbered as its 2D,
+//! then its 3D body first reaches it) and a record naming it, so it is final.
 
 use std::ops::Range;
 use std::sync::Mutex;
@@ -20,7 +22,7 @@ use tbon::network::{InProcessTbon, TbonError};
 use tbon::packet::{EndpointId, Packet, PacketTag};
 
 use crate::graph::{NodeIdx, PrefixTree};
-use crate::serialize::{encode_ordered, encode_rank_map, relabel, Ids, WireTaskSet};
+use crate::serialize::{encode_ordered, encode_rank_map, Numbering, WireTaskSet};
 use crate::taskset::{words_for, RankRuns};
 
 /// A back-end daemon responsible for a slice of MPI ranks.
@@ -133,14 +135,13 @@ impl StatDaemon {
     /// sample indices of `window` reaches its end node in `trees`' arena under a
     /// new epoch (by name, when the walk first sees its lent slice: [`PathEnds`]),
     /// the trees are closed upward and encoded, with the rank runs, into the three
-    /// leaf packets against `ids` (their fresh ids wait for
-    /// [`DaemonContribution::relabel`]); `trees` comes back, for the caller that
+    /// leaf packets over `dict`'s base; `trees` comes back, for the caller that
     /// keeps or pools it.
     fn contribute_from<S: WireTaskSet>(
         &self,
         app: &dyn Application,
         window: Range<u32>,
-        (leaf, ids): (EndpointId, Ids<'_>),
+        (leaf, dict): (EndpointId, &FrameDictionary),
         table: &mut FrameTable,
         mut trees: LocalTrees<S>,
     ) -> (DaemonContribution, LocalTrees<S>) {
@@ -155,7 +156,7 @@ impl StatDaemon {
         });
         let merge_start = Instant::now();
         trees.close();
-        let (tree_2d, tree_3d) = trees.encode(table, ids);
+        let (tree_2d, tree_3d) = trees.encode(table, dict);
         let packet = |tag, payload: Vec<u8>| Packet::new(tag, leaf, payload);
         let tree_3d = packet(PacketTag::Merged3d, tree_3d);
         let tree_2d = tree_2d.map_or_else(|| tree_3d.payload.clone(), Into::into);
@@ -179,7 +180,7 @@ impl StatDaemon {
     /// marks; *local merge* is the upward close and the encode.  `dict` is the
     /// session's negotiated frame dictionary: the daemon symbolises into a
     /// [`FrameTable`] over its shared base, so a negotiated frame's id already is
-    /// its global id, and the relabel after the encode interns only the others.
+    /// its global id, and its packets number and name the others themselves.
     pub fn contribute<S: WireTaskSet>(
         &self,
         app: &dyn Application,
@@ -187,28 +188,10 @@ impl StatDaemon {
         leaf: EndpointId,
         dict: &FrameDictionary,
     ) -> DaemonContribution {
-        let (mut table, ids) = (dict.table(), (dict, &dict.table()));
+        let mut table = dict.table();
         let trees = LocalTrees::<S>::new(self.leaf_width::<S>());
-        let (mut c, _) = self.contribute_from(app, 0..samples, (leaf, ids), &mut table, trees);
-        c.relabel::<S>(ids);
-        c
-    }
-}
-
-impl DaemonContribution {
-    /// Its tree packets in session ids ([`relabel`]), 2D first, as one encode
-    /// interns; a one-column 2D packet stays its 3D packet's buffer.
-    pub(crate) fn relabel<S: WireTaskSet>(&mut self, ids: Ids<'_>) {
-        let shared = std::ptr::eq(&*self.tree_2d.payload, &*self.tree_3d.payload);
-        let trees = [&mut self.tree_2d, &mut self.tree_3d];
-        for packet in trees.into_iter().skip(usize::from(shared)) {
-            if let Ok(Some(body)) = relabel::<S>(&packet.payload, ids) {
-                packet.payload = body.into();
-            }
-        }
-        if shared {
-            self.tree_2d.payload = self.tree_3d.payload.clone();
-        }
+        self.contribute_from(app, 0..samples, (leaf, dict), &mut table, trees)
+            .0
     }
 }
 
@@ -267,9 +250,8 @@ type Parts<'a, S> = (&'a StatDaemon, FrameTable, LocalTrees<S>, EndpointId);
 /// by side on `net`'s workers.  `parts` reaches an item's daemon and leaf and
 /// hands over the frame table (a fresh one is the dictionary's) and the local
 /// trees (a fresh arena, or a stream's from its last wave) to walk into, which
-/// `finish` gets back.  Nothing in the map interns: every body is written
-/// against `ids`, so no id depends on the schedule, and the caller relabels
-/// what each `finish` shipped after the map, in item (backend) order.  An arena
+/// `finish` gets back.  Every packet numbers its own frames past `dict`'s base,
+/// so no id depends on the schedule and what `finish` ships is final.  An arena
 /// outlives its item's step only where `finish` keeps it.  A daemon whose walk
 /// or `finish` panics is [`TbonError::PoolPoisoned`].
 pub(crate) fn map_daemons<S: WireTaskSet + Send, T: Send, R: Send>(
@@ -277,12 +259,12 @@ pub(crate) fn map_daemons<S: WireTaskSet + Send, T: Send, R: Send>(
     items: Vec<T>,
     parts: for<'a> fn(&'a mut T, &FrameDictionary) -> Parts<'a, S>,
     (app, window): (&dyn Application, Range<u32>),
-    ids: Ids<'_>,
+    dict: &FrameDictionary,
     finish: &Finish<'_, T, S, R>,
 ) -> Result<Vec<R>, TbonError> {
     net.map(items, &|mut item| {
-        let (daemon, mut table, trees, leaf) = parts(&mut item, ids.0);
-        let at = (leaf, ids);
+        let (daemon, mut table, trees, leaf) = parts(&mut item, dict);
+        let at = (leaf, dict);
         let (shipped, trees) = daemon.contribute_from(app, window.clone(), at, &mut table, trees);
         Ok(finish(item, table, shipped, trees))
     })
@@ -303,8 +285,7 @@ pub(crate) fn contribute_pooled<S: WireTaskSet + Send>(
     pool: &Mutex<Vec<LocalTrees<S>>>,
 ) -> Result<Vec<DaemonContribution>, TbonError> {
     let items = daemons.into_iter().map(|(d, leaf)| (d, leaf, pool));
-    let ids = (dict, &dict.snapshot());
-    let mut shipped = map_daemons::<S, _, _>(
+    map_daemons::<S, _, _>(
         net,
         items.collect(),
         |(daemon, leaf, pool), dict| {
@@ -315,7 +296,7 @@ pub(crate) fn contribute_pooled<S: WireTaskSet + Send>(
             (*daemon, dict.table(), trees, *leaf)
         },
         (app, 0..samples),
-        ids,
+        dict,
         &|(_, _, pool), table, contribution, trees| {
             let reached = trees.column_3d().touched.len();
             let negotiated = table.len() == dict.base_len() as usize;
@@ -326,9 +307,7 @@ pub(crate) fn contribute_pooled<S: WireTaskSet + Send>(
             }
             contribution
         },
-    )?;
-    shipped.iter_mut().for_each(|c| c.relabel::<S>(ids));
-    Ok(shipped)
+    )
 }
 
 /// A daemon's 2D and 3D trees: one arena that every trace reaches by name, and
@@ -444,17 +423,19 @@ impl<S: WireTaskSet> LocalTrees<S> {
     /// each in first-touch order.  Both columns stay: the next epoch's stamps
     /// make the rows this one left unreadable, so an arena handed on in a pool
     /// keeps its 2D rows and stamps instead of growing them again.
-    fn encode(&mut self, table: &FrameTable, ids: Ids<'_>) -> (Option<Vec<u8>>, Vec<u8>) {
-        let body = |column: &Column| {
+    fn encode(&mut self, table: &FrameTable, dict: &FrameDictionary) -> (Option<Vec<u8>>, Vec<u8>) {
+        let own = &mut Numbering::default();
+        let mut body = |column: &Column| {
             let links = column
                 .touched
                 .iter()
                 .skip(1)
                 .map(|&n| column.link(&self.tree, n));
             let row = |at: usize| column.row(column.touched[at]);
-            encode_ordered::<S>(self.width, links, row, table, ids)
+            encode_ordered::<S>(self.width, links, row, (table, dict), own)
         };
-        // The 2D tree first: the relabel interns its names before the 3D tree's.
+        // The 2D tree first: the daemon numbers its own frames in the 2D tree's
+        // node order, then the 3D tree's others.
         let tree_2d = (!self.one_column).then(|| body(&self.columns[0]));
         let tree_3d = body(&self.columns[1]);
         (tree_2d, tree_3d)
@@ -775,16 +756,14 @@ pub(crate) mod tests {
         }
     }
 
-    /// The dictionary's names in id order.
-    pub(crate) fn names_by_id(dict: &FrameDictionary) -> Vec<String> {
-        let table = dict.snapshot();
-        let ids = (0..).map(FrameId).take(table.len());
-        ids.map(|id| table.name(id).to_string()).collect()
+    /// How many frames past the base a body names: its records.
+    pub(crate) fn own_frames<S: WireTaskSet>(body: &[u8]) -> usize {
+        let (_, frames): (PrefixTree<S>, _) = decode_tree(body).expect("a daemon's body reads");
+        frames.records().count()
     }
 
     /// The daemon map under every worker count against a serial
-    /// `StatDaemon::contribute` loop: the same packets, byte for byte, and the
-    /// same names at the same dictionary ids.
+    /// `StatDaemon::contribute` loop: the same packets, byte for byte.
     fn daemon_map_matches_the_serial_loop<S: WireTaskSet>(representation: Representation) {
         let v = FrameVocabulary::BlueGeneL;
         let ring = RingHangApp::new(1_024, v);
@@ -817,14 +796,14 @@ pub(crate) mod tests {
                 &ring,
                 walked_hints[..walked_hints.len() / 2].to_vec(),
             ),
-            // (c) out of order: serially daemon 0 interns the barrier frame first,
-            //     side by side daemon 1 would intern the stall frame first;
+            // (c) out of order: daemon 0 meets the barrier frame first, daemon 1
+            //     the stall frame, and daemon 1 finishes first;
             (
                 "sleepy, stall and barrier missed",
                 &sleepy,
                 without(&[stall, barrier]),
             ),
-            // (d) daemon 1 alone interns, while the others encode inside the map.
+            // (d) daemon 1 alone meets a frame past the base.
             ("sleepy, stall missed", &sleepy, without(&[stall])),
         ];
         let daemons = StatDaemon::partition(1_024, 16);
@@ -850,11 +829,12 @@ pub(crate) mod tests {
                     assert_eq!(m.tree_3d.payload, s.tree_3d.payload, "{at}");
                     assert_eq!(m.rank_map.payload, s.rank_map.payload, "{at}");
                 }
-                assert_eq!(names_by_id(&dict), names_by_id(&serial_dict), "{case}");
             }
-            // Every case but (a) really takes the held-back path.
-            let interned = serial_dict.len() > serial_dict.base_len() as usize;
-            assert_eq!(interned, case != "full dictionary", "{case}");
+            // Every case but (a) really ships frames past the base.
+            let named = serial
+                .iter()
+                .any(|c| own_frames::<S>(&c.tree_3d.payload) > 0);
+            assert_eq!(named, case != "full dictionary", "{case}");
         }
     }
 
@@ -879,9 +859,9 @@ pub(crate) mod tests {
 
     /// The pooled daemon map at workers 1, 2 and 8, one sample (one column) and
     /// three, against a `StatDaemon::contribute` per daemon, each into a fresh
-    /// arena: the same packets, byte for byte, and the same names at the same
-    /// dictionary ids, from a map over an empty pool (`contribute_all`) and again
-    /// from a second map over the arenas the first left.  The ring hang's hung
+    /// arena: the same packets, byte for byte, from a map over an empty pool
+    /// (`contribute_all`) and again from a second map over the arenas the first
+    /// left.  The ring hang's hung
     /// rank opens daemon 5 of 16, so the daemons after it walk into an arena
     /// holding its stall path.  At one worker the first map leaves one arena,
     /// walked by the last daemons in a row of one row width and negotiated
@@ -902,8 +882,8 @@ pub(crate) mod tests {
             ("64 and 65 tasks", ring(1_030), hints.clone(), (16, 10)),
             // Twelve daemons of 64 tasks, four of 63: one word a row either way.
             ("63 and 64 tasks", ring(1_020), hints.clone(), (16, 16)),
-            // The hung daemon interns the stall frame: it is held back and its
-            // arena is not handed on.
+            // The hung daemon's table overflows with the stall frame: its arena
+            // is not handed on.
             ("stall frame un-negotiated", ring(1_024), no_stall, (10, 10)),
         ];
         let topology = Topology::build(TreeShape::flat(16));
@@ -930,7 +910,6 @@ pub(crate) mod tests {
                         assert_eq!(m.tree_3d.payload, s.tree_3d.payload, "{at}");
                         assert_eq!(m.rank_map.payload, s.rank_map.payload, "{at}");
                     }
-                    assert_eq!(names_by_id(&dict), names_by_id(&serial_dict), "{at}");
                     assert_eq!(table_local_nodes(&pool, &dict), 0, "{at}");
                     if (workers, pass) == (1, "first map") {
                         let arenas = pool.lock().expect("no walk panicked");
@@ -1094,8 +1073,8 @@ pub(crate) mod tests {
     }
 
     /// Each daemon's [`StatDaemon::contribute`] over `window`, into a fresh arena
-    /// and through [`Leaked`], so that every trace is descended: the packets, and
-    /// the frame ids in `dict`, that a walk skipping no descent ships.
+    /// and through [`Leaked`], so that every trace is descended: the packets that
+    /// a walk skipping no descent ships.
     pub(crate) fn descended<S: WireTaskSet>(
         leaves: &[(&StatDaemon, EndpointId)],
         app: &dyn Application,
@@ -1146,7 +1125,7 @@ pub(crate) mod tests {
     /// leaked slice per call (no slice repeats), (c) 1,024 tasks in 256 classes
     /// of two paths, so each 64-task daemon lends 128 slices, more than it has
     /// slots.  At workers 1, 2 and 8, one sample and three, twice over one pool:
-    /// the packets and frame ids of a walk that descends every trace.
+    /// the packets of a walk that descends every trace.
     fn lent_paths_end_where_they_descend<S: WireTaskSet + Send>() {
         let v = FrameVocabulary::BlueGeneL;
         let ring = RingHangApp::new(1_024, v).with_hung_rank(330);
@@ -1191,14 +1170,17 @@ pub(crate) mod tests {
                         payloads(&mapped) == payloads(&serial),
                         "{at}: packets differ"
                     );
-                    assert_eq!(names_by_id(&dict), names_by_id(&serial_dict), "{at}");
                 }
             }
         }
-        // (a) really interns names past the negotiation.
+        // (a) really ships the two names past the negotiation.
         let dict = FrameDictionary::negotiate(Prefixes.frame_hints());
-        descended::<S>(&leaves, &Prefixes, 0..1, &dict);
-        assert_eq!(dict.len(), dict.base_len() as usize + 2);
+        let shipped = descended::<S>(&leaves, &Prefixes, 0..1, &dict);
+        let most = shipped
+            .iter()
+            .map(|c| own_frames::<S>(&c.tree_3d.payload))
+            .max();
+        assert_eq!(most, Some(2));
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! reaches the front end as one run at any scale — which is what makes the front
 //! end's remap step possible for the hierarchical representation.
 //!
-//! The merge filter never materialises a tree, and never touches a frame name:
-//! it reads each distinct child body once into flat columns and folds them into
-//! one output body, matching frames by their session-global ids and forwarding
-//! the incremental dictionary records the output references.
+//! The merge filter never materialises a tree: it reads each distinct child body
+//! once into flat columns and folds them into one output body, matching
+//! negotiated frames by id and a child's own frames by its records' names, once
+//! per record, and ships the output's own records.
 
 use std::marker::PhantomData;
 
@@ -25,8 +25,9 @@ use crate::taskset::RankRuns;
 /// The prefix-tree merge filter, generic over the task-set representation.
 ///
 /// The filter is stateless: each invocation folds the child packets left to right
-/// into the bytes a decode → [`crate::graph::PrefixTree::merge`] → re-encode of
-/// them would ship; equal children (daemons that behave alike, under the
+/// (a child's own frame ids brought into the output's by name) into the bytes a
+/// decode → [`crate::graph::PrefixTree::merge`] → re-encode ships for children
+/// that number alike; equal children (daemons that behave alike, under the
 /// hierarchical representation) are read once and replayed through a node map.
 /// Malformed child payloads — including packets whose dictionary negotiation
 /// does not match the sibling packets' — are skipped rather than poisoning the
@@ -87,12 +88,13 @@ mod tests {
     use crate::graph::tests::leaves;
     use crate::graph::{GlobalPrefixTree, PrefixTree, SubtreePrefixTree};
     use crate::serialize::{
-        decode_rank_map, decode_tree, encode_merged_tree, encode_tree, SetCodec, WireFrames, MAGIC,
-        MAX_WIRE_WIDTH, VERSION,
+        decode_rank_map, decode_tree, encode_merged_tree, encode_tree, DecodeError, SetCodec,
+        WireFrames, MAGIC, MAX_WIRE_WIDTH, VERSION,
     };
     use crate::taskset::{DenseBitVector, SubtreeTaskList, TaskSetOps};
     use appsim::Application;
     use stackwalk::{FrameDictionary, FrameTable, StackTrace};
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn session_dictionary() -> FrameDictionary {
         FrameDictionary::negotiate(["_start", "main", "MPI_Barrier", "do_SendOrStall"])
@@ -244,10 +246,89 @@ mod tests {
         }
     }
 
-    /// Run one wave through the filter and the reference; they must agree byte
-    /// for byte.  Returns the filter's packet, for the next level.
+    /// Whether the bodies of `wave` that decode number their own frames alike:
+    /// no id that two of them name differently.
+    fn numbered_alike<S: WireTaskSet>(wave: &[Packet]) -> bool {
+        let mut union: Option<WireFrames> = None;
+        for packet in wave {
+            let Ok((_, frames)) = decode_tree::<S>(&packet.payload) else {
+                continue;
+            };
+            match union.as_mut().map(|union| union.merge(&frames)) {
+                None => union = Some(frames),
+                Some(Err(DecodeError::FrameConflict { .. })) => return false,
+                Some(_) => {}
+            }
+        }
+        true
+    }
+
+    /// (frame path, members) per node: the canonical form two merges of the
+    /// same frames share, however each numbers them.
+    type Named = BTreeMap<Vec<String>, BTreeSet<u64>>;
+
+    /// A body's nodes as [`Named`], members moved up by `offset`: a base id
+    /// (the same frame in every body of one session) by its number, a body's own
+    /// by its record's name; siblings of one frame unite.  `None` if the body
+    /// does not decode.
+    fn named<S: WireTaskSet>(body: &[u8], offset: u64) -> Option<Named> {
+        let (tree, frames) = decode_tree::<S>(body).ok()?;
+        let name = |id: stackwalk::FrameId| match frames.name_of(id.0) {
+            Some(name) => name.to_string(),
+            None => format!("#{}", id.0),
+        };
+        let mut out = Named::new();
+        for node in 0..tree.node_count() {
+            let path = tree.path_to(node).into_iter().map(name).collect();
+            let members = tree.tasks(node).members().into_iter().map(|m| m + offset);
+            out.entry(path).or_default().extend(members);
+        }
+        Some(out)
+    }
+
+    /// The reference merge in canonical form: every body the filter accepts
+    /// (one that decodes over the first accepted body's base and — job-wide —
+    /// width), named on its own and united at its offset.
+    fn named_reference<S: WireTaskSet>(wave: &[Packet]) -> Option<Named> {
+        let (mut merged, mut first, mut width) = (None::<Named>, None, 0);
+        for packet in wave {
+            let Ok((tree, frames)) = decode_tree::<S>(&packet.payload) else {
+                continue;
+            };
+            let (base, at) = (frames.base_len(), (frames.base_len(), tree.width()));
+            let fits = |(b, w): (u32, u64)| b == base && (S::CONCATENATES || w == tree.width());
+            if !first.is_none_or(fits) || width + tree.width() > MAX_WIRE_WIDTH {
+                continue;
+            }
+            first.get_or_insert(at);
+            let offset = if S::CONCATENATES { width } else { 0 };
+            width += if S::CONCATENATES { tree.width() } else { 0 };
+            for (path, members) in named::<S>(&packet.payload, offset)? {
+                merged
+                    .get_or_insert_with(Named::new)
+                    .entry(path)
+                    .or_default()
+                    .extend(members);
+            }
+        }
+        merged
+    }
+
+    /// Run one wave through the filter and the reference.  Bodies that number
+    /// alike must merge byte for byte as the tree merge does; bodies numbered
+    /// apart, which it cannot merge by id, as the reference in canonical form.
+    /// Returns the filter's packet, for the next level.
     fn same_bytes<S: WireTaskSet + Send + Sync>(wave: &[Packet], what: &str) -> Packet {
         let got = StatMergeFilter::<S>::new().reduce(EndpointId(0), wave);
+        if !numbered_alike::<S>(wave) {
+            let named_got = named::<S>(&got.payload, 0);
+            assert_eq!(
+                named_got,
+                named_reference::<S>(wave),
+                "{what}: numbered apart"
+            );
+            return got;
+        }
         let want = tree_merge_reference::<S>(wave);
         assert!(
             got == want,
@@ -403,8 +484,9 @@ mod tests {
         // `twins`: two siblings under the root share gid 1, the second with a
         // child, and two more share gid 2 under gid 0 — a frame `stray` lacks, so
         // folded after it they sit below a grafted node.  `stray` sets word bits
-        // above its 5-task width.  `renamed` ships one unnegotiated gid twice,
-        // and `other_name` names it differently again.
+        // above its 5-task width.  `renamed` ships one unnegotiated gid twice
+        // (no reader accepts it), and `other_name` and `again` name their own
+        // frames apart: `other_name`'s first id is `renamed`'s second name.
         let base = dict.base_len();
         let twins = hand_packet::<S>(
             5,
@@ -430,16 +512,23 @@ mod tests {
         let renamed = hand_packet::<S>(
             5,
             base,
-            &[(base + 1, "first"), (base + 1, "second")],
+            &[(base, "first"), (base, "second")],
             0b1,
-            &[(1, 1, 0b1), (1, base + 1, 0b1)],
+            &[(1, 1, 0b1), (1, base, 0b1)],
         );
         let other_name = hand_packet::<S>(
             5,
             base,
-            &[(base + 1, "third")],
-            0b10,
-            &[(1, base + 1, 0b10)],
+            &[(base, "second"), (base + 1, "third")],
+            0b110,
+            &[(1, base, 0b10), (1, base + 1, 0b100), (1, 1, 0b110)],
+        );
+        let again = hand_packet::<S>(
+            5,
+            base,
+            &[(base, "third"), (base + 1, "second")],
+            0b11,
+            &[(1, base, 0b1), (1, base + 1, 0b10), (1, base, 0b1)],
         );
         for (k, hand) in [
             vec![twins.clone(), twins.clone(), stray.clone()],
@@ -451,7 +540,8 @@ mod tests {
                 wave[1].clone(),
             ],
             vec![renamed.clone(), other_name.clone(), renamed.clone()],
-            vec![other_name, renamed.clone()],
+            vec![other_name.clone(), again.clone(), other_name.clone()],
+            vec![again.clone(), twins.clone(), other_name, again],
             vec![twins.clone(), renamed],
         ]
         .iter()
@@ -544,6 +634,63 @@ mod tests {
         catalogue_waves::<SubtreeTaskList>();
         hostile_waves::<DenseBitVector>();
         hostile_waves::<SubtreeTaskList>();
+    }
+
+    /// The daemon map's case where daemons number one name apart: the sleepy
+    /// ring hang with the stall and barrier frames un-negotiated, whose daemon 0
+    /// meets the barrier frame first and daemon 1 the stall frame.  Both tree
+    /// channels, merged up a two-level overlay at 1, 2 and 8 workers, are the
+    /// reference merge in canonical form.
+    fn bodies_numbered_apart_merge_by_name<S: WireTaskSet + Send + Sync>(
+        representation: crate::frontend::Representation,
+    ) {
+        use crate::daemon::{tests::Sleepy, StatDaemon};
+        use appsim::{FrameVocabulary, RingHangApp};
+        use tbon::network::InProcessTbon;
+        use tbon::topology::{Topology, TreeShape};
+        let v = FrameVocabulary::BlueGeneL;
+        let sleepy = Sleepy(RingHangApp::new(1_024, v).with_hung_rank(64));
+        let missed = [v.send_stall(), v.barrier()];
+        let hints = sleepy
+            .frame_hints()
+            .into_iter()
+            .filter(|h| !missed.contains(h));
+        let dict = FrameDictionary::negotiate(hints);
+        let topology = Topology::build(TreeShape::two_deep(16, 4));
+        let daemons = StatDaemon::partition(1_024, 16);
+        for workers in [1, 2, 8] {
+            let net = InProcessTbon::new(topology.clone()).with_workers(workers);
+            let leaves = daemons.iter().zip(topology.backends().iter().copied());
+            let strategy = representation.strategy();
+            let shipped = strategy.contribute_all(leaves.collect(), &sleepy, 2, &dict, &net);
+            let shipped = shipped.expect("no daemon dies");
+            let channels = [0, 1].map(|c| {
+                let packet =
+                    |d: &crate::daemon::DaemonContribution| [&d.tree_2d, &d.tree_3d][c].clone();
+                shipped.iter().map(packet).collect::<Vec<_>>()
+            });
+            for (channel, leaves) in ["2D", "3D"].iter().zip(channels) {
+                let at = format!("{channel}, {workers} workers, {representation:?}");
+                assert!(
+                    !numbered_alike::<S>(&leaves),
+                    "{at}: the daemons number alike"
+                );
+                let root = net.reduce(leaves.clone(), &StatMergeFilter::<S>::new());
+                let root = root.expect("the merge walks");
+                let got = named::<S>(&root.result.payload, 0);
+                assert!(got.is_some(), "{at}: the root body reads");
+                assert_eq!(got, named_reference::<S>(&leaves), "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_wire_merge_of_bodies_numbered_apart_is_the_named_reference() {
+        use crate::frontend::Representation;
+        bodies_numbered_apart_merge_by_name::<DenseBitVector>(Representation::GlobalBitVector);
+        bodies_numbered_apart_merge_by_name::<SubtreeTaskList>(
+            Representation::HierarchicalTaskList,
+        );
     }
 
     #[test]

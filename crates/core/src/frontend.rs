@@ -92,7 +92,7 @@ pub struct GatherResult {
     pub tree_2d: GlobalPrefixTree,
     /// The job-wide 3D (trace/space/time) tree, in MPI rank order.
     pub tree_3d: GlobalPrefixTree,
-    /// Frame names referenced by the trees.
+    /// The trees' frame names: the base, then the 3D root body's own, in order.
     pub frames: FrameTable,
     /// Behaviour classes extracted from the 3D tree.
     pub classes: Vec<EquivalenceClass>,

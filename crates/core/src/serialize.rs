@@ -6,8 +6,10 @@
 //! the zero words Section V complains about.  Frame names live in a session-global
 //! [`FrameDictionary`] negotiated once at setup; packets carry u32 ids, and every
 //! length or count is an LEB128 varint.  Any version byte but 2 is the typed
-//! [`DecodeError::Version`].  A daemon interns nothing: a name the dictionary
-//! lacks ships a fresh id, named by a record, until `relabel` after the map.
+//! [`DecodeError::Version`].  Ids past the base are the packet's own: its
+//! encoder numbers them in the order it first reaches them, and one record each
+//! names them, so a packet is self-contained and no id depends on which daemon
+//! met a name first.  Readers match them across packets by name.
 //!
 //! ```text
 //! magic    u32     0x53544154 ("STAT"), little-endian
@@ -15,12 +17,13 @@
 //! repr     u8      0 = dense/job-wide, 1 = subtree/hierarchical
 //! width    varint  domain width of every task set in the tree
 //! base     varint  negotiated dictionary length the encoder assumed
-//! nrecords varint  incremental dictionary records (frames past the base)
-//!   per record:    gid varint (>= base), name-length varint, UTF-8 bytes
+//! nrecords varint  incremental dictionary records: the packet's own frames,
+//!   per record:    gid varint (the k-th record's is base + k), name-length
+//!                  varint, UTF-8 bytes — each name once, each gid node-used
 //! nnodes   varint  node count including the implicit root at index 0
 //!   root:          task-set bytes only (no parent / frame fields)
 //!   per node:      parent-delta varint (index - parent, >= 1),
-//!                  global frame id varint, task-set bytes
+//!                  frame id varint (a base id or a recorded one), task-set bytes
 //! ```
 //!
 //! Dense (job-wide) sets ship one varint per 64-bit word: an empty word costs one
@@ -34,9 +37,11 @@
 //! [`PrefixTree`] from them; the merge filter instead folds its children's
 //! columns into one output at its final width and writes it through the
 //! encoders' own writer, so no tree exists between the daemons and the front end.
-//! Equal children are read once: the filter keys each concatenating body by its
-//! bytes, and a repeat ORs its rows in at its own offset through the node map its
-//! first copy left in the merge's `(parent, frame)` index.
+//! The output keeps its first child's ids and takes a later child's new names in
+//! its id order.  Equal children are read once: the filter keys each
+//! concatenating body by its bytes, and a repeat ORs its rows in at its own
+//! offset through the node map its first copy left in the merge's
+//! `(parent, frame)` index.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasherDefault;
@@ -131,6 +136,11 @@ pub enum DecodeError {
         /// Base length the offending packet claims.
         found: u32,
     },
+    /// Records name one frame id twice, or one name under two ids.
+    FrameConflict {
+        /// The id named twice, or the later id of a name shipped twice.
+        gid: u32,
+    },
     /// A decoded rank map names an MPI rank outside the job: a corrupted map can
     /// still be well-formed runs, and only this check separates it from a real one.
     RankOutOfRange {
@@ -170,6 +180,7 @@ impl std::fmt::Display for DecodeError {
                 f,
                 "packet negotiated a dictionary base of {found} names, but this session's base is {expected}"
             ),
+            DecodeError::FrameConflict { gid } => write!(f, "frame id {gid} is named twice"),
             DecodeError::RankOutOfRange { rank, tasks } => write!(
                 f,
                 "rank map names MPI rank {rank} in a {tasks}-task job"
@@ -268,11 +279,12 @@ impl<'a> Reader<'a> {
 // ---------------------------------------------------------------------------
 
 /// The incremental dictionary records travelling with (or merged from) v2
-/// packets: names for frames interned past the negotiated base.
+/// packets: names for a packet's own frames, past the negotiated base.
 ///
-/// A merge filter unions these across its children (identical gids always carry
-/// identical names — they came from one session dictionary) and re-emits the
-/// union, so every packet stays self-contained without re-shipping the base.
+/// Two packets may number the same names differently: the merge filter matches
+/// its children's records by name and ships its output's own, so every packet
+/// stays self-contained without re-shipping the base.  [`merge`](Self::merge)
+/// unions record sets by id, for packets that number alike.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WireFrames {
     base_len: u32,
@@ -280,22 +292,9 @@ pub struct WireFrames {
 }
 
 impl WireFrames {
-    /// An empty record set over a dictionary of `base_len` negotiated names.
-    pub fn new(base_len: u32) -> Self {
-        WireFrames {
-            base_len,
-            records: BTreeMap::new(),
-        }
-    }
-
     /// The negotiated base length the packet assumed.
     pub fn base_len(&self) -> u32 {
         self.base_len
-    }
-
-    /// Record an incremental name.
-    pub fn insert(&mut self, gid: u32, name: impl Into<String>) {
-        self.records.insert(gid, name.into());
     }
 
     /// The name of an incremental frame, if this packet carried it.
@@ -308,18 +307,32 @@ impl WireFrames {
         self.records.iter().map(|(gid, name)| (*gid, name.as_str()))
     }
 
-    /// Absorb another packet's records.  Both packets must have negotiated the
-    /// same base — a mismatch means they belong to different sessions.
+    /// Absorb another packet's records by id.  Both packets must have negotiated
+    /// the same base — a mismatch means they belong to different sessions — and
+    /// number alike: an id the two name differently is a
+    /// [`DecodeError::FrameConflict`] (the records before it are absorbed).
     pub fn merge(&mut self, other: &WireFrames) -> Result<(), DecodeError> {
         let (expected, found) = (self.base_len, other.base_len);
         ensure(
             expected == found,
             DecodeError::DictionaryMismatch { expected, found },
         )?;
-        for (gid, name) in &other.records {
-            self.records.entry(*gid).or_insert_with(|| name.clone());
+        for (&gid, name) in &other.records {
+            let ours = self.records.entry(gid).or_insert_with(|| name.clone());
+            ensure(ours == name, DecodeError::FrameConflict { gid })?;
         }
         Ok(())
+    }
+
+    /// The id these records give `name`: its record's, or else a new record's,
+    /// next past the last.
+    pub(crate) fn id_of(&mut self, name: &str) -> u32 {
+        let last = self.records.keys().next_back();
+        let next = last.map_or(self.base_len, |&gid| gid.saturating_add(1));
+        let named = self.records.iter().find(|(_, ours)| *ours == name);
+        let gid = named.map_or(next, |(&gid, _)| gid);
+        self.records.entry(gid).or_insert_with(|| name.to_string());
+        gid
     }
 }
 
@@ -348,22 +361,6 @@ pub(crate) fn links<S: TaskSetOps>(
     tree: &PrefixTree<S>,
 ) -> impl Iterator<Item = (usize, FrameId)> + '_ {
     tree.iter_nodes().map(|(_, frame, parent)| (parent, frame))
-}
-
-/// The records a body whose nodes are `nodes` ships: one per gid past the base,
-/// in gid order.  A merged tree only references frames its inputs carried, so a
-/// name is always found; an empty one ships rather than a panic mid-filter if
-/// that invariant ever breaks.
-fn referenced<'a>(
-    nodes: &[(usize, u32)],
-    base_len: u32,
-    name_of: impl Fn(u32) -> Option<&'a str>,
-) -> Vec<(u32, &'a str)> {
-    let past_base = nodes.iter().skip(1).filter(|&&(_, gid)| gid >= base_len);
-    let records: BTreeMap<u32, &str> = past_base
-        .map(|&(_, gid)| (gid, name_of(gid).unwrap_or("")))
-        .collect();
-    records.into_iter().collect()
 }
 
 /// Bits of the last (possibly partial) word that are valid for a domain of
@@ -451,105 +448,75 @@ fn write_body<'w, S: WireTaskSet>(
     }
 }
 
-/// Serialise a tree into a v2 packet body: base ids of a table over `dict`'s base
-/// ship as they are, any other frame is interned into the session dictionary.
-/// Frames past the negotiated base travel as incremental records, once per packet.
+/// Serialise a tree into a v2 packet body: base ids of a table over `dict`'s
+/// base ship as they are, any other frame goes by name — a negotiated name ships
+/// its base id, any other an id of the packet's own past the base, numbered in
+/// node order and named by a record.
 pub fn encode_tree<S: WireTaskSet>(
     tree: &PrefixTree<S>,
     table: &FrameTable,
     dict: &FrameDictionary,
 ) -> Vec<u8> {
-    let (row, ids) = (|node| tree.tasks(node).words(), (dict, &dict.table()));
-    let body = encode_ordered::<S>(tree.width(), links(tree), row, table, ids);
-    relabel::<S>(&body, ids).ok().flatten().unwrap_or(body)
+    let (row, own) = (|node| tree.tasks(node).words(), &mut Numbering::default());
+    encode_ordered::<S>(tree.width(), links(tree), row, (table, dict), own)
 }
 
-/// The dictionary, and a table of ids it held before a body: a snapshot or its base.
-pub(crate) type Ids<'a> = (&'a FrameDictionary, &'a FrameTable);
+/// A packet's own frame ids, from the base up: the table frame behind each, in
+/// the order the packet's bodies first reach them, and each frame's id.
+#[derive(Default)]
+pub(crate) struct Numbering(Vec<FrameId>, HashMap<FrameId, u32>);
 
-/// A tree given in the order its nodes ship, as a body whose fresh ids wait for
-/// [`relabel`]: the non-root nodes as `(parent's position, frame)`, each parent
-/// listed before its children, and `row` answering a position's task-set words
-/// (the root's is 0).  A frame `known` names ships its session id, any other a
-/// fresh id past `known`'s, numbered in node order and named by a record.
+/// A tree given in the order its nodes ship, as a body: the non-root nodes as
+/// `(parent's position, frame)`, each parent listed before its children, and
+/// `row` answering a position's task-set words (the root's is 0).  A frame of
+/// `table` outside `dict`'s base ships its base id if `dict` names it, else its
+/// id in `own`, numbered there if new, and a record names each own id.  A
+/// daemon's 2D and 3D bodies share one `own`, 2D first: a later body reaches
+/// every frame an earlier one numbered.
 pub(crate) fn encode_ordered<'t, S: WireTaskSet>(
     width: u64,
     nodes: impl Iterator<Item = (usize, FrameId)>,
     row: impl Fn(usize) -> &'t [u64],
-    table: &FrameTable,
-    (dict, known): Ids<'_>,
+    (table, dict): (&FrameTable, &FrameDictionary),
+    Numbering(frames, gids): &mut Numbering,
 ) -> Vec<u8> {
-    let fresh = u32::try_from(known.len()).unwrap_or(u32::MAX);
-    let base_len = dict.base_len();
-    // Base ids of a table over `dict`'s base are session ids; others go by name.
-    let negotiated = if dict.shares_base(table) { base_len } else { 0 };
-    let (mut gids, mut unnamed) = (HashMap::new(), Vec::new());
+    let (shared, base_len) = (dict.shares_base(table), dict.base_len());
+    // Base ids of a table over `dict`'s base are session ids, and its overflow
+    // holds no base name; a table over another base looks its names up.
+    let negotiated = if shared { base_len } else { 0 };
+    let base = (!shared).then(|| dict.table());
     let mut gid_of = |frame: FrameId| {
-        let name = table.name(frame);
-        if let Some(gid) = known.lookup(name) {
-            return gid.0;
-        }
-        unnamed.push(name);
-        fresh + u32::try_from(unnamed.len() - 1).unwrap_or(u32::MAX)
+        let next = base_len.saturating_add(u32::try_from(frames.len()).unwrap_or(u32::MAX));
+        let known = base.as_ref().and_then(|b| b.lookup(table.name(frame)));
+        let id = known.map_or(next, |id| id.0);
+        frames.extend((id == next).then_some(frame));
+        id
     };
     let nodes = nodes.map(|(parent, frame)| match frame.0 < negotiated {
         true => (parent, frame.0),
         false => (parent, *gids.entry(frame).or_insert_with(|| gid_of(frame))),
     });
     let mut plan = plan((width, base_len), nodes);
-    plan.records = referenced(&plan.nodes, base_len, |gid| match gid.checked_sub(fresh) {
-        Some(at) => unnamed.get(usize::try_from(at).ok()?).copied(),
-        None => Some(known.name(FrameId(gid))),
-    });
+    let own = (base_len..).zip(frames.iter());
+    plan.records = own.map(|(gid, &frame)| (gid, table.name(frame))).collect();
     let mut out = Vec::with_capacity(32 + plan.nodes.len() * 8);
     write_body::<S>(&mut out, &plan, row);
     out
 }
 
-/// A body [`encode_ordered`] wrote against `known`, in session ids: the one place
-/// names meet the dictionary.  Interning the fresh records in id order interns in
-/// node order, as one encode through the dictionary would.  `None`: each fresh id
-/// already is its name's id, so the body stands, read no further than its records
-/// (a body wider than [`MAX_WIRE_WIDTH`] fails to read, and the filter rejects it).
-pub(crate) fn relabel<S: WireTaskSet>(
-    body: &[u8],
-    (dict, known): Ids<'_>,
-) -> Result<Option<Vec<u8>>, DecodeError> {
-    // The records follow the magic, version, tag, width and base.
-    let (mut records, mut gids) = (Reader::new(body), Vec::new());
-    let fresh = u32::try_from(known.len()).unwrap_or(u32::MAX);
-    records.take(6)?;
-    let (_width, _base) = (records.varint()?, records.varint()?);
-    for _ in 0..records.varint()? {
-        let (id, len, offset) = (records.varint_u32()?, records.varint_count()?, records.pos);
-        let name = std::str::from_utf8(records.take(len)?)
-            .map_err(|_| DecodeError::BadFrameName { offset })?;
-        gids.extend((id >= fresh).then(|| (id, dict.intern(name))));
-    }
-    if gids.iter().all(|(id, gid)| id == gid) {
-        return Ok(None);
-    }
-    let mut flat = FlatTree::default();
-    flat.read::<S>(body)?;
-    let nodes = flat.nodes.iter_mut().skip(1).map(|(_, id)| id);
-    for id in nodes.chain(flat.records.iter_mut().map(|(id, _)| id)) {
-        if let Ok(at) = gids.binary_search_by_key(&*id, |&(fresh, _)| fresh) {
-            *id = gids.get(at).map_or(*id, |&(_, gid)| gid);
-        }
-    }
-    flat.records.sort_unstable_by_key(|&(gid, _)| gid);
-    let mut out = Vec::with_capacity(body.len() + 8);
-    write_body::<S>(&mut out, &flat, |node| flat.row(node));
-    Ok(Some(out))
-}
-
-/// Re-serialise a merged tree whose frame ids are already session-global —
-/// the filter path.  No dictionary handle needed: the incremental records the
-/// inputs carried (unioned into `frames`) keep the packet self-contained.
+/// Re-serialise a decoded (or merged) tree in the ids `frames` names — the
+/// filter path.  No dictionary handle needed: the incremental records (unioned
+/// into `frames` from inputs that number alike) keep the packet self-contained.
 pub fn encode_merged_tree<S: WireTaskSet>(tree: &PrefixTree<S>, frames: &WireFrames) -> Vec<u8> {
     let at = (tree.width(), frames.base_len());
     let mut plan = plan(at, links(tree).map(|(parent, frame)| (parent, frame.0)));
-    plan.records = referenced(&plan.nodes, plan.base_len, |gid| frames.name_of(gid));
+    // One record per id past the base a node carries, in id order.  A merged
+    // tree only carries frames its inputs named, so a name is always found; an
+    // empty one ships rather than a panic mid-filter if that ever breaks.
+    let own = plan.nodes.iter().skip(1).filter(|&&(_, gid)| gid >= at.1);
+    let name = |&(_, gid): &(usize, u32)| (gid, frames.name_of(gid).unwrap_or(""));
+    let own: BTreeMap<u32, &str> = own.map(name).collect();
+    plan.records = own.into_iter().collect();
     let mut out = Vec::with_capacity(32 + tree.node_count() * 8);
     write_body::<S>(&mut out, &plan, |node| tree.tasks(node).words());
     out
@@ -567,6 +534,11 @@ fn ensure(ok: bool, err: DecodeError) -> Result<(), DecodeError> {
 /// No node: the end of a child list.
 const NO_NODE: usize = usize::MAX;
 
+/// The slot of `gid` among a body's own ids, `base..base + slots.len()`.
+fn own_slot<T>(slots: &mut [T], base: u32, gid: u32) -> Option<&mut T> {
+    slots.get_mut(usize::try_from(gid.checked_sub(base)?).ok()?)
+}
+
 /// A v2 body as flat columns: per node its parent (the root's is 0) and global
 /// frame id, its first child and next sibling in wire order, and a row of `wps`
 /// task-set words masked to `width`.  The reader fills one with no per-node
@@ -579,9 +551,11 @@ struct FlatTree<'a> {
     nodes: Vec<(usize, u32)>,
     links: Vec<(usize, usize)>,
     words: Vec<u64>,
-    /// Incremental records sorted by gid; a gid shipped twice keeps wire order.
-    /// A merge's output collects every body's here until it is written.
+    /// Incremental records sorted by gid: the body's own ids, from the base up.
+    /// A merge's output numbers every body's names here.
     records: Vec<(u32, &'a str)>,
+    /// The records by name.
+    names: HashMap<&'a str, u32>,
     /// A merge's `(parent, gid) → child` index, as a [`PrefixTree`] keeps it:
     /// the newest child of a frame wins.
     index: HashMap<(usize, u32), usize, BuildHasherDefault<ChildKeyHasher>>,
@@ -610,18 +584,23 @@ impl<'a> FlatTree<'a> {
         // A corrupted count must fail as `Truncated`, not drive a huge allocation:
         // each record needs at least its two varint bytes.
         ensure(nrecords.saturating_mul(2) <= r.remaining(), truncated(at))?;
+        // The packet's own ids are base..base + nrecords, named in id order,
+        // each name once, and each carried by a node.
+        let (mut carried, base, records_at) = (vec![false; nrecords], self.base_len, at);
         self.records.clear();
-        for _ in 0..nrecords {
+        self.names.clear();
+        for want in (u64::from(base)..).take(nrecords) {
             let at = r.pos;
             let gid = r.varint_u32()?;
-            ensure(gid >= self.base_len, bad_index(at))?;
+            ensure(u64::from(gid) == want, bad_index(at))?;
             let len = r.varint_count()?;
             let offset = r.pos;
             let name = std::str::from_utf8(r.take(len)?)
                 .map_err(|_| DecodeError::BadFrameName { offset })?;
+            let named_twice = self.names.insert(name, gid).is_some();
+            ensure(!named_twice, DecodeError::FrameConflict { gid })?;
             self.records.push((gid, name));
         }
-        self.records.sort_by_key(|&(gid, _)| gid);
         let at = r.pos;
         let nnodes = r.varint_count()?;
         ensure(nnodes > 0, bad_index(at))?;
@@ -647,13 +626,16 @@ impl<'a> FlatTree<'a> {
                 let delta = r.varint_count()?;
                 ensure(delta > 0 && delta <= idx, bad_index(at))?;
                 let gid = r.varint_u32()?;
-                let named = self.records.binary_search_by_key(&gid, |&(g, _)| g);
-                ensure(gid < self.base_len || named.is_ok(), bad_index(at))?;
+                if gid >= base {
+                    *own_slot(&mut carried, base, gid).ok_or(bad_index(at))? = true;
+                }
                 node = (idx - delta, gid);
             }
             self.nodes.push(node);
             self.read_set::<S>(&mut r)?;
         }
+        // A record no node carries names nothing.
+        ensure(carried.iter().all(|&c| c), bad_index(records_at))?;
         // A reverse scan pushes each node onto the front of its parent's child
         // list, which leaves every list in wire order.
         self.links.clear();
@@ -714,6 +696,32 @@ impl<'a> FlatTree<'a> {
         Ok(())
     }
 
+    /// The body as a tree, node for node.
+    fn tree<S: WireTaskSet>(&self) -> PrefixTree<S> {
+        let mut tree = PrefixTree::<S>::new(self.width);
+        for (node, &(parent, gid)) in self.nodes.iter().enumerate() {
+            // Node 0 is the root in both.
+            let idx = (node > 0).then(|| tree.append_node(parent, FrameId(gid)));
+            let idx = idx.unwrap_or(0);
+            tree.replace_tasks(idx, S::from_words(self.width, self.row(node).to_vec()));
+        }
+        tree
+    }
+
+    /// Give each own id the id `id_of` gives its record's name, asked in id
+    /// order; the nodes are rewritten only when an id moves.  Returns a base id
+    /// `id_of` gave, if any: that record names a negotiated frame.
+    fn rename(&mut self, id_of: impl FnMut(&'a str) -> u32) -> Option<u32> {
+        let (names, base) = (self.records.iter().map(|&(_, name)| name), self.base_len);
+        let mut ids: Vec<u32> = names.map(id_of).collect();
+        if self.records.iter().map(|r| r.0).ne(ids.iter().copied()) {
+            for (_, gid) in self.nodes.iter_mut().skip(1) {
+                *gid = own_slot(&mut ids, base, *gid).map_or(*gid, |id| *id);
+            }
+        }
+        ids.into_iter().find(|&id| id < base)
+    }
+
     /// The task-set words of `node`.
     fn row(&self, node: usize) -> &[u64] {
         let wps = self.wps;
@@ -723,26 +731,39 @@ impl<'a> FlatTree<'a> {
     }
 }
 
-/// Deserialise a v2 packet body into a tree carrying session-global frame ids,
+/// Deserialise a v2 packet body into a tree carrying the packet's frame ids,
 /// plus the incremental dictionary records the packet shipped.
 ///
-/// No frame table is needed (or touched): resolve ids against the session
-/// dictionary's snapshot, or forward them — merges compare ids directly.
+/// No frame table is needed (or touched): a base id names the negotiated frame,
+/// any other the packet's own record.
 pub fn decode_tree<S: WireTaskSet>(buf: &[u8]) -> Result<(PrefixTree<S>, WireFrames), DecodeError> {
     let mut flat = FlatTree::default();
     flat.read::<S>(buf)?;
-    let mut frames = WireFrames::new(flat.base_len);
-    for &(gid, name) in &flat.records {
-        frames.insert(gid, name);
+    let records = flat.records.iter().map(|&(g, name)| (g, name.to_string()));
+    let (base_len, records) = (flat.base_len, records.collect());
+    Ok((flat.tree(), WireFrames { base_len, records }))
+}
+
+/// Deserialise a body over a base of `base_len` names (another base is a
+/// [`DecodeError::DictionaryMismatch`]) into a tree whose own frame ids are the
+/// ids `id_of` gives their names, asked in id order.  A record whose name
+/// `id_of` finds in the base names one frame under two ids: a
+/// [`DecodeError::FrameConflict`] for that base id.
+pub(crate) fn decode_named<S: WireTaskSet>(
+    buf: &[u8],
+    base_len: u32,
+    id_of: impl FnMut(&str) -> u32,
+) -> Result<PrefixTree<S>, DecodeError> {
+    let mut flat = FlatTree::default();
+    flat.read::<S>(buf)?;
+    let (expected, found) = (base_len, flat.base_len);
+    if expected != found {
+        return Err(DecodeError::DictionaryMismatch { expected, found });
     }
-    let mut tree = PrefixTree::<S>::new(flat.width);
-    for (node, &(parent, gid)) in flat.nodes.iter().enumerate() {
-        // Node 0 is the root in both.
-        let idx = (node > 0).then(|| tree.append_node(parent, FrameId(gid)));
-        let idx = idx.unwrap_or(0);
-        tree.replace_tasks(idx, S::from_words(flat.width, flat.row(node).to_vec()));
+    match flat.rename(id_of) {
+        Some(gid) => Err(DecodeError::FrameConflict { gid }),
+        None => Ok(flat.tree()),
     }
-    Ok((tree, frames))
 }
 
 /// The wire merge: a [`FlatTree`] at the output width, built by folding bodies.
@@ -760,8 +781,21 @@ impl<'a> FlatTree<'a> {
         for (node, &(parent, gid)) in first.nodes.iter().enumerate() {
             out.push(parent, gid, first.row(node), 0);
         }
-        out.records.extend(first.records.iter().rev());
+        out.records.clone_from(&first.records);
+        out.names.clone_from(&first.names);
         out
+    }
+
+    /// Bring a later body's own ids into this merge's, by name, one probe per
+    /// record: a name the merge holds keeps its id, a new one takes the next.
+    fn adopt(&mut self, body: &mut FlatTree<'a>) {
+        let (names, records, base) = (&mut self.names, &mut self.records, self.base_len);
+        body.rename(|name| {
+            let next = base.saturating_add(u32::try_from(records.len()).unwrap_or(u32::MAX));
+            let id = *names.entry(name).or_insert(next);
+            records.extend((id == next).then_some((id, name)));
+            id
+        });
     }
 
     /// Append a node holding `set` moved up by `offset`.
@@ -807,20 +841,20 @@ impl<'a> FlatTree<'a> {
         }
     }
 
-    /// Fold a copy of a body in at `offset`.  A first copy (`map` is `None`) adds
-    /// its records; a repeat adds none (the first wins) and ORs its rows in
-    /// through its node map, derived into `map` once every probe hits.  Else it
-    /// walks as `PrefixTree::merge` does: a LIFO worklist of (merged node, body
-    /// node, grafted), a node new under its matched parent grafted unprobed.
+    /// Fold a copy of a body in at `offset`.  A first copy (`map` is `None`) is
+    /// adopted; a repeat is already, and ORs its rows in through its node map,
+    /// derived into `map` once every probe hits.  Else it walks as
+    /// `PrefixTree::merge` does: a LIFO worklist of (merged node, body node,
+    /// grafted), a node new under its matched parent grafted unprobed.
     fn fold(
         &mut self,
-        body: &FlatTree<'a>,
+        body: &mut FlatTree<'a>,
         offset: u64,
         map: Option<&mut Option<Vec<usize>>>,
         work: &mut Vec<(usize, usize, bool)>,
     ) {
         match map {
-            None => self.records.extend(body.records.iter().rev()),
+            None => self.adopt(body),
             Some(map) => {
                 if map.is_none() {
                     *map = self.node_map(body);
@@ -861,16 +895,9 @@ impl<'a> FlatTree<'a> {
         Some(map)
     }
 
-    /// Write a merge's output with the records it references, as
-    /// [`encode_merged_tree`] does: within a body the last record of a gid wins,
-    /// across bodies the first.
-    fn finish<S: WireTaskSet>(mut self) -> Vec<u8> {
-        let mut names = std::mem::take(&mut self.records);
-        names.sort_by_key(|&(gid, _)| gid);
-        names.dedup_by_key(|&mut (gid, _)| gid);
-        let found = |gid| names.binary_search_by_key(&gid, |&(g, _)| g).ok();
-        let name_of = |gid| found(gid).and_then(|i| names.get(i)).map(|&(_, name)| name);
-        self.records = referenced(&self.nodes, self.base_len, name_of);
+    /// Write a merge's output: its records are every accepted body's names, each
+    /// carried by a node, as [`encode_merged_tree`] writes them.
+    fn finish<S: WireTaskSet>(self) -> Vec<u8> {
         let mut bytes = Vec::with_capacity(32 + self.nodes.len() * 8);
         write_body::<S>(&mut bytes, &self, |node| self.row(node));
         bytes
@@ -878,11 +905,13 @@ impl<'a> FlatTree<'a> {
 }
 
 /// The merge filter's body: fold v2 packet bodies left to right into one output
-/// body, byte for byte what [`decode_tree`] → [`PrefixTree::merge`] →
-/// [`encode_merged_tree`] produce, without building a tree.  A body that does
-/// not decode, names another dictionary base than the first accepted one, or —
-/// job-wide — another width, is skipped, as is a concatenating body that would
-/// take the output past [`MAX_WIRE_WIDTH`]; `None` when no body is accepted.
+/// body without building a tree, each body's own ids first brought into the
+/// output's by name (the output keeps the first body's).  For bodies that number
+/// alike, that is byte for byte what [`decode_tree`] → [`PrefixTree::merge`] →
+/// [`encode_merged_tree`] produce.  A body that does not decode, names another
+/// dictionary base than the first accepted one, or — job-wide — another width,
+/// is skipped, as is a concatenating body that would take the output past
+/// [`MAX_WIRE_WIDTH`]; `None` when no body is accepted.
 ///
 /// Job-wide bodies fold as they arrive, each read into one reused [`FlatTree`]
 /// at offset 0.  Concatenating bodies are held until the widths are summed, and
@@ -920,7 +949,7 @@ pub(crate) fn merge_bodies<'a, S: WireTaskSet>(
                 copies.push((held.len(), offset, false));
                 held.push(std::mem::take(&mut body));
             }
-            (None, Some(merge)) => merge.fold(&body, 0, None, &mut work),
+            (None, Some(merge)) => merge.fold(&mut body, 0, None, &mut work),
             (None, None) => merge = Some(FlatTree::merged(&body, width)),
         }
     }
@@ -928,7 +957,7 @@ pub(crate) fn merge_bodies<'a, S: WireTaskSet>(
         let merge = merge.insert(FlatTree::merged(held.get(first)?, width));
         let mut maps = vec![None; held.len()];
         for &(copy, offset, repeat) in later {
-            if let (Some(body), Some(map)) = (held.get(copy), maps.get_mut(copy)) {
+            if let (Some(body), Some(map)) = (held.get_mut(copy), maps.get_mut(copy)) {
                 merge.fold(body, offset, repeat.then_some(map), &mut work);
             }
         }
@@ -1094,11 +1123,11 @@ mod tests {
         );
         // Every frame was negotiated, so nothing ships incrementally...
         assert_eq!(frames.records().count(), 0);
-        // ...and ids resolve against the session dictionary's snapshot.
-        let snapshot = dict.snapshot();
+        // ...and ids resolve against the negotiated base.
+        let base = dict.table();
         let names: Vec<&str> = leaves(&back)
             .iter()
-            .map(|&l| snapshot.name(back.frame(l).unwrap()))
+            .map(|&l| base.name(back.frame(l).unwrap()))
             .collect();
         assert!(names.contains(&"MPI_Barrier"));
         assert!(names.contains(&"do_SendOrStall"));
@@ -1136,12 +1165,11 @@ mod tests {
     }
 
     /// Two trees (a daemon's 2D and 3D) walked by name into `table` as a daemon
-    /// walks them, encoded against `dict`: the bodies and the dictionary's names
-    /// in id order after them.
+    /// walks them, each encoded against `dict`.
     fn walked_bodies<S: WireTaskSet>(
         mut table: FrameTable,
         dict: &FrameDictionary,
-    ) -> (Vec<Vec<u8>>, Vec<String>) {
+    ) -> Vec<Vec<u8>> {
         // "poll_step" and "PMPI_Init" are outside every negotiation below.
         let paths: [&[&str]; 5] = [
             &["_start", "main", "MPI_Barrier"],
@@ -1160,13 +1188,7 @@ mod tests {
             crate::graph::tests::close_upward(&mut tree);
             tree
         });
-        let bodies = trees.iter().map(|t| encode_tree(t, &table, dict)).collect();
-        let snapshot = dict.snapshot();
-        let ids = (0..).map(FrameId).take(snapshot.len());
-        (
-            bodies,
-            ids.map(|id| snapshot.name(id).to_string()).collect(),
-        )
+        trees.iter().map(|t| encode_tree(t, &table, dict)).collect()
     }
 
     #[test]
@@ -1180,10 +1202,9 @@ mod tests {
                 "do_SendOrStall",
             ];
             let plain = walked_bodies::<S>(FrameTable::new(), &FrameDictionary::negotiate(hints));
-            let (_, frames) = decode_tree::<S>(&plain.0[0]).unwrap();
+            let (_, frames) = decode_tree::<S>(&plain[0]).unwrap();
             let records: Vec<_> = frames.records().collect();
             assert_eq!(records, [(5, "poll_step"), (6, "PMPI_Init")]);
-            assert_eq!(plain.1[5..], ["poll_step", "PMPI_Init"]);
             let dict = FrameDictionary::negotiate(hints);
             assert_eq!(walked_bodies::<S>(dict.table(), &dict), plain);
             // A table over another negotiation (the same names, another order):
@@ -1198,13 +1219,15 @@ mod tests {
         check::<SubtreeTaskList>();
     }
 
-    /// The encoder as it was before the relabel, the oracle of the tests below:
-    /// every frame outside a shared base is interned into `dict` in node order
-    /// while the body is planned, and ships that id.
-    fn interning_encode<S: WireTaskSet>(
+    /// The encoder of the shared session interner, the oracle of the front end's
+    /// numbering: every frame outside a shared base is interned into `session`
+    /// (a table over the base) in node order while the body is planned, and
+    /// ships that id.  Bodies encoded in backend order, a daemon's 2D tree
+    /// before its 3D tree, leave `session` numbered as the front end numbers.
+    pub(crate) fn interning_encode<S: WireTaskSet>(
         tree: &PrefixTree<S>,
         table: &FrameTable,
-        dict: &FrameDictionary,
+        (dict, session): (&FrameDictionary, &mut FrameTable),
     ) -> Vec<u8> {
         let negotiated = if dict.shares_base(table) {
             dict.base_len()
@@ -1214,14 +1237,20 @@ mod tests {
         let (mut gid_of, mut name_of) = (HashMap::new(), HashMap::new());
         for (_, frame) in links(tree).filter(|(_, frame)| frame.0 >= negotiated) {
             let name = table.name(frame);
-            let gid = *gid_of.entry(frame).or_insert_with(|| dict.intern(name));
+            let gid = *gid_of
+                .entry(frame)
+                .or_insert_with(|| session.intern(name).0);
             name_of.insert(gid, name);
         }
         let gid = |frame: FrameId| gid_of.get(&frame).copied().unwrap_or(frame.0);
         let at = (tree.width(), dict.base_len());
         let nodes = links(tree).map(|(parent, frame)| (parent, gid(frame)));
         let mut plan = plan(at, nodes);
-        plan.records = referenced(&plan.nodes, at.1, |gid| name_of.get(&gid).copied());
+        plan.records = name_of
+            .into_iter()
+            .filter(|&(gid, _)| gid >= at.1)
+            .collect();
+        plan.records.sort_unstable();
         let mut out = Vec::new();
         write_body::<S>(&mut out, &plan, |node| tree.tasks(node).words());
         out
@@ -1235,8 +1264,8 @@ mod tests {
     }
 
     /// A daemon's 2D and 3D trees over 16 tasks, walked by name into `table`:
-    /// "late_a", "late_b" and "poll" are outside [`wide_hints`], and the walk
-    /// reaches "late_a" first.
+    /// "late_a", "late_b" and "poll" are outside [`wide_hints`], the walk
+    /// reaches "late_a" first, and "late_a" has "poll" and "late_b" below it.
     fn cold_trees<S: WireTaskSet>(table: &mut FrameTable) -> [PrefixTree<S>; 2] {
         let paths: [&[&str]; 4] = [
             &["_start", "main", "MPI_Barrier"],
@@ -1255,149 +1284,322 @@ mod tests {
         })
     }
 
-    #[test]
-    fn a_relabelled_body_is_the_interning_encoders() {
-        fn check<S: WireTaskSet>(case: &str, earlier: usize, table_order: &[&str], late_a: bool) {
-            let hints = wide_hints();
-            let negotiate = || {
-                let dict = FrameDictionary::negotiate(hints.iter().map(String::as_str));
-                // Names an earlier daemon's relabel interned.
-                for k in 0..earlier {
-                    dict.intern(&format!("earlier_{k}"));
-                }
-                if late_a {
-                    dict.intern("late_a");
-                }
-                dict
-            };
-            let (reference, relabelled) = (negotiate(), negotiate());
-            // Known before the map: the snapshot's names ship their session ids.
-            let known = if late_a {
-                relabelled.snapshot()
-            } else {
-                relabelled.table()
-            };
-            let mut table = relabelled.table();
-            for name in table_order {
-                table.intern(name);
-            }
-            let trees = cold_trees::<S>(&mut table);
-            for (tree, first) in trees.iter().zip([true, false]) {
-                let at = format!("{case}, {} nodes", tree.node_count());
-                let want = interning_encode(tree, &table, &reference);
-                let row = |node| tree.tasks(node).words();
-                let ids = (&relabelled, &known);
-                let body = encode_ordered::<S>(tree.width(), links(tree), row, &table, ids);
-                let got = relabel::<S>(&body, ids).expect("a written body reads");
-                // Rewritten where the dictionary numbers the names otherwise;
-                // the first body's fresh names are the next ids when none was
-                // interned before it.
-                if earlier > 0 && !late_a {
-                    assert!(got.is_some(), "{at}");
-                } else if first {
-                    assert_eq!(got, None, "{at}");
-                }
-                assert_eq!(got.unwrap_or_else(|| body.clone()), want, "{at}");
-                // encode_tree is the same two steps.
-                assert_eq!(encode_tree(tree, &table, &relabelled), want, "{at}");
-                if earlier > 0 && !late_a {
-                    assert!(want.len() > body.len(), "{at}: the ids past 127 grew");
-                }
-            }
-            let names = |dict: &FrameDictionary| {
-                let table = dict.snapshot();
-                let ids = (0..).map(FrameId).take(table.len());
-                ids.map(|id| table.name(id).to_string()).collect::<Vec<_>>()
-            };
-            assert_eq!(names(&relabelled), names(&reference), "{case}");
-            let late = names(&relabelled).split_off(hints.len() + earlier);
-            assert_eq!(
-                late,
-                ["late_a", "poll", "late_b"],
-                "{case}: interned in node order"
-            );
+    /// (frame-name path, members) of every node, members moved up by `offset`.
+    type Named = BTreeMap<Vec<String>, std::collections::BTreeSet<u64>>;
+
+    /// `tree`'s nodes as [`Named`], each frame named by `name`: `None` when a
+    /// frame has no name or two nodes share a path (no prefix tree does).
+    fn named<S: WireTaskSet>(
+        tree: &PrefixTree<S>,
+        name: impl Fn(FrameId) -> Option<String>,
+        offset: u64,
+    ) -> Option<Named> {
+        let mut out = Named::new();
+        for node in 0..tree.node_count() {
+            let path: Option<Vec<String>> = tree.path_to(node).into_iter().map(&name).collect();
+            let members = tree.tasks(node).members().into_iter().map(|m| m + offset);
+            out.insert(path?, members.collect())
+                .is_none()
+                .then_some(())?;
         }
-        for (case, earlier, table_order, late_a) in [
-            ("ids below 128", 0, &[][..], false),
-            ("global ids past 127", 40, &[], false),
+        Some(out)
+    }
+
+    /// A body decoded and named by the base and its own records.
+    fn named_body<S: WireTaskSet>(body: &[u8], base: &FrameTable, offset: u64) -> Option<Named> {
+        let (tree, frames) = decode_tree::<S>(body).ok()?;
+        let base_len = u32::try_from(base.len()).unwrap();
+        let name = |id: FrameId| match id.0 < base_len {
+            true => Some(base.name(id).to_string()),
+            false => frames.name_of(id.0).map(String::from),
+        };
+        named(&tree, name, offset)
+    }
+
+    fn union(mut a: Named, b: Named) -> Named {
+        for (path, members) in b {
+            a.entry(path).or_default().extend(members);
+        }
+        a
+    }
+
+    /// A body cut around its record section: the bytes before the record
+    /// count, the records, and the bytes after them.
+    fn split_records(body: &[u8]) -> (Vec<u8>, Vec<(u32, String)>, Vec<u8>) {
+        let mut r = Reader::new(body);
+        r.take(6).unwrap();
+        let (_width, _base) = (r.varint().unwrap(), r.varint().unwrap());
+        let head = body[..r.pos].to_vec();
+        let records = (0..r.varint().unwrap())
+            .map(|_| {
+                let (gid, len) = (r.varint_u32().unwrap(), r.varint_count().unwrap());
+                (
+                    gid,
+                    String::from_utf8(r.take(len).unwrap().to_vec()).unwrap(),
+                )
+            })
+            .collect();
+        (head, records, body[r.pos..].to_vec())
+    }
+
+    fn join_records(head: &[u8], records: &[(u32, String)], tail: &[u8]) -> Vec<u8> {
+        let mut out = head.to_vec();
+        put_varint(&mut out, records.len() as u64);
+        for (gid, name) in records {
+            put_varint(&mut out, u64::from(*gid));
+            put_varint(&mut out, name.len() as u64);
+            out.extend_from_slice(name.as_bytes());
+        }
+        out.extend_from_slice(tail);
+        out
+    }
+
+    /// Cold 2D and 3D bodies with their record sections mutated, each through
+    /// `decode_tree`, the merge filter (beside the intact body, first and
+    /// second) and `finish`: every result is a typed error, a skipped body, or
+    /// the tree the mutated records name — never a panic, and never a tree
+    /// that names a frame no record gave or two nodes one path.
+    fn mutated_records_read_as_named<S: WireTaskSet + Send + Sync>(
+        representation: crate::frontend::Representation,
+    ) {
+        use crate::filter::StatMergeFilter;
+        use tbon::filter::Filter;
+        use tbon::network::ReductionOutcome;
+        use tbon::packet::{EndpointId, Packet, PacketTag};
+        let dict = FrameDictionary::negotiate(wide_hints().iter().map(String::as_str));
+        let (base, base_len) = (dict.table(), dict.base_len());
+        let mut table = dict.table();
+        let trees = cold_trees::<S>(&mut table);
+        let own = &mut Numbering::default();
+        let bodies = trees.each_ref().map(|tree| {
+            let row = |node| tree.tasks(node).words();
+            encode_ordered::<S>(16, links(tree), row, (&table, &dict), own)
+        });
+        let outcome = |payload: &[u8]| ReductionOutcome {
+            channel: "test",
+            result: Packet::new(PacketTag::Merged3d, EndpointId(0), payload.to_vec()),
+            filter_time: std::time::Duration::ZERO,
+            filter_invocations: 0,
+            frontend_bytes_in: 0,
+            max_node_bytes_in: 0,
+            total_link_bytes: 0,
+        };
+        let rank_map = outcome(&encode_rank_map(&(0..16).collect()));
+        let map = S::CONCATENATES.then_some(&rank_map);
+        let offset = if S::CONCATENATES { 16 } else { 0 };
+        let mut outcomes = [0; 3];
+        for (tree, intact) in ["2D", "3D"].iter().zip(&bodies) {
+            let (head, records, tail) = split_records(intact);
+            assert_eq!(records.len(), 3, "{tree}: late_a, poll and late_b");
+            let (a, b, c) = (records[0].clone(), records[1].clone(), records[2].clone());
+            let mutants: [(&str, Vec<(u32, String)>); 6] = [
+                ("a gid past the base and the count", {
+                    vec![a.clone(), b.clone(), (base_len + 3, c.1.clone())]
+                }),
+                ("a duplicated record", {
+                    vec![a.clone(), b.clone(), b.clone(), c.clone()]
+                }),
+                ("a dropped record", vec![a.clone(), c.clone()]),
+                ("two ids swapped", {
+                    vec![(b.0, a.1.clone()), (a.0, b.1.clone()), c.clone()]
+                }),
+                // Records in id order, names exchanged: another tree.
+                ("two names swapped", {
+                    vec![(a.0, b.1.clone()), (b.0, a.1.clone()), c.clone()]
+                }),
+                // "late_b" named "poll": both sit below "late_a".
+                (
+                    "a name repeated",
+                    vec![a.clone(), b.clone(), (c.0, b.1.clone())],
+                ),
+            ];
+            let sibling = named_body::<S>(intact, &base, 0).expect("the intact body reads");
+            for (case, records) in mutants {
+                let at = format!("{representation:?} {tree}, {case}");
+                let mutant = join_records(&head, &records, &tail);
+                // Through the reader: an error, or the tree its records name.
+                let read = decode_tree::<S>(&mutant);
+                let mutant_named = named_body::<S>(&mutant, &base, 0);
+                assert_eq!(read.is_ok(), mutant_named.is_some(), "{at}: {read:?}");
+                outcomes[usize::from(read.is_ok())] += 1;
+                // Through the merge filter, beside the intact body.
+                let packet =
+                    |body: &[u8]| Packet::new(PacketTag::Merged3d, EndpointId(1), body.to_vec());
+                let filter = StatMergeFilter::<S>::new();
+                for mutant_first in [false, true] {
+                    let mut wave = [packet(intact), packet(&mutant)];
+                    if mutant_first {
+                        wave.reverse();
+                    }
+                    let out = filter.reduce(EndpointId(0), &wave);
+                    let got = named_body::<S>(&out.payload, &base, 0);
+                    let want = match (&mutant_named, mutant_first) {
+                        (None, _) => Some(sibling.clone()),
+                        (Some(_), false) => {
+                            let moved = named_body::<S>(&mutant, &base, offset).unwrap();
+                            Some(union(sibling.clone(), moved))
+                        }
+                        (Some(m), true) => {
+                            let moved = named_body::<S>(intact, &base, offset).unwrap();
+                            Some(union(m.clone(), moved))
+                        }
+                    };
+                    assert_eq!(got, want, "{at}, mutant first: {mutant_first}");
+                }
+                // Through the front end.
+                let strategy = representation.strategy();
+                let finished =
+                    strategy.finish(&outcome(&mutant), &outcome(&mutant), map, 16, &dict);
+                match (finished, &mutant_named) {
+                    (Ok(merged), Some(want)) => {
+                        let frames = &merged.frames;
+                        let name = |id: FrameId| {
+                            let known = usize::try_from(id.0).unwrap() < frames.len();
+                            known.then(|| frames.name(id).to_string())
+                        };
+                        assert_eq!(named(&merged.tree_3d, name, 0).as_ref(), Some(want), "{at}");
+                        outcomes[2] += 1;
+                    }
+                    (Err(crate::error::StatError::Decode { .. }), None) => {}
+                    (got, want) => {
+                        panic!("{at}: finish gave {got:?} where the reader gave {want:?}")
+                    }
+                }
+            }
+        }
+        // Only the swapped names read, on both trees; the rest are typed errors.
+        assert_eq!(outcomes, [10, 2, 2], "{representation:?}");
+    }
+
+    #[test]
+    fn a_mutated_record_section_reads_as_an_error_or_the_tree_it_names() {
+        use crate::frontend::Representation;
+        mutated_records_read_as_named::<DenseBitVector>(Representation::GlobalBitVector);
+        mutated_records_read_as_named::<SubtreeTaskList>(Representation::HierarchicalTaskList);
+    }
+
+    #[test]
+    fn record_sections_are_checked_with_typed_errors() {
+        let dict = FrameDictionary::negotiate(wide_hints().iter().map(String::as_str));
+        let mut table = dict.table();
+        let [tree, _] = cold_trees::<DenseBitVector>(&mut table);
+        let body = encode_tree(&tree, &table, &dict);
+        let (head, records, tail) = split_records(&body);
+        let base = dict.base_len();
+        let names: Vec<(u32, &str)> = records.iter().map(|(g, n)| (*g, n.as_str())).collect();
+        assert_eq!(
+            names,
+            [(base, "late_a"), (base + 1, "poll"), (base + 2, "late_b")]
+        );
+        let read = |records: &[(u32, &str)]| {
+            let records: Vec<_> = records.iter().map(|&(g, n)| (g, n.to_string())).collect();
+            decode_tree::<DenseBitVector>(&join_records(&head, &records, &tail)).map(|_| ())
+        };
+        let (a, b, c) = (names[0], names[1], names[2]);
+        // The third record follows the count and two records of one-byte varints.
+        let third = head.len() + 1 + [a, b].iter().map(|(_, name)| 2 + name.len()).sum::<usize>();
+        let bad_index = |offset| DecodeError::BadIndex { offset };
+        let conflict = |gid| DecodeError::FrameConflict { gid };
+        for (case, records, want) in [
             (
-                "the table holds late_b before late_a",
-                0,
-                &["late_b", "late_a"],
-                false,
+                "a gid below the base",
+                vec![a, b, (base - 1, c.1)],
+                bad_index(third),
             ),
-            ("both", 40, &["poll", "late_b", "late_a"], false),
-            ("late_a known before the map", 40, &["poll"], true),
+            (
+                "a gid past the base and the count",
+                vec![a, b, (base + 3, c.1)],
+                bad_index(third),
+            ),
+            ("one gid twice", vec![a, b, (b.0, c.1)], bad_index(third)),
+            ("two ids swapped", vec![b, a, c], bad_index(head.len() + 1)),
+            ("one name twice", vec![a, b, (c.0, b.1)], conflict(c.0)),
+            (
+                "a record no node names",
+                vec![a, b, c, (base + 3, "spare")],
+                bad_index(head.len()),
+            ),
         ] {
-            check::<DenseBitVector>(case, earlier, table_order, late_a);
-            check::<SubtreeTaskList>(case, earlier, table_order, late_a);
+            assert_eq!(read(&records), Err(want), "{case}");
         }
+        assert_eq!(read(&names), Ok(()));
+        // A record that names a negotiated frame: the body reads on its own,
+        // and a reader that knows the base finds one name under two ids.
+        let main: Vec<_> = [(a.0, "main"), b, c]
+            .iter()
+            .map(|&(g, n)| (g, n.to_string()))
+            .collect();
+        let main = join_records(&head, &main, &tail);
+        assert!(decode_tree::<DenseBitVector>(&main).is_ok());
+        let mut table = dict.table();
+        let named = decode_named::<DenseBitVector>(&main, base, |name| table.intern(name).0);
+        let gid = table.lookup("main").map(|id| id.0);
+        assert_eq!(named.map(|_| ()), Err(conflict(gid.unwrap())));
     }
 
     #[test]
-    fn a_body_with_no_fresh_id_comes_back_as_it_is() {
-        fn check<S: WireTaskSet>() {
-            // Every name negotiated: no record.  Every name interned before the
-            // map: records, each already naming its session id.
-            let all = ["_start", "main", "late_a", "late_b", "poll", "MPI_Barrier"];
-            let negotiated = FrameDictionary::negotiate(all);
-            let interned = FrameDictionary::negotiate(wide_hints().iter().map(String::as_str));
-            for name in all {
-                interned.intern(name);
-            }
-            for dict in [negotiated, interned] {
-                let (known, mut table) = (dict.snapshot(), dict.table());
-                for tree in cold_trees::<S>(&mut table) {
-                    let row = |node| tree.tasks(node).words();
-                    let ids = (&dict, &known);
-                    let body = encode_ordered::<S>(tree.width(), links(&tree), row, &table, ids);
-                    assert_eq!(relabel::<S>(&body, ids), Ok(None));
-                    assert_eq!(body, interning_encode(&tree, &table, &dict));
+    fn the_front_end_numbers_frames_as_the_serial_intern_did() {
+        use crate::daemon::StatDaemon;
+        use crate::frontend::Representation;
+        use appsim::{Application, FrameVocabulary, RingHangApp};
+        use tbon::network::InProcessTbon;
+        use tbon::topology::{Topology, TreeShape};
+        fn check<S: WireTaskSet>(representation: Representation) {
+            let v = FrameVocabulary::BlueGeneL;
+            let threaded = appsim::workloads::threaded(256, 3, v);
+            let ring = RingHangApp::new(256, v).with_hung_rank(70);
+            let apps: [(&str, &dyn Application, Vec<&str>); 3] = [
+                ("threaded", &threaded, threaded.frame_hints()),
+                ("cold ring hang", &ring, Vec::new()),
+                (
+                    "half-negotiated ring hang",
+                    &ring,
+                    ring.frame_hints()[..4].to_vec(),
+                ),
+            ];
+            let shape = TreeShape::two_deep(16, 4);
+            let daemons = StatDaemon::partition(256, 16);
+            for ((case, app, hints), samples) in apps.iter().flat_map(|a| [(a, 1u32), (a, 3)]) {
+                let at = format!("{case}, {samples} samples, {representation:?}");
+                let dict = FrameDictionary::negotiate(hints.iter().copied());
+                let session =
+                    crate::session::Session::builder(machine::Cluster::test_cluster(32, 8))
+                        .representation(representation)
+                        .topology(shape.clone())
+                        .samples_per_task(samples)
+                        .build();
+                let net = InProcessTbon::new(Topology::build(shape.clone())).with_workers(2);
+                let leaves = daemons
+                    .iter()
+                    .zip(net.topology().backends().iter().copied());
+                let strategy = representation.strategy();
+                let shipped = strategy.contribute_all(leaves.collect(), *app, samples, &dict, &net);
+                let gather = session
+                    .merge(shipped.expect("no daemon dies"), 256, &dict)
+                    .unwrap();
+                // The relabel's order: a serial intern in backend order, each
+                // daemon's 2D tree before its 3D tree.
+                let mut serial = dict.table();
+                for daemon in &daemons {
+                    let mut table = dict.table();
+                    let (tree_2d, tree_3d) =
+                        daemon.build_trees::<S>(&daemon.gather(*app, samples, &mut table));
+                    interning_encode(&tree_2d, &table, (&dict, &mut serial));
+                    interning_encode(&tree_3d, &table, (&dict, &mut serial));
                 }
-                assert_eq!(dict.len(), known.len(), "nothing was interned");
+                assert!(
+                    serial.len() > dict.base_len() as usize,
+                    "{at}: nothing past the base"
+                );
+                let names = |table: &FrameTable| {
+                    let ids = (0..).map(FrameId).take(table.len());
+                    ids.map(|id| table.name(id).to_string()).collect::<Vec<_>>()
+                };
+                assert_eq!(names(&gather.frames), names(&serial), "{at}");
             }
         }
-        check::<DenseBitVector>();
-        check::<SubtreeTaskList>();
-    }
-
-    #[test]
-    fn a_broken_body_fails_the_relabel_with_a_typed_error() {
-        fn check<S: WireTaskSet>() {
-            let dict = FrameDictionary::negotiate(wide_hints().iter().map(String::as_str));
-            let (mut table, base) = (dict.table(), dict.table());
-            let [tree, _] = cold_trees::<S>(&mut table);
-            let (row, ids) = (|node| tree.tasks(node).words(), (&dict, &base));
-            let body = encode_ordered::<S>(tree.width(), links(&tree), row, &table, ids);
-            // Another body interned a name first: this one's must be rewritten.
-            dict.intern("earlier");
-            for cut in 1..body.len() {
-                let err = relabel::<S>(&body[..body.len() - cut], ids);
-                assert!(err.is_err(), "cut {cut}: {err:?}");
-            }
-            // The record count sits after the magic, version, tag, width and base.
-            let at = 6 + [tree.width(), u64::from(dict.base_len())]
-                .map(|v| {
-                    let mut sink = Vec::new();
-                    put_varint(&mut sink, v);
-                    sink.len()
-                })
-                .iter()
-                .sum::<usize>();
-            assert_eq!(body[at], 3, "three records: late_a, poll, late_b");
-            let lying = |count: u64| {
-                let mut lie = body[..at].to_vec();
-                put_varint(&mut lie, count);
-                lie.extend_from_slice(&body[at + 1..]);
-                relabel::<S>(&lie, ids)
-            };
-            assert!(lying(4).is_err(), "one record more than shipped");
-            let huge = lying(1 << 40);
-            assert!(huge.is_err(), "{huge:?}");
-            assert!(relabel::<S>(&body, ids).is_ok_and(|body| body.is_some()));
-        }
-        check::<DenseBitVector>();
-        check::<SubtreeTaskList>();
+        check::<DenseBitVector>(Representation::GlobalBitVector);
+        check::<SubtreeTaskList>(Representation::HierarchicalTaskList);
     }
 
     #[test]
@@ -1447,7 +1649,7 @@ mod tests {
         assert_eq!(back.node_count(), tree.node_count());
         let (gid, name) = frames.records().next().unwrap();
         assert_eq!(name.len(), 70_000);
-        assert_eq!(dict.snapshot().name(FrameId(gid)), huge_name);
+        assert_eq!((gid, name), (dict.base_len(), huge_name.as_str()));
     }
 
     #[test]
@@ -1621,18 +1823,20 @@ mod tests {
         assert_eq!(back.tasks(back.root()).count(), 16);
         assert_eq!(back_frames.name_of(3), Some("poll_step"));
         // Merging identical ids produced one shared "poll_step" leaf.
-        let snapshot = dict.snapshot();
         let poll_leaves = leaves(&back)
             .iter()
-            .filter(|&&l| snapshot.name(back.frame(l).unwrap()) == "poll_step")
+            .filter(|&&l| back_frames.name_of(back.frame(l).unwrap().0) == Some("poll_step"))
             .count();
         assert_eq!(poll_leaves, 1);
     }
 
     #[test]
     fn wire_frames_merge_rejects_a_foreign_session() {
-        let mut a = WireFrames::new(4);
-        let b = WireFrames::new(7);
+        let frames = |base_len| WireFrames {
+            base_len,
+            ..WireFrames::default()
+        };
+        let (mut a, b) = (frames(4), frames(7));
         assert_eq!(
             a.merge(&b).unwrap_err(),
             DecodeError::DictionaryMismatch {

@@ -307,9 +307,9 @@ impl Session {
         let strategy = self.representation.strategy();
 
         // Wire-format v2: the session-global frame dictionary is negotiated once,
-        // before any daemon contributes, and every packet in the session then
-        // carries integer ids from it.  Negotiation costs one broadcast of the
-        // encoded dictionary down the overlay, priced per link.
+        // before any daemon contributes; every packet then carries its base ids
+        // and names its own frames past them.  Negotiation costs one broadcast of
+        // the encoded dictionary down the overlay, priced per link.
         let dict = FrameDictionary::negotiate(app.frame_hints());
         let dictionary_payload = encode_dictionary(&dict.negotiated_names()).len() as u64;
         let net = InProcessTbon::new(topology);
@@ -354,8 +354,8 @@ impl Session {
     /// backend order) without re-sampling — the reduce → remap → classify tail of
     /// [`attach`](Session::attach) on its own.
     ///
-    /// `dict` must be the frame dictionary the contributions were encoded against —
-    /// the session-global id space survives the re-merge unchanged.
+    /// `dict` must be the frame dictionary the contributions were encoded against:
+    /// its base ids mean one frame in every packet; each packet names the rest.
     pub fn merge(
         &self,
         contributions: Vec<DaemonContribution>,
@@ -1059,18 +1059,20 @@ mod tests {
         let (tree_2d, tree_3d) = (alone(&outcomes[0])?, alone(&outcomes[1])?);
         let mut metrics = MergeMetrics::default();
         metrics.absorb_walk(&outcomes, Duration::ZERO);
+        // Each tree finished alone names its frames in its own root's order:
+        // its bytes are encoded against its own table.
+        let tree_2d_bytes = crate::serialize::encode_tree(&tree_2d.tree_2d, &tree_2d.frames, dict);
         let gather = GatherResult {
             classes: equivalence_classes(&tree_3d.tree_3d),
             tree_2d: tree_2d.tree_2d,
             tree_3d: tree_3d.tree_3d,
-            frames: dict.snapshot(),
+            frames: tree_3d.frames,
             metrics,
         };
         let invocations = [0, 1].map(|c| outcomes[c].filter_invocations);
-        Ok((
-            merged(&gather, tasks, dict, packet_bytes as u64),
-            invocations,
-        ))
+        let mut merged = merged(&gather, tasks, dict, packet_bytes as u64);
+        merged.0[0] = tree_2d_bytes;
+        Ok((merged, invocations))
     }
 
     /// One sample a task, over both representations and depths 2 and 3: the

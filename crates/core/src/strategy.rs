@@ -30,8 +30,8 @@ use crate::daemon::{contribute_pooled, DaemonContribution, StatDaemon};
 use crate::error::{MergeChannel, StatError};
 use crate::filter::StatMergeFilter;
 use crate::frontend::Representation;
-use crate::graph::{GlobalPrefixTree, PrefixTree};
-use crate::serialize::{decode_rank_map, decode_tree, DecodeError, WireTaskSet};
+use crate::graph::GlobalPrefixTree;
+use crate::serialize::{decode_named, decode_rank_map, DecodeError};
 use crate::taskset::{Domain, JobWide, RankRuns, SubtreeLocal, TaskSet};
 
 mod sealed {
@@ -47,7 +47,7 @@ pub struct MergedTrees {
     pub tree_2d: GlobalPrefixTree,
     /// The job-wide 3D (trace/space/time) tree, in MPI rank order.
     pub tree_3d: GlobalPrefixTree,
-    /// Frame names referenced by the trees.
+    /// The trees' frame names: the base, then the 3D root body's own, in order.
     pub frames: FrameTable,
     /// Wall-clock time of the front-end remap (zero for representations that arrive
     /// already in rank order).
@@ -94,8 +94,8 @@ pub trait RepresentationStrategy: sealed::Sealed + Send + Sync {
     /// Decode the reduced channel outcomes into job-wide, rank-ordered trees.
     ///
     /// `rank_map` is `Some` exactly when [`Self::needs_rank_map`] is true.
-    /// The decoded trees carry session-global frame ids, which resolve against
-    /// `dict`'s snapshot — the same table every daemon encoded against.
+    /// Both trees name their frames through one table over `dict`'s base, which
+    /// takes the 3D root body's own frames first, in its id order.
     fn finish(
         &self,
         out_2d: &ReductionOutcome,
@@ -115,19 +115,6 @@ impl Representation {
             Representation::HierarchicalTaskList => &DomainStrategy::<SubtreeLocal>(PhantomData),
         }
     }
-}
-
-fn decode_channel<S: WireTaskSet>(
-    channel: MergeChannel,
-    outcome: &ReductionOutcome,
-) -> Result<PrefixTree<S>, StatError> {
-    decode_tree(&outcome.result.payload)
-        .map(|(tree, _frames)| tree)
-        .map_err(|source| StatError::Decode {
-            channel,
-            endpoint: outcome.result.source,
-            source,
-        })
 }
 
 /// The strategy of the representation whose sets live over domain `D`.
@@ -175,10 +162,24 @@ impl<D: Domain> RepresentationStrategy for DomainStrategy<D> {
         total_tasks: u64,
         dict: &FrameDictionary,
     ) -> Result<MergedTrees, StatError> {
-        let merged_2d = decode_channel::<TaskSet<D>>(MergeChannel::Tree2d, out_2d)?;
-        // The same bytes are the same tree: decoded and remapped once.
+        // Each root body named through one table over the base.  The same bytes
+        // are the same tree: decoded and remapped once.  The 3D body is named
+        // first, so both trees carry its root's ids; a broken 2D body is still
+        // the error reported first.
+        let mut frames = dict.table();
+        let mut named = |channel, outcome: &ReductionOutcome| {
+            let (payload, endpoint) = (&outcome.result.payload, outcome.result.source);
+            let tree =
+                decode_named::<TaskSet<D>>(payload, dict.base_len(), |name| frames.intern(name).0);
+            tree.map_err(|source| StatError::Decode {
+                channel,
+                endpoint,
+                source,
+            })
+        };
         let same = out_3d.result.payload == out_2d.result.payload;
-        let merged_3d = (!same).then(|| decode_channel(MergeChannel::Tree3d, out_3d));
+        let merged_3d = (!same).then(|| named(MergeChannel::Tree3d, out_3d));
+        let merged_2d = named(MergeChannel::Tree2d, out_2d)?;
         let merged_3d = merged_3d.transpose()?;
         // The remap step the paper prices at 0.66 s for 208K tasks — timed only
         // where there is one: job-wide positions already are MPI ranks.
@@ -194,7 +195,7 @@ impl<D: Domain> RepresentationStrategy for DomainStrategy<D> {
         Ok(MergedTrees {
             tree_3d: merged_3d.map_or_else(|| tree_2d.clone(), remap),
             tree_2d,
-            frames: dict.snapshot(),
+            frames,
             remap_wall: remap_start.map_or(Duration::ZERO, |start| start.elapsed()),
         })
     }

@@ -34,7 +34,9 @@
 //!    the ordinary merge filter and forward the result, keeping nothing, and
 //!    the front end alone folds it into its resident tree, which therefore
 //!    always equals one batched merge of everything seen so far (the
-//!    equivalence `tests/streaming.rs` pins down).
+//!    equivalence `tests/streaming.rs` pins down).  Each delta numbers its own
+//!    frames past the negotiated base; the resident keeps the first delta's ids
+//!    and brings each later delta's into them by name.
 //!    A daemon's delta is byte for byte what [`PrefixTree::delta_from`] makes of
 //!    a fresh wave tree against a cumulative tree built by
 //!    [`PrefixTree::merge_aligned`]; that pair stays as the tests' oracle and the
@@ -66,7 +68,7 @@ use std::time::{Duration, Instant};
 
 use appsim::scenario::{Diagnosis, MidTreeFault, OverlayFault, Verdict};
 use appsim::{Application, WaveSource};
-use stackwalk::{FrameDictionary, FrameTable};
+use stackwalk::{FrameDictionary, FrameId, FrameTable};
 use tbon::delta::{IncrementalTbon, ResidentState, StateFactory, WaveOutcome};
 use tbon::fault::CorruptingFilter;
 use tbon::filter::Filter;
@@ -80,7 +82,8 @@ use crate::frontend::Representation;
 use crate::graph::PrefixTree;
 use crate::scenario::{diagnose, prune_overlay, resolve_filter_faults};
 use crate::serialize::{
-    decode_tree, encode_merged_tree, encode_ordered, links, relabel, Ids, WireFrames, WireTaskSet,
+    decode_named, decode_tree, encode_merged_tree, encode_ordered, links, Numbering, WireFrames,
+    WireTaskSet,
 };
 use crate::session::{PhaseTimings, Session};
 use crate::taskset::{DenseBitVector, SubtreeTaskList};
@@ -91,13 +94,16 @@ use crate::taskset::{DenseBitVector, SubtreeTaskList};
 /// arenas, frame ids or child orders differ.
 pub type CanonicalTree = Vec<(Vec<String>, Vec<u64>)>;
 
-fn canonical<S: WireTaskSet>(tree: &PrefixTree<S>, table: &FrameTable) -> CanonicalTree {
+fn canonical<'n, S: WireTaskSet>(
+    tree: &PrefixTree<S>,
+    name: impl Fn(FrameId) -> &'n str,
+) -> CanonicalTree {
     let mut out: CanonicalTree = (0..tree.node_count())
         .map(|node| {
             let path: Vec<String> = tree
                 .path_to(node)
-                .iter()
-                .map(|&f| table.name(f).to_string())
+                .into_iter()
+                .map(|f| name(f).to_string())
                 .collect();
             (path, tree.tasks(node).members())
         })
@@ -106,32 +112,25 @@ fn canonical<S: WireTaskSet>(tree: &PrefixTree<S>, table: &FrameTable) -> Canoni
     out
 }
 
-/// The front end's resident state: a rolling merged tree plus the
-/// accumulated incremental dictionary records its deltas shipped.  Under
-/// wire format v2 the resident never re-resolves a frame name: deltas carry
-/// session-global ids, so folding is id-aligned merging plus a union of the
-/// [`WireFrames`] records.  Public (opaque) so benchmarks can drive the
-/// production fold through [`tbon::delta::IncrementalTbon`] directly.
-pub struct TreeResident<S: WireTaskSet> {
-    frames: Option<WireFrames>,
-    tree: Option<PrefixTree<S>>,
-}
+/// The front end's resident state: a rolling merged tree plus the names of
+/// its frames past the negotiated base.  The first delta's ids are the
+/// resident's; a later delta's own frames are brought into them by name
+/// (`decode_named`), and base ids stay, so folding is id-aligned merging.
+/// Public (opaque) so benchmarks can drive the production fold through
+/// [`tbon::delta::IncrementalTbon`] directly.
+pub struct TreeResident<S: WireTaskSet>(Option<(PrefixTree<S>, WireFrames)>);
 
 impl<S: WireTaskSet> ResidentState for TreeResident<S> {
     fn fold(&mut self, delta: &Packet) -> Result<(), String> {
-        if delta.payload.is_empty() {
+        let payload = &delta.payload;
+        match self.0.as_mut() {
             // An empty control packet: nothing reached this node this wave.
-            return Ok(());
-        }
-        let (decoded, decoded_frames): (PrefixTree<S>, WireFrames) =
-            decode_tree(&delta.payload).map_err(|e| e.to_string())?;
-        match self.frames.as_mut() {
-            None => self.frames = Some(decoded_frames),
-            Some(frames) => frames.merge(&decoded_frames).map_err(|e| e.to_string())?,
-        }
-        match self.tree.as_mut() {
-            None => self.tree = Some(decoded),
-            Some(tree) => {
+            _ if payload.is_empty() => {}
+            None => self.0 = Some(decode_tree(payload).map_err(|e| e.to_string())?),
+            Some((tree, frames)) => {
+                let base_len = frames.base_len();
+                let decoded = decode_named::<S>(payload, base_len, |name| frames.id_of(name));
+                let decoded = decoded.map_err(|e| e.to_string())?;
                 if tree.width() != decoded.width() {
                     return Err(format!(
                         "delta domain {} does not match resident domain {}",
@@ -146,10 +145,8 @@ impl<S: WireTaskSet> ResidentState for TreeResident<S> {
     }
 
     fn resident_bytes(&self) -> usize {
-        match (self.tree.as_ref(), self.frames.as_ref()) {
-            (Some(tree), Some(frames)) => encode_merged_tree(tree, frames).len(),
-            _ => 0,
-        }
+        let resident = self.0.as_ref();
+        resident.map_or(0, |(tree, frames)| encode_merged_tree(tree, frames).len())
     }
 }
 
@@ -173,15 +170,12 @@ impl<S> Default for TreeResidentFactory<S> {
 impl<S: WireTaskSet> StateFactory for TreeResidentFactory<S> {
     type State = TreeResident<S>;
     fn new_state(&self) -> TreeResident<S> {
-        TreeResident {
-            frames: None,
-            tree: None,
-        }
+        TreeResident(None)
     }
 }
 
 /// One daemon's persistent streaming state: its rank slice; its frame table
-/// (shared by every wave so frame ids stay stable across deltas); its local
+/// (shared by every wave, as the arena's nodes hold its ids); its local
 /// trees, whose arena holds every node any wave reached and which each wave
 /// walks into under a new epoch; per arena node a row of every task that has
 /// reached it so far (the cumulative tree its deltas are computed against); and
@@ -196,21 +190,21 @@ struct DaemonStream<S: WireTaskSet> {
 }
 
 impl<S: WireTaskSet> DaemonStream<S> {
-    /// The cumulative tree's packet body against `ids`: the arena in index order,
-    /// each node labelled with every task that has reached it (a later snapshot
-    /// names every frame a wave met, so the body is then in session ids).
-    fn encode_cumulative(&self, ids: Ids<'_>) -> Vec<u8> {
+    /// The cumulative tree's packet body over `dict`'s base: the arena in index
+    /// order, each node labelled with every task that has reached it.
+    fn encode_cumulative(&self, dict: &FrameDictionary) -> Vec<u8> {
         let (trees, rows) = (&self.trees, |node| self.cumulative.row(node));
-        encode_ordered::<S>(trees.width, links(&trees.tree), rows, &self.table, ids)
+        let (links, own) = (links(&trees.tree), &mut Numbering::default());
+        encode_ordered::<S>(trees.width, links, rows, (&self.table, dict), own)
     }
 
     /// Fold the wave's closed 3D tree into the cumulative rows, and encode its
-    /// delta against `ids`: in first-touch order, the root, every node the
+    /// delta over `dict`'s base: in first-touch order, the root, every node the
     /// wave reached whose row adds members (and every node it created), and the
     /// ancestors that reach them, each labelled with only the members it adds,
     /// which is what [`PrefixTree::delta_from`] ships.  Returns the delta and
     /// whether it added anything.
-    fn fold_delta(&mut self, ids: Ids<'_>) -> (Vec<u8>, bool) {
+    fn fold_delta(&mut self, dict: &FrameDictionary) -> (Vec<u8>, bool) {
         let (trees, cumulative) = (&self.trees, &mut self.cumulative);
         let column = trees.column_3d();
         // The members a reached node's wave row adds over its cumulative row.
@@ -244,8 +238,9 @@ impl<S: WireTaskSet> DaemonStream<S> {
                 rows.push(added(node));
             }
         }
-        let rows = |place| rows.row(place);
-        let delta = encode_ordered::<S>(trees.width, links.into_iter(), rows, &self.table, ids);
+        let (rows, own) = (|place| rows.row(place), &mut Numbering::default());
+        let at = (&self.table, dict);
+        let delta = encode_ordered::<S>(trees.width, links.into_iter(), rows, at, own);
 
         cumulative.grow(trees.tree.node_count());
         for (&node, _) in column.touched.iter().zip(&kept).filter(|(_, &keep)| keep) {
@@ -352,14 +347,13 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
             }
         }
         self.incremental = IncrementalTbon::new(topology.clone(), TreeResidentFactory(PhantomData));
-        let known = self.dict.snapshot();
         let packets: Vec<Packet> = self
             .streams
             .iter()
             .flatten()
             .zip(topology.backends().iter())
             .map(|(stream, &leaf)| {
-                let payload = stream.encode_cumulative((&self.dict, &known));
+                let payload = stream.encode_cumulative(&self.dict);
                 Packet::new(PacketTag::TreeDelta, leaf, payload)
             })
             .collect();
@@ -374,10 +368,9 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
         window: Range<u32>,
         net: &InProcessTbon,
     ) -> Result<(Vec<DaemonContribution>, Vec<Packet>, u64), TbonError> {
-        let leaves = net.topology().backends().iter().copied();
+        let (leaves, dict) = (net.topology().backends().iter().copied(), &self.dict);
         let items = self.streams.iter_mut().flatten().zip(leaves).collect();
-        let ids = (&self.dict, &self.dict.snapshot());
-        let mut per_daemon = map_daemons::<S, _, _>(
+        let per_daemon = map_daemons::<S, _, _>(
             net,
             items,
             |(stream, leaf), _| {
@@ -386,33 +379,22 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
                 (&stream.daemon, table, trees, *leaf)
             },
             (app, window),
-            ids,
+            dict,
             &|(stream, leaf), table, mut contribution, trees| {
                 let delta_start = Instant::now();
                 (stream.table, stream.trees) = (table, trees);
                 stream.trees.release_2d();
-                let (delta, added) = stream.fold_delta(ids);
+                let (delta, added) = stream.fold_delta(dict);
                 contribution.local_merge_wall += delta_start.elapsed();
-                let full = (added || stream.full_bytes == 0).then(|| stream.encode_cumulative(ids));
-                stream.full_bytes = full.as_ref().map_or(stream.full_bytes, |b| b.len() as u64);
-                // Only a table past the base ships fresh ids, which may change the length.
-                let full = full.filter(|_| stream.table.len() > ids.0.base_len() as usize);
+                if added || stream.full_bytes == 0 {
+                    stream.full_bytes = stream.encode_cumulative(dict).len() as u64;
+                }
                 let delta = Packet::new(PacketTag::TreeDelta, leaf, delta);
-                (stream, contribution, delta, full)
+                (stream.full_bytes, contribution, delta)
             },
         )?;
-        // After the map, in backend order: every body in session ids.
-        for (stream, contribution, delta, full) in &mut per_daemon {
-            contribution.relabel::<S>(ids);
-            if let Ok(Some(body)) = relabel::<S>(&delta.payload, ids) {
-                delta.payload = body.into();
-            }
-            if let Some(Ok(Some(body))) = full.take().map(|body| relabel::<S>(&body, ids)) {
-                stream.full_bytes = body.len() as u64;
-            }
-        }
-        let full_packet_bytes = per_daemon.iter().map(|r| r.0.full_bytes).sum();
-        let (contributions, deltas) = per_daemon.into_iter().map(|(_, c, d, _)| (c, d)).unzip();
+        let full_packet_bytes = per_daemon.iter().map(|r| r.0).sum();
+        let (contributions, deltas) = per_daemon.into_iter().map(|(_, c, d)| (c, d)).unzip();
         Ok((contributions, deltas, full_packet_bytes))
     }
 
@@ -429,19 +411,21 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
     }
 
     fn incremental_canonical(&self) -> CanonicalTree {
-        // Frame ids in the resident tree are session-global, so the dictionary
-        // snapshot — the same table every daemon encoded against — resolves
-        // every name, including incrementally interned ones.
-        let state = self.incremental.frontend_state();
-        let tree = state.and_then(|state| state.tree.as_ref());
-        tree.map_or_else(Vec::new, |tree| canonical(tree, &self.dict.snapshot()))
+        let (state, base) = (self.incremental.frontend_state(), self.dict.table());
+        let resident = state.and_then(|state| state.0.as_ref());
+        resident.map_or_else(Vec::new, |(tree, frames)| {
+            canonical(tree, |id| {
+                frames.name_of(id.0).unwrap_or_else(|| base.name(id))
+            })
+        })
     }
 
     fn batched_canonical(&self) -> CanonicalTree {
-        let (mut merged, known) = (None::<PrefixTree<S>>, self.dict.snapshot());
+        let (mut merged, mut table) = (None::<PrefixTree<S>>, self.dict.table());
         for stream in self.streams.iter().flatten() {
-            let payload = stream.encode_cumulative((&self.dict, &known));
-            let Ok((tree, _frames)) = decode_tree::<S>(&payload) else {
+            let payload = stream.encode_cumulative(&self.dict);
+            let id_of = |name: &str| table.intern(name).0;
+            let Ok(tree) = decode_named::<S>(&payload, self.dict.base_len(), id_of) else {
                 return Vec::new();
             };
             match merged.as_mut() {
@@ -449,7 +433,7 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
                 Some(acc) => acc.merge(tree),
             }
         }
-        merged.map_or_else(Vec::new, |tree| canonical(&tree, &self.dict.snapshot()))
+        merged.map_or_else(Vec::new, |tree| canonical(&tree, |id| table.name(id)))
     }
 }
 
@@ -738,7 +722,7 @@ impl StreamingSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::daemon::tests::{descended, names_by_id, payloads, Sleepy};
+    use crate::daemon::tests::{descended, payloads, Sleepy};
     use crate::serialize::encode_tree;
     use appsim::scenario::catalogue;
     use appsim::{FaultSchedule, FrameVocabulary, RingHangApp, SteadySource};
@@ -913,10 +897,10 @@ mod tests {
 
     /// Four waves of `StreamCore` over the sleepy ring hang, with the stall frames
     /// (and in the first case the barrier frame) left out of the negotiation, so
-    /// that which daemon interns first depends on the schedule: every worker
-    /// count ships the contributions, deltas, full-tree bytes and dictionary ids
-    /// of one worker, which is a serial loop; and wave 0 ships the leaf packets
-    /// `contribute_all` ships for the same daemons and window.
+    /// that which daemon meets them first depends on the schedule: every worker
+    /// count ships the contributions, deltas and full-tree bytes of one worker,
+    /// which is a serial loop; and wave 0 ships the leaf packets `contribute_all`
+    /// ships for the same daemons and window.
     fn stream_waves_match_the_serial_loop<S: WireTaskSet + Send + Sync>(
         representation: Representation,
     ) {
@@ -939,7 +923,7 @@ mod tests {
             let run = |workers| {
                 let net = InProcessTbon::new(topology.clone()).with_workers(workers);
                 let mut core = StreamCore::<S>::new(daemons.clone(), &topology, negotiate());
-                let waves: Vec<_> = (0..4u32)
+                (0..4u32)
                     .map(|wave| {
                         let window = wave * 2..wave * 2 + 2;
                         let (contributions, deltas, full) = core
@@ -951,15 +935,19 @@ mod tests {
                             full,
                         )
                     })
-                    .collect();
-                (waves, names_by_id(&core.dict))
+                    .collect::<Vec<_>>()
             };
             let serial = run(1);
             for workers in [2, 3, 8, 64] {
                 assert_eq!(run(workers), serial, "{missed:?} missed, {workers} workers");
             }
-            // The stall frame really was interned after the negotiation.
-            assert!(serial.1.contains(&v.send_stall().to_string()));
+            // The stall frame really ships past the negotiation.
+            let named_stall = |(_, [_, tree_3d, _]): &(u32, [Packet; 3])| {
+                let (_, frames) = decode_tree::<S>(&tree_3d.payload).expect("the 3D body reads");
+                let stall = frames.records().any(|(_, name)| name == v.send_stall());
+                stall
+            };
+            assert!(serial[0].0.iter().any(named_stall));
 
             let dict = negotiate();
             let leaves = daemons.iter().zip(topology.backends().iter().copied());
@@ -972,7 +960,7 @@ mod tests {
                 .map(packets)
                 .collect();
             assert_eq!(
-                shipped, serial.0[0].0,
+                shipped, serial[0].0,
                 "wave 0 vs contribute_all, {missed:?} missed"
             );
         }
@@ -1052,8 +1040,9 @@ mod tests {
     }
 
     /// What the stream's daemons ship each wave, built the way it was before the
-    /// warm arena: a fresh 2D and 3D tree per daemon from the staged gather, the
-    /// delta `delta_from` makes of the wave against a cumulative tree that
+    /// warm arena: a fresh 2D and 3D tree per daemon from the staged gather,
+    /// encoded with one numbering as a daemon encodes them, the delta
+    /// `delta_from` makes of the wave against a cumulative tree that
     /// `merge_aligned` folds, and that tree's content.
     struct Reference<S: WireTaskSet> {
         dict: FrameDictionary,
@@ -1087,11 +1076,15 @@ mod tests {
                     table,
                 );
                 let (tree_2d, tree_3d) = daemon.build_trees::<S>(&gathered);
-                let [packet_2d, packet_3d] =
-                    [&tree_2d, &tree_3d].map(|t| encode_tree(t, table, dict));
+                let own = &mut Numbering::default();
+                let [packet_2d, packet_3d] = [&tree_2d, &tree_3d].map(|t| {
+                    let row = |node| t.tasks(node).words();
+                    encode_ordered::<S>(t.width(), links(t), row, (&*table, dict), own)
+                });
                 let delta = encode_tree(&tree_3d.delta_from(cumulative), table, dict);
                 cumulative.merge_aligned(tree_3d);
-                ([packet_2d, packet_3d, delta], canonical(cumulative, table))
+                let names = |id| table.name(id);
+                ([packet_2d, packet_3d, delta], canonical(cumulative, names))
             });
             per_daemon.unzip()
         }
@@ -1132,10 +1125,13 @@ mod tests {
                     .map(|(c, delta)| [&c.tree_2d, &c.tree_3d, delta].map(|p| p.payload.to_vec()));
                 let streams = core.streams.iter().flatten();
                 let cumulative = streams.clone().map(|stream| {
-                    let payload = stream.encode_cumulative((&core.dict, &core.dict.snapshot()));
-                    let (tree, _) =
-                        decode_tree::<S>(&payload).expect("the cumulative tree decodes");
-                    canonical(&tree, &core.dict.snapshot())
+                    let (payload, mut table) =
+                        (stream.encode_cumulative(&core.dict), core.dict.table());
+                    let id_of = |name: &str| table.intern(name).0;
+                    let tree = decode_named::<S>(&payload, core.dict.base_len(), id_of);
+                    canonical(&tree.expect("the cumulative tree decodes"), |id| {
+                        table.name(id)
+                    })
                 });
                 let got: Shipped = (shipped.collect(), cumulative.collect());
                 let (packets, trees) = &expected[wave];
@@ -1150,18 +1146,9 @@ mod tests {
                     }
                 }
                 assert_eq!(&got.1, trees, "{at}: cumulative trees");
-                let fresh = streams.map(|stream| {
-                    stream
-                        .encode_cumulative((&core.dict, &core.dict.snapshot()))
-                        .len() as u64
-                });
+                let fresh = streams.map(|stream| stream.encode_cumulative(&core.dict).len() as u64);
                 assert_eq!(full, fresh.sum::<u64>(), "{at}: cached full length");
             }
-            assert_eq!(
-                names_by_id(&core.dict),
-                names_by_id(&reference.dict),
-                "{case}"
-            );
         }
     }
 
@@ -1247,8 +1234,8 @@ mod tests {
     }
 
     /// Six two-sample waves of `StreamCore` on 8 daemons at workers 1, 2 and 8:
-    /// each wave ships, and interns, what a walk descending every trace of the
-    /// wave's application into fresh arenas does (`descended`).
+    /// each wave ships what a walk descending every trace of the wave's
+    /// application into fresh arenas does (`descended`).
     fn waves_end_where_they_descend<S: WireTaskSet + Send + Sync>(
         case: &str,
         hints: &[&'static str],
@@ -1277,7 +1264,6 @@ mod tests {
                     let want = descended::<S>(&leaves, app, window.clone(), &reference);
                     assert!(payloads(&walked) == payloads(&want), "{at}: packets differ");
                 });
-                assert_eq!(names_by_id(&core.dict), names_by_id(&reference), "{at}");
             }
         }
     }
@@ -1319,10 +1305,9 @@ mod tests {
                 let app = schedule.app_at(wave);
                 let (_, _, full) = core.gather_wave(app.as_ref(), window, &net).unwrap();
                 let streams = core.streams.iter().flatten();
-                let fresh = streams.clone().map(|s| {
-                    s.encode_cumulative((&core.dict, &core.dict.snapshot()))
-                        .len() as u64
-                });
+                let fresh = streams
+                    .clone()
+                    .map(|s| s.encode_cumulative(&core.dict).len() as u64);
                 assert_eq!(full, fresh.sum::<u64>(), "wave {wave}");
                 let nodes: Vec<usize> = streams.map(|s| s.trees.tree.node_count()).collect();
                 // Three waves after the onset the hang is all the job does.

@@ -7,7 +7,7 @@
 //! argues a scalable tool cannot afford — and the fixed-width length prefix it
 //! required is where the `as u16` truncation bug lived.
 //!
-//! [`FrameDictionary`] replaces that with one u32 id space per session:
+//! [`FrameDictionary`] replaces that with one negotiated base per session:
 //!
 //! * at `Session::attach` / `StreamingSession::open` the front end *negotiates*
 //!   the dictionary — it seeds the table with the frame names the application's
@@ -16,37 +16,29 @@
 //! * daemons walk into tables over that base ([`table`](FrameDictionary::table)):
 //!   every table shares the base's names read-only, so a negotiated frame's id
 //!   *is* its global id and encoding it takes no lock; a frame the negotiation
-//!   did not anticipate lands in the daemon's own overflow.  Its packet carries
-//!   the id a snapshot of the dictionary taken before the daemons' side-by-side
-//!   map gives its name, or, for a name interned by no one yet, a fresh id and a
-//!   record.  Interning ([`intern`](FrameDictionary::intern)) happens after the
-//!   map, in backend order, when those records are relabelled: the frame gets a
-//!   global id past [`base_len`](FrameDictionary::base_len), so the ids do not
-//!   depend on which daemon finished first, and its name ships exactly once per
-//!   packet as an *incremental dictionary record*;
-//! * merge filters never look names up at all — with a session-global id space,
-//!   comparing two frames is integer equality on ids.
+//!   did not anticipate lands in the daemon's own overflow.  Ids past
+//!   [`base_len`](FrameDictionary::base_len) belong to the packet that ships
+//!   them: each packet numbers its own and names them in *incremental dictionary
+//!   records*, so a packet is self-contained, as a filter that sees only packed
+//!   bytes needs;
+//! * merge filters never look a negotiated name up — comparing two base frames
+//!   is integer equality on ids — and match overflow frames by their records'
+//!   names, once per record.
 //!
-//! The handle is cheap to clone (all clones share one table) and callable from
-//! every daemon thread.  Only the incremental names sit behind a lock; a poisoned
-//! lock is recovered rather than propagated, because the table is append-only
-//! and never observed mid-update.
-
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+//! The handle is cheap to clone (all clones share one base) and read-only, so
+//! every daemon thread uses it without a lock.
 
 use crate::frame::{FrameId, FrameTable};
 
-/// A shared, session-global frame interner with a negotiated base table.
+/// A session's negotiated frame names, shared read-only by every table over it.
 ///
 /// Ids below [`base_len`](Self::base_len) were agreed at session setup and need
-/// never travel again; ids at or above it are incremental and ship their name
-/// once per referencing packet.
+/// never travel again; ids at or above it are a packet's own and ship their name
+/// once in that packet.
 #[derive(Clone, Debug)]
 pub struct FrameDictionary {
-    /// The negotiated base under an empty overflow: read without the lock.
+    /// The negotiated base under an empty overflow.
     base: FrameTable,
-    /// The same base, its overflow every incremental name interned so far.
-    interned: Arc<Mutex<FrameTable>>,
 }
 
 impl Default for FrameDictionary {
@@ -61,29 +53,15 @@ impl FrameDictionary {
     /// Duplicate hints collapse onto the first occurrence, so vocabularies can
     /// be concatenated freely.
     pub fn negotiate<'a>(hints: impl IntoIterator<Item = &'a str>) -> Self {
-        let base = FrameTable::with_base(hints);
         FrameDictionary {
-            interned: Arc::new(Mutex::new(base.clone())),
-            base,
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, FrameTable> {
-        self.interned.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Intern a frame name, returning its session-global id.  Names beyond the
-    /// negotiated base get fresh incremental ids; only those take the lock.
-    pub fn intern(&self, name: &str) -> u32 {
-        match self.base.lookup(name) {
-            Some(id) => id.0,
-            None => self.lock().intern(name).0,
+            base: FrameTable::with_base(hints),
         }
     }
 
     /// An empty [`FrameTable`] over the negotiated base, for a daemon to walk
-    /// into: its ids below [`base_len`](Self::base_len) are global ids, and only
-    /// a name outside the base lands in its own overflow.
+    /// into or the front end to name a packet's frames with: its ids below
+    /// [`base_len`](Self::base_len) are global ids, and a name outside the base
+    /// lands in its own overflow.
     pub fn table(&self) -> FrameTable {
         self.base.clone()
     }
@@ -101,28 +79,11 @@ impl FrameDictionary {
         u32::try_from(self.base.len()).unwrap_or(u32::MAX)
     }
 
-    /// Total names interned so far (base + incremental).
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// True if nothing was negotiated or interned.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
     /// The negotiated base names in id order — the payload of the one-time
     /// dictionary broadcast down the overlay.
     pub fn negotiated_names(&self) -> Vec<String> {
         let ids = (0..).map(FrameId).take(self.base.len());
         ids.map(|id| self.base.name(id).to_string()).collect()
-    }
-
-    /// A point-in-time [`FrameTable`] whose [`FrameId`]s equal
-    /// the dictionary's global ids: the shared base plus the incremental names.
-    /// The front end resolves decoded trees against this.
-    pub fn snapshot(&self) -> FrameTable {
-        self.lock().clone()
     }
 }
 
@@ -134,8 +95,7 @@ mod tests {
     fn negotiation_fixes_the_base_and_dedupes_hints() {
         let dict = FrameDictionary::negotiate(["_start", "main", "MPI_Barrier", "main"]);
         assert_eq!(dict.base_len(), 3);
-        assert_eq!(dict.len(), 3);
-        assert_eq!(dict.snapshot().lookup("main"), Some(FrameId(1)));
+        assert_eq!(dict.table().lookup("main"), Some(FrameId(1)));
         assert_eq!(
             dict.negotiated_names(),
             vec!["_start", "main", "MPI_Barrier"]
@@ -143,48 +103,17 @@ mod tests {
     }
 
     #[test]
-    fn incremental_interns_land_past_the_base() {
+    fn tables_share_the_negotiated_base_and_not_their_overflow() {
         let dict = FrameDictionary::negotiate(["_start", "main"]);
-        let late = dict.intern("do_SendOrStall");
-        assert_eq!(late, 2);
-        assert!(late >= dict.base_len());
-        // Idempotent, and the base never moves.
-        assert_eq!(dict.intern("do_SendOrStall"), late);
-        assert_eq!(dict.base_len(), 2);
-        assert_eq!(dict.snapshot().name(FrameId(late)), "do_SendOrStall");
-    }
-
-    #[test]
-    fn clones_share_one_id_space() {
-        let dict = FrameDictionary::negotiate(["main"]);
-        let other = dict.clone();
-        let a = dict.intern("MPI_Waitall");
-        let b = other.intern("MPI_Waitall");
-        assert_eq!(a, b);
-        assert_eq!(dict.len(), other.len());
-    }
-
-    #[test]
-    fn snapshot_ids_equal_global_ids() {
-        let dict = FrameDictionary::negotiate(["_start", "main"]);
-        dict.intern("poll_step");
-        let table = dict.snapshot();
-        assert_eq!(table.len(), 3);
-        assert_eq!(table.name(FrameId(2)), "poll_step");
-        assert_eq!(table.lookup("_start"), Some(FrameId(0)));
-    }
-
-    #[test]
-    fn tables_share_the_negotiated_base_and_not_its_interns() {
-        let dict = FrameDictionary::negotiate(["_start", "main"]);
-        let mut table = dict.table();
-        assert!(dict.shares_base(&table) && dict.shares_base(&dict.snapshot()));
+        let (mut table, mut other) = (dict.table(), dict.clone().table());
+        assert!(dict.shares_base(&table) && dict.shares_base(&other));
         assert_eq!((table.lookup("main"), table.len()), (Some(FrameId(1)), 2));
-        // A daemon's overflow stays its own until the relabel interns it.
+        // A daemon's overflow stays its own: each table numbers past the base.
         assert_eq!(table.intern("poll_step"), FrameId(2));
-        assert_eq!(dict.len(), 2);
-        assert_eq!(dict.intern("MPI_Barrier"), 2);
+        assert_eq!(other.intern("MPI_Barrier"), FrameId(2));
+        assert_eq!(other.lookup("poll_step"), None);
         assert_eq!(dict.table().len(), 2, "a fresh table is the base alone");
+        assert_eq!(dict.base_len(), 2, "interning never widens the base");
         let again = FrameDictionary::negotiate(["_start", "main"]);
         assert!(!dict.shares_base(&again.table()) && !dict.shares_base(&FrameTable::new()));
     }
@@ -192,9 +121,9 @@ mod tests {
     #[test]
     fn empty_dictionary_is_usable() {
         let dict = FrameDictionary::default();
-        assert!(dict.is_empty());
         assert_eq!(dict.base_len(), 0);
-        assert_eq!(dict.intern("???"), 0);
+        assert!(dict.negotiated_names().is_empty());
+        assert_eq!(dict.table().intern("???"), FrameId(0));
         assert_eq!(dict.base_len(), 0, "interning never widens the base");
     }
 }

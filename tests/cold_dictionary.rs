@@ -3,9 +3,9 @@
 //!
 //! The frame hints every catalogue application hands the session are the
 //! simulator's gift; a real job cannot list its frames ahead of time.  With no
-//! hints the negotiated base is empty, so every daemon's table overflows, its
-//! packets ship table-local ids named by records, and the relabel after the
-//! daemon map is the only place their names meet the session dictionary.  Every
+//! hints the negotiated base is empty, so every daemon's table overflows and
+//! its packets number and name every frame themselves: the merge filter matches
+//! them by name, and the front end names the root's.  Every
 //! catalogue scenario at 1,024 tasks, in both vocabularies, must then reach the
 //! same verdict and the same classes (frame-name paths and rank sets) as the
 //! negotiated run: through `contribute_all` at 1, 2 and 8 workers, through
@@ -99,7 +99,18 @@ fn through_contribute_all(
         .contribute_all(leaves.collect(), app, samples, &dict, &net)
         .expect("no daemon dies");
     if app.frame_hints().is_empty() {
-        assert!(!dict.is_empty(), "the relabel interned the walked names");
+        // Each daemon's 3D packet names the frames it walked, in either
+        // representation.
+        let named = |c: &DaemonContribution| {
+            let body = &c.tree_3d.payload;
+            let hier = decode_tree::<SubtreeTaskList>(body).map(|(_, frames)| frames);
+            let frames = hier.or_else(|_| decode_tree::<DenseBitVector>(body).map(|(_, f)| f));
+            frames.map_or(0, |frames| frames.records().count())
+        };
+        assert!(
+            contributions.iter().all(|c| named(c) > 0),
+            "the packets name the walked frames"
+        );
     }
     let gather = session
         .merge(contributions, tasks, &dict)

@@ -807,8 +807,12 @@ fn decoded_members<S: stat_core::serialize::WireTaskSet>(
     payload: &[u8],
     dict: &FrameDictionary,
 ) -> PathMembers {
-    let (tree, _frames): (PrefixTree<S>, WireFrames) = decode_tree(payload).unwrap();
-    let names = dict.snapshot();
+    let (tree, frames): (PrefixTree<S>, WireFrames) = decode_tree(payload).unwrap();
+    // The base, then the packet's own frames in its id order.
+    let mut names = dict.table();
+    frames.records().for_each(|(_, name)| {
+        names.intern(name);
+    });
     let members: PathMembers = (0..tree.node_count())
         .map(|node| {
             let path = tree
@@ -850,7 +854,9 @@ fn local_merge_matches_the_reference<S: stat_core::serialize::WireTaskSet>(
         assert_eq!(&decoded_members::<S>(&c.tree_2d.payload, &dict), &want_2d);
         assert_eq!(&decoded_members::<S>(&c.tree_3d.payload, &dict), &want_3d);
 
-        // The staged route ships the same bytes.
+        // The staged route ships the same 2D bytes and the same 3D tree: the
+        // daemon numbers its own frames in its 2D tree's node order first, a
+        // 3D tree encoded alone in its own.
         let mut table = FrameTable::new();
         let gathered = daemon.gather(app, samples, &mut table);
         let (tree_2d, tree_3d) = daemon.build_trees::<S>(&gathered);
@@ -859,8 +865,8 @@ fn local_merge_matches_the_reference<S: stat_core::serialize::WireTaskSet>(
             &c.tree_2d.payload[..]
         );
         assert_eq!(
-            &encode_tree(&tree_3d, &table, &dict)[..],
-            &c.tree_3d.payload[..]
+            &decoded_members::<S>(&encode_tree(&tree_3d, &table, &dict), &dict),
+            &want_3d
         );
 
         // ...and keeps to the reference when the sample clock starts at `base`.

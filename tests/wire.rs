@@ -62,16 +62,19 @@ fn gather_bytes(tasks: u64, daemon_count: u32, samples: u32) -> (u64, u64) {
             )
         })
         .collect();
-    // Snapshot after the gather so frames the daemons interned beyond the
-    // negotiated hints are resolvable for the v1 pricing.
-    let table = dict.snapshot();
     let mut v2 = 0u64;
     let mut v1 = 0u64;
     for c in &contributions {
         for payload in [&c.tree_2d.payload, &c.tree_3d.payload] {
             v2 += payload.len() as u64;
-            let (tree, _frames): (SubtreePrefixTree, WireFrames) =
+            let (tree, frames): (SubtreePrefixTree, WireFrames) =
                 decode_tree(payload).expect("daemon packets decode");
+            // The base, then the packet's own frames in its id order, for the
+            // v1 pricing.
+            let mut table = dict.table();
+            frames.records().for_each(|(_, name)| {
+                table.intern(name);
+            });
             v1 += v1_size(&tree, &table);
         }
     }
