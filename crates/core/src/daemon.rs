@@ -6,11 +6,12 @@
 //! trees ([`StatDaemon::contribute`]; no trace is materialised on the way), and
 //! hand the serialised trees (plus its rank map) to the overlay network.
 //! Everything global happens in the filters above it.  Both trees share one arena
-//! that a walk descends once per distinct path it is lent (`PathEnds`); a
-//! streaming daemon keeps it from wave to wave, and a one-shot gather's daemons
-//! hand theirs on (`LocalTrees`).  Its packets are self-contained: a frame the
-//! negotiated base lacks ships an id of the packet's own (numbered as its 2D,
-//! then its 3D body first reaches it) and a record naming it, so it is final.
+//! that a walk descends once per distinct path it is lent (`PathEnds`), and the
+//! arena owns the frame table its ids index (`LocalTrees`): a streaming daemon
+//! keeps the pair from wave to wave, and a one-shot gather's daemons hand it on,
+//! cold or negotiated.  Its packets are self-contained: a frame the negotiated
+//! base lacks ships an id of the packet's own (numbered as its 2D, then its 3D
+//! body first reaches it) and a record naming it, so it is final.
 
 use std::ops::Range;
 use std::sync::Mutex;
@@ -114,11 +115,12 @@ impl StatDaemon {
 
     /// Build the locally merged 2D and 3D trees from gathered samples: the merging
     /// half of [`StatDaemon::contribute`], staged, on the same `LocalTrees` core.
+    /// The samples carry their own table's ids, so the arena's table stays empty.
     pub fn build_trees<S: WireTaskSet>(
         &self,
         samples: &[TaskSamples],
     ) -> (PrefixTree<S>, PrefixTree<S>) {
-        let mut trees = LocalTrees::new(self.leaf_width::<S>());
+        let mut trees = LocalTrees::new(self.leaf_width::<S>(), FrameTable::new());
         trees.begin(self.leaf_width::<S>(), false);
         for (position, task) in samples.iter().enumerate() {
             for (nth, trace) in task.traces.iter().enumerate() {
@@ -135,32 +137,30 @@ impl StatDaemon {
     /// sample indices of `window` reaches its end node in `trees`' arena under a
     /// new epoch (by name, when the walk first sees its lent slice: [`PathEnds`]),
     /// the trees are closed upward and encoded, with the rank runs, into the three
-    /// leaf packets over `dict`'s base; `trees` comes back, for the caller that
-    /// keeps or pools it.
+    /// leaf packets over `dict`'s base.
     fn contribute_from<S: WireTaskSet>(
         &self,
         app: &dyn Application,
         window: Range<u32>,
         (leaf, dict): (EndpointId, &FrameDictionary),
-        table: &mut FrameTable,
-        mut trees: LocalTrees<S>,
-    ) -> (DaemonContribution, LocalTrees<S>) {
+        trees: &mut LocalTrees<S>,
+    ) -> DaemonContribution {
         let sample_start = Instant::now();
         let one_column = window.len() == 1 && app.threads_per_task() == 1;
         trees.begin(self.leaf_width::<S>(), one_column);
         let (mut traces, mut ends) = (0, PathEnds([(0, 0, 0); PATH_SLOTS]));
         appsim::for_each_sampled_path(app, &self.ranks, window, |pos, rank, nth, path| {
-            let end = ends.end_of(path, || trees.tree.descend_named(table, path));
+            let end = ends.end_of(path, || trees.tree.descend_named(&mut trees.table, path));
             trees.record(pos, rank, nth, end);
             traces += 1;
         });
         let merge_start = Instant::now();
         trees.close();
-        let (tree_2d, tree_3d) = trees.encode(table, dict);
+        let (tree_2d, tree_3d) = trees.encode(dict);
         let packet = |tag, payload: Vec<u8>| Packet::new(tag, leaf, payload);
         let tree_3d = packet(PacketTag::Merged3d, tree_3d);
         let tree_2d = tree_2d.map_or_else(|| tree_3d.payload.clone(), Into::into);
-        let contribution = DaemonContribution {
+        DaemonContribution {
             daemon_id: self.id,
             tree_2d: Packet::new(PacketTag::Merged2d, leaf, tree_2d),
             tree_3d,
@@ -168,8 +168,7 @@ impl StatDaemon {
             traces_gathered: traces,
             sample_wall: merge_start - sample_start,
             local_merge_wall: merge_start.elapsed(),
-        };
-        (contribution, trees)
+        }
     }
 
     /// Run one full gather-and-merge cycle and package the results for the TBON.
@@ -188,10 +187,8 @@ impl StatDaemon {
         leaf: EndpointId,
         dict: &FrameDictionary,
     ) -> DaemonContribution {
-        let mut table = dict.table();
-        let trees = LocalTrees::<S>::new(self.leaf_width::<S>());
-        self.contribute_from(app, 0..samples, (leaf, dict), &mut table, trees)
-            .0
+        let trees = &mut LocalTrees::<S>::new(self.leaf_width::<S>(), dict.table());
+        self.contribute_from(app, 0..samples, (leaf, dict), trees)
     }
 }
 
@@ -237,23 +234,21 @@ impl PathEnds {
     }
 }
 
-/// A driver's last step per daemon, inside the map: its item, its frame table
-/// and local trees back, its contribution.
-type Finish<'a, T, S, R> =
-    dyn Fn(T, FrameTable, DaemonContribution, LocalTrees<S>) -> R + Sync + 'a;
+/// A driver's last step per daemon, inside the map: its item, contribution and trees.
+type Finish<'a, T, S, R> = dyn Fn(T, DaemonContribution, LocalTrees<S>) -> R + Sync + 'a;
 
-/// An item's daemon, the frame table and local trees it walks into, and its leaf.
-type Parts<'a, S> = (&'a StatDaemon, FrameTable, LocalTrees<S>, EndpointId);
+/// An item's daemon, the local trees it walks into, and its leaf.
+type Parts<'a, S> = (&'a StatDaemon, LocalTrees<S>, EndpointId);
 
 /// The daemon step of every gather, one-shot or streamed: each item's walk →
 /// close → encode over the sample indices of `window`, then its `finish`, side
 /// by side on `net`'s workers.  `parts` reaches an item's daemon and leaf and
-/// hands over the frame table (a fresh one is the dictionary's) and the local
-/// trees (a fresh arena, or a stream's from its last wave) to walk into, which
-/// `finish` gets back.  Every packet numbers its own frames past `dict`'s base,
-/// so no id depends on the schedule and what `finish` ships is final.  An arena
-/// outlives its item's step only where `finish` keeps it.  A daemon whose walk
-/// or `finish` panics is [`TbonError::PoolPoisoned`].
+/// hands over the local trees to walk into (a fresh arena, a pooled one, or a
+/// stream's from its last wave), which `finish` gets back.  Every packet numbers
+/// its own frames past `dict`'s base, so no id depends on the schedule or on
+/// the arena's table, and what `finish` ships is final.  An arena outlives its
+/// item's step only where `finish` keeps it.  A daemon whose walk or `finish`
+/// panics is [`TbonError::PoolPoisoned`].
 pub(crate) fn map_daemons<S: WireTaskSet + Send, T: Send, R: Send>(
     net: &InProcessTbon,
     items: Vec<T>,
@@ -263,19 +258,18 @@ pub(crate) fn map_daemons<S: WireTaskSet + Send, T: Send, R: Send>(
     finish: &Finish<'_, T, S, R>,
 ) -> Result<Vec<R>, TbonError> {
     net.map(items, &|mut item| {
-        let (daemon, mut table, trees, leaf) = parts(&mut item, dict);
-        let at = (leaf, dict);
-        let (shipped, trees) = daemon.contribute_from(app, window.clone(), at, &mut table, trees);
-        Ok(finish(item, table, shipped, trees))
+        let (daemon, mut trees, leaf) = parts(&mut item, dict);
+        let shipped = daemon.contribute_from(app, window.clone(), (leaf, dict), &mut trees);
+        Ok(finish(item, shipped, trees))
     })
 }
 
 /// Every daemon's [`StatDaemon::contribute`] through [`map_daemons`], each
-/// walking a new epoch into an arena of `pool` an earlier daemon left (one of
-/// another row width is dropped), so a worker builds its daemons' shared frames
-/// once.  An arena goes back only if its table (`dict`'s) has an empty overflow
-/// (no table-local id reaches another table) and its epoch reached at least half
-/// its nodes (so it holds at most twice one daemon's tree); any other is
+/// walking a new epoch into an arena of `pool` an earlier daemon left, table
+/// and all (one of another row width is dropped), so a worker builds its
+/// daemons' shared frames once, negotiated or not.  An arena goes back only if
+/// its epoch reached at least half its nodes (so it holds at most twice one
+/// daemon's tree, its table no more names: [`LocalTrees`]); any other is
 /// dropped inside the map.  A poisoned pool reads as empty.
 pub(crate) fn contribute_pooled<S: WireTaskSet + Send>(
     net: &InProcessTbon,
@@ -292,15 +286,13 @@ pub(crate) fn contribute_pooled<S: WireTaskSet + Send>(
             let width = daemon.leaf_width::<S>();
             let pooled = pool.lock().ok().and_then(|mut arenas| arenas.pop());
             let trees = pooled.filter(|trees| trees.wps == words_for(width));
-            let trees = trees.unwrap_or_else(|| LocalTrees::new(width));
-            (*daemon, dict.table(), trees, *leaf)
+            let trees = trees.unwrap_or_else(|| LocalTrees::new(width, dict.table()));
+            (*daemon, trees, *leaf)
         },
         (app, 0..samples),
         dict,
-        &|(_, _, pool), table, contribution, trees| {
-            let reached = trees.column_3d().touched.len();
-            let negotiated = table.len() == dict.base_len() as usize;
-            if negotiated && 2 * reached >= trees.tree.node_count() {
+        &|(_, _, pool), contribution, trees| {
+            if 2 * trees.column_3d().touched.len() >= trees.tree.node_count() {
                 if let Ok(mut arenas) = pool.lock() {
                     arenas.push(trees);
                 }
@@ -310,14 +302,15 @@ pub(crate) fn contribute_pooled<S: WireTaskSet + Send>(
     )
 }
 
-/// A daemon's 2D and 3D trees: one arena that every trace reaches by name, and
-/// a label column per tree.  Every trace marks its task in the 3D column, a
-/// task's first trace also in the 2D column; a task is marked only on the node
-/// where its trace *ends*, and [`LocalTrees::close`] ORs every row into its
-/// parent's, which makes each label "every task that reached this frame".  The
-/// task is indexed by rank in a job-wide domain, by position in a concatenating
-/// one.  Sampled names and gathered frame ids both come through here, so they
-/// cannot disagree on a task's index or 2D feed.
+/// A daemon's 2D and 3D trees: one arena that every trace reaches by name, the
+/// frame table its nodes' ids index, and a label column per tree.  Every trace
+/// marks its task in the 3D column, a task's first trace also in the 2D column;
+/// a task is marked only on the node where its trace *ends*, and
+/// [`LocalTrees::close`] ORs every row into its parent's, which makes each
+/// label "every task that reached this frame".  The task is indexed by rank in
+/// a job-wide domain, by position in a concatenating one.  Sampled names and
+/// gathered frame ids both come through here, so they cannot disagree on a
+/// task's index or 2D feed.
 ///
 /// When each task gives one trace (one sample, one thread), the 2D tree *is* the
 /// 3D tree: that epoch marks, closes and encodes the 3D column alone.
@@ -329,9 +322,17 @@ pub(crate) fn contribute_pooled<S: WireTaskSet + Send>(
 /// already held: a stream daemon keeps its trees from wave to wave and walks
 /// each wave into them, and a one-shot gather's daemon walks into an arena an
 /// earlier daemon of the same map left ([`contribute_pooled`]).
+///
+/// The table goes where the arena goes, so the nodes' ids are always its ids;
+/// no packet shows them (`encode_ordered` numbers a body's own frames as its
+/// nodes reach them).  A name enters the table only when `descend_named`
+/// creates the node that carries it, so the overflow never names more frames
+/// than the arena holds nodes, and the pool's half-reached rule bounds both.
 pub(crate) struct LocalTrees<S: WireTaskSet> {
     /// Every node any epoch reached; its own labels stay empty.
     pub(crate) tree: PrefixTree<S>,
+    /// The names behind the nodes' ids, over the dictionary's base.
+    pub(crate) table: FrameTable,
     /// The labels' domain width, and the words a row of it takes.
     pub(crate) width: u64,
     pub(crate) wps: usize,
@@ -360,11 +361,12 @@ pub(crate) struct Column {
 }
 
 impl<S: WireTaskSet> LocalTrees<S> {
-    /// An empty arena over a domain of `width` task positions.
-    pub(crate) fn new(width: u64) -> Self {
+    /// An empty arena over `width` task positions, its walks interning into `table`.
+    pub(crate) fn new(width: u64, table: FrameTable) -> Self {
         let wps = words_for(width);
         LocalTrees {
             tree: PrefixTree::new(0),
+            table,
             width,
             wps,
             fresh_from: 0,
@@ -423,7 +425,7 @@ impl<S: WireTaskSet> LocalTrees<S> {
     /// each in first-touch order.  Both columns stay: the next epoch's stamps
     /// make the rows this one left unreadable, so an arena handed on in a pool
     /// keeps its 2D rows and stamps instead of growing them again.
-    fn encode(&mut self, table: &FrameTable, dict: &FrameDictionary) -> (Option<Vec<u8>>, Vec<u8>) {
+    fn encode(&mut self, dict: &FrameDictionary) -> (Option<Vec<u8>>, Vec<u8>) {
         let own = &mut Numbering::default();
         let mut body = |column: &Column| {
             let links = column
@@ -432,7 +434,7 @@ impl<S: WireTaskSet> LocalTrees<S> {
                 .skip(1)
                 .map(|&n| column.link(&self.tree, n));
             let row = |at: usize| column.row(column.touched[at]);
-            encode_ordered::<S>(self.width, links, row, (table, dict), own)
+            encode_ordered::<S>(self.width, links, row, (&self.table, dict), own)
         };
         // The 2D tree first: the daemon numbers its own frames in the 2D tree's
         // node order, then the 3D tree's others.
@@ -844,28 +846,15 @@ pub(crate) mod tests {
         daemon_map_matches_the_serial_loop::<SubtreeTaskList>(Representation::HierarchicalTaskList);
     }
 
-    /// Nodes of `pool`'s arenas whose frame id is past `dict`'s base: a table-local
-    /// id, which would name another frame in the next daemon's table.
-    fn table_local_nodes<S: WireTaskSet>(
-        pool: &Mutex<Vec<LocalTrees<S>>>,
-        dict: &FrameDictionary,
-    ) -> usize {
-        let arenas = pool.lock().expect("no walk panicked");
-        let frames = arenas
-            .iter()
-            .flat_map(|t| (0..t.tree.node_count()).map(|n| t.tree.frame(n)));
-        frames.flatten().filter(|f| f.0 >= dict.base_len()).count()
-    }
-
     /// The pooled daemon map at workers 1, 2 and 8, one sample (one column) and
     /// three, against a `StatDaemon::contribute` per daemon, each into a fresh
     /// arena: the same packets, byte for byte, from a map over an empty pool
     /// (`contribute_all`) and again from a second map over the arenas the first
     /// left.  The ring hang's hung
     /// rank opens daemon 5 of 16, so the daemons after it walk into an arena
-    /// holding its stall path.  At one worker the first map leaves one arena,
-    /// walked by the last daemons in a row of one row width and negotiated
-    /// frames alone.
+    /// holding its stall path, and, with the stall frame un-negotiated, into a
+    /// table that already names it.  At one worker the first map leaves one
+    /// arena, walked by the last daemons in a row of one row width.
     fn pooled_map_matches_fresh_arenas<S: WireTaskSet + Send>() {
         let v = FrameVocabulary::BlueGeneL;
         let ring = |tasks| RingHangApp::new(tasks, v).with_hung_rank(330);
@@ -882,9 +871,9 @@ pub(crate) mod tests {
             ("64 and 65 tasks", ring(1_030), hints.clone(), (16, 10)),
             // Twelve daemons of 64 tasks, four of 63: one word a row either way.
             ("63 and 64 tasks", ring(1_020), hints.clone(), (16, 16)),
-            // The hung daemon's table overflows with the stall frame: its arena
-            // is not handed on.
-            ("stall frame un-negotiated", ring(1_024), no_stall, (10, 10)),
+            // The hung daemon's table overflows with the stall frame, and its
+            // arena goes on with that table to the ten daemons after it.
+            ("stall frame un-negotiated", ring(1_024), no_stall, (16, 16)),
         ];
         let topology = Topology::build(TreeShape::flat(16));
         for ((case, app, hints, epochs), samples) in cases.iter().flat_map(|c| [(c, 1), (c, 3)]) {
@@ -910,7 +899,6 @@ pub(crate) mod tests {
                         assert_eq!(m.tree_3d.payload, s.tree_3d.payload, "{at}");
                         assert_eq!(m.rank_map.payload, s.rank_map.payload, "{at}");
                     }
-                    assert_eq!(table_local_nodes(&pool, &dict), 0, "{at}");
                     if (workers, pass) == (1, "first map") {
                         let arenas = pool.lock().expect("no walk panicked");
                         let want = if S::CONCATENATES { epochs.1 } else { epochs.0 };
@@ -985,29 +973,49 @@ pub(crate) mod tests {
         }
     }
 
+    /// The disjoint app's pooled map at workers 1 and 2, its hints negotiated
+    /// and withheld (cold: every daemon's table overflows with all its frames):
+    /// arenas go back to the pool, each within twice the largest daemon tree,
+    /// with a table whose overflow names no more frames than its arena holds
+    /// nodes.
     fn pooled_arenas_stay_within_twice_a_daemon_tree<S: WireTaskSet + Send>() {
         let app = Disjoint::new(16, 64);
-        let dict = FrameDictionary::negotiate(app.frame_hints());
         let daemons = StatDaemon::partition(app.num_tasks(), 16);
         let topology = Topology::build(TreeShape::flat(16));
-        for workers in [1usize, 2] {
-            let net = InProcessTbon::new(topology.clone()).with_workers(workers);
-            let pool = Mutex::<Vec<LocalTrees<S>>>::default();
-            let leaves = daemons.iter().zip(topology.backends().iter().copied());
-            let mapped = contribute_pooled(&net, leaves.collect(), (&app, 1), &dict, &pool)
-                .expect("no worker dies");
-            let tree = |c: &DaemonContribution| {
-                let (tree, _): (PrefixTree<S>, _) = decode_tree(&c.tree_3d.payload).unwrap();
-                tree.node_count()
-            };
-            let largest = mapped.iter().map(tree).max().unwrap_or(0);
-            let arenas = pool.lock().expect("no walk panicked");
-            let held: Vec<usize> = arenas.iter().map(|t| t.tree.node_count()).collect();
-            assert!(!held.is_empty(), "{workers} workers: no arena went back");
-            assert!(
-                held.iter().all(|&n| n <= 2 * largest),
-                "{workers} workers: arenas of {held:?} nodes, daemon trees of at most {largest}"
-            );
+        for (case, hints) in [("negotiated", app.frame_hints()), ("cold", Vec::new())] {
+            let dict = FrameDictionary::negotiate(hints);
+            for workers in [1usize, 2] {
+                let at = format!("{case}, {workers} workers");
+                let net = InProcessTbon::new(topology.clone()).with_workers(workers);
+                let pool = Mutex::<Vec<LocalTrees<S>>>::default();
+                let leaves = daemons.iter().zip(topology.backends().iter().copied());
+                let mapped = contribute_pooled(&net, leaves.collect(), (&app, 1), &dict, &pool)
+                    .expect("no worker dies");
+                let cold = mapped
+                    .iter()
+                    .all(|c| own_frames::<S>(&c.tree_3d.payload) > 0);
+                assert_eq!(cold, case == "cold", "{at}: every daemon ships records");
+                let tree = |c: &DaemonContribution| {
+                    let (tree, _): (PrefixTree<S>, _) = decode_tree(&c.tree_3d.payload).unwrap();
+                    tree.node_count()
+                };
+                let largest = mapped.iter().map(tree).max().unwrap_or(0);
+                let arenas = pool.lock().expect("no walk panicked");
+                let held: Vec<usize> = arenas.iter().map(|t| t.tree.node_count()).collect();
+                assert!(!held.is_empty(), "{at}: no arena went back");
+                assert!(
+                    held.iter().all(|&n| n <= 2 * largest),
+                    "{at}: arenas of {held:?} nodes, daemon trees of at most {largest}"
+                );
+                for t in arenas.iter() {
+                    let overflow = t.table.len() - dict.base_len() as usize;
+                    assert!(
+                        overflow <= t.tree.node_count(),
+                        "{at}: a table naming {overflow} frames past the base over {} nodes",
+                        t.tree.node_count()
+                    );
+                }
+            }
         }
     }
 

@@ -53,20 +53,17 @@ use crate::streaming::{StreamingBuilder, WaveReport};
 
 /// Convert a finished gather into the representation-agnostic [`Diagnosis`] the
 /// scenario verdict checkers consume: classes by frame *name*, each with a copy
-/// of its task set, plus the ranks a degraded gather lost.
+/// of its task set, plus the ranks a degraded gather lost.  Classes come
+/// largest first, equal sizes in frame-name order, so the same job gives the
+/// same diagnosis whatever ids its frames got.
 pub fn diagnose(gather: &GatherResult, tasks: u64, lost_ranks: Vec<u64>) -> Diagnosis {
-    let classes = gather
-        .classes
-        .iter()
-        .map(|class| DiagnosedClass {
-            frames: class
-                .path
-                .iter()
-                .map(|&f| gather.frames.name(f).to_string())
-                .collect(),
-            ranks: class.tasks.clone(),
-        })
-        .collect();
+    let name = |&f| gather.frames.name(f).to_string();
+    let named = gather.classes.iter().map(|class| {
+        let (frames, ranks) = (class.path.iter().map(name).collect(), class.tasks.clone());
+        DiagnosedClass { frames, ranks }
+    });
+    let mut classes: Vec<_> = named.collect();
+    classes.sort_unstable_by(|a, b| (b.ranks.len(), &a.frames).cmp(&(a.ranks.len(), &b.frames)));
     Diagnosis {
         tasks,
         lost_ranks,

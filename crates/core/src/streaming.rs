@@ -174,16 +174,14 @@ impl<S: WireTaskSet> StateFactory for TreeResidentFactory<S> {
     }
 }
 
-/// One daemon's persistent streaming state: its rank slice; its frame table
-/// (shared by every wave, as the arena's nodes hold its ids); its local
-/// trees, whose arena holds every node any wave reached and which each wave
-/// walks into under a new epoch; per arena node a row of every task that has
-/// reached it so far (the cumulative tree its deltas are computed against); and
-/// that tree's packet length, encoded again only when a wave adds to it (0
-/// before the first wave).
+/// One daemon's persistent streaming state: its rank slice; its local trees,
+/// whose arena (with the frame table its ids index) holds every node any wave
+/// reached and which each wave walks into under a new epoch; per arena node a
+/// row of every task that has reached it so far (the cumulative tree its deltas
+/// are computed against); and that tree's packet length, encoded again only
+/// when a wave adds to it (0 before the first wave).
 struct DaemonStream<S: WireTaskSet> {
     daemon: StatDaemon,
-    table: FrameTable,
     trees: LocalTrees<S>,
     cumulative: Rows,
     full_bytes: u64,
@@ -195,7 +193,7 @@ impl<S: WireTaskSet> DaemonStream<S> {
     fn encode_cumulative(&self, dict: &FrameDictionary) -> Vec<u8> {
         let (trees, rows) = (&self.trees, |node| self.cumulative.row(node));
         let (links, own) = (links(&trees.tree), &mut Numbering::default());
-        encode_ordered::<S>(trees.width, links, rows, (&self.table, dict), own)
+        encode_ordered::<S>(trees.width, links, rows, (&trees.table, dict), own)
     }
 
     /// Fold the wave's closed 3D tree into the cumulative rows, and encode its
@@ -239,7 +237,7 @@ impl<S: WireTaskSet> DaemonStream<S> {
             }
         }
         let (rows, own) = (|place| rows.row(place), &mut Numbering::default());
-        let at = (&self.table, dict);
+        let at = (&trees.table, dict);
         let delta = encode_ordered::<S>(trees.width, links.into_iter(), rows, at, own);
 
         cumulative.grow(trees.tree.node_count());
@@ -310,13 +308,12 @@ impl<S: WireTaskSet> StreamCore<S> {
         let streams = daemons
             .into_iter()
             .map(|daemon| {
-                let trees = LocalTrees::new(daemon.leaf_width::<S>());
+                let trees = LocalTrees::new(daemon.leaf_width::<S>(), dict.table());
                 let mut cumulative = Rows::new(trees.wps);
                 cumulative.grow(1);
                 Some(DaemonStream {
                     cumulative,
                     trees,
-                    table: dict.table(),
                     daemon,
                     full_bytes: 0,
                 })
@@ -374,15 +371,18 @@ impl<S: WireTaskSet + Send + Sync> WaveStream for StreamCore<S> {
             net,
             items,
             |(stream, leaf), _| {
-                let table = std::mem::take(&mut stream.table);
-                let trees = std::mem::replace(&mut stream.trees, LocalTrees::new(0));
-                (&stream.daemon, table, trees, *leaf)
+                let trees = LocalTrees::new(0, FrameTable::new());
+                (
+                    &stream.daemon,
+                    std::mem::replace(&mut stream.trees, trees),
+                    *leaf,
+                )
             },
             (app, window),
             dict,
-            &|(stream, leaf), table, mut contribution, trees| {
+            &|(stream, leaf), mut contribution, trees| {
                 let delta_start = Instant::now();
-                (stream.table, stream.trees) = (table, trees);
+                stream.trees = trees;
                 stream.trees.release_2d();
                 let (delta, added) = stream.fold_delta(dict);
                 contribution.local_merge_wall += delta_start.elapsed();

@@ -70,13 +70,6 @@ fn session() -> Session {
     builder().build()
 }
 
-/// `diagnosis` with its classes in frame-name order: a class's place in the
-/// list follows the frame ids, which the two dictionaries assign differently.
-fn by_name(mut diagnosis: Diagnosis) -> Diagnosis {
-    diagnosis.classes.sort_by(|a, b| a.frames.cmp(&b.frames));
-    diagnosis
-}
-
 /// The verdict (passed, and its text) and the diagnosis of `app`'s
 /// contributions from `contribute_all` at `workers`, merged by the session.
 fn through_contribute_all(
@@ -117,7 +110,7 @@ fn through_contribute_all(
         .expect("the gather merges");
     let diagnosis = diagnose(&gather, tasks, Vec::new());
     let verdict = scenario.truth.check(&scenario.name, &diagnosis);
-    (verdict.passed(), verdict.to_string(), by_name(diagnosis))
+    (verdict.passed(), verdict.to_string(), diagnosis)
 }
 
 #[test]
@@ -140,11 +133,7 @@ fn a_cold_dictionary_judges_every_catalogue_scenario_as_the_negotiated_one() {
             };
             let run = |scenario: &FaultScenario| {
                 let run = session().run_scenario(scenario).expect("the scenario runs");
-                (
-                    run.verdict.passed(),
-                    run.verdict.to_string(),
-                    by_name(run.diagnosis),
-                )
+                (run.verdict.passed(), run.verdict.to_string(), run.diagnosis)
             };
             assert_eq!(run(&cold_scenario), run(scenario), "{at}, run_scenario");
         }
@@ -166,7 +155,7 @@ fn a_cold_ring_hang_stream_judges_every_wave_as_the_negotiated_one() {
         (0..6)
             .map(|_| {
                 let wave = stream.advance().expect("the wave advances");
-                (wave.verdict.passed(), wave.classes, by_name(wave.diagnosis))
+                (wave.verdict.passed(), wave.classes, wave.diagnosis)
             })
             .collect::<Vec<_>>()
     };
